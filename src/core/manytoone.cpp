@@ -5,13 +5,25 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "core/strategy.hpp"
 #include "flow/assignment.hpp"
+#include "lp/revised_simplex.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace qp::core {
 
 namespace {
+
+// Placement-LP telemetry, tallied once per solve: how many LPs ran, their
+// total simplex iterations, how many started from a supplied or chained
+// basis, and how many of those seeds stalled into the cold retry.
+const obs::Counter c_m2o_lp_solves = obs::counter("core.manytoone.lp_solves");
+const obs::Counter c_m2o_lp_iterations = obs::counter("core.manytoone.lp_iterations");
+const obs::Counter c_m2o_warm_starts = obs::counter("core.manytoone.warm_starts");
+const obs::Counter c_m2o_warm_stalls = obs::counter("core.manytoone.warm_stalls");
 
 /// Fractional assignment x[u][w] plus bookkeeping from the LP step.
 struct FractionalPlacement {
@@ -19,13 +31,18 @@ struct FractionalPlacement {
   double objective = 0.0;
 };
 
+/// Solves the placement LP for anchor v0 on the revised simplex. `basis`
+/// seeds the solve when non-empty and receives the optimal basis: only the
+/// delay-row coefficients d(v0, .) depend on the anchor, so one anchor's
+/// optimum is a near-feasible start for the next.
 FractionalPlacement solve_placement_lp(const net::LatencyMatrix& matrix,
                                        std::span<const quorum::Quorum> quorums,
                                        std::span<const double> distribution,
                                        std::span<const double> element_load,
                                        std::span<const double> capacities, std::size_t v0,
-                                       const ManyToOneOptions& options,
+                                       const ManyToOneOptions& options, lp::Basis& basis,
                                        lp::SolveStatus& status) {
+  QP_TRACE_SPAN("core.manytoone.lp");
   const std::size_t sites = matrix.size();
   const std::size_t n = element_load.size();
   const std::size_t m = quorums.size();
@@ -64,9 +81,18 @@ FractionalPlacement solve_placement_lp(const net::LatencyMatrix& matrix,
     }
   }
 
-  const lp::SimplexSolver solver{options.simplex};
-  const lp::Solution solution = solver.solve(problem);
+  lp::SimplexOptions simplex = options.simplex;
+  simplex.initial_basis = basis;
+  lp::SolveResult solution = lp::RevisedSimplexSolver{simplex}.solve(problem);
+  c_m2o_lp_solves.add();
+  c_m2o_lp_iterations.add(solution.iterations);
+  if (!basis.empty()) {
+    c_m2o_warm_starts.add();
+    if (solution.warm_start_stalled) c_m2o_warm_stalls.add();
+  }
   status = solution.status;
+  // Without an optimum the seed is kept for the next anchor.
+  if (status == lp::SolveStatus::Optimal) basis = std::move(solution.basis);
 
   FractionalPlacement fractional;
   if (status != lp::SolveStatus::Optimal) return fractional;
@@ -167,20 +193,17 @@ Placement round_to_slots(const FractionalPlacement& fractional,
   return placement;
 }
 
-}  // namespace
-
-ManyToOneResult many_to_one_placement(const net::LatencyMatrix& matrix,
-                                      const quorum::QuorumSystem& system,
-                                      std::span<const double> quorum_distribution,
-                                      std::span<const double> capacities, std::size_t v0,
-                                      const ManyToOneOptions& options) {
+/// Argument checks shared by both entry points; returns the enumerated
+/// quorums, which the distribution is aligned with.
+std::vector<quorum::Quorum> validated_quorums(const net::LatencyMatrix& matrix,
+                                              const quorum::QuorumSystem& system,
+                                              std::span<const double> quorum_distribution,
+                                              std::span<const double> capacities,
+                                              const ManyToOneOptions& options) {
   if (capacities.size() != matrix.size()) {
     throw std::invalid_argument{"many_to_one_placement: capacities size mismatch"};
   }
-  if (v0 >= matrix.size()) {
-    throw std::invalid_argument{"many_to_one_placement: v0 out of range"};
-  }
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
+  std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
   if (quorum_distribution.size() != quorums.size()) {
     throw std::invalid_argument{"many_to_one_placement: distribution size mismatch"};
   }
@@ -189,13 +212,24 @@ ManyToOneResult many_to_one_placement(const net::LatencyMatrix& matrix,
   if (std::abs(total - 1.0) > 1e-6) {
     throw std::invalid_argument{"many_to_one_placement: distribution must sum to 1"};
   }
-  const std::vector<double> load =
-      element_loads(quorums, quorum_distribution, system.universe_size());
+  return quorums;
+}
 
+/// The three-step pipeline for one anchor; `basis` is threaded through
+/// solve_placement_lp.
+ManyToOneResult place_for_anchor(const net::LatencyMatrix& matrix,
+                                 std::span<const quorum::Quorum> quorums,
+                                 std::span<const double> quorum_distribution,
+                                 std::span<const double> load,
+                                 std::span<const double> capacities, std::size_t v0,
+                                 const ManyToOneOptions& options, lp::Basis& basis) {
+  if (v0 >= matrix.size()) {
+    throw std::invalid_argument{"many_to_one_placement: v0 out of range"};
+  }
   ManyToOneResult result;
   FractionalPlacement fractional =
       solve_placement_lp(matrix, quorums, quorum_distribution, load, capacities, v0, options,
-                         result.status);
+                         basis, result.status);
   if (result.status != lp::SolveStatus::Optimal) return result;
   result.lp_delay_bound = fractional.objective;
 
@@ -214,6 +248,22 @@ ManyToOneResult many_to_one_placement(const net::LatencyMatrix& matrix,
     result.max_capacity_violation = std::max(result.max_capacity_violation, site_load[w] / cap);
   }
   return result;
+}
+
+}  // namespace
+
+ManyToOneResult many_to_one_placement(const net::LatencyMatrix& matrix,
+                                      const quorum::QuorumSystem& system,
+                                      std::span<const double> quorum_distribution,
+                                      std::span<const double> capacities, std::size_t v0,
+                                      const ManyToOneOptions& options) {
+  const std::vector<quorum::Quorum> quorums =
+      validated_quorums(matrix, system, quorum_distribution, capacities, options);
+  const std::vector<double> load =
+      element_loads(quorums, quorum_distribution, system.universe_size());
+  lp::Basis basis = options.simplex.initial_basis;
+  return place_for_anchor(matrix, quorums, quorum_distribution, load, capacities, v0, options,
+                          basis);
 }
 
 double average_network_delay_under_distribution(const net::LatencyMatrix& matrix,
@@ -250,13 +300,19 @@ ManyToOneSearchResult best_many_to_one_placement(const net::LatencyMatrix& matri
     std::iota(all.begin(), all.end(), std::size_t{0});
     candidates = all;
   }
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
+  const std::vector<quorum::Quorum> quorums =
+      validated_quorums(matrix, system, quorum_distribution, capacities, options);
+  const std::vector<double> load =
+      element_loads(quorums, quorum_distribution, system.universe_size());
 
   ManyToOneSearchResult best;
   best.avg_network_delay = std::numeric_limits<double>::infinity();
+  // Each anchor's LP starts from the previous anchor's optimal basis (the
+  // first from the caller's seed, if any).
+  lp::Basis basis = options.simplex.initial_basis;
   for (std::size_t v0 : candidates) {
-    ManyToOneResult candidate =
-        many_to_one_placement(matrix, system, quorum_distribution, capacities, v0, options);
+    ManyToOneResult candidate = place_for_anchor(matrix, quorums, quorum_distribution, load,
+                                                 capacities, v0, options, basis);
     if (candidate.status != lp::SolveStatus::Optimal) continue;
     const double delay = average_network_delay_under_distribution(
         matrix, quorums, quorum_distribution, candidate.placement);

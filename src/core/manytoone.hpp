@@ -1,7 +1,8 @@
 // Many-to-one quorum placement (§4.1.2): the "almost capacity-respecting"
 // algorithm of Gupta et al., reconstructed as
 //   1. an LP relaxation of the single-client placement problem
-//      (fractional assignment x_uw, per-quorum delay bounds t_Q),
+//      (fractional assignment x_uw, per-quorum delay bounds t_Q), solved on
+//      the sparse revised simplex (lp/revised_simplex),
 //   2. Lin–Vitter filtering: drop fractional assignments to nodes farther
 //      than (1+eps) times the element's fractional average distance and
 //      renormalize, and
@@ -28,6 +29,9 @@ struct ManyToOneOptions {
   /// keeps assignments within twice the fractional average distance).
   double epsilon = 1.0;
   std::size_t quorum_limit = 100'000;
+  /// Placement-LP solver knobs; simplex.initial_basis seeds the first
+  /// anchor's solve (later anchors of best_many_to_one_placement start from
+  /// their predecessor's optimal basis).
   lp::SimplexOptions simplex{};
 };
 
@@ -61,7 +65,11 @@ struct ManyToOneSearchResult {
 
 /// §4.1.2 outer loop: runs many_to_one_placement for every candidate anchor
 /// (all sites when empty) and keeps the placement with the lowest average
-/// network delay under the given quorum distribution.
+/// network delay under the given quorum distribution. The anchors' LPs
+/// differ only in the delay coefficients d(v0, .), so each one is
+/// warm-started from the previous anchor's optimal basis; the bounds match
+/// cold solves to solver tolerance, though a tie between alternate LP
+/// optima may round to a different placement.
 [[nodiscard]] ManyToOneSearchResult best_many_to_one_placement(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
     std::span<const double> quorum_distribution, std::span<const double> capacities,

@@ -471,21 +471,10 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
 
   const lp::RevisedSimplexSolver solver{options.simplex};
   lp::SolveResult solution = solver.solve(problem);
-  bool warm_stalled = false;
-  if (solution.status == lp::SolveStatus::IterationLimit &&
-      !options.simplex.initial_basis.empty()) {
-    // A stale warm basis can stall on a reshaped LP; retry once from cold.
-    warm_stalled = true;
-    lp::SimplexOptions cold = options.simplex;
-    cold.initial_basis = {};
-    const std::size_t warm_iterations = solution.iterations;
-    solution = lp::RevisedSimplexSolver{cold}.solve(problem);
-    solution.iterations += warm_iterations;
-  }
   c_slp_revised.add();
   c_slp_iterations.add(solution.iterations);
   if (!options.simplex.initial_basis.empty()) {
-    (warm_stalled ? c_slp_warm_miss : c_slp_warm_hit).add();
+    (solution.warm_start_stalled ? c_slp_warm_miss : c_slp_warm_hit).add();
   }
   result.status = solution.status;
   result.lp_iterations = solution.iterations;

@@ -98,8 +98,11 @@ struct StrategyLpResult {
   ExplicitStrategy strategy;          // Populated when status == Optimal.
   double avg_network_delay = 0.0;     // LP objective (4.3).
   std::size_t lp_iterations = 0;
-  /// The engine that actually solved the LP (Auto/Transportation resolved).
-  StrategyLpSolver solver_used = StrategyLpSolver::Dense;
+  /// The engine that actually solved the LP (Auto/Transportation resolved:
+  /// a Transportation request whose capacity rows can bind, or whose flow
+  /// fails to saturate, reports Revised). Auto only on a default-constructed
+  /// result, before any engine ran.
+  StrategyLpSolver solver_used = StrategyLpSolver::Auto;
   /// Optimal basis of the Revised path (empty for the other engines). Feed
   /// it back through options.simplex.initial_basis to warm-start the next
   /// solve of an identically-shaped LP (same placement support set).

@@ -1,7 +1,8 @@
 // Linear-program container: minimize c^T x subject to sparse linear rows and
 // x >= 0. This is the modeling layer that replaces the paper's GNU MathProg
 // models; the access-strategy LP (4.3)-(4.6) and the many-to-one placement
-// LP are both built through this interface and solved by lp::SimplexSolver.
+// LP are both built through this interface and solved by
+// lp::RevisedSimplexSolver (lp::SimplexSolver is the dense parity reference).
 //
 // Variables are non-negative. Upper bounds must be expressed as rows by the
 // caller when needed; the LPs in this codebase never need explicit upper

@@ -607,6 +607,19 @@ class RevisedState {
   std::vector<double> bscratch_;
 };
 
+/// One solve from the seed in `options` (cold when it is empty), with the
+/// per-attempt telemetry.
+SolveResult solve_attempt(LpProblem& problem, const SimplexOptions& options) {
+  QP_TRACE_SPAN("lp.revised.solve");
+  RevisedState state{problem, options};
+  SolveResult result = state.run();
+  c_rs_solves.add();
+  c_rs_iterations.add(result.iterations);
+  c_rs_refactorizations.add(state.refactor_count());
+  g_rs_eta_len_max.set(static_cast<double>(state.eta_len_max()));
+  return result;
+}
+
 }  // namespace
 
 SolveResult RevisedSimplexSolver::solve(LpProblem& problem) const {
@@ -622,13 +635,16 @@ SolveResult RevisedSimplexSolver::solve(LpProblem& problem) const {
     if (unbounded) result.values.clear();
     return result;
   }
-  QP_TRACE_SPAN("lp.revised.solve");
-  RevisedState state{problem, options_};
-  SolveResult result = state.run();
-  c_rs_solves.add();
-  c_rs_iterations.add(result.iterations);
-  c_rs_refactorizations.add(state.refactor_count());
-  g_rs_eta_len_max.set(static_cast<double>(state.eta_len_max()));
+  SolveResult result = solve_attempt(problem, options_);
+  if (result.status == SolveStatus::IterationLimit && !options_.initial_basis.empty()) {
+    // A stale warm basis can stall on a reshaped LP; retry once from cold.
+    SimplexOptions cold = options_;
+    cold.initial_basis = {};
+    const std::size_t warm_iterations = result.iterations;
+    result = solve_attempt(problem, cold);
+    result.iterations += warm_iterations;
+    result.warm_start_stalled = true;
+  }
   return result;
 }
 

@@ -1,7 +1,8 @@
 // Sparse revised simplex with an LU-factorized basis and warm starts.
 //
-// This is the production LP engine (the dense tableau SimplexSolver stays as
-// the parity reference). Design:
+// This is the production LP engine for both the access-strategy LP and the
+// many-to-one placement LP (the dense tableau SimplexSolver stays as the
+// parity reference). Design:
 //   * column-wise sparse constraint storage — reduced costs and ftran touch
 //     only nonzeros, so cost per pivot scales with fill, not rows x cols;
 //   * the basis is LU-factorized (Gilbert–Peierls left-looking elimination
@@ -44,6 +45,10 @@ struct SolveResult {
   /// SimplexSolver: y_i <= 0 for LessEqual rows at optimality.
   std::vector<double> duals;
   std::size_t iterations = 0;
+  /// True when the warm seed (SimplexOptions::initial_basis) hit the
+  /// iteration limit and the solve was retried once from the cold basis;
+  /// `iterations` then counts both attempts.
+  bool warm_start_stalled = false;
   /// Optimal basis, one entry per row (empty unless Optimal).
   Basis basis;
 };
@@ -53,7 +58,9 @@ class RevisedSimplexSolver {
   explicit RevisedSimplexSolver(SimplexOptions options = {}) : options_(options) {}
 
   /// Solves min c^T x, Ax {<=,=,>=} b, x >= 0. The problem is consolidated
-  /// (duplicate coefficients merged) as a side effect.
+  /// (duplicate coefficients merged) as a side effect. A warm seed that
+  /// stalls at the iteration limit is retried once from cold (see
+  /// SolveResult::warm_start_stalled).
   [[nodiscard]] SolveResult solve(LpProblem& problem) const;
 
  private:

@@ -22,6 +22,7 @@
 #include "lp/simplex.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
@@ -222,6 +223,7 @@ TEST(RevisedSimplex, WarmRestartOfSameProblemTakesNoPivots) {
   // Re-solving from the optimal basis is one optimality-confirming pass.
   EXPECT_LE(warm.iterations, 2u);
   EXPECT_LT(warm.iterations, cold.iterations);
+  EXPECT_FALSE(warm.warm_start_stalled);
 }
 
 TEST(RevisedSimplex, WarmStartEqualsColdStartAfterPerturbation) {
@@ -387,6 +389,14 @@ TEST_P(StrategyLpParity, RevisedMatchesDenseWithAndWithoutCapacityRows) {
     EXPECT_EQ(dense.solver_used, StrategyLpSolver::Dense);
     EXPECT_EQ(revised.solver_used, StrategyLpSolver::Revised);
     expect_parity(revised.avg_network_delay, dense.avg_network_delay);
+    // Auto resolves by shape: Transportation when no cap can bind, Revised
+    // when one can.
+    const StrategyLpResult automatic =
+        solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Auto);
+    ASSERT_EQ(automatic.status, SolveStatus::Optimal);
+    EXPECT_EQ(automatic.solver_used, caps == &loose ? StrategyLpSolver::Transportation
+                                                    : StrategyLpSolver::Revised);
+    expect_parity(automatic.avg_network_delay, dense.avg_network_delay);
     revised.strategy.validate(matrix.size(), system->universe_size());
     EXPECT_FALSE(revised.basis.empty());
   }
@@ -453,6 +463,47 @@ TEST(StrategyLp, WarmStartReachesColdOptimum) {
   // Re-solving a neighbouring rhs from the previous optimal basis must not
   // cost more pivots than starting over.
   EXPECT_LE(warm.lp_iterations, cold.lp_iterations);
+}
+
+std::uint64_t counter_total(const std::string& name) {
+  for (const obs::MetricSnapshot& metric : obs::snapshot()) {
+    if (metric.name == name) return metric.value;
+  }
+  return 0;
+}
+
+TEST(StrategyLp, StalledWarmSeedCountsAMissAndSumsIterations) {
+  obs::set_enabled(true);
+  const quorum::GridQuorum grid{3};
+  const net::LatencyMatrix matrix = net::small_synth(24, 919);
+  const Placement placement = identity_placement(grid.universe_size());
+  const std::vector<double> loose(matrix.size(), 1e9);
+  const std::vector<double> tight = binding_caps(grid, placement, matrix.size());
+  // Same LP shape (Revised keeps the support sites' capacity rows), but the
+  // loose optimum overloads the tight caps: far from feasible.
+  const StrategyLpResult seed =
+      solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Revised);
+  ASSERT_EQ(seed.status, SolveStatus::Optimal);
+
+  const std::uint64_t hit = counter_total("lp.strategy.warm_start_hit");
+  const std::uint64_t miss = counter_total("lp.strategy.warm_start_miss");
+  StrategyLpOptions options;
+  options.solver = StrategyLpSolver::Revised;
+  options.simplex.max_iterations = 2;
+  options.simplex.initial_basis = seed.basis;
+  const StrategyLpResult stalled =
+      core::optimize_access_strategy(matrix, grid, placement, tight, options);
+  EXPECT_EQ(stalled.status, SolveStatus::IterationLimit);
+  EXPECT_EQ(stalled.solver_used, StrategyLpSolver::Revised);
+  EXPECT_EQ(stalled.lp_iterations, 4u);  // Warm attempt + one cold retry.
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss + 1);
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit);
+
+  const StrategyLpResult warm = solve_strategy(matrix, grid, placement, tight,
+                                               StrategyLpSolver::Revised, seed.basis);
+  ASSERT_EQ(warm.status, SolveStatus::Optimal);
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit + 1);
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss + 1);
 }
 
 TEST(StrategyLp, IterativeWarmStartMatchesColdRun) {

@@ -1,16 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/capacity.hpp"
 #include "core/manytoone.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
+#include "lp/problem.hpp"
+#include "lp/revised_simplex.hpp"
+#include "lp/simplex.hpp"
 #include "net/synthetic.hpp"
+#include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
+#include "quorum/tree.hpp"
 
 namespace qp::core {
 namespace {
@@ -19,6 +28,84 @@ using net::LatencyMatrix;
 
 std::vector<double> uniform_distribution(std::size_t m) {
   return std::vector<double>(m, 1.0 / static_cast<double>(m));
+}
+
+/// |a - b| <= eps * max(1, |b|): the repo-wide parity comparison.
+void expect_parity(double actual, double expected, double eps = 1e-9) {
+  EXPECT_LE(std::abs(actual - expected), eps * std::max(1.0, std::abs(expected)))
+      << "actual=" << actual << " expected=" << expected;
+}
+
+/// The §4.1.2 placement LP for anchor v0, built independently of
+/// core/manytoone in the same variable and row order: x_uw (u * sites + w),
+/// then t_i; assignment rows, delay rows, capacity rows. The dense tableau
+/// solve of this model is the parity oracle for the production path, and a
+/// revised solve of it reproduces the basis that path hands to the next
+/// anchor.
+lp::LpProblem placement_lp(const LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+                           std::span<const double> probs, std::span<const double> caps,
+                           std::size_t v0) {
+  const auto quorums = system.enumerate_quorums(100'000);
+  const std::vector<double> load = element_loads(quorums, probs, system.universe_size());
+  const std::size_t sites = matrix.size();
+  const std::size_t n = system.universe_size();
+  const std::vector<double>& d = matrix.row(v0);
+  lp::LpProblem problem;
+  for (std::size_t var = 0; var < n * sites; ++var) (void)problem.add_variable(0.0);
+  std::vector<std::size_t> t_var;
+  for (double p : probs) t_var.push_back(problem.add_variable(p));
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::size_t row = problem.add_row(lp::RowSense::Equal, 1.0);
+    for (std::size_t w = 0; w < sites; ++w) problem.add_coefficient(row, u * sites + w, 1.0);
+  }
+  for (std::size_t i = 0; i < quorums.size(); ++i) {
+    for (std::size_t u : quorums[i]) {
+      const std::size_t row = problem.add_row(lp::RowSense::LessEqual, 0.0);
+      for (std::size_t w = 0; w < sites; ++w) {
+        if (d[w] > 0.0) problem.add_coefficient(row, u * sites + w, d[w]);
+      }
+      problem.add_coefficient(row, t_var[i], -1.0);
+    }
+  }
+  for (std::size_t w = 0; w < sites; ++w) {
+    const std::size_t row = problem.add_row(lp::RowSense::LessEqual, caps[w]);
+    for (std::size_t u = 0; u < n; ++u) {
+      if (load[u] > 0.0) problem.add_coefficient(row, u * sites + w, load[u]);
+    }
+  }
+  return problem;
+}
+
+lp::Solution dense_oracle(const LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+                          std::span<const double> probs, std::span<const double> caps,
+                          std::size_t v0) {
+  lp::LpProblem problem = placement_lp(matrix, system, probs, caps, v0);
+  return lp::SimplexSolver{}.solve(problem);
+}
+
+/// One small instance of each quorum family the paper evaluates.
+struct FamilyCase {
+  const char* name;
+  std::unique_ptr<quorum::QuorumSystem> system;
+};
+
+std::vector<FamilyCase> family_cases() {
+  std::vector<FamilyCase> cases;
+  cases.push_back({"grid", std::make_unique<quorum::GridQuorum>(2)});
+  cases.push_back({"majority", std::make_unique<quorum::MajorityQuorum>(5, 3)});
+  cases.push_back({"tree", std::make_unique<quorum::TreeQuorum>(2)});
+  cases.push_back({"fpp", std::make_unique<quorum::FppQuorum>(2)});
+  return cases;
+}
+
+/// Capacities 1.25x the even spread of the total element load: binding (the
+/// LP cannot collapse onto the anchor) yet feasible.
+std::vector<double> spread_capacities(const quorum::QuorumSystem& system,
+                                      std::span<const double> probs, std::size_t sites) {
+  const std::vector<double> load =
+      element_loads(system.enumerate_quorums(100'000), probs, system.universe_size());
+  const double total = std::accumulate(load.begin(), load.end(), 0.0);
+  return uniform_capacities(sites, 1.25 * total / static_cast<double>(sites));
 }
 
 TEST(ManyToOne, ProducesValidPlacement) {
@@ -54,6 +141,27 @@ TEST(ManyToOne, InfeasibleWhenCapacityTooSmall) {
   const auto caps = uniform_capacities(m.size(), 0.2);
   const ManyToOneResult result = many_to_one_placement(m, grid, probs, caps, 0);
   EXPECT_EQ(result.status, lp::SolveStatus::Infeasible);
+  // The dense tableau agrees on the same LP.
+  EXPECT_EQ(dense_oracle(m, grid, probs, caps, 0).status, lp::SolveStatus::Infeasible);
+}
+
+TEST(ManyToOne, LpBoundMatchesDenseOracleAcrossFamilies) {
+  const LatencyMatrix m = net::small_synth(9, 37);
+  for (const FamilyCase& family : family_cases()) {
+    const quorum::QuorumSystem& system = *family.system;
+    const auto probs = uniform_distribution(system.enumerate_quorums(100'000).size());
+    const auto caps = spread_capacities(system, probs, m.size());
+    for (std::size_t v0 : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string{family.name} + " v0=" + std::to_string(v0));
+      const ManyToOneResult result = many_to_one_placement(m, system, probs, caps, v0);
+      const lp::Solution dense = dense_oracle(m, system, probs, caps, v0);
+      ASSERT_EQ(result.status, lp::SolveStatus::Optimal);
+      ASSERT_EQ(dense.status, lp::SolveStatus::Optimal);
+      expect_parity(result.lp_delay_bound, dense.objective);
+      EXPECT_GT(result.lp_delay_bound, 0.0);  // Caps bind: not collapsed on v0.
+      result.placement.validate(m.size());
+    }
+  }
 }
 
 TEST(ManyToOne, CapacityViolationIsBounded) {
@@ -150,6 +258,50 @@ TEST(BestManyToOne, BeatsOrMatchesSingleAnchor) {
     const double delay =
         average_network_delay_under_distribution(m, quorums, probs, single.placement);
     EXPECT_GE(delay + 1e-9, best.avg_network_delay);
+  }
+}
+
+TEST(BestManyToOne, WarmChainedAnchorBoundsMatchColdSolves) {
+  // best_many_to_one_placement seeds each anchor's LP with the previous
+  // anchor's optimal basis. Replay that chain through the public seed
+  // (ManyToOneOptions::simplex.initial_basis, honoured by the first anchor)
+  // and check every warm-seeded bound against a cold solve of its anchor.
+  const LatencyMatrix m = net::small_synth(9, 41);
+  for (const FamilyCase& family : family_cases()) {
+    const quorum::QuorumSystem& system = *family.system;
+    const auto probs = uniform_distribution(system.enumerate_quorums(100'000).size());
+    const auto caps = spread_capacities(system, probs, m.size());
+    const std::vector<std::size_t> order{3, 0, 8, 5, 1, 7};
+
+    lp::Basis basis;
+    std::vector<double> chained_bound(m.size(), -1.0);
+    for (std::size_t v0 : order) {
+      SCOPED_TRACE(std::string{family.name} + " v0=" + std::to_string(v0));
+      ManyToOneOptions seeded;
+      seeded.simplex.initial_basis = basis;
+      const ManyToOneResult warm = many_to_one_placement(m, system, probs, caps, v0, seeded);
+      const ManyToOneResult cold = many_to_one_placement(m, system, probs, caps, v0);
+      ASSERT_EQ(warm.status, lp::SolveStatus::Optimal);
+      ASSERT_EQ(cold.status, lp::SolveStatus::Optimal);
+      expect_parity(warm.lp_delay_bound, cold.lp_delay_bound);
+      chained_bound[v0] = warm.lp_delay_bound;
+      // The basis this anchor hands on: the same seeded revised solve.
+      lp::LpProblem problem = placement_lp(m, system, probs, caps, v0);
+      lp::SimplexOptions options;
+      options.initial_basis = basis;
+      const lp::SolveResult solved = lp::RevisedSimplexSolver{options}.solve(problem);
+      ASSERT_EQ(solved.status, lp::SolveStatus::Optimal);
+      expect_parity(solved.objective, cold.lp_delay_bound);
+      basis = solved.basis;
+    }
+
+    const ManyToOneSearchResult best =
+        best_many_to_one_placement(m, system, probs, caps, order);
+    ASSERT_EQ(best.best.status, lp::SolveStatus::Optimal);
+    expect_parity(best.best.lp_delay_bound, chained_bound[best.anchor_client]);
+    const ManyToOneResult cold_winner =
+        many_to_one_placement(m, system, probs, caps, best.anchor_client);
+    expect_parity(best.best.lp_delay_bound, cold_winner.lp_delay_bound);
   }
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/iterative.hpp"
 #include "core/local_search.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
@@ -272,6 +273,48 @@ TEST(ObsParity, LocalSearchBitwiseIdenticalOnOffAndThreaded) {
     EXPECT_EQ(on1.moves, r->moves);
     EXPECT_EQ(on1.placement.site_of, r->placement.site_of);
   }
+}
+
+core::IterativeResult run_iterative() {
+  const net::LatencyMatrix m = net::small_synth(16, 23);
+  const quorum::GridQuorum grid{2};
+  const std::vector<double> caps(m.size(), 0.8);
+  core::IterativeOptions options;
+  options.anchor_candidates = {0, 1, 2, 3};
+  return core::iterative_placement(m, grid, caps, /*alpha=*/5.0, options);
+}
+
+TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {
+  // Covers the many-to-one placement LP (warm-chained across anchors) and
+  // the warm-started strategy LP of every round.
+  const ObsGuard guard;
+  set_enabled(true);
+  reset();
+  const core::IterativeResult on = run_iterative();
+  const std::vector<MetricSnapshot> snap = snapshot();
+  set_enabled(false);
+  const core::IterativeResult off = run_iterative();
+
+  EXPECT_EQ(on.placement.site_of, off.placement.site_of);
+  EXPECT_EQ(on.strategy.probability, off.strategy.probability);  // Bitwise.
+  EXPECT_EQ(on.avg_response, off.avg_response);
+  EXPECT_EQ(on.avg_network_delay, off.avg_network_delay);
+  ASSERT_EQ(on.history.size(), off.history.size());
+  for (std::size_t i = 0; i < on.history.size(); ++i) {
+    EXPECT_EQ(on.history[i].response_after_placement, off.history[i].response_after_placement);
+    EXPECT_EQ(on.history[i].response_after_strategy, off.history[i].response_after_strategy);
+    EXPECT_EQ(on.history[i].max_capacity_violation, off.history[i].max_capacity_violation);
+    EXPECT_EQ(on.history[i].lp_iterations, off.history[i].lp_iterations);
+  }
+
+  // One placement LP per anchor per round; every anchor after a round's
+  // first starts from its predecessor's basis.
+  const std::uint64_t rounds = on.history.size();
+  EXPECT_EQ(counter_value(snap, "core.manytoone.lp_solves"), 4 * rounds);
+  EXPECT_EQ(counter_value(snap, "core.manytoone.warm_starts"), 3 * rounds);
+  EXPECT_GT(counter_value(snap, "core.manytoone.lp_iterations"), 0u);
+  EXPECT_LE(counter_value(snap, "core.manytoone.warm_stalls"),
+            counter_value(snap, "core.manytoone.warm_starts"));
 }
 
 sim::EngineResult run_small_engine(common::ThreadPool* pool, double probe_ms) {
