@@ -129,6 +129,9 @@ void run_pipeline_row(bool smoke) {
 
   const double search_moves = static_cast<double>(search.moves);
   const double lp_iterations = static_cast<double>(lp.lp_iterations);
+  // 0 means the LP did not solve and the engine fell back to the balanced
+  // strategy — otherwise invisible in this row.
+  const double lp_optimal = lp.status == lp::SolveStatus::Optimal ? 1.0 : 0.0;
   const double probe_rows = static_cast<double>(probes);
   const double completed = static_cast<double>(result.completed);
   qp::bench::register_point(
@@ -136,6 +139,7 @@ void run_pipeline_row(bool smoke) {
       [=, mean = result.mean_response_ms](benchmark::State& state) {
         state.counters["search_moves"] = search_moves;
         state.counters["lp_iterations"] = lp_iterations;
+        state.counters["lp_optimal"] = lp_optimal;
         state.counters["probe_rows"] = probe_rows;
         state.counters["completed"] = completed;
         state.counters["simulated_ms"] = mean;

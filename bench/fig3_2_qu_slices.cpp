@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   slice_a.client_counts = {100};
   slice_a.duration_ms = 10'000.0;
   slice_a.warmup_ms = 2'000.0;
-  slice_a.per_message_cpu_ms = 0.3;  // See fig3_1_qu_surface.cpp.
+  slice_a.service_time_ms = 1.3;  // See fig3_1_qu_surface.cpp.
   const auto points_a = qp::eval::qu_response_surface(topology(), slice_a);
   qp::eval::print_csv(std::cout, points_a);
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   slice_b.client_counts = {10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110};
   slice_b.duration_ms = 10'000.0;
   slice_b.warmup_ms = 2'000.0;
-  slice_b.per_message_cpu_ms = 0.3;
+  slice_b.service_time_ms = 1.3;
   const auto points_b = qp::eval::qu_response_surface(topology(), slice_b);
   qp::eval::print_csv(std::cout, points_b);
 

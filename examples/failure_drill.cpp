@@ -1,28 +1,30 @@
-// Failure drill: inject server outages into the protocol simulation and
-// watch the quorum system route around them — the fault-tolerance argument
-// for quorums over the singleton (§6's closing point), made concrete.
+// Failure drill: inject server outages into a closed-loop simulation (the
+// §3 client model on sim/engine) and watch the quorum system route around
+// them — the fault-tolerance argument for quorums over the singleton (§6's
+// closing point), made concrete.
 //
 //   ./failure_drill [t]
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <vector>
 
 #include "core/placement.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
-void report(const char* label, const qp::sim::ProtocolSimResult& result) {
+void report(const char* label, const qp::sim::EngineResult& result) {
   std::cout << "  " << std::left << std::setw(26) << label << std::right
-            << " completed " << std::setw(6) << result.completed_requests
-            << "  failed " << std::setw(4) << result.failed_requests
-            << "  retries " << std::setw(5) << result.total_retries
+            << " completed " << std::setw(6) << result.completed
+            << "  failed " << std::setw(4) << result.failed + result.abandoned
+            << "  retries " << std::setw(5) << result.retries
             << "  avg response " << std::fixed << std::setprecision(1)
-            << result.avg_response_ms << " ms\n";
+            << result.mean_response_ms << " ms\n";
 }
 
 }  // namespace
@@ -35,20 +37,25 @@ int main(int argc, char** argv) {
   const quorum::MajorityQuorum system =
       quorum::make_majority(quorum::MajorityFamily::SimpleMajority, t);
   const auto placed = core::best_majority_placement(matrix, system);
-  const auto clients = sim::representative_client_sites(matrix, system, placed.placement, 10);
+  const std::vector<double> clients = sim::client_site_mask(
+      matrix.size(), sim::representative_client_sites(matrix, system, placed.placement, 10));
 
   std::cout << "Drill: " << system.name() << " (tolerates t = " << t
             << " failures) on " << matrix.size() << " sites\n\n";
 
-  sim::ProtocolSimConfig config;
+  // Immediate retries on a fresh uniformly random quorum: a timed-out
+  // attempt re-draws from the balanced strategy with no backoff.
+  sim::EngineConfig config;
   config.duration_ms = 8000.0;
   config.warmup_ms = 1000.0;
-  config.clients_per_site = 2;
-  config.request_timeout_ms = 500.0;
-  config.seed = 7;
+  config.closed_loop_clients = 2;
+  config.retry.timeout_ms = 500.0;
+  config.retry.max_attempts = 10;
+  config.replications = 1;
+  config.master_seed = 7;
 
   // Healthy baseline.
-  report("healthy", sim::run_protocol_sim(matrix, system, placed.placement, clients, config));
+  report("healthy", sim::run_engine(matrix, system, placed.placement, clients, config));
 
   // Kill exactly t servers mid-run: the system must keep serving.
   config.outages.clear();
@@ -56,7 +63,7 @@ int main(int argc, char** argv) {
     config.outages.push_back({placed.placement.site_of[i], 2000.0, 6000.0});
   }
   report("t servers down (4 s)",
-         sim::run_protocol_sim(matrix, system, placed.placement, clients, config));
+         sim::run_engine(matrix, system, placed.placement, clients, config));
 
   // Kill t+1 servers: quorums of size t+1 out of 2t+1 can still form from
   // the t surviving servers... no — only t survive forming no quorum, so
@@ -66,16 +73,16 @@ int main(int argc, char** argv) {
     config.outages.push_back({placed.placement.site_of[i], 2000.0, 6000.0});
   }
   report("t+1 servers down (4 s)",
-         sim::run_protocol_sim(matrix, system, placed.placement, clients, config));
+         sim::run_engine(matrix, system, placed.placement, clients, config));
 
   // The singleton under the same drill: one outage removes the service.
   const quorum::SingletonQuorum singleton;
   const core::Placement median = core::singleton_placement(matrix);
-  const auto single_clients =
-      sim::representative_client_sites(matrix, singleton, median, 10);
+  const std::vector<double> single_clients = sim::client_site_mask(
+      matrix.size(), sim::representative_client_sites(matrix, singleton, median, 10));
   config.outages = {{median.site_of[0], 2000.0, 6000.0}};
   report("singleton, its node down",
-         sim::run_protocol_sim(matrix, singleton, median, single_clients, config));
+         sim::run_engine(matrix, singleton, median, single_clients, config));
 
   std::cout << "\nReading: with <= t failures the majority quorum system keeps its\n"
                "throughput (retries route around dead servers); the singleton loses\n"

@@ -22,10 +22,12 @@
 //    every n <= 500 config.
 //  * Capped (cap > 0): each list is the cap nearest sites. Coverage of m1
 //    is no longer guaranteed, so candidate *ranking* becomes approximate
-//    (a flip triggered by a site outside every list can be missed);
-//    apply_move stays exact, so the search trajectory remains a genuine
-//    improving sequence. This bounds memory at O(n * cap) for the 10k-50k
-//    regime.
+//    (a flip triggered by a site outside every list can be missed), so a
+//    candidate scored as improving may in fact worsen the objective.
+//    apply_move stays exact, and the local search checks the applied
+//    objective, undoing a non-improving move and trying the next-ranked
+//    candidate — the trajectory remains a genuine improving sequence. This
+//    bounds memory at O(n * cap) for the 10k-50k regime.
 //
 // Lists are static after build; the evaluator re-checks coverage against
 // the current m1 after every accepted move (see overflow_clients_).

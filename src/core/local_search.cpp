@@ -1,6 +1,7 @@
 #include "core/local_search.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -203,42 +204,55 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
 
     // Fixed-order accept: the decision always replays the serial scan over
     // the candidate-ordered objectives, so the selected move (and its
-    // tie-breaking) is identical for any thread count.
-    std::size_t best_index = candidates.size();
+    // tie-breaking) is identical for any thread count. Returns
+    // candidates.size() when no evaluated candidate improves.
     std::size_t evaluated = 0;
-    if (first_improvement) {
-      // Evaluate fixed-size blocks and accept the lowest improving index;
-      // which index wins does not depend on the block size.
-      for (std::size_t begin = 0;
-           begin < candidates.size() && best_index == candidates.size();
-           begin += kFirstImprovementBlock) {
-        const std::size_t end =
-            std::min(candidates.size(), begin + kFirstImprovementBlock);
-        evaluate_range(begin, end);
-        evaluated += end - begin;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (objectives[i] < current - options.min_improvement) {
-            best_index = i;
-            break;
+    const auto select = [&] {
+      if (first_improvement) {
+        // Evaluate fixed-size blocks and take the lowest improving index;
+        // which index wins does not depend on the block size.
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          if (i == evaluated) {
+            evaluated = std::min(candidates.size(), evaluated + kFirstImprovementBlock);
+            evaluate_range(i, evaluated);
           }
+          if (objectives[i] < current - options.min_improvement) return i;
         }
+        return candidates.size();
       }
-    } else {
-      evaluate_range(0, candidates.size());
-      evaluated = candidates.size();
+      if (evaluated == 0) {
+        evaluate_range(0, candidates.size());
+        evaluated = candidates.size();
+      }
+      std::size_t best = candidates.size();
       double best_objective = current;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (objectives[i] < best_objective - options.min_improvement) {
           best_objective = objectives[i];
-          best_index = i;
+          best = i;
         }
       }
+      return best;
+    };
+    // Capped client lists rank candidates approximately, so the exact
+    // apply_move gets the last word: a move that does not really improve is
+    // undone and the next-ranked candidate tried. Exact paths never undo.
+    std::size_t best_index = select();
+    while (best_index != candidates.size()) {
+      const Candidate move = candidates[best_index];
+      const std::size_t from = eval.placement().site_of[move.element];
+      eval.apply_move(move.element, move.site);
+      if (eval.objective() < current - options.min_improvement) {
+        used[from] = false;
+        used[move.site] = true;
+        break;
+      }
+      eval.apply_move(move.element, from);
+      objectives[best_index] = std::numeric_limits<double>::infinity();
+      best_index = select();
     }
     c_ls_candidates.add(evaluated);
     if (best_index == candidates.size()) break;
-    used[eval.placement().site_of[candidates[best_index].element]] = false;
-    used[candidates[best_index].site] = true;
-    eval.apply_move(candidates[best_index].element, candidates[best_index].site);
     ++result.moves;
     c_ls_moves.add();
     if (reindex && ++moves_since_reindex >= options.client_index_rebuild) {

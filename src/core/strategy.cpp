@@ -16,14 +16,21 @@ namespace qp::core {
 namespace {
 
 // Strategy-LP engine telemetry: which route each solve took (Auto's choice
-// is otherwise invisible to callers that ignore solver_used), total simplex
-// iterations, and whether a supplied warm basis carried the solve or
-// stalled into the cold retry.
+// is otherwise invisible to callers that ignore solver_used) and why — the
+// capacity rows provably slack (flow), possibly binding (revised), or the
+// flow failing to saturate (revised fallback) — total simplex iterations,
+// and whether a supplied warm basis carried the solve or stalled into the
+// cold retry.
 const obs::Counter c_slp_solves = obs::counter("lp.strategy.solves");
 const obs::Counter c_slp_dense = obs::counter("lp.strategy.solver_dense");
 const obs::Counter c_slp_revised = obs::counter("lp.strategy.solver_revised");
 const obs::Counter c_slp_transportation =
     obs::counter("lp.strategy.solver_transportation");
+const obs::Counter c_slp_route_slack = obs::counter("lp.strategy.route_caps_slack");
+const obs::Counter c_slp_route_may_bind =
+    obs::counter("lp.strategy.route_caps_may_bind");
+const obs::Counter c_slp_route_fallback =
+    obs::counter("lp.strategy.route_flow_fallback");
 const obs::Counter c_slp_iterations = obs::counter("lp.strategy.iterations");
 const obs::Counter c_slp_warm_hit = obs::counter("lp.strategy.warm_start_hit");
 const obs::Counter c_slp_warm_miss =
@@ -410,6 +417,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
   if (engine == StrategyLpSolver::Auto || engine == StrategyLpSolver::Transportation) {
     const bool uncapacitated = capacity_rows_cannot_bind(quorum_sites, support, capacities,
                                                          matrix.size(), total_weight);
+    (uncapacitated ? c_slp_route_slack : c_slp_route_may_bind).add();
     if (engine == StrategyLpSolver::Auto) {
       engine = uncapacitated ? StrategyLpSolver::Transportation : StrategyLpSolver::Revised;
     } else if (!uncapacitated) {
@@ -424,6 +432,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
       result.strategy.quorums = quorums;
       return result;
     }
+    c_slp_route_fallback.add();
     engine = StrategyLpSolver::Revised;  // Flow failed to saturate; solve exactly.
   }
 

@@ -22,7 +22,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace qp::eval {
 
@@ -75,26 +75,30 @@ std::vector<QuPoint> qu_response_surface(const net::LatencyMatrix& matrix,
         core::best_majority_placement(matrix, system);
     const std::vector<std::size_t> client_sites = sim::representative_client_sites(
         matrix, system, search.placement, config.client_site_count);
+    const std::vector<double> client_mask =
+        sim::client_site_mask(matrix.size(), client_sites);
 
     for (std::size_t total_clients : config.client_counts) {
       const std::size_t per_site =
           std::max<std::size_t>(1, total_clients / client_sites.size());
-      sim::ProtocolSimConfig sim_config;
-      sim_config.clients_per_site = per_site;
+      sim::EngineConfig sim_config;
+      sim_config.closed_loop_clients = per_site;
+      sim_config.service_time_ms = config.service_time_ms;
       sim_config.duration_ms = config.duration_ms;
       sim_config.warmup_ms = config.warmup_ms;
-      sim_config.per_message_cpu_ms = config.per_message_cpu_ms;
-      sim_config.seed = config.seed + 1000 * t + total_clients;
-      const sim::ProtocolSimResult run = sim::run_protocol_sim(
-          matrix, system, search.placement, client_sites, sim_config);
+      sim_config.replications = 1;
+      sim_config.master_seed = config.seed + 1000 * t + total_clients;
+      const sim::EngineResult run = sim::run_engine(matrix, system, search.placement,
+                                                    client_mask, sim_config);
 
       QuPoint point;
       point.t = t;
       point.universe = system.universe_size();
       point.clients = per_site * client_sites.size();
-      point.network_delay_ms = run.avg_network_delay_ms;
-      point.response_ms = run.avg_response_ms;
-      point.throughput_rps = run.throughput_rps;
+      point.network_delay_ms = run.mean_network_delay_ms;
+      point.response_ms = run.mean_response_ms;
+      point.throughput_rps =
+          static_cast<double>(run.completed) / (config.duration_ms / 1000.0);
       points.push_back(point);
     }
   }

@@ -32,4 +32,11 @@ std::vector<std::size_t> representative_client_sites(const net::LatencyMatrix& m
   return order;
 }
 
+std::vector<double> client_site_mask(std::size_t site_count,
+                                     std::span<const std::size_t> sites) {
+  std::vector<double> mask(site_count, 0.0);
+  for (std::size_t site : sites) mask.at(site) = 1.0;
+  return mask;
+}
+
 }  // namespace qp::sim

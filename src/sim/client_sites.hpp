@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/placement.hpp"
@@ -20,5 +21,12 @@ namespace qp::sim {
 [[nodiscard]] std::vector<std::size_t> representative_client_sites(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
     const core::Placement& placement, std::size_t count);
+
+/// The sim/engine input that puts closed-loop clients at `sites`: one entry
+/// per site, 1 at each client site and 0 elsewhere
+/// (EngineConfig::closed_loop_clients sets how many clients each hosts).
+/// Throws std::out_of_range for a site >= site_count.
+[[nodiscard]] std::vector<double> client_site_mask(std::size_t site_count,
+                                                   std::span<const std::size_t> sites);
 
 }  // namespace qp::sim

@@ -43,7 +43,7 @@ const obs::Histogram h_eng_response = obs::histogram("sim.engine.response_ms");
 /// meaningful per kind as noted.
 struct EngineEvent {
   enum class Kind : std::uint8_t {
-    Arrival,     // id = client slot.
+    Arrival,     // id = client slot; issues one request.
     Message,     // Request message reaches `site` after `half_rtt`.
     Reply,       // Service at `site` done; reply lands at the client.
     Timeout,     // The attempt's retry timer expired.
@@ -80,6 +80,10 @@ class Replication {
         suspicion_(matrix.size(), config.suspicion_ttl_ms) {
     for (std::size_t v = 0; v < rates.size(); ++v) {
       if (rates[v] <= 0.0) continue;
+      if (closed_loop()) {
+        clients_.insert(clients_.end(), config.closed_loop_clients, v);
+        continue;
+      }
       clients_.push_back(v);
       generators_.emplace_back(config.arrival_model, rates[v], config.mmpp, rng_);
     }
@@ -88,7 +92,10 @@ class Replication {
   ReplicationResult run() {
     QP_TRACE_SPAN("sim.engine.replication");
     for (std::size_t slot = 0; slot < clients_.size(); ++slot) {
-      const double first = generators_[slot].next(0.0, rng_);
+      // Closed-loop clients start staggered within the first millisecond so
+      // that perfectly synchronized issues do not create artificial convoys.
+      const double first =
+          closed_loop() ? rng_.uniform() : generators_[slot].next(0.0, rng_);
       if (first < end_of_issue_) {
         queue_.schedule(first, EngineEvent{.id = slot});
       }
@@ -154,7 +161,7 @@ class Replication {
  private:
   struct Request {
     double start = 0.0;
-    std::size_t client = 0;
+    std::size_t slot = 0;  // Issuing client slot; its site is clients_[slot].
     std::size_t pending = 0;
     std::uint32_t attempt = 0;       // Tag discarding stale replies/timeouts.
     std::size_t attempts_used = 0;
@@ -171,6 +178,7 @@ class Replication {
   static constexpr std::size_t kNoSite = static_cast<std::size_t>(-1);
 
   [[nodiscard]] bool retry_enabled() const noexcept { return config_.retry.enabled(); }
+  [[nodiscard]] bool closed_loop() const noexcept { return config_.closed_loop_clients > 0; }
 
   void dispatch(const EngineEvent& event) {
     switch (event.kind) {
@@ -232,23 +240,25 @@ class Replication {
                : rng_.exponential(config_.service_time_ms);
   }
 
-  /// An arrival event for client slot: issue one request, then schedule the
-  /// client's next arrival.
+  /// An arrival event for client slot: issue one request, then (open loop)
+  /// schedule the client's next arrival. A closed-loop client's next
+  /// request follows this one's resolution instead (retire).
   void arrival(std::size_t slot) {
     const double now = queue_.now();
-    issue(clients_[slot], now);
+    issue(slot, now);
+    if (closed_loop()) return;
     const double next = generators_[slot].next(now, rng_);
     if (next < end_of_issue_) {
       queue_.schedule(next, EngineEvent{.id = slot});
     }
   }
 
-  void issue(std::size_t client, double now) {
+  void issue(std::size_t slot, double now) {
     const std::uint64_t id = next_request_++;
     const auto it = requests_.emplace(id, Request{}).first;
     Request& request = it->second;
     request.start = now;
-    request.client = client;
+    request.slot = slot;
     request.windowed = now >= config_.warmup_ms && now < end_of_issue_;
     if (request.windowed) ++issued_;
     start_attempt(id, request, now);
@@ -263,7 +273,8 @@ class Replication {
     const bool rechoice =
         config_.failover == FailoverMode::Oracle ||
         (config_.failover == FailoverMode::Suspicion && request.attempt > 1);
-    if (!rechoice) return sampler_.draw(request.client, rng_, scratch_);
+    const std::size_t client = clients_[request.slot];
+    if (!rechoice) return sampler_.draw(client, rng_, scratch_);
     const std::size_t n = placement_.site_of.size();
     values_.resize(n);
     for (std::size_t u = 0; u < n; ++u) {
@@ -271,7 +282,7 @@ class Replication {
       const bool avoid = config_.failover == FailoverMode::Oracle
                              ? outages_.down_at(site, now)
                              : suspicion_.suspected(site, now);
-      values_[u] = matrix_.rtt(request.client, site) + (avoid ? kFailoverPenaltyMs : 0.0);
+      values_[u] = matrix_.rtt(client, site) + (avoid ? kFailoverPenaltyMs : 0.0);
     }
     failover_quorum_ = system_.best_quorum(values_);
     return failover_quorum_;
@@ -287,10 +298,11 @@ class Replication {
     request.pending = chosen.size();
     request.outstanding.clear();
     const std::uint32_t attempt = request.attempt;
+    const std::size_t client = clients_[request.slot];
     double max_rtt = 0.0;
     for (std::size_t u : chosen) {
       const std::size_t site = placement_.site_of[u];
-      const double rtt = matrix_.rtt(request.client, site);
+      const double rtt = matrix_.rtt(client, site);
       max_rtt = std::max(max_rtt, rtt);
       if (retry_enabled()) request.outstanding.push_back(site);
       const double half = rtt / 2.0;
@@ -367,13 +379,21 @@ class Replication {
         if (request.attempts_used > 1) retried_response_.add(response);
       }
     }
+    retire(it);
+  }
+
+  /// Drops a resolved request; its closed-loop client issues the next one
+  /// at once, until the issue window closes.
+  void retire(std::unordered_map<std::uint64_t, Request>::iterator it) {
+    const std::size_t slot = it->second.slot;
     requests_.erase(it);
+    const double now = queue_.now();
+    if (closed_loop() && now < end_of_issue_) issue(slot, now);
   }
 
   /// The attempt's timeout expired. Stale when the attempt completed (the
   /// request was erased) or already moved on (tag mismatch) — then it is a
-  /// no-op and in particular must not count toward retries (the engine twin
-  /// of protocol_sim's attempt-tag discard path).
+  /// no-op and in particular must not count toward retries.
   void timeout(std::uint64_t id, std::uint32_t attempt) {
     const auto it = requests_.find(id);
     if (it == requests_.end() || it->second.attempt != attempt) return;
@@ -389,7 +409,7 @@ class Replication {
         ++abandoned_;
         unserved_wait_.push_back(now - request.start);
       }
-      requests_.erase(it);
+      retire(it);
       return;
     }
     const double delay = config_.retry.backoff_delay(request.attempts_used, rng_);
@@ -430,8 +450,10 @@ class Replication {
   std::vector<ServiceStation> stations_;
   OutageSchedule outages_;
   SuspicionList suspicion_;
-  std::vector<std::size_t> clients_;            // Sites with a positive rate.
-  std::vector<ArrivalGenerator> generators_;    // Parallel to clients_.
+  // Client slot -> site: the sites with a positive rate, each repeated
+  // closed_loop_clients times in closed loop.
+  std::vector<std::size_t> clients_;
+  std::vector<ArrivalGenerator> generators_;    // Parallel to clients_ (open loop).
   // Keyed lookups only (find/emplace/erase) — never iterated, so the
   // implementation-defined order can't reach results (qp-lint QPL001).
   std::unordered_map<std::uint64_t, Request> requests_;
@@ -524,6 +546,12 @@ EngineResult run_engine(const net::LatencyMatrix& matrix,
   if (config.failover == FailoverMode::Suspicion && !(config.suspicion_ttl_ms > 0.0)) {
     throw std::invalid_argument{
         "run_engine: FailoverMode::Suspicion needs a positive suspicion_ttl_ms"};
+  }
+  if (config.closed_loop_clients > 0 && !config.retry.enabled() &&
+      (!config.outages.empty() || config.queue_capacity > 0)) {
+    throw std::invalid_argument{
+        "run_engine: closed-loop clients with outages or a finite queue need an "
+        "enabled retry policy"};
   }
 
   const QuorumSampler sampler = make_sampler(matrix, system, placement, config);

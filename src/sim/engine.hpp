@@ -1,16 +1,27 @@
-// Open-loop discrete-event queueing engine — the simulation counterpart of
-// the analytic §4/§6/§7 response-time objectives.
+// Discrete-event queueing engine — the simulation counterpart of the
+// analytic §4/§6/§7 response-time objectives and the stand-in for the §3
+// Q/U-on-Modelnet testbed.
 //
-// Model: one open-loop client per site issues quorum operations as a
-// Poisson (or bursty MMPP) stream at its configured rate; each operation
-// picks a quorum by the configured access strategy (closest / balanced /
-// explicit LP distributions), sends one message per quorum element, and
-// completes when the last reply returns. A message reaches server site
-// f(u) after rtt/2, waits in the site's FIFO queue (optionally finite:
-// overflow is dropped), is served for a deterministic or exponential
-// service time by the single server core, and the reply takes another
-// rtt/2. Scheduled ServerOutages (hand-written or compiled by
-// sim/fault's FaultInjector) drop messages arriving in their window.
+// Model: clients issue quorum operations, each picks a quorum by the
+// configured access strategy (closest / balanced / explicit LP
+// distributions), sends one message per quorum element, and completes when
+// the last reply returns. A message reaches server site f(u) after rtt/2,
+// waits in the site's FIFO queue (optionally finite: overflow is dropped),
+// is served for a deterministic or exponential service time by the single
+// server core, and the reply takes another rtt/2. Scheduled ServerOutages
+// (hand-written or compiled by sim/fault's FaultInjector) drop messages
+// arriving in their window.
+//
+// Two client models drive the same machinery (Schroeder, Wierman &
+// Harchol-Balter, "Open Versus Closed: A Cautionary Tale", NSDI 2006):
+//  * open loop (the default; §4/§6/§7 validation): one client per site
+//    issues a Poisson (or bursty MMPP) stream at its configured rate,
+//    independent of how fast requests complete;
+//  * closed loop (EngineConfig::closed_loop_clients = k > 0; the §3 Q/U
+//    experiments): k clients per client site, each with one request
+//    outstanding — it issues the next the moment the current one
+//    completes, fails, or is abandoned. Load is then set by the client
+//    count, and response time grows with it as the servers saturate.
 //
 // With the retry machinery enabled (EngineConfig::retry, sim/retry.hpp)
 // the engine also models request recovery: per-attempt timeouts, bounded
@@ -18,7 +29,10 @@
 // quorum re-choice that penalizes suspected-down sites (FailoverMode), with
 // accounting such that issued == completed + failed + abandoned holds under
 // arbitrary fault schedules. Disabled (the default), behavior and rng
-// consumption are bitwise identical to the pre-retry engine.
+// consumption are bitwise identical to the pre-retry engine. The §3-style
+// immediate retry on a fresh random quorum is RetryPolicy{timeout_ms,
+// max_attempts} (backoff_base_ms = 0) under EngineStrategy::Balanced and
+// FailoverMode::None.
 //
 // Where the analytic layer evaluates max_u(d(v, f(u)) + alpha * load) in
 // closed form, the engine realizes the same system as a stochastic process,
@@ -95,6 +109,18 @@ struct EngineConfig {
 
   std::uint64_t master_seed = 1;
   std::size_t replications = 3;
+
+  /// Client model: 0 (the default) = open loop, client v issuing at
+  /// arrival_rates_per_ms[v] by arrival_model. k > 0 = closed loop: every
+  /// site with a positive rate hosts k clients (the rate's value and
+  /// arrival_model are then unused). Each client starts at a uniform offset
+  /// in [0, 1) ms and issues its next request the moment the current one
+  /// completes, fails, or is abandoned, until warmup_ms + duration_ms.
+  /// Closed loop with outages or a finite queue_capacity requires
+  /// retry.enabled(): a lost message would otherwise fail the request and a
+  /// client colocated with its quorum would re-issue at the same instant
+  /// forever.
+  std::size_t closed_loop_clients = 0;
 
   std::vector<ServerOutage> outages;
 
@@ -207,8 +233,9 @@ struct EngineResult {
 };
 
 /// Runs the engine: client v issues at arrival_rates_per_ms[v] (one entry
-/// per site; 0 = no client there). Deterministic in config.master_seed for
-/// any thread count.
+/// per site; 0 = no client there), or — closed loop — the sites with a
+/// positive entry host config.closed_loop_clients clients each.
+/// Deterministic in config.master_seed for any thread count.
 [[nodiscard]] EngineResult run_engine(const net::LatencyMatrix& matrix,
                                       const quorum::QuorumSystem& system,
                                       const core::Placement& placement,

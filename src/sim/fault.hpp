@@ -1,8 +1,7 @@
-// Seeded, deterministic fault injection for the discrete-event simulators.
+// Seeded, deterministic fault injection for the discrete-event engine.
 //
 // A FaultInjector turns a crash/recovery model into concrete per-site
-// ServerOutage windows the engine (sim/engine) and protocol simulator
-// (sim/protocol_sim) already understand:
+// ServerOutage windows the engine (sim/engine) already understands:
 //   * independent per-site crashes — an alternating renewal process with
 //     exponential time-to-failure (MTTF) and time-to-repair (MTTR),
 //     started in its stationary distribution so the long-run down

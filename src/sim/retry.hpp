@@ -1,14 +1,12 @@
-// Retry/timeout policy and failure suspicion shared by the simulators.
-//
-// This is the request-recovery machinery generalized out of the closed-loop
-// protocol simulator (sim/protocol_sim, which pins the paper's §3 behavior
-// bitwise) so the open-loop queueing engine (sim/engine) can measure
-// behavior *during* failures: a per-request timeout arms each attempt,
+// Retry/timeout policy and failure suspicion: the request-recovery
+// machinery of the queueing engine (sim/engine), for open- and closed-loop
+// clients alike: a per-request timeout arms each attempt,
 // expired attempts retry on a fresh quorum after exponential backoff with
 // deterministic jitter (all randomness through the caller's common::Rng
 // stream, so runs stay bit-identical for any thread count), and sites that
 // failed to reply before the timeout land on a suspicion list that failover
-// quorum re-choice consults until the suspicion expires.
+// quorum re-choice consults until the suspicion expires. Backoff base 0 is
+// the §3 closed-loop client's immediate retry.
 #pragma once
 
 #include <cstddef>

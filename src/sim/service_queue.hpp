@@ -1,8 +1,7 @@
 // Shared discrete-event server components: a single-core FIFO service
 // station with optional finite capacity and measurement-window busy-time
-// accounting, plus a per-site outage schedule. Both the open-loop queueing
-// engine (sim/engine) and the closed-loop protocol simulator
-// (sim/protocol_sim) are thin layers over these.
+// accounting, plus a per-site outage schedule. The queueing engine
+// (sim/engine), open or closed loop, is a thin layer over these.
 //
 // A FIFO single server whose service times are known on admission can
 // compute every departure synchronously — depart = max(next_free, now) +

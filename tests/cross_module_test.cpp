@@ -21,7 +21,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/tree.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace qp {
 namespace {
@@ -63,20 +63,23 @@ TEST(CrossModule, StrategyLpWorksForFpp) {
 }
 
 TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
-  // At negligible load, the DES's mean response under uniform quorum draws
-  // must match the analytic balanced network delay (restricted to the
-  // client sites) plus one service time.
+  // At negligible load (one closed-loop client per site), the engine's mean
+  // response under uniform quorum draws must match the analytic balanced
+  // network delay (restricted to the client sites) plus one service time.
   const net::LatencyMatrix m = net::small_synth(14, 97);
   const quorum::MajorityQuorum system{6, 5};
   const core::Placement placement = core::best_majority_placement(m, system).placement;
   const std::vector<std::size_t> clients =
       sim::representative_client_sites(m, system, placement, 3);
 
-  sim::ProtocolSimConfig config;
+  sim::EngineConfig config;
+  config.closed_loop_clients = 1;
   config.duration_ms = 30'000.0;
   config.warmup_ms = 2'000.0;
-  config.seed = 17;
-  const auto sim_result = sim::run_protocol_sim(m, system, placement, clients, config);
+  config.replications = 1;
+  config.master_seed = 17;
+  const auto sim_result = sim::run_engine(m, system, placement,
+                                          sim::client_site_mask(m.size(), clients), config);
 
   double analytic = 0.0;
   for (std::size_t v : clients) {
@@ -84,9 +87,9 @@ TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
     analytic += system.expected_max_uniform(values);
   }
   analytic /= static_cast<double>(clients.size());
-  EXPECT_NEAR(sim_result.avg_response_ms, analytic + config.service_time_ms,
+  EXPECT_NEAR(sim_result.mean_response_ms, analytic + config.service_time_ms,
               0.05 * analytic + 1.0);
-  EXPECT_NEAR(sim_result.avg_network_delay_ms, analytic, 0.05 * analytic + 0.5);
+  EXPECT_NEAR(sim_result.mean_network_delay_ms, analytic, 0.05 * analytic + 0.5);
 }
 
 TEST(CrossModule, WaxmanGraphFullPipelineWithLpStrategies) {

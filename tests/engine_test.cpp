@@ -1,6 +1,7 @@
 // The discrete-event queueing engine (sim/engine): determinism across
-// thread counts, queueing-theory sanity (M/M/1), outage draining, finite
-// queues, bursty arrivals, explicit-strategy sampling frequencies, and the
+// thread counts (open and closed loop), queueing-theory sanity (M/M/1),
+// outage draining, finite queues, bursty arrivals, configuration
+// validation, explicit-strategy sampling frequencies, and the
 // analytic-vs-simulated validation band the acceptance criteria pin.
 #include <gtest/gtest.h>
 
@@ -80,6 +81,15 @@ TEST(Engine, BitIdenticalAcrossThreadCounts) {
   config.pool = nullptr;
   const EngineResult c = run_engine(f.matrix, f.system, f.placement, rates, config);
   expect_replications_identical(a, c);
+
+  // Closed-loop clients: 8 per site, each re-issuing on resolution.
+  config.closed_loop_clients = 8;
+  config.pool = &serial;
+  const EngineResult closed_a = run_engine(f.matrix, f.system, f.placement, rates, config);
+  config.pool = &parallel;
+  const EngineResult closed_b = run_engine(f.matrix, f.system, f.placement, rates, config);
+  expect_replications_identical(closed_a, closed_b);
+  EXPECT_GT(closed_a.completed, 0u);
 }
 
 TEST(Engine, DeterministicInSeedAndSensitiveToIt) {
@@ -214,6 +224,17 @@ TEST(Engine, ValidatesConfiguration) {
   config.outages = {{f.matrix.size() + 5, 0.0, 1.0}};
   EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement, rates, config),
                std::out_of_range);
+  // Closed loop without retries: a lost message fails the request and the
+  // client re-issues at once, so a client colocated with its quorum could
+  // spin at one timestamp forever. Outages and finite queues need retries.
+  config.closed_loop_clients = 2;
+  config.outages = {{f.placement.site_of[0], 0.0, 1.0}};
+  EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement, rates, config),
+               std::invalid_argument);
+  config.outages.clear();
+  config.queue_capacity = 4;
+  EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement, rates, config),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- arrival processes

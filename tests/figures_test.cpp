@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -99,6 +101,67 @@ TEST(Figures, QuSweepClientRoundingIsConsistent) {
   const auto points = qu_response_surface(topo12(), config);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].clients, 4u);
+}
+
+TEST(Figures, QuSurfaceStaysInsideTheRecordedBand) {
+  // Golden Q/U surface, recorded with the former dedicated closed-loop
+  // simulator before the §3 sweep moved onto the engine's closed-loop
+  // clients. The engine cannot replay that simulator's rng stream, so the
+  // pin is statistical: per point, the engine's mean over the same five
+  // seeds must lie within 2x the recorded seed-to-seed range of the golden
+  // mean. The recorded spreads (sample sd / range as % of the mean,
+  // response then network delay):
+  //   t=1,   4 clients: sd 0.245 / 0.250 ms, range 0.36% / 0.37%
+  //   t=1, 200 clients: sd 0.531 / 0.015 ms, range 0.55% / 0.03%
+  //   t=2,   4 clients: sd 0.192 / 0.182 ms, range 0.33% / 0.33%
+  //   t=2, 200 clients: sd 1.430 / 0.033 ms, range 1.41% / 0.06%
+  // All under 5% of their value, so the 3 s window needs no lengthening.
+  // 200 clients saturate the servers (response ~1.6x network delay); 4
+  // leave them nearly idle.
+  struct Golden {
+    std::size_t t;
+    std::size_t clients;
+    double response_ms;
+    double response_range_ms;
+    double network_ms;
+    double network_range_ms;
+  };
+  const Golden golden[] = {
+      {1, 4, 136.207, 0.488, 134.895, 0.496},
+      {1, 200, 217.985, 1.206, 135.107, 0.040},
+      {2, 4, 141.774, 0.470, 140.439, 0.461},
+      {2, 200, 212.942, 3.005, 140.514, 0.079},
+  };
+  const net::LatencyMatrix matrix = net::small_synth(16, 1006);
+  constexpr std::uint64_t kSeeds = 5;
+  std::vector<QuPoint> points;
+  std::vector<double> response(std::size(golden), 0.0);
+  std::vector<double> network(std::size(golden), 0.0);
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    QuSweepConfig config;
+    config.t_values = {1, 2};
+    config.client_counts = {4, 200};
+    config.client_site_count = 4;
+    config.duration_ms = 3000.0;
+    config.warmup_ms = 300.0;
+    config.service_time_ms = 1.3;  // The fig3 benches' setting.
+    config.seed = seed;
+    points = qu_response_surface(matrix, config);
+    ASSERT_EQ(points.size(), std::size(golden));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      response[i] += points[i].response_ms / static_cast<double>(kSeeds);
+      network[i] += points[i].network_delay_ms / static_cast<double>(kSeeds);
+    }
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Golden& g = golden[i];
+    ASSERT_EQ(points[i].t, g.t);
+    ASSERT_EQ(points[i].clients, g.clients);
+    EXPECT_NEAR(response[i], g.response_ms, 2.0 * g.response_range_ms)
+        << "t=" << g.t << " clients=" << g.clients;
+    EXPECT_NEAR(network[i], g.network_ms, 2.0 * g.network_range_ms)
+        << "t=" << g.t << " clients=" << g.clients;
+  }
 }
 
 TEST(Figures, IterativeSweepStageRows) {

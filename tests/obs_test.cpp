@@ -285,8 +285,8 @@ core::IterativeResult run_iterative() {
 }
 
 TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {
-  // Covers the many-to-one placement LP (warm-chained across anchors) and
-  // the warm-started strategy LP of every round.
+  // Covers the many-to-one placement LP (warm-chained across anchors), the
+  // warm-started strategy LP of every round, and the strategy LP's routing.
   const ObsGuard guard;
   set_enabled(true);
   reset();
@@ -315,6 +315,18 @@ TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {
   EXPECT_GT(counter_value(snap, "core.manytoone.lp_iterations"), 0u);
   EXPECT_LE(counter_value(snap, "core.manytoone.warm_stalls"),
             counter_value(snap, "core.manytoone.warm_starts"));
+
+  // Every strategy LP is routed by shape, for exactly one reason; a flow
+  // fallback can only follow a caps-slack route.
+  EXPECT_GT(counter_value(snap, "lp.strategy.solves"), 0u);
+  EXPECT_EQ(counter_value(snap, "lp.strategy.route_caps_slack") +
+                counter_value(snap, "lp.strategy.route_caps_may_bind"),
+            counter_value(snap, "lp.strategy.solves"));
+  EXPECT_LE(counter_value(snap, "lp.strategy.route_flow_fallback"),
+            counter_value(snap, "lp.strategy.route_caps_slack"));
+  EXPECT_EQ(counter_value(snap, "lp.strategy.solver_transportation"),
+            counter_value(snap, "lp.strategy.route_caps_slack") -
+                counter_value(snap, "lp.strategy.route_flow_fallback"));
 }
 
 sim::EngineResult run_small_engine(common::ThreadPool* pool, double probe_ms) {

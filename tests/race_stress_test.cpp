@@ -236,6 +236,30 @@ TEST(RaceStress, EngineFanOutBitIdenticalAcrossThreadCounts) {
           << threads << " site " << w;
     }
   }
+
+  // Closed-loop clients recovering from an outage by immediate retries: the
+  // re-issue on completion and on abandonment runs inside each replication.
+  qp::sim::EngineConfig closed = serial;
+  closed.closed_loop_clients = 6;
+  closed.strategy = qp::sim::EngineStrategy::Balanced;
+  closed.warmup_ms = 100.0;
+  closed.duration_ms = 1'000.0;
+  closed.retry.timeout_ms = 300.0;
+  closed.outages = {{placement.site_of[0], 300.0, 800.0}};
+  const qp::sim::EngineResult closed_expected =
+      qp::sim::run_engine(matrix, system, placement, rates, closed);
+  EXPECT_GT(closed_expected.retries, 0u);
+  for (std::size_t threads : {2u, 4u, 8u, 16u}) {
+    qp::common::ThreadPool pool{threads};
+    closed.pool = &pool;
+    const qp::sim::EngineResult result =
+        qp::sim::run_engine(matrix, system, placement, rates, closed);
+    EXPECT_EQ(result.mean_response_ms, closed_expected.mean_response_ms) << threads;
+    EXPECT_EQ(result.completed, closed_expected.completed) << threads;
+    EXPECT_EQ(result.abandoned, closed_expected.abandoned) << threads;
+    EXPECT_EQ(result.retries, closed_expected.retries) << threads;
+    EXPECT_EQ(result.site_utilization, closed_expected.site_utilization) << threads;
+  }
 }
 
 TEST(RaceStress, EngineFaultRetryFailoverBitIdenticalAcrossThreadCounts) {

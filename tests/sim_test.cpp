@@ -8,8 +8,8 @@
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
 #include "sim/client_sites.hpp"
+#include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/protocol_sim.hpp"
 
 namespace qp::sim {
 namespace {
@@ -112,7 +112,7 @@ TEST(EventQueue, RejectsSchedulingInThePast) {
   EXPECT_THROW(queue.schedule(1.0, 0), std::invalid_argument);
 }
 
-// ------------------------------------------------------------ Protocol sim
+// ------------------------------------------------- Closed-loop engine clients
 
 struct SimFixture {
   LatencyMatrix matrix = net::small_synth(16, 5);
@@ -122,118 +122,124 @@ struct SimFixture {
       representative_client_sites(matrix, system, placement, 4);
 };
 
-TEST(ProtocolSim, DeterministicInSeed) {
-  const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 2000.0;
-  config.warmup_ms = 200.0;
-  config.seed = 7;
-  const auto a = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  const auto b = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_DOUBLE_EQ(a.avg_response_ms, b.avg_response_ms);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  config.seed = 8;
-  const auto c = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_NE(a.avg_response_ms, c.avg_response_ms);
+/// One closed-loop client per site, one replication, §3's 1 ms service.
+EngineConfig closed_loop(double duration_ms, double warmup_ms) {
+  EngineConfig config;
+  config.closed_loop_clients = 1;
+  config.duration_ms = duration_ms;
+  config.warmup_ms = warmup_ms;
+  config.replications = 1;
+  return config;
 }
 
-TEST(ProtocolSim, ResponseAtLeastNetworkDelayPlusService) {
+EngineResult run(const SimFixture& f, const EngineConfig& config) {
+  return run_engine(f.matrix, f.system, f.placement,
+                    client_site_mask(f.matrix.size(), f.clients), config);
+}
+
+/// Mean utilization over the sites that host a server.
+double mean_server_utilization(const SimFixture& f, const EngineResult& result) {
+  const std::vector<std::size_t> support = f.placement.support_set();
+  double total = 0.0;
+  for (std::size_t site : support) total += result.site_utilization[site];
+  return total / static_cast<double>(support.size());
+}
+
+TEST(ClosedLoop, DeterministicInSeed) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 2000.0;
-  config.warmup_ms = 200.0;
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_GT(result.completed_requests, 0u);
+  EngineConfig config = closed_loop(2000.0, 200.0);
+  config.master_seed = 7;
+  const EngineResult a = run(f, config);
+  const EngineResult b = run(f, config);
+  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);  // Bitwise.
+  EXPECT_EQ(a.completed, b.completed);
+  config.master_seed = 8;
+  const EngineResult c = run(f, config);
+  EXPECT_NE(a.mean_response_ms, c.mean_response_ms);
+}
+
+TEST(ClosedLoop, ResponseAtLeastNetworkDelayPlusService) {
+  const SimFixture f;
+  const EngineConfig config = closed_loop(2000.0, 200.0);
+  const EngineResult result = run(f, config);
+  EXPECT_GT(result.completed, 0u);
   // Every request waits at least its network delay plus one service time.
-  EXPECT_GE(result.avg_response_ms,
-            result.avg_network_delay_ms + config.service_time_ms - 1e-9);
-  EXPECT_GE(result.response_stats.min(), result.network_stats.min() - 1e-9);
+  EXPECT_GE(result.mean_response_ms,
+            result.mean_network_delay_ms + config.service_time_ms - 1e-9);
+  EXPECT_GE(result.response.min(), result.replications[0].network.min() - 1e-9);
 }
 
-TEST(ProtocolSim, UnloadedSystemMatchesNetworkDelayClosely) {
+TEST(ClosedLoop, UnloadedSystemMatchesNetworkDelayClosely) {
   // One client, long RTTs: queueing is negligible, so response ~= network
   // delay + service.
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 3000.0;
-  config.warmup_ms = 300.0;
+  const EngineConfig config = closed_loop(3000.0, 300.0);
   const std::vector<std::size_t> one_client{f.clients[0]};
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, one_client, config);
-  EXPECT_NEAR(result.avg_response_ms, result.avg_network_delay_ms + config.service_time_ms,
-              0.5);
+  const EngineResult result =
+      run_engine(f.matrix, f.system, f.placement,
+                 client_site_mask(f.matrix.size(), one_client), config);
+  EXPECT_NEAR(result.mean_response_ms,
+              result.mean_network_delay_ms + config.service_time_ms, 0.5);
 }
 
-TEST(ProtocolSim, ResponseGrowsWithClientCount) {
+TEST(ClosedLoop, ResponseGrowsWithClientCount) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 3000.0;
-  config.warmup_ms = 300.0;
-  config.seed = 11;
-  config.clients_per_site = 1;
-  const auto light = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  config.clients_per_site = 25;
-  const auto heavy = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_GT(heavy.avg_response_ms, light.avg_response_ms);
+  EngineConfig config = closed_loop(3000.0, 300.0);
+  config.master_seed = 11;
+  const EngineResult light = run(f, config);
+  config.closed_loop_clients = 25;
+  const EngineResult heavy = run(f, config);
+  EXPECT_GT(heavy.mean_response_ms, light.mean_response_ms);
   // Network delay distribution is load-independent (uniform quorum draws).
-  EXPECT_NEAR(heavy.avg_network_delay_ms, light.avg_network_delay_ms,
-              0.15 * light.avg_network_delay_ms);
-  EXPECT_GT(heavy.avg_server_busy_fraction, light.avg_server_busy_fraction);
+  EXPECT_NEAR(heavy.mean_network_delay_ms, light.mean_network_delay_ms,
+              0.15 * light.mean_network_delay_ms);
+  EXPECT_GT(mean_server_utilization(f, heavy), mean_server_utilization(f, light));
 }
 
-TEST(ProtocolSim, ClosedLoopThroughputConsistency) {
+TEST(ClosedLoop, ThroughputConsistency) {
   // Little's law sanity: completed requests ~= clients * window / mean response.
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 4000.0;
-  config.warmup_ms = 500.0;
-  config.clients_per_site = 2;
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  const double clients = static_cast<double>(f.clients.size() * config.clients_per_site);
-  const double predicted = clients * config.duration_ms / result.avg_response_ms;
-  EXPECT_NEAR(static_cast<double>(result.completed_requests), predicted, 0.15 * predicted);
+  EngineConfig config = closed_loop(4000.0, 500.0);
+  config.closed_loop_clients = 2;
+  const EngineResult result = run(f, config);
+  const double clients = static_cast<double>(f.clients.size() * config.closed_loop_clients);
+  const double predicted = clients * config.duration_ms / result.mean_response_ms;
+  EXPECT_NEAR(static_cast<double>(result.completed), predicted, 0.15 * predicted);
 }
 
-TEST(ProtocolSim, ClosestStrategyReducesNetworkDelay) {
+TEST(ClosedLoop, ClosestStrategyReducesNetworkDelay) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 2000.0;
-  config.warmup_ms = 200.0;
-  const auto uniform = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  config.use_closest_strategy = true;
-  const auto closest = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_LE(closest.avg_network_delay_ms, uniform.avg_network_delay_ms + 1e-9);
+  EngineConfig config = closed_loop(2000.0, 200.0);
+  const EngineResult uniform = run(f, config);
+  config.strategy = EngineStrategy::Closest;
+  const EngineResult closest = run(f, config);
+  EXPECT_LE(closest.mean_network_delay_ms, uniform.mean_network_delay_ms + 1e-9);
 }
 
-TEST(ProtocolSim, SingletonProtocol) {
+TEST(ClosedLoop, SingletonProtocol) {
   const LatencyMatrix m = net::small_synth(8, 9);
   const quorum::SingletonQuorum singleton;
   const core::Placement placement = core::singleton_placement(m);
   const std::vector<std::size_t> clients{0, 1, 2};
-  ProtocolSimConfig config;
-  config.duration_ms = 1000.0;
-  config.warmup_ms = 100.0;
-  const auto result = run_protocol_sim(m, singleton, placement, clients, config);
-  EXPECT_GT(result.completed_requests, 0u);
+  const EngineResult result = run_engine(m, singleton, placement,
+                                         client_site_mask(m.size(), clients),
+                                         closed_loop(1000.0, 100.0));
+  EXPECT_GT(result.completed, 0u);
 }
 
-TEST(ProtocolSim, ValidatesConfig) {
+TEST(ClosedLoop, ValidatesConfig) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.clients_per_site = 0;
-  EXPECT_THROW(
-      (void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-      std::invalid_argument);
-  config.clients_per_site = 1;
-  config.duration_ms = -1.0;
-  EXPECT_THROW(
-      (void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-      std::invalid_argument);
+  EngineConfig config = closed_loop(-1.0, 0.0);
+  EXPECT_THROW((void)run(f, config), std::invalid_argument);
   config.duration_ms = 100.0;
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, {}, config),
+  EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement,
+                                client_site_mask(f.matrix.size(), {}), config),
+               std::invalid_argument);
+  const std::vector<double> short_rates(f.matrix.size() - 1, 1.0);
+  EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement, short_rates, config),
                std::invalid_argument);
   const std::vector<std::size_t> bad_site{99};
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, bad_site, config),
-               std::out_of_range);
+  EXPECT_THROW((void)client_site_mask(f.matrix.size(), bad_site), std::out_of_range);
 }
 
 // ------------------------------------------------------------ Client sites

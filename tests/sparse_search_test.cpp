@@ -306,5 +306,40 @@ TEST(SparseSearchParity, CappedIndexStillProducesImprovingSequence) {
   result.placement.validate(scenario.site_count());
 }
 
+TEST(SparseSearchParity, CappedIndexNeverAcceptsAWorseningMove) {
+  // Regression: on an implicit space the client lists default to capped,
+  // so the ranking is approximate. From this start the first round used to
+  // accept a candidate scored as improving that moved the exact objective
+  // 207.2676 -> 207.2946. Every applied move is now checked against the
+  // exact objective and undone unless it improves.
+  sim::ScenarioConfig config;
+  config.site_count = 2000;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::KnnIndex knn{scenario.space};
+  const ClosestStrategyObjective objective = scenario.closest_objective();
+  const quorum::GridQuorum grid{5};
+  Placement initial;
+  for (std::size_t u = 0; u < grid.universe_size(); ++u) {
+    initial.site_of.push_back(73 + 80 * u);
+  }
+
+  LocalSearchOptions options;
+  options.objective = &objective;
+  options.knn = &knn;
+  options.candidate_knn = 16;
+  options.threads = 1;
+  options.max_rounds = 0;
+  double previous = local_search_placement(scenario.space, grid, initial, options).objective;
+  for (std::size_t rounds = 1; rounds <= 3; ++rounds) {
+    options.max_rounds = rounds;
+    const LocalSearchResult result =
+        local_search_placement(scenario.space, grid, initial, options);
+    EXPECT_LE(result.objective, previous) << "after " << rounds << " rounds";
+    const DeltaEvaluator fresh{scenario.space, grid, result.placement, objective};
+    EXPECT_NEAR(fresh.objective(), result.objective, 1e-9);
+    previous = result.objective;
+  }
+}
+
 }  // namespace
 }  // namespace qp::core
