@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
     const double alpha = core::kQuWriteServiceMs * demand;
     const auto eval_pair = [&](const core::Placement& p, const char* name) {
       const auto pe =
-          core::evaluate_balanced(m, grid, p, alpha, core::ExecutionModel::PerElement);
+          core::evaluate_balanced(m, grid, p, alpha, {}, core::ExecutionModel::PerElement);
       const auto c =
-          core::evaluate_balanced(m, grid, p, alpha, core::ExecutionModel::Collapsed);
+          core::evaluate_balanced(m, grid, p, alpha, {}, core::ExecutionModel::Collapsed);
       rows.push_back(Row{name, demand, pe.avg_response_ms, c.avg_response_ms});
     };
     eval_pair(one_to_one, "one-to-one");

@@ -1,25 +1,21 @@
-// bench_lp_solver: the strategy-LP solver stack (ISSUE 9) on the phase-LP
-// sequences the capacity sweep and the iterative alternation actually solve
-// — one placement, a descending ladder of capacity levels over the same
-// support set, each level warm-startable from the previous optimal basis.
+// bench_lp_solver: the strategy-LP solver on the phase-LP sequences the
+// capacity sweep and the iterative alternation actually solve — one
+// placement, a descending ladder of capacity levels over the same support
+// set, each level warm-startable from the previous optimal basis.
 //
 // Rows per topology size n (grid 7x7 universe, best-grid placement):
-//   LpSolver/phase_ladder_cold_dense/nN    — historical tableau simplex,
-//                                            every level from scratch
-//                                            (skipped at n=2000: the dense
-//                                            tableau alone is ~1.6 GB);
 //   LpSolver/phase_ladder_cold_revised/nN  — sparse revised simplex, every
 //                                            level from scratch;
 //   LpSolver/phase_ladder_warm_revised/nN  — sparse revised simplex, each
 //                                            level warm-started from the
 //                                            previous level's basis.
-// Counters: ms_total over the ladder, simplex iterations summed, max
-// relative objective disagreement vs the dense reference (<= 1e-9 on every
-// config the reference can afford), and speedup vs the cold dense row.
+// Counters: ms_total over the ladder, simplex iterations summed, and the
+// max relative objective disagreement vs the cold revised row.
 // The ladder starts at the uncapacitated optimum's peak site load and
 // tightens in 4% steps while the LP stays feasible, so the capacity rows
-// genuinely bind (the transportation specialization is the separate
-// uncapacitated fast path and is pinned by tests, not timed here).
+// can bind and every level routes to the revised engine (the transportation
+// specialization is the separate uncapacitated fast path and is pinned by
+// tests, not timed here; run_ladder throws if a level routes there).
 //
 // Genuine timing benchmarks (per-iteration, benchmark-looped):
 //   LpSolver/warm_resolve/n161|n500        — one warm re-solve at the
@@ -55,24 +51,26 @@ struct LadderResult {
   std::vector<double> objectives;  // One per solved level.
 };
 
-/// Solves the whole capacity ladder with one engine, optionally chaining
-/// each level's optimal basis into the next solve.
+/// Solves the whole capacity ladder, optionally chaining each level's
+/// optimal basis into the next solve.
 LadderResult run_ladder(const qp::net::LatencyMatrix& matrix,
                         const qp::quorum::QuorumSystem& system,
                         const qp::core::Placement& placement,
                         const std::vector<std::vector<double>>& ladder,
-                        StrategyLpSolver solver, bool warm) {
+                        bool warm) {
   LadderResult out;
   qp::lp::Basis basis;
   const auto start = std::chrono::steady_clock::now();
   for (const std::vector<double>& caps : ladder) {
     StrategyLpOptions options;
-    options.solver = solver;
     if (warm) options.simplex.initial_basis = basis;
     const StrategyLpResult lp =
-        qp::core::optimize_access_strategy(matrix, system, placement, caps, options);
+        qp::core::optimize_access_strategy(matrix, system, placement, caps, {}, options);
     if (lp.status != qp::lp::SolveStatus::Optimal) {
       throw std::runtime_error{"bench_lp_solver: ladder level not optimal"};
+    }
+    if (lp.solver_used != StrategyLpSolver::Revised) {
+      throw std::runtime_error{"bench_lp_solver: ladder level left the revised engine"};
     }
     out.iterations += lp.lp_iterations;
     out.objectives.push_back(lp.avg_network_delay);
@@ -97,22 +95,19 @@ struct SizedCase {
   std::shared_ptr<qp::net::LatencyMatrix> matrix;
   std::shared_ptr<qp::core::Placement> placement;
   std::shared_ptr<std::vector<std::vector<double>>> ladder;
-  bool dense_affordable = true;
 };
 
-SizedCase make_case(qp::sim::Scenario scenario, const qp::quorum::QuorumSystem& system,
-                    bool dense_affordable) {
+SizedCase make_case(qp::sim::Scenario scenario, const qp::quorum::QuorumSystem& system) {
   SizedCase out;
   const std::size_t n = scenario.site_count();
   out.label = "n" + std::to_string(n);
   out.matrix = std::make_shared<qp::net::LatencyMatrix>(std::move(scenario.matrix));
   out.placement = std::make_shared<qp::core::Placement>(
       qp::core::best_grid_placement(*out.matrix, 7).placement);
-  out.dense_affordable = dense_affordable;
 
   // Uncapacitated optimum -> peak site load L; ladder = fractions of L that
-  // stay feasible. Infeasible levels end the ladder (every engine solves
-  // the identical level list).
+  // stay feasible. Infeasible levels end the ladder (the cold and warm rows
+  // solve the identical level list).
   const std::vector<double> loose(n, 1e9);
   const StrategyLpResult free_lp =
       qp::core::optimize_access_strategy(*out.matrix, system, *out.placement, loose);
@@ -127,10 +122,8 @@ SizedCase make_case(qp::sim::Scenario scenario, const qp::quorum::QuorumSystem& 
   out.ladder = std::make_shared<std::vector<std::vector<double>>>();
   for (double fraction : {1.00, 0.96, 0.92, 0.88, 0.84, 0.80}) {
     std::vector<double> caps(n, fraction * peak);
-    StrategyLpOptions probe;
-    probe.solver = StrategyLpSolver::Revised;
-    const StrategyLpResult lp = qp::core::optimize_access_strategy(
-        *out.matrix, system, *out.placement, caps, probe);
+    const StrategyLpResult lp =
+        qp::core::optimize_access_strategy(*out.matrix, system, *out.placement, caps);
     if (lp.status != qp::lp::SolveStatus::Optimal) break;
     out.ladder->push_back(std::move(caps));
   }
@@ -149,57 +142,41 @@ int main(int argc, char** argv) {
   {
     qp::sim::ScenarioConfig small;
     small.site_count = 49;
-    cases.push_back(make_case(qp::sim::make_scenario(small), *grid, true));
+    cases.push_back(make_case(qp::sim::make_scenario(small), *grid));
   }
-  cases.push_back(make_case(qp::sim::daxlist161_scenario(), *grid, true));
-  cases.push_back(make_case(qp::sim::synthetic500_scenario(), *grid, true));
+  cases.push_back(make_case(qp::sim::daxlist161_scenario(), *grid));
+  cases.push_back(make_case(qp::sim::synthetic500_scenario(), *grid));
   {
     qp::sim::ScenarioConfig large;
     large.site_count = 2000;
-    cases.push_back(make_case(qp::sim::make_scenario(large), *grid, false));
+    cases.push_back(make_case(qp::sim::make_scenario(large), *grid));
   }
 
-  std::cout << "case,engine,levels,ms_total,iterations,max_rel_diff,speedup_vs_cold_dense\n";
+  std::cout << "case,engine,levels,ms_total,iterations,max_rel_diff\n";
   for (const SizedCase& sized : cases) {
-    const LadderResult cold_revised = run_ladder(
-        *sized.matrix, *grid, *sized.placement, *sized.ladder,
-        StrategyLpSolver::Revised, /*warm=*/false);
-    const LadderResult warm_revised = run_ladder(
-        *sized.matrix, *grid, *sized.placement, *sized.ladder,
-        StrategyLpSolver::Revised, /*warm=*/true);
-    LadderResult cold_dense;
-    if (sized.dense_affordable) {
-      cold_dense = run_ladder(*sized.matrix, *grid, *sized.placement, *sized.ladder,
-                              StrategyLpSolver::Dense, /*warm=*/false);
-    }
-    const std::vector<double>& reference =
-        sized.dense_affordable ? cold_dense.objectives : cold_revised.objectives;
+    const LadderResult cold_revised = run_ladder(*sized.matrix, *grid, *sized.placement,
+                                                 *sized.ladder, /*warm=*/false);
+    const LadderResult warm_revised = run_ladder(*sized.matrix, *grid, *sized.placement,
+                                                 *sized.ladder, /*warm=*/true);
 
     struct Row {
       const char* engine;
       const LadderResult* result;
     };
-    std::vector<Row> rows;
-    if (sized.dense_affordable) rows.push_back({"cold_dense", &cold_dense});
-    rows.push_back({"cold_revised", &cold_revised});
-    rows.push_back({"warm_revised", &warm_revised});
-    for (const Row& row : rows) {
-      const double diff = max_rel_diff(row.result->objectives, reference);
-      const double speedup = sized.dense_affordable && row.result->ms_total > 0.0
-                                 ? cold_dense.ms_total / row.result->ms_total
-                                 : 0.0;
+    for (const Row& row : {Row{"cold_revised", &cold_revised},
+                           Row{"warm_revised", &warm_revised}}) {
+      const double diff = max_rel_diff(row.result->objectives, cold_revised.objectives);
       std::cout << sized.label << ',' << row.engine << ','
                 << row.result->objectives.size() << ',' << row.result->ms_total << ','
-                << row.result->iterations << ',' << diff << ',' << speedup << '\n';
+                << row.result->iterations << ',' << diff << '\n';
       const double ms = row.result->ms_total;
       const double iters = static_cast<double>(row.result->iterations);
       qp::bench::register_point(
           "LpSolver/phase_ladder_" + std::string{row.engine} + "/" + sized.label,
-          [ms, iters, diff, speedup](benchmark::State& state) {
+          [ms, iters, diff](benchmark::State& state) {
             state.counters["ms_total"] = ms;
             state.counters["iterations"] = iters;
             state.counters["max_rel_diff"] = diff;
-            state.counters["speedup_vs_cold_dense"] = speedup;
           });
     }
   }
@@ -211,20 +188,17 @@ int main(int argc, char** argv) {
   for (const SizedCase& sized : cases) {
     if (sized.label != "n161" && sized.label != "n500") continue;
     const std::vector<double>& caps = sized.ladder->back();
-    StrategyLpOptions converged;
-    converged.solver = StrategyLpSolver::Revised;
-    const StrategyLpResult seed = qp::core::optimize_access_strategy(
-        *sized.matrix, *grid, *sized.placement, caps, converged);
+    const StrategyLpResult seed =
+        qp::core::optimize_access_strategy(*sized.matrix, *grid, *sized.placement, caps);
     const auto basis = std::make_shared<qp::lp::Basis>(seed.basis);
     benchmark::RegisterBenchmark(
         ("LpSolver/warm_resolve/" + sized.label).c_str(),
         [&sized, grid, basis, &caps](benchmark::State& state) {
           for (auto _ : state) {
             StrategyLpOptions options;
-            options.solver = StrategyLpSolver::Revised;
             options.simplex.initial_basis = *basis;
             const StrategyLpResult lp = qp::core::optimize_access_strategy(
-                *sized.matrix, *grid, *sized.placement, caps, options);
+                *sized.matrix, *grid, *sized.placement, caps, {}, options);
             benchmark::DoNotOptimize(lp.avg_network_delay);
           }
         });
@@ -233,10 +207,8 @@ int main(int argc, char** argv) {
           "LpSolver/cold_revised_solve/n161",
           [&sized, grid, &caps](benchmark::State& state) {
             for (auto _ : state) {
-              StrategyLpOptions options;
-              options.solver = StrategyLpSolver::Revised;
               const StrategyLpResult lp = qp::core::optimize_access_strategy(
-                  *sized.matrix, *grid, *sized.placement, caps, options);
+                  *sized.matrix, *grid, *sized.placement, caps);
               benchmark::DoNotOptimize(lp.avg_network_delay);
             }
           });

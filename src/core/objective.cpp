@@ -104,12 +104,6 @@ std::string NetworkDelayObjective::name() const {
   return client_weights().empty() ? "network-delay" : "network-delay+demand";
 }
 
-LoadAwareObjective::LoadAwareObjective(double alpha) : alpha_(alpha) {
-  if (!(alpha >= 0.0) || !std::isfinite(alpha)) {
-    throw std::invalid_argument{"LoadAwareObjective: alpha must be finite and >= 0"};
-  }
-}
-
 LoadAwareObjective::LoadAwareObjective(double alpha, std::span<const double> client_demand)
     : Objective(client_demand), alpha_(alpha) {
   if (!(alpha >= 0.0) || !std::isfinite(alpha)) {
@@ -138,12 +132,6 @@ std::string LoadAwareObjective::name() const {
 std::span<const double> LoadAwareObjective::element_loads(
     const quorum::QuorumSystem& system) const {
   return system.uniform_load_cached();
-}
-
-ClosestStrategyObjective::ClosestStrategyObjective(double alpha) : alpha_(alpha) {
-  if (!(alpha >= 0.0) || !std::isfinite(alpha)) {
-    throw std::invalid_argument{"ClosestStrategyObjective: alpha must be finite and >= 0"};
-  }
 }
 
 ClosestStrategyObjective::ClosestStrategyObjective(double alpha,

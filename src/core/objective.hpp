@@ -159,9 +159,9 @@ class NetworkDelayObjective final : public Objective {
 /// (demand-weighted when constructed from a demand vector).
 class LoadAwareObjective final : public Objective {
  public:
-  /// Requires alpha >= 0 and finite.
-  explicit LoadAwareObjective(double alpha);
-  LoadAwareObjective(double alpha, std::span<const double> client_demand);
+  /// Requires alpha >= 0 and finite. `client_demand` is the raw per-client
+  /// demand; empty (the default) or constant demand means uniform clients.
+  explicit LoadAwareObjective(double alpha, std::span<const double> client_demand = {});
 
   /// alpha = kQuWriteServiceMs * client_demand (§7's parameterization).
   [[nodiscard]] static LoadAwareObjective for_demand(double client_demand);
@@ -184,9 +184,10 @@ class LoadAwareObjective final : public Objective {
 /// (per-element execution), demand-weighted when built from a demand vector.
 class ClosestStrategyObjective final : public Objective {
  public:
-  /// Requires alpha >= 0 and finite.
-  explicit ClosestStrategyObjective(double alpha);
-  ClosestStrategyObjective(double alpha, std::span<const double> client_demand);
+  /// Requires alpha >= 0 and finite. `client_demand` is the raw per-client
+  /// demand; empty (the default) or constant demand means uniform clients.
+  explicit ClosestStrategyObjective(double alpha,
+                                    std::span<const double> client_demand = {});
 
   [[nodiscard]] static ClosestStrategyObjective for_demand(double client_demand);
   [[nodiscard]] static ClosestStrategyObjective for_demand(

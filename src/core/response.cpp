@@ -70,11 +70,13 @@ struct WeightedAverager {
   }
 };
 
-Evaluation evaluate_closest_weighted(const net::LatencyMatrix& matrix,
-                                     const quorum::QuorumSystem& system,
-                                     const Placement& placement, double alpha,
-                                     std::span<const double> weights,
-                                     ExecutionModel model) {
+}  // namespace
+
+Evaluation evaluate_closest(const net::LatencyMatrix& matrix,
+                            const quorum::QuorumSystem& system, const Placement& placement,
+                            double alpha, std::span<const double> client_demand,
+                            ExecutionModel model) {
+  const std::vector<double> weights = demand_shares(client_demand, matrix.size());
   placement.validate(matrix.size());
   Evaluation eval;
   eval.site_load = site_loads_closest(matrix, system, placement, weights, model);
@@ -96,11 +98,11 @@ Evaluation evaluate_closest_weighted(const net::LatencyMatrix& matrix,
   return eval;
 }
 
-Evaluation evaluate_balanced_weighted(const net::LatencyMatrix& matrix,
-                                      const quorum::QuorumSystem& system,
-                                      const Placement& placement, double alpha,
-                                      std::span<const double> weights,
-                                      ExecutionModel model) {
+Evaluation evaluate_balanced(const net::LatencyMatrix& matrix,
+                             const quorum::QuorumSystem& system, const Placement& placement,
+                             double alpha, std::span<const double> client_demand,
+                             ExecutionModel model) {
+  const std::vector<double> weights = demand_shares(client_demand, matrix.size());
   placement.validate(matrix.size());
   Evaluation eval;
   // The balanced load model is demand-invariant: every client induces the
@@ -122,12 +124,11 @@ Evaluation evaluate_balanced_weighted(const net::LatencyMatrix& matrix,
   return eval;
 }
 
-Evaluation evaluate_explicit_weighted(const net::LatencyMatrix& matrix,
-                                      const quorum::QuorumSystem& system,
-                                      const Placement& placement, double alpha,
-                                      const ExplicitStrategy& strategy,
-                                      std::span<const double> weights,
-                                      ExecutionModel model) {
+Evaluation evaluate_explicit(const net::LatencyMatrix& matrix,
+                             const quorum::QuorumSystem& system, const Placement& placement,
+                             double alpha, const ExplicitStrategy& strategy,
+                             std::span<const double> client_demand, ExecutionModel model) {
+  const std::vector<double> weights = demand_shares(client_demand, matrix.size());
   placement.validate(matrix.size());
   strategy.validate(matrix.size(), system.universe_size());
   Evaluation eval;
@@ -158,52 +159,6 @@ Evaluation evaluate_explicit_weighted(const net::LatencyMatrix& matrix,
   }
   avg.finish(matrix.size(), eval);
   return eval;
-}
-
-}  // namespace
-
-Evaluation evaluate_closest(const net::LatencyMatrix& matrix,
-                            const quorum::QuorumSystem& system, const Placement& placement,
-                            double alpha, ExecutionModel model) {
-  return evaluate_closest_weighted(matrix, system, placement, alpha, {}, model);
-}
-
-Evaluation evaluate_closest(const net::LatencyMatrix& matrix,
-                            const quorum::QuorumSystem& system, const Placement& placement,
-                            double alpha, std::span<const double> client_demand,
-                            ExecutionModel model) {
-  const std::vector<double> shares = demand_shares(client_demand, matrix.size());
-  return evaluate_closest_weighted(matrix, system, placement, alpha, shares, model);
-}
-
-Evaluation evaluate_balanced(const net::LatencyMatrix& matrix,
-                             const quorum::QuorumSystem& system, const Placement& placement,
-                             double alpha, ExecutionModel model) {
-  return evaluate_balanced_weighted(matrix, system, placement, alpha, {}, model);
-}
-
-Evaluation evaluate_balanced(const net::LatencyMatrix& matrix,
-                             const quorum::QuorumSystem& system, const Placement& placement,
-                             double alpha, std::span<const double> client_demand,
-                             ExecutionModel model) {
-  const std::vector<double> shares = demand_shares(client_demand, matrix.size());
-  return evaluate_balanced_weighted(matrix, system, placement, alpha, shares, model);
-}
-
-Evaluation evaluate_explicit(const net::LatencyMatrix& matrix,
-                             const quorum::QuorumSystem& system, const Placement& placement,
-                             double alpha, const ExplicitStrategy& strategy,
-                             ExecutionModel model) {
-  return evaluate_explicit_weighted(matrix, system, placement, alpha, strategy, {}, model);
-}
-
-Evaluation evaluate_explicit(const net::LatencyMatrix& matrix,
-                             const quorum::QuorumSystem& system, const Placement& placement,
-                             double alpha, const ExplicitStrategy& strategy,
-                             std::span<const double> client_demand, ExecutionModel model) {
-  const std::vector<double> shares = demand_shares(client_demand, matrix.size());
-  return evaluate_explicit_weighted(matrix, system, placement, alpha, strategy, shares,
-                                    model);
 }
 
 }  // namespace qp::core

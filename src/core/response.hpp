@@ -43,46 +43,40 @@ struct Evaluation {
 [[nodiscard]] std::vector<double> demand_shares(std::span<const double> client_demand,
                                                 std::size_t client_count);
 
+// The three evaluators below take `client_demand`, the raw per-client
+// demand (any positive scaling, normalized through demand_shares), and
+// `model`, the §8 execution model (PerElement reproduces the paper;
+// Collapsed is its future-work variant).
+
 /// Closest access strategy (§6): each client deterministically uses its
 /// minimum-network-delay quorum; the load those choices induce still enters
-/// the response time through alpha. `model` selects the §8 execution model
-/// (PerElement reproduces the paper; Collapsed is its future-work variant).
+/// the response time through alpha. Demand shares weight both the response
+/// averages and the load attribution; empty (the default) or constant
+/// demand runs the historical uniform arithmetic bitwise.
 [[nodiscard]] Evaluation evaluate_closest(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, double alpha,
+    const Placement& placement, double alpha, std::span<const double> client_demand = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
 /// Balanced access strategy (§7): uniform over all quorums, evaluated
 /// analytically (order statistics for Majorities, enumeration for Grid).
+/// Demand shares weight the response averages only: every client draws the
+/// same quorum distribution, so the load model is demand-invariant. Empty
+/// (the default) or constant demand runs the historical uniform arithmetic
+/// bitwise.
 [[nodiscard]] Evaluation evaluate_balanced(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, double alpha,
+    const Placement& placement, double alpha, std::span<const double> client_demand = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
 /// Arbitrary explicit per-client strategies (e.g. LP-optimized ones).
+/// Demand shares weight both the response averages and the load
+/// attribution; empty (the default) or constant demand runs the historical
+/// uniform arithmetic bitwise.
 [[nodiscard]] Evaluation evaluate_explicit(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
     const Placement& placement, double alpha, const ExplicitStrategy& strategy,
-    ExecutionModel model = ExecutionModel::PerElement);
-
-/// Demand-weighted variants: `client_demand` is the raw per-client demand
-/// vector (any positive scaling; normalized internally via demand_shares).
-/// Both the response averages and the load attribution weight client v by
-/// its demand share instead of 1/|V| — except the balanced load model,
-/// which is demand-invariant (identical per-client quorum distributions).
-/// Empty/constant demand reduces exactly to the uniform overloads above.
-[[nodiscard]] Evaluation evaluate_closest(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, double alpha, std::span<const double> client_demand,
-    ExecutionModel model = ExecutionModel::PerElement);
-[[nodiscard]] Evaluation evaluate_balanced(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, double alpha, std::span<const double> client_demand,
-    ExecutionModel model = ExecutionModel::PerElement);
-[[nodiscard]] Evaluation evaluate_explicit(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, double alpha, const ExplicitStrategy& strategy,
-    std::span<const double> client_demand,
+    std::span<const double> client_demand = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
 /// rho_f(v, Q) per (4.1) for one concrete quorum — shared helper.

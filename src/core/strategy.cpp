@@ -15,14 +15,12 @@ namespace qp::core {
 
 namespace {
 
-// Strategy-LP engine telemetry: which route each solve took (Auto's choice
-// is otherwise invisible to callers that ignore solver_used) and why — the
+// Strategy-LP engine telemetry: which route each solve took and why — the
 // capacity rows provably slack (flow), possibly binding (revised), or the
 // flow failing to saturate (revised fallback) — total simplex iterations,
 // and whether a supplied warm basis carried the solve or stalled into the
 // cold retry.
 const obs::Counter c_slp_solves = obs::counter("lp.strategy.solves");
-const obs::Counter c_slp_dense = obs::counter("lp.strategy.solver_dense");
 const obs::Counter c_slp_revised = obs::counter("lp.strategy.solver_revised");
 const obs::Counter c_slp_transportation =
     obs::counter("lp.strategy.solver_transportation");
@@ -141,33 +139,19 @@ void charge_quorum(const quorum::Quorum& quorum, const Placement& placement, dou
 
 std::vector<double> site_loads_closest(const net::LatencyMatrix& matrix,
                                        const quorum::QuorumSystem& system,
-                                       const Placement& placement, ExecutionModel model) {
-  const std::vector<quorum::Quorum> chosen = closest_quorums(matrix, system, placement);
-  std::vector<double> site_loads(matrix.size(), 0.0);
-  std::vector<std::size_t> scratch;
-  const double weight = 1.0 / static_cast<double>(matrix.size());
-  for (const quorum::Quorum& quorum : chosen) {
-    charge_quorum(quorum, placement, weight, model, site_loads, scratch);
-  }
-  return site_loads;
-}
-
-std::vector<double> site_loads_closest(const net::LatencyMatrix& matrix,
-                                       const quorum::QuorumSystem& system,
                                        const Placement& placement,
                                        std::span<const double> client_weights,
                                        ExecutionModel model) {
-  if (client_weights.empty()) {
-    return site_loads_closest(matrix, system, placement, model);
-  }
-  if (client_weights.size() != matrix.size()) {
+  if (!client_weights.empty() && client_weights.size() != matrix.size()) {
     throw std::invalid_argument{"site_loads_closest: client weight count != clients"};
   }
   const std::vector<quorum::Quorum> chosen = closest_quorums(matrix, system, placement);
   std::vector<double> site_loads(matrix.size(), 0.0);
   std::vector<std::size_t> scratch;
+  const double uniform = 1.0 / static_cast<double>(matrix.size());
   for (std::size_t v = 0; v < chosen.size(); ++v) {
-    charge_quorum(chosen[v], placement, client_weights[v], model, site_loads, scratch);
+    const double weight = client_weights.empty() ? uniform : client_weights[v];
+    charge_quorum(chosen[v], placement, weight, model, site_loads, scratch);
   }
   return site_loads;
 }
@@ -195,35 +179,9 @@ std::vector<double> site_loads_balanced(const quorum::QuorumSystem& system,
 
 std::vector<double> site_loads_explicit(const ExplicitStrategy& strategy,
                                         const Placement& placement, std::size_t site_count,
-                                        ExecutionModel model) {
-  placement.validate(site_count);
-  std::vector<double> site_loads(site_count, 0.0);
-  std::vector<std::size_t> scratch;
-  for (const std::vector<double>& row : strategy.probability) {
-    if (row.size() != strategy.quorums.size()) {
-      throw std::invalid_argument{"site_loads_explicit: row size mismatch"};
-    }
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (row[i] == 0.0) continue;
-      charge_quorum(strategy.quorums[i], placement, row[i], model, site_loads, scratch);
-    }
-  }
-  if (!strategy.probability.empty()) {
-    for (double& load : site_loads) {
-      load /= static_cast<double>(strategy.probability.size());
-    }
-  }
-  return site_loads;
-}
-
-std::vector<double> site_loads_explicit(const ExplicitStrategy& strategy,
-                                        const Placement& placement, std::size_t site_count,
                                         std::span<const double> client_weights,
                                         ExecutionModel model) {
-  if (client_weights.empty()) {
-    return site_loads_explicit(strategy, placement, site_count, model);
-  }
-  if (client_weights.size() != strategy.probability.size()) {
+  if (!client_weights.empty() && client_weights.size() != strategy.probability.size()) {
     throw std::invalid_argument{"site_loads_explicit: client weight count != clients"};
   }
   placement.validate(site_count);
@@ -236,20 +194,18 @@ std::vector<double> site_loads_explicit(const ExplicitStrategy& strategy,
     }
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (row[i] == 0.0) continue;
-      charge_quorum(strategy.quorums[i], placement, client_weights[v] * row[i], model,
-                    site_loads, scratch);
+      const double p = client_weights.empty() ? row[i] : client_weights[v] * row[i];
+      charge_quorum(strategy.quorums[i], placement, p, model, site_loads, scratch);
+    }
+  }
+  // Uniform clients: accumulate, then divide once by |V| (the historical
+  // arithmetic, kept bitwise).
+  if (client_weights.empty() && !strategy.probability.empty()) {
+    for (double& load : site_loads) {
+      load /= static_cast<double>(strategy.probability.size());
     }
   }
   return site_loads;
-}
-
-StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
-                                          const quorum::QuorumSystem& system,
-                                          const Placement& placement,
-                                          std::span<const double> capacities,
-                                          const StrategyLpOptions& options) {
-  return optimize_access_strategy(matrix, system, placement, capacities,
-                                  std::span<const double>{}, options);
 }
 
 namespace {
@@ -393,8 +349,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
 
   // Objective coefficients w_v * delta_f(v, Q_i), indexed v * m + i, with
   // w_v = demand share (the flat 1/|V| when unweighted). Computed once, in
-  // the historical arithmetic order, so every engine prices the same LP and
-  // the Dense path stays bitwise identical to the pre-specialization code.
+  // the historical arithmetic order, so both engines price the same LP.
   std::vector<double> delay_cost(client_count * m, 0.0);
   double total_weight = 0.0;
   for (std::size_t v = 0; v < client_count; ++v) {
@@ -412,20 +367,12 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
 
   const std::vector<std::size_t> support = placement.support_set();
 
-  // Resolve the Auto/Transportation routes by LP shape.
-  StrategyLpSolver engine = options.solver;
-  if (engine == StrategyLpSolver::Auto || engine == StrategyLpSolver::Transportation) {
-    const bool uncapacitated = capacity_rows_cannot_bind(quorum_sites, support, capacities,
-                                                         matrix.size(), total_weight);
-    (uncapacitated ? c_slp_route_slack : c_slp_route_may_bind).add();
-    if (engine == StrategyLpSolver::Auto) {
-      engine = uncapacitated ? StrategyLpSolver::Transportation : StrategyLpSolver::Revised;
-    } else if (!uncapacitated) {
-      engine = StrategyLpSolver::Revised;  // Caps can bind: specialization unsound.
-    }
-  }
-
-  if (engine == StrategyLpSolver::Transportation) {
+  // Route by LP shape: Transportation when no capacity row can bind,
+  // Revised otherwise (and when the flow fails to saturate).
+  const bool uncapacitated = capacity_rows_cannot_bind(quorum_sites, support, capacities,
+                                                       matrix.size(), total_weight);
+  (uncapacitated ? c_slp_route_slack : c_slp_route_may_bind).add();
+  if (uncapacitated) {
     StrategyLpResult result = solve_transportation(delay_cost, client_count, m);
     if (result.status == lp::SolveStatus::Optimal) {
       c_slp_transportation.add();
@@ -433,7 +380,6 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
       return result;
     }
     c_slp_route_fallback.add();
-    engine = StrategyLpSolver::Revised;  // Flow failed to saturate; solve exactly.
   }
 
   lp::LpProblem problem;
@@ -463,21 +409,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
   }
 
   StrategyLpResult result;
-  result.solver_used = engine;
-  if (engine == StrategyLpSolver::Dense) {
-    const lp::SimplexSolver solver{options.simplex};
-    const lp::Solution solution = solver.solve(problem);
-    c_slp_dense.add();
-    c_slp_iterations.add(solution.iterations);
-    result.status = solution.status;
-    result.lp_iterations = solution.iterations;
-    if (solution.status != lp::SolveStatus::Optimal) return result;
-    result.avg_network_delay = solution.objective;
-    result.strategy.quorums = quorums;
-    fill_strategy_rows(result, solution.values, client_count, m);
-    return result;
-  }
-
+  result.solver_used = StrategyLpSolver::Revised;
   const lp::RevisedSimplexSolver solver{options.simplex};
   lp::SolveResult solution = solver.solve(problem);
   c_slp_revised.add();

@@ -55,86 +55,73 @@ struct ExplicitStrategy {
 /// The two coincide on one-to-one placements.
 enum class ExecutionModel { PerElement, Collapsed };
 
-/// load_f(w) = avg_v load_{v,f}(w) for the three strategy kinds. Vectors are
-/// indexed by site; sites outside the support set carry load 0.
+/// load_f(w) = sum_v w_v load_{v,f}(w) for the three strategy kinds. Vectors
+/// are indexed by site; sites outside the support set carry load 0.
+/// `client_weights` are normalized demand shares (see core::demand_shares in
+/// response.hpp): client v's quorum access is charged with weight w_v.
+
+/// Closest strategy loads. An empty `client_weights` (the default) runs the
+/// historical uniform arithmetic bitwise: each client charges 1/|V|.
 [[nodiscard]] std::vector<double> site_loads_closest(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, ExecutionModel model = ExecutionModel::PerElement);
+    const Placement& placement, std::span<const double> client_weights = {},
+    ExecutionModel model = ExecutionModel::PerElement);
+/// Balanced strategy loads. There are no weights: every client induces the
+/// identical per-element load, so any convex demand weighting leaves it
+/// unchanged.
 [[nodiscard]] std::vector<double> site_loads_balanced(
     const quorum::QuorumSystem& system, const Placement& placement, std::size_t site_count,
     ExecutionModel model = ExecutionModel::PerElement);
+/// Explicit strategy loads. An empty `client_weights` (the default) runs the
+/// historical uniform arithmetic bitwise: per-client loads are accumulated,
+/// then divided by |V|.
 [[nodiscard]] std::vector<double> site_loads_explicit(
     const ExplicitStrategy& strategy, const Placement& placement, std::size_t site_count,
+    std::span<const double> client_weights = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
-/// Demand-weighted load attribution: client v's quorum access is charged
-/// with weight client_weights[v] instead of 1/|V|. Callers pass normalized
-/// demand shares (see core::demand_shares in response.hpp); an empty span
-/// falls back to the uniform overloads above. There is no weighted balanced
-/// overload: under the balanced strategy every client induces the identical
-/// per-element load, so any convex demand weighting leaves it unchanged.
-[[nodiscard]] std::vector<double> site_loads_closest(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement, std::span<const double> client_weights,
-    ExecutionModel model = ExecutionModel::PerElement);
-[[nodiscard]] std::vector<double> site_loads_explicit(
-    const ExplicitStrategy& strategy, const Placement& placement, std::size_t site_count,
-    std::span<const double> client_weights,
-    ExecutionModel model = ExecutionModel::PerElement);
-
-/// Which engine solves LP (4.3)-(4.6).
-///   Auto           — Transportation when no capacity row can bind (the LP
-///                    decouples per client), Revised otherwise;
-///   Dense          — the historical tableau simplex, kept as the parity
-///                    reference (objective agreement <= 1e-9, test-pinned);
-///   Revised        — the sparse revised simplex (lp/revised_simplex), the
-///                    only path that honors warm starts;
-///   Transportation — the uncapacitated specialization on flow/mincost_flow;
-///                    falls back to Revised when capacity rows can bind.
-enum class StrategyLpSolver { Auto, Dense, Revised, Transportation };
+/// The engine that solved LP (4.3)-(4.6), reported in StrategyLpResult. The
+/// route is chosen by the LP's shape alone:
+///   Transportation — no capacity row can bind (the LP decouples per
+///                    client): the uncapacitated specialization on
+///                    flow/mincost_flow;
+///   Revised        — a capacity row can bind, or the flow failed to
+///                    saturate: the sparse revised simplex
+///                    (lp/revised_simplex), the only path that honors warm
+///                    starts;
+///   None           — no engine ran (a default-constructed result).
+enum class StrategyLpSolver { None, Revised, Transportation };
 
 struct StrategyLpResult {
   lp::SolveStatus status = lp::SolveStatus::Infeasible;
   ExplicitStrategy strategy;          // Populated when status == Optimal.
   double avg_network_delay = 0.0;     // LP objective (4.3).
   std::size_t lp_iterations = 0;
-  /// The engine that actually solved the LP (Auto/Transportation resolved:
-  /// a Transportation request whose capacity rows can bind, or whose flow
-  /// fails to saturate, reports Revised). Auto only on a default-constructed
-  /// result, before any engine ran.
-  StrategyLpSolver solver_used = StrategyLpSolver::Auto;
-  /// Optimal basis of the Revised path (empty for the other engines). Feed
-  /// it back through options.simplex.initial_basis to warm-start the next
-  /// solve of an identically-shaped LP (same placement support set).
+  StrategyLpSolver solver_used = StrategyLpSolver::None;
+  /// Optimal basis of the Revised route (empty on Transportation). Feed it
+  /// back through options.simplex.initial_basis to warm-start the next solve
+  /// of an identically-shaped LP (same placement support set).
   lp::Basis basis;
 };
 
 struct StrategyLpOptions {
   std::size_t quorum_limit = 100'000;
-  /// Solver knobs; simplex.initial_basis warm-starts the Revised path.
+  /// Solver knobs; simplex.initial_basis warm-starts the Revised route.
   lp::SimplexOptions simplex{};
-  StrategyLpSolver solver = StrategyLpSolver::Auto;
 };
 
 /// Solves LP (4.3)-(4.6): minimize the average expected network delay over
 /// per-client access strategies subject to avg load <= cap on every support
-/// site. `capacities` is indexed by site. Returns Infeasible status when
-/// the capacities cannot carry the workload.
-[[nodiscard]] StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
-                                                        const quorum::QuorumSystem& system,
-                                                        const Placement& placement,
-                                                        std::span<const double> capacities,
-                                                        const StrategyLpOptions& options = {});
-
-/// Demand-weighted LP: client v contributes weight w_v (its demand share,
-/// see core::demand_shares) instead of the flat 1/|V| — to the delay
-/// objective AND to the capacity-row load coefficients, so capacity
-/// feasibility reflects skewed workloads: a hot client's quorum choices
+/// site. `capacities` is indexed by site. Client v contributes weight w_v
+/// (its demand share, see core::demand_shares) to the delay objective AND to
+/// the capacity-row load coefficients, so a hot client's quorum choices
 /// consume proportionally more of every touched site's capacity. An empty
-/// span runs the exact uniform arithmetic above (bitwise identical).
+/// `client_weights` (the default) runs the historical uniform arithmetic
+/// (w_v = 1/|V|) bitwise. Returns Infeasible status when the capacities
+/// cannot carry the workload.
 [[nodiscard]] StrategyLpResult optimize_access_strategy(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
     const Placement& placement, std::span<const double> capacities,
-    std::span<const double> client_weights, const StrategyLpOptions& options = {});
+    std::span<const double> client_weights = {}, const StrategyLpOptions& options = {});
 
 }  // namespace qp::core

@@ -2,7 +2,7 @@
 // x >= 0. This is the modeling layer that replaces the paper's GNU MathProg
 // models; the access-strategy LP (4.3)-(4.6) and the many-to-one placement
 // LP are both built through this interface and solved by
-// lp::RevisedSimplexSolver (lp::SimplexSolver is the dense parity reference).
+// lp::RevisedSimplexSolver.
 //
 // Variables are non-negative. Upper bounds must be expressed as rows by the
 // caller when needed; the LPs in this codebase never need explicit upper

@@ -1,8 +1,9 @@
 // Sparse revised simplex with an LU-factorized basis and warm starts.
 //
-// This is the production LP engine for both the access-strategy LP and the
-// many-to-one placement LP (the dense tableau SimplexSolver stays as the
-// parity reference). Design:
+// This is the only production LP engine: it solves both the access-strategy
+// LP and the many-to-one placement LP. The dense two-phase tableau it
+// replaced is a tests-only parity oracle (tests/support/dense_simplex).
+// Design:
 //   * column-wise sparse constraint storage — reduced costs and ftran touch
 //     only nonzeros, so cost per pivot scales with fill, not rows x cols;
 //   * the basis is LU-factorized (Gilbert–Peierls left-looking elimination
@@ -11,7 +12,7 @@
 //     `refactor_interval` pivots or when the eta file grows past a fill
 //     budget, whichever comes first;
 //   * Dantzig pricing over a rotating partial window (`pricing_window`),
-//     with the same Bland's-rule fallback as the dense solver after a run of
+//     with the same Bland's-rule fallback as the dense oracle after a run of
 //     degenerate pivots;
 //   * warm starts: `SimplexOptions::initial_basis` seeds the basis from a
 //     previous solve of a related LP. Invalid entries are patched with
@@ -33,16 +34,16 @@
 
 namespace qp::lp {
 
-/// Solution of RevisedSimplexSolver: the dense Solution fields plus the
-/// optimal basis, which callers thread into the next related solve via
+/// Solution of RevisedSimplexSolver: status, objective, primal values and
+/// duals, plus the optimal basis, which callers thread into the next related solve via
 /// SimplexOptions::initial_basis.
 struct SolveResult {
   SolveStatus status = SolveStatus::IterationLimit;
   double objective = 0.0;
   /// Primal values for the structural variables (empty unless Optimal).
   std::vector<double> values;
-  /// Row duals y (empty unless Optimal), same sign convention as
-  /// SimplexSolver: y_i <= 0 for LessEqual rows at optimality.
+  /// Row duals y (empty unless Optimal). Sign convention: for the
+  /// minimization problem, y_i <= 0 for LessEqual rows at optimality.
   std::vector<double> duals;
   std::size_t iterations = 0;
   /// True when the warm seed (SimplexOptions::initial_basis) hit the

@@ -1,29 +1,27 @@
-// Two-phase revised simplex with a dense explicit basis inverse.
-//
-// This solver replaces glpsol in the paper's toolchain. It is sized for the
-// LPs this project produces: a few hundred rows, up to a few tens of
-// thousands of sparse columns. Design choices:
-//   * dense m x m basis inverse updated by eta (pivot) transformations,
-//     refactorized from scratch every `refactor_interval` pivots to bound
-//     numerical drift;
-//   * Dantzig pricing with a Bland's-rule fallback after a run of degenerate
-//     pivots, which guarantees termination;
-//   * phase 1 minimizes the sum of artificial variables (added only for rows
-//     that need them), phase 2 re-prices with the true objective and drives
-//     any residual zero-level artificials out of the basis.
+// Types shared by the LP layer: the solve status, the simplex basis used for
+// warm starts, and the solver options. lp::RevisedSimplexSolver
+// (lp/revised_simplex.hpp) is the production engine; the dense two-phase
+// tableau that these types were first written for lives in
+// tests/support/dense_simplex as the parity oracle.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "lp/problem.hpp"
-
 namespace qp::lp {
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
-[[nodiscard]] std::string to_string(SolveStatus status);
+[[nodiscard]] inline std::string to_string(SolveStatus status) {
+  switch (status) {
+    case SolveStatus::Optimal: return "optimal";
+    case SolveStatus::Infeasible: return "infeasible";
+    case SolveStatus::Unbounded: return "unbounded";
+    case SolveStatus::IterationLimit: return "iteration-limit";
+  }
+  return "unknown";
+}
 
 /// A simplex basis: the basic variable of each constraint row, exported by
 /// lp::RevisedSimplexSolver at optimality and accepted back through
@@ -54,17 +52,6 @@ struct Basis {
   [[nodiscard]] bool empty() const noexcept { return basic.empty(); }
 };
 
-struct Solution {
-  SolveStatus status = SolveStatus::IterationLimit;
-  double objective = 0.0;
-  /// Primal values for the structural variables (empty unless Optimal).
-  std::vector<double> values;
-  /// Row duals y (empty unless Optimal). Sign convention: for the
-  /// minimization problem, y_i <= 0 for LessEqual rows at optimality.
-  std::vector<double> duals;
-  std::size_t iterations = 0;
-};
-
 struct SimplexOptions {
   /// Feasibility / optimality tolerance on reduced costs and row activity.
   double tolerance = 1e-9;
@@ -78,24 +65,12 @@ struct SimplexOptions {
   std::size_t degenerate_switch = 40;
   /// Partial-pricing window for RevisedSimplexSolver: how many candidate
   /// columns one pricing pass examines before settling for the best reduced
-  /// cost seen (0 = automatic). The dense SimplexSolver always prices fully.
+  /// cost seen (0 = automatic).
   std::size_t pricing_window = 0;
   /// Warm-start basis for RevisedSimplexSolver (one entry per row of the
-  /// problem being solved; see lp::Basis). Ignored by the dense
-  /// SimplexSolver, and ignored when empty or shape-mismatched.
+  /// problem being solved; see lp::Basis). Ignored when empty or
+  /// shape-mismatched.
   Basis initial_basis{};
-};
-
-class SimplexSolver {
- public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
-
-  /// Solves min c^T x, Ax {<=,=,>=} b, x >= 0. The problem is consolidated
-  /// (duplicate coefficients merged) as a side effect.
-  [[nodiscard]] Solution solve(LpProblem& problem) const;
-
- private:
-  SimplexOptions options_;
 };
 
 }  // namespace qp::lp

@@ -28,8 +28,8 @@ TEST(Collapsed, ModelsCoincideOnOneToOnePlacements) {
   for (std::size_t w = 0; w < m.size(); ++w) {
     EXPECT_NEAR(per_element[w], collapsed[w], 1e-12);
   }
-  const auto closest_pe = site_loads_closest(m, grid, p, ExecutionModel::PerElement);
-  const auto closest_c = site_loads_closest(m, grid, p, ExecutionModel::Collapsed);
+  const auto closest_pe = site_loads_closest(m, grid, p, {}, ExecutionModel::PerElement);
+  const auto closest_c = site_loads_closest(m, grid, p, {}, ExecutionModel::Collapsed);
   for (std::size_t w = 0; w < m.size(); ++w) {
     EXPECT_NEAR(closest_pe[w], closest_c[w], 1e-12);
   }
@@ -93,8 +93,8 @@ TEST(Collapsed, ExplicitStrategyCollapsedLoads) {
   s.quorums = {{0, 1}};  // One quorum containing both elements.
   s.probability = {{1.0}, {1.0}};
   const Placement p{{2, 2}};  // Both elements on site 2.
-  const auto collapsed = site_loads_explicit(s, p, 3, ExecutionModel::Collapsed);
-  const auto per_element = site_loads_explicit(s, p, 3, ExecutionModel::PerElement);
+  const auto collapsed = site_loads_explicit(s, p, 3, {}, ExecutionModel::Collapsed);
+  const auto per_element = site_loads_explicit(s, p, 3, {}, ExecutionModel::PerElement);
   EXPECT_NEAR(collapsed[2], 1.0, 1e-12);
   EXPECT_NEAR(per_element[2], 2.0, 1e-12);
 }
@@ -107,9 +107,9 @@ TEST(Collapsed, ImprovesResponseOnManyToOnePlacements) {
   const Placement p = singleton_placement(m, grid.universe_size());
   const double alpha = kQuWriteServiceMs * 8000;
   const Evaluation per_element =
-      evaluate_balanced(m, grid, p, alpha, ExecutionModel::PerElement);
+      evaluate_balanced(m, grid, p, alpha, {}, ExecutionModel::PerElement);
   const Evaluation collapsed =
-      evaluate_balanced(m, grid, p, alpha, ExecutionModel::Collapsed);
+      evaluate_balanced(m, grid, p, alpha, {}, ExecutionModel::Collapsed);
   EXPECT_LT(collapsed.avg_response_ms, per_element.avg_response_ms);
   // Network delay is a pure distance measure — identical under both models.
   EXPECT_NEAR(collapsed.avg_network_delay_ms, per_element.avg_network_delay_ms, 1e-12);
@@ -121,8 +121,8 @@ TEST(Collapsed, EvaluateClosestSupportsModel) {
   const Placement p{{0, 0, 1, 1}};
   const double alpha = 20.0;
   const Evaluation per_element =
-      evaluate_closest(m, grid, p, alpha, ExecutionModel::PerElement);
-  const Evaluation collapsed = evaluate_closest(m, grid, p, alpha, ExecutionModel::Collapsed);
+      evaluate_closest(m, grid, p, alpha, {}, ExecutionModel::PerElement);
+  const Evaluation collapsed = evaluate_closest(m, grid, p, alpha, {}, ExecutionModel::Collapsed);
   EXPECT_LE(collapsed.avg_response_ms, per_element.avg_response_ms + 1e-12);
 }
 

@@ -1,6 +1,6 @@
 // Cross-module scenarios that don't belong to a single unit: non-Grid
 // systems through the LP/iterative pipeline, simulator-vs-model agreement,
-// and Waxman-graph-driven end-to-end runs.
+// and graph-driven end-to-end runs.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,7 +15,8 @@
 #include "core/placement.hpp"
 #include "core/response.hpp"
 #include "core/strategy.hpp"
-#include "net/random_graphs.hpp"
+#include "net/graph.hpp"
+#include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/majority.hpp"
@@ -92,11 +93,22 @@ TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
   EXPECT_NEAR(sim_result.mean_network_delay_ms, analytic, 0.05 * analytic + 0.5);
 }
 
-TEST(CrossModule, WaxmanGraphFullPipelineWithLpStrategies) {
-  const net::Graph g = net::waxman_graph({.node_count = 20, .seed = 5});
+TEST(CrossModule, GraphFullPipelineWithLpStrategies) {
+  // Graph -> metric closure -> placement -> strategy LP -> evaluation on a
+  // hand-built 16-router topology: a ring with uneven links plus two chords,
+  // so many shortest paths are multi-hop.
+  net::Graph g{16};
+  for (std::size_t v = 0; v < 16; ++v) {
+    g.add_edge(v, (v + 1) % 16, 4.0 + static_cast<double>((v * 7) % 5));
+  }
+  g.add_edge(0, 8, 11.0);
+  g.add_edge(4, 12, 9.5);
   const net::LatencyMatrix m = net::LatencyMatrix::from_graph(g);
+  EXPECT_TRUE(m.satisfies_triangle_inequality(1e-9));
+  EXPECT_DOUBLE_EQ(m.rtt(0, 2), m.rtt(0, 1) + m.rtt(1, 2));
   const quorum::GridQuorum grid{3};
   const auto placed = core::best_grid_placement(m, 3);
+  EXPECT_TRUE(placed.placement.one_to_one());
   const auto caps = core::uniform_capacities(m.size(), grid.optimal_load() * 1.5);
   const auto lp = core::optimize_access_strategy(m, grid, placed.placement, caps);
   ASSERT_EQ(lp.status, lp::SolveStatus::Optimal);
@@ -117,10 +129,10 @@ TEST(CrossModule, CollapsedModelThroughTheIterativePipeline) {
   const double alpha = core::kQuWriteServiceMs * 16'000;
   const auto per_element =
       core::evaluate_explicit(m, grid, iterative.placement, alpha, iterative.strategy,
-                              core::ExecutionModel::PerElement);
+                              {}, core::ExecutionModel::PerElement);
   const auto collapsed =
       core::evaluate_explicit(m, grid, iterative.placement, alpha, iterative.strategy,
-                              core::ExecutionModel::Collapsed);
+                              {}, core::ExecutionModel::Collapsed);
   EXPECT_LE(collapsed.avg_response_ms, per_element.avg_response_ms + 1e-9);
 }
 

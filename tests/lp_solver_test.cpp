@@ -1,11 +1,13 @@
 // LP-solver layer tests: the sparse revised simplex (lp/revised_simplex)
-// against the dense tableau parity reference (lp/simplex), warm starts, the
-// transportation specialization of the strategy LP, and basis threading
+// against the dense tableau parity oracle (tests/support/dense_simplex),
+// warm starts, the shape routing of the strategy LP, and basis threading
 // through the iterative alternation. See tests/README.md "LP solver".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -14,12 +16,12 @@
 
 #include "common/rng.hpp"
 #include "core/iterative.hpp"
+#include "core/manytoone.hpp"
 #include "core/placement.hpp"
 #include "core/response.hpp"
 #include "core/strategy.hpp"
 #include "lp/problem.hpp"
 #include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
 #include "obs/metrics.hpp"
@@ -28,6 +30,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/quorum_system.hpp"
 #include "quorum/tree.hpp"
+#include "support/dense_simplex.hpp"
 
 namespace qp {
 namespace {
@@ -319,9 +322,10 @@ TEST(RevisedSimplex, MediumScaleStrategyShapedLp) {
 }
 
 // ---------------------------------------------------------------------------
-// Strategy level: LP (4.3)-(4.6) through the engine router in
-// optimize_access_strategy — Dense stays the parity reference, Revised and
-// Transportation must agree with it on every quorum family.
+// Strategy level: LP (4.3)-(4.6) through optimize_access_strategy, which
+// routes by the LP's shape (Transportation when no capacity row can bind,
+// Revised otherwise). Each route is checked against the same LP built
+// independently below and solved by the dense tableau oracle.
 // ---------------------------------------------------------------------------
 
 using core::Placement;
@@ -337,8 +341,9 @@ Placement identity_placement(std::size_t universe) {
 }
 
 /// Capacities a shade above the balanced strategy's loads: feasible by
-/// construction (the balanced strategy satisfies them) and binding for the
-/// delay optimizer, which wants to concentrate weight on close quorums.
+/// construction (the balanced strategy satisfies them, under any demand
+/// weighting) and binding for the delay optimizer, which wants to
+/// concentrate weight on close quorums.
 std::vector<double> binding_caps(const quorum::QuorumSystem& system,
                                  const Placement& placement, std::size_t site_count,
                                  double slack = 1.02) {
@@ -351,15 +356,45 @@ std::vector<double> binding_caps(const quorum::QuorumSystem& system,
   return caps;
 }
 
+/// LP (4.3)-(4.6) written out from the paper, independently of
+/// core/strategy, and solved by the dense oracle: one variable p_v(Q) per
+/// (client, quorum) priced w_v * max_{u in Q} d(v, f(u)); one sum-to-one row
+/// per client; one capacity row per hosting site, charged w_v per element
+/// of Q it hosts. Empty `weights` means w_v = 1/|V|.
+Solution strategy_lp_oracle(const net::LatencyMatrix& matrix,
+                            const quorum::QuorumSystem& system, const Placement& placement,
+                            std::span<const double> caps,
+                            std::span<const double> weights = {}) {
+  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(100'000);
+  const std::size_t n = matrix.size();
+  LpProblem problem;
+  std::vector<std::size_t> cap_row(n, n);
+  for (std::size_t site : placement.site_of) {
+    if (cap_row[site] == n) cap_row[site] = problem.add_row(RowSense::LessEqual, caps[site]);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const double weight = weights.empty() ? 1.0 / static_cast<double>(n) : weights[v];
+    const std::size_t dist_row = problem.add_row(RowSense::Equal, 1.0);
+    for (const quorum::Quorum& quorum : quorums) {
+      double delay = 0.0;
+      for (std::size_t u : quorum) delay = std::max(delay, matrix.rtt(v, placement.site_of[u]));
+      const std::size_t var = problem.add_variable(weight * delay);
+      problem.add_coefficient(dist_row, var, 1.0);
+      for (std::size_t u : quorum) {
+        problem.add_coefficient(cap_row[placement.site_of[u]], var, weight);
+      }
+    }
+  }
+  return SimplexSolver{}.solve(problem);
+}
+
 StrategyLpResult solve_strategy(const net::LatencyMatrix& matrix,
                                 const quorum::QuorumSystem& system,
-                                const Placement& placement,
-                                std::span<const double> caps, StrategyLpSolver solver,
+                                const Placement& placement, std::span<const double> caps,
                                 lp::Basis warm = {}) {
   StrategyLpOptions options;
-  options.solver = solver;
   options.simplex.initial_basis = std::move(warm);
-  return core::optimize_access_strategy(matrix, system, placement, caps, options);
+  return core::optimize_access_strategy(matrix, system, placement, caps, {}, options);
 }
 
 class StrategyLpParity : public ::testing::TestWithParam<const char*> {
@@ -377,28 +412,36 @@ TEST_P(StrategyLpParity, RevisedMatchesDenseWithAndWithoutCapacityRows) {
   const net::LatencyMatrix matrix = net::small_synth(20, 901);
   const Placement placement = identity_placement(system->universe_size());
 
+  std::vector<double> demand(matrix.size());
+  for (std::size_t v = 0; v < demand.size(); ++v) {
+    demand[v] = 1.0 + static_cast<double>((v * 7) % 5) * 2.0;
+  }
+  const std::vector<double> skewed = core::demand_shares(demand, matrix.size());
+  ASSERT_FALSE(skewed.empty());
   const std::vector<double> loose(matrix.size(), 1e9);
   const std::vector<double> tight = binding_caps(*system, placement, matrix.size());
   for (const std::vector<double>* caps : {&loose, &tight}) {
-    const StrategyLpResult dense =
-        solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Dense);
-    const StrategyLpResult revised =
-        solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Revised);
-    ASSERT_EQ(dense.status, SolveStatus::Optimal);
-    ASSERT_EQ(revised.status, SolveStatus::Optimal);
-    EXPECT_EQ(dense.solver_used, StrategyLpSolver::Dense);
-    EXPECT_EQ(revised.solver_used, StrategyLpSolver::Revised);
-    expect_parity(revised.avg_network_delay, dense.avg_network_delay);
-    // Auto resolves by shape: Transportation when no cap can bind, Revised
-    // when one can.
-    const StrategyLpResult automatic =
-        solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Auto);
-    ASSERT_EQ(automatic.status, SolveStatus::Optimal);
-    EXPECT_EQ(automatic.solver_used, caps == &loose ? StrategyLpSolver::Transportation
-                                                    : StrategyLpSolver::Revised);
-    expect_parity(automatic.avg_network_delay, dense.avg_network_delay);
-    revised.strategy.validate(matrix.size(), system->universe_size());
-    EXPECT_FALSE(revised.basis.empty());
+    for (const std::span<const double> weights :
+         {std::span<const double>{}, std::span<const double>{skewed}}) {
+      SCOPED_TRACE(std::string{caps == &loose ? "loose" : "binding"} + " caps, " +
+                   (weights.empty() ? "uniform" : "skewed") + " weights");
+      const StrategyLpResult lp =
+          core::optimize_access_strategy(matrix, *system, placement, *caps, weights);
+      const Solution oracle = strategy_lp_oracle(matrix, *system, placement, *caps, weights);
+      ASSERT_EQ(lp.status, SolveStatus::Optimal);
+      ASSERT_EQ(oracle.status, SolveStatus::Optimal);
+      expect_parity(lp.avg_network_delay, oracle.objective);
+      lp.strategy.validate(matrix.size(), system->universe_size());
+      // The route follows the LP's shape: no capacity row can bind under
+      // the loose caps, one can under the binding caps.
+      if (caps == &loose) {
+        EXPECT_EQ(lp.solver_used, StrategyLpSolver::Transportation);
+        EXPECT_TRUE(lp.basis.empty());
+      } else {
+        EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
+        EXPECT_FALSE(lp.basis.empty());
+      }
+    }
   }
 }
 
@@ -412,33 +455,16 @@ TEST(StrategyLp, TransportationMatchesGeneralEnginesUncapacitated) {
   const Placement placement = identity_placement(grid.universe_size());
   const std::vector<double> loose(matrix.size(), 1e9);
 
-  const StrategyLpResult automatic =
-      solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Auto);
-  ASSERT_EQ(automatic.status, SolveStatus::Optimal);
-  // No capacity row can bind -> Auto routes through the min-cost-flow
-  // transportation specialization, pivot-free.
-  EXPECT_EQ(automatic.solver_used, StrategyLpSolver::Transportation);
-  EXPECT_EQ(automatic.lp_iterations, 0u);
-
-  const StrategyLpResult dense =
-      solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Dense);
-  const StrategyLpResult revised =
-      solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Revised);
-  expect_parity(automatic.avg_network_delay, dense.avg_network_delay);
-  expect_parity(revised.avg_network_delay, dense.avg_network_delay);
-  automatic.strategy.validate(matrix.size(), grid.universe_size());
-}
-
-TEST(StrategyLp, ExplicitTransportationDowngradesWhenCapsCanBind) {
-  const quorum::GridQuorum grid{3};
-  const net::LatencyMatrix matrix = net::small_synth(20, 911);
-  const Placement placement = identity_placement(grid.universe_size());
-  const std::vector<double> tight = binding_caps(grid, placement, matrix.size());
-
-  const StrategyLpResult lp =
-      solve_strategy(matrix, grid, placement, tight, StrategyLpSolver::Transportation);
+  const StrategyLpResult lp = solve_strategy(matrix, grid, placement, loose);
   ASSERT_EQ(lp.status, SolveStatus::Optimal);
-  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
+  // No capacity row can bind -> the min-cost-flow transportation
+  // specialization, pivot-free.
+  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Transportation);
+  EXPECT_EQ(lp.lp_iterations, 0u);
+  const Solution oracle = strategy_lp_oracle(matrix, grid, placement, loose);
+  ASSERT_EQ(oracle.status, SolveStatus::Optimal);
+  expect_parity(lp.avg_network_delay, oracle.objective);
+  lp.strategy.validate(matrix.size(), grid.universe_size());
 }
 
 TEST(StrategyLp, WarmStartReachesColdOptimum) {
@@ -448,15 +474,13 @@ TEST(StrategyLp, WarmStartReachesColdOptimum) {
 
   const std::vector<double> first = binding_caps(grid, placement, matrix.size(), 1.05);
   const std::vector<double> second = binding_caps(grid, placement, matrix.size(), 1.02);
-  const StrategyLpResult seed =
-      solve_strategy(matrix, grid, placement, first, StrategyLpSolver::Revised);
+  const StrategyLpResult seed = solve_strategy(matrix, grid, placement, first);
   ASSERT_EQ(seed.status, SolveStatus::Optimal);
+  ASSERT_EQ(seed.solver_used, StrategyLpSolver::Revised);
   ASSERT_FALSE(seed.basis.empty());
 
-  const StrategyLpResult cold =
-      solve_strategy(matrix, grid, placement, second, StrategyLpSolver::Revised);
-  const StrategyLpResult warm = solve_strategy(matrix, grid, placement, second,
-                                               StrategyLpSolver::Revised, seed.basis);
+  const StrategyLpResult cold = solve_strategy(matrix, grid, placement, second);
+  const StrategyLpResult warm = solve_strategy(matrix, grid, placement, second, seed.basis);
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
   expect_parity(warm.avg_network_delay, cold.avg_network_delay);
@@ -477,30 +501,31 @@ TEST(StrategyLp, StalledWarmSeedCountsAMissAndSumsIterations) {
   const quorum::GridQuorum grid{3};
   const net::LatencyMatrix matrix = net::small_synth(24, 919);
   const Placement placement = identity_placement(grid.universe_size());
-  const std::vector<double> loose(matrix.size(), 1e9);
+  // Caps just under 1 can bind (a site in every client's quorum would
+  // carry load 1), so the seed routes to Revised and exports a basis; they
+  // are loose enough that its optimum overloads the tight caps, so the
+  // seed is far from feasible for the stalled solve.
+  const std::vector<double> near_loose(matrix.size(), 0.999);
   const std::vector<double> tight = binding_caps(grid, placement, matrix.size());
-  // Same LP shape (Revised keeps the support sites' capacity rows), but the
-  // loose optimum overloads the tight caps: far from feasible.
-  const StrategyLpResult seed =
-      solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Revised);
+  const StrategyLpResult seed = solve_strategy(matrix, grid, placement, near_loose);
   ASSERT_EQ(seed.status, SolveStatus::Optimal);
+  ASSERT_EQ(seed.solver_used, StrategyLpSolver::Revised);
+  ASSERT_FALSE(seed.basis.empty());
 
   const std::uint64_t hit = counter_total("lp.strategy.warm_start_hit");
   const std::uint64_t miss = counter_total("lp.strategy.warm_start_miss");
   StrategyLpOptions options;
-  options.solver = StrategyLpSolver::Revised;
   options.simplex.max_iterations = 2;
   options.simplex.initial_basis = seed.basis;
   const StrategyLpResult stalled =
-      core::optimize_access_strategy(matrix, grid, placement, tight, options);
+      core::optimize_access_strategy(matrix, grid, placement, tight, {}, options);
   EXPECT_EQ(stalled.status, SolveStatus::IterationLimit);
   EXPECT_EQ(stalled.solver_used, StrategyLpSolver::Revised);
   EXPECT_EQ(stalled.lp_iterations, 4u);  // Warm attempt + one cold retry.
   EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss + 1);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit);
 
-  const StrategyLpResult warm = solve_strategy(matrix, grid, placement, tight,
-                                               StrategyLpSolver::Revised, seed.basis);
+  const StrategyLpResult warm = solve_strategy(matrix, grid, placement, tight, seed.basis);
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit + 1);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss + 1);
@@ -533,30 +558,38 @@ TEST(StrategyLp, IterativeWarmStartMatchesColdRun) {
 }
 
 TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
-  // The alternation end-to-end on each general engine: iteration 1 starts
-  // from the uniform strategy either way, so its phase-2 LP is identical
-  // and the engines must agree on its value; the full runs must land on
-  // the same final response up to alternate-optimum noise.
+  // Round 1 of the alternation starts from the uniform strategy, so its
+  // phase-2 LP is fixed by the round-1 placement: rebuild that placement
+  // and LP here and check the value the alternation records against the
+  // dense oracle.
   const net::LatencyMatrix matrix = net::small_synth(16, 29);
   const quorum::GridQuorum grid{2};
   const std::vector<double> caps(matrix.size(), 0.8);
 
-  core::IterativeOptions dense_options;
-  dense_options.anchor_candidates = {0, 1, 2, 3};
-  dense_options.warm_start = false;
-  dense_options.strategy.solver = StrategyLpSolver::Dense;
-  core::IterativeOptions revised_options = dense_options;
-  revised_options.strategy.solver = StrategyLpSolver::Revised;
+  core::IterativeOptions options;
+  options.anchor_candidates = {0, 1, 2, 3};
+  options.warm_start = false;
+  const core::IterativeResult result =
+      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, options);
+  ASSERT_FALSE(result.history.empty());
 
-  const core::IterativeResult dense =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, dense_options);
-  const core::IterativeResult revised =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, revised_options);
-  ASSERT_FALSE(dense.history.empty());
-  ASSERT_FALSE(revised.history.empty());
-  expect_parity(revised.history[0].network_after_strategy,
-                dense.history[0].network_after_strategy);
-  expect_parity(revised.avg_response, dense.avg_response, 1e-6);
+  core::ExplicitStrategy uniform;
+  uniform.quorums = grid.enumerate_quorums(options.strategy.quorum_limit);
+  const std::vector<double> average(uniform.quorums.size(),
+                                    1.0 / static_cast<double>(uniform.quorums.size()));
+  uniform.probability.assign(matrix.size(), average);
+  const core::ManyToOneSearchResult round1 = core::best_many_to_one_placement(
+      matrix, grid, average, caps, options.anchor_candidates, options.placement);
+  ASSERT_EQ(round1.best.status, SolveStatus::Optimal);
+  // Phase 2 pins each site's cap to the load the uniform strategy puts on
+  // it under the new placement.
+  std::vector<double> load_caps =
+      core::site_loads_explicit(uniform, round1.best.placement, matrix.size());
+  for (double& cap : load_caps) cap = cap * (1.0 + 1e-9) + 1e-12;
+  const Solution oracle =
+      strategy_lp_oracle(matrix, grid, round1.best.placement, load_caps);
+  ASSERT_EQ(oracle.status, SolveStatus::Optimal);
+  expect_parity(result.history[0].network_after_strategy, oracle.objective);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
-#include "lp/simplex.hpp"
+#include "support/dense_simplex.hpp"
 
 namespace qp::lp {
 namespace {

@@ -14,12 +14,12 @@
 #include "core/strategy.hpp"
 #include "lp/problem.hpp"
 #include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/tree.hpp"
+#include "support/dense_simplex.hpp"
 
 namespace qp::core {
 namespace {

@@ -33,7 +33,9 @@
 
 // --- global operator new instrumentation (for the zero-allocation test) ---
 // Flag-gated so the counter costs one relaxed load per allocation and the
-// rest of the suite is unaffected. Both operators route through
+// rest of the suite is unaffected. The plain and nothrow forms are replaced
+// together (std::stable_sort's buffer comes from the nothrow one, and is
+// freed by the replaced operator delete). All of them route through
 // malloc/free, so the compiler's new/delete-pairing heuristic (which cannot
 // see replaced global operators as a matched pair) is a false positive here.
 #if defined(__GNUC__)
@@ -44,16 +46,20 @@ std::atomic<bool> g_count_allocs{false};
 std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
   throw std::bad_alloc{};
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace qp::obs {
 namespace {
@@ -220,7 +226,8 @@ TEST(ObsRegistry, GaugeMergesByMaxAcrossShards) {
   g.set(3.0);
   std::thread([&] { g.set(7.0); }).join();
   std::thread([&] { g.set(5.0); }).join();
-  const MetricSnapshot* m = find_metric(snapshot(), "obs_test.g.max");
+  const std::vector<MetricSnapshot> snap = snapshot();
+  const MetricSnapshot* m = find_metric(snap, "obs_test.g.max");
   ASSERT_NE(m, nullptr);
   EXPECT_TRUE(m->gauge_set);
   EXPECT_EQ(m->gauge_value, 7.0);

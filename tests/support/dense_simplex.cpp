@@ -1,4 +1,4 @@
-#include "lp/simplex.hpp"
+#include "support/dense_simplex.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,16 +6,6 @@
 #include <stdexcept>
 
 namespace qp::lp {
-
-std::string to_string(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::Optimal: return "optimal";
-    case SolveStatus::Infeasible: return "infeasible";
-    case SolveStatus::Unbounded: return "unbounded";
-    case SolveStatus::IterationLimit: return "iteration-limit";
-  }
-  return "unknown";
-}
 
 namespace {
 
