@@ -8,12 +8,13 @@
 //                              weights (average_uniform_network_delay_ws);
 //   * delta candidate        — DeltaEvaluator::objective_if_moved, O(log n)
 //                              or O(k) per client instead of a full rebuild;
-//   * local search           — naive vs delta engines end-to-end, for the
+//   * local search           — the full re-evaluation route (forced through
+//                              the tests/support/full_reevaluation.hpp
+//                              seam) vs the delta route end-to-end, for the
 //                              network-delay (alpha = 0), load-aware
 //                              (alpha > 0), and §6 closest-strategy
 //                              objectives (uniform and demand-weighted),
-//                              plus the parallel neighborhood scan and the
-//                              first-improvement accept strategy;
+//                              plus the parallel neighborhood scan;
 //   * fill kernels           — the fill_element_distances gather, scalar on
 //                              baseline x86-64 and vpgatherqpd under
 //                              ENABLE_AVX2 (the avx2 counter records which
@@ -52,6 +53,7 @@
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "sim/scenario.hpp"
+#include "support/full_reevaluation.hpp"
 
 namespace {
 
@@ -119,10 +121,8 @@ int main(int argc, char** argv) {
   const core::ClosestStrategyObjective closest_weighted =
       core::ClosestStrategyObjective::for_demand(std::span<const double>{pareto_demand});
   core::LocalSearchOptions naive_options;
-  naive_options.engine = core::LocalSearchEngine::Naive;
   naive_options.max_rounds = 2;
   core::LocalSearchOptions delta_options;
-  delta_options.engine = core::LocalSearchEngine::Delta;
   delta_options.threads = 1;
   delta_options.max_rounds = 2;
   core::LocalSearchOptions parallel_options = delta_options;
@@ -145,10 +145,12 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const Config& config : configs) {
     for (const auto& [label, objective] : objectives) {
+      const core::test_support::FullReevaluation full{*objective};
       core::LocalSearchOptions naive_obj = naive_options;
       core::LocalSearchOptions delta_obj = delta_options;
       core::LocalSearchOptions parallel_obj = parallel_options;
-      naive_obj.objective = delta_obj.objective = parallel_obj.objective = objective;
+      naive_obj.objective = &full;
+      delta_obj.objective = parallel_obj.objective = objective;
       const double naive_ms =
           time_local_search_ms(matrix, *config.system, config.placement, naive_obj);
       const double delta_ms =
@@ -176,54 +178,6 @@ int main(int argc, char** argv) {
           state.counters["delta_ms"] = row.delta_ms;
           state.counters["parallel_ms"] = row.parallel_ms;
           state.counters["speedup_vs_naive"] = row.speedup;
-        });
-  }
-
-  // --- Accept strategies: best- vs first-improvement to a full local
-  // optimum (delta engine, serial scan, network-delay objective).
-  struct StrategyRow {
-    std::string config;
-    double best_ms;
-    double first_ms;
-    std::size_t best_moves;
-    std::size_t first_moves;
-  };
-  std::vector<StrategyRow> strategy_rows;
-  for (const Config& config : configs) {
-    core::LocalSearchOptions best;
-    best.threads = 1;
-    best.max_rounds = 1000;  // Both strategies run to a genuine local optimum.
-    core::LocalSearchOptions first = best;
-    first.strategy = core::LocalSearchStrategy::FirstImprovement;
-    const auto best_start = std::chrono::steady_clock::now();
-    const core::LocalSearchResult best_result =
-        core::local_search_placement(matrix, *config.system, config.placement, best);
-    const double best_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - best_start)
-                               .count();
-    const auto first_start = std::chrono::steady_clock::now();
-    const core::LocalSearchResult first_result =
-        core::local_search_placement(matrix, *config.system, config.placement, first);
-    const double first_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - first_start)
-                                .count();
-    strategy_rows.push_back(StrategyRow{config.label, best_ms, first_ms,
-                                        best_result.moves, first_result.moves});
-  }
-
-  std::cout << "# Accept strategies: best vs first improvement (delta engine)\n"
-            << "config,best_ms,first_ms,best_moves,first_moves\n";
-  for (const StrategyRow& row : strategy_rows) {
-    std::cout << row.config << ',' << row.best_ms << ',' << row.first_ms << ','
-              << row.best_moves << ',' << row.first_moves << '\n';
-  }
-  for (const StrategyRow& row : strategy_rows) {
-    qp::bench::register_point(
-        "EvalKernels/accept_strategy/" + row.config, [row](benchmark::State& state) {
-          state.counters["best_ms"] = row.best_ms;
-          state.counters["first_ms"] = row.first_ms;
-          state.counters["best_moves"] = static_cast<double>(row.best_moves);
-          state.counters["first_moves"] = static_cast<double>(row.first_moves);
         });
   }
 
@@ -326,15 +280,14 @@ int main(int argc, char** argv) {
   // per candidate (~68us). Attaching the ClientCandidateIndex routes the
   // candidate through the site->clients inverted lists instead, touching
   // only the clients whose choice the move can flip or whose loads it
-  // shifts — and classifies each with the O(k) grid-argmin reconstruction,
-  // so a list client whose winning cell is unchanged costs a handful of
-  // min/max selections instead of the k*k rescan. The "after" row is the
-  // capped-64 production configuration the 10k-50k searches run (~39us vs
-  // ~60us scan); the genuine win is still asymptotic, per-move cost k*O(n)
-  // instead of O(n^2) — bench_large_topology's scaling table is the
-  // figure. The _exact row is the uncapped parity mode (audited against
-  // the full scan at level 2): its coverage lists are nearly dense at
-  // n=500, yet the pruned classification keeps it under the scan (~47us).
+  // shifts; both paths classify a client with the same O(k) grid argmin.
+  // The "after" row is the capped-64 configuration the implicit-space
+  // 10k-50k searches run (~39us vs ~60us scan); the genuine win is still
+  // asymptotic, per-move cost k*O(n) instead of O(n^2) —
+  // bench_large_topology's scaling table is the figure. The _exact row is
+  // the uncapped mode every dense-matrix search runs (audited against the
+  // full scan at level 2): its coverage lists are nearly dense at n=500,
+  // yet the pruned classification keeps it under the scan (~47us).
   {
     auto scenario = std::make_shared<sim::Scenario>(sim::synthetic500_scenario());
     auto grid500 = std::make_shared<quorum::GridQuorum>(7);
@@ -386,7 +339,7 @@ int main(int argc, char** argv) {
   // drifts both ways: clients whose radius shrank carry needlessly dense
   // lists, and clients whose radius outgrew their coverage fall into the
   // always-rechecked overflow set. The schedule rebuilds the lists from
-  // the current radii every client_index_rebuild accepted moves, keeping
+  // the current radii every 16 accepted moves (local_search.cpp), keeping
   // lists as tight as the current placement allows and the overflow set
   // empty. Rows, all on the same locally-improved placement: the dense
   // scan, the stale initial-radii lists (before), and lists rebuilt from
@@ -402,7 +355,6 @@ int main(int argc, char** argv) {
     core::LocalSearchOptions tighten;
     tighten.objective = closest500.get();
     tighten.threads = 1;
-    tighten.strategy = core::LocalSearchStrategy::FirstImprovement;
     tighten.max_rounds = 60;
     auto tightened = std::make_shared<core::Placement>(
         core::local_search_placement(scenario->matrix, *grid500, *initial500, tighten)

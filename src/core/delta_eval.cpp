@@ -72,6 +72,63 @@ void for_each_grid_element(std::size_t k, std::size_t r, std::size_t c, Fn&& fn)
   }
 }
 
+/// MajorityQuorum::best_quorum's selection, given the q-th smallest t of
+/// `value(u)` over the n elements: the q smallest by (value, index) —
+/// everything strictly below t, then ties at t filling the remaining quota
+/// in ascending element order. Appends the ids (ascending) to `out`.
+template <typename Value>
+void majority_select(std::size_t n, std::size_t q, double t, Value&& value,
+                     std::vector<std::size_t>& out) {
+  std::size_t less = 0;
+  for (std::size_t u = 0; u < n; ++u) less += value(u) < t ? 1 : 0;
+  std::size_t quota = q - less;
+  for (std::size_t u = 0; u < n; ++u) {
+    const double x = value(u);
+    if (x < t) {
+      out.push_back(u);
+    } else if (x == t && quota > 0) {
+      out.push_back(u);
+      --quota;
+    }
+  }
+}
+
+struct GridCell {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  double value = std::numeric_limits<double>::infinity();
+};
+
+/// GridQuorum::best_quorum's flattened first-wins argmin over the k*k cells
+/// max(row'[r], col'[c]), where row' / col' are `rm` / `cm` with row r0
+/// replaced by nr and column c0 by nc (r0 = c0 = k replaces nothing). O(k)
+/// instead of the k*k scan: each row's minimum is max(row'[r], min_c
+/// col'[c]), so the strict-< scan's winner is the first cell (row-major)
+/// attaining the global minimum — the first row whose minimum attains it,
+/// then the first column attaining it within that row. Pure selection (no
+/// arithmetic), so the cell and its value are bitwise the k*k scan's.
+GridCell grid_argmin(const double* rm, const double* cm, std::size_t k, std::size_t r0,
+                     double nr, std::size_t c0, double nc) {
+  double col_min = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < k; ++c) col_min = std::min(col_min, c == c0 ? nc : cm[c]);
+  GridCell best;
+  for (std::size_t r = 0; r < k; ++r) {
+    const double val = std::max(r == r0 ? nr : rm[r], col_min);
+    if (val < best.value) {
+      best.value = val;
+      best.row = r;
+    }
+  }
+  const double rr = best.row == r0 ? nr : rm[best.row];
+  for (std::size_t c = 0; c < k; ++c) {
+    if (std::max(rr, c == c0 ? nc : cm[c]) == best.value) {
+      best.col = c;
+      break;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
@@ -87,7 +144,7 @@ DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
   if (!objective.supports_delta()) {
     throw std::invalid_argument{
         "DeltaEvaluator: objective does not support incremental evaluation "
-        "(use LocalSearchEngine::Naive / full re-evaluation)"};
+        "(local_search_placement re-evaluates it in full)"};
   }
   clients_ = space.size();
   n_ = placement_.universe_size();
@@ -596,34 +653,6 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
 
 // ---------------------------------------------------------------- Closest.
 
-void DeltaEvaluator::majority_chosen_patched(std::size_t v, std::size_t element,
-                                             double patched,
-                                             std::vector<std::size_t>& out) const {
-  // Replicates MajorityQuorum::best_quorum exactly: the q smallest elements
-  // by (value, index). The threshold t is the q-th smallest patched value;
-  // everything strictly below t is chosen, ties at t fill the remaining
-  // quota in ascending element order.
-  const double* vals = values_.data() + v * n_;
-  const double* y = sorted_.data() + v * n_;
-  const double d_old = vals[element];
-  const double t = patched_sorted_rank(y, n_, d_old, patched, majority_q_ - 1);
-  std::size_t less = 0;
-  for (std::size_t u = 0; u < n_; ++u) {
-    const double x = u == element ? patched : vals[u];
-    if (x < t) ++less;
-  }
-  std::size_t quota = majority_q_ - less;
-  for (std::size_t u = 0; u < n_; ++u) {
-    const double x = u == element ? patched : vals[u];
-    if (x < t) {
-      out.push_back(u);
-    } else if (x == t && quota > 0) {
-      out.push_back(u);
-      --quota;
-    }
-  }
-}
-
 void DeltaEvaluator::rebuild_closest() {
   const double inf = std::numeric_limits<double>::infinity();
   const std::size_t k = side_;
@@ -655,23 +684,10 @@ void DeltaEvaluator::rebuild_closest() {
         std::sort(y, y + n_);
         best_value_[v] = y[majority_q_ - 1];
         second_value_[v] = majority_q_ < n_ ? y[majority_q_] : inf;
-        // Chosen set = q smallest by (value, index): everything strictly
-        // below the threshold, ties in ascending element order.
-        quorum::Quorum& chosen = chosen_quorum_[v];
-        chosen.clear();
-        const double t = best_value_[v];
-        std::size_t less = 0;
-        for (std::size_t u = 0; u < n_; ++u) less += vals[u] < t ? 1 : 0;
-        std::size_t quota = majority_q_ - less;
-        for (std::size_t u = 0; u < n_; ++u) {
-          if (vals[u] < t) {
-            chosen.push_back(u);
-          } else if (vals[u] == t && quota > 0) {
-            chosen.push_back(u);
-            --quota;
-          }
-        }
-        for (std::size_t e : chosen) in_best_[v * n_ + e] = 1;
+        majority_select(
+            n_, majority_q_, best_value_[v], [&](std::size_t u) { return vals[u]; },
+            chosen_quorum_[v]);
+        for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 1;
         break;
       }
       case Mode::ClosestGrid: {
@@ -703,26 +719,12 @@ void DeltaEvaluator::rebuild_closest() {
             cex[r * k + c] = without;
           }
         }
-        // Flattened first-wins argmin over max(rm[r], cm[c]) — exactly
-        // GridQuorum::best_quorum's scan.
-        std::size_t best = 0;
-        double best_max = inf;
-        for (std::size_t r = 0; r < k; ++r) {
-          for (std::size_t c = 0; c < k; ++c) {
-            const double val = std::max(rm[r], cm[c]);
-            if (val < best_max) {
-              best_max = val;
-              best = r * k + c;
-            }
-          }
-        }
-        chosen_row_[v] = best / k;
-        chosen_col_[v] = best % k;
-        best_value_[v] = best_max;
-        quorum::Quorum& chosen = chosen_quorum_[v];
-        chosen.clear();
-        for_each_grid_element(k, chosen_row_[v], chosen_col_[v],
-                              [&](std::size_t e) { chosen.push_back(e); });
+        const GridCell best = grid_argmin(rm, cm, k, k, 0.0, k, 0.0);
+        chosen_row_[v] = best.row;
+        chosen_col_[v] = best.col;
+        best_value_[v] = best.value;
+        for_each_grid_element(k, best.row, best.col,
+                              [&](std::size_t e) { chosen_quorum_[v].push_back(e); });
         break;
       }
       default: {  // ClosestEnumerated
@@ -759,94 +761,123 @@ void DeltaEvaluator::rebuild_closest_loads_and_rho() {
   if (candidate_index_ != nullptr) rebuild_charge_index();
 }
 
+DeltaEvaluator::ClosestMove DeltaEvaluator::closest_move(std::size_t element,
+                                                         std::size_t site) const {
+  const bool grid = mode_ == Mode::ClosestGrid;
+  return ClosestMove{element, placement_.site_of[element], site,
+                     grid ? element / side_ : 0, grid ? element % side_ : 0};
+}
+
+DeltaEvaluator::ClosestVerdict DeltaEvaluator::classify_closest(
+    std::size_t v, const ClosestMove& move, double d_new,
+    std::vector<std::size_t>& chosen) const {
+  ClosestVerdict verdict;
+  const std::size_t element = move.element;
+  const std::size_t k = side_;
+  const bool contains_u = mode_ == Mode::ClosestGrid
+                              ? (chosen_row_[v] == move.row || chosen_col_[v] == move.col)
+                              : in_best_[v * n_ + element] != 0;
+  // Every quorum containing u got strictly worse than the unchanged best.
+  if (!contains_u && d_new > best_value_[v]) return verdict;
+  switch (mode_) {
+    case Mode::ClosestMajority: {
+      if (contains_u && (majority_q_ == n_ || d_new < second_value_[v])) {
+        verdict.choice = ClosestChoice::KeepsSlot;  // u stays among the q nearest.
+        return verdict;
+      }
+      // The threshold is the q-th smallest patched value, read off the
+      // sorted row in O(log n).
+      const double* vals = values_.data() + v * n_;
+      const double t = patched_sorted_rank(sorted_.data() + v * n_, n_, vals[element],
+                                           d_new, majority_q_ - 1);
+      majority_select(
+          n_, majority_q_, t,
+          [&](std::size_t u) { return u == element ? d_new : vals[u]; }, chosen);
+      break;
+    }
+    case Mode::ClosestGrid: {
+      const GridCell best =
+          grid_argmin(row_max_.data() + v * k, col_max_.data() + v * k, k, move.row,
+                      std::max(row_excl_[v * n_ + element], d_new), move.col,
+                      std::max(col_excl_[v * n_ + element], d_new));
+      verdict.row = best.row;
+      verdict.col = best.col;
+      verdict.value = best.value;
+      if (best.row == chosen_row_[v] && best.col == chosen_col_[v]) {
+        // The same cell still wins: u keeps its slot in it, or it never
+        // held one.
+        verdict.choice = contains_u ? ClosestChoice::KeepsSlot : ClosestChoice::Unchanged;
+        return verdict;
+      }
+      for_each_grid_element(k, best.row, best.col,
+                            [&](std::size_t e) { chosen.push_back(e); });
+      break;
+    }
+    default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
+      static thread_local std::vector<double> tl_row;
+      const double* vals = values_.data() + v * n_;
+      tl_row.assign(vals, vals + n_);
+      tl_row[element] = d_new;
+      const quorum::Quorum quorum = system_->best_quorum(tl_row);
+      chosen.insert(chosen.end(), quorum.begin(), quorum.end());
+      break;
+    }
+  }
+  verdict.choice = ClosestChoice::Rechosen;
+  return verdict;
+}
+
+template <typename Add>
+void DeltaEvaluator::for_each_charge_delta(std::size_t v, ClosestChoice choice,
+                                           std::span<const std::size_t> rechosen,
+                                           const ClosestMove& move, Add&& add) const {
+  const double w = charge_weight(v);
+  if (choice == ClosestChoice::KeepsSlot) {
+    add(move.old_site, -w);
+    add(move.site, w);
+  } else if (choice == ClosestChoice::Rechosen) {
+    for (std::size_t e : chosen_quorum_[v]) add(placement_.site_of[e], -w);
+    for (std::size_t e : rechosen) {
+      add(e == move.element ? move.site : placement_.site_of[e], w);
+    }
+  }
+}
+
 double DeltaEvaluator::closest_if_moved(std::size_t element, std::size_t site) const {
   static thread_local std::vector<double> tl_load;
-  static thread_local std::vector<std::uint8_t> tl_state;
+  static thread_local std::vector<ClosestChoice> tl_state;
   static thread_local std::vector<std::size_t> tl_off;
   static thread_local std::vector<std::size_t> tl_len;
   static thread_local std::vector<std::size_t> tl_chosen;
-  static thread_local std::vector<double> tl_row;
 
-  const std::size_t old_site = placement_.site_of[element];
   const bool load = alpha_ != 0.0;
   if (load) tl_load.assign(closest_load_.begin(), closest_load_.end());
-  tl_state.assign(clients_, 0);
+  tl_state.assign(clients_, ClosestChoice::Unchanged);
   tl_off.resize(clients_);
   tl_len.resize(clients_);
   tl_chosen.clear();
-
-  const std::size_t k = side_;
-  const std::size_t r0 = mode_ == Mode::ClosestGrid ? element / k : 0;
-  const std::size_t c0 = mode_ == Mode::ClosestGrid ? element % k : 0;
+  const ClosestMove move = closest_move(element, site);
 
   c_de_closest_full.add();
   std::size_t n_kept = 0;
   std::size_t n_recomputed = 0;
-  // Pass 1: classify every client's quorum choice (keep / keep-with-moved-u
-  // / recompute) and accumulate the load deltas of the flips.
+  // Pass 1: classify every client's quorum choice and accumulate the load
+  // deltas of the moved charges.
   for (std::size_t v = 0; v < clients_; ++v) {
-    const double d_new = site_rtt(v, site);
-    const bool contains_u = mode_ == Mode::ClosestGrid
-                                ? (chosen_row_[v] == r0 || chosen_col_[v] == c0)
-                                : in_best_[v * n_ + element] != 0;
-    if (!contains_u && d_new > best_value_[v]) continue;  // Provably unchanged.
-    if (mode_ == Mode::ClosestMajority && contains_u &&
-        (majority_q_ == n_ || d_new < second_value_[v])) {
-      // u keeps its slot: the chosen set is unchanged, only u's charge moves.
-      tl_state[v] = 1;
+    const std::size_t off = tl_chosen.size();
+    const ClosestChoice choice = classify_closest(v, move, site_rtt(v, site), tl_chosen).choice;
+    tl_state[v] = choice;
+    if (choice == ClosestChoice::Unchanged) continue;
+    if (choice == ClosestChoice::KeepsSlot) {
       ++n_kept;
-      if (load) {
-        const double w = charge_weight(v);
-        tl_load[old_site] -= w;
-        tl_load[site] += w;
-      }
-      continue;
+    } else {
+      ++n_recomputed;
+      tl_off[v] = off;
+      tl_len[v] = tl_chosen.size() - off;
     }
-    tl_state[v] = 2;
-    ++n_recomputed;
-    tl_off[v] = tl_chosen.size();
-    switch (mode_) {
-      case Mode::ClosestMajority:
-        majority_chosen_patched(v, element, d_new, tl_chosen);
-        break;
-      case Mode::ClosestGrid: {
-        const double* rm = row_max_.data() + v * k;
-        const double* cm = col_max_.data() + v * k;
-        const double nr = std::max(row_excl_[v * n_ + element], d_new);
-        const double nc = std::max(col_excl_[v * n_ + element], d_new);
-        std::size_t best = 0;
-        double best_max = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < k; ++r) {
-          const double rr = r == r0 ? nr : rm[r];
-          for (std::size_t c = 0; c < k; ++c) {
-            const double val = std::max(rr, c == c0 ? nc : cm[c]);
-            if (val < best_max) {
-              best_max = val;
-              best = r * k + c;
-            }
-          }
-        }
-        for_each_grid_element(k, best / k, best % k,
-                              [&](std::size_t e) { tl_chosen.push_back(e); });
-        break;
-      }
-      default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
-        const double* vals = values_.data() + v * n_;
-        tl_row.assign(vals, vals + n_);
-        tl_row[element] = d_new;
-        const quorum::Quorum quorum = system_->best_quorum(tl_row);
-        tl_chosen.insert(tl_chosen.end(), quorum.begin(), quorum.end());
-        break;
-      }
-    }
-    tl_len[v] = tl_chosen.size() - tl_off[v];
     if (load) {
-      const double w = charge_weight(v);
-      for (std::size_t e : chosen_quorum_[v]) tl_load[placement_.site_of[e]] -= w;
-      for (std::size_t i = tl_off[v]; i < tl_chosen.size(); ++i) {
-        const std::size_t e = tl_chosen[i];
-        tl_load[e == element ? site : placement_.site_of[e]] += w;
-      }
+      for_each_charge_delta(v, choice, {tl_chosen.data() + off, tl_chosen.size() - off},
+                            move, [](std::size_t s, double delta) { tl_load[s] += delta; });
     }
   }
   c_de_pruned.add(clients_ - n_kept - n_recomputed);
@@ -857,14 +888,14 @@ double DeltaEvaluator::closest_if_moved(std::size_t element, std::size_t site) c
   double total = 0.0;
   for (std::size_t v = 0; v < clients_; ++v) {
     double response;
-    if (tl_state[v] == 0 && !load) {
+    if (tl_state[v] == ClosestChoice::Unchanged && !load) {
       response = client_sum_[v];  // Neither distances nor loads changed.
     } else {
       const double d_new = site_rtt(v, site);
       const double* vals = values_.data() + v * n_;
       const std::size_t* ids;
       std::size_t len;
-      if (tl_state[v] == 2) {
+      if (tl_state[v] == ClosestChoice::Rechosen) {
         ids = tl_chosen.data() + tl_off[v];
         len = tl_len[v];
       } else {
@@ -892,13 +923,11 @@ double DeltaEvaluator::closest_if_moved(std::size_t element, std::size_t site) c
 
 void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
   const double inf = std::numeric_limits<double>::infinity();
-  const std::size_t k = side_;
-  const std::size_t r0 = mode_ == Mode::ClosestGrid ? element / k : 0;
-  const std::size_t c0 = mode_ == Mode::ClosestGrid ? element % k : 0;
-  std::vector<std::size_t> scratch_ids;
+  const ClosestMove move = closest_move(element, site);
+  std::vector<std::size_t> rechosen;
   // With charge lists maintained, record the clients whose charge set moves
-  // (flipped choice, or chosen quorum contains the moved element) so the
-  // reaccumulation below can stay bounded instead of O(clients x |Q|).
+  // (every client the move does not leave Unchanged) so the reaccumulation
+  // below can stay bounded instead of O(clients x |Q|).
   const bool incremental = candidate_index_ != nullptr;
   std::vector<std::size_t> touched_clients;
   std::vector<std::pair<std::size_t, std::size_t>> new_charges;  // (site, v).
@@ -907,28 +936,18 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
     double* vals = values_.data() + v * n_;
     const double d_old = vals[element];
     const double d_new = site_rtt(v, site);
-    const bool contains_u = mode_ == Mode::ClosestGrid
-                                ? (chosen_row_[v] == r0 || chosen_col_[v] == c0)
-                                : in_best_[v * n_ + element] != 0;
-    const bool keep = !contains_u && d_new > best_value_[v];
-    const bool keep_moved =
-        mode_ == Mode::ClosestMajority && contains_u &&
-        (majority_q_ == n_ || d_new < second_value_[v]);
-    const bool flip = !keep && !keep_moved;
-    const bool touched = incremental && (flip || contains_u);
+    // Classified against the pre-repair tables, exactly as the candidate
+    // evaluation saw this move.
+    rechosen.clear();
+    const ClosestVerdict verdict = classify_closest(v, move, d_new, rechosen);
+    const bool flip = verdict.choice == ClosestChoice::Rechosen;
+    const bool touched = incremental && verdict.choice != ClosestChoice::Unchanged;
     if (touched) {
       // Old charges, under the pre-move placement and pre-repair choice.
       touched_clients.push_back(v);
       for (std::size_t e : chosen_quorum_[v]) {
         affected_sites.push_back(placement_.site_of[e]);
       }
-    }
-    // Identity recompute needs the pre-repair tables for Majority (the
-    // patched-rank shortcut reads the old sorted row); Grid and Enumerated
-    // rescan the repaired tables below.
-    if (flip && mode_ == Mode::ClosestMajority) {
-      scratch_ids.clear();
-      majority_chosen_patched(v, element, d_new, scratch_ids);
     }
     vals[element] = d_new;
     switch (mode_) {
@@ -945,50 +964,32 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
         *ins = d_new;
         best_value_[v] = y[majority_q_ - 1];
         second_value_[v] = majority_q_ < n_ ? y[majority_q_] : inf;
-        if (flip) {
-          for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 0;
-          chosen_quorum_[v].assign(scratch_ids.begin(), scratch_ids.end());
-          for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 1;
-        }
         break;
       }
       case Mode::ClosestGrid: {
-        repair_grid_client_tables(v, r0, c0);
-        const double* rm = row_max_.data() + v * k;
-        const double* cm = col_max_.data() + v * k;
-        if (flip) {
-          std::size_t best = 0;
-          double best_max = inf;
-          for (std::size_t r = 0; r < k; ++r) {
-            for (std::size_t c = 0; c < k; ++c) {
-              const double val = std::max(rm[r], cm[c]);
-              if (val < best_max) {
-                best_max = val;
-                best = r * k + c;
-              }
-            }
-          }
-          chosen_row_[v] = best / k;
-          chosen_col_[v] = best % k;
-          best_value_[v] = best_max;
-          quorum::Quorum& chosen = chosen_quorum_[v];
-          chosen.clear();
-          for_each_grid_element(k, chosen_row_[v], chosen_col_[v],
-                                [&](std::size_t e) { chosen.push_back(e); });
+        repair_grid_client_tables(v, move.row, move.col);
+        if (verdict.choice != ClosestChoice::Unchanged) {
+          chosen_row_[v] = verdict.row;
+          chosen_col_[v] = verdict.col;
+          best_value_[v] = verdict.value;
         }
         break;
       }
       default: {  // ClosestEnumerated
         if (flip) {
-          for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 0;
-          chosen_quorum_[v] = system_->best_quorum(std::span<const double>{vals, n_});
           double worst = 0.0;
-          for (std::size_t e : chosen_quorum_[v]) worst = std::max(worst, vals[e]);
+          for (std::size_t e : rechosen) worst = std::max(worst, vals[e]);
           best_value_[v] = worst;
-          for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 1;
         }
         break;
       }
+    }
+    if (flip) {
+      if (mode_ != Mode::ClosestGrid) {
+        for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 0;
+        for (std::size_t e : rechosen) in_best_[v * n_ + e] = 1;
+      }
+      chosen_quorum_[v].assign(rechosen.begin(), rechosen.end());
     }
     if (touched) {
       // New charges, under the post-move placement and repaired choice.
@@ -1144,7 +1145,7 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   struct Scratch {
     std::uint64_t epoch = 0;
     std::vector<std::uint64_t> client_mark;   // classified this epoch?
-    std::vector<std::uint8_t> client_state;   // valid when mark == epoch.
+    std::vector<ClosestChoice> client_state;  // valid when mark == epoch.
     std::vector<std::size_t> flip_off;        // state 2: slice of `chosen`.
     std::vector<std::size_t> flip_len;
     std::vector<std::size_t> chosen;          // concatenated flip quorums.
@@ -1153,12 +1154,11 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
     std::vector<std::size_t> touched;         // sites with a load delta.
     std::vector<std::uint64_t> reprice_mark;
     std::vector<std::size_t> reprice;         // clients to reprice.
-    std::vector<double> row;                  // Enumerated: patched values.
   };
   static thread_local Scratch sc;
   if (sc.client_mark.size() != clients_) {
     sc.client_mark.assign(clients_, 0);
-    sc.client_state.assign(clients_, 0);
+    sc.client_state.assign(clients_, ClosestChoice::Unchanged);
     sc.flip_off.assign(clients_, 0);
     sc.flip_len.assign(clients_, 0);
     sc.site_mark.assign(clients_, 0);
@@ -1175,11 +1175,8 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   std::size_t n_kept = 0;
   std::size_t n_recomputed = 0;
 
-  const std::size_t old_site = placement_.site_of[element];
+  const ClosestMove move = closest_move(element, site);
   const bool load = alpha_ != 0.0;
-  const std::size_t k = side_;
-  const std::size_t r0 = mode_ == Mode::ClosestGrid ? element / k : 0;
-  const std::size_t c0 = mode_ == Mode::ClosestGrid ? element % k : 0;
 
   const auto touch = [&](std::size_t s, double delta) {
     if (sc.site_mark[s] != sc.epoch) {
@@ -1196,119 +1193,26 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
     }
   };
 
-  // Classification is the same keep / keep-with-moved-u / recompute logic as
-  // the full scan (closest_if_moved), applied only to clients that can flip.
+  // The full scan's classification (classify_closest), applied only to the
+  // clients that can flip.
   const auto classify = [&](std::size_t v) {
     if (sc.client_mark[v] == sc.epoch) return;
     sc.client_mark[v] = sc.epoch;
-    sc.client_state[v] = 0;
     ++n_scanned;
-    const double d_new = site_rtt(v, site);
-    const bool contains_u = mode_ == Mode::ClosestGrid
-                                ? (chosen_row_[v] == r0 || chosen_col_[v] == c0)
-                                : in_best_[v * n_ + element] != 0;
-    if (!contains_u && d_new > best_value_[v]) return;  // Provably unchanged.
-    if (mode_ == Mode::ClosestMajority && contains_u &&
-        (majority_q_ == n_ || d_new < second_value_[v])) {
-      sc.client_state[v] = 1;
+    const std::size_t off = sc.chosen.size();
+    const ClosestChoice choice = classify_closest(v, move, site_rtt(v, site), sc.chosen).choice;
+    sc.client_state[v] = choice;
+    if (choice == ClosestChoice::Unchanged) return;
+    if (choice == ClosestChoice::KeepsSlot) {
       ++n_kept;
-      if (load) {
-        const double w = charge_weight(v);
-        touch(old_site, -w);
-        touch(site, w);
-      }
-      mark_reprice(v);
-      return;
-    }
-    if (mode_ == Mode::ClosestGrid) {
-      // O(k) exact reconstruction of the full scan's k*k-cell argmin:
-      // cell(r, c) = max(row'[r], col'[c]), so each row's minimum is
-      // max(row'[r], min_c col'[c]), and the strict-< scan's winner is the
-      // first cell (row-major) attaining the global minimum — the first row
-      // whose minimum attains it, then the first column attaining it within
-      // that row. Pure selection (no arithmetic), so the winner and its
-      // value are bitwise those of the k*k scan in closest_if_moved.
-      const double* rm = row_max_.data() + v * k;
-      const double* cm = col_max_.data() + v * k;
-      const double nr = std::max(row_excl_[v * n_ + element], d_new);
-      const double nc = std::max(col_excl_[v * n_ + element], d_new);
-      double col_min = std::numeric_limits<double>::infinity();
-      for (std::size_t c = 0; c < k; ++c) {
-        col_min = std::min(col_min, c == c0 ? nc : cm[c]);
-      }
-      double best_max = std::numeric_limits<double>::infinity();
-      std::size_t best_r = 0;
-      for (std::size_t r = 0; r < k; ++r) {
-        const double val = std::max(r == r0 ? nr : rm[r], col_min);
-        if (val < best_max) {
-          best_max = val;
-          best_r = r;
-        }
-      }
-      const double rr = best_r == r0 ? nr : rm[best_r];
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (std::max(rr, c == c0 ? nc : cm[c]) == best_max) {
-          best_c = c;
-          break;
-        }
-      }
-      if (best_r == chosen_row_[v] && best_c == chosen_col_[v]) {
-        if (!contains_u) return;  // Same unmodified cell: provably unchanged.
-        // u keeps its slot in the still-winning cell: the chosen set is
-        // unchanged, only u's charge moves (the grid analogue of the
-        // majority shortcut above).
-        sc.client_state[v] = 1;
-        ++n_kept;
-        if (load) {
-          const double w = charge_weight(v);
-          touch(old_site, -w);
-          touch(site, w);
-        }
-        mark_reprice(v);
-        return;
-      }
-      sc.client_state[v] = 2;
+    } else {
       ++n_recomputed;
-      sc.flip_off[v] = sc.chosen.size();
-      for_each_grid_element(k, best_r, best_c,
-                            [&](std::size_t e) { sc.chosen.push_back(e); });
-      sc.flip_len[v] = sc.chosen.size() - sc.flip_off[v];
-      if (load) {
-        const double w = charge_weight(v);
-        for (std::size_t e : chosen_quorum_[v]) touch(placement_.site_of[e], -w);
-        for (std::size_t i = sc.flip_off[v]; i < sc.chosen.size(); ++i) {
-          const std::size_t e = sc.chosen[i];
-          touch(e == element ? site : placement_.site_of[e], w);
-        }
-      }
-      mark_reprice(v);
-      return;
+      sc.flip_off[v] = off;
+      sc.flip_len[v] = sc.chosen.size() - off;
     }
-    sc.client_state[v] = 2;
-    ++n_recomputed;
-    sc.flip_off[v] = sc.chosen.size();
-    switch (mode_) {
-      case Mode::ClosestMajority:
-        majority_chosen_patched(v, element, d_new, sc.chosen);
-        break;
-      default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
-        const double* vals = values_.data() + v * n_;
-        sc.row.assign(vals, vals + n_);
-        sc.row[element] = d_new;
-        const quorum::Quorum quorum = system_->best_quorum(sc.row);
-        sc.chosen.insert(sc.chosen.end(), quorum.begin(), quorum.end());
-        break;
-      }
-    }
-    sc.flip_len[v] = sc.chosen.size() - sc.flip_off[v];
     if (load) {
-      const double w = charge_weight(v);
-      for (std::size_t e : chosen_quorum_[v]) touch(placement_.site_of[e], -w);
-      for (std::size_t i = sc.flip_off[v]; i < sc.chosen.size(); ++i) {
-        const std::size_t e = sc.chosen[i];
-        touch(e == element ? site : placement_.site_of[e], w);
-      }
+      for_each_charge_delta(v, choice, {sc.chosen.data() + off, sc.chosen.size() - off},
+                            move, touch);
     }
     mark_reprice(v);
   };
@@ -1317,7 +1221,7 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   // new site to undercut m1 (the client's candidate list contains it, or
   // the client overflowed its list) — see client_index.hpp for why this is
   // exhaustive in the uncapped mode.
-  for (std::size_t v : charge_lists_[old_site]) classify(v);
+  for (std::size_t v : charge_lists_[move.old_site]) classify(v);
   for (std::size_t v : candidate_index_->clients_of(site)) classify(v);
   for (std::size_t v : overflow_clients_) classify(v);
   c_de_pruned.add(n_scanned - n_kept - n_recomputed);
@@ -1341,11 +1245,11 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   for (std::size_t v : sc.reprice) {
     const double d_new = site_rtt(v, site);
     const double* vals = values_.data() + v * n_;
-    const std::uint8_t state =
-        sc.client_mark[v] == sc.epoch ? sc.client_state[v] : std::uint8_t{0};
+    const ClosestChoice state =
+        sc.client_mark[v] == sc.epoch ? sc.client_state[v] : ClosestChoice::Unchanged;
     const std::size_t* ids;
     std::size_t len;
-    if (state == 2) {
+    if (state == ClosestChoice::Rechosen) {
       ids = sc.chosen.data() + sc.flip_off[v];
       len = sc.flip_len[v];
     } else {

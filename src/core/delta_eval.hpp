@@ -38,19 +38,24 @@
 // per-client cost couples globally through the load the quorum choices
 // induce, so the evaluator maintains an incremental quorum-choice structure:
 // the per-client chosen quorum (identity + its best network value m1, plus
-// the second-best value for Majority) with lazy repair on site moves. A
-// candidate move classifies every client in O(1):
-//   * u not in the chosen quorum and d(v, w) strictly above m1 — the choice
-//     provably cannot flip (any quorum containing u is now strictly worse
-//     than the unchanged best), regardless of tie-breaking;
-//   * Majority only: u chosen and d(v, w) strictly below the second-best
-//     value y[q] — u keeps its slot and the chosen set is unchanged;
-//   * otherwise the choice is recomputed exactly — replicating each
-//     system's best_quorum tie-breaking (Majority (value, index) selection,
-//     Grid flattened argmin) from the cached tables, or calling best_quorum
-//     itself for enumerated systems (Tree's DP tie-breaking is not scan
-//     order) — so colocated placements (which tie constantly) stay in exact
-//     parity with the naive closest evaluation.
+// the second-best value for Majority) with lazy repair on site moves. One
+// classifier decides, per client, what a candidate move does to the choice
+// — for the full candidate scan, the indexed scan and apply_move alike:
+//   * Unchanged: u not in the chosen quorum and d(v, w) strictly above m1 —
+//     the choice provably cannot flip (any quorum containing u is now
+//     strictly worse than the unchanged best), regardless of tie-breaking;
+//     also a Grid client whose argmin (below) re-picks its u-free cell;
+//   * KeepsSlot: u chosen and still in the winning quorum — for Majority
+//     when d(v, w) is strictly below the second-best value y[q], for Grid
+//     when the argmin re-picks the chosen cell; only u's charge moves;
+//   * Rechosen: the choice is recomputed exactly — replicating each
+//     system's best_quorum tie-breaking (Majority's (value, index)
+//     selection from a patched O(log n) rank, Grid's flattened first-wins
+//     argmin in O(k), bitwise equal to the k*k scan) from the cached
+//     tables, or calling best_quorum itself for enumerated systems (Tree's
+//     DP tie-breaking is not scan order) — so colocated placements (which
+//     tie constantly) stay in exact parity with the naive closest
+//     evaluation.
 // The candidate load table is the maintained one patched by the (few)
 // flipped choices; the response pass then reprices every client's chosen
 // quorum in O(|Q|). apply_move repairs the distance rows (one coordinate
@@ -176,11 +181,46 @@ class DeltaEvaluator {
   /// Reaccumulates closest_load_ (weighted charges of every chosen quorum)
   /// and the per-client responses from the current choice tables.
   void rebuild_closest_loads_and_rho();
-  /// Exact chosen set of client v for patched distances (element -> value
-  /// `patched`), replicating MajorityQuorum::best_quorum's (value, index)
-  /// selection; appends the q chosen ids (ascending) to `out`.
-  void majority_chosen_patched(std::size_t v, std::size_t element, double patched,
-                               std::vector<std::size_t>& out) const;
+  /// How relocating `element` changes one client's closest-quorum choice.
+  enum class ClosestChoice : std::uint8_t {
+    Unchanged,  // Same quorum, element not in it: none of v's charges move.
+    KeepsSlot,  // Same quorum, element in it: only its charge follows it.
+    Rechosen,   // Re-chosen exactly; the new ids were appended.
+  };
+  struct ClosestVerdict {
+    ClosestChoice choice = ClosestChoice::Unchanged;
+    /// ClosestGrid, when the argmin ran: the winning cell and its network
+    /// max (the client's new m1 unless the choice is Unchanged).
+    std::size_t row = 0;
+    std::size_t col = 0;
+    double value = 0.0;
+  };
+  /// A candidate relocation, resolved once per candidate rather than per
+  /// client: the element, its old and new site, and (Grid) its cell.
+  struct ClosestMove {
+    std::size_t element;
+    std::size_t old_site;
+    std::size_t site;
+    std::size_t row;
+    std::size_t col;
+  };
+  [[nodiscard]] ClosestMove closest_move(std::size_t element, std::size_t site) const;
+  /// The one per-client classifier behind closest_if_moved,
+  /// closest_if_moved_indexed and apply_move_closest (see the file comment):
+  /// decides client v's choice under `move`, whose new site is at distance
+  /// `d_new` from v, from the pre-move tables. A re-choice replicates each
+  /// system's best_quorum tie-breaking and appends the chosen ids
+  /// (ascending) to `chosen`.
+  [[nodiscard]] ClosestVerdict classify_closest(std::size_t v, const ClosestMove& move,
+                                                double d_new,
+                                                std::vector<std::size_t>& chosen) const;
+  /// Calls add(site, delta) for every per-site load change `choice` implies
+  /// for client v: KeepsSlot moves the element's charge to the new site,
+  /// Rechosen drops v's old charges and adds those of `rechosen`.
+  template <typename Add>
+  void for_each_charge_delta(std::size_t v, ClosestChoice choice,
+                             std::span<const std::size_t> rechosen, const ClosestMove& move,
+                             Add&& add) const;
   [[nodiscard]] double closest_if_moved(std::size_t element, std::size_t site) const;
   /// Sparse variant of closest_if_moved driven by candidate_index_ — see
   /// attach_candidate_index.

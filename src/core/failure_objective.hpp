@@ -44,8 +44,8 @@
 //
 // FailureAwareObjective plugs into the existing search API but is an
 // expectation over failure sets, which the incremental DeltaEvaluator does
-// not model: supports_delta() is false and local_search_placement falls
-// back to full re-evaluation (LocalSearchEngine::Naive) automatically.
+// not model: supports_delta() is false, so local_search_placement routes it
+// through full re-evaluation of every candidate.
 #pragma once
 
 #include <cstddef>

@@ -17,7 +17,7 @@ namespace qp::core {
 
 namespace {
 
-// Search telemetry (shared by both engines): candidates scanned, moves
+// Search telemetry (shared by both routes): candidates scanned, moves
 // taken, rounds, and index rebuilds. Counts are tallied in bulk per round —
 // never per candidate — so the instrumented hot loop is unchanged.
 const obs::Counter c_ls_candidates = obs::counter("core.local_search.candidates");
@@ -34,12 +34,21 @@ struct Candidate {
   std::size_t site;
 };
 
-/// Candidates a Delta first-improvement round evaluates per parallel batch.
-/// Any fixed value yields the same accepted move (the lowest improving index
-/// is batch-independent); 256 keeps a shared pool busy without evaluating
-/// far past the accepted candidate.
-constexpr std::size_t kFirstImprovementBlock = 256;
+/// A move must improve the objective by more than this to be taken.
+constexpr double kMinImprovement = 1e-9;
 
+/// Uncapped client indexes are rebuilt from the current m1 radii after this
+/// many accepted moves. The initial lists cover the initial placement's
+/// radii forever, even as the search moves m1 both ways: clients whose
+/// radius shrank carry needlessly dense lists, clients whose radius outgrew
+/// its coverage fall into the always-rechecked overflow set. Periodic
+/// rebuilds keep the lists tight and the overflow set empty. The schedule
+/// changes speed, never decisions: uncapped indexed evaluation is exact for
+/// any list contents (coverage overflow repairs staleness).
+constexpr std::size_t kIndexRebuildMoves = 16;
+
+/// The full re-evaluation route, for objectives the DeltaEvaluator does not
+/// model: one Objective::evaluate per candidate.
 LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
                                      const quorum::QuorumSystem& system,
                                      const Placement& initial, const Objective& objective,
@@ -53,8 +62,6 @@ LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
   std::vector<bool> used(matrix.size(), false);
   for (std::size_t site : result.placement.site_of) used[site] = true;
 
-  const bool first_improvement =
-      options.strategy == LocalSearchStrategy::FirstImprovement;
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     QP_TRACE_SPAN("core.local_search.pass");
     c_ls_rounds.add();
@@ -63,8 +70,7 @@ LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
     std::size_t best_element = 0;
     std::size_t best_site = 0;
     bool found = false;
-    // Deterministic scan over all (element, unused site) relocations; the
-    // first-improvement strategy stops at the first improving candidate.
+    // Deterministic scan over all (element, unused site) relocations.
     for (std::size_t u = 0; u < result.placement.universe_size(); ++u) {
       const std::size_t original = result.placement.site_of[u];
       for (std::size_t w = 0; w < matrix.size(); ++w) {
@@ -72,16 +78,14 @@ LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
         result.placement.site_of[u] = w;
         const double candidate = objective.evaluate(matrix, system, result.placement);
         ++scanned;
-        if (candidate < best_objective - options.min_improvement) {
+        if (candidate < best_objective - kMinImprovement) {
           best_objective = candidate;
           best_element = u;
           best_site = w;
           found = true;
-          if (first_improvement) break;
         }
       }
       result.placement.site_of[u] = original;
-      if (found && first_improvement) break;
     }
     c_ls_candidates.add(scanned);
     if (!found) break;
@@ -110,9 +114,7 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
   // candidate's evaluation touch only affected clients.
   const net::KnnIndex* knn = options.knn;
   std::optional<net::KnnIndex> local_knn;
-  const bool need_knn =
-      options.candidate_knn > 0 || (options.client_index && eval.closest_strategy());
-  if (knn == nullptr && need_knn) {
+  if (knn == nullptr && (options.candidate_knn > 0 || eval.closest_strategy())) {
     if (matrix == nullptr) {
       throw std::invalid_argument{
           "local_search_placement: sparse candidate search over an implicit "
@@ -121,24 +123,21 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     local_knn.emplace(*matrix);
     knn = &*local_knn;
   }
-  std::optional<ClientCandidateIndex> client_index;
+  std::optional<ClientCandidateIndex> candidate_index;
   ClientCandidateIndex::Config index_config;
-  if (options.client_index && eval.closest_strategy()) {
-    ClientCandidateIndex::Config config;
-    config.cap = options.client_index_cap;
-    if (config.cap == 0 && matrix == nullptr) {
-      // Implicit spaces default to capped lists: exact coverage of every
-      // client's m1 is O(n) per far client before the search tightens the
-      // placement (see client_index.hpp).
-      config.cap = std::max<std::size_t>(64, options.candidate_knn);
+  if (eval.closest_strategy()) {
+    if (matrix == nullptr) {
+      // Implicit spaces take capped lists: exact coverage of every client's
+      // m1 is O(n) per far client before the search tightens the placement
+      // (see client_index.hpp).
+      index_config.cap = std::max<std::size_t>(64, options.candidate_knn);
     }
-    client_index = ClientCandidateIndex::build(space, knn, eval.best_values(), config);
-    eval.attach_candidate_index(&*client_index);
-    index_config = config;
+    candidate_index =
+        ClientCandidateIndex::build(space, knn, eval.best_values(), index_config);
+    eval.attach_candidate_index(&*candidate_index);
   }
-  // Radius-shrinking rebuild schedule (uncapped lists only, see the option).
-  const bool reindex = client_index.has_value() && !client_index->capped() &&
-                       options.client_index_rebuild > 0;
+  // Radius-shrinking rebuild schedule (uncapped lists only).
+  const bool reindex = candidate_index.has_value() && !candidate_index->capped();
   std::size_t moves_since_reindex = 0;
 
   std::vector<bool> used(space.size(), false);
@@ -154,8 +153,6 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     pool = &*dedicated;
   }
 
-  const bool first_improvement =
-      options.strategy == LocalSearchStrategy::FirstImprovement;
   LocalSearchResult result;
   std::vector<Candidate> candidates;
   std::vector<double> objectives;
@@ -191,43 +188,25 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
       }
     }
     objectives.resize(candidates.size());
-    const auto evaluate_range = [&](std::size_t begin, std::size_t end) {
-      const auto evaluate_candidate = [&](std::size_t i) {
-        objectives[i] = eval.objective_if_moved(candidates[i].element, candidates[i].site);
-      };
-      if (pool != nullptr) {
-        pool->parallel_for(begin, end, evaluate_candidate);
-      } else {
-        for (std::size_t i = begin; i < end; ++i) evaluate_candidate(i);
-      }
+    const auto evaluate_candidate = [&](std::size_t i) {
+      objectives[i] = eval.objective_if_moved(candidates[i].element, candidates[i].site);
     };
+    if (pool != nullptr) {
+      pool->parallel_for(0, candidates.size(), evaluate_candidate);
+    } else {
+      for (std::size_t i = 0; i < candidates.size(); ++i) evaluate_candidate(i);
+    }
+    c_ls_candidates.add(candidates.size());
 
     // Fixed-order accept: the decision always replays the serial scan over
     // the candidate-ordered objectives, so the selected move (and its
     // tie-breaking) is identical for any thread count. Returns
-    // candidates.size() when no evaluated candidate improves.
-    std::size_t evaluated = 0;
+    // candidates.size() when no candidate improves.
     const auto select = [&] {
-      if (first_improvement) {
-        // Evaluate fixed-size blocks and take the lowest improving index;
-        // which index wins does not depend on the block size.
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (i == evaluated) {
-            evaluated = std::min(candidates.size(), evaluated + kFirstImprovementBlock);
-            evaluate_range(i, evaluated);
-          }
-          if (objectives[i] < current - options.min_improvement) return i;
-        }
-        return candidates.size();
-      }
-      if (evaluated == 0) {
-        evaluate_range(0, candidates.size());
-        evaluated = candidates.size();
-      }
       std::size_t best = candidates.size();
       double best_objective = current;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (objectives[i] < best_objective - options.min_improvement) {
+        if (objectives[i] < best_objective - kMinImprovement) {
           best_objective = objectives[i];
           best = i;
         }
@@ -242,7 +221,7 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
       const Candidate move = candidates[best_index];
       const std::size_t from = eval.placement().site_of[move.element];
       eval.apply_move(move.element, move.site);
-      if (eval.objective() < current - options.min_improvement) {
+      if (eval.objective() < current - kMinImprovement) {
         used[from] = false;
         used[move.site] = true;
         break;
@@ -251,17 +230,16 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
       objectives[best_index] = std::numeric_limits<double>::infinity();
       best_index = select();
     }
-    c_ls_candidates.add(evaluated);
     if (best_index == candidates.size()) break;
     ++result.moves;
     c_ls_moves.add();
-    if (reindex && ++moves_since_reindex >= options.client_index_rebuild) {
+    if (reindex && ++moves_since_reindex >= kIndexRebuildMoves) {
       // Fresh lists match the current m1 radii (tight coverage, empty
       // overflow set); exactness never depended on the list contents.
       ClientCandidateIndex rebuilt =
           ClientCandidateIndex::build(space, knn, eval.best_values(), index_config);
-      client_index = std::move(rebuilt);
-      eval.attach_candidate_index(&*client_index);
+      candidate_index = std::move(rebuilt);
+      eval.attach_candidate_index(&*candidate_index);
       moves_since_reindex = 0;
       c_ls_rebuilds.add();
     }
@@ -288,21 +266,24 @@ LocalSearchResult local_search_placement(const net::LatencySpace& space,
   if (!initial.one_to_one()) {
     throw std::invalid_argument{"local_search_placement: initial must be one-to-one"};
   }
+  if (options.knn != nullptr && options.knn->size() != space.size()) {
+    throw std::invalid_argument{"local_search_placement: knn index size != site count"};
+  }
   const Objective& objective =
       options.objective != nullptr ? *options.objective : network_delay_objective();
-  // Objectives the incremental engine cannot model (expectations over
-  // failure sets, see Objective::supports_delta) silently take the naive
-  // full-re-evaluation path; results are engine-independent either way.
-  if (options.engine == LocalSearchEngine::Naive || !objective.supports_delta()) {
-    const net::LatencyMatrix* matrix = space.as_matrix();
-    if (matrix == nullptr) {
-      throw std::invalid_argument{
-          "local_search_placement: the Naive engine (and non-delta objectives) "
-          "require a dense LatencyMatrix"};
-    }
-    return local_search_naive(*matrix, system, initial, objective, options);
+  if (objective.supports_delta()) {
+    return local_search_delta(space, system, initial, objective, options);
   }
-  return local_search_delta(space, system, initial, objective, options);
+  // Objectives the incremental evaluator cannot model (expectations over
+  // failure sets, see Objective::supports_delta) take the full
+  // re-evaluation route.
+  const net::LatencyMatrix* matrix = space.as_matrix();
+  if (matrix == nullptr) {
+    throw std::invalid_argument{
+        "local_search_placement: objectives without delta support require a "
+        "dense LatencyMatrix"};
+  }
+  return local_search_naive(*matrix, system, initial, objective, options);
 }
 
 }  // namespace qp::core

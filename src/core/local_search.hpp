@@ -6,33 +6,29 @@
 // the load-aware §7 response time via LoadAwareObjective, the §6 closest
 // strategy via ClosestStrategyObjective — each optionally demand-weighted).
 //
-// Two evaluation engines share the same semantics and tie-breaking:
-//   * Delta — incremental evaluation via core::DeltaEvaluator: O(log n) per
-//     client per candidate instead of a full re-sort, optionally scanning
-//     the neighborhood on the shared thread pool. The parallel scan only
-//     distributes candidate evaluation; the accept decision replays the
-//     serial scan order, so results are bit-identical for any thread count.
-//   * Naive — full objective re-evaluation per candidate; the reference
-//     path, kept for benchmarking and parity tests.
+// One route, chosen by the objective's capability: objectives the
+// incremental core::DeltaEvaluator models (Objective::supports_delta) are
+// searched through it — O(log n) or O(k) per client per candidate instead of
+// a full re-evaluation, optionally scanning the neighborhood on the shared
+// thread pool. The parallel scan only distributes candidate evaluation; the
+// accept decision replays the serial scan order, so results are
+// bit-identical for any thread count. The rest (FailureAwareObjective's
+// expectation over failure sets) take a full re-evaluation per candidate,
+// which needs a dense matrix. Both loops are best-improvement: each round
+// scans every (element, unused site) relocation and takes the best move
+// that improves the objective by more than 1e-9 (the first such move in
+// scan order wins ties), so they agree move for move wherever both apply.
 //
-// Two accept strategies:
-//   * BestImprovement  — each round scans every (element, unused site)
-//     relocation and takes the best strictly-improving move (first such move
-//     in scan order wins ties).
-//   * FirstImprovement — each round takes the FIRST strictly-improving move
-//     in the deterministic (element, site) scan order, skipping the rest of
-//     the neighborhood; rounds are cheaper while improving moves are dense.
-//     The Delta engine evaluates fixed-size candidate blocks in parallel and
-//     accepts the lowest-index improvement, which is independent of the
-//     block size and thread count — deterministic.
 // Sparse candidate search (the 10k-50k-site regime): `candidate_knn`
 // restricts each element's relocation targets to the k sites nearest its
-// current site (via a net::KnnIndex), and closest-strategy objectives route
-// candidate evaluation through a ClientCandidateIndex so one candidate
-// touches only the clients it can affect. With candidate_knn == 0 and an
-// uncapped client index the search replays the dense exhaustive scan's
-// decisions exactly (same candidate order, evaluation equal up to FP
-// summation order) — the parity suites pin that on every n <= 500 config.
+// current site (via a net::KnnIndex). Closest-strategy objectives always
+// route candidate evaluation through a ClientCandidateIndex, so one
+// candidate touches only the clients it can affect: exact (uncapped lists)
+// on a dense matrix, capped at max(64, candidate_knn) sites per client on an
+// implicit space, where the ranking is approximate and every applied move is
+// checked against the exact objective. With candidate_knn == 0 on a dense
+// matrix the search replays the full client scan's decisions exactly — the
+// parity suites pin that on every n <= 500 config.
 #pragma once
 
 #include <cstddef>
@@ -45,65 +41,30 @@
 
 namespace qp::core {
 
-enum class LocalSearchEngine {
-  Delta,  // Incremental (default): identical moves, orders of magnitude faster.
-  Naive,  // Full re-evaluation per candidate move.
-};
-
-enum class LocalSearchStrategy {
-  BestImprovement,   // Full neighborhood scan, steepest descent (default).
-  FirstImprovement,  // First improving move in deterministic scan order.
-};
-
 struct LocalSearchOptions {
   /// Hard cap on improvement rounds (each round accepts at most one move).
   std::size_t max_rounds = 100;
-  /// A move must improve the objective by more than this to be taken.
-  double min_improvement = 1e-9;
-  /// Evaluation engine; Delta and Naive agree to ~1e-12 per candidate.
-  LocalSearchEngine engine = LocalSearchEngine::Delta;
-  /// Accept strategy; both reach (possibly different) local optima.
-  LocalSearchStrategy strategy = LocalSearchStrategy::BestImprovement;
   /// Search objective; nullptr = pure network delay. The pointee must
   /// outlive the call.
   const Objective* objective = nullptr;
-  /// Worker threads for the Delta candidate scan: 0 = the shared global
+  /// Worker threads for the delta candidate scan: 0 = the shared global
   /// pool, 1 = fully serial, n > 1 = a dedicated pool of n threads.
-  /// Bit-identical results for every setting. Ignored by the Naive engine.
+  /// Bit-identical results for every setting. The full re-evaluation route
+  /// is serial.
   std::size_t threads = 0;
-  /// 0 scans every unused site per element (the historical dense scan);
-  /// k > 0 restricts each element's candidate targets to the k unused sites
+  /// 0 scans every unused site per element (the dense scan); k > 0
+  /// restricts each element's candidate targets to the k unused sites
   /// nearest its current site (targets enumerated in ascending site order,
-  /// so k >= n reproduces the dense candidate list exactly). Delta engine
+  /// so k >= n reproduces the dense candidate list exactly). Delta route
   /// only.
   std::size_t candidate_knn = 0;
   /// k-NN index over the search space, used for candidate targets and for
   /// building the client candidate lists. Optional when the space has a
   /// dense matrix (a brute-force index is built on the fly); required with
   /// candidate_knn > 0 or a closest objective on an implicit space. Must be
-  /// built over `space` and outlive the call.
+  /// built over `space` (std::invalid_argument otherwise) and outlive the
+  /// call.
   const net::KnnIndex* knn = nullptr;
-  /// Closest-strategy objectives, Delta engine: evaluate candidates through
-  /// a ClientCandidateIndex (site -> clients) instead of scanning all n
-  /// clients per candidate. Exact (uncapped lists + overflow fallback) when
-  /// the space has a dense matrix; capped at max(64, candidate_knn) sites
-  /// per client on implicit spaces (approximate ranking, exact applies).
-  bool client_index = true;
-  /// Overrides the client-list cap: 0 = the default above, k > 0 caps every
-  /// list at k sites (also on dense matrices — bench/regression use).
-  std::size_t client_index_cap = 0;
-  /// Rebuild schedule for UNCAPPED client indexes: rebuild the per-client
-  /// lists from the current m1 radii after this many accepted moves
-  /// (0 = never). The initial lists cover the initial placement's radii
-  /// forever, even as the search moves m1 both ways — clients whose radius
-  /// shrank carry needlessly dense lists, clients whose radius outgrew its
-  /// coverage fall into the always-rechecked overflow set. Periodic
-  /// rebuilds keep the lists tight and the overflow set empty.
-  /// Trajectory-invariant: uncapped indexed evaluation is exact for ANY list
-  /// contents (coverage overflow repairs staleness), so the schedule changes
-  /// speed, never decisions. Capped indexes ignore it (their lists are
-  /// fixed-size and do not depend on the radii the same way).
-  std::size_t client_index_rebuild = 16;
 };
 
 struct LocalSearchResult {
@@ -118,9 +79,9 @@ struct LocalSearchResult {
 /// Hill-climbs from `initial` (must be one-to-one) and returns a placement
 /// that no single-element relocation improves. Deterministic. The space may
 /// be a dense LatencyMatrix (every historical caller) or an implicit
-/// LatencySpace such as a LatencyEmbedding; the Naive engine and
-/// non-delta-capable objectives require a dense matrix (full re-evaluation
-/// is O(n^2)) and throw std::invalid_argument on an implicit space.
+/// LatencySpace such as a LatencyEmbedding; objectives without delta
+/// support require a dense matrix (full re-evaluation is O(n^2)) and throw
+/// std::invalid_argument on an implicit space.
 [[nodiscard]] LocalSearchResult local_search_placement(const net::LatencySpace& space,
                                                        const quorum::QuorumSystem& system,
                                                        const Placement& initial,

@@ -67,8 +67,8 @@ class Objective {
   /// Whether the incremental DeltaEvaluator models this objective exactly.
   /// Objectives whose value is not the (4.1) closest/balanced arithmetic —
   /// e.g. expectations over failure sets (FailureAwareObjective) — return
-  /// false; local_search_placement then falls back to full re-evaluation
-  /// (the Naive engine) and DeltaEvaluator refuses construction.
+  /// false; local_search_placement then re-evaluates every candidate in
+  /// full and DeltaEvaluator refuses construction.
   [[nodiscard]] virtual bool supports_delta() const noexcept { return true; }
 
   /// Per-client demand shares w_v (normalized to sum 1); empty = uniform

@@ -93,9 +93,8 @@ double average_uniform_network_delay(const net::LatencyMatrix& matrix,
 
 PlacementSearchResult best_placement(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Objective& objective,
     const std::function<Placement(std::size_t v0)>& build_for_client,
-    std::span<const std::size_t> candidates) {
+    std::span<const std::size_t> candidates, const Objective& objective) {
   std::vector<std::size_t> all;
   if (candidates.empty()) {
     all.resize(matrix.size());
@@ -133,14 +132,6 @@ PlacementSearchResult best_placement(
   best.anchor_client = candidates[best_index];
   best.placement = build_for_client(candidates[best_index]);
   return best;
-}
-
-PlacementSearchResult best_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const std::function<Placement(std::size_t v0)>& build_for_client,
-    std::span<const std::size_t> candidates) {
-  return best_placement(matrix, system, network_delay_objective(), build_for_client,
-                        candidates);
 }
 
 PlacementSearchResult best_majority_placement(const net::LatencyMatrix& matrix,

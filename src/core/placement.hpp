@@ -69,25 +69,21 @@ struct PlacementSearchResult {
   double avg_network_delay = 0.0;
 };
 
+/// Defined in core/objective.hpp; declared here for the default below.
+[[nodiscard]] const Objective& network_delay_objective() noexcept;
+
 /// §4.1.1 outer loop: builds the single-client placement for every candidate
-/// v0 (all sites when `candidates` is empty), evaluates each under the
-/// uniform access strategy, and returns the best. Candidates are evaluated
-/// on the shared thread pool, so `build_for_client` must be thread-safe (a
-/// pure function of v0, as all the built-in builders are); the reduction is
+/// v0 (all sites when `candidates` is empty), scores each under `objective`
+/// (the uniform-strategy network delay by default, or e.g. the load-aware
+/// response time), and returns the minimizer. Candidates are evaluated on
+/// the shared thread pool, so `build_for_client` must be thread-safe (a pure
+/// function of v0, as all the built-in builders are); the reduction is
 /// serial in candidate order, so the result is identical to a serial scan.
 [[nodiscard]] PlacementSearchResult best_placement(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
     const std::function<Placement(std::size_t v0)>& build_for_client,
-    std::span<const std::size_t> candidates = {});
-
-/// Same outer loop scored by an arbitrary core::Objective (e.g. the
-/// load-aware response time): the winning candidate minimizes
-/// objective.evaluate over the built placements.
-[[nodiscard]] PlacementSearchResult best_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Objective& objective,
-    const std::function<Placement(std::size_t v0)>& build_for_client,
-    std::span<const std::size_t> candidates = {});
+    std::span<const std::size_t> candidates = {},
+    const Objective& objective = network_delay_objective());
 
 /// Convenience wrappers running best_placement with the matching builder.
 [[nodiscard]] PlacementSearchResult best_majority_placement(

@@ -362,7 +362,7 @@ void large_topology_rows(const sim::Scenario& scenario,
   constructive.alpha = objective.alpha();
   auto start = std::chrono::steady_clock::now();
   const core::PlacementSearchResult search =
-      core::best_placement(matrix, system, objective, builder, anchors);
+      core::best_placement(matrix, system, builder, anchors, objective);
   constructive.stage_ms = elapsed_ms(start);
   constructive.response_ms = search.avg_network_delay;  // Objective value.
   constructive.network_delay_ms =
@@ -373,7 +373,6 @@ void large_topology_rows(const sim::Scenario& scenario,
   optimum.stage = "local-opt";
   core::LocalSearchOptions options;
   options.objective = &objective;
-  options.strategy = config.strategy;
   options.max_rounds = config.max_rounds;
   start = std::chrono::steady_clock::now();
   const core::LocalSearchResult polished =

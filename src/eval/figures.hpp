@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/local_search.hpp"
 #include "net/latency_matrix.hpp"
 #include "sim/scenario.hpp"
 
@@ -193,7 +192,6 @@ struct LargeTopologyConfig {
   std::size_t anchor_count = 32;
   /// Round cap for the load-aware local search.
   std::size_t max_rounds = 60;
-  core::LocalSearchStrategy strategy = core::LocalSearchStrategy::BestImprovement;
   /// Also run the §6 closest-strategy objective (two more rows per system).
   bool include_closest = true;
 };

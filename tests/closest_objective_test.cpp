@@ -30,6 +30,7 @@
 #include "quorum/singleton.hpp"
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
+#include "support/full_reevaluation.hpp"
 
 namespace qp::core {
 namespace {
@@ -343,14 +344,13 @@ TEST(ClosestLocalSearch, DeltaEngineMatchesNaiveEngine) {
     const ClosestStrategyObjective objective{33.0};
     const Placement initial = random_one_to_one(m, n, rng);
 
+    const test_support::FullReevaluation full{objective};
     LocalSearchOptions naive_options;
-    naive_options.engine = LocalSearchEngine::Naive;
-    naive_options.objective = &objective;
+    naive_options.objective = &full;
     const LocalSearchResult naive =
         local_search_placement(m, *test_case.system, initial, naive_options);
 
     LocalSearchOptions delta_options;
-    delta_options.engine = LocalSearchEngine::Delta;
     delta_options.threads = 1;
     delta_options.objective = &objective;
     const LocalSearchResult delta =
@@ -417,8 +417,9 @@ TEST(ClosestLocalSearch, ScenarioDemandObjectiveEndToEnd) {
   EXPECT_EQ(objective.client_weights().size(), scenario.site_count());
   const quorum::GridQuorum grid{3};
   const PlacementSearchResult constructive = best_placement(
-      scenario.matrix, grid, objective,
-      [&](std::size_t v0) { return grid_placement_for_client(scenario.matrix, 3, v0); });
+      scenario.matrix, grid,
+      [&](std::size_t v0) { return grid_placement_for_client(scenario.matrix, 3, v0); },
+      {}, objective);
   LocalSearchOptions options;
   options.objective = &objective;
   options.threads = 1;

@@ -22,6 +22,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/quorum_system.hpp"
 #include "quorum/tree.hpp"
+#include "support/full_reevaluation.hpp"
 
 namespace qp::core {
 namespace {
@@ -199,13 +200,13 @@ TEST(DeltaEvalLocalSearch, DeltaEngineMatchesNaiveEngine) {
     common::Rng rng{43};
     const Placement initial = random_one_to_one(m, n, rng);
 
+    const test_support::FullReevaluation full{network_delay_objective()};
     LocalSearchOptions naive_options;
-    naive_options.engine = LocalSearchEngine::Naive;
+    naive_options.objective = &full;
     const LocalSearchResult naive =
         local_search_placement(m, *test_case.system, initial, naive_options);
 
     LocalSearchOptions delta_options;
-    delta_options.engine = LocalSearchEngine::Delta;
     delta_options.threads = 1;
     const LocalSearchResult delta =
         local_search_placement(m, *test_case.system, initial, delta_options);

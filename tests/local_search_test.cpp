@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/failure_objective.hpp"
 #include "core/local_search.hpp"
+#include "core/objective.hpp"
 #include "core/placement.hpp"
+#include "net/knn_index.hpp"
 #include "net/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 
@@ -99,6 +107,62 @@ TEST(LocalSearch, RespectsRoundCap) {
   const LocalSearchResult result =
       local_search_placement(m, grid, Placement{farthest}, options);
   EXPECT_LE(result.moves, 1u);
+}
+
+TEST(LocalSearch, RoutesByObjectiveCapability) {
+  // One route per objective, chosen by Objective::supports_delta: the
+  // failure-aware expectation is re-evaluated in full, the load-aware
+  // objective runs on the delta evaluator.
+  const auto runs = [](const std::string& name) -> std::uint64_t {
+    for (const obs::MetricSnapshot& metric : obs::snapshot()) {
+      if (metric.name == name) return metric.value;
+    }
+    ADD_FAILURE() << "metric not found: " << name;
+    return 0;
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const LatencyMatrix m = net::small_synth(10, 5);
+  const quorum::MajorityQuorum majority{5, 3};
+  const Placement initial{{0, 1, 2, 3, 4}};
+  FailureModel model;
+  model.site_failure_prob = 0.1;
+  const FailureAwareObjective failure_aware{0.01, model};
+  const LoadAwareObjective load_aware{0.01};
+
+  for (const auto& [objective, naive_step, delta_step] :
+       {std::tuple<const Objective*, std::uint64_t, std::uint64_t>{&failure_aware, 1, 0},
+        std::tuple<const Objective*, std::uint64_t, std::uint64_t>{&load_aware, 0, 1}}) {
+    const std::uint64_t naive = runs("core.local_search.naive_runs");
+    const std::uint64_t delta = runs("core.local_search.delta_runs");
+    LocalSearchOptions options;
+    options.objective = objective;
+    options.max_rounds = 1;
+    (void)local_search_placement(m, majority, initial, options);
+    EXPECT_EQ(runs("core.local_search.naive_runs"), naive + naive_step) << objective->name();
+    EXPECT_EQ(runs("core.local_search.delta_runs"), delta + delta_step) << objective->name();
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST(LocalSearch, RejectsKnnIndexOverADifferentSpace) {
+  // The k-NN index must be built over the searched space: its neighbor
+  // sites index the search's per-site tables.
+  const LatencyMatrix m = net::small_synth(20, 31);
+  const quorum::GridQuorum grid{2};
+  const Placement initial{{0, 1, 2, 3}};
+  const LoadAwareObjective objective{0.01};
+  for (const std::size_t sites : {std::size_t{200}, std::size_t{12}}) {
+    const LatencyMatrix other = net::small_synth(sites, 37);
+    const net::KnnIndex knn{other};
+    LocalSearchOptions options;
+    options.objective = &objective;
+    options.candidate_knn = 4;
+    options.knn = &knn;
+    EXPECT_THROW((void)local_search_placement(m, grid, initial, options),
+                 std::invalid_argument)
+        << "index over " << sites << " sites";
+  }
 }
 
 TEST(LocalSearch, RejectsManyToOneInitial) {

@@ -27,6 +27,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/quorum_system.hpp"
 #include "quorum/tree.hpp"
+#include "support/full_reevaluation.hpp"
 
 namespace qp::core {
 namespace {
@@ -217,14 +218,13 @@ TEST(LoadAwareLocalSearch, DeltaEngineMatchesNaiveEngine) {
     const LoadAwareObjective objective{33.0};
     const Placement initial = random_one_to_one(m, n, rng);
 
+    const test_support::FullReevaluation full{objective};
     LocalSearchOptions naive_options;
-    naive_options.engine = LocalSearchEngine::Naive;
-    naive_options.objective = &objective;
+    naive_options.objective = &full;
     const LocalSearchResult naive =
         local_search_placement(m, *test_case.system, initial, naive_options);
 
     LocalSearchOptions delta_options;
-    delta_options.engine = LocalSearchEngine::Delta;
     delta_options.threads = 1;
     delta_options.objective = &objective;
     const LocalSearchResult delta =
@@ -277,63 +277,6 @@ TEST(LoadAwareLocalSearch, NeverWorsensTheObjective) {
   }
 }
 
-TEST(FirstImprovement, ReachesALocalOptimumMatchingEngines) {
-  // First-improvement must agree between the naive and delta engines
-  // (identical deterministic scan order), never worsen the objective, and
-  // leave no improving move behind (re-running makes zero moves).
-  for (const SystemCase& test_case : all_systems()) {
-    const std::size_t n = test_case.system->universe_size();
-    const LatencyMatrix m = net::small_synth(n + 8, 811);
-    common::Rng rng{59};
-    const Placement initial = random_one_to_one(m, n, rng);
-
-    LocalSearchOptions naive_options;
-    naive_options.engine = LocalSearchEngine::Naive;
-    naive_options.strategy = LocalSearchStrategy::FirstImprovement;
-    naive_options.max_rounds = 500;
-    const LocalSearchResult naive =
-        local_search_placement(m, *test_case.system, initial, naive_options);
-
-    LocalSearchOptions delta_options;
-    delta_options.strategy = LocalSearchStrategy::FirstImprovement;
-    delta_options.threads = 1;
-    delta_options.max_rounds = 500;
-    const LocalSearchResult delta =
-        local_search_placement(m, *test_case.system, initial, delta_options);
-
-    EXPECT_EQ(delta.placement.site_of, naive.placement.site_of) << test_case.label;
-    EXPECT_EQ(delta.moves, naive.moves) << test_case.label;
-
-    const double before = average_uniform_network_delay(m, *test_case.system, initial);
-    EXPECT_LE(delta.objective, before + 1e-12) << test_case.label;
-    const LocalSearchResult again =
-        local_search_placement(m, *test_case.system, delta.placement, delta_options);
-    EXPECT_EQ(again.moves, 0u) << test_case.label;
-  }
-}
-
-TEST(FirstImprovement, ParallelBlocksMatchSerialScan) {
-  const LatencyMatrix m = net::small_synth(26, 907);
-  const quorum::GridQuorum grid{3};
-  common::Rng rng{61};
-  const Placement initial = random_one_to_one(m, grid.universe_size(), rng);
-
-  LocalSearchOptions serial;
-  serial.strategy = LocalSearchStrategy::FirstImprovement;
-  serial.threads = 1;
-  const LocalSearchResult reference = local_search_placement(m, grid, initial, serial);
-
-  for (std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
-    LocalSearchOptions parallel = serial;
-    parallel.threads = threads;
-    const LocalSearchResult result = local_search_placement(m, grid, initial, parallel);
-    EXPECT_EQ(result.placement.site_of, reference.placement.site_of)
-        << "threads=" << threads;
-    EXPECT_EQ(result.moves, reference.moves) << "threads=" << threads;
-    EXPECT_EQ(result.objective, reference.objective) << "threads=" << threads;
-  }
-}
-
 TEST(ObjectiveBestPlacement, LoadAwareOverloadPicksTheObjectiveWinner) {
   const LatencyMatrix m = net::small_synth(20, 997);
   const quorum::MajorityQuorum majority{5, 3};
@@ -352,8 +295,9 @@ TEST(ObjectiveBestPlacement, LoadAwareOverloadPicksTheObjectiveWinner) {
     }
   }
   const PlacementSearchResult actual = best_placement(
-      m, majority, objective,
-      [&](std::size_t v0) { return majority_ball_placement(m, majority.universe_size(), v0); });
+      m, majority,
+      [&](std::size_t v0) { return majority_ball_placement(m, majority.universe_size(), v0); },
+      {}, objective);
   EXPECT_EQ(actual.anchor_client, expected.anchor_client);
   EXPECT_EQ(actual.placement.site_of, expected.placement.site_of);
   EXPECT_NEAR(actual.avg_network_delay, expected.avg_network_delay,
@@ -471,7 +415,8 @@ TEST(DemandWeightedObjective, BestPlacementAndLocalSearchConsumeWeights) {
     }
   }
   const PlacementSearchResult actual = best_placement(
-      m, grid, objective, [&](std::size_t v0) { return grid_placement_for_client(m, 3, v0); });
+      m, grid, [&](std::size_t v0) { return grid_placement_for_client(m, 3, v0); }, {},
+      objective);
   EXPECT_EQ(actual.anchor_client, expected.anchor_client);
   EXPECT_EQ(actual.placement.site_of, expected.placement.site_of);
 
@@ -480,8 +425,9 @@ TEST(DemandWeightedObjective, BestPlacementAndLocalSearchConsumeWeights) {
   delta_options.threads = 1;
   const LocalSearchResult delta = local_search_placement(m, grid, actual.placement,
                                                          delta_options);
+  const test_support::FullReevaluation full{objective};
   LocalSearchOptions naive_options = delta_options;
-  naive_options.engine = LocalSearchEngine::Naive;
+  naive_options.objective = &full;
   const LocalSearchResult naive = local_search_placement(m, grid, actual.placement,
                                                          naive_options);
   EXPECT_EQ(delta.placement.site_of, naive.placement.site_of);

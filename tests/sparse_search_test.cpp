@@ -18,9 +18,12 @@
 #include "core/placement.hpp"
 #include "net/knn_index.hpp"
 #include "net/synthetic.hpp"
+#include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
+#include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
+#include "support/reference_search.hpp"
 
 namespace qp::core {
 namespace {
@@ -152,8 +155,9 @@ TEST(ClientCandidateIndex, DirtyReaccumulationMatchesFullBitwise) {
   // apply_move with charge lists maintained re-sums only the sites whose
   // charging multiset changed and reprices only the dirty clients; the pin
   // is BITWISE equality with the detached evaluator's full O(clients x |Q|)
-  // reaccumulation after every accepted move, for both the Grid and the
-  // Majority closest engines (the load-aware objective arms the load terms).
+  // reaccumulation after every accepted move, for the Grid, Majority and
+  // enumerated (Tree, FPP) closest engines (the scenario's alpha > 0 arms
+  // the load terms).
   const sim::Scenario scenario = sim::daxlist161_scenario();
   const ClosestStrategyObjective objective = scenario.closest_objective();
   const net::KnnIndex knn{scenario.matrix};
@@ -192,14 +196,17 @@ TEST(ClientCandidateIndex, DirtyReaccumulationMatchesFullBitwise) {
 
   run(quorum::GridQuorum{7}, "Grid(7x7)");
   run(quorum::MajorityQuorum{49, 25}, "Majority(25/49)");
+  run(quorum::TreeQuorum{3}, "Tree(h=3)");
+  run(quorum::FppQuorum{3}, "FPP(q=3)");
 }
 
 // ------------------------------------- Sparse vs dense local-search parity
 
-/// The acceptance pin: parity mode (candidate_knn == 0, uncapped client
-/// index) must reproduce the dense exhaustive scan's decisions exactly —
-/// same moves, same final placement. Both runs recompute the final
-/// objective from the matrix, so equal placements give equal doubles.
+/// The acceptance pin: on a dense matrix with candidate_knn == 0 the
+/// search's uncapped client index must reproduce the dense exhaustive
+/// scan's decisions exactly — same moves, same final placement. Both runs
+/// recompute the final objective from the matrix, so equal placements give
+/// equal doubles.
 void expect_search_parity(const sim::Scenario& scenario, std::size_t max_rounds,
                           std::size_t grid_side = 7) {
   const quorum::GridQuorum grid{grid_side};
@@ -212,17 +219,13 @@ void expect_search_parity(const sim::Scenario& scenario, std::size_t max_rounds,
     initial.site_of[u] = u * stride;
   }
 
-  LocalSearchOptions dense_options;
-  dense_options.objective = &objective;
-  dense_options.max_rounds = max_rounds;
-  dense_options.client_index = false;  // The historical dense full scan.
-  dense_options.threads = 1;
-  const LocalSearchResult dense =
-      local_search_placement(scenario.matrix, grid, initial, dense_options);
+  const LocalSearchResult dense = test_support::reference_local_search(
+      scenario.matrix, grid, initial, objective, max_rounds);
 
-  LocalSearchOptions sparse_options = dense_options;
-  sparse_options.client_index = true;
-  sparse_options.client_index_cap = 0;  // Uncapped = exact parity mode.
+  LocalSearchOptions sparse_options;
+  sparse_options.objective = &objective;
+  sparse_options.max_rounds = max_rounds;
+  sparse_options.threads = 1;
   const LocalSearchResult sparse =
       local_search_placement(scenario.matrix, grid, initial, sparse_options);
 
@@ -262,16 +265,14 @@ TEST(SparseSearchParity, KnnCandidateListCoveringAllSitesMatchesDense) {
   initial.site_of.resize(grid.universe_size());
   for (std::size_t u = 0; u < grid.universe_size(); ++u) initial.site_of[u] = u;
 
-  LocalSearchOptions dense_options;
-  dense_options.objective = &objective;
-  dense_options.client_index = false;
-  dense_options.threads = 1;
-  const LocalSearchResult dense =
-      local_search_placement(scenario.matrix, grid, initial, dense_options);
+  const LocalSearchOptions defaults;
+  const LocalSearchResult dense = test_support::reference_local_search(
+      scenario.matrix, grid, initial, objective, defaults.max_rounds);
 
   const net::KnnIndex knn{scenario.matrix};
-  LocalSearchOptions knn_options = dense_options;
-  knn_options.client_index = true;
+  LocalSearchOptions knn_options;
+  knn_options.objective = &objective;
+  knn_options.threads = 1;
   knn_options.candidate_knn = scenario.site_count();  // k >= n: full list.
   knn_options.knn = &knn;
   const LocalSearchResult sparse =
@@ -282,60 +283,60 @@ TEST(SparseSearchParity, KnnCandidateListCoveringAllSitesMatchesDense) {
   EXPECT_DOUBLE_EQ(sparse.objective, dense.objective);
 }
 
+/// The capped-index fixture: implicit spaces always take capped client
+/// lists, so a 2000-site sparse scenario with a 16-NN candidate list runs
+/// the approximate-ranking path with exact applies.
+struct CappedSearchCase {
+  sim::SparseScenario scenario = [] {
+    sim::ScenarioConfig config;
+    config.site_count = 2000;
+    return sim::make_sparse_scenario(config);
+  }();
+  net::KnnIndex knn{scenario.space};
+  ClosestStrategyObjective objective = scenario.closest_objective();
+  quorum::GridQuorum grid{5};
+  Placement initial = [this] {
+    Placement p;
+    for (std::size_t u = 0; u < grid.universe_size(); ++u) {
+      p.site_of.push_back(73 + 80 * u);
+    }
+    return p;
+  }();
+
+  LocalSearchResult search(std::size_t max_rounds) const {
+    LocalSearchOptions options;
+    options.objective = &objective;
+    options.knn = &knn;
+    options.candidate_knn = 16;
+    options.threads = 1;
+    options.max_rounds = max_rounds;
+    return local_search_placement(scenario.space, grid, initial, options);
+  }
+};
+
 TEST(SparseSearchParity, CappedIndexStillProducesImprovingSequence) {
   // Capped lists make candidate *ranking* approximate; applies stay exact,
   // so the result must still be a genuine improvement over the start.
-  const sim::Scenario scenario = sim::daxlist161_scenario();
-  const quorum::GridQuorum grid{7};
-  const ClosestStrategyObjective objective = scenario.closest_objective();
-  Placement initial;
-  initial.site_of.resize(grid.universe_size());
-  for (std::size_t u = 0; u < grid.universe_size(); ++u) initial.site_of[u] = u;
-  const double initial_objective = objective.evaluate(scenario.matrix, grid, initial);
-
-  LocalSearchOptions options;
-  options.objective = &objective;
-  options.max_rounds = 10;  // Improvement, not convergence — keep it cheap.
-  options.client_index = true;
-  options.client_index_cap = 16;
-  options.threads = 1;
-  const LocalSearchResult result =
-      local_search_placement(scenario.matrix, grid, initial, options);
+  const CappedSearchCase c;
+  const double initial_objective = c.search(0).objective;
+  const LocalSearchResult result = c.search(10);
   EXPECT_GT(result.moves, 0u);
   EXPECT_LT(result.objective, initial_objective);
-  result.placement.validate(scenario.site_count());
+  result.placement.validate(c.scenario.site_count());
 }
 
 TEST(SparseSearchParity, CappedIndexNeverAcceptsAWorseningMove) {
-  // Regression: on an implicit space the client lists default to capped,
-  // so the ranking is approximate. From this start the first round used to
-  // accept a candidate scored as improving that moved the exact objective
+  // Regression: on an implicit space the client lists are capped, so the
+  // ranking is approximate. From this start the first round used to accept
+  // a candidate scored as improving that moved the exact objective
   // 207.2676 -> 207.2946. Every applied move is now checked against the
   // exact objective and undone unless it improves.
-  sim::ScenarioConfig config;
-  config.site_count = 2000;
-  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
-  const net::KnnIndex knn{scenario.space};
-  const ClosestStrategyObjective objective = scenario.closest_objective();
-  const quorum::GridQuorum grid{5};
-  Placement initial;
-  for (std::size_t u = 0; u < grid.universe_size(); ++u) {
-    initial.site_of.push_back(73 + 80 * u);
-  }
-
-  LocalSearchOptions options;
-  options.objective = &objective;
-  options.knn = &knn;
-  options.candidate_knn = 16;
-  options.threads = 1;
-  options.max_rounds = 0;
-  double previous = local_search_placement(scenario.space, grid, initial, options).objective;
+  const CappedSearchCase c;
+  double previous = c.search(0).objective;
   for (std::size_t rounds = 1; rounds <= 3; ++rounds) {
-    options.max_rounds = rounds;
-    const LocalSearchResult result =
-        local_search_placement(scenario.space, grid, initial, options);
+    const LocalSearchResult result = c.search(rounds);
     EXPECT_LE(result.objective, previous) << "after " << rounds << " rounds";
-    const DeltaEvaluator fresh{scenario.space, grid, result.placement, objective};
+    const DeltaEvaluator fresh{c.scenario.space, c.grid, result.placement, c.objective};
     EXPECT_NEAR(fresh.objective(), result.objective, 1e-9);
     previous = result.objective;
   }
