@@ -139,7 +139,7 @@ DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
       system_(&system),
       objective_(&objective),
       placement_(placement),
-      mode_(Mode::Recompute) {
+      shape_(Shape::Generic) {
   placement_.validate(space.size());
   if (!objective.supports_delta()) {
     throw std::invalid_argument{
@@ -156,41 +156,30 @@ DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
   if (!client_weight_.empty() && client_weight_.size() != clients_) {
     throw std::invalid_argument{"DeltaEvaluator: client weight count != clients"};
   }
-  if (objective.access_strategy() == AccessStrategy::Closest) {
-    closest_ = true;
-    if (const auto* grid = dynamic_cast<const quorum::GridQuorum*>(&system)) {
-      mode_ = Mode::ClosestGrid;
-      side_ = grid->side();
-    } else if (const auto* majority =
-                   dynamic_cast<const quorum::MajorityQuorum*>(&system)) {
-      mode_ = Mode::ClosestMajority;
-      majority_q_ = majority->quorum_size();
-    } else if (system.enumerable(kEnumerationLimit)) {
-      mode_ = Mode::ClosestEnumerated;
-    } else {
-      throw std::invalid_argument{
-          "DeltaEvaluator: closest-strategy objective requires a Grid, Majority, "
-          "or enumerable quorum system"};
+  closest_ = objective.access_strategy() == AccessStrategy::Closest;
+  const auto* majority = dynamic_cast<const quorum::MajorityQuorum*>(&system);
+  if (!closest_) {
+    lambda_ = objective.element_loads(system);
+    load_aware_ = alpha_ != 0.0 && !lambda_.empty();
+    if (load_aware_ && lambda_.size() != n_) {
+      throw std::logic_error{"DeltaEvaluator: element_loads size mismatch"};
     }
-    rebuild();
-    return;
-  }
-  lambda_ = objective.element_loads(system);
-  load_aware_ = alpha_ != 0.0 && !lambda_.empty();
-  if (load_aware_ && lambda_.size() != n_) {
-    throw std::logic_error{"DeltaEvaluator: element_loads size mismatch"};
-  }
-  weights_ = system.order_stat_weights();
-  if (!weights_.empty()) {
-    if (weights_.size() != n_) {
+    weights_ = system.order_stat_weights();
+    if (!weights_.empty() && weights_.size() != n_) {
       throw std::logic_error{"DeltaEvaluator: order_stat_weights size mismatch"};
     }
-    mode_ = Mode::SortedWeights;
+  }
+  // Sorted: balanced needs the order-statistic weights, closest needs
+  // Majority's quorum size. Enumerated is balanced-only: the closest choice
+  // needs nothing beyond best_quorum, which Generic calls directly.
+  if (closest_ ? majority != nullptr : !weights_.empty()) {
+    shape_ = Shape::Sorted;
+    if (closest_) majority_q_ = majority->quorum_size();
   } else if (const auto* grid = dynamic_cast<const quorum::GridQuorum*>(&system)) {
-    mode_ = Mode::Grid;
+    shape_ = Shape::Grid;
     side_ = grid->side();
-  } else if (system.enumerable(kEnumerationLimit)) {
-    mode_ = Mode::Enumerated;
+  } else if (!closest_ && system.enumerable(kEnumerationLimit)) {
+    shape_ = Shape::Enumerated;
     quorums_ = system.enumerate_quorums(kEnumerationLimit);
     incident_.assign(n_, {});
     for (std::size_t l = 0; l < quorums_.size(); ++l) {
@@ -222,26 +211,6 @@ void DeltaEvaluator::gather_values(std::size_t v, double* out) const {
   }
 }
 
-void DeltaEvaluator::rebuild_sorted_client(std::size_t v) {
-  const double* w = weights_.data();
-  const double* y = sorted_.data() + v * n_;
-  double expectation = 0.0;
-  for (std::size_t i = 0; i < n_; ++i) expectation += y[i] * w[i];
-  client_sum_[v] = expectation;
-  // A[j] = sum_{i<j} y[i] (w[i+1] - w[i]) — the expectation change when
-  // the j smallest values all shift one rank up (an insertion below
-  // them); B[j] = sum_{1<=i<j} y[i] (w[i-1] - w[i]) — one rank down.
-  double* a = shift_up_.data() + v * n_;
-  double* b = shift_down_.data() + v * (n_ + 1);
-  a[0] = 0.0;
-  for (std::size_t j = 1; j < n_; ++j) a[j] = a[j - 1] + y[j - 1] * (w[j] - w[j - 1]);
-  b[0] = 0.0;
-  if (n_ >= 1) b[1] = 0.0;
-  for (std::size_t j = 2; j <= n_; ++j) {
-    b[j] = b[j - 1] + y[j - 1] * (w[j - 2] - w[j - 1]);
-  }
-}
-
 void DeltaEvaluator::repair_grid_client_tables(std::size_t v, std::size_t r0,
                                                std::size_t c0) {
   const std::size_t k = side_;
@@ -255,8 +224,10 @@ void DeltaEvaluator::repair_grid_client_tables(std::size_t v, std::size_t r0,
   m = neg_inf;
   for (std::size_t r = 0; r < k; ++r) m = std::max(m, vals[r * k + c0]);
   cm[c0] = m;
-  // Only row r0's row-exclusions and column c0's column-exclusions depend
-  // on the changed cell.
+  // row_excl[(r, c)] = max of row r without column c (so the new row maximum
+  // after placing `val` at (r, c) is max(row_excl, val) with no branch);
+  // col_excl is the transpose analogue. Only row r0's row-exclusions and
+  // column c0's column-exclusions depend on the changed cell.
   double* rex = row_excl_.data() + v * n_;
   double* cex = col_excl_.data() + v * n_;
   for (std::size_t c = 0; c < k; ++c) {
@@ -275,30 +246,169 @@ void DeltaEvaluator::repair_grid_client_tables(std::size_t v, std::size_t r0,
   }
 }
 
-void DeltaEvaluator::rebuild_grid_client_sums(std::size_t v) {
-  const std::size_t k = side_;
-  const double* rm = row_max_.data() + v * k;
-  const double* cm = col_max_.data() + v * k;
-  double* rqs = row_quorum_sum_.data() + v * k;
-  double* cqs = col_quorum_sum_.data() + v * k;
-  std::fill(rqs, rqs + k, 0.0);
-  std::fill(cqs, cqs + k, 0.0);
-  double sum = 0.0;
-  for (std::size_t r = 0; r < k; ++r) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const double quorum_max = std::max(rm[r], cm[c]);
-      rqs[r] += quorum_max;
-      cqs[c] += quorum_max;
-      sum += quorum_max;
+void DeltaEvaluator::refresh_quorum_max(std::size_t v, std::size_t l) {
+  const double* vals = values_.data() + v * n_;
+  double worst = -std::numeric_limits<double>::infinity();
+  for (std::size_t u : quorums_[l]) worst = std::max(worst, vals[u]);
+  quorum_max_[v * quorums_.size() + l] = worst;
+}
+
+void DeltaEvaluator::build_client_tables(std::size_t v) {
+  switch (shape_) {
+    case Shape::Sorted: {
+      double* y = sorted_.data() + v * n_;
+      if (closest_) {
+        const double* vals = values_.data() + v * n_;
+        std::copy(vals, vals + n_, y);
+      }
+      std::sort(y, y + n_);
+      break;
+    }
+    case Shape::Grid:
+      // Row i and column i for every i rewrite every maximum and exclusion.
+      for (std::size_t i = 0; i < side_; ++i) repair_grid_client_tables(v, i, i);
+      break;
+    case Shape::Enumerated:
+      for (std::size_t l = 0; l < quorums_.size(); ++l) refresh_quorum_max(v, l);
+      break;
+    case Shape::Generic:
+      break;
+  }
+}
+
+void DeltaEvaluator::repair_client_tables(std::size_t v, std::size_t element,
+                                          double old_value, double new_value) {
+  if (shape_ != Shape::Sorted || closest_) values_[v * n_ + element] = new_value;
+  switch (shape_) {
+    case Shape::Sorted: {
+      // Remove the (bit-exact) old value, insert the new one: the row's
+      // contents match a from-scratch sort of the updated multiset.
+      double* y = sorted_.data() + v * n_;
+      double* end = y + n_;
+      double* p = std::lower_bound(y, end, old_value);
+      QP_CHECK(p != end && *p == old_value,
+               "Sorted repair: the bit-exact old value vanished from the sorted row "
+               "(placement and tables out of sync)");
+      std::copy(p + 1, end, p);
+      double* ins = std::lower_bound(y, end - 1, new_value);
+      std::copy_backward(ins, end - 1, end);
+      *ins = new_value;
+      break;
+    }
+    case Shape::Grid:
+      repair_grid_client_tables(v, element / side_, element % side_);
+      break;
+    case Shape::Enumerated:
+      for (std::size_t l : incident_[element]) refresh_quorum_max(v, l);
+      break;
+    case Shape::Generic:
+      break;  // No tables beyond the row itself.
+  }
+}
+
+void DeltaEvaluator::settle_balanced_client(std::size_t v) {
+  double response = 0.0;
+  switch (shape_) {
+    case Shape::Sorted: {
+      const double* w = weights_.data();
+      const double* y = sorted_.data() + v * n_;
+      double expectation = 0.0;
+      for (std::size_t i = 0; i < n_; ++i) expectation += y[i] * w[i];
+      client_sum_[v] = response = expectation;
+      // A[j] = sum_{i<j} y[i] (w[i+1] - w[i]) — the expectation change when
+      // the j smallest values all shift one rank up (an insertion below
+      // them); B[j] = sum_{1<=i<j} y[i] (w[i-1] - w[i]) — one rank down.
+      double* a = shift_up_.data() + v * n_;
+      double* b = shift_down_.data() + v * (n_ + 1);
+      a[0] = 0.0;
+      for (std::size_t j = 1; j < n_; ++j) a[j] = a[j - 1] + y[j - 1] * (w[j] - w[j - 1]);
+      b[0] = 0.0;
+      if (n_ >= 1) b[1] = 0.0;
+      for (std::size_t j = 2; j <= n_; ++j) {
+        b[j] = b[j - 1] + y[j - 1] * (w[j - 2] - w[j - 1]);
+      }
+      break;
+    }
+    case Shape::Grid: {
+      // Per-row / per-column quorum-maxima sums from the row/col maxima.
+      const std::size_t k = side_;
+      const double* rm = row_max_.data() + v * k;
+      const double* cm = col_max_.data() + v * k;
+      double* rqs = row_quorum_sum_.data() + v * k;
+      double* cqs = col_quorum_sum_.data() + v * k;
+      std::fill(rqs, rqs + k, 0.0);
+      std::fill(cqs, cqs + k, 0.0);
+      double sum = 0.0;
+      for (std::size_t r = 0; r < k; ++r) {
+        for (std::size_t c = 0; c < k; ++c) {
+          const double quorum_max = std::max(rm[r], cm[c]);
+          rqs[r] += quorum_max;
+          cqs[c] += quorum_max;
+          sum += quorum_max;
+        }
+      }
+      client_sum_[v] = sum;
+      response = sum / static_cast<double>(n_);
+      break;
+    }
+    case Shape::Enumerated: {
+      const std::size_t count = quorums_.size();
+      const double* qmax = quorum_max_.data() + v * count;
+      double sum = 0.0;
+      for (std::size_t l = 0; l < count; ++l) sum += qmax[l];
+      client_sum_[v] = sum;
+      response = sum / static_cast<double>(count);
+      break;
+    }
+    case Shape::Generic: {
+      static thread_local std::vector<double> tl_scratch;
+      response = system_->expected_max_uniform_scratch(
+          std::span<const double>{values_.data() + v * n_, n_}, tl_scratch);
+      client_sum_[v] = response;
+      break;
     }
   }
-  client_sum_[v] = sum;
+  base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * response;
 }
 
 void DeltaEvaluator::rebuild() {
+  const std::size_t k = side_;
+  client_sum_.resize(clients_);
+  if (shape_ != Shape::Sorted || closest_) values_.resize(clients_ * n_);
+  switch (shape_) {
+    case Shape::Sorted:
+      sorted_.resize(clients_ * n_);
+      if (!closest_) {
+        shift_up_.resize(clients_ * n_);
+        shift_down_.resize(clients_ * (n_ + 1));
+      }
+      break;
+    case Shape::Grid:
+      row_max_.resize(clients_ * k);
+      col_max_.resize(clients_ * k);
+      row_excl_.resize(clients_ * n_);
+      col_excl_.resize(clients_ * n_);
+      if (!closest_) {
+        row_quorum_sum_.resize(clients_ * k);
+        col_quorum_sum_.resize(clients_ * k);
+      }
+      break;
+    case Shape::Enumerated:
+      quorum_max_.resize(clients_ * quorums_.size());
+      break;
+    case Shape::Generic:
+      break;
+  }
   if (closest_) {
-    rebuild_closest();
-    return;
+    chosen_quorum_.assign(clients_, {});
+    best_value_.resize(clients_);
+    if (shape_ == Shape::Grid) {
+      chosen_row_.resize(clients_);
+      chosen_col_.resize(clients_);
+    } else {
+      in_best_.assign(clients_ * n_, 0);
+    }
+    if (shape_ == Shape::Sorted) second_value_.resize(clients_);
   }
   if (load_aware_) {
     // Per-site load tables, recomputed from scratch so drift cannot
@@ -314,182 +424,18 @@ void DeltaEvaluator::rebuild() {
       site_term_[w] = alpha_ * site_load_[w];
     }
   }
-  client_sum_.resize(clients_);
   base_total_ = 0.0;
-  switch (mode_) {
-    case Mode::SortedWeights: {
-      sorted_.resize(clients_ * n_);
-      shift_up_.resize(clients_ * n_);
-      shift_down_.resize(clients_ * (n_ + 1));
-      for (std::size_t v = 0; v < clients_; ++v) {
-        double* y = sorted_.data() + v * n_;
-        gather_values(v, y);
-        std::sort(y, y + n_);
-        rebuild_sorted_client(v);
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * client_sum_[v];
-      }
-      break;
+  const bool gather_sorted = shape_ == Shape::Sorted && !closest_;  // No values_ row.
+  for (std::size_t v = 0; v < clients_; ++v) {
+    gather_values(v, (gather_sorted ? sorted_ : values_).data() + v * n_);
+    build_client_tables(v);
+    if (closest_) {
+      choose_closest_client(v);
+    } else {
+      settle_balanced_client(v);
     }
-    case Mode::Grid: {
-      const std::size_t k = side_;
-      const double neg_inf = -std::numeric_limits<double>::infinity();
-      values_.resize(clients_ * n_);
-      row_max_.resize(clients_ * k);
-      col_max_.resize(clients_ * k);
-      row_excl_.resize(clients_ * n_);
-      col_excl_.resize(clients_ * n_);
-      row_quorum_sum_.resize(clients_ * k);
-      col_quorum_sum_.resize(clients_ * k);
-      for (std::size_t v = 0; v < clients_; ++v) {
-        double* vals = values_.data() + v * n_;
-        gather_values(v, vals);
-        double* rm = row_max_.data() + v * k;
-        double* cm = col_max_.data() + v * k;
-        std::fill(rm, rm + k, neg_inf);
-        std::fill(cm, cm + k, neg_inf);
-        for (std::size_t r = 0; r < k; ++r) {
-          for (std::size_t c = 0; c < k; ++c) {
-            const double x = vals[r * k + c];
-            rm[r] = std::max(rm[r], x);
-            cm[c] = std::max(cm[c], x);
-          }
-        }
-        // row_excl[(r, c)] = max of row r without column c (so the new row
-        // maximum after placing `val` at (r, c) is max(row_excl, val) with
-        // no branch); col_excl is the transpose analogue.
-        double* rex = row_excl_.data() + v * n_;
-        double* cex = col_excl_.data() + v * n_;
-        for (std::size_t r = 0; r < k; ++r) {
-          for (std::size_t c = 0; c < k; ++c) {
-            double without = neg_inf;
-            for (std::size_t o = 0; o < k; ++o) {
-              if (o != c) without = std::max(without, vals[r * k + o]);
-            }
-            rex[r * k + c] = without;
-            without = neg_inf;
-            for (std::size_t o = 0; o < k; ++o) {
-              if (o != r) without = std::max(without, vals[o * k + c]);
-            }
-            cex[r * k + c] = without;
-          }
-        }
-        rebuild_grid_client_sums(v);
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
-                       (client_sum_[v] / static_cast<double>(n_));
-      }
-      break;
-    }
-    case Mode::Enumerated: {
-      const std::size_t count = quorums_.size();
-      values_.resize(clients_ * n_);
-      quorum_max_.resize(clients_ * count);
-      for (std::size_t v = 0; v < clients_; ++v) {
-        double* vals = values_.data() + v * n_;
-        gather_values(v, vals);
-        double* qmax = quorum_max_.data() + v * count;
-        double sum = 0.0;
-        for (std::size_t l = 0; l < count; ++l) {
-          double worst = -std::numeric_limits<double>::infinity();
-          for (std::size_t u : quorums_[l]) worst = std::max(worst, vals[u]);
-          qmax[l] = worst;
-          sum += worst;
-        }
-        client_sum_[v] = sum;
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
-                       (sum / static_cast<double>(count));
-      }
-      break;
-    }
-    case Mode::Recompute: {
-      values_.resize(clients_ * n_);
-      std::vector<double> scratch;
-      for (std::size_t v = 0; v < clients_; ++v) {
-        double* vals = values_.data() + v * n_;
-        gather_values(v, vals);
-        const double expectation = system_->expected_max_uniform_scratch(
-            std::span<const double>{vals, n_}, scratch);
-        client_sum_[v] = expectation;
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * expectation;
-      }
-      break;
-    }
-    default:
-      break;  // Closest modes handled above.
   }
-}
-
-void DeltaEvaluator::repair_single(std::size_t element, std::size_t site,
-                                   std::size_t old_site, double old_add, double new_add) {
-  base_total_ = 0.0;
-  switch (mode_) {
-    case Mode::SortedWeights: {
-      for (std::size_t v = 0; v < clients_; ++v) {
-        const double old_value = site_rtt(v, old_site) + old_add;
-        const double new_value = site_rtt(v, site) + new_add;
-        double* y = sorted_.data() + v * n_;
-        double* end = y + n_;
-        // Remove the (bit-exact) old value, insert the new one: the row's
-        // contents match a from-scratch sort of the updated multiset.
-        double* p = std::lower_bound(y, end, old_value);
-        QP_CHECK(p != end && *p == old_value,
-                 "SortedWeights repair: the bit-exact old value vanished from the "
-                 "sorted row (placement and tables out of sync)");
-        std::copy(p + 1, end, p);
-        double* ins = std::lower_bound(y, end - 1, new_value);
-        std::copy_backward(ins, end - 1, end);
-        *ins = new_value;
-        rebuild_sorted_client(v);
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * client_sum_[v];
-      }
-      break;
-    }
-    case Mode::Grid: {
-      const std::size_t k = side_;
-      const std::size_t r0 = element / k;
-      const std::size_t c0 = element % k;
-      for (std::size_t v = 0; v < clients_; ++v) {
-        values_[v * n_ + element] = site_rtt(v, site) + new_add;
-        repair_grid_client_tables(v, r0, c0);
-        rebuild_grid_client_sums(v);
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
-                       (client_sum_[v] / static_cast<double>(n_));
-      }
-      break;
-    }
-    case Mode::Enumerated: {
-      const std::size_t count = quorums_.size();
-      for (std::size_t v = 0; v < clients_; ++v) {
-        double* vals = values_.data() + v * n_;
-        vals[element] = site_rtt(v, site) + new_add;
-        double* qmax = quorum_max_.data() + v * count;
-        for (std::size_t l : incident_[element]) {
-          double worst = -std::numeric_limits<double>::infinity();
-          for (std::size_t u : quorums_[l]) worst = std::max(worst, vals[u]);
-          qmax[l] = worst;
-        }
-        double sum = 0.0;
-        for (std::size_t l = 0; l < count; ++l) sum += qmax[l];
-        client_sum_[v] = sum;
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
-                       (sum / static_cast<double>(count));
-      }
-      break;
-    }
-    case Mode::Recompute: {
-      std::vector<double> scratch;
-      for (std::size_t v = 0; v < clients_; ++v) {
-        double* vals = values_.data() + v * n_;
-        vals[element] = site_rtt(v, site) + new_add;
-        const double expectation = system_->expected_max_uniform_scratch(
-            std::span<const double>{vals, n_}, scratch);
-        client_sum_[v] = expectation;
-        base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * expectation;
-      }
-      break;
-    }
-    default:
-      break;  // Closest modes never reach the balanced repair.
-  }
+  if (closest_) rebuild_closest_loads_and_rho();
 }
 
 double DeltaEvaluator::client_delta_sorted(std::size_t client, double old_value,
@@ -525,22 +471,27 @@ double DeltaEvaluator::objective_if_moved_general(std::size_t element,
   // endpoint sites and hence the value of every element they host: patch a
   // full per-client value vector against the post-move load terms. Thread-
   // local buffers keep the const method allocation-free in steady state AND
-  // safe under a parallel neighborhood scan.
+  // safe under a parallel neighborhood scan. Generic shapes keep no candidate
+  // tables and take this path for every move, load-aware or not.
   const std::size_t old_site = placement_.site_of[element];
   static thread_local std::vector<double> tl_term;
   static thread_local std::vector<std::size_t> tl_sites;
   static thread_local std::vector<double> tl_values;
   static thread_local std::vector<double> tl_scratch;
-  tl_term.assign(site_term_.begin(), site_term_.end());
-  tl_term[old_site] = alpha_ * (site_load_[old_site] - lambda_[element]);
-  tl_term[site] = alpha_ * (site_load_[site] + lambda_[element]);
+  if (load_aware_) {
+    tl_term.assign(site_term_.begin(), site_term_.end());
+    tl_term[old_site] = alpha_ * (site_load_[old_site] - lambda_[element]);
+    tl_term[site] = alpha_ * (site_load_[site] + lambda_[element]);
+  }
   tl_sites.assign(placement_.site_of.begin(), placement_.site_of.end());
   tl_sites[element] = site;
   tl_values.resize(n_);
   double total = 0.0;
   for (std::size_t v = 0; v < clients_; ++v) {
     space_->fill_rtts(v, tl_sites.data(), n_, tl_values.data());
-    for (std::size_t u = 0; u < n_; ++u) tl_values[u] += tl_term[tl_sites[u]];
+    if (load_aware_) {
+      for (std::size_t u = 0; u < n_; ++u) tl_values[u] += tl_term[tl_sites[u]];
+    }
     const double expectation = system_->expected_max_uniform_scratch(tl_values, tl_scratch);
     total += (client_weight_.empty() ? 1.0 : client_weight_[v]) * expectation;
   }
@@ -559,21 +510,22 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
   }
   // Per-coordinate additive load terms of the candidate values. The cached
   // tables answer single-coordinate moves only; a load-aware move touching a
-  // co-hosted site perturbs other coordinates too and takes the general path.
+  // co-hosted site perturbs other coordinates too and takes the general path,
+  // as does every move of a Generic shape.
+  if (shape_ == Shape::Generic || shifts_load(old_site, site)) {
+    c_de_general.add();
+    return objective_if_moved_general(element, site);
+  }
   double old_add = 0.0;
   double new_add = 0.0;
   if (load_aware_) {
-    if (hosted_count_[old_site] != 1 || hosted_count_[site] != 0) {
-      c_de_general.add();
-      return objective_if_moved_general(element, site);
-    }
     old_add = site_term_[old_site];
     new_add = alpha_ * (site_load_[site] + lambda_[element]);
   }
   c_de_fast.add();
   double total = 0.0;
-  switch (mode_) {
-    case Mode::SortedWeights: {
+  switch (shape_) {
+    case Shape::Sorted: {
       for (std::size_t v = 0; v < clients_; ++v) {
         const double term =
             client_sum_[v] + client_delta_sorted(v, site_rtt(v, old_site) + old_add,
@@ -582,7 +534,7 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
       }
       break;
     }
-    case Mode::Grid: {
+    case Shape::Grid: {
       const std::size_t k = side_;
       const std::size_t r0 = element / k;
       const std::size_t c0 = element % k;
@@ -611,7 +563,7 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
       }
       break;
     }
-    case Mode::Enumerated: {
+    case Shape::Enumerated: {
       const std::size_t count = quorums_.size();
       for (std::size_t v = 0; v < clients_; ++v) {
         const double val = site_rtt(v, site) + new_add;
@@ -630,114 +582,66 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
       }
       break;
     }
-    case Mode::Recompute: {
-      // Thread-local buffers keep the const method allocation-free in steady
-      // state AND safe under a parallel neighborhood scan.
-      static thread_local std::vector<double> tl_values;
-      static thread_local std::vector<double> tl_scratch;
-      for (std::size_t v = 0; v < clients_; ++v) {
-        const double* vals = values_.data() + v * n_;
-        tl_values.assign(vals, vals + n_);
-        tl_values[element] = site_rtt(v, site) + new_add;
-        const double expectation =
-            system_->expected_max_uniform_scratch(tl_values, tl_scratch);
-        total += (client_weight_.empty() ? 1.0 : client_weight_[v]) * expectation;
-      }
-      break;
-    }
-    default:
-      break;  // Closest modes dispatched above.
+    case Shape::Generic:
+      break;  // Routed to the general path above.
   }
   return client_weight_.empty() ? total / static_cast<double>(clients_) : total;
 }
 
 // ---------------------------------------------------------------- Closest.
 
-void DeltaEvaluator::rebuild_closest() {
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::size_t k = side_;
-  values_.resize(clients_ * n_);
-  best_value_.resize(clients_);
-  client_sum_.resize(clients_);
-  chosen_quorum_.assign(clients_, {});
-  if (mode_ == Mode::ClosestMajority) {
-    sorted_.resize(clients_ * n_);
-    second_value_.resize(clients_);
-    in_best_.assign(clients_ * n_, 0);
-  } else if (mode_ == Mode::ClosestGrid) {
-    row_max_.resize(clients_ * k);
-    col_max_.resize(clients_ * k);
-    row_excl_.resize(clients_ * n_);
-    col_excl_.resize(clients_ * n_);
-    chosen_row_.resize(clients_);
-    chosen_col_.resize(clients_);
-  } else {
-    in_best_.assign(clients_ * n_, 0);
+void DeltaEvaluator::choose_closest_client(std::size_t v) {
+  const double* vals = values_.data() + v * n_;
+  switch (shape_) {
+    case Shape::Sorted:
+      majority_select(
+          n_, majority_q_, sorted_[v * n_ + majority_q_ - 1],
+          [&](std::size_t u) { return vals[u]; }, chosen_quorum_[v]);
+      break;
+    case Shape::Grid: {
+      const std::size_t k = side_;
+      const GridCell best =
+          grid_argmin(row_max_.data() + v * k, col_max_.data() + v * k, k, k, 0.0, k, 0.0);
+      chosen_row_[v] = best.row;
+      chosen_col_[v] = best.col;
+      for_each_grid_element(k, best.row, best.col,
+                            [&](std::size_t e) { chosen_quorum_[v].push_back(e); });
+      break;
+    }
+    case Shape::Enumerated:  // Balanced-only; see the constructor.
+    case Shape::Generic:
+      chosen_quorum_[v] = system_->best_quorum(std::span<const double>{vals, n_});
+      break;
   }
-  for (std::size_t v = 0; v < clients_; ++v) {
-    double* vals = values_.data() + v * n_;
-    space_->fill_rtts(v, placement_.site_of.data(), n_, vals);
-    switch (mode_) {
-      case Mode::ClosestMajority: {
-        double* y = sorted_.data() + v * n_;
-        std::copy(vals, vals + n_, y);
-        std::sort(y, y + n_);
-        best_value_[v] = y[majority_q_ - 1];
-        second_value_[v] = majority_q_ < n_ ? y[majority_q_] : inf;
-        majority_select(
-            n_, majority_q_, best_value_[v], [&](std::size_t u) { return vals[u]; },
-            chosen_quorum_[v]);
-        for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 1;
-        break;
-      }
-      case Mode::ClosestGrid: {
-        const double neg_inf = -inf;
-        double* rm = row_max_.data() + v * k;
-        double* cm = col_max_.data() + v * k;
-        std::fill(rm, rm + k, neg_inf);
-        std::fill(cm, cm + k, neg_inf);
-        for (std::size_t r = 0; r < k; ++r) {
-          for (std::size_t c = 0; c < k; ++c) {
-            const double x = vals[r * k + c];
-            rm[r] = std::max(rm[r], x);
-            cm[c] = std::max(cm[c], x);
-          }
-        }
-        double* rex = row_excl_.data() + v * n_;
-        double* cex = col_excl_.data() + v * n_;
-        for (std::size_t r = 0; r < k; ++r) {
-          for (std::size_t c = 0; c < k; ++c) {
-            double without = neg_inf;
-            for (std::size_t o = 0; o < k; ++o) {
-              if (o != c) without = std::max(without, vals[r * k + o]);
-            }
-            rex[r * k + c] = without;
-            without = neg_inf;
-            for (std::size_t o = 0; o < k; ++o) {
-              if (o != r) without = std::max(without, vals[o * k + c]);
-            }
-            cex[r * k + c] = without;
-          }
-        }
-        const GridCell best = grid_argmin(rm, cm, k, k, 0.0, k, 0.0);
-        chosen_row_[v] = best.row;
-        chosen_col_[v] = best.col;
-        best_value_[v] = best.value;
-        for_each_grid_element(k, best.row, best.col,
-                              [&](std::size_t e) { chosen_quorum_[v].push_back(e); });
-        break;
-      }
-      default: {  // ClosestEnumerated
-        chosen_quorum_[v] = system_->best_quorum(std::span<const double>{vals, n_});
-        double worst = 0.0;
-        for (std::size_t e : chosen_quorum_[v]) worst = std::max(worst, vals[e]);
-        best_value_[v] = worst;
-        for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 1;
-        break;
-      }
+  if (shape_ != Shape::Grid) {
+    for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 1;
+  }
+  settle_closest_client(v);
+}
+
+void DeltaEvaluator::settle_closest_client(std::size_t v) {
+  switch (shape_) {
+    case Shape::Sorted: {
+      const double* y = sorted_.data() + v * n_;
+      best_value_[v] = y[majority_q_ - 1];
+      second_value_[v] =
+          majority_q_ < n_ ? y[majority_q_] : std::numeric_limits<double>::infinity();
+      break;
+    }
+    case Shape::Grid:
+      // The chosen cell's quorum max — the argmin's value (max is exact).
+      best_value_[v] = std::max(row_max_[v * side_ + chosen_row_[v]],
+                                col_max_[v * side_ + chosen_col_[v]]);
+      break;
+    case Shape::Enumerated:
+    case Shape::Generic: {
+      const double* vals = values_.data() + v * n_;
+      double worst = 0.0;
+      for (std::size_t e : chosen_quorum_[v]) worst = std::max(worst, vals[e]);
+      best_value_[v] = worst;
+      break;
     }
   }
-  rebuild_closest_loads_and_rho();
 }
 
 void DeltaEvaluator::rebuild_closest_loads_and_rho() {
@@ -748,22 +652,30 @@ void DeltaEvaluator::rebuild_closest_loads_and_rho() {
       closest_load_[placement_.site_of[e]] += w;
     }
   }
+  for (std::size_t v = 0; v < clients_; ++v) reprice_closest_client(v);
+  sum_client_responses();
+  if (candidate_index_ != nullptr) rebuild_charge_index();
+}
+
+void DeltaEvaluator::reprice_closest_client(std::size_t v) {
+  const double* vals = values_.data() + v * n_;
+  double worst = 0.0;
+  for (std::size_t e : chosen_quorum_[v]) {
+    worst = std::max(worst, vals[e] + alpha_ * closest_load_[placement_.site_of[e]]);
+  }
+  client_sum_[v] = worst;
+}
+
+void DeltaEvaluator::sum_client_responses() {
   base_total_ = 0.0;
   for (std::size_t v = 0; v < clients_; ++v) {
-    const double* vals = values_.data() + v * n_;
-    double worst = 0.0;
-    for (std::size_t e : chosen_quorum_[v]) {
-      worst = std::max(worst, vals[e] + alpha_ * closest_load_[placement_.site_of[e]]);
-    }
-    client_sum_[v] = worst;
-    base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * worst;
+    base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * client_sum_[v];
   }
-  if (candidate_index_ != nullptr) rebuild_charge_index();
 }
 
 DeltaEvaluator::ClosestMove DeltaEvaluator::closest_move(std::size_t element,
                                                          std::size_t site) const {
-  const bool grid = mode_ == Mode::ClosestGrid;
+  const bool grid = shape_ == Shape::Grid;
   return ClosestMove{element, placement_.site_of[element], site,
                      grid ? element / side_ : 0, grid ? element % side_ : 0};
 }
@@ -774,13 +686,13 @@ DeltaEvaluator::ClosestVerdict DeltaEvaluator::classify_closest(
   ClosestVerdict verdict;
   const std::size_t element = move.element;
   const std::size_t k = side_;
-  const bool contains_u = mode_ == Mode::ClosestGrid
+  const bool contains_u = shape_ == Shape::Grid
                               ? (chosen_row_[v] == move.row || chosen_col_[v] == move.col)
                               : in_best_[v * n_ + element] != 0;
   // Every quorum containing u got strictly worse than the unchanged best.
   if (!contains_u && d_new > best_value_[v]) return verdict;
-  switch (mode_) {
-    case Mode::ClosestMajority: {
+  switch (shape_) {
+    case Shape::Sorted: {
       if (contains_u && (majority_q_ == n_ || d_new < second_value_[v])) {
         verdict.choice = ClosestChoice::KeepsSlot;  // u stays among the q nearest.
         return verdict;
@@ -795,14 +707,13 @@ DeltaEvaluator::ClosestVerdict DeltaEvaluator::classify_closest(
           [&](std::size_t u) { return u == element ? d_new : vals[u]; }, chosen);
       break;
     }
-    case Mode::ClosestGrid: {
+    case Shape::Grid: {
       const GridCell best =
           grid_argmin(row_max_.data() + v * k, col_max_.data() + v * k, k, move.row,
                       std::max(row_excl_[v * n_ + element], d_new), move.col,
                       std::max(col_excl_[v * n_ + element], d_new));
       verdict.row = best.row;
       verdict.col = best.col;
-      verdict.value = best.value;
       if (best.row == chosen_row_[v] && best.col == chosen_col_[v]) {
         // The same cell still wins: u keeps its slot in it, or it never
         // held one.
@@ -813,7 +724,8 @@ DeltaEvaluator::ClosestVerdict DeltaEvaluator::classify_closest(
                             [&](std::size_t e) { chosen.push_back(e); });
       break;
     }
-    default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
+    case Shape::Enumerated:  // Balanced-only; see the constructor.
+    case Shape::Generic: {   // Tree's DP tie-breaking is its own.
       static thread_local std::vector<double> tl_row;
       const double* vals = values_.data() + v * n_;
       tl_row.assign(vals, vals + n_);
@@ -922,7 +834,6 @@ double DeltaEvaluator::closest_if_moved(std::size_t element, std::size_t site) c
 }
 
 void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
-  const double inf = std::numeric_limits<double>::infinity();
   const ClosestMove move = closest_move(element, site);
   std::vector<std::size_t> rechosen;
   // With charge lists maintained, record the clients whose charge set moves
@@ -933,14 +844,12 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
   std::vector<std::pair<std::size_t, std::size_t>> new_charges;  // (site, v).
   std::vector<std::size_t> affected_sites;
   for (std::size_t v = 0; v < clients_; ++v) {
-    double* vals = values_.data() + v * n_;
-    const double d_old = vals[element];
+    const double d_old = values_[v * n_ + element];
     const double d_new = site_rtt(v, site);
     // Classified against the pre-repair tables, exactly as the candidate
     // evaluation saw this move.
     rechosen.clear();
     const ClosestVerdict verdict = classify_closest(v, move, d_new, rechosen);
-    const bool flip = verdict.choice == ClosestChoice::Rechosen;
     const bool touched = incremental && verdict.choice != ClosestChoice::Unchanged;
     if (touched) {
       // Old charges, under the pre-move placement and pre-repair choice.
@@ -949,48 +858,19 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
         affected_sites.push_back(placement_.site_of[e]);
       }
     }
-    vals[element] = d_new;
-    switch (mode_) {
-      case Mode::ClosestMajority: {
-        double* y = sorted_.data() + v * n_;
-        double* end = y + n_;
-        double* p = std::lower_bound(y, end, d_old);
-        QP_CHECK(p != end && *p == d_old,
-                 "ClosestMajority repair: the bit-exact old value vanished from the "
-                 "sorted row (placement and tables out of sync)");
-        std::copy(p + 1, end, p);
-        double* ins = std::lower_bound(y, end - 1, d_new);
-        std::copy_backward(ins, end - 1, end);
-        *ins = d_new;
-        best_value_[v] = y[majority_q_ - 1];
-        second_value_[v] = majority_q_ < n_ ? y[majority_q_] : inf;
-        break;
-      }
-      case Mode::ClosestGrid: {
-        repair_grid_client_tables(v, move.row, move.col);
-        if (verdict.choice != ClosestChoice::Unchanged) {
-          chosen_row_[v] = verdict.row;
-          chosen_col_[v] = verdict.col;
-          best_value_[v] = verdict.value;
-        }
-        break;
-      }
-      default: {  // ClosestEnumerated
-        if (flip) {
-          double worst = 0.0;
-          for (std::size_t e : rechosen) worst = std::max(worst, vals[e]);
-          best_value_[v] = worst;
-        }
-        break;
-      }
-    }
-    if (flip) {
-      if (mode_ != Mode::ClosestGrid) {
+    repair_client_tables(v, element, d_old, d_new);
+    if (verdict.choice == ClosestChoice::Rechosen) {
+      if (shape_ != Shape::Grid) {
         for (std::size_t e : chosen_quorum_[v]) in_best_[v * n_ + e] = 0;
         for (std::size_t e : rechosen) in_best_[v * n_ + e] = 1;
       }
       chosen_quorum_[v].assign(rechosen.begin(), rechosen.end());
     }
+    if (shape_ == Shape::Grid && verdict.choice != ClosestChoice::Unchanged) {
+      chosen_row_[v] = verdict.row;
+      chosen_col_[v] = verdict.col;
+    }
+    settle_closest_client(v);
     if (touched) {
       // New charges, under the post-move placement and repaired choice.
       for (std::size_t e : chosen_quorum_[v]) {
@@ -1036,6 +916,10 @@ void DeltaEvaluator::rebuild_charge_index() {
       charge_lists_[placement_.site_of[e]].push_back(v);
     }
   }
+  refresh_overflow_clients();
+}
+
+void DeltaEvaluator::refresh_overflow_clients() {
   // Clients whose m1 outgrew their list's covered radius fall back to being
   // classified on every candidate — that keeps uncapped evaluation exact as
   // the placement drifts away from the radii the lists were built with.
@@ -1111,30 +995,13 @@ void DeltaEvaluator::reaccumulate_closest_dirty(
     for (std::size_t v : charge_lists_[s]) reprice_client_[v] = 1;
   }
   for (std::size_t v = 0; v < clients_; ++v) {
-    if (reprice_client_[v] == 0) continue;
-    const double* vals = values_.data() + v * n_;
-    double worst = 0.0;
-    for (std::size_t e : chosen_quorum_[v]) {
-      worst = std::max(worst, vals[e] + alpha_ * closest_load_[placement_.site_of[e]]);
-    }
-    client_sum_[v] = worst;
+    if (reprice_client_[v] != 0) reprice_closest_client(v);
   }
-  base_total_ = 0.0;
-  for (std::size_t v = 0; v < clients_; ++v) {
-    base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * client_sum_[v];
-  }
+  sum_client_responses();
 
   for (std::size_t v : touched_clients) dirty_client_[v] = 0;
   std::fill(reprice_client_.begin(), reprice_client_.end(), 0);
-
-  overflow_clients_.clear();
-  if (!candidate_index_->capped()) {
-    for (std::size_t v = 0; v < clients_; ++v) {
-      if (best_value_[v] > candidate_index_->covered_radius(v)) {
-        overflow_clients_.push_back(v);
-      }
-    }
-  }
+  refresh_overflow_clients();
 }
 
 double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
@@ -1297,11 +1164,11 @@ void DeltaEvaluator::apply_move(std::size_t element, std::size_t site) {
     if (site != old_site) apply_move_closest(element, site);
   } else if (site == old_site) {
     // No-op move: nothing to repair.
-  } else if (load_aware_ &&
-             (hosted_count_[old_site] != 1 || hosted_count_[site] != 0)) {
-    // Colocating (or de-colocating) load-aware move: many coordinates shift,
-    // so rebuild from scratch. The one-to-one local search never takes this
-    // path; it exists for arbitrary apply_move callers.
+  } else if (shape_ == Shape::Generic || shifts_load(old_site, site)) {
+    // Generic shapes keep no tables to repair. A colocating (or
+    // de-colocating) load-aware move shifts many coordinates; the one-to-one
+    // local search never takes that path, it exists for arbitrary apply_move
+    // callers. Both rebuild from scratch.
     c_de_rebuilds.add();
     placement_.site_of[element] = site;
     rebuild();
@@ -1320,7 +1187,13 @@ void DeltaEvaluator::apply_move(std::size_t element, std::size_t site) {
       site_term_[site] = alpha_ * site_load_[site];
     }
     placement_.site_of[element] = site;
-    repair_single(element, site, old_site, old_add, new_add);
+    // Single-coordinate repair of every client's tables.
+    base_total_ = 0.0;
+    for (std::size_t v = 0; v < clients_; ++v) {
+      repair_client_tables(v, element, site_rtt(v, old_site) + old_add,
+                           site_rtt(v, site) + new_add);
+      settle_balanced_client(v);
+    }
   }
 #if QP_PARITY_AUDIT_ENABLED
   // Parity against the naive objective: the repaired base must match a full

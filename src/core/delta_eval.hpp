@@ -7,27 +7,30 @@
 // (w_v are the objective's demand shares; empty = uniform 1/|V|, evaluated
 // by the historical unweighted arithmetic).
 //
-// Balanced strategy (R = E_uniform[max x]): relocating one element changes
-// exactly one coordinate of every client's per-element value vector when
-// alpha = 0, and also when an alpha > 0 move relocates a solely-hosted
-// element to an unused site (the invariant of the one-to-one local search):
-// load_f at the old site is exactly the element's own lambda_u, which
-// follows it to the new site. The cached per-client state then answers
-// candidate moves without re-sorting:
+// The per-client tables are keyed by the quorum system's *shape*, chosen
+// once at construction; both access strategies build and repair them with
+// the same shape-keyed code, over x_f rows (balanced) or distance rows
+// (closest):
 //
-//   * SortedWeights (Majority, Singleton — any exchangeable system exposing
-//     QuorumSystem::order_stat_weights): per-client ASCENDING-sorted value
-//     arrays plus prefix sums of the weight differences. A relocation is an
-//     O(log n) remove/insert position search plus O(1) arithmetic per client,
-//     against the naive O(n log n) copy+sort+dot.
-//   * Grid: per-client row/column maxima and the total quorum-maxima sum;
-//     a relocation touches one row and one column, O(k) per client against
-//     the naive O(k^2) rebuild.
-//   * Enumerated (FPP, Tree, and any system enumerable within 50k quorums):
-//     per-client per-quorum maxima; a relocation only revisits the quorums
-//     containing the moved element.
-//   * Recompute: allocation-free full re-evaluation per client — correctness
-//     fallback for systems fitting none of the above.
+//   * Sorted: ascending-sorted rows. Balanced: systems exposing
+//     QuorumSystem::order_stat_weights (Majority, Singleton), plus prefix
+//     sums of the weight differences; closest: Majority.
+//   * Grid: row/column maxima and exclusion tables (balanced adds the
+//     per-row/column quorum-maxima sums).
+//   * Enumerated (balanced only; FPP, Tree, any system enumerable within
+//     50k quorums): per-quorum maxima.
+//   * Generic: the rows alone. Balanced candidates re-evaluate each client
+//     in full (e.g. Tree of height 4); the closest choice needs only
+//     QuorumSystem::best_quorum, so every other system lands here.
+//
+// Balanced strategy (R = E_uniform[max x]): relocating one element changes
+// exactly one coordinate of every client's value row when alpha = 0, and
+// also when an alpha > 0 move relocates a solely-hosted element to an
+// unused site (the invariant of the one-to-one local search): load_f at the
+// old site is exactly the element's own lambda_u, which follows it. The
+// tables then answer a candidate per client in O(log n) (Sorted: position
+// search plus O(1) arithmetic, against the naive copy+sort+dot), O(k)
+// (Grid: one row and one column) or over the incident quorums (Enumerated).
 //
 // Moves that colocate elements (either endpoint hosts anything else) shift
 // load_f at both sites and hence every colocated element's value; those fall
@@ -52,7 +55,7 @@
 //     system's best_quorum tie-breaking (Majority's (value, index)
 //     selection from a patched O(log n) rank, Grid's flattened first-wins
 //     argmin in O(k), bitwise equal to the k*k scan) from the cached
-//     tables, or calling best_quorum itself for enumerated systems (Tree's
+//     tables, or calling best_quorum itself for Generic systems (Tree's
 //     DP tie-breaking is not scan order) — so colocated placements (which
 //     tie constantly) stay in exact parity with the naive closest
 //     evaluation.
@@ -64,7 +67,7 @@
 // responses from the repaired tables so floating-point drift cannot
 // compound across moves.
 //
-// All modes return values within ~1e-12 of Objective::evaluate (summation
+// All shapes return values within ~1e-12 of Objective::evaluate (summation
 // order differs, so bit-identity is not guaranteed), and apply_move audits
 // that parity via QP_PARITY_ASSERT when QP_CHECK_LEVEL >= 2 (see
 // common/check.hpp; the asan preset arms it). objective_if_moved is const
@@ -94,8 +97,9 @@ class DeltaEvaluator {
   /// copied. The space may be a dense LatencyMatrix or any implicit
   /// LatencySpace (e.g. a LatencyEmbedding) — results are identical doubles
   /// whenever the two agree pairwise. The two-argument form evaluates pure
-  /// network delay. Throws std::invalid_argument for a closest-strategy
-  /// objective on a system that is neither Grid, Majority, nor enumerable.
+  /// network delay. Throws std::invalid_argument for an objective without
+  /// delta support, a placement whose size is not the system's universe
+  /// size, or client weights whose count is not the site count.
   DeltaEvaluator(const net::LatencySpace& space, const quorum::QuorumSystem& system,
                  const Placement& placement, const Objective& objective);
   DeltaEvaluator(const net::LatencySpace& space, const quorum::QuorumSystem& system,
@@ -115,16 +119,17 @@ class DeltaEvaluator {
   /// Commits the relocation with per-move incremental repair of the cached
   /// distance/load/quorum-choice tables (per-client sums are reaccumulated
   /// from the repaired tables, so drift cannot compound); colocating moves
-  /// under a load-aware balanced objective fall back to a full rebuild.
+  /// under a load-aware balanced objective, and every balanced move on a
+  /// Generic shape, fall back to a full rebuild.
   void apply_move(std::size_t element, std::size_t site);
 
-  /// True when the objective uses the closest access strategy (the modes
-  /// that can route candidate evaluation through a ClientCandidateIndex).
+  /// True when the objective uses the closest access strategy (the only
+  /// one that can route candidate evaluation through a ClientCandidateIndex).
   [[nodiscard]] bool closest_strategy() const noexcept { return closest_; }
 
-  /// Closest modes: the current per-client chosen-quorum network value m1 —
-  /// the coverage radii a ClientCandidateIndex should be built from. Empty
-  /// for balanced modes.
+  /// Closest strategy: the current per-client chosen-quorum network value
+  /// m1 — the coverage radii a ClientCandidateIndex should be built from.
+  /// Empty for balanced objectives.
   [[nodiscard]] std::span<const double> best_values() const noexcept {
     return closest_ ? std::span<const double>{best_value_} : std::span<const double>{};
   }
@@ -142,34 +147,36 @@ class DeltaEvaluator {
   void attach_candidate_index(const ClientCandidateIndex* index);
 
  private:
-  enum class Mode {
-    SortedWeights,
-    Grid,
-    Enumerated,
-    Recompute,
-    ClosestGrid,
-    ClosestMajority,
-    ClosestEnumerated,
-  };
+  /// Quorum shape of the per-client tables (see the file comment).
+  enum class Shape : std::uint8_t { Sorted, Grid, Enumerated, Generic };
 
+  /// Sizes the shape's tables and rebuilds every client from the placement.
   void rebuild();
-  /// Per-client sorted-row prefix sums + expectation from sorted_ (see
-  /// rebuild); shared by rebuild and the single-coordinate repair.
-  void rebuild_sorted_client(std::size_t v);
-  /// Per-client Grid quorum-sum tables from row/col maxima; shared likewise.
-  void rebuild_grid_client_sums(std::size_t v);
-  /// Repairs client v's Grid row/col maxima and exclusion tables after the
-  /// single cell (r0, c0) of values_ changed — shared by the balanced
-  /// single-coordinate repair and the closest-mode apply path.
+  /// Builds client v's shape tables from its freshly gathered row.
+  void build_client_tables(std::size_t v);
+  /// Repairs client v's row and shape tables after coordinate `element`
+  /// changed from old_value to new_value (bit-exact) — shared by the
+  /// balanced and closest apply paths.
+  void repair_client_tables(std::size_t v, std::size_t element, double old_value,
+                            double new_value);
+  /// Balanced: derives client v's sum/expectation (and Sorted prefix sums,
+  /// Grid quorum sums) from its shape tables and adds its weighted response
+  /// into base_total_.
+  void settle_balanced_client(std::size_t v);
+  /// Rewrites client v's Grid row r0 / column c0 maxima and exclusion
+  /// entries from values_.
   void repair_grid_client_tables(std::size_t v, std::size_t r0, std::size_t c0);
-  /// x_f(v, u) for every element into `out` (size n_).
+  /// Enumerated: client v's maximum over quorum l.
+  void refresh_quorum_max(std::size_t v, std::size_t l);
+  /// x_f(v, u) for every element into `out` (size n_); the pure distance
+  /// row for the closest strategy, which never sets load_aware_.
   void gather_values(std::size_t v, double* out) const;
-  /// Single-coordinate repair of the balanced-mode tables after
-  /// placement_.site_of[element] changed old_site -> site. old_add/new_add
-  /// are the alpha-scaled load terms of the old and new coordinate value.
-  void repair_single(std::size_t element, std::size_t site, std::size_t old_site,
-                     double old_add, double new_add);
-  /// Fallback for load-shifting (colocated) moves: per-client patched
+  /// True when a load-aware move off `old_site` onto `site` shifts load_f
+  /// under other elements (either endpoint hosts anything else).
+  [[nodiscard]] bool shifts_load(std::size_t old_site, std::size_t site) const noexcept {
+    return load_aware_ && (hosted_count_[old_site] != 1 || hosted_count_[site] != 0);
+  }
+  /// Generic shapes and load-shifting (colocated) moves: per-client patched
   /// re-evaluation against the post-move load tables.
   [[nodiscard]] double objective_if_moved_general(std::size_t element,
                                                   std::size_t site) const;
@@ -177,10 +184,18 @@ class DeltaEvaluator {
                                            double new_value) const;
 
   // ---- Closest-strategy machinery (see file comment). ----
-  void rebuild_closest();
+  /// Chooses client v's closest quorum from its freshly built tables.
+  void choose_closest_client(std::size_t v);
+  /// Closest: client v's m1 (and Sorted's y[q]) from its repaired tables
+  /// and chosen quorum.
+  void settle_closest_client(std::size_t v);
   /// Reaccumulates closest_load_ (weighted charges of every chosen quorum)
   /// and the per-client responses from the current choice tables.
   void rebuild_closest_loads_and_rho();
+  /// Client v's response: its chosen quorum repriced under closest_load_.
+  void reprice_closest_client(std::size_t v);
+  /// base_total_ as the weighted sum of client_sum_, in client order.
+  void sum_client_responses();
   /// How relocating `element` changes one client's closest-quorum choice.
   enum class ClosestChoice : std::uint8_t {
     Unchanged,  // Same quorum, element not in it: none of v's charges move.
@@ -189,11 +204,10 @@ class DeltaEvaluator {
   };
   struct ClosestVerdict {
     ClosestChoice choice = ClosestChoice::Unchanged;
-    /// ClosestGrid, when the argmin ran: the winning cell and its network
-    /// max (the client's new m1 unless the choice is Unchanged).
+    /// Grid, when the argmin ran: the winning cell (the client's new
+    /// choice unless it is Unchanged).
     std::size_t row = 0;
     std::size_t col = 0;
-    double value = 0.0;
   };
   /// A candidate relocation, resolved once per candidate rather than per
   /// client: the element, its old and new site, and (Grid) its cell.
@@ -231,6 +245,8 @@ class DeltaEvaluator {
   /// set) from the current chosen quorums — the full O(clients x |Q|) pass,
   /// used at (re)build time and whenever no charge lists are maintained.
   void rebuild_charge_index();
+  /// Recollects the clients whose m1 outgrew their covered radius.
+  void refresh_overflow_clients();
   /// Bounded replacement for rebuild_closest_loads_and_rho after an accepted
   /// move, driven by the maintained charge lists: only the sites whose
   /// charging multiset changed are re-summed (ascending client order, so the
@@ -256,7 +272,7 @@ class DeltaEvaluator {
   const quorum::QuorumSystem* system_;
   const Objective* objective_;
   Placement placement_;
-  Mode mode_;
+  Shape shape_;
   std::size_t clients_ = 0;
   std::size_t n_ = 0;
 
@@ -277,18 +293,18 @@ class DeltaEvaluator {
   std::vector<std::size_t> hosted_count_;  // sites: # hosted elements.
 
   /// Weighted sum over clients of R_v, and R_v itself (or the per-client
-  /// quorum-sum S_v for the Grid/Enumerated balanced modes, see .cpp).
+  /// quorum-sum S_v for the balanced Grid/Enumerated shapes, see .cpp).
   double base_total_ = 0.0;
   std::vector<double> client_sum_;
 
-  // SortedWeights mode (sorted_ also backs the ClosestMajority tables).
+  // Sorted shape (the prefix sums and weights are balanced-only).
   std::span<const double> weights_;
   std::vector<double> sorted_;      // clients x n, each row ascending.
   std::vector<double> shift_up_;    // clients x n prefix sums (see .cpp).
   std::vector<double> shift_down_;  // clients x (n+1) prefix sums.
 
-  // Grid / Enumerated / Recompute modes; values_ holds x_f rows (balanced)
-  // or pure distance rows (closest).
+  // values_ backs every shape but balanced Sorted: x_f rows (balanced) or
+  // pure distance rows (closest). The rest are per-shape tables.
   std::vector<double> values_;   // clients x n raw per-element values.
   std::size_t side_ = 0;         // Grid: k.
   std::vector<double> row_max_;  // Grid: clients x k.
@@ -306,16 +322,16 @@ class DeltaEvaluator {
   std::vector<double> quorum_max_;                  // Enumerated: clients x |quorums|.
 
   // Closest-strategy quorum-choice tables.
-  std::size_t majority_q_ = 0;                  // ClosestMajority: quorum size q.
+  std::size_t majority_q_ = 0;                  // Sorted: Majority quorum size q.
   std::vector<quorum::Quorum> chosen_quorum_;   // Per-client chosen identity.
-  std::vector<std::uint8_t> in_best_;           // Majority/Enumerated: clients x n.
-  std::vector<std::size_t> chosen_row_;         // ClosestGrid: chosen r*.
-  std::vector<std::size_t> chosen_col_;         // ClosestGrid: chosen c*.
+  std::vector<std::uint8_t> in_best_;           // Sorted/Generic: clients x n.
+  std::vector<std::size_t> chosen_row_;         // Grid: chosen r*.
+  std::vector<std::size_t> chosen_col_;         // Grid: chosen c*.
   std::vector<double> best_value_;              // m1: chosen quorum's network max.
-  std::vector<double> second_value_;            // Majority: y[q] (+inf if q == n).
+  std::vector<double> second_value_;            // Sorted: y[q] (+inf if q == n).
   std::vector<double> closest_load_;            // Weighted load_f per site.
 
-  // Sparse candidate evaluation (closest modes, optional): the attached
+  // Sparse candidate evaluation (closest strategy, optional): the attached
   // per-client candidate lists, the site -> charging-clients lists (one
   // ascending client list per site, with per-element multiplicity; repaired
   // in place per accepted move), and the clients whose m1 outgrew their

@@ -1,5 +1,6 @@
 #include "net/matrix_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -59,8 +60,12 @@ LatencyMatrix read_matrix(std::istream& in) {
   TokenReader reader{in};
   std::string token;
   if (!reader.next(token)) throw std::runtime_error{"matrix_io: empty input"};
-  const auto n = static_cast<std::size_t>(parse_double(token, "site count"));
-  if (n == 0) throw std::runtime_error{"matrix_io: site count must be positive"};
+  // A positive integer, bounded so that the conversion is exact and defined.
+  const double count = parse_double(token, "site count");
+  if (!(count >= 1.0 && count <= 0x1p53 && count == std::floor(count))) {
+    throw std::runtime_error{"matrix_io: site count must be a positive integer: '" + token + "'"};
+  }
+  const auto n = static_cast<std::size_t>(count);
 
   if (!reader.next(token)) throw std::runtime_error{"matrix_io: truncated input"};
 
@@ -76,13 +81,16 @@ LatencyMatrix read_matrix(std::istream& in) {
     if (!reader.next(token)) throw std::runtime_error{"matrix_io: missing matrix body"};
   }
 
-  std::vector<std::vector<double>> rtt(n, std::vector<double>(n, 0.0));
+  // Rows are appended as their entries parse, so a header claiming more
+  // sites than the body holds fails as truncated without allocating n^2.
+  std::vector<std::vector<double>> rtt;
   for (std::size_t i = 0; i < n; ++i) {
+    rtt.emplace_back();
     for (std::size_t j = 0; j < n; ++j) {
       if (i != 0 || j != 0) {
         if (!reader.next(token)) throw std::runtime_error{"matrix_io: truncated matrix body"};
       }
-      rtt[i][j] = parse_double(token, "matrix entry");
+      rtt.back().push_back(parse_double(token, "matrix entry"));
     }
   }
   try {

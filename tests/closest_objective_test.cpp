@@ -12,7 +12,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -302,38 +301,38 @@ TEST(ClosestDeltaEval, SingletonGoesThroughTheEnumeratedPath) {
   }
 }
 
-/// Minimal non-enumerable, non-Grid/Majority system: the closest engine has
-/// no exact choice structure for it and must refuse.
-class HugeOpaqueSystem final : public quorum::QuorumSystem {
- public:
-  [[nodiscard]] std::size_t universe_size() const noexcept override { return 4; }
-  [[nodiscard]] std::string name() const override { return "huge-opaque"; }
-  [[nodiscard]] double quorum_count() const noexcept override { return 1e18; }
-  [[nodiscard]] std::vector<quorum::Quorum> enumerate_quorums(std::size_t) const override {
-    throw std::domain_error{"not enumerable"};
-  }
-  [[nodiscard]] quorum::Quorum best_quorum(std::span<const double>) const override {
-    return {0, 1, 2};
-  }
-  [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override {
-    return values[0];
-  }
-  [[nodiscard]] std::vector<double> uniform_load() const override {
-    return std::vector<double>(4, 0.5);
-  }
-  [[nodiscard]] double optimal_load() const override { return 0.5; }
-  [[nodiscard]] std::vector<quorum::Quorum> sample_quorums(std::size_t,
-                                                           common::Rng&) const override {
-    return {};
-  }
-};
+TEST(ClosestDeltaEval, GenericShapeServesAnySystemWithBestQuorum) {
+  // Tree(h=4) has 65535 quorums, over the enumeration limit; the closest
+  // choice needs only best_quorum, so the evaluator serves it anyway.
+  const quorum::TreeQuorum tree{4};
+  const std::size_t n = tree.universe_size();
+  ASSERT_FALSE(tree.enumerable(50'000));
+  const LatencyMatrix m = net::small_synth(n + 9, 113);
+  common::Rng rng{47};
+  const ClosestStrategyObjective objective{33.0};
+  const Placement initial = random_one_to_one(m, n, rng);
 
-TEST(ClosestDeltaEval, RejectsSystemsWithoutAChoiceStructure) {
-  const LatencyMatrix m = net::small_synth(8, 113);
-  const HugeOpaqueSystem system;
-  const ClosestStrategyObjective objective{1.0};
-  const Placement placement{std::vector<std::size_t>{0, 1, 2, 3}};
-  EXPECT_THROW((DeltaEvaluator{m, system, placement, objective}), std::invalid_argument);
+  const DeltaEvaluator eval{m, tree, initial, objective};
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t w = 0; w < m.size(); ++w) {
+      const double naive = naive_if_moved(m, tree, objective, initial, u, w);
+      EXPECT_NEAR(eval.objective_if_moved(u, w), naive, 1e-9 * std::max(1.0, naive))
+          << "move " << u << "->" << w;
+    }
+  }
+
+  const test_support::FullReevaluation full{objective};
+  LocalSearchOptions naive_options;
+  naive_options.objective = &full;
+  const LocalSearchResult naive = local_search_placement(m, tree, initial, naive_options);
+  LocalSearchOptions delta_options;
+  delta_options.threads = 1;
+  delta_options.objective = &objective;
+  const LocalSearchResult delta = local_search_placement(m, tree, initial, delta_options);
+  EXPECT_GT(delta.moves, 0u);
+  EXPECT_EQ(delta.placement.site_of, naive.placement.site_of);
+  EXPECT_EQ(delta.moves, naive.moves);
+  EXPECT_NEAR(delta.objective, naive.objective, 1e-9 * std::max(1.0, naive.objective));
 }
 
 TEST(ClosestLocalSearch, DeltaEngineMatchesNaiveEngine) {

@@ -15,6 +15,7 @@
 #include "core/delta_eval.hpp"
 #include "core/eval_workspace.hpp"
 #include "core/local_search.hpp"
+#include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
@@ -120,13 +121,16 @@ TEST(DeltaEval, IncrementalRepairMatchesFreshRebuildBitwise) {
   // apply_move now repairs the per-client tables in place instead of
   // rebuilding; the repaired state must equal a freshly-constructed
   // evaluator's (same sorted multisets, same accumulation order), for the
-  // network-delay objective and the load-aware one-to-one invariant alike.
+  // network-delay objective, the load-aware one-to-one invariant and the
+  // closest strategy's repaired quorum-choice tables alike.
   const LoadAwareObjective load_aware{9.0};
+  const ClosestStrategyObjective closest{9.0};
   for (const SystemCase& test_case : all_systems()) {
     const std::size_t n = test_case.system->universe_size();
     const LatencyMatrix m = net::small_synth(n + 11, 317);
     for (const Objective* objective :
-         {&network_delay_objective(), static_cast<const Objective*>(&load_aware)}) {
+         {&network_delay_objective(), static_cast<const Objective*>(&load_aware),
+          static_cast<const Objective*>(&closest)}) {
       common::Rng rng{37};
       Placement placement = random_one_to_one(m, n, rng);
       DeltaEvaluator eval{m, *test_case.system, placement, *objective};
@@ -150,6 +154,57 @@ TEST(DeltaEval, IncrementalRepairMatchesFreshRebuildBitwise) {
         EXPECT_EQ(eval.objective_if_moved(cu, cw), fresh.objective_if_moved(cu, cw))
             << test_case.label << " step " << step << " candidate bitwise";
       }
+    }
+  }
+}
+
+TEST(DeltaEval, GenericShapeMatchesNaiveOnTreeH4) {
+  // Tree(h=4) has 65535 quorums, over the enumeration limit, so the balanced
+  // evaluator keeps no candidate tables: every candidate re-evaluates each
+  // client in full and apply_move rebuilds. One expected-max call on this
+  // tree is costly, so the sizes stay minimal.
+  const quorum::TreeQuorum tree{4};
+  const std::size_t n = tree.universe_size();
+  ASSERT_FALSE(tree.enumerable(50'000));
+  const LatencyMatrix m = net::small_synth(n + 2, 331);
+  const LoadAwareObjective load_aware{9.0};
+  for (const Objective* objective :
+       {&network_delay_objective(), static_cast<const Objective*>(&load_aware)}) {
+    common::Rng rng{41};
+    Placement placement = random_one_to_one(m, n, rng);
+    std::vector<bool> used(m.size(), false);
+    for (std::size_t site : placement.site_of) used[site] = true;
+    std::vector<std::size_t> free_sites;
+    for (std::size_t w = 0; w < m.size(); ++w) {
+      if (!used[w]) free_sites.push_back(w);
+    }
+    ASSERT_EQ(free_sites.size(), 2u);
+    DeltaEvaluator eval{m, tree, placement, *objective};
+    const double naive = objective->evaluate(m, tree, placement);
+    EXPECT_NEAR(eval.objective(), naive, 1e-9 * std::max(1.0, naive)) << objective->name();
+
+    // Two one-to-one candidates and one colocating one.
+    const std::size_t candidates[3][2] = {{0, free_sites[0]},
+                                          {n / 2, placement.site_of[n - 1]},
+                                          {n - 1, free_sites[1]}};
+    for (const auto& move : candidates) {
+      Placement moved = placement;
+      moved.site_of[move[0]] = move[1];
+      const double expected = objective->evaluate(m, tree, moved);
+      EXPECT_NEAR(eval.objective_if_moved(move[0], move[1]), expected,
+                  1e-9 * std::max(1.0, expected))
+          << objective->name() << " move " << move[0] << "->" << move[1];
+    }
+
+    for (int step = 0; step < 2; ++step) {
+      const std::size_t u = static_cast<std::size_t>(rng.below(n));
+      const std::size_t w = free_sites[static_cast<std::size_t>(step)];
+      free_sites[static_cast<std::size_t>(step)] = placement.site_of[u];
+      eval.apply_move(u, w);
+      placement.site_of[u] = w;
+      const DeltaEvaluator fresh{m, tree, placement, *objective};
+      EXPECT_EQ(eval.objective(), fresh.objective())
+          << objective->name() << " step " << step << " objective bitwise";
     }
   }
 }

@@ -267,6 +267,16 @@ TEST(MatrixIo, RejectsMalformedInput) {
   std::stringstream asym{"2\n0 1\n9 0\n"};
   EXPECT_THROW((void)read_matrix(asym), std::runtime_error);
   EXPECT_THROW((void)read_matrix_file("/nonexistent/path.txt"), std::runtime_error);
+  // The site count must be a positive integer: fractional, negative and NaN
+  // headers are rejected with the documented error type.
+  for (const char* text : {"2.5\n0 1\n1 0", "2.9 0 1 1 0", "-1 0", "nan 0"}) {
+    std::stringstream in{text};
+    EXPECT_THROW((void)read_matrix(in), std::runtime_error) << text;
+  }
+  // A header claiming far more sites than the body holds fails as truncated
+  // instead of allocating the claimed n x n table up front.
+  std::stringstream oversized{"1000000\n0 1\n1 0\n"};
+  EXPECT_THROW((void)read_matrix(oversized), std::runtime_error);
 }
 
 }  // namespace
