@@ -5,7 +5,8 @@
 //                              copy + sort (+ lgamma-based CDF before the
 //                              weight cache) per evaluation;
 //   * workspace objective    — flat reusable buffers + cached order-stat
-//                              weights (average_uniform_network_delay_ws);
+//                              weights (network_delay_objective()
+//                              .evaluate_ws);
 //   * delta candidate        — DeltaEvaluator::objective_if_moved, O(log n)
 //                              or O(k) per client instead of a full rebuild;
 //   * local search           — the full re-evaluation route (forced through
@@ -59,13 +60,16 @@ namespace {
 
 using namespace qp;
 
-/// The seed's objective implementation: public allocating kernels per client.
+/// The seed's objective implementation: one allocated distance row and the
+/// allocating expected_max_uniform per client.
 double naive_objective(const net::LatencyMatrix& matrix,
                        const quorum::QuorumSystem& system,
                        const core::Placement& placement) {
   double total = 0.0;
   for (std::size_t v = 0; v < matrix.size(); ++v) {
-    const std::vector<double> values = core::element_distances(matrix, placement, v);
+    const std::vector<double>& row = matrix.row(v);
+    std::vector<double> values(placement.universe_size());
+    for (std::size_t u = 0; u < values.size(); ++u) values[u] = row[placement.site_of[u]];
     total += system.expected_max_uniform(values);
   }
   return total / static_cast<double>(matrix.size());
@@ -231,7 +235,7 @@ int main(int argc, char** argv) {
         [&matrix, &config](benchmark::State& state) {
           core::EvalWorkspace workspace;
           for (auto _ : state) {
-            benchmark::DoNotOptimize(core::average_uniform_network_delay_ws(
+            benchmark::DoNotOptimize(core::network_delay_objective().evaluate_ws(
                 matrix, *config.system, config.placement, workspace));
           }
         });

@@ -1196,18 +1196,13 @@ void DeltaEvaluator::apply_move(std::size_t element, std::size_t site) {
     }
   }
 #if QP_PARITY_AUDIT_ENABLED
-  // Parity against the naive objective: the repaired base must match a full
-  // re-evaluation (summation order differs, hence the tolerance). Armed at
-  // QP_CHECK_LEVEL=2 (the asan preset), not by build type. The canonical
-  // evaluator needs the dense table, so implicit spaces skip this audit
-  // (their candidate evaluation is audited against the full scan instead,
-  // see closest_if_moved_indexed).
-  if (matrix_ != nullptr) {
-    const double naive = objective_->evaluate(*matrix_, *system_, placement_);
-    QP_PARITY_ASSERT(objective(), naive, 1e-9,
-                     "apply_move: incrementally repaired objective diverged from a "
-                     "fresh evaluation of the moved placement");
-  }
+  // Parity against the naive objective on any space: the repaired base must
+  // match a full re-evaluation (summation order differs, hence the
+  // tolerance). Armed at QP_CHECK_LEVEL=2 (the asan preset), not by build
+  // type.
+  QP_PARITY_ASSERT(objective(), objective_->evaluate(*space_, *system_, placement_), 1e-9,
+                   "apply_move: incrementally repaired objective diverged from a "
+                   "fresh evaluation of the moved placement");
 #endif
 }
 

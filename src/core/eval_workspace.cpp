@@ -1,51 +1,32 @@
 #include "core/eval_workspace.hpp"
 
-#include "common/simd_kernels.hpp"
-
 namespace qp::core {
 
-// The fill kernels below are gathers (indexed by site_of): baseline x86-64
-// has no gather instruction, so common::gather_indexed runs its scalar
-// loop there and the AVX2 vpgatherqpd form under ENABLE_AVX2 (identical
-// doubles either way; bench_eval_kernels records both variants). The
-// reductions those values feed — the Majority order-stat dot, the Grid
-// row/column maxima and quorum-maxima sums — run through the vectorized
-// common/simd_kernels.hpp kernels inside each QuorumSystem's
+// The fill kernels below are gathers (indexed by site_of) through
+// LatencySpace::fill_rtts. LatencyMatrix runs common::gather_indexed over
+// the client's row: baseline x86-64 has no gather instruction, so the
+// scalar loop runs there and the AVX2 vpgatherqpd form under ENABLE_AVX2
+// (identical doubles either way; bench_eval_kernels records both
+// variants). The reductions those values feed — the Majority order-stat
+// dot, the Grid row/column maxima and quorum-maxima sums — run through the
+// vectorized common/simd_kernels.hpp kernels inside each QuorumSystem's
 // expected_max_uniform_scratch.
 
-void fill_element_distances(const net::LatencyMatrix& matrix, const Placement& placement,
+void fill_element_distances(const net::LatencySpace& space, const Placement& placement,
                             std::size_t client, std::vector<double>& out) {
-  const double* row = matrix.row(client).data();
   const std::size_t n = placement.universe_size();
   out.resize(n);
-  common::gather_indexed(row, placement.site_of.data(), n, out.data());
+  space.fill_rtts(client, placement.site_of.data(), n, out.data());
 }
 
-void fill_element_values(const net::LatencyMatrix& matrix, const Placement& placement,
+void fill_element_values(const net::LatencySpace& space, const Placement& placement,
                          std::span<const double> site_load, double alpha,
                          std::size_t client, std::vector<double>& out) {
-  const double* row = matrix.row(client).data();
+  fill_element_distances(space, placement, client, out);
   const double* load = site_load.data();
-  const std::size_t n = placement.universe_size();
-  out.resize(n);
   const std::size_t* site = placement.site_of.data();
   double* y = out.data();
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::size_t w = site[u];
-    y[u] = row[w] + alpha * load[w];
-  }
-}
-
-double average_uniform_network_delay_ws(const net::LatencyMatrix& matrix,
-                                        const quorum::QuorumSystem& system,
-                                        const Placement& placement,
-                                        EvalWorkspace& workspace) {
-  double total = 0.0;
-  for (std::size_t v = 0; v < matrix.size(); ++v) {
-    fill_element_distances(matrix, placement, v, workspace.distances);
-    total += system.expected_max_uniform_scratch(workspace.distances, workspace.scratch);
-  }
-  return total / static_cast<double>(matrix.size());
+  for (std::size_t u = 0; u < out.size(); ++u) y[u] += alpha * load[site[u]];
 }
 
 }  // namespace qp::core

@@ -3,9 +3,10 @@
 // search, figure sweeps) evaluate E[max over a quorum] of per-client value
 // vectors millions of times; the original kernels allocated two vectors and
 // sorted per client per call. The fill_* kernels below write into caller
-// buffers instead, and average_uniform_network_delay_ws reuses one workspace
-// across the whole client loop, so steady-state evaluation performs zero
-// heap allocations.
+// buffers instead, and Objective::evaluate_ws reuses one workspace across
+// the whole client loop, so steady-state network-delay evaluation performs
+// zero heap allocations. The kernels read any net::LatencySpace through its
+// fill_rtts gather (a LatencyMatrix binds implicitly).
 #pragma once
 
 #include <cstddef>
@@ -13,8 +14,7 @@
 #include <vector>
 
 #include "core/placement.hpp"
-#include "net/latency_matrix.hpp"
-#include "quorum/quorum_system.hpp"
+#include "net/latency_space.hpp"
 
 namespace qp::core {
 
@@ -31,22 +31,16 @@ struct EvalWorkspace {
   std::vector<double> scratch;
 };
 
-/// element_distances into a caller buffer: out[u] = rtt(client, f(u)).
-/// No validation (the caller validates the placement once, not per client).
-void fill_element_distances(const net::LatencyMatrix& matrix, const Placement& placement,
+/// out[u] = rtt(client, f(u)): the per-element distance vector that
+/// quorum::QuorumSystem operations consume. No validation (the caller
+/// validates the placement once, not per client).
+void fill_element_distances(const net::LatencySpace& space, const Placement& placement,
                             std::size_t client, std::vector<double>& out);
 
 /// Per-element response values out[u] = d(v, f(u)) + alpha * load_f(f(u));
 /// with these, max over f(Q) equals max over elements of Q for any placement.
-void fill_element_values(const net::LatencyMatrix& matrix, const Placement& placement,
+void fill_element_values(const net::LatencySpace& space, const Placement& placement,
                          std::span<const double> site_load, double alpha,
                          std::size_t client, std::vector<double>& out);
-
-/// avg_v E_uniform[max d] — same value as average_uniform_network_delay but
-/// with all per-client buffers taken from `workspace`.
-[[nodiscard]] double average_uniform_network_delay_ws(const net::LatencyMatrix& matrix,
-                                                      const quorum::QuorumSystem& system,
-                                                      const Placement& placement,
-                                                      EvalWorkspace& workspace);
 
 }  // namespace qp::core

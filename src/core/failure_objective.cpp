@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "core/strategy.hpp"
+#include "core/eval_workspace.hpp"
 #include "quorum/majority.hpp"
 
 namespace qp::core {
@@ -25,7 +25,7 @@ namespace {
 ///     (its response is its precomputed max, since all members are live).
 class StateEvaluator {
  public:
-  StateEvaluator(const net::LatencyMatrix& matrix, const Placement& placement,
+  StateEvaluator(const net::LatencySpace& space, const Placement& placement,
                  const quorum::QuorumSystem& system, double alpha,
                  std::span<const double> load, std::size_t quorum_limit)
       : n_(system.universe_size()) {
@@ -38,7 +38,7 @@ class StateEvaluator {
           "FailureAwareObjective: quorum system must be Majority-shaped or "
           "enumerable within options.quorum_limit"};
     }
-    const std::size_t clients = matrix.size();
+    const std::size_t clients = space.size();
     x_.resize(clients);
     if (majority_q_ > 0) {
       order_.resize(clients);
@@ -48,11 +48,7 @@ class StateEvaluator {
     }
     for (std::size_t v = 0; v < clients; ++v) {
       std::vector<double>& x = x_[v];
-      x.resize(n_);
-      for (std::size_t u = 0; u < n_; ++u) {
-        const std::size_t site = placement.site_of[u];
-        x[u] = matrix.rtt(v, site) + alpha * load[site];
-      }
+      fill_element_values(space, placement, load, alpha, v, x);
       if (majority_q_ > 0) {
         std::vector<std::size_t>& order = order_[v];
         order.resize(n_);
@@ -130,7 +126,7 @@ class StateEvaluator {
 };
 
 /// Monte-Carlo over failure sets. A fresh rng per call and a fixed draw
-/// schedule (regions first, then every site of the matrix) give common
+/// schedule (regions first, then every site of the space) give common
 /// random numbers: two placements evaluated with the same model and seed
 /// see the same sequence of failure sets.
 void run_monte_carlo(const FailureModel& model, const FailureAwareOptions& options,
@@ -226,39 +222,19 @@ std::string FailureAwareObjective::name() const {
   return buffer;
 }
 
-std::vector<double> FailureAwareObjective::site_loads(const net::LatencyMatrix& matrix,
-                                                      const quorum::QuorumSystem& system,
-                                                      const Placement& placement) const {
-  if (!client_weights().empty() && client_weights().size() != matrix.size()) {
-    throw std::invalid_argument{"FailureAwareObjective: client weight count != clients"};
-  }
-  return site_loads_closest(matrix, system, placement, client_weights(),
-                            ExecutionModel::PerElement);
-}
-
-double FailureAwareObjective::evaluate_ws(const net::LatencyMatrix& matrix,
+double FailureAwareObjective::evaluate_ws(const net::LatencySpace& space,
                                           const quorum::QuorumSystem& system,
                                           const Placement& placement,
                                           EvalWorkspace& workspace) const {
   (void)workspace;  // The expectation over failure sets keeps its own tables.
-  return evaluate_detailed(matrix, system, placement).objective_ms;
-}
-
-std::optional<ExplicitStrategy> FailureAwareObjective::export_strategy(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-    const Placement& placement) const {
-  // The static exportable part is the fully-live closest strategy (what
-  // first attempts use); failover re-choice is per-failure-state dynamic
-  // and not expressible as a fixed distribution.
-  return ClosestStrategyObjective{alpha_, client_weights()}.export_strategy(
-      matrix, system, placement);
+  return evaluate_detailed(space, system, placement).objective_ms;
 }
 
 FailureAwareEvaluation FailureAwareObjective::evaluate_detailed(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement) const {
-  placement.validate(matrix.size());
-  const std::size_t site_count = matrix.size();
+  placement.validate(space.size());
+  const std::size_t site_count = space.size();
   const std::size_t n = system.universe_size();
   if (placement.universe_size() != n) {
     throw std::invalid_argument{"FailureAwareObjective: placement size != universe"};
@@ -272,8 +248,8 @@ FailureAwareEvaluation FailureAwareObjective::evaluate_detailed(
     throw std::invalid_argument{"FailureAwareObjective: client weight count != clients"};
   }
 
-  const std::vector<double> load = site_loads(matrix, system, placement);
-  const StateEvaluator eval{matrix, placement, system, alpha_, load,
+  const std::vector<double> load = site_loads(space, system, placement);
+  const StateEvaluator eval{space, placement, system, alpha_, load,
                             options_.quorum_limit};
 
   const std::size_t clients = site_count;

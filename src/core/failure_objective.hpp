@@ -116,25 +116,19 @@ class FailureAwareObjective final : public Objective {
       const quorum::QuorumSystem&) const override {
     return {};  // Placement-dependent; see site_loads.
   }
-  /// Fully-live closest loads (the alpha-term load model; see file comment).
-  [[nodiscard]] std::vector<double> site_loads(const net::LatencyMatrix& matrix,
-                                               const quorum::QuorumSystem& system,
-                                               const Placement& placement) const override;
-  [[nodiscard]] double evaluate_ws(const net::LatencyMatrix& matrix,
+  [[nodiscard]] double evaluate_ws(const net::LatencySpace& space,
                                    const quorum::QuorumSystem& system,
                                    const Placement& placement,
                                    EvalWorkspace& workspace) const override;
-  /// The fully-live closest strategy (what the engine's first attempts use).
-  [[nodiscard]] std::optional<ExplicitStrategy> export_strategy(
-      const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-      const Placement& placement) const override;
 
   /// Full decomposition: objective, conditional mean response, and
-  /// unavailability. Throws std::invalid_argument when the system is
-  /// neither Majority-shaped nor enumerable within quorum_limit, or when a
-  /// regional model's site_region is shorter than the site count.
+  /// unavailability. The alpha-term loads are the fully-live closest ones
+  /// (Objective::site_loads; see file comment). Throws
+  /// std::invalid_argument when the system is neither Majority-shaped nor
+  /// enumerable within quorum_limit, or when a regional model's site_region
+  /// is shorter than the site count.
   [[nodiscard]] FailureAwareEvaluation evaluate_detailed(
-      const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+      const net::LatencySpace& space, const quorum::QuorumSystem& system,
       const Placement& placement) const;
 
   [[nodiscard]] const FailureModel& model() const noexcept { return model_; }

@@ -49,7 +49,7 @@ constexpr std::size_t kIndexRebuildMoves = 16;
 
 /// The full re-evaluation route, for objectives the DeltaEvaluator does not
 /// model: one Objective::evaluate per candidate.
-LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
+LocalSearchResult local_search_naive(const net::LatencySpace& space,
                                      const quorum::QuorumSystem& system,
                                      const Placement& initial, const Objective& objective,
                                      const LocalSearchOptions& options) {
@@ -57,9 +57,9 @@ LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
   c_ls_naive_runs.add();
   LocalSearchResult result;
   result.placement = initial;
-  result.objective = objective.evaluate(matrix, system, result.placement);
+  result.objective = objective.evaluate(space, system, result.placement);
 
-  std::vector<bool> used(matrix.size(), false);
+  std::vector<bool> used(space.size(), false);
   for (std::size_t site : result.placement.site_of) used[site] = true;
 
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
@@ -73,10 +73,10 @@ LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
     // Deterministic scan over all (element, unused site) relocations.
     for (std::size_t u = 0; u < result.placement.universe_size(); ++u) {
       const std::size_t original = result.placement.site_of[u];
-      for (std::size_t w = 0; w < matrix.size(); ++w) {
+      for (std::size_t w = 0; w < space.size(); ++w) {
         if (used[w]) continue;
         result.placement.site_of[u] = w;
-        const double candidate = objective.evaluate(matrix, system, result.placement);
+        const double candidate = objective.evaluate(space, system, result.placement);
         ++scanned;
         if (candidate < best_objective - kMinImprovement) {
           best_objective = candidate;
@@ -247,12 +247,8 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
 
   result.placement = eval.placement();
   // Final objective via the canonical evaluator, so callers comparing against
-  // Objective::evaluate (or average_uniform_network_delay) see the exact
-  // same value. Implicit spaces report the incrementally maintained value
-  // (reaccumulated from repaired tables on every move, so drift-free).
-  result.objective = matrix != nullptr
-                         ? objective.evaluate(*matrix, system, result.placement)
-                         : eval.objective();
+  // Objective::evaluate see the exact same value on any space.
+  result.objective = objective.evaluate(space, system, result.placement);
   return result;
 }
 
@@ -277,13 +273,7 @@ LocalSearchResult local_search_placement(const net::LatencySpace& space,
   // Objectives the incremental evaluator cannot model (expectations over
   // failure sets, see Objective::supports_delta) take the full
   // re-evaluation route.
-  const net::LatencyMatrix* matrix = space.as_matrix();
-  if (matrix == nullptr) {
-    throw std::invalid_argument{
-        "local_search_placement: objectives without delta support require a "
-        "dense LatencyMatrix"};
-  }
-  return local_search_naive(*matrix, system, initial, objective, options);
+  return local_search_naive(space, system, initial, objective, options);
 }
 
 }  // namespace qp::core

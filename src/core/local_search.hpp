@@ -79,9 +79,10 @@ struct LocalSearchResult {
 /// Hill-climbs from `initial` (must be one-to-one) and returns a placement
 /// that no single-element relocation improves. Deterministic. The space may
 /// be a dense LatencyMatrix (every historical caller) or an implicit
-/// LatencySpace such as a LatencyEmbedding; objectives without delta
-/// support require a dense matrix (full re-evaluation is O(n^2)) and throw
-/// std::invalid_argument on an implicit space.
+/// LatencySpace such as a LatencyEmbedding, for every objective (those
+/// without delta support re-evaluate each of the O(n * |U|) candidates in
+/// full, so keep n small). The reported objective is always the canonical
+/// Objective::evaluate of the final placement.
 [[nodiscard]] LocalSearchResult local_search_placement(const net::LatencySpace& space,
                                                        const quorum::QuorumSystem& system,
                                                        const Placement& initial,

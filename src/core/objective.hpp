@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,7 +39,7 @@
 #include "core/eval_workspace.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::core {
@@ -87,43 +86,31 @@ class Objective {
   [[nodiscard]] virtual std::span<const double> element_loads(
       const quorum::QuorumSystem& system) const = 0;
 
-  /// load_f(w) per site under this objective's load model. The balanced
-  /// default accumulates element_loads onto hosting sites (all zeros when
-  /// alpha() == 0 or element_loads is empty); the closest strategy overrides
-  /// with the demand-weighted loads its per-client quorum choices induce.
-  [[nodiscard]] virtual std::vector<double> site_loads(
-      const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-      const Placement& placement) const;
-
-  /// x_f(client, u) into `out` for precomputed site loads.
-  void fill_values(const net::LatencyMatrix& matrix, const Placement& placement,
-                   std::span<const double> site_load, std::size_t client,
-                   std::vector<double>& out) const;
-
-  /// Exports the access strategy this objective models as explicit
-  /// per-client quorum distributions — the hook the discrete-event engine
-  /// (sim/engine) uses to simulate exactly the strategy an objective
-  /// evaluates analytically. The closest strategy returns point masses on
-  /// each client's argmin quorum (tie-breaking included); balanced
-  /// objectives return nullopt, meaning "uniform over all quorums", which
-  /// the engine samples analytically without enumeration. Exported rows are
-  /// parity-audited (each distribution sums to 1) via QP_PARITY_ASSERT when
-  /// QP_CHECK_LEVEL >= 2 (common/check.hpp; the asan preset arms it).
-  [[nodiscard]] virtual std::optional<ExplicitStrategy> export_strategy(
-      const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-      const Placement& placement) const;
+  /// load_f(w) per site under this objective's load model, dispatched on
+  /// access_strategy(): Balanced accumulates element_loads onto hosting
+  /// sites (all zeros when alpha() == 0 or element_loads is empty); Closest
+  /// returns the demand-weighted loads of every client's argmin quorum
+  /// (site_loads_closest).
+  [[nodiscard]] std::vector<double> site_loads(const net::LatencySpace& space,
+                                                const quorum::QuorumSystem& system,
+                                                const Placement& placement) const;
 
   /// Naive full evaluation of J(f): the reference the incremental engine is
-  /// checked against. Allocation-free in steady state via `workspace`. The
-  /// balanced default covers NetworkDelay/LoadAware; the closest strategy
-  /// overrides (it must match evaluate_closest, not evaluate_balanced).
-  [[nodiscard]] virtual double evaluate_ws(const net::LatencyMatrix& matrix,
+  /// checked against. Unchecked: the caller validates the placement (see
+  /// evaluate). The default dispatches on access_strategy() to the shared
+  /// (4.2) passes in core/response.hpp — balanced_pass (allocation-free in
+  /// steady state via `workspace` when alpha() == 0) or closest_pass — so it
+  /// equals evaluate_balanced / evaluate_closest. Objectives that are not
+  /// the (4.1) arithmetic (FailureAwareObjective) override.
+  [[nodiscard]] virtual double evaluate_ws(const net::LatencySpace& space,
                                            const quorum::QuorumSystem& system,
                                            const Placement& placement,
                                            EvalWorkspace& workspace) const;
 
-  /// Convenience overload with a local workspace.
-  [[nodiscard]] double evaluate(const net::LatencyMatrix& matrix,
+  /// Validates the placement against the space (std::out_of_range for a
+  /// site past the space, std::invalid_argument when empty), then runs
+  /// evaluate_ws with a local workspace.
+  [[nodiscard]] double evaluate(const net::LatencySpace& space,
                                 const quorum::QuorumSystem& system,
                                 const Placement& placement) const;
 
@@ -138,8 +125,8 @@ class Objective {
   std::vector<double> weights_;  // Demand shares; empty = uniform clients.
 };
 
-/// alpha = 0: J(f) = weighted avg_v E_uniform[max d(v, f(u))] — identical to
-/// average_uniform_network_delay for uniform demand.
+/// alpha = 0: J(f) = weighted avg_v E_uniform[max d(v, f(u))] — the §6
+/// network delay, identical to evaluate_balanced(..., 0.0).avg_response_ms.
 class NetworkDelayObjective final : public Objective {
  public:
   NetworkDelayObjective() = default;
@@ -202,16 +189,6 @@ class ClosestStrategyObjective final : public Objective {
       const quorum::QuorumSystem&) const override {
     return {};  // Placement-dependent; see site_loads.
   }
-  [[nodiscard]] std::vector<double> site_loads(const net::LatencyMatrix& matrix,
-                                               const quorum::QuorumSystem& system,
-                                               const Placement& placement) const override;
-  [[nodiscard]] double evaluate_ws(const net::LatencyMatrix& matrix,
-                                   const quorum::QuorumSystem& system,
-                                   const Placement& placement,
-                                   EvalWorkspace& workspace) const override;
-  [[nodiscard]] std::optional<ExplicitStrategy> export_strategy(
-      const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-      const Placement& placement) const override;
 
  private:
   double alpha_;

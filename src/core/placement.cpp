@@ -29,15 +29,6 @@ void Placement::validate(std::size_t site_count) const {
   }
 }
 
-std::vector<double> element_distances(const net::LatencyMatrix& matrix,
-                                      const Placement& placement, std::size_t client) {
-  placement.validate(matrix.size());
-  const std::vector<double>& row = matrix.row(client);
-  std::vector<double> values(placement.universe_size());
-  for (std::size_t u = 0; u < values.size(); ++u) values[u] = row[placement.site_of[u]];
-  return values;
-}
-
 Placement majority_ball_placement(const net::LatencyMatrix& matrix,
                                   std::size_t universe_size, std::size_t v0) {
   if (universe_size == 0 || universe_size > matrix.size()) {
@@ -81,14 +72,6 @@ Placement singleton_placement(const net::LatencyMatrix& matrix, std::size_t univ
   if (universe_size == 0) throw std::invalid_argument{"singleton_placement: empty universe"};
   const std::size_t median = matrix.median_site();
   return Placement{std::vector<std::size_t>(universe_size, median)};
-}
-
-double average_uniform_network_delay(const net::LatencyMatrix& matrix,
-                                     const quorum::QuorumSystem& system,
-                                     const Placement& placement) {
-  placement.validate(matrix.size());
-  EvalWorkspace workspace;
-  return average_uniform_network_delay_ws(matrix, system, placement, workspace);
 }
 
 PlacementSearchResult best_placement(

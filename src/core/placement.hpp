@@ -34,12 +34,6 @@ struct Placement {
   void validate(std::size_t site_count) const;
 };
 
-/// values[u] = rtt(client, f(u)) — the per-element distance vector that
-/// quorum::QuorumSystem operations consume.
-[[nodiscard]] std::vector<double> element_distances(const net::LatencyMatrix& matrix,
-                                                    const Placement& placement,
-                                                    std::size_t client);
-
 /// Majority placement for a single client v0: an arbitrary one-to-one map
 /// onto the ball B(v0, n) (all such maps have equal delay for v0; §4.1.1).
 [[nodiscard]] Placement majority_ball_placement(const net::LatencyMatrix& matrix,
@@ -54,12 +48,6 @@ struct Placement {
 /// All universe elements on the graph median (Lin's 2-approximation).
 [[nodiscard]] Placement singleton_placement(const net::LatencyMatrix& matrix,
                                             std::size_t universe_size = 1);
-
-/// avg_v E_uniform-Q [ max_{u in Q} d(v, f(u)) ] — the network-delay
-/// objective used to compare candidate placements.
-[[nodiscard]] double average_uniform_network_delay(const net::LatencyMatrix& matrix,
-                                                   const quorum::QuorumSystem& system,
-                                                   const Placement& placement);
 
 struct PlacementSearchResult {
   Placement placement;

@@ -12,9 +12,10 @@
 #include <span>
 #include <vector>
 
+#include "core/eval_workspace.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::core {
@@ -46,7 +47,8 @@ struct Evaluation {
 // The three evaluators below take `client_demand`, the raw per-client
 // demand (any positive scaling, normalized through demand_shares), and
 // `model`, the §8 execution model (PerElement reproduces the paper;
-// Collapsed is its future-work variant).
+// Collapsed is its future-work variant). They validate the placement and
+// accept any net::LatencySpace (a LatencyMatrix binds implicitly).
 
 /// Closest access strategy (§6): each client deterministically uses its
 /// minimum-network-delay quorum; the load those choices induce still enters
@@ -54,7 +56,7 @@ struct Evaluation {
 /// averages and the load attribution; empty (the default) or constant
 /// demand runs the historical uniform arithmetic bitwise.
 [[nodiscard]] Evaluation evaluate_closest(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, double alpha, std::span<const double> client_demand = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
@@ -65,7 +67,7 @@ struct Evaluation {
 /// (the default) or constant demand runs the historical uniform arithmetic
 /// bitwise.
 [[nodiscard]] Evaluation evaluate_balanced(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, double alpha, std::span<const double> client_demand = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
@@ -74,14 +76,40 @@ struct Evaluation {
 /// attribution; empty (the default) or constant demand runs the historical
 /// uniform arithmetic bitwise.
 [[nodiscard]] Evaluation evaluate_explicit(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, double alpha, const ExplicitStrategy& strategy,
     std::span<const double> client_demand = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
 /// rho_f(v, Q) per (4.1) for one concrete quorum — shared helper.
-[[nodiscard]] double rho(const net::LatencyMatrix& matrix, const Placement& placement,
+[[nodiscard]] double rho(const net::LatencySpace& space, const Placement& placement,
                          std::span<const double> site_load, double alpha, std::size_t client,
                          const quorum::Quorum& quorum);
+
+// The two per-client passes behind both evaluate_balanced / evaluate_closest
+// and Objective::evaluate_ws: one implementation of each strategy's (4.2)
+// response. `shares` are normalized demand shares (empty = uniform 1/|V|).
+// Neither validates the placement or the share count. Each returns
+// sum_v w_v Delta_f(v); a non-null `detail` also receives the per-client
+// responses and both averages.
+
+/// Balanced pass for precomputed site loads (unread when alpha == 0 or
+/// `site_load` is empty: the pass then reads distances only, with no load
+/// table at all). Allocation-free when `detail` is null.
+[[nodiscard]] double balanced_pass(const net::LatencySpace& space,
+                                   const quorum::QuorumSystem& system,
+                                   const Placement& placement,
+                                   std::span<const double> site_load, double alpha,
+                                   std::span<const double> shares, EvalWorkspace& workspace,
+                                   Evaluation* detail);
+
+/// Closest pass: closest_quorums (one best_quorum call per client) feeds
+/// both the induced loads (site_loads_chosen; written to detail->site_load
+/// when `detail` is non-null) and each client's rho.
+[[nodiscard]] double closest_pass(const net::LatencySpace& space,
+                                  const quorum::QuorumSystem& system,
+                                  const Placement& placement, double alpha,
+                                  std::span<const double> shares, ExecutionModel model,
+                                  Evaluation* detail);
 
 }  // namespace qp::core

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/eval_workspace.hpp"
 #include "flow/mincost_flow.hpp"
 #include "lp/revised_simplex.hpp"
 #include "obs/metrics.hpp"
@@ -74,14 +75,16 @@ std::vector<double> ExplicitStrategy::average_distribution() const {
   return average;
 }
 
-std::vector<quorum::Quorum> closest_quorums(const net::LatencyMatrix& matrix,
+std::vector<quorum::Quorum> closest_quorums(const net::LatencySpace& space,
                                             const quorum::QuorumSystem& system,
                                             const Placement& placement) {
+  placement.validate(space.size());
   std::vector<quorum::Quorum> result;
-  result.reserve(matrix.size());
-  for (std::size_t v = 0; v < matrix.size(); ++v) {
-    const std::vector<double> values = element_distances(matrix, placement, v);
-    result.push_back(system.best_quorum(values));
+  result.reserve(space.size());
+  std::vector<double> distances;
+  for (std::size_t v = 0; v < space.size(); ++v) {
+    fill_element_distances(space, placement, v, distances);
+    result.push_back(system.best_quorum(distances));
   }
   return result;
 }
@@ -137,18 +140,25 @@ void charge_quorum(const quorum::Quorum& quorum, const Placement& placement, dou
 
 }  // namespace
 
-std::vector<double> site_loads_closest(const net::LatencyMatrix& matrix,
+std::vector<double> site_loads_closest(const net::LatencySpace& space,
                                        const quorum::QuorumSystem& system,
                                        const Placement& placement,
                                        std::span<const double> client_weights,
                                        ExecutionModel model) {
-  if (!client_weights.empty() && client_weights.size() != matrix.size()) {
-    throw std::invalid_argument{"site_loads_closest: client weight count != clients"};
+  return site_loads_chosen(closest_quorums(space, system, placement), placement,
+                           space.size(), client_weights, model);
+}
+
+std::vector<double> site_loads_chosen(std::span<const quorum::Quorum> chosen,
+                                      const Placement& placement, std::size_t site_count,
+                                      std::span<const double> client_weights,
+                                      ExecutionModel model) {
+  if (!client_weights.empty() && client_weights.size() != chosen.size()) {
+    throw std::invalid_argument{"site_loads_chosen: client weight count != clients"};
   }
-  const std::vector<quorum::Quorum> chosen = closest_quorums(matrix, system, placement);
-  std::vector<double> site_loads(matrix.size(), 0.0);
+  std::vector<double> site_loads(site_count, 0.0);
   std::vector<std::size_t> scratch;
-  const double uniform = 1.0 / static_cast<double>(matrix.size());
+  const double uniform = 1.0 / static_cast<double>(chosen.size());
   for (std::size_t v = 0; v < chosen.size(); ++v) {
     const double weight = client_weights.empty() ? uniform : client_weights[v];
     charge_quorum(chosen[v], placement, weight, model, site_loads, scratch);

@@ -16,6 +16,7 @@
 #include "core/placement.hpp"
 #include "lp/simplex.hpp"
 #include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::core {
@@ -35,8 +36,9 @@ struct ExplicitStrategy {
   [[nodiscard]] std::vector<double> average_distribution() const;
 };
 
-/// The closest quorum (minimum network delay) for every client.
-[[nodiscard]] std::vector<quorum::Quorum> closest_quorums(const net::LatencyMatrix& matrix,
+/// The closest quorum (minimum network delay, QuorumSystem::best_quorum
+/// ties included) for every client: one best_quorum call per client.
+[[nodiscard]] std::vector<quorum::Quorum> closest_quorums(const net::LatencySpace& space,
                                                           const quorum::QuorumSystem& system,
                                                           const Placement& placement);
 
@@ -60,12 +62,18 @@ enum class ExecutionModel { PerElement, Collapsed };
 /// `client_weights` are normalized demand shares (see core::demand_shares in
 /// response.hpp): client v's quorum access is charged with weight w_v.
 
-/// Closest strategy loads. An empty `client_weights` (the default) runs the
-/// historical uniform arithmetic bitwise: each client charges 1/|V|.
+/// Closest strategy loads: site_loads_chosen over closest_quorums. An empty
+/// `client_weights` (the default) runs the historical uniform arithmetic
+/// bitwise: each client charges 1/|V|.
 [[nodiscard]] std::vector<double> site_loads_closest(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, std::span<const double> client_weights = {},
     ExecutionModel model = ExecutionModel::PerElement);
+/// Loads of one deterministic quorum choice per client (`chosen[v]`, e.g.
+/// closest_quorums), each charged with w_v — 1/|V| for empty weights.
+[[nodiscard]] std::vector<double> site_loads_chosen(
+    std::span<const quorum::Quorum> chosen, const Placement& placement,
+    std::size_t site_count, std::span<const double> client_weights, ExecutionModel model);
 /// Balanced strategy loads. There are no weights: every client induces the
 /// identical per-element load, so any convex demand weighting leaves it
 /// unchanged.

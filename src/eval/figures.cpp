@@ -366,7 +366,7 @@ void large_topology_rows(const sim::Scenario& scenario,
   constructive.stage_ms = elapsed_ms(start);
   constructive.response_ms = search.avg_network_delay;  // Objective value.
   constructive.network_delay_ms =
-      core::average_uniform_network_delay(matrix, system, search.placement);
+      core::network_delay_objective().evaluate(matrix, system, search.placement);
   points.push_back(constructive);
 
   LargeTopologyPoint optimum = constructive;
@@ -380,7 +380,7 @@ void large_topology_rows(const sim::Scenario& scenario,
   optimum.stage_ms = elapsed_ms(start);
   optimum.response_ms = polished.objective;
   optimum.network_delay_ms =
-      core::average_uniform_network_delay(matrix, system, polished.placement);
+      core::network_delay_objective().evaluate(matrix, system, polished.placement);
   optimum.moves = polished.moves;
   points.push_back(optimum);
 }

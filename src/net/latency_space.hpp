@@ -7,14 +7,15 @@
 // net/embedding.hpp) and only ever evaluates the O(n * k) pairs the search
 // actually touches. LatencySpace is the seam: `LatencyMatrix` implements it
 // (dense table lookup), `LatencyEmbedding` implements it (coordinate
-// arithmetic), and `core::DeltaEvaluator` / `core::local_search_placement`
-// are written against the interface.
+// arithmetic), and the whole evaluation layer — `core::Objective`, the
+// evaluate_* entry points of core/response.hpp, `core::DeltaEvaluator` and
+// `core::local_search_placement` — is written against the interface.
 //
-// `as_matrix()` exposes the dense table when one exists; callers use it to
-// keep exact historical code paths (canonical `Objective::evaluate`, the
-// level-2 parity audits, dense candidate enumeration) bitwise unchanged for
-// every matrix-backed caller, and to *detect* the sparse regime (nullptr)
-// where those O(n^2) paths must not run.
+// `as_matrix()` exposes the dense table when one exists. Callers use it for
+// dense-only machinery (the DeltaEvaluator's row fast path, the brute-force
+// k-NN index built over a matrix) and to *detect* the sparse regime
+// (nullptr), where O(n^2) candidate enumeration must not run. Evaluation
+// never needs it: every objective reads the space through rtt / fill_rtts.
 //
 // Contract (matching LatencyMatrix): rtt(a, b) == rtt(b, a) >= 0,
 // rtt(v, v) == 0, and repeated calls with the same arguments return the

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/eval_workspace.hpp"
+
 namespace qp::sim {
 
 std::vector<std::size_t> representative_client_sites(const net::LatencyMatrix& matrix,
@@ -14,9 +16,11 @@ std::vector<std::size_t> representative_client_sites(const net::LatencyMatrix& m
   if (count == 0 || count > matrix.size()) {
     throw std::invalid_argument{"representative_client_sites: bad count"};
   }
+  placement.validate(matrix.size());
   std::vector<double> delay(matrix.size());
+  std::vector<double> distances;
   for (std::size_t v = 0; v < matrix.size(); ++v) {
-    const std::vector<double> distances = core::element_distances(matrix, placement, v);
+    core::fill_element_distances(matrix, placement, v, distances);
     delay[v] = system.expected_max_uniform(distances);
   }
   const double target =

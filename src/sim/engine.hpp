@@ -99,7 +99,9 @@ struct EngineConfig {
 
   EngineStrategy strategy = EngineStrategy::Balanced;
   /// Required for EngineStrategy::Explicit (e.g. an optimize_access_strategy
-  /// result, or Objective::export_strategy); must outlive run_engine.
+  /// result); must outlive run_engine. EngineStrategy::Closest needs none:
+  /// it samples core::closest_quorums, the choices ClosestStrategyObjective
+  /// evaluates.
   const core::ExplicitStrategy* explicit_strategy = nullptr;
 
   /// Requests issued in [warmup_ms, warmup_ms + duration_ms) are measured;

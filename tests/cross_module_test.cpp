@@ -10,6 +10,7 @@
 #include "quorum/grid.hpp"
 
 #include "core/capacity.hpp"
+#include "core/eval_workspace.hpp"
 #include "core/iterative.hpp"
 #include "core/manytoone.hpp"
 #include "core/placement.hpp"
@@ -84,7 +85,8 @@ TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
 
   double analytic = 0.0;
   for (std::size_t v : clients) {
-    const auto values = core::element_distances(m, placement, v);
+    std::vector<double> values;
+    core::fill_element_distances(m, placement, v, values);
     analytic += system.expected_max_uniform(values);
   }
   analytic /= static_cast<double>(clients.size());

@@ -56,7 +56,7 @@ double naive_objective_if_moved(const LatencyMatrix& m, const quorum::QuorumSyst
                                 Placement placement, std::size_t element,
                                 std::size_t site) {
   placement.site_of[element] = site;
-  return average_uniform_network_delay(m, system, placement);
+  return network_delay_objective().evaluate(m, system, placement);
 }
 
 TEST(DeltaEval, MatchesNaiveObjectiveAtConstruction) {
@@ -67,7 +67,7 @@ TEST(DeltaEval, MatchesNaiveObjectiveAtConstruction) {
     for (int trial = 0; trial < 5; ++trial) {
       const Placement placement = random_one_to_one(m, n, rng);
       const DeltaEvaluator eval{m, *test_case.system, placement};
-      const double naive = average_uniform_network_delay(m, *test_case.system, placement);
+      const double naive = network_delay_objective().evaluate(m, *test_case.system, placement);
       EXPECT_NEAR(eval.objective(), naive, 1e-9 * std::max(1.0, naive))
           << test_case.label << " trial " << trial;
     }
@@ -108,7 +108,7 @@ TEST(DeltaEval, RandomizedMoveSequencesStayInParity) {
       const double predicted = eval.objective_if_moved(u, w);
       eval.apply_move(u, w);
       placement.site_of[u] = w;
-      const double naive = average_uniform_network_delay(m, *test_case.system, placement);
+      const double naive = network_delay_objective().evaluate(m, *test_case.system, placement);
       EXPECT_NEAR(predicted, naive, 1e-9 * std::max(1.0, naive))
           << test_case.label << " step " << step;
       EXPECT_NEAR(eval.objective(), naive, 1e-9 * std::max(1.0, naive))
@@ -242,8 +242,8 @@ TEST(DeltaEval, WorkspaceEvaluationMatchesPublicEntryPoint) {
     const Placement placement = random_one_to_one(m, n, rng);
     EvalWorkspace workspace;
     const double ws =
-        average_uniform_network_delay_ws(m, *test_case.system, placement, workspace);
-    const double naive = average_uniform_network_delay(m, *test_case.system, placement);
+        network_delay_objective().evaluate_ws(m, *test_case.system, placement, workspace);
+    const double naive = network_delay_objective().evaluate(m, *test_case.system, placement);
     EXPECT_DOUBLE_EQ(ws, naive) << test_case.label;
   }
 }
@@ -304,7 +304,7 @@ TEST(DeltaEvalLocalSearch, ParallelBestPlacementMatchesSerialReference) {
   expected.avg_network_delay = std::numeric_limits<double>::infinity();
   for (std::size_t v0 = 0; v0 < m.size(); ++v0) {
     Placement placement = majority_ball_placement(m, majority.universe_size(), v0);
-    const double delay = average_uniform_network_delay(m, majority, placement);
+    const double delay = network_delay_objective().evaluate(m, majority, placement);
     if (delay < expected.avg_network_delay) {
       expected.avg_network_delay = delay;
       expected.anchor_client = v0;

@@ -348,29 +348,6 @@ TEST(StrategySampler, BalancedMatchesSampleQuorums) {
   }
 }
 
-TEST(StrategySampler, ClosestExportRoundTripsThroughObjective) {
-  // Objective::export_strategy gives the engine the exact per-client
-  // argmin quorums the closest objective evaluates.
-  const net::LatencyMatrix matrix = net::small_synth(12, 3);
-  const quorum::GridQuorum grid{2};
-  const core::Placement placement = core::best_grid_placement(matrix, 2).placement;
-  const core::ClosestStrategyObjective objective{0.0};
-  const auto exported = objective.export_strategy(matrix, grid, placement);
-  ASSERT_TRUE(exported.has_value());
-  exported->validate(matrix.size(), grid.universe_size());
-  const auto chosen = core::closest_quorums(matrix, grid, placement);
-  const QuorumSampler sampler =
-      QuorumSampler::explicit_strategy(*exported, matrix.size(), grid);
-  common::Rng rng{1};
-  quorum::Quorum scratch;
-  for (std::size_t v = 0; v < matrix.size(); ++v) {
-    EXPECT_EQ(sampler.draw(v, rng, scratch), chosen[v]);
-  }
-  // Balanced objectives export nothing: the engine samples analytically.
-  EXPECT_FALSE(core::LoadAwareObjective{0.1}.export_strategy(matrix, grid, placement)
-                   .has_value());
-}
-
 // ------------------------------------------------------------- validation
 
 TEST(SimValidation, LowUtilizationAgreesWithAnalyticWithin3Percent) {

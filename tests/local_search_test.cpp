@@ -34,11 +34,11 @@ TEST(LocalSearch, NeverWorsensTheObjective) {
   common::Rng rng{9};
   for (int trial = 0; trial < 10; ++trial) {
     const Placement initial = random_one_to_one(m, 4, rng);
-    const double before = average_uniform_network_delay(m, grid, initial);
+    const double before = network_delay_objective().evaluate(m, grid, initial);
     const LocalSearchResult result = local_search_placement(m, grid, initial);
     EXPECT_LE(result.objective, before + 1e-12);
     EXPECT_NEAR(result.objective,
-                average_uniform_network_delay(m, grid, result.placement), 1e-12);
+                network_delay_objective().evaluate(m, grid, result.placement), 1e-12);
     EXPECT_TRUE(result.placement.one_to_one());
   }
 }
@@ -65,7 +65,7 @@ TEST(LocalSearch, ImprovesBadInitialPlacements) {
   std::reverse(farthest.begin(), farthest.end());
   farthest.resize(4);
   const Placement bad{farthest};
-  const double before = average_uniform_network_delay(m, grid, bad);
+  const double before = network_delay_objective().evaluate(m, grid, bad);
   const LocalSearchResult result = local_search_placement(m, grid, bad);
   EXPECT_LT(result.objective, before);
   EXPECT_GT(result.moves, 0u);

@@ -11,22 +11,27 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/delta_eval.hpp"
+#include "core/failure_objective.hpp"
 #include "core/iterative.hpp"
 #include "core/local_search.hpp"
 #include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "core/response.hpp"
+#include "net/embedding.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/quorum_system.hpp"
 #include "quorum/tree.hpp"
+#include "sim/scenario.hpp"
 #include "support/full_reevaluation.hpp"
 
 namespace qp::core {
@@ -86,8 +91,38 @@ TEST(Objective, NetworkDelayMatchesAverageUniformNetworkDelay) {
     const Placement placement = random_one_to_one(m, n, rng);
     const double objective =
         network_delay_objective().evaluate(m, *test_case.system, placement);
-    const double naive = average_uniform_network_delay(m, *test_case.system, placement);
+    // avg_v E_uniform[max d(v, f(u))], one allocating row copy per client.
+    double naive = 0.0;
+    for (std::size_t v = 0; v < m.size(); ++v) {
+      std::vector<double> distances(n);
+      for (std::size_t u = 0; u < n; ++u) distances[u] = m.rtt(v, placement.site_of[u]);
+      naive += test_case.system->expected_max_uniform(distances);
+    }
+    naive /= static_cast<double>(m.size());
     EXPECT_DOUBLE_EQ(objective, naive) << test_case.label;
+    EXPECT_EQ(objective,
+              evaluate_balanced(m, *test_case.system, placement, 0.0).avg_response_ms)
+        << test_case.label;
+  }
+}
+
+TEST(Objective, EvaluateRejectsOutOfRangePlacement) {
+  // Site 5000 is past the 50-site matrix: evaluate must refuse it before a
+  // per-client gather reads past a row, whatever the objective.
+  const LatencyMatrix m = net::planetlab50_synth();
+  const quorum::GridQuorum grid{2};
+  const Placement placement{{0, 1, 2, 5000}};
+  const LoadAwareObjective load_aware{7.0};
+  const ClosestStrategyObjective closest{7.0};
+  FailureModel failures;
+  failures.site_failure_prob = 0.05;
+  const FailureAwareObjective failure_aware{7.0, failures};
+  for (const Objective* objective :
+       {&network_delay_objective(), static_cast<const Objective*>(&load_aware),
+        static_cast<const Objective*>(&closest),
+        static_cast<const Objective*>(&failure_aware)}) {
+    EXPECT_THROW((void)objective->evaluate(m, grid, placement), std::out_of_range)
+        << objective->name();
   }
 }
 
@@ -495,6 +530,70 @@ TEST(QuorumLoadHook, CachedUniformLoadMatchesVirtual) {
     }
     // Second call returns the identical storage (memoized).
     EXPECT_EQ(test_case.system->uniform_load_cached().data(), cached.data());
+  }
+}
+
+// ------------------------------------------------ Implicit latency spaces
+
+TEST(ObjectiveOnLatencySpace, EmbeddingMatchesDensified) {
+  // Every evaluator reads the space through rtt / fill_rtts, and densify()
+  // keeps those doubles, so an embedding and its dense copy must agree on
+  // every objective and every evaluate_* entry point.
+  sim::ScenarioConfig config;
+  config.site_count = 40;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::LatencyEmbedding& space = scenario.space;
+  const LatencyMatrix dense = space.densify();
+  const std::span<const double> demand = scenario.client_demand;
+
+  const NetworkDelayObjective delay_weighted{demand};
+  const LoadAwareObjective load_aware{7.0};
+  const LoadAwareObjective load_aware_weighted{7.0, demand};
+  const ClosestStrategyObjective closest{7.0};
+  const ClosestStrategyObjective closest_weighted{7.0, demand};
+  // One-to-one Majority takes the exact order-statistic path, Grid 3x3 (9
+  // support sites) the exact failure-set enumeration.
+  FailureModel failures;
+  failures.site_failure_prob = 0.05;
+  const FailureAwareObjective failure_aware{7.0, failures, demand};
+
+  const quorum::GridQuorum grid{3};
+  const quorum::MajorityQuorum majority{9, 5};
+  common::Rng rng{23};
+  for (const quorum::QuorumSystem* system :
+       {static_cast<const quorum::QuorumSystem*>(&grid),
+        static_cast<const quorum::QuorumSystem*>(&majority)}) {
+    const std::size_t n = system->universe_size();
+    const Placement placement = random_one_to_one(dense, n, rng);
+    for (const Objective* objective :
+         {&network_delay_objective(), static_cast<const Objective*>(&delay_weighted),
+          static_cast<const Objective*>(&load_aware),
+          static_cast<const Objective*>(&load_aware_weighted),
+          static_cast<const Objective*>(&closest),
+          static_cast<const Objective*>(&closest_weighted),
+          static_cast<const Objective*>(&failure_aware)}) {
+      EXPECT_DOUBLE_EQ(objective->evaluate(space, *system, placement),
+                       objective->evaluate(dense, *system, placement))
+          << system->name() << " " << objective->name();
+    }
+
+    ExplicitStrategy uniform;
+    uniform.quorums = system->enumerate_quorums(1000);
+    uniform.probability.assign(
+        dense.size(), std::vector<double>(uniform.quorums.size(),
+                                          1.0 / static_cast<double>(uniform.quorums.size())));
+    const auto expect_same = [&](const Evaluation& a, const Evaluation& b, const char* what) {
+      EXPECT_DOUBLE_EQ(a.avg_response_ms, b.avg_response_ms) << system->name() << " " << what;
+      EXPECT_DOUBLE_EQ(a.avg_network_delay_ms, b.avg_network_delay_ms)
+          << system->name() << " " << what;
+    };
+    expect_same(evaluate_balanced(space, *system, placement, 7.0, demand),
+                evaluate_balanced(dense, *system, placement, 7.0, demand), "balanced");
+    expect_same(evaluate_closest(space, *system, placement, 7.0, demand),
+                evaluate_closest(dense, *system, placement, 7.0, demand), "closest");
+    expect_same(evaluate_explicit(space, *system, placement, 7.0, uniform, demand),
+                evaluate_explicit(dense, *system, placement, 7.0, uniform, demand),
+                "explicit");
   }
 }
 

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/eval_workspace.hpp"
+#include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/grid.hpp"
@@ -38,7 +40,9 @@ TEST(Placement, Validation) {
 TEST(Placement, ElementDistances) {
   const LatencyMatrix m{{{0.0, 10.0, 20.0}, {10.0, 0.0, 5.0}, {20.0, 5.0, 0.0}}};
   const Placement p{{2, 0}};
-  EXPECT_EQ(element_distances(m, p, 1), (std::vector<double>{5.0, 10.0}));
+  std::vector<double> out;
+  fill_element_distances(m, p, 1, out);
+  EXPECT_EQ(out, (std::vector<double>{5.0, 10.0}));
 }
 
 // ------------------------------------------------------------ Majority ball
@@ -68,7 +72,8 @@ TEST(MajorityBall, SingleClientOptimalityBruteForce) {
   const Placement ball = majority_ball_placement(m, 3, v0);
 
   const auto delay_for = [&](const Placement& p) {
-    const std::vector<double> values = element_distances(m, p, v0);
+    std::vector<double> values;
+    fill_element_distances(m, p, v0, values);
     return system.expected_max_uniform(values);
   };
   const double ball_delay = delay_for(ball);
@@ -117,7 +122,8 @@ TEST(GridPlacement, SingleClientOptimalityBruteForceK2) {
     const std::size_t v0 = 0;
     const Placement constructed = grid_placement_for_client(m, 2, v0);
     const auto delay_for = [&](const Placement& p) {
-      const std::vector<double> values = element_distances(m, p, v0);
+      std::vector<double> values;
+      fill_element_distances(m, p, v0, values);
       return system.expected_max_uniform(values);
     };
     const double constructed_delay = delay_for(constructed);
@@ -153,7 +159,7 @@ TEST(SingletonPlacement, TwoApproximationHolds) {
   const LatencyMatrix m = net::small_synth(16, 9);
   const quorum::SingletonQuorum single;
   const Placement median = singleton_placement(m);
-  const double singleton_delay = average_uniform_network_delay(m, single, median);
+  const double singleton_delay = network_delay_objective().evaluate(m, single, median);
 
   const quorum::GridQuorum grid{3};
   const PlacementSearchResult best = best_grid_placement(m, 3);
@@ -173,7 +179,7 @@ TEST(BestPlacement, PicksBestCandidate) {
   // The winner must be at least as good as every per-candidate placement.
   for (std::size_t v0 = 0; v0 < m.size(); ++v0) {
     const Placement p = majority_ball_placement(m, 3, v0);
-    EXPECT_GE(average_uniform_network_delay(m, system, p) + 1e-9, best.avg_network_delay);
+    EXPECT_GE(network_delay_objective().evaluate(m, system, p) + 1e-9, best.avg_network_delay);
   }
 }
 
@@ -192,7 +198,7 @@ TEST(BestPlacement, GridSearchConsistent) {
   const PlacementSearchResult best = best_grid_placement(m, 3);
   const quorum::GridQuorum system{3};
   EXPECT_NEAR(best.avg_network_delay,
-              average_uniform_network_delay(m, system, best.placement), 1e-12);
+              network_delay_objective().evaluate(m, system, best.placement), 1e-12);
   const Placement direct = grid_placement_for_client(m, 3, best.anchor_client);
   EXPECT_EQ(best.placement.site_of, direct.site_of);
 }

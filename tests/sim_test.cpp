@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/eval_workspace.hpp"
 #include "core/placement.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/majority.hpp"
@@ -249,7 +250,8 @@ TEST(ClientSites, ApproximateThePopulationAverage) {
   std::vector<double> delays(f.matrix.size());
   double total = 0.0;
   for (std::size_t v = 0; v < f.matrix.size(); ++v) {
-    const auto values = core::element_distances(f.matrix, f.placement, v);
+    std::vector<double> values;
+    core::fill_element_distances(f.matrix, f.placement, v, values);
     delays[v] = f.system.expected_max_uniform(values);
     total += delays[v];
   }

@@ -13,6 +13,7 @@
 
 #include "core/client_index.hpp"
 #include "core/delta_eval.hpp"
+#include "core/failure_objective.hpp"
 #include "core/local_search.hpp"
 #include "core/objective.hpp"
 #include "core/placement.hpp"
@@ -323,6 +324,8 @@ TEST(SparseSearchParity, CappedIndexStillProducesImprovingSequence) {
   EXPECT_GT(result.moves, 0u);
   EXPECT_LT(result.objective, initial_objective);
   result.placement.validate(c.scenario.site_count());
+  // The reported objective is the canonical evaluation on the implicit space.
+  EXPECT_EQ(result.objective, c.objective.evaluate(c.scenario.space, c.grid, result.placement));
 }
 
 TEST(SparseSearchParity, CappedIndexNeverAcceptsAWorseningMove) {
@@ -340,6 +343,32 @@ TEST(SparseSearchParity, CappedIndexNeverAcceptsAWorseningMove) {
     EXPECT_NEAR(fresh.objective(), result.objective, 1e-9);
     previous = result.objective;
   }
+}
+
+TEST(SparseSearchParity, FailureAwareSearchOnEmbeddingMatchesDensified) {
+  // Objectives without delta support take the full re-evaluation route,
+  // which reads the space only through Objective::evaluate: an embedding
+  // needs no dense table and must retrace the search on its densify() copy.
+  sim::ScenarioConfig config;
+  config.site_count = 24;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::LatencyMatrix dense = scenario.space.densify();
+  const quorum::MajorityQuorum majority{5, 3};
+  FailureModel failures;
+  failures.site_failure_prob = 0.05;
+  const FailureAwareObjective objective{7.0, failures, scenario.client_demand};
+  const Placement initial{{0, 5, 10, 15, 20}};
+  LocalSearchOptions options;
+  options.objective = &objective;
+  options.max_rounds = 5;
+  options.threads = 1;
+  const LocalSearchResult sparse =
+      local_search_placement(scenario.space, majority, initial, options);
+  const LocalSearchResult reference = local_search_placement(dense, majority, initial, options);
+  EXPECT_GT(reference.moves, 0u) << "vacuous parity, nothing moved";
+  EXPECT_EQ(sparse.moves, reference.moves);
+  ASSERT_EQ(sparse.placement.site_of, reference.placement.site_of);
+  EXPECT_DOUBLE_EQ(sparse.objective, reference.objective);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/capacity.hpp"
+#include "core/eval_workspace.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
 #include "net/synthetic.hpp"
@@ -133,7 +134,8 @@ TEST(ClosestQuorums, EachClientGetsItsOwnBest) {
   const auto chosen = closest_quorums(m, grid, p);
   ASSERT_EQ(chosen.size(), m.size());
   for (std::size_t v = 0; v < m.size(); ++v) {
-    const auto values = element_distances(m, p, v);
+    std::vector<double> values;
+    fill_element_distances(m, p, v, values);
     double chosen_max = 0.0;
     for (std::size_t u : chosen[v]) chosen_max = std::max(chosen_max, values[u]);
     for (const auto& quorum : grid.enumerate_quorums(100)) {
@@ -158,7 +160,8 @@ TEST(StrategyLp, UncapacitatedRecoversClosest) {
 
   double closest_total = 0.0;
   for (std::size_t v = 0; v < m.size(); ++v) {
-    const auto values = element_distances(m, p, v);
+    std::vector<double> values;
+    fill_element_distances(m, p, v, values);
     double best = 1e300;
     for (const auto& quorum : grid.enumerate_quorums(100)) {
       double worst = 0.0;
@@ -281,7 +284,8 @@ TEST(StrategyLp, DemandWeightsEnterTheCapacityRows) {
   // The LP objective is the demand-weighted average delay of the strategy.
   double expected = 0.0;
   for (std::size_t v = 0; v < m.size(); ++v) {
-    const auto values = element_distances(m, p, v);
+    std::vector<double> values;
+    fill_element_distances(m, p, v, values);
     for (std::size_t i = 0; i < lp.strategy.quorums.size(); ++i) {
       double worst = 0.0;
       for (std::size_t u : lp.strategy.quorums[i]) worst = std::max(worst, values[u]);

@@ -10,10 +10,8 @@
 // can use it without the test libraries.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "core/objective.hpp"
 
@@ -34,21 +32,11 @@ class FullReevaluation final : public Objective {
       const quorum::QuorumSystem& system) const override {
     return inner_->element_loads(system);
   }
-  [[nodiscard]] std::vector<double> site_loads(const net::LatencyMatrix& matrix,
-                                               const quorum::QuorumSystem& system,
-                                               const Placement& placement) const override {
-    return inner_->site_loads(matrix, system, placement);
-  }
-  [[nodiscard]] std::optional<ExplicitStrategy> export_strategy(
-      const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-      const Placement& placement) const override {
-    return inner_->export_strategy(matrix, system, placement);
-  }
-  [[nodiscard]] double evaluate_ws(const net::LatencyMatrix& matrix,
+  [[nodiscard]] double evaluate_ws(const net::LatencySpace& space,
                                    const quorum::QuorumSystem& system,
                                    const Placement& placement,
                                    EvalWorkspace& workspace) const override {
-    return inner_->evaluate_ws(matrix, system, placement, workspace);
+    return inner_->evaluate_ws(space, system, placement, workspace);
   }
 
  private:
