@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   core::IterativeOptions options;
   options.anchor_candidates = eval::central_sites(m, 8);
   const core::IterativeResult iterative = core::iterative_placement(
-      m, grid, core::uniform_capacities(m.size(), 0.6), /*alpha=*/0.0, options);
+      m, grid, core::uniform_capacities(m.size(), 0.6), core::network_delay_objective(), options);
   const core::Placement singleton = core::singleton_placement(m, grid.universe_size());
 
   struct Row {

@@ -11,6 +11,8 @@
 #include "bench_util.hpp"
 #include "core/capacity.hpp"
 #include "core/manytoone.hpp"
+#include "core/response.hpp"
+#include "core/strategy.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/grid.hpp"
 
@@ -30,14 +32,16 @@ int main(int argc, char** argv) {
     double violation;
   };
   std::vector<Row> rows;
-  const auto quorums = grid.enumerate_quorums(1000);
+  // Every client uses the common distribution `probs`.
+  const core::ExplicitStrategy common =
+      core::common_strategy(grid.enumerate_quorums(1000), probs, m.size());
   for (double eps : {0.25, 0.5, 1.0, 2.0, 4.0}) {
     core::ManyToOneOptions options;
     options.epsilon = eps;
     const auto result = core::many_to_one_placement(m, grid, probs, caps, v0, options);
     if (result.status != lp::SolveStatus::Optimal) continue;
-    const double delay = core::average_network_delay_under_distribution(
-        m, quorums, probs, result.placement);
+    const double delay =
+        core::evaluate_explicit(m, grid, result.placement, 0.0, common).avg_network_delay_ms;
     rows.push_back(Row{eps, result.lp_delay_bound, delay, result.max_capacity_violation});
   }
 

@@ -19,7 +19,7 @@ std::vector<double> uniform_capacity_levels(double l_opt, std::size_t count) {
   return levels;
 }
 
-std::vector<double> nonuniform_capacities(const net::LatencyMatrix& matrix,
+std::vector<double> nonuniform_capacities(const net::LatencySpace& space,
                                           std::span<const std::size_t> support, double beta,
                                           double gamma) {
   if (support.empty()) throw std::invalid_argument{"nonuniform_capacities: empty support"};
@@ -30,7 +30,7 @@ std::vector<double> nonuniform_capacities(const net::LatencyMatrix& matrix,
   double le = std::numeric_limits<double>::infinity();
   double re = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < support.size(); ++i) {
-    const double s = matrix.average_rtt_from(support[i]);
+    const double s = net::average_rtt_from(space, support[i]);
     if (s <= 0.0) {
       throw std::invalid_argument{"nonuniform_capacities: zero average distance"};
     }
@@ -38,7 +38,7 @@ std::vector<double> nonuniform_capacities(const net::LatencyMatrix& matrix,
     le = std::min(le, inverse_distance[i]);
     re = std::max(re, inverse_distance[i]);
   }
-  std::vector<double> capacities(matrix.size(), gamma);
+  std::vector<double> capacities(space.size(), gamma);
   const double range = re - le;
   for (std::size_t i = 0; i < support.size(); ++i) {
     const double cap =

@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 
 namespace qp::core {
 
@@ -25,7 +25,7 @@ namespace qp::core {
 /// where le/re are the min/max of 1/s_i over the support set. Sites outside
 /// the support set receive gamma (they carry no load, so the value is
 /// irrelevant to the LP). If all s_i are equal every support site gets gamma.
-[[nodiscard]] std::vector<double> nonuniform_capacities(const net::LatencyMatrix& matrix,
+[[nodiscard]] std::vector<double> nonuniform_capacities(const net::LatencySpace& space,
                                                         std::span<const std::size_t> support,
                                                         double beta, double gamma);
 

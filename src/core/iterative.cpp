@@ -6,21 +6,7 @@
 
 namespace qp::core {
 
-namespace {
-
-/// Explicit strategy in which every client uses the same distribution.
-ExplicitStrategy common_strategy(std::vector<quorum::Quorum> quorums,
-                                 const std::vector<double>& distribution,
-                                 std::size_t client_count) {
-  ExplicitStrategy strategy;
-  strategy.quorums = std::move(quorums);
-  strategy.probability.assign(client_count, distribution);
-  return strategy;
-}
-
-}  // namespace
-
-IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
+IterativeResult iterative_placement(const net::LatencySpace& space,
                                     const quorum::QuorumSystem& system,
                                     std::span<const double> capacities,
                                     const Objective& objective,
@@ -35,7 +21,6 @@ IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
   const std::vector<quorum::Quorum> quorums =
       system.enumerate_quorums(options.strategy.quorum_limit);
   const std::size_t m = quorums.size();
-  const std::size_t clients = matrix.size();
 
   // p^0 = uniform distribution for every client (§4.2).
   std::vector<double> average_distribution(m, 1.0 / static_cast<double>(m));
@@ -56,7 +41,7 @@ IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
 
     // Phase 1: many-to-one placement under the average strategy.
     const ManyToOneSearchResult search = best_many_to_one_placement(
-        matrix, system, average_distribution, capacities, options.anchor_candidates,
+        space, system, average_distribution, capacities, options.anchor_candidates,
         options.placement);
     if (search.best.status != lp::SolveStatus::Optimal) {
       if (!have_accepted) {
@@ -70,9 +55,9 @@ IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
     record.max_capacity_violation = search.best.max_capacity_violation;
 
     const ExplicitStrategy carried =
-        common_strategy(quorums, average_distribution, clients);
+        common_strategy(quorums, average_distribution, space.size());
     const Evaluation phase1 =
-        evaluate_explicit(matrix, system, placement, alpha, carried, demand);
+        evaluate_explicit(space, system, placement, alpha, carried, demand);
     record.response_after_placement = phase1.avg_response_ms;
     record.network_after_placement = phase1.avg_network_delay_ms;
 
@@ -87,7 +72,7 @@ IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
       record.lp_warm_started = true;
     }
     const StrategyLpResult lp_result = optimize_access_strategy(
-        matrix, system, placement, load_caps, demand, strategy_options);
+        space, system, placement, load_caps, demand, strategy_options);
     record.lp_iterations = lp_result.lp_iterations;
     if (lp_result.status != lp::SolveStatus::Optimal) {
       // The carried strategy is feasible for these capacities by
@@ -100,7 +85,7 @@ IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
       warm_support = support;
     }
     const Evaluation phase2 =
-        evaluate_explicit(matrix, system, placement, alpha, lp_result.strategy, demand);
+        evaluate_explicit(space, system, placement, alpha, lp_result.strategy, demand);
     record.response_after_strategy = phase2.avg_response_ms;
     record.network_after_strategy = phase2.avg_network_delay_ms;
 
@@ -124,18 +109,6 @@ IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
   }
   accepted.history = std::move(result.history);
   return accepted;
-}
-
-IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
-                                    const quorum::QuorumSystem& system,
-                                    std::span<const double> capacities, double alpha,
-                                    const IterativeOptions& options) {
-  if (alpha == 0.0) {
-    return iterative_placement(matrix, system, capacities, network_delay_objective(),
-                               options);
-  }
-  const LoadAwareObjective objective{alpha};
-  return iterative_placement(matrix, system, capacities, objective, options);
 }
 
 }  // namespace qp::core

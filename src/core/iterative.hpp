@@ -3,7 +3,8 @@
 // access-strategy LP (phase 2, with capacities pinned to the loads the new
 // placement induces, so delay can only improve while loads are preserved).
 // Halts when an iteration fails to reduce the expected response time and
-// returns the previous iteration's placement and strategies.
+// returns the previous iteration's placement and strategies. Both phases and
+// every measurement read latencies through net::LatencySpace.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +15,7 @@
 #include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::core {
@@ -67,19 +68,13 @@ struct IterativeResult {
 /// load coefficients — uniform-demand runs reproduce the unweighted (4.3)
 /// arithmetic bitwise); `capacities` is the cap0 vector of §4.2. Throws
 /// std::runtime_error if even the first iteration fails to produce a
-/// feasible placement.
-[[nodiscard]] IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
+/// feasible placement. Only objective.alpha() and client_weights() are
+/// read: pass LoadAwareObjective{alpha} (alpha 0 included) or
+/// network_delay_objective().
+[[nodiscard]] IterativeResult iterative_placement(const net::LatencySpace& space,
                                                   const quorum::QuorumSystem& system,
                                                   std::span<const double> capacities,
                                                   const Objective& objective,
-                                                  const IterativeOptions& options = {});
-
-/// Bare-alpha convenience: runs against NetworkDelayObjective (alpha == 0)
-/// or LoadAwareObjective{alpha}.
-[[nodiscard]] IterativeResult iterative_placement(const net::LatencyMatrix& matrix,
-                                                  const quorum::QuorumSystem& system,
-                                                  std::span<const double> capacities,
-                                                  double alpha,
                                                   const IterativeOptions& options = {});
 
 }  // namespace qp::core

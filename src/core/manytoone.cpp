@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/response.hpp"
 #include "core/strategy.hpp"
 #include "flow/assignment.hpp"
 #include "lp/revised_simplex.hpp"
@@ -31,22 +32,22 @@ struct FractionalPlacement {
   double objective = 0.0;
 };
 
-/// Solves the placement LP for anchor v0 on the revised simplex. `basis`
-/// seeds the solve when non-empty and receives the optimal basis: only the
-/// delay-row coefficients d(v0, .) depend on the anchor, so one anchor's
-/// optimum is a near-feasible start for the next.
-FractionalPlacement solve_placement_lp(const net::LatencyMatrix& matrix,
+/// Solves the placement LP for the anchor whose row d = d(v0, .) is given,
+/// on the revised simplex. `basis` seeds the solve when non-empty and
+/// receives the optimal basis: only the delay-row coefficients d(v0, .)
+/// depend on the anchor, so one anchor's optimum is a near-feasible start
+/// for the next.
+FractionalPlacement solve_placement_lp(const std::vector<double>& d,
                                        std::span<const quorum::Quorum> quorums,
                                        std::span<const double> distribution,
                                        std::span<const double> element_load,
-                                       std::span<const double> capacities, std::size_t v0,
+                                       std::span<const double> capacities,
                                        const ManyToOneOptions& options, lp::Basis& basis,
                                        lp::SolveStatus& status) {
   QP_TRACE_SPAN("core.manytoone.lp");
-  const std::size_t sites = matrix.size();
+  const std::size_t sites = d.size();
   const std::size_t n = element_load.size();
   const std::size_t m = quorums.size();
-  const std::vector<double>& d = matrix.row(v0);
 
   lp::LpProblem problem;
   // Variables: x_uw (u * sites + w), then t_i.
@@ -195,13 +196,18 @@ Placement round_to_slots(const FractionalPlacement& fractional,
 
 /// Argument checks shared by both entry points; returns the enumerated
 /// quorums, which the distribution is aligned with.
-std::vector<quorum::Quorum> validated_quorums(const net::LatencyMatrix& matrix,
+std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
                                               const quorum::QuorumSystem& system,
                                               std::span<const double> quorum_distribution,
                                               std::span<const double> capacities,
                                               const ManyToOneOptions& options) {
-  if (capacities.size() != matrix.size()) {
+  if (capacities.size() != space.size()) {
     throw std::invalid_argument{"many_to_one_placement: capacities size mismatch"};
+  }
+  for (double cap : capacities) {
+    if (!std::isfinite(cap)) {
+      throw std::invalid_argument{"many_to_one_placement: capacities must be finite"};
+    }
   }
   std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
   if (quorum_distribution.size() != quorums.size()) {
@@ -216,33 +222,33 @@ std::vector<quorum::Quorum> validated_quorums(const net::LatencyMatrix& matrix,
 }
 
 /// The three-step pipeline for one anchor; `basis` is threaded through
-/// solve_placement_lp.
-ManyToOneResult place_for_anchor(const net::LatencyMatrix& matrix,
+/// solve_placement_lp. The anchor's row d(v0, .) is gathered once and
+/// shared by all three steps.
+ManyToOneResult place_for_anchor(const net::LatencySpace& space,
                                  std::span<const quorum::Quorum> quorums,
                                  std::span<const double> quorum_distribution,
                                  std::span<const double> load,
                                  std::span<const double> capacities, std::size_t v0,
                                  const ManyToOneOptions& options, lp::Basis& basis) {
-  if (v0 >= matrix.size()) {
+  if (v0 >= space.size()) {
     throw std::invalid_argument{"many_to_one_placement: v0 out of range"};
   }
+  const std::vector<double> d = net::rtt_row(space, v0);
   ManyToOneResult result;
-  FractionalPlacement fractional =
-      solve_placement_lp(matrix, quorums, quorum_distribution, load, capacities, v0, options,
-                         basis, result.status);
+  FractionalPlacement fractional = solve_placement_lp(
+      d, quorums, quorum_distribution, load, capacities, options, basis, result.status);
   if (result.status != lp::SolveStatus::Optimal) return result;
   result.lp_delay_bound = fractional.objective;
 
-  const std::vector<double>& d = matrix.row(v0);
   filter_fractional(fractional, d, options.epsilon);
   result.placement = round_to_slots(fractional, load, d);
 
   // Quantify the bounded capacity violation.
-  std::vector<double> site_load(matrix.size(), 0.0);
+  std::vector<double> site_load(space.size(), 0.0);
   for (std::size_t u = 0; u < load.size(); ++u) {
     site_load[result.placement.site_of[u]] += load[u];
   }
-  for (std::size_t w = 0; w < matrix.size(); ++w) {
+  for (std::size_t w = 0; w < space.size(); ++w) {
     if (site_load[w] <= 0.0) continue;
     const double cap = std::max(capacities[w], 1e-12);
     result.max_capacity_violation = std::max(result.max_capacity_violation, site_load[w] / cap);
@@ -252,43 +258,21 @@ ManyToOneResult place_for_anchor(const net::LatencyMatrix& matrix,
 
 }  // namespace
 
-ManyToOneResult many_to_one_placement(const net::LatencyMatrix& matrix,
+ManyToOneResult many_to_one_placement(const net::LatencySpace& space,
                                       const quorum::QuorumSystem& system,
                                       std::span<const double> quorum_distribution,
                                       std::span<const double> capacities, std::size_t v0,
                                       const ManyToOneOptions& options) {
   const std::vector<quorum::Quorum> quorums =
-      validated_quorums(matrix, system, quorum_distribution, capacities, options);
+      validated_quorums(space, system, quorum_distribution, capacities, options);
   const std::vector<double> load =
       element_loads(quorums, quorum_distribution, system.universe_size());
   lp::Basis basis = options.simplex.initial_basis;
-  return place_for_anchor(matrix, quorums, quorum_distribution, load, capacities, v0, options,
+  return place_for_anchor(space, quorums, quorum_distribution, load, capacities, v0, options,
                           basis);
 }
 
-double average_network_delay_under_distribution(const net::LatencyMatrix& matrix,
-                                                std::span<const quorum::Quorum> quorums,
-                                                std::span<const double> distribution,
-                                                const Placement& placement) {
-  placement.validate(matrix.size());
-  double total = 0.0;
-  for (std::size_t v = 0; v < matrix.size(); ++v) {
-    const std::vector<double>& row = matrix.row(v);
-    double expected = 0.0;
-    for (std::size_t i = 0; i < quorums.size(); ++i) {
-      if (distribution[i] == 0.0) continue;
-      double worst = 0.0;
-      for (std::size_t u : quorums[i]) {
-        worst = std::max(worst, row[placement.site_of[u]]);
-      }
-      expected += distribution[i] * worst;
-    }
-    total += expected;
-  }
-  return total / static_cast<double>(matrix.size());
-}
-
-ManyToOneSearchResult best_many_to_one_placement(const net::LatencyMatrix& matrix,
+ManyToOneSearchResult best_many_to_one_placement(const net::LatencySpace& space,
                                                  const quorum::QuorumSystem& system,
                                                  std::span<const double> quorum_distribution,
                                                  std::span<const double> capacities,
@@ -296,14 +280,15 @@ ManyToOneSearchResult best_many_to_one_placement(const net::LatencyMatrix& matri
                                                  const ManyToOneOptions& options) {
   std::vector<std::size_t> all;
   if (candidates.empty()) {
-    all.resize(matrix.size());
+    all.resize(space.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     candidates = all;
   }
   const std::vector<quorum::Quorum> quorums =
-      validated_quorums(matrix, system, quorum_distribution, capacities, options);
+      validated_quorums(space, system, quorum_distribution, capacities, options);
   const std::vector<double> load =
       element_loads(quorums, quorum_distribution, system.universe_size());
+  const ExplicitStrategy common = common_strategy(quorums, quorum_distribution, space.size());
 
   ManyToOneSearchResult best;
   best.avg_network_delay = std::numeric_limits<double>::infinity();
@@ -311,11 +296,12 @@ ManyToOneSearchResult best_many_to_one_placement(const net::LatencyMatrix& matri
   // first from the caller's seed, if any).
   lp::Basis basis = options.simplex.initial_basis;
   for (std::size_t v0 : candidates) {
-    ManyToOneResult candidate = place_for_anchor(matrix, quorums, quorum_distribution, load,
+    ManyToOneResult candidate = place_for_anchor(space, quorums, quorum_distribution, load,
                                                  capacities, v0, options, basis);
     if (candidate.status != lp::SolveStatus::Optimal) continue;
-    const double delay = average_network_delay_under_distribution(
-        matrix, quorums, quorum_distribution, candidate.placement);
+    const double delay =
+        evaluate_explicit(space, system, candidate.placement, 0.0, common)
+            .avg_network_delay_ms;
     if (delay < best.avg_network_delay) {
       best.avg_network_delay = delay;
       best.anchor_client = v0;

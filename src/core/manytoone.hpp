@@ -10,7 +10,8 @@
 //      ceil(total fractional mass) unit slots, order items by decreasing
 //      load, and find a min-cost perfect matching of elements to slots.
 // The result places every element integrally while exceeding capacities by
-// at most a constant factor (reported, not hidden).
+// at most a constant factor (reported, not hidden). Latencies are read
+// through net::LatencySpace: each anchor gathers its row d(v0, .) once.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +20,7 @@
 
 #include "core/placement.hpp"
 #include "lp/simplex.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::core {
@@ -50,9 +51,9 @@ struct ManyToOneResult {
 /// `quorum_distribution` is the common access strategy p, aligned with
 /// system.enumerate_quorums(options.quorum_limit); it must sum to 1.
 /// `capacities` is indexed by site and must be positive wherever load could
-/// land.
+/// land; a non-finite entry throws std::invalid_argument.
 [[nodiscard]] ManyToOneResult many_to_one_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     std::span<const double> quorum_distribution, std::span<const double> capacities,
     std::size_t v0, const ManyToOneOptions& options = {});
 
@@ -69,17 +70,11 @@ struct ManyToOneSearchResult {
 /// differ only in the delay coefficients d(v0, .), so each one is
 /// warm-started from the previous anchor's optimal basis; the bounds match
 /// cold solves to solver tolerance, though a tie between alternate LP
-/// optima may round to a different placement.
+/// optima may round to a different placement. Placements are scored by
+/// evaluate_explicit at alpha 0 under common_strategy(quorum_distribution).
 [[nodiscard]] ManyToOneSearchResult best_many_to_one_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     std::span<const double> quorum_distribution, std::span<const double> capacities,
     std::span<const std::size_t> candidates = {}, const ManyToOneOptions& options = {});
-
-/// avg_v sum_i p_i max_{u in Q_i} d(v, f(u)) — network delay of a placement
-/// under a common explicit distribution (helper shared with the iterative
-/// algorithm and benches).
-[[nodiscard]] double average_network_delay_under_distribution(
-    const net::LatencyMatrix& matrix, std::span<const quorum::Quorum> quorums,
-    std::span<const double> distribution, const Placement& placement);
 
 }  // namespace qp::core

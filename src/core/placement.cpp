@@ -29,22 +29,22 @@ void Placement::validate(std::size_t site_count) const {
   }
 }
 
-Placement majority_ball_placement(const net::LatencyMatrix& matrix,
+Placement majority_ball_placement(const net::LatencySpace& space,
                                   std::size_t universe_size, std::size_t v0) {
-  if (universe_size == 0 || universe_size > matrix.size()) {
+  if (universe_size == 0 || universe_size > space.size()) {
     throw std::invalid_argument{"majority_ball_placement: bad universe size"};
   }
-  return Placement{matrix.ball(v0, universe_size)};
+  return Placement{net::ball(space, v0, universe_size)};
 }
 
-Placement grid_placement_for_client(const net::LatencyMatrix& matrix, std::size_t side,
+Placement grid_placement_for_client(const net::LatencySpace& space, std::size_t side,
                                     std::size_t v0) {
   const std::size_t n = side * side;
-  if (side == 0 || n > matrix.size()) {
+  if (side == 0 || n > space.size()) {
     throw std::invalid_argument{"grid_placement_for_client: bad grid side"};
   }
   // Ball nodes ordered by DECREASING distance from v0: rank 0 is farthest.
-  std::vector<std::size_t> by_distance = matrix.ball(v0, n);
+  std::vector<std::size_t> by_distance = net::ball(space, v0, n);
   std::reverse(by_distance.begin(), by_distance.end());
 
   // Inductive square construction (§4.1.1): the largest l^2 distances
@@ -68,19 +68,19 @@ Placement grid_placement_for_client(const net::LatencyMatrix& matrix, std::size_
   return placement;
 }
 
-Placement singleton_placement(const net::LatencyMatrix& matrix, std::size_t universe_size) {
+Placement singleton_placement(const net::LatencySpace& space, std::size_t universe_size) {
   if (universe_size == 0) throw std::invalid_argument{"singleton_placement: empty universe"};
-  const std::size_t median = matrix.median_site();
+  const std::size_t median = net::median_site(space);
   return Placement{std::vector<std::size_t>(universe_size, median)};
 }
 
 PlacementSearchResult best_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const std::function<Placement(std::size_t v0)>& build_for_client,
     std::span<const std::size_t> candidates, const Objective& objective) {
   std::vector<std::size_t> all;
   if (candidates.empty()) {
-    all.resize(matrix.size());
+    all.resize(space.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     candidates = all;
   }
@@ -95,8 +95,8 @@ PlacementSearchResult best_placement(
       0, candidates.size(), [&](std::size_t i) {
         static thread_local EvalWorkspace workspace;
         const Placement placement = build_for_client(candidates[i]);
-        placement.validate(matrix.size());
-        delays[i] = objective.evaluate_ws(matrix, system, placement, workspace);
+        placement.validate(space.size());
+        delays[i] = objective.evaluate_ws(space, system, placement, workspace);
       });
 
   std::size_t best_index = candidates.size();
@@ -117,24 +117,24 @@ PlacementSearchResult best_placement(
   return best;
 }
 
-PlacementSearchResult best_majority_placement(const net::LatencyMatrix& matrix,
+PlacementSearchResult best_majority_placement(const net::LatencySpace& space,
                                               const quorum::QuorumSystem& majority,
                                               std::span<const std::size_t> candidates) {
   return best_placement(
-      matrix, majority,
+      space, majority,
       [&](std::size_t v0) {
-        return majority_ball_placement(matrix, majority.universe_size(), v0);
+        return majority_ball_placement(space, majority.universe_size(), v0);
       },
       candidates);
 }
 
-PlacementSearchResult best_grid_placement(const net::LatencyMatrix& matrix,
+PlacementSearchResult best_grid_placement(const net::LatencySpace& space,
                                           std::size_t side,
                                           std::span<const std::size_t> candidates) {
   const quorum::GridQuorum grid{side};
   return best_placement(
-      matrix, grid,
-      [&](std::size_t v0) { return grid_placement_for_client(matrix, side, v0); },
+      space, grid,
+      [&](std::size_t v0) { return grid_placement_for_client(space, side, v0); },
       candidates);
 }
 

@@ -10,7 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::core {
@@ -36,17 +36,17 @@ struct Placement {
 
 /// Majority placement for a single client v0: an arbitrary one-to-one map
 /// onto the ball B(v0, n) (all such maps have equal delay for v0; §4.1.1).
-[[nodiscard]] Placement majority_ball_placement(const net::LatencyMatrix& matrix,
+[[nodiscard]] Placement majority_ball_placement(const net::LatencySpace& space,
                                                 std::size_t universe_size, std::size_t v0);
 
 /// Grid placement for a single client v0 (§4.1.1): sort the ball's distances
 /// in decreasing order and fill the grid in inductively growing squares, so
 /// the closest nodes land on the last row and column (one cheap quorum).
-[[nodiscard]] Placement grid_placement_for_client(const net::LatencyMatrix& matrix,
+[[nodiscard]] Placement grid_placement_for_client(const net::LatencySpace& space,
                                                   std::size_t side, std::size_t v0);
 
 /// All universe elements on the graph median (Lin's 2-approximation).
-[[nodiscard]] Placement singleton_placement(const net::LatencyMatrix& matrix,
+[[nodiscard]] Placement singleton_placement(const net::LatencySpace& space,
                                             std::size_t universe_size = 1);
 
 struct PlacementSearchResult {
@@ -68,17 +68,17 @@ struct PlacementSearchResult {
 /// function of v0, as all the built-in builders are); the reduction is
 /// serial in candidate order, so the result is identical to a serial scan.
 [[nodiscard]] PlacementSearchResult best_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const std::function<Placement(std::size_t v0)>& build_for_client,
     std::span<const std::size_t> candidates = {},
     const Objective& objective = network_delay_objective());
 
 /// Convenience wrappers running best_placement with the matching builder.
 [[nodiscard]] PlacementSearchResult best_majority_placement(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& majority,
+    const net::LatencySpace& space, const quorum::QuorumSystem& majority,
     std::span<const std::size_t> candidates = {});
 [[nodiscard]] PlacementSearchResult best_grid_placement(
-    const net::LatencyMatrix& matrix, std::size_t side,
+    const net::LatencySpace& space, std::size_t side,
     std::span<const std::size_t> candidates = {});
 
 }  // namespace qp::core

@@ -75,6 +75,16 @@ std::vector<double> ExplicitStrategy::average_distribution() const {
   return average;
 }
 
+ExplicitStrategy common_strategy(std::vector<quorum::Quorum> quorums,
+                                 std::span<const double> distribution,
+                                 std::size_t client_count) {
+  ExplicitStrategy strategy;
+  strategy.quorums = std::move(quorums);
+  strategy.probability.assign(client_count,
+                              std::vector<double>(distribution.begin(), distribution.end()));
+  return strategy;
+}
+
 std::vector<quorum::Quorum> closest_quorums(const net::LatencySpace& space,
                                             const quorum::QuorumSystem& system,
                                             const Placement& placement) {
@@ -310,7 +320,7 @@ StrategyLpResult solve_transportation(std::span<const double> delay_cost,
 
 }  // namespace
 
-StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
+StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
                                           const quorum::QuorumSystem& system,
                                           const Placement& placement,
                                           std::span<const double> capacities,
@@ -318,12 +328,19 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
                                           const StrategyLpOptions& options) {
   QP_TRACE_SPAN("lp.strategy.optimize");
   c_slp_solves.add();
-  placement.validate(matrix.size());
-  if (capacities.size() != matrix.size()) {
+  placement.validate(space.size());
+  if (capacities.size() != space.size()) {
     throw std::invalid_argument{"optimize_access_strategy: capacities size mismatch"};
   }
+  // A NaN cap would read as slack to capacity_rows_cannot_bind. Negative
+  // caps stay valid input: the LP reports them Infeasible.
+  for (double cap : capacities) {
+    if (!std::isfinite(cap)) {
+      throw std::invalid_argument{"optimize_access_strategy: capacities must be finite"};
+    }
+  }
   if (!client_weights.empty()) {
-    if (client_weights.size() != matrix.size()) {
+    if (client_weights.size() != space.size()) {
       throw std::invalid_argument{
           "optimize_access_strategy: client weight count != clients"};
     }
@@ -336,7 +353,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
       }
     }
   }
-  const std::size_t client_count = matrix.size();
+  const std::size_t client_count = space.size();
   const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
   const std::size_t m = quorums.size();
   const double inv_clients = 1.0 / static_cast<double>(client_count);
@@ -361,16 +378,15 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
   // w_v = demand share (the flat 1/|V| when unweighted). Computed once, in
   // the historical arithmetic order, so both engines price the same LP.
   std::vector<double> delay_cost(client_count * m, 0.0);
+  std::vector<double> distances;
   double total_weight = 0.0;
   for (std::size_t v = 0; v < client_count; ++v) {
-    const std::vector<double>& row = matrix.row(v);
+    fill_element_distances(space, placement, v, distances);
     const double weight = client_weights.empty() ? inv_clients : client_weights[v];
     total_weight += weight;
     for (std::size_t i = 0; i < m; ++i) {
       double delta = 0.0;
-      for (const auto& [site, count] : quorum_sites[i]) {
-        delta = std::max(delta, row[site]);
-      }
+      for (std::size_t u : quorums[i]) delta = std::max(delta, distances[u]);
       delay_cost[v * m + i] = delta * weight;
     }
   }
@@ -380,7 +396,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
   // Route by LP shape: Transportation when no capacity row can bind,
   // Revised otherwise (and when the flow fails to saturate).
   const bool uncapacitated = capacity_rows_cannot_bind(quorum_sites, support, capacities,
-                                                       matrix.size(), total_weight);
+                                                       space.size(), total_weight);
   (uncapacitated ? c_slp_route_slack : c_slp_route_may_bind).add();
   if (uncapacitated) {
     StrategyLpResult result = solve_transportation(delay_cost, client_count, m);
@@ -396,7 +412,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
   for (double cost : delay_cost) (void)problem.add_variable(cost);
 
   // Capacity rows (4.4), one per support site.
-  std::vector<std::size_t> capacity_row(matrix.size(), 0);
+  std::vector<std::size_t> capacity_row(space.size(), 0);
   for (std::size_t w : support) {
     capacity_row[w] = problem.add_row(lp::RowSense::LessEqual, capacities[w],
                                       "cap-" + std::to_string(w));

@@ -7,6 +7,8 @@
 //   * LP-optimized — per-client distributions solving LP (4.3)-(4.6): they
 //                minimize average network delay subject to per-site capacity
 //                constraints on the induced load.
+// Every entry point reads latencies through net::LatencySpace (a dense
+// LatencyMatrix or an implicit LatencyEmbedding).
 #pragma once
 
 #include <cstddef>
@@ -15,7 +17,6 @@
 
 #include "core/placement.hpp"
 #include "lp/simplex.hpp"
-#include "net/latency_matrix.hpp"
 #include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
@@ -35,6 +36,12 @@ struct ExplicitStrategy {
   /// The average strategy avg({p_v}) of §4.2 — one distribution over quorums.
   [[nodiscard]] std::vector<double> average_distribution() const;
 };
+
+/// The explicit strategy in which all `client_count` clients use the same
+/// `distribution` over `quorums` (the common strategy p of §4.1.2 / §4.2).
+[[nodiscard]] ExplicitStrategy common_strategy(std::vector<quorum::Quorum> quorums,
+                                               std::span<const double> distribution,
+                                               std::size_t client_count);
 
 /// The closest quorum (minimum network delay, QuorumSystem::best_quorum
 /// ties included) for every client: one best_quorum call per client.
@@ -126,9 +133,10 @@ struct StrategyLpOptions {
 /// consume proportionally more of every touched site's capacity. An empty
 /// `client_weights` (the default) runs the historical uniform arithmetic
 /// (w_v = 1/|V|) bitwise. Returns Infeasible status when the capacities
-/// cannot carry the workload.
+/// cannot carry the workload (e.g. a negative cap); throws
+/// std::invalid_argument on a non-finite capacity.
 [[nodiscard]] StrategyLpResult optimize_access_strategy(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, std::span<const double> capacities,
     std::span<const double> client_weights = {}, const StrategyLpOptions& options = {});
 

@@ -61,22 +61,22 @@ PointShard parse_point_shard(const char* spec) {
 
 PointShard point_shard_from_env() { return parse_point_shard(std::getenv("QP_POINT_SHARD")); }
 
-std::vector<QuPoint> qu_response_surface(const net::LatencyMatrix& matrix,
+std::vector<QuPoint> qu_response_surface(const net::LatencySpace& space,
                                          const QuSweepConfig& config) {
   std::vector<QuPoint> points;
   for (std::size_t t : config.t_values) {
     const quorum::MajorityQuorum system =
         quorum::make_majority(quorum::MajorityFamily::QuThreshold, t);
-    if (system.universe_size() > matrix.size()) continue;
+    if (system.universe_size() > space.size()) continue;
 
     // Server placement per §3: the known one-to-one algorithm minimizing
     // average uniform-strategy network delay.
     const core::PlacementSearchResult search =
-        core::best_majority_placement(matrix, system);
+        core::best_majority_placement(space, system);
     const std::vector<std::size_t> client_sites = sim::representative_client_sites(
-        matrix, system, search.placement, config.client_site_count);
+        space, system, search.placement, config.client_site_count);
     const std::vector<double> client_mask =
-        sim::client_site_mask(matrix.size(), client_sites);
+        sim::client_site_mask(space.size(), client_sites);
 
     for (std::size_t total_clients : config.client_counts) {
       const std::size_t per_site =
@@ -88,7 +88,7 @@ std::vector<QuPoint> qu_response_surface(const net::LatencyMatrix& matrix,
       sim_config.warmup_ms = config.warmup_ms;
       sim_config.replications = 1;
       sim_config.master_seed = config.seed + 1000 * t + total_clients;
-      const sim::EngineResult run = sim::run_engine(matrix, system, search.placement,
+      const sim::EngineResult run = sim::run_engine(space, system, search.placement,
                                                     client_mask, sim_config);
 
       QuPoint point;
@@ -105,15 +105,15 @@ std::vector<QuPoint> qu_response_surface(const net::LatencyMatrix& matrix,
   return points;
 }
 
-std::vector<LowDemandPoint> low_demand_sweep(const net::LatencyMatrix& matrix) {
+std::vector<LowDemandPoint> low_demand_sweep(const net::LatencySpace& space) {
   std::vector<LowDemandPoint> points;
 
   // Singleton baseline (one row, universe size 1).
   {
     const quorum::SingletonQuorum singleton;
-    const core::Placement placement = core::singleton_placement(matrix);
+    const core::Placement placement = core::singleton_placement(space);
     const core::Evaluation eval =
-        core::evaluate_closest(matrix, singleton, placement, /*alpha=*/0.0);
+        core::evaluate_closest(space, singleton, placement, /*alpha=*/0.0);
     points.push_back(LowDemandPoint{singleton.name(), 1, eval.avg_response_ms});
   }
 
@@ -121,12 +121,12 @@ std::vector<LowDemandPoint> low_demand_sweep(const net::LatencyMatrix& matrix) {
   for (const quorum::MajorityFamily family :
        {quorum::MajorityFamily::SimpleMajority, quorum::MajorityFamily::ByzantineMajority,
         quorum::MajorityFamily::QuThreshold}) {
-    for (std::size_t t = 1; quorum::family_universe(family, t) <= matrix.size(); ++t) {
+    for (std::size_t t = 1; quorum::family_universe(family, t) <= space.size(); ++t) {
       const quorum::MajorityQuorum system = quorum::make_majority(family, t);
       const core::PlacementSearchResult search =
-          core::best_majority_placement(matrix, system);
+          core::best_majority_placement(space, system);
       const core::Evaluation eval =
-          core::evaluate_closest(matrix, system, search.placement, /*alpha=*/0.0);
+          core::evaluate_closest(space, system, search.placement, /*alpha=*/0.0);
       points.push_back(
           LowDemandPoint{quorum::family_name(family), system.universe_size(),
                          eval.avg_response_ms});
@@ -134,34 +134,34 @@ std::vector<LowDemandPoint> low_demand_sweep(const net::LatencyMatrix& matrix) {
   }
 
   // Grid, k growing until k^2 exceeds the site count.
-  for (std::size_t k = 2; k * k <= matrix.size(); ++k) {
+  for (std::size_t k = 2; k * k <= space.size(); ++k) {
     const quorum::GridQuorum system{k};
-    const core::PlacementSearchResult search = core::best_grid_placement(matrix, k);
+    const core::PlacementSearchResult search = core::best_grid_placement(space, k);
     const core::Evaluation eval =
-        core::evaluate_closest(matrix, system, search.placement, /*alpha=*/0.0);
+        core::evaluate_closest(space, system, search.placement, /*alpha=*/0.0);
     points.push_back(LowDemandPoint{"Grid", system.universe_size(), eval.avg_response_ms});
   }
   return points;
 }
 
-std::vector<GridDemandPoint> grid_demand_sweep(const net::LatencyMatrix& matrix,
+std::vector<GridDemandPoint> grid_demand_sweep(const net::LatencySpace& space,
                                                std::span<const double> demands,
                                                std::size_t max_side,
                                                std::span<const double> demand_profile,
                                                PointShard shard) {
   if (max_side == 0) {
-    max_side = static_cast<std::size_t>(std::sqrt(static_cast<double>(matrix.size())));
+    max_side = static_cast<std::size_t>(std::sqrt(static_cast<double>(space.size())));
   }
   std::vector<GridDemandPoint> points;
   std::size_t point_index = 0;  // Deterministic (side, demand) enumeration.
-  for (std::size_t k = 2; k <= max_side && k * k <= matrix.size(); ++k) {
+  for (std::size_t k = 2; k <= max_side && k * k <= space.size(); ++k) {
     std::vector<std::size_t> selected;
     for (std::size_t i = 0; i < demands.size(); ++i) {
       if (shard.contains(point_index++)) selected.push_back(i);
     }
     if (selected.empty()) continue;  // Skip the placement search entirely.
     const quorum::GridQuorum system{k};
-    const core::PlacementSearchResult search = core::best_grid_placement(matrix, k);
+    const core::PlacementSearchResult search = core::best_grid_placement(space, k);
     // Each demand level is an independent evaluation of the same placement;
     // fan out on the pool, collect into per-demand slots, append in order.
     std::vector<std::array<GridDemandPoint, 2>> per_demand(selected.size());
@@ -172,9 +172,9 @@ std::vector<GridDemandPoint> grid_demand_sweep(const net::LatencyMatrix& matrix,
       // the exact uniform evaluation); alpha stays the mean-demand §7
       // coefficient per level.
       const core::Evaluation closest =
-          core::evaluate_closest(matrix, system, search.placement, alpha, demand_profile);
+          core::evaluate_closest(space, system, search.placement, alpha, demand_profile);
       const core::Evaluation balanced =
-          core::evaluate_balanced(matrix, system, search.placement, alpha, demand_profile);
+          core::evaluate_balanced(space, system, search.placement, alpha, demand_profile);
       per_demand[s][0] = GridDemandPoint{k * k, demand, "closest", closest.avg_response_ms,
                                          closest.avg_network_delay_ms};
       per_demand[s][1] = GridDemandPoint{k * k, demand, "balanced",
@@ -189,12 +189,12 @@ std::vector<GridDemandPoint> grid_demand_sweep(const net::LatencyMatrix& matrix,
   return points;
 }
 
-std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
+std::vector<CapacityPoint> capacity_sweep(const net::LatencySpace& space,
                                           const CapacitySweepConfig& config) {
   std::vector<CapacityPoint> points;
   const double alpha = core::kQuWriteServiceMs * config.client_demand;
   std::size_t point_index = 0;  // Deterministic (side, level) enumeration.
-  for (std::size_t k = config.min_side; k <= config.max_side && k * k <= matrix.size();
+  for (std::size_t k = config.min_side; k <= config.max_side && k * k <= space.size();
        ++k) {
     const std::vector<double> all_levels =
         core::uniform_capacity_levels(quorum::GridQuorum{k}.optimal_load(), config.levels);
@@ -204,7 +204,7 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
     }
     if (levels.empty()) continue;  // Skip the placement search entirely.
     const quorum::GridQuorum system{k};
-    const core::PlacementSearchResult search = core::best_grid_placement(matrix, k);
+    const core::PlacementSearchResult search = core::best_grid_placement(space, k);
     const std::vector<std::size_t> support = search.placement.support_set();
     const double l_opt = system.optimal_load();
 
@@ -216,9 +216,9 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
       lp::Basis uniform_basis;
       // Uniform capacities cap(v) = c_i.
       {
-        const std::vector<double> caps = core::uniform_capacities(matrix.size(), level);
+        const std::vector<double> caps = core::uniform_capacities(space.size(), level);
         const core::StrategyLpResult lp =
-            core::optimize_access_strategy(matrix, system, search.placement, caps);
+            core::optimize_access_strategy(space, system, search.placement, caps);
         uniform_basis = lp.basis;
         CapacityPoint point;
         point.universe = k * k;
@@ -227,7 +227,7 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
         point.feasible = lp.status == lp::SolveStatus::Optimal;
         if (point.feasible) {
           const core::Evaluation eval = core::evaluate_explicit(
-              matrix, system, search.placement, alpha, lp.strategy);
+              space, system, search.placement, alpha, lp.strategy);
           point.response_ms = eval.avg_response_ms;
           point.network_delay_ms = eval.avg_network_delay_ms;
         }
@@ -236,13 +236,13 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
       // Non-uniform capacities in [beta, gamma] = [L_opt, c_i] (§7).
       if (config.include_nonuniform) {
         const std::vector<double> caps =
-            core::nonuniform_capacities(matrix, support, l_opt, level);
+            core::nonuniform_capacities(space, support, l_opt, level);
         // Same placement, same LP shape, different rhs/caps: seed from the
         // uniform solve's optimal basis when the Revised engine produced one.
         core::StrategyLpOptions warm_options;
         warm_options.simplex.initial_basis = uniform_basis;
         const core::StrategyLpResult lp = core::optimize_access_strategy(
-            matrix, system, search.placement, caps, {}, warm_options);
+            space, system, search.placement, caps, {}, warm_options);
         CapacityPoint point;
         point.universe = k * k;
         point.capacity_level = level;
@@ -250,7 +250,7 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
         point.feasible = lp.status == lp::SolveStatus::Optimal;
         if (point.feasible) {
           const core::Evaluation eval = core::evaluate_explicit(
-              matrix, system, search.placement, alpha, lp.strategy);
+              space, system, search.placement, alpha, lp.strategy);
           point.response_ms = eval.avg_response_ms;
           point.network_delay_ms = eval.avg_network_delay_ms;
         }
@@ -264,22 +264,22 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
   return points;
 }
 
-std::vector<std::size_t> central_sites(const net::LatencyMatrix& matrix, std::size_t count) {
-  count = std::min(count, matrix.size());
-  std::vector<std::size_t> order(matrix.size());
+std::vector<std::size_t> central_sites(const net::LatencySpace& space, std::size_t count) {
+  count = std::min(count, space.size());
+  std::vector<std::size_t> order(space.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> average(matrix.size());
-  for (std::size_t v = 0; v < matrix.size(); ++v) average[v] = matrix.average_rtt_from(v);
+  std::vector<double> average(space.size());
+  for (std::size_t v = 0; v < space.size(); ++v) average[v] = net::average_rtt_from(space, v);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return average[a] < average[b]; });
   order.resize(count);
   return order;
 }
 
-std::vector<IterativePoint> iterative_sweep(const net::LatencyMatrix& matrix,
+std::vector<IterativePoint> iterative_sweep(const net::LatencySpace& space,
                                             const IterativeSweepConfig& config) {
   const quorum::GridQuorum system{config.side};
-  if (system.universe_size() > matrix.size()) {
+  if (system.universe_size() > space.size()) {
     throw std::invalid_argument{"iterative_sweep: grid larger than topology"};
   }
   std::vector<IterativePoint> points;
@@ -295,13 +295,13 @@ std::vector<IterativePoint> iterative_sweep(const net::LatencyMatrix& matrix,
   // One-to-one baseline (balanced strategy, matching the uniform access the
   // iterative algorithm starts from).
   const core::PlacementSearchResult one_to_one =
-      core::best_grid_placement(matrix, config.side);
+      core::best_grid_placement(space, config.side);
   const core::Evaluation baseline =
-      core::evaluate_balanced(matrix, system, one_to_one.placement, config.alpha);
+      core::evaluate_balanced(space, system, one_to_one.placement, config.alpha);
 
   const std::vector<std::size_t> anchors =
       config.anchor_count == 0 ? std::vector<std::size_t>{}
-                               : central_sites(matrix, config.anchor_count);
+                               : central_sites(space, config.anchor_count);
 
   // Every capacity level runs the full iterative algorithm independently;
   // fan the levels out on the pool, append each level's rows in order.
@@ -311,12 +311,13 @@ std::vector<IterativePoint> iterative_sweep(const net::LatencyMatrix& matrix,
     per_level[i].push_back(IterativePoint{level, "one-to-one",
                                           baseline.avg_network_delay_ms,
                                           baseline.avg_response_ms});
-    const std::vector<double> caps = core::uniform_capacities(matrix.size(), level);
+    const std::vector<double> caps = core::uniform_capacities(space.size(), level);
     core::IterativeOptions options;
     options.anchor_candidates = anchors;
     options.warm_start = config.warm_start;
     const core::IterativeResult iterative =
-        core::iterative_placement(matrix, system, caps, config.alpha, options);
+        core::iterative_placement(space, system, caps, core::LoadAwareObjective{config.alpha},
+                                  options);
     for (const core::IterationRecord& record : iterative.history) {
       const std::string prefix = "iter" + std::to_string(record.iteration);
       per_level[i].push_back(IterativePoint{level, prefix + "-phase1",
@@ -349,10 +350,10 @@ void large_topology_rows(const sim::Scenario& scenario,
                          const core::Objective& objective, const std::string& label,
                          const LargeTopologyConfig& config,
                          std::vector<LargeTopologyPoint>& points) {
-  const net::LatencyMatrix& matrix = scenario.matrix;
+  const net::LatencySpace& space = scenario.matrix;
   const std::vector<std::size_t> anchors =
       config.anchor_count == 0 ? std::vector<std::size_t>{}
-                               : central_sites(matrix, config.anchor_count);
+                               : central_sites(space, config.anchor_count);
 
   LargeTopologyPoint constructive;
   constructive.scenario = scenario.name;
@@ -362,11 +363,11 @@ void large_topology_rows(const sim::Scenario& scenario,
   constructive.alpha = objective.alpha();
   auto start = std::chrono::steady_clock::now();
   const core::PlacementSearchResult search =
-      core::best_placement(matrix, system, builder, anchors, objective);
+      core::best_placement(space, system, builder, anchors, objective);
   constructive.stage_ms = elapsed_ms(start);
   constructive.response_ms = search.avg_network_delay;  // Objective value.
   constructive.network_delay_ms =
-      core::network_delay_objective().evaluate(matrix, system, search.placement);
+      core::network_delay_objective().evaluate(space, system, search.placement);
   points.push_back(constructive);
 
   LargeTopologyPoint optimum = constructive;
@@ -376,11 +377,11 @@ void large_topology_rows(const sim::Scenario& scenario,
   options.max_rounds = config.max_rounds;
   start = std::chrono::steady_clock::now();
   const core::LocalSearchResult polished =
-      core::local_search_placement(matrix, system, search.placement, options);
+      core::local_search_placement(space, system, search.placement, options);
   optimum.stage_ms = elapsed_ms(start);
   optimum.response_ms = polished.objective;
   optimum.network_delay_ms =
-      core::network_delay_objective().evaluate(matrix, system, polished.placement);
+      core::network_delay_objective().evaluate(space, system, polished.placement);
   optimum.moves = polished.moves;
   points.push_back(optimum);
 }
@@ -389,9 +390,9 @@ void large_topology_rows(const sim::Scenario& scenario,
 
 std::vector<LargeTopologyPoint> large_topology_sweep(const sim::Scenario& scenario,
                                                      const LargeTopologyConfig& config) {
-  const net::LatencyMatrix& matrix = scenario.matrix;
+  const net::LatencySpace& space = scenario.matrix;
   const std::size_t grid_universe = config.grid_side * config.grid_side;
-  if (grid_universe > matrix.size() || config.majority_universe > matrix.size()) {
+  if (grid_universe > space.size() || config.majority_universe > space.size()) {
     throw std::invalid_argument{"large_topology_sweep: topology smaller than universe"};
   }
   // Demand-weighted objectives: the scenario's Pareto demand vector weights
@@ -403,11 +404,11 @@ std::vector<LargeTopologyPoint> large_topology_sweep(const sim::Scenario& scenar
   std::vector<LargeTopologyPoint> points;
   const quorum::GridQuorum grid{config.grid_side};
   const auto grid_builder = [&](std::size_t v0) {
-    return core::grid_placement_for_client(matrix, config.grid_side, v0);
+    return core::grid_placement_for_client(space, config.grid_side, v0);
   };
   const quorum::MajorityQuorum majority{config.majority_universe, config.majority_quorum};
   const auto majority_builder = [&](std::size_t v0) {
-    return core::majority_ball_placement(matrix, config.majority_universe, v0);
+    return core::majority_ball_placement(space, config.majority_universe, v0);
   };
 
   large_topology_rows(scenario, grid, grid_builder, load_aware, "load-aware", config,

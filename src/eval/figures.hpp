@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "sim/scenario.hpp"
 
 namespace qp::eval {
@@ -69,7 +69,7 @@ struct QuSweepConfig {
 /// (t, client count): closed-loop clients (sim/engine with
 /// closed_loop_clients) at the representative client sites, uniform-random
 /// quorum selection, deterministic service, one replication per point.
-[[nodiscard]] std::vector<QuPoint> qu_response_surface(const net::LatencyMatrix& matrix,
+[[nodiscard]] std::vector<QuPoint> qu_response_surface(const net::LatencySpace& space,
                                                        const QuSweepConfig& config = {});
 
 // ----------------------------------------------------------------- §6 (6.3)
@@ -83,7 +83,7 @@ struct LowDemandPoint {
 /// Figure 6.3: response time (= network delay, alpha=0) of the closest
 /// access strategy for the three Majority families, Grid, and the singleton,
 /// as universe size grows.
-[[nodiscard]] std::vector<LowDemandPoint> low_demand_sweep(const net::LatencyMatrix& matrix);
+[[nodiscard]] std::vector<LowDemandPoint> low_demand_sweep(const net::LatencySpace& space);
 
 // ------------------------------------------------------------ §7 (6.4, 6.5)
 
@@ -104,7 +104,7 @@ struct GridDemandPoint {
 /// exactly. `shard` selects an interleaved subset of the (side, demand)
 /// points (see PointShard).
 [[nodiscard]] std::vector<GridDemandPoint> grid_demand_sweep(
-    const net::LatencyMatrix& matrix, std::span<const double> demands,
+    const net::LatencySpace& space, std::span<const double> demands,
     std::size_t max_side = 0 /* 0 = largest grid that fits */,
     std::span<const double> demand_profile = {}, PointShard shard = {});
 
@@ -132,7 +132,7 @@ struct CapacitySweepConfig {
 /// Figures 7.6/7.7/7.8: for each grid side and capacity level c_i, solve LP
 /// (4.3)-(4.6) (optionally also with §7's non-uniform capacities in
 /// [L_opt, c_i]) and evaluate the resulting strategies at the given demand.
-[[nodiscard]] std::vector<CapacityPoint> capacity_sweep(const net::LatencyMatrix& matrix,
+[[nodiscard]] std::vector<CapacityPoint> capacity_sweep(const net::LatencySpace& space,
                                                         const CapacitySweepConfig& config = {});
 
 // ----------------------------------------------------------------- §7 (8.9)
@@ -162,11 +162,11 @@ struct IterativeSweepConfig {
 /// Figure 8.9: network delay of the iterative many-to-one algorithm, per
 /// iteration/phase, vs. the one-to-one placement, across capacity levels.
 [[nodiscard]] std::vector<IterativePoint> iterative_sweep(
-    const net::LatencyMatrix& matrix, const IterativeSweepConfig& config = {});
+    const net::LatencySpace& space, const IterativeSweepConfig& config = {});
 
 /// The `anchor_count` sites with smallest average RTT to all sites —
 /// the candidate v0 set used by iterative_sweep.
-[[nodiscard]] std::vector<std::size_t> central_sites(const net::LatencyMatrix& matrix,
+[[nodiscard]] std::vector<std::size_t> central_sites(const net::LatencySpace& space,
                                                      std::size_t count);
 
 // ------------------------------------------- large topologies (beyond §7)

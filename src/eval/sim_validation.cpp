@@ -37,7 +37,7 @@ struct PointSpec {
 /// Runs one operating point: rate scaling, the analytic prediction at the
 /// matching alpha, and the engine. `demand` is the raw per-client demand
 /// (empty = uniform clients).
-SimValidationPoint run_point(const net::LatencyMatrix& matrix,
+SimValidationPoint run_point(const net::LatencySpace& space,
                              const std::string& scenario_name,
                              const SystemUnderTest& sut, const PointSpec& spec,
                              std::span<const double> demand,
@@ -45,12 +45,12 @@ SimValidationPoint run_point(const net::LatencyMatrix& matrix,
                              const SimValidationConfig& config, std::uint64_t seed) {
   const quorum::QuorumSystem& system = *sut.system;
   const core::Placement& placement = *sut.placement;
-  const std::size_t n = matrix.size();
+  const std::size_t n = space.size();
   const std::vector<double> weights = core::demand_shares(demand, demand.size());
 
   std::vector<double> site_load;
   if (spec.strategy == "closest") {
-    site_load = core::site_loads_closest(matrix, system, placement,
+    site_load = core::site_loads_closest(space, system, placement,
                                          std::span<const double>{weights});
   } else if (spec.strategy == "balanced") {
     site_load = core::site_loads_balanced(system, placement, n);
@@ -72,11 +72,11 @@ SimValidationPoint run_point(const net::LatencyMatrix& matrix,
 
   core::Evaluation analytic;
   if (spec.strategy == "closest") {
-    analytic = core::evaluate_closest(matrix, system, placement, alpha, demand);
+    analytic = core::evaluate_closest(space, system, placement, alpha, demand);
   } else if (spec.strategy == "balanced") {
-    analytic = core::evaluate_balanced(matrix, system, placement, alpha, demand);
+    analytic = core::evaluate_balanced(space, system, placement, alpha, demand);
   } else {
-    analytic = core::evaluate_explicit(matrix, system, placement, alpha, *lp_strategy,
+    analytic = core::evaluate_explicit(space, system, placement, alpha, *lp_strategy,
                                        demand);
   }
 
@@ -119,7 +119,7 @@ SimValidationPoint run_point(const net::LatencyMatrix& matrix,
     const std::vector<std::size_t> support = placement.support_set();
     double max_rtt = 0.0;
     for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t w : support) max_rtt = std::max(max_rtt, matrix.rtt(v, w));
+      for (std::size_t w : support) max_rtt = std::max(max_rtt, space.rtt(v, w));
     }
     engine.retry.timeout_ms = 1.25 * max_rtt + 25.0 * service;
     engine.retry.max_attempts = 4;
@@ -132,9 +132,9 @@ SimValidationPoint run_point(const net::LatencyMatrix& matrix,
     options.seed = config.seed;
     options.mc_samples = 20'000;
     const core::FailureAwareObjective objective{alpha, model, demand, options};
-    fault_analytic = objective.evaluate_detailed(matrix, system, placement);
+    fault_analytic = objective.evaluate_detailed(space, system, placement);
   }
-  const sim::EngineResult result = run_engine(matrix, system, placement, rates, engine);
+  const sim::EngineResult result = run_engine(space, system, placement, rates, engine);
 
   SimValidationPoint point;
   point.scenario = scenario_name;
@@ -170,7 +170,7 @@ SimValidationPoint run_point(const net::LatencyMatrix& matrix,
 /// shard-selected by deterministic point index. Point seeds derive from the
 /// index (not the shard), so shards of one figure reproduce the unsharded
 /// rows exactly.
-std::vector<SimValidationPoint> run_figure(const net::LatencyMatrix& matrix,
+std::vector<SimValidationPoint> run_figure(const net::LatencySpace& space,
                                            const std::string& scenario_name,
                                            std::span<const SystemUnderTest> suts,
                                            std::span<const double> demand,
@@ -187,7 +187,7 @@ std::vector<SimValidationPoint> run_figure(const net::LatencyMatrix& matrix,
         config.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index + 1));
     if (config.shard.contains(index)) {
       points.push_back(
-          run_point(matrix, scenario_name, sut, spec, demand, grid_lp, config, seed));
+          run_point(space, scenario_name, sut, spec, demand, grid_lp, config, seed));
     }
     ++index;
   };
@@ -221,28 +221,28 @@ std::vector<SimValidationPoint> run_figure(const net::LatencyMatrix& matrix,
 
 }  // namespace
 
-std::vector<SimValidationPoint> sim_validation_sweep(const net::LatencyMatrix& matrix,
+std::vector<SimValidationPoint> sim_validation_sweep(const net::LatencySpace& space,
                                                      const SimValidationConfig& config) {
   QP_TRACE_SPAN("eval.sim_validation.sweep");
   const quorum::GridQuorum grid{7};
   const quorum::MajorityQuorum majority{49, 25};
-  if (matrix.size() < grid.universe_size()) {
+  if (space.size() < grid.universe_size()) {
     throw std::invalid_argument{"sim_validation_sweep: need at least 49 sites"};
   }
-  const core::Placement grid_placement = core::best_grid_placement(matrix, 7).placement;
+  const core::Placement grid_placement = core::best_grid_placement(space, 7).placement;
   const core::Placement majority_placement =
-      core::best_majority_placement(matrix, majority).placement;
+      core::best_majority_placement(space, majority).placement;
   const SystemUnderTest suts[] = {{&grid, &grid_placement},
                                   {&majority, &majority_placement}};
 
   core::StrategyLpResult lp;
   const core::ExplicitStrategy* grid_lp = nullptr;
   if (config.include_lp) {
-    const std::vector<double> caps(matrix.size(), 1.25 * grid.optimal_load());
-    lp = core::optimize_access_strategy(matrix, grid, grid_placement, caps);
+    const std::vector<double> caps(space.size(), 1.25 * grid.optimal_load());
+    lp = core::optimize_access_strategy(space, grid, grid_placement, caps);
     if (lp.status == lp::SolveStatus::Optimal) grid_lp = &lp.strategy;
   }
-  return run_figure(matrix, "planetlab-50", suts, {}, grid_lp, config);
+  return run_figure(space, "planetlab-50", suts, {}, grid_lp, config);
 }
 
 std::vector<SimValidationPoint> sim_validation_scenario(const sim::Scenario& scenario,

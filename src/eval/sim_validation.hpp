@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "eval/figures.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "sim/scenario.hpp"
 
 namespace qp::eval {
@@ -86,10 +86,10 @@ struct SimValidationConfig {
 };
 
 /// The n = 49 validation figure: {Grid(7x7), Majority(25/49)} placed by the
-/// §4.1.1 constructions on `matrix` (uniform client demand), closest and
+/// §4.1.1 constructions on `space` (uniform client demand), closest and
 /// balanced strategies at every rho, plus the optional lp/outage/mmpp rows.
 [[nodiscard]] std::vector<SimValidationPoint> sim_validation_sweep(
-    const net::LatencyMatrix& matrix, const SimValidationConfig& config = {});
+    const net::LatencySpace& space, const SimValidationConfig& config = {});
 
 /// Demand-weighted scenario rows: the same systems on a sim::Scenario's
 /// topology with its Pareto demand vector driving both the arrival rates

@@ -167,7 +167,7 @@ FittedEmbedding fit_latency_embedding(const LatencyMatrix& measured,
   // relaxation starts from a symmetric, seed-determined state; heights start
   // near zero and grow as springs demand.
   double rtt_scale = 0.0;
-  for (std::size_t l : landmarks) rtt_scale += measured.average_rtt_from(l);
+  for (std::size_t l : landmarks) rtt_scale += average_rtt_from(measured, l);
   rtt_scale = landmarks.empty() ? 1.0 : std::max(1.0, rtt_scale / landmarks.size());
   std::vector<double> coords(n * dims);
   std::vector<double> heights(n, 0.05 * rtt_scale);

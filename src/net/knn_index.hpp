@@ -15,7 +15,7 @@
 // against it).
 //
 // Determinism: equal-RTT ties order by site index everywhere (matching
-// LatencyMatrix::ball), queries allocate nothing on the steady-state path
+// net::ball), queries allocate nothing on the steady-state path
 // when the caller reuses the out-vectors, and results are identical doubles
 // for any thread count (queries are const and lock-free).
 #pragma once
@@ -45,8 +45,8 @@ class KnnIndex {
   [[nodiscard]] std::size_t size() const noexcept;
 
   /// The min(k, n) sites nearest `from` by RTT, ascending (ties by site
-  /// index); `from` itself is included at distance 0, matching
-  /// LatencyMatrix::ball. Throws std::out_of_range on a bad site.
+  /// index); `from` itself is included at distance 0, matching net::ball.
+  /// Throws std::out_of_range on a bad site.
   [[nodiscard]] std::vector<Neighbor> nearest(std::size_t from, std::size_t k) const;
   void nearest(std::size_t from, std::size_t k, std::vector<Neighbor>& out) const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/simd_kernels.hpp"
@@ -100,39 +98,6 @@ bool LatencyMatrix::satisfies_triangle_inequality(double tolerance) const {
 
 LatencyMatrix LatencyMatrix::metric_closure() const {
   return LatencyMatrix{floyd_warshall(rtt_), names_};
-}
-
-double LatencyMatrix::average_rtt_from(std::size_t v) const {
-  check_site(v);
-  const auto& r = rtt_[v];
-  return std::accumulate(r.begin(), r.end(), 0.0) / static_cast<double>(r.size());
-}
-
-std::size_t LatencyMatrix::median_site() const {
-  if (rtt_.empty()) throw std::logic_error{"LatencyMatrix::median_site: empty matrix"};
-  std::size_t best = 0;
-  double best_sum = std::numeric_limits<double>::infinity();
-  for (std::size_t v = 0; v < size(); ++v) {
-    const double sum = std::accumulate(rtt_[v].begin(), rtt_[v].end(), 0.0);
-    if (sum < best_sum) {
-      best_sum = sum;
-      best = v;
-    }
-  }
-  return best;
-}
-
-std::vector<std::size_t> LatencyMatrix::ball(std::size_t v, std::size_t k) const {
-  check_site(v);
-  if (k > size()) throw std::invalid_argument{"LatencyMatrix::ball: k > site count"};
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (rtt_[v][a] != rtt_[v][b]) return rtt_[v][a] < rtt_[v][b];
-    return a < b;
-  });
-  order.resize(k);
-  return order;
 }
 
 }  // namespace qp::net

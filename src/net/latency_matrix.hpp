@@ -1,9 +1,9 @@
 // LatencyMatrix: the symmetric round-trip-time matrix (in milliseconds) that
 // stands in for the paper's measured Planetlab-50 / daxlist-161 datasets.
 //
-// All placement and strategy algorithms consume a LatencyMatrix rather than a
-// Graph: measured WAN data arrives as a distance matrix, and graph inputs are
-// converted via all-pairs shortest paths (see from_graph).
+// It is the dense net::LatencySpace: measured WAN data arrives as a distance
+// matrix, and graph inputs are converted via all-pairs shortest paths (see
+// from_graph).
 #pragma once
 
 #include <cstddef>
@@ -48,18 +48,6 @@ class LatencyMatrix : public LatencySpace {
   /// Returns a metric-closed copy (shortest paths through the complete graph
   /// whose edge weights are the matrix entries). Idempotent on metrics.
   [[nodiscard]] LatencyMatrix metric_closure() const;
-
-  /// Average RTT from `v` to every site (including itself, matching the
-  /// paper's avg over all clients V). This is s_i in §7's heuristic.
-  [[nodiscard]] double average_rtt_from(std::size_t v) const;
-
-  /// The site minimizing the sum of distances to all sites (graph median);
-  /// used by the singleton placement.
-  [[nodiscard]] std::size_t median_site() const;
-
-  /// Indices of the `k` sites closest to `v` (v itself first) — the ball
-  /// B(v, k) of §4.1.1. Ties broken by site index for determinism.
-  [[nodiscard]] std::vector<std::size_t> ball(std::size_t v, std::size_t k) const;
 
  private:
   void check_site(std::size_t v) const;

@@ -1,21 +1,21 @@
-// LatencySpace: the abstract pairwise-RTT oracle the placement layers consume.
+// LatencySpace: the abstract pairwise-RTT oracle every algorithm consumes.
 //
 // Historically every algorithm took a `LatencyMatrix` — an explicit n x n
 // table — which caps scenarios near n ~ 500 (memory is n^2 doubles and the
 // generators metric-close in O(n^3)). The sparse regime instead represents
 // latencies *implicitly* (a low-dimensional coordinate embedding, see
-// net/embedding.hpp) and only ever evaluates the O(n * k) pairs the search
-// actually touches. LatencySpace is the seam: `LatencyMatrix` implements it
-// (dense table lookup), `LatencyEmbedding` implements it (coordinate
-// arithmetic), and the whole evaluation layer — `core::Objective`, the
-// evaluate_* entry points of core/response.hpp, `core::DeltaEvaluator` and
-// `core::local_search_placement` — is written against the interface.
+// net/embedding.hpp) and only ever evaluates the pairs an algorithm actually
+// touches. LatencySpace is the seam: `LatencyMatrix` implements it (dense
+// table lookup), `LatencyEmbedding` implements it (coordinate arithmetic),
+// and every layer from placement to engine (core/, sim/, eval/) is written
+// against the interface.
 //
 // `as_matrix()` exposes the dense table when one exists. Callers use it for
 // dense-only machinery (the DeltaEvaluator's row fast path, the brute-force
-// k-NN index built over a matrix) and to *detect* the sparse regime
-// (nullptr), where O(n^2) candidate enumeration must not run. Evaluation
-// never needs it: every objective reads the space through rtt / fill_rtts.
+// k-NN index core::ClientCandidateIndex and core::local_search_placement
+// build over a matrix) and to *detect* the sparse regime (nullptr), where
+// O(n^2) candidate enumeration must not run. Everything else reads the
+// space through rtt / fill_rtts.
 //
 // Contract (matching LatencyMatrix): rtt(a, b) == rtt(b, a) >= 0,
 // rtt(v, v) == 0, and repeated calls with the same arguments return the
@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace qp::net {
 
@@ -56,5 +57,26 @@ class LatencySpace {
   LatencySpace(const LatencySpace&) = default;
   LatencySpace& operator=(const LatencySpace&) = default;
 };
+
+// Whole-row queries over any space. Each gathers d(v, .) through fill_rtts
+// in O(n), so a LatencyMatrix yields its stored entries; a bad site throws
+// std::out_of_range.
+
+/// rtt(v, w) for every site w.
+[[nodiscard]] std::vector<double> rtt_row(const LatencySpace& space, std::size_t v);
+
+/// Average RTT from `v` to every site, itself included (the paper averages
+/// over all clients V). This is s_i in §7's heuristic.
+[[nodiscard]] double average_rtt_from(const LatencySpace& space, std::size_t v);
+
+/// The site minimizing the RTT sum to all sites (graph median, ties to the
+/// lowest index); used by the singleton placement. Throws std::logic_error
+/// on an empty space.
+[[nodiscard]] std::size_t median_site(const LatencySpace& space);
+
+/// The `k` sites closest to `v` (v itself first) — the ball B(v, k) of
+/// §4.1.1; ties by site index. Throws std::invalid_argument when k > size.
+[[nodiscard]] std::vector<std::size_t> ball(const LatencySpace& space, std::size_t v,
+                                            std::size_t k);
 
 }  // namespace qp::net

@@ -5,28 +5,23 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/eval_workspace.hpp"
+#include "core/response.hpp"
 
 namespace qp::sim {
 
-std::vector<std::size_t> representative_client_sites(const net::LatencyMatrix& matrix,
+std::vector<std::size_t> representative_client_sites(const net::LatencySpace& space,
                                                      const quorum::QuorumSystem& system,
                                                      const core::Placement& placement,
                                                      std::size_t count) {
-  if (count == 0 || count > matrix.size()) {
+  if (count == 0 || count > space.size()) {
     throw std::invalid_argument{"representative_client_sites: bad count"};
   }
-  placement.validate(matrix.size());
-  std::vector<double> delay(matrix.size());
-  std::vector<double> distances;
-  for (std::size_t v = 0; v < matrix.size(); ++v) {
-    core::fill_element_distances(matrix, placement, v, distances);
-    delay[v] = system.expected_max_uniform(distances);
-  }
-  const double target =
-      std::accumulate(delay.begin(), delay.end(), 0.0) / static_cast<double>(delay.size());
+  // Delta_v per client under the uniform strategy, and its average.
+  const core::Evaluation uniform = core::evaluate_balanced(space, system, placement, 0.0);
+  const std::vector<double>& delay = uniform.per_client_response;
+  const double target = uniform.avg_response_ms;
 
-  std::vector<std::size_t> order(matrix.size());
+  std::vector<std::size_t> order(space.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return std::abs(delay[a] - target) < std::abs(delay[b] - target);

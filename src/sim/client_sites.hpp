@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/placement.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::sim {
@@ -19,7 +19,7 @@ namespace qp::sim {
 /// |Delta_v - avg_v Delta_v| and the closest `count` are returned (sorted by
 /// site index). Throws if count exceeds the site count.
 [[nodiscard]] std::vector<std::size_t> representative_client_sites(
-    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const core::Placement& placement, std::size_t count);
 
 /// The sim/engine input that puts closed-loop clients at `sites`: one entry

@@ -62,22 +62,22 @@ struct EngineEvent {
 /// and the serial-order reduction makes it bit-identical to a serial run.
 class Replication {
  public:
-  Replication(const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+  Replication(const net::LatencySpace& space, const quorum::QuorumSystem& system,
               const core::Placement& placement, std::span<const double> rates,
               const EngineConfig& config, const QuorumSampler& sampler,
               std::uint64_t seed)
-      : matrix_(matrix),
+      : space_(space),
         system_(system),
         placement_(placement),
         config_(config),
         sampler_(sampler),
         rng_(seed),
         end_of_issue_(config.warmup_ms + config.duration_ms),
-        stations_(matrix.size(),
+        stations_(space.size(),
                   ServiceStation{config.warmup_ms, config.warmup_ms + config.duration_ms,
                                  config.queue_capacity}),
-        outages_(config.outages, matrix.size()),
-        suspicion_(matrix.size(), config.suspicion_ttl_ms) {
+        outages_(config.outages, space.size()),
+        suspicion_(space.size(), config.suspicion_ttl_ms) {
     for (std::size_t v = 0; v < rates.size(); ++v) {
       if (rates[v] <= 0.0) continue;
       if (closed_loop()) {
@@ -282,7 +282,7 @@ class Replication {
       const bool avoid = config_.failover == FailoverMode::Oracle
                              ? outages_.down_at(site, now)
                              : suspicion_.suspected(site, now);
-      values_[u] = matrix_.rtt(client, site) + (avoid ? kFailoverPenaltyMs : 0.0);
+      values_[u] = space_.rtt(client, site) + (avoid ? kFailoverPenaltyMs : 0.0);
     }
     failover_quorum_ = system_.best_quorum(values_);
     return failover_quorum_;
@@ -302,7 +302,7 @@ class Replication {
     double max_rtt = 0.0;
     for (std::size_t u : chosen) {
       const std::size_t site = placement_.site_of[u];
-      const double rtt = matrix_.rtt(client, site);
+      const double rtt = space_.rtt(client, site);
       max_rtt = std::max(max_rtt, rtt);
       if (retry_enabled()) request.outstanding.push_back(site);
       const double half = rtt / 2.0;
@@ -438,7 +438,7 @@ class Replication {
     start_attempt(id, it->second, queue_.now());
   }
 
-  const net::LatencyMatrix& matrix_;
+  const net::LatencySpace& space_;
   const quorum::QuorumSystem& system_;
   const core::Placement& placement_;
   const EngineConfig& config_;
@@ -478,12 +478,12 @@ class Replication {
   std::size_t stale_replies_ = 0;
 };
 
-QuorumSampler make_sampler(const net::LatencyMatrix& matrix,
+QuorumSampler make_sampler(const net::LatencySpace& space,
                            const quorum::QuorumSystem& system,
                            const core::Placement& placement, const EngineConfig& config) {
   switch (config.strategy) {
     case EngineStrategy::Closest:
-      return QuorumSampler::closest(matrix, system, placement);
+      return QuorumSampler::closest(space, system, placement);
     case EngineStrategy::Balanced:
       return QuorumSampler::balanced(system);
     case EngineStrategy::Explicit:
@@ -491,7 +491,7 @@ QuorumSampler make_sampler(const net::LatencyMatrix& matrix,
         throw std::invalid_argument{
             "run_engine: EngineStrategy::Explicit needs an explicit_strategy"};
       }
-      return QuorumSampler::explicit_strategy(*config.explicit_strategy, matrix.size(),
+      return QuorumSampler::explicit_strategy(*config.explicit_strategy, space.size(),
                                               system);
   }
   throw std::logic_error{"run_engine: unknown strategy"};
@@ -507,18 +507,18 @@ std::uint64_t replication_seed(std::uint64_t master_seed,
   return seed;
 }
 
-EngineResult run_engine(const net::LatencyMatrix& matrix,
+EngineResult run_engine(const net::LatencySpace& space,
                         const quorum::QuorumSystem& system,
                         const core::Placement& placement,
                         std::span<const double> arrival_rates_per_ms,
                         const EngineConfig& config) {
   QP_TRACE_SPAN("sim.engine.run");
   c_eng_runs.add();
-  placement.validate(matrix.size());
+  placement.validate(space.size());
   if (config.probe_interval_ms < 0.0 || !std::isfinite(config.probe_interval_ms)) {
     throw std::invalid_argument{"run_engine: probe_interval_ms must be finite and >= 0"};
   }
-  if (arrival_rates_per_ms.size() != matrix.size()) {
+  if (arrival_rates_per_ms.size() != space.size()) {
     throw std::invalid_argument{"run_engine: one arrival rate per site required"};
   }
   double total_rate = 0.0;
@@ -554,31 +554,29 @@ EngineResult run_engine(const net::LatencyMatrix& matrix,
         "enabled retry policy"};
   }
 
-  const QuorumSampler sampler = make_sampler(matrix, system, placement, config);
+  const QuorumSampler sampler = make_sampler(space, system, placement, config);
   // Validate the outage schedule once up front (each replication rebuilds
   // its own copy; a bad site index should throw before the fan-out).
-  (void)OutageSchedule{config.outages, matrix.size()};
+  (void)OutageSchedule{config.outages, space.size()};
 
   std::vector<ReplicationResult> replications(config.replications);
   common::ThreadPool& pool =
       config.pool != nullptr ? *config.pool : common::global_thread_pool();
   pool.parallel_for(0, config.replications, [&](std::size_t r) {
-    Replication replication{matrix,  system,
-                            placement, arrival_rates_per_ms,
-                            config,  sampler,
-                            replication_seed(config.master_seed, r)};
+    Replication replication{space,  system,  placement, arrival_rates_per_ms,
+                            config, sampler, replication_seed(config.master_seed, r)};
     replications[r] = replication.run();
   });
 
   EngineResult result;
-  result.site_utilization.assign(matrix.size(), 0.0);
+  result.site_utilization.assign(space.size(), 0.0);
   common::RunningStats network;
   std::vector<double> pooled;
   std::vector<double> degraded;  // Served responses + unserved give-up waits.
   for (const ReplicationResult& rep : replications) {
     result.response.merge(rep.response);
     network.merge(rep.network);
-    for (std::size_t w = 0; w < matrix.size(); ++w) {
+    for (std::size_t w = 0; w < space.size(); ++w) {
       result.site_utilization[w] += rep.site_utilization[w];
     }
     result.issued += rep.issued;

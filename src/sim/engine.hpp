@@ -10,7 +10,8 @@
 // is served for a deterministic or exponential service time by the single
 // server core, and the reply takes another rtt/2. Scheduled ServerOutages
 // (hand-written or compiled by sim/fault's FaultInjector) drop messages
-// arriving in their window.
+// arriving in their window. RTTs are read from any net::LatencySpace — a
+// dense LatencyMatrix or an implicit LatencyEmbedding.
 //
 // Two client models drive the same machinery (Schroeder, Wierman &
 // Harchol-Balter, "Open Versus Closed: A Cautionary Tale", NSDI 2006):
@@ -61,7 +62,7 @@
 #include "common/thread_pool.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 #include "sim/arrivals.hpp"
 #include "sim/retry.hpp"
@@ -238,7 +239,7 @@ struct EngineResult {
 /// per site; 0 = no client there), or — closed loop — the sites with a
 /// positive entry host config.closed_loop_clients clients each.
 /// Deterministic in config.master_seed for any thread count.
-[[nodiscard]] EngineResult run_engine(const net::LatencyMatrix& matrix,
+[[nodiscard]] EngineResult run_engine(const net::LatencySpace& space,
                                       const quorum::QuorumSystem& system,
                                       const core::Placement& placement,
                                       std::span<const double> arrival_rates_per_ms,

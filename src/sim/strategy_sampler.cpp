@@ -5,11 +5,11 @@
 
 namespace qp::sim {
 
-QuorumSampler QuorumSampler::closest(const net::LatencyMatrix& matrix,
+QuorumSampler QuorumSampler::closest(const net::LatencySpace& space,
                                      const quorum::QuorumSystem& system,
                                      const core::Placement& placement) {
   QuorumSampler sampler{Kind::Closest};
-  sampler.quorums_ = core::closest_quorums(matrix, system, placement);
+  sampler.quorums_ = core::closest_quorums(space, system, placement);
   return sampler;
 }
 

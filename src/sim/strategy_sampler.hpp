@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
-#include "net/latency_matrix.hpp"
+#include "net/latency_space.hpp"
 #include "quorum/quorum_system.hpp"
 
 namespace qp::sim {
@@ -23,7 +23,7 @@ class QuorumSampler {
  public:
   enum class Kind { Closest, Balanced, Explicit };
 
-  [[nodiscard]] static QuorumSampler closest(const net::LatencyMatrix& matrix,
+  [[nodiscard]] static QuorumSampler closest(const net::LatencySpace& space,
                                              const quorum::QuorumSystem& system,
                                              const core::Placement& placement);
   [[nodiscard]] static QuorumSampler balanced(const quorum::QuorumSystem& system);

@@ -58,8 +58,8 @@ TEST(NonuniformCapacities, EndpointsHitBetaAndGamma) {
   // Identify the support site with min / max average distance.
   std::size_t closest = support[0], farthest = support[0];
   for (std::size_t s : support) {
-    if (m.average_rtt_from(s) < m.average_rtt_from(closest)) closest = s;
-    if (m.average_rtt_from(s) > m.average_rtt_from(farthest)) farthest = s;
+    if (net::average_rtt_from(m, s) < net::average_rtt_from(m, closest)) closest = s;
+    if (net::average_rtt_from(m, s) > net::average_rtt_from(m, farthest)) farthest = s;
   }
   // 1/s largest for the closest site -> gamma; smallest -> beta.
   EXPECT_NEAR(caps[closest], gamma, 1e-12);
@@ -76,7 +76,7 @@ TEST(NonuniformCapacities, InverseMonotoneInAverageDistance) {
   const auto caps = nonuniform_capacities(m, support, 0.2, 0.8);
   for (std::size_t a : support) {
     for (std::size_t b : support) {
-      if (m.average_rtt_from(a) < m.average_rtt_from(b)) {
+      if (net::average_rtt_from(m, a) < net::average_rtt_from(m, b)) {
         EXPECT_GE(caps[a] + 1e-12, caps[b]);
       }
     }

@@ -12,10 +12,13 @@
 #include "core/capacity.hpp"
 #include "core/eval_workspace.hpp"
 #include "core/iterative.hpp"
+#include "core/local_search.hpp"
 #include "core/manytoone.hpp"
+#include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "core/response.hpp"
 #include "core/strategy.hpp"
+#include "net/embedding.hpp"
 #include "net/graph.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
@@ -24,6 +27,7 @@
 #include "quorum/tree.hpp"
 #include "sim/client_sites.hpp"
 #include "sim/engine.hpp"
+#include "sim/scenario.hpp"
 
 namespace qp {
 namespace {
@@ -36,7 +40,7 @@ TEST(CrossModule, IterativeAlgorithmWorksForMajorities) {
   options.anchor_candidates = {0, 1, 2, 3};
   const auto caps = core::uniform_capacities(m.size(), 0.9);
   const core::IterativeResult result =
-      core::iterative_placement(m, majority, caps, /*alpha=*/0.0, options);
+      core::iterative_placement(m, majority, caps, core::network_delay_objective(), options);
   result.placement.validate(m.size());
   result.strategy.validate(m.size(), 5);
   EXPECT_GT(result.avg_response, 0.0);
@@ -127,7 +131,8 @@ TEST(CrossModule, CollapsedModelThroughTheIterativePipeline) {
   core::IterativeOptions options;
   options.anchor_candidates = {0, 1, 2, 3, 4, 5};
   const auto caps = core::uniform_capacities(m.size(), 1.0);
-  const auto iterative = core::iterative_placement(m, grid, caps, 0.0, options);
+  const auto iterative =
+      core::iterative_placement(m, grid, caps, core::network_delay_objective(), options);
   const double alpha = core::kQuWriteServiceMs * 16'000;
   const auto per_element =
       core::evaluate_explicit(m, grid, iterative.placement, alpha, iterative.strategy,
@@ -136,6 +141,112 @@ TEST(CrossModule, CollapsedModelThroughTheIterativePipeline) {
       core::evaluate_explicit(m, grid, iterative.placement, alpha, iterative.strategy,
                               {}, core::ExecutionModel::Collapsed);
   EXPECT_LE(collapsed.avg_response_ms, per_element.avg_response_ms + 1e-9);
+}
+
+TEST(CrossModule, PipelineOnEmbeddingMatchesDensified) {
+  // The plan -> LP -> engine pipeline runs on an implicit LatencyEmbedding
+  // (no dense matrix anywhere) and reproduces the same run on the
+  // embedding's densify() exactly: every stage reads RTTs through
+  // net::LatencySpace, and densify() stores the embedding's doubles.
+  sim::ScenarioConfig config;
+  config.site_count = 24;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::LatencyEmbedding& sparse = scenario.space;
+  ASSERT_EQ(sparse.as_matrix(), nullptr);
+  const net::LatencyMatrix dense = sparse.densify();
+  const quorum::GridQuorum grid{3};
+  const core::LoadAwareObjective objective{20.0};
+
+  struct Run {
+    core::PlacementSearchResult start;
+    core::LocalSearchResult polished;
+    core::StrategyLpResult lp;
+    sim::EngineResult engine;
+    core::IterativeResult iterative;
+    core::Placement singleton;
+    std::vector<double> nonuniform;
+  };
+  const auto run = [&](const net::LatencySpace& space) {
+    Run r;
+    r.start = core::best_grid_placement(space, 3);
+    // The search starts from a deliberately off-center anchor so it moves.
+    core::LocalSearchOptions search;
+    search.objective = &objective;
+    r.polished = core::local_search_placement(
+        space, grid, core::grid_placement_for_client(space, 3, space.size() - 1), search);
+    // Caps at 1.1 L_opt can bind: the Revised route.
+    const std::vector<double> caps =
+        core::uniform_capacities(space.size(), 1.1 * grid.optimal_load());
+    r.lp = core::optimize_access_strategy(space, grid, r.polished.placement, caps);
+    if (r.lp.status != lp::SolveStatus::Optimal) return r;
+
+    sim::EngineConfig engine;
+    engine.strategy = sim::EngineStrategy::Explicit;
+    engine.explicit_strategy = &r.lp.strategy;
+    engine.warmup_ms = 200.0;
+    engine.duration_ms = 2'000.0;
+    engine.replications = 2;
+    const std::vector<double> rates(space.size(), 0.002);
+    r.engine = sim::run_engine(space, grid, r.polished.placement, rates, engine);
+
+    core::IterativeOptions iterative;
+    iterative.anchor_candidates = {0, 1, 2, 3};
+    r.iterative = core::iterative_placement(
+        space, grid, core::uniform_capacities(space.size(), 0.8), objective, iterative);
+    r.singleton = core::singleton_placement(space, grid.universe_size());
+    r.nonuniform = core::nonuniform_capacities(space, r.polished.placement.support_set(),
+                                               grid.optimal_load(), 0.9);
+    return r;
+  };
+  const Run on_sparse = run(sparse);
+  const Run on_dense = run(dense);
+
+  EXPECT_EQ(on_sparse.start.placement.site_of, on_dense.start.placement.site_of);
+  EXPECT_EQ(on_sparse.start.anchor_client, on_dense.start.anchor_client);
+  EXPECT_DOUBLE_EQ(on_sparse.start.avg_network_delay, on_dense.start.avg_network_delay);
+  EXPECT_EQ(on_sparse.polished.placement.site_of, on_dense.polished.placement.site_of);
+  EXPECT_GT(on_sparse.polished.moves, 0u);
+  EXPECT_EQ(on_sparse.polished.moves, on_dense.polished.moves);
+  EXPECT_DOUBLE_EQ(on_sparse.polished.objective, on_dense.polished.objective);
+
+  ASSERT_EQ(on_sparse.lp.status, lp::SolveStatus::Optimal);
+  ASSERT_EQ(on_dense.lp.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(on_sparse.lp.solver_used, core::StrategyLpSolver::Revised);
+  EXPECT_EQ(on_dense.lp.solver_used, core::StrategyLpSolver::Revised);
+  EXPECT_DOUBLE_EQ(on_sparse.lp.avg_network_delay, on_dense.lp.avg_network_delay);
+  EXPECT_EQ(on_sparse.lp.lp_iterations, on_dense.lp.lp_iterations);
+  EXPECT_EQ(on_sparse.lp.strategy.probability, on_dense.lp.strategy.probability);
+
+  EXPECT_GT(on_sparse.engine.completed, 0u);
+  EXPECT_EQ(on_sparse.engine.issued, on_dense.engine.issued);
+  EXPECT_EQ(on_sparse.engine.completed, on_dense.engine.completed);
+  EXPECT_EQ(on_sparse.engine.failed, on_dense.engine.failed);
+  EXPECT_EQ(on_sparse.engine.dropped_messages, on_dense.engine.dropped_messages);
+  EXPECT_DOUBLE_EQ(on_sparse.engine.mean_response_ms, on_dense.engine.mean_response_ms);
+  EXPECT_DOUBLE_EQ(on_sparse.engine.mean_network_delay_ms,
+                   on_dense.engine.mean_network_delay_ms);
+  EXPECT_DOUBLE_EQ(on_sparse.engine.p50_ms, on_dense.engine.p50_ms);
+  EXPECT_DOUBLE_EQ(on_sparse.engine.p99_ms, on_dense.engine.p99_ms);
+
+  EXPECT_EQ(on_sparse.iterative.placement.site_of, on_dense.iterative.placement.site_of);
+  EXPECT_DOUBLE_EQ(on_sparse.iterative.avg_response, on_dense.iterative.avg_response);
+  EXPECT_DOUBLE_EQ(on_sparse.iterative.avg_network_delay,
+                   on_dense.iterative.avg_network_delay);
+  ASSERT_EQ(on_sparse.iterative.history.size(), on_dense.iterative.history.size());
+  for (std::size_t j = 0; j < on_sparse.iterative.history.size(); ++j) {
+    const core::IterationRecord& a = on_sparse.iterative.history[j];
+    const core::IterationRecord& b = on_dense.iterative.history[j];
+    EXPECT_EQ(a.accepted, b.accepted) << "iteration " << j;
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations) << "iteration " << j;
+    EXPECT_DOUBLE_EQ(a.response_after_placement, b.response_after_placement);
+    EXPECT_DOUBLE_EQ(a.network_after_placement, b.network_after_placement);
+    EXPECT_DOUBLE_EQ(a.response_after_strategy, b.response_after_strategy);
+    EXPECT_DOUBLE_EQ(a.network_after_strategy, b.network_after_strategy);
+    EXPECT_DOUBLE_EQ(a.max_capacity_violation, b.max_capacity_violation);
+  }
+
+  EXPECT_EQ(on_sparse.singleton.site_of, on_dense.singleton.site_of);
+  EXPECT_EQ(on_sparse.nonuniform, on_dense.nonuniform);
 }
 
 TEST(CrossModule, MatrixRoundTripPreservesExperimentResults) {

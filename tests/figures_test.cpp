@@ -30,10 +30,12 @@ TEST(Figures, CentralSitesSortedByAverageRtt) {
   // Every returned site has average RTT no larger than every excluded site.
   std::set<std::size_t> chosen(sites.begin(), sites.end());
   double worst_chosen = 0.0;
-  for (std::size_t s : sites) worst_chosen = std::max(worst_chosen, topo12().average_rtt_from(s));
+  for (std::size_t s : sites) {
+    worst_chosen = std::max(worst_chosen, net::average_rtt_from(topo12(), s));
+  }
   for (std::size_t s = 0; s < topo12().size(); ++s) {
     if (!chosen.count(s)) {
-      EXPECT_GE(topo12().average_rtt_from(s) + 1e-12, worst_chosen);
+      EXPECT_GE(net::average_rtt_from(topo12(), s) + 1e-12, worst_chosen);
     }
   }
   // Count is clamped to the topology size.

@@ -28,7 +28,7 @@ TEST(Iterative, ProducesConsistentResult) {
   const quorum::GridQuorum grid{2};
   const auto caps = uniform_capacities(m.size(), 0.9);
   const IterativeResult result =
-      iterative_placement(m, grid, caps, /*alpha=*/0.0, fast_options(m));
+      iterative_placement(m, grid, caps, network_delay_objective(), fast_options(m));
   result.placement.validate(m.size());
   result.strategy.validate(m.size(), grid.universe_size());
   ASSERT_FALSE(result.history.empty());
@@ -43,7 +43,7 @@ TEST(Iterative, Phase2NeverWorseThanPhase1) {
   const quorum::GridQuorum grid{2};
   const auto caps = uniform_capacities(m.size(), 0.8);
   const IterativeResult result =
-      iterative_placement(m, grid, caps, /*alpha=*/10.0, fast_options(m));
+      iterative_placement(m, grid, caps, LoadAwareObjective{10.0}, fast_options(m));
   for (const IterationRecord& record : result.history) {
     if (record.response_after_strategy == 0.0) continue;  // LP failure path.
     EXPECT_LE(record.response_after_strategy, record.response_after_placement + 1e-6);
@@ -55,7 +55,7 @@ TEST(Iterative, AcceptedIterationsImproveMonotonically) {
   const quorum::GridQuorum grid{2};
   const auto caps = uniform_capacities(m.size(), 0.9);
   const IterativeResult result =
-      iterative_placement(m, grid, caps, /*alpha=*/5.0, fast_options(m, 6));
+      iterative_placement(m, grid, caps, LoadAwareObjective{5.0}, fast_options(m, 6));
   double previous = 1e300;
   for (const IterationRecord& record : result.history) {
     if (!record.accepted) continue;
@@ -72,7 +72,8 @@ TEST(Iterative, HaltsWithinMaxIterations) {
   const auto caps = uniform_capacities(m.size(), 1.0);
   IterativeOptions options = fast_options(m);
   options.max_iterations = 3;
-  const IterativeResult result = iterative_placement(m, grid, caps, 0.0, options);
+  const IterativeResult result =
+      iterative_placement(m, grid, caps, network_delay_objective(), options);
   EXPECT_LE(result.history.size(), 3u);
 }
 
@@ -80,8 +81,9 @@ TEST(Iterative, ThrowsWhenFirstIterationInfeasible) {
   const LatencyMatrix m = net::small_synth(6, 17);
   const quorum::GridQuorum grid{2};
   const auto caps = uniform_capacities(m.size(), 0.01);  // Cannot fit load 3.
-  EXPECT_THROW((void)iterative_placement(m, grid, caps, 0.0, fast_options(m)),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)iterative_placement(m, grid, caps, network_delay_objective(), fast_options(m)),
+      std::runtime_error);
 }
 
 TEST(Iterative, ManyToOneImprovesNetworkDelayOverOneToOne) {
@@ -91,7 +93,7 @@ TEST(Iterative, ManyToOneImprovesNetworkDelayOverOneToOne) {
   const quorum::GridQuorum grid{2};
   const auto caps = uniform_capacities(m.size(), 1.0);
   const IterativeResult iterative =
-      iterative_placement(m, grid, caps, 0.0, fast_options(m, 14));
+      iterative_placement(m, grid, caps, network_delay_objective(), fast_options(m, 14));
 
   const PlacementSearchResult one_to_one = best_grid_placement(m, 2);
   const Evaluation baseline = evaluate_balanced(m, grid, one_to_one.placement, 0.0);
@@ -102,7 +104,8 @@ TEST(Iterative, HistoryRecordsPhases) {
   const LatencyMatrix m = net::small_synth(10, 23);
   const quorum::GridQuorum grid{2};
   const auto caps = uniform_capacities(m.size(), 0.9);
-  const IterativeResult result = iterative_placement(m, grid, caps, 0.0, fast_options(m));
+  const IterativeResult result =
+      iterative_placement(m, grid, caps, network_delay_objective(), fast_options(m));
   for (std::size_t j = 0; j < result.history.size(); ++j) {
     EXPECT_EQ(result.history[j].iteration, j + 1);
     EXPECT_GT(result.history[j].response_after_placement, 0.0);

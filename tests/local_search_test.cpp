@@ -60,8 +60,8 @@ TEST(LocalSearch, ImprovesBadInitialPlacements) {
   // must find something strictly better.
   const LatencyMatrix m = net::small_synth(16, 13);
   const quorum::GridQuorum grid{2};
-  const std::size_t median = m.median_site();
-  auto farthest = m.ball(median, m.size());
+  const std::size_t median = net::median_site(m);
+  auto farthest = net::ball(m, median, m.size());
   std::reverse(farthest.begin(), farthest.end());
   farthest.resize(4);
   const Placement bad{farthest};
@@ -98,8 +98,8 @@ TEST(LocalSearch, WorksForMajorities) {
 TEST(LocalSearch, RespectsRoundCap) {
   const LatencyMatrix m = net::small_synth(16, 23);
   const quorum::GridQuorum grid{2};
-  const std::size_t median = m.median_site();
-  auto farthest = m.ball(median, m.size());
+  const std::size_t median = net::median_site(m);
+  auto farthest = net::ball(m, median, m.size());
   std::reverse(farthest.begin(), farthest.end());
   farthest.resize(4);
   LocalSearchOptions options;

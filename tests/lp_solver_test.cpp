@@ -542,9 +542,9 @@ TEST(StrategyLp, IterativeWarmStartMatchesColdRun) {
   cold_options.warm_start = false;
 
   const core::IterativeResult warm =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, warm_options);
+      core::iterative_placement(matrix, grid, caps, core::LoadAwareObjective{5.0}, warm_options);
   const core::IterativeResult cold =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, cold_options);
+      core::iterative_placement(matrix, grid, caps, core::LoadAwareObjective{5.0}, cold_options);
   // Warm starts change pivot counts, never results: identical placements,
   // strategies, and responses.
   EXPECT_EQ(warm.placement.site_of, cold.placement.site_of);
@@ -570,7 +570,7 @@ TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
   options.anchor_candidates = {0, 1, 2, 3};
   options.warm_start = false;
   const core::IterativeResult result =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, options);
+      core::iterative_placement(matrix, grid, caps, core::LoadAwareObjective{5.0}, options);
   ASSERT_FALSE(result.history.empty());
 
   core::ExplicitStrategy uniform;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -11,6 +12,7 @@
 #include "core/capacity.hpp"
 #include "core/manytoone.hpp"
 #include "core/placement.hpp"
+#include "core/response.hpp"
 #include "core/strategy.hpp"
 #include "lp/problem.hpp"
 #include "lp/revised_simplex.hpp"
@@ -28,6 +30,15 @@ using net::LatencyMatrix;
 
 std::vector<double> uniform_distribution(std::size_t m) {
   return std::vector<double>(m, 1.0 / static_cast<double>(m));
+}
+
+/// avg_v sum_i p_i max_{u in Q_i} d(v, f(u)): the network delay of
+/// `placement` when every client draws quorums[i] with probability probs[i].
+double delay_under_common(const LatencyMatrix& m, const quorum::QuorumSystem& system,
+                          std::vector<quorum::Quorum> quorums, std::span<const double> probs,
+                          const Placement& placement) {
+  const ExplicitStrategy common = common_strategy(std::move(quorums), probs, m.size());
+  return evaluate_explicit(m, system, placement, 0.0, common).avg_network_delay_ms;
 }
 
 /// |a - b| <= eps * max(1, |b|): the repo-wide parity comparison.
@@ -214,8 +225,7 @@ TEST(ManyToOne, NonUniformDistributionShiftsPlacement) {
                                    m.rtt(0, result.placement.site_of[2])});
   (void)popular;  // The strong assertion is on the LP bound below.
   EXPECT_LE(result.lp_delay_bound,
-            average_network_delay_under_distribution(m, grid.enumerate_quorums(100), probs,
-                                                     result.placement) +
+            delay_under_common(m, grid, grid.enumerate_quorums(100), probs, result.placement) +
                 1e-6);
 }
 
@@ -233,6 +243,13 @@ TEST(ManyToOne, ValidatesArguments) {
   const std::vector<double> short_caps(2, 1.0);
   EXPECT_THROW((void)many_to_one_placement(m, grid, uniform_distribution(4), short_caps, 0),
                std::invalid_argument);
+  // A non-finite capacity is rejected by the API, not by the LP layer.
+  std::vector<double> nan_caps = caps;
+  nan_caps[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)many_to_one_placement(m, grid, uniform_distribution(4), nan_caps, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)best_many_to_one_placement(m, grid, uniform_distribution(4), nan_caps),
+               std::invalid_argument);
 }
 
 TEST(AverageNetworkDelayUnderDistribution, MatchesHandComputation) {
@@ -240,8 +257,11 @@ TEST(AverageNetworkDelayUnderDistribution, MatchesHandComputation) {
   const std::vector<quorum::Quorum> quorums{{0}, {1}};
   const std::vector<double> probs{0.5, 0.5};
   const Placement p{{0, 1}};
+  // The explicit strategy lists its own quorums; the system only fixes the
+  // universe {0, 1}.
+  const quorum::MajorityQuorum universe{2, 2};
   // Client 0: 0.5*0 + 0.5*4 = 2; client 1: 0.5*4 + 0.5*0 = 2.
-  EXPECT_DOUBLE_EQ(average_network_delay_under_distribution(m, quorums, probs, p), 2.0);
+  EXPECT_DOUBLE_EQ(delay_under_common(m, universe, quorums, probs, p), 2.0);
 }
 
 TEST(BestManyToOne, BeatsOrMatchesSingleAnchor) {
@@ -255,8 +275,7 @@ TEST(BestManyToOne, BeatsOrMatchesSingleAnchor) {
   for (std::size_t v0 = 0; v0 < m.size(); ++v0) {
     const ManyToOneResult single = many_to_one_placement(m, grid, probs, caps, v0);
     ASSERT_EQ(single.status, lp::SolveStatus::Optimal);
-    const double delay =
-        average_network_delay_under_distribution(m, quorums, probs, single.placement);
+    const double delay = delay_under_common(m, grid, quorums, probs, single.placement);
     EXPECT_GE(delay + 1e-9, best.avg_network_delay);
   }
 }

@@ -3,9 +3,13 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "net/embedding.hpp"
 #include "net/graph.hpp"
+#include "net/knn_index.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/matrix_io.hpp"
 #include "net/shortest_paths.hpp"
@@ -143,7 +147,7 @@ TEST(LatencyMatrix, MetricClosureFixesTriangleViolation) {
 TEST(LatencyMatrix, MedianMinimizesDistanceSum) {
   // Line topology 0 - 1 - 2: the middle node is the median.
   const LatencyMatrix m{{{0.0, 1.0, 2.0}, {1.0, 0.0, 1.0}, {2.0, 1.0, 0.0}}};
-  EXPECT_EQ(m.median_site(), 1u);
+  EXPECT_EQ(net::median_site(m), 1u);
 }
 
 TEST(LatencyMatrix, BallOrdering) {
@@ -151,14 +155,49 @@ TEST(LatencyMatrix, BallOrdering) {
                          {3.0, 0.0, 2.0, 5.0},
                          {1.0, 2.0, 0.0, 4.0},
                          {2.0, 5.0, 4.0, 0.0}}};
-  const auto ball = m.ball(0, 3);
+  const auto ball = net::ball(m, 0, 3);
   EXPECT_EQ(ball, (std::vector<std::size_t>{0, 2, 3}));
-  EXPECT_THROW((void)m.ball(0, 5), std::invalid_argument);
+  EXPECT_THROW((void)net::ball(m, 0, 5), std::invalid_argument);
 }
 
 TEST(LatencyMatrix, AverageIncludesSelf) {
   const LatencyMatrix m{{{0.0, 2.0}, {2.0, 0.0}}};
-  EXPECT_DOUBLE_EQ(m.average_rtt_from(0), 1.0);
+  EXPECT_DOUBLE_EQ(net::average_rtt_from(m, 0), 1.0);
+}
+
+TEST(LatencySpaceRows, EmbeddingMatchesDensifiedAndKnnIndex) {
+  // ball / median_site / average_rtt_from are one implementation over any
+  // LatencySpace: on an embedding they must equal the same calls on its
+  // densify(), and ball must equal the kd-tree's k-NN answer (the
+  // brute-force vs kd-tree pair).
+  common::Rng rng{2004};
+  const std::size_t n = 40;
+  std::vector<double> coords(2 * n);
+  std::vector<double> heights(n);
+  for (double& c : coords) c = rng.uniform(0.0, 100.0);
+  for (double& h : heights) h = rng.uniform(0.0, 5.0);
+  const LatencyEmbedding space{2, coords, heights, /*min_rtt_ms=*/0.5};
+  const LatencyMatrix dense = space.densify();
+  const KnnIndex index{space};
+
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t k : {std::size_t{1}, std::size_t{7}, n}) {
+      const std::vector<std::size_t> sites = ball(space, v, k);
+      EXPECT_EQ(sites, ball(dense, v, k)) << "v=" << v << " k=" << k;
+      std::vector<std::size_t> knn_sites;
+      for (const KnnIndex::Neighbor& neighbor : index.nearest(v, k)) {
+        knn_sites.push_back(neighbor.site);
+      }
+      EXPECT_EQ(sites, knn_sites) << "v=" << v << " k=" << k;
+      EXPECT_EQ(sites.front(), v);
+    }
+    EXPECT_DOUBLE_EQ(average_rtt_from(space, v), average_rtt_from(dense, v));
+  }
+  EXPECT_EQ(median_site(space), median_site(dense));
+
+  EXPECT_THROW((void)ball(space, n, 1), std::out_of_range);
+  EXPECT_THROW((void)ball(space, 0, n + 1), std::invalid_argument);
+  EXPECT_THROW((void)average_rtt_from(space, n), std::out_of_range);
 }
 
 // -------------------------------------------------------------- Synthetic

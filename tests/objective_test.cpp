@@ -19,7 +19,6 @@
 #include "common/rng.hpp"
 #include "core/delta_eval.hpp"
 #include "core/failure_objective.hpp"
-#include "core/iterative.hpp"
 #include "core/local_search.hpp"
 #include "core/objective.hpp"
 #include "core/placement.hpp"
@@ -337,20 +336,6 @@ TEST(ObjectiveBestPlacement, LoadAwareOverloadPicksTheObjectiveWinner) {
   EXPECT_EQ(actual.placement.site_of, expected.placement.site_of);
   EXPECT_NEAR(actual.avg_network_delay, expected.avg_network_delay,
               1e-12 * std::max(1.0, expected.avg_network_delay));
-}
-
-TEST(ObjectiveIterative, ObjectiveOverloadMatchesBareAlpha) {
-  const LatencyMatrix m = net::small_synth(12, 1013);
-  const quorum::GridQuorum grid{2};
-  const std::vector<double> caps(m.size(), 1.0);
-  IterativeOptions options;
-  options.max_iterations = 2;
-  const LoadAwareObjective objective{7.0};
-  const IterativeResult via_objective =
-      iterative_placement(m, grid, caps, objective, options);
-  const IterativeResult via_alpha = iterative_placement(m, grid, caps, 7.0, options);
-  EXPECT_EQ(via_objective.placement.site_of, via_alpha.placement.site_of);
-  EXPECT_DOUBLE_EQ(via_objective.avg_response, via_alpha.avg_response);
 }
 
 std::vector<double> random_demand(std::size_t clients, common::Rng& rng) {

@@ -288,7 +288,7 @@ core::IterativeResult run_iterative() {
   const std::vector<double> caps(m.size(), 0.8);
   core::IterativeOptions options;
   options.anchor_candidates = {0, 1, 2, 3};
-  return core::iterative_placement(m, grid, caps, /*alpha=*/5.0, options);
+  return core::iterative_placement(m, grid, caps, core::LoadAwareObjective{5.0}, options);
 }
 
 TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {

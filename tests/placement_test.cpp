@@ -52,7 +52,7 @@ TEST(MajorityBall, UsesClosestNodes) {
   const Placement p = majority_ball_placement(m, 5, 3);
   EXPECT_EQ(p.universe_size(), 5u);
   EXPECT_TRUE(p.one_to_one());
-  EXPECT_EQ(p.site_of, m.ball(3, 5));
+  EXPECT_EQ(p.site_of, net::ball(m, 3, 5));
   // v0 itself hosts an element (distance 0 is minimal).
   EXPECT_NE(std::find(p.site_of.begin(), p.site_of.end(), 3u), p.site_of.end());
 }
@@ -99,7 +99,7 @@ TEST(GridPlacement, IsOneToOneOntoBall) {
   EXPECT_EQ(p.universe_size(), 9u);
   EXPECT_TRUE(p.one_to_one());
   auto support = p.support_set();
-  auto ball = m.ball(4, 9);
+  auto ball = net::ball(m, 4, 9);
   std::sort(ball.begin(), ball.end());
   EXPECT_EQ(support, ball);
 }
@@ -109,7 +109,7 @@ TEST(GridPlacement, FarthestNodeOnTopLeft) {
   const std::size_t v0 = 1;
   const Placement p = grid_placement_for_client(m, 3, v0);
   // Cell (0,0) hosts the farthest node of the ball.
-  const auto ball = m.ball(v0, 9);
+  const auto ball = net::ball(m, v0, 9);
   EXPECT_EQ(p.site_of[0], ball.back());
 }
 
@@ -129,7 +129,7 @@ TEST(GridPlacement, SingleClientOptimalityBruteForceK2) {
     const double constructed_delay = delay_for(constructed);
 
     // All one-to-one placements of the same 4 ball nodes onto the 4 cells.
-    std::vector<std::size_t> ball = m.ball(v0, 4);
+    std::vector<std::size_t> ball = net::ball(m, v0, 4);
     std::sort(ball.begin(), ball.end());
     do {
       EXPECT_GE(delay_for(Placement{ball}) + 1e-9, constructed_delay) << "seed=" << seed;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/capacity.hpp"
@@ -241,6 +244,39 @@ TEST(StrategyLp, ErrorsOnBadInput) {
   bad_weights[1] = -0.1;
   EXPECT_THROW((void)optimize_access_strategy(m, grid, p, caps, bad_weights),
                std::invalid_argument);
+}
+
+TEST(StrategyLp, RejectsNonFiniteCapacities) {
+  // NaN > x is false, so an unchecked NaN cap reads as slack on the
+  // Transportation route; on the Revised route it reaches the LP layer as a
+  // non-finite row bound. Both must be rejected by the API itself.
+  const LatencyMatrix m = net::small_synth(9, 59);
+  const quorum::GridQuorum grid{3};
+  const Placement p = best_grid_placement(m, 3).placement;
+  const auto expect_rejected = [&](const std::vector<double>& caps) {
+    try {
+      (void)optimize_access_strategy(m, grid, p, caps);
+      ADD_FAILURE() << "non-finite capacities were accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("optimize_access_strategy"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(std::vector<double>(m.size(), nan));
+  // One NaN among caps that can bind (the Revised route).
+  std::vector<double> one_nan = uniform_capacities(m.size(), grid.optimal_load() * 1.1);
+  one_nan[p.site_of[0]] = nan;
+  expect_rejected(one_nan);
+  std::vector<double> infinite = uniform_capacities(m.size(), 1.0);
+  infinite[0] = std::numeric_limits<double>::infinity();
+  expect_rejected(infinite);
+  // Negative caps stay valid input: the LP reports them Infeasible.
+  std::vector<double> negative = uniform_capacities(m.size(), 1.0);
+  negative[p.site_of[0]] = -0.5;
+  EXPECT_EQ(optimize_access_strategy(m, grid, p, negative).status,
+            lp::SolveStatus::Infeasible);
 }
 
 // --------------------------------------------------- demand-weighted LP
