@@ -7,8 +7,14 @@
 //   * workspace objective    — flat reusable buffers + cached order-stat
 //                              weights (network_delay_objective()
 //                              .evaluate_ws);
-//   * delta candidate        — DeltaEvaluator::objective_if_moved, O(log n)
-//                              or O(k) per client instead of a full rebuild;
+//   * delta candidate        — DeltaEvaluator::objective_if_moved, one
+//                              candidate's pass over the clients against
+//                              the cached tables instead of a full rebuild;
+//   * delta scan             — DeltaEvaluator::objectives_if_moved over one
+//                              element's whole target set (every unused
+//                              site): the move-invariant table reads once per
+//                              client, O(1)-O(k) (Grid) or O(log n) (Majority)
+//                              per site; items/s is candidates per second;
 //   * local search           — the full re-evaluation route (forced through
 //                              the tests/support/full_reevaluation.hpp
 //                              seam) vs the delta route end-to-end, for the
@@ -30,6 +36,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -250,6 +257,27 @@ int main(int argc, char** argv) {
             element = (element + 1) % config.placement.universe_size();
             benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
           }
+        });
+    benchmark::RegisterBenchmark(
+        ("EvalKernels/delta_scan/" + config.label).c_str(),
+        [&matrix, &config](benchmark::State& state) {
+          const core::DeltaEvaluator eval{matrix, *config.system, config.placement};
+          std::vector<bool> used(matrix.size(), false);
+          for (std::size_t site : config.placement.site_of) used[site] = true;
+          std::vector<std::size_t> targets;
+          for (std::size_t w = 0; w < matrix.size(); ++w) {
+            if (!used[w]) targets.push_back(w);
+          }
+          std::vector<double> out(targets.size());
+          std::size_t element = 0;
+          for (auto _ : state) {
+            element = (element + 1) % config.placement.universe_size();
+            eval.objectives_if_moved(element, targets, out.data());
+            benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
+          }
+          state.SetItemsProcessed(state.iterations() *
+                                  static_cast<std::int64_t>(targets.size()));
         });
     benchmark::RegisterBenchmark(
         ("EvalKernels/delta_candidate_load_aware/" + config.label).c_str(),

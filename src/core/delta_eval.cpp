@@ -16,12 +16,12 @@ namespace qp::core {
 
 namespace {
 
-// Candidate-evaluation telemetry: which dispatch path served each
-// objective_if_moved call, plus per-client classification tallies for the
-// closest engines (pruned = provably unchanged, kept = slot retained,
-// recomputed = full quorum re-choice). Tallies are accumulated into stack
-// locals and recorded with one or two shard adds per *call* — never per
-// client — so the per-candidate overhead stays flat.
+// Candidate-evaluation telemetry: which dispatch path served each candidate
+// of an objectives_if_moved batch, plus per-client classification tallies
+// for the closest engines (pruned = provably unchanged, kept = slot
+// retained, recomputed = full quorum re-choice). Tallies are accumulated
+// into stack locals and recorded with a few shard adds per batch or closest
+// candidate — never per client — so the per-candidate overhead stays flat.
 const obs::Counter c_de_candidates = obs::counter("core.delta_eval.candidates");
 const obs::Counter c_de_fast = obs::counter("core.delta_eval.fast_path");
 const obs::Counter c_de_general =
@@ -438,33 +438,6 @@ void DeltaEvaluator::rebuild() {
   if (closest_) rebuild_closest_loads_and_rho();
 }
 
-double DeltaEvaluator::client_delta_sorted(std::size_t client, double old_value,
-                                           double new_value) const {
-  const double* y = sorted_.data() + client * n_;
-  const double* a = shift_up_.data() + client * n_;
-  const double* b = shift_down_.data() + client * (n_ + 1);
-  const double* w = weights_.data();
-  if (new_value < old_value) {
-    // Remove the first occurrence of old_value at p, insert at ins <= p: the
-    // values in [ins, p) shift one rank up.
-    const std::size_t p =
-        static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y);
-    const std::size_t ins =
-        static_cast<std::size_t>(std::lower_bound(y, y + p, new_value) - y);
-    return new_value * w[ins] - old_value * w[p] + (a[p] - a[ins]);
-  }
-  if (new_value > old_value) {
-    // Remove the last occurrence of old_value at p, insert at q >= p: the
-    // values in (p, q] shift one rank down.
-    const std::size_t p =
-        static_cast<std::size_t>(std::upper_bound(y, y + n_, old_value) - y) - 1;
-    const std::size_t q =
-        static_cast<std::size_t>(std::upper_bound(y + p, y + n_, new_value) - y) - 1;
-    return new_value * w[q] - old_value * w[p] + (b[q + 1] - b[p + 1]);
-  }
-  return 0.0;
-}
-
 double DeltaEvaluator::objective_if_moved_general(std::size_t element,
                                                   std::size_t site) const {
   // The move colocates or separates elements, shifting load_f at both
@@ -499,38 +472,117 @@ double DeltaEvaluator::objective_if_moved_general(std::size_t element,
 }
 
 double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site) const {
+  double out = 0.0;
+  objectives_if_moved(element, {&site, 1}, &out);
+  return out;
+}
+
+void DeltaEvaluator::objectives_if_moved(std::size_t element,
+                                         std::span<const std::size_t> sites,
+                                         double* out) const {
   QP_CHECK(element < n_, "objective_if_moved: element out of range");
-  QP_CHECK(site < clients_, "objective_if_moved: site out of range");
   const std::size_t old_site = placement_.site_of[element];
-  if (site == old_site) return objective();
-  c_de_candidates.add();
-  if (closest_) {
-    return candidate_index_ != nullptr ? closest_if_moved_indexed(element, site)
-                                       : closest_if_moved(element, site);
+  // Sites the balanced tables answer are batched into one table_scan; the
+  // rest take their one-site paths. The cached tables answer single-
+  // coordinate moves only: a load-aware move touching a co-hosted site
+  // perturbs other coordinates too and takes the general path, as does
+  // every move of a Generic shape.
+  static thread_local std::vector<std::size_t> tl_sites;
+  static thread_local std::vector<std::size_t> tl_slots;
+  tl_sites.clear();
+  tl_slots.clear();
+  std::size_t candidates = 0;
+  std::size_t general = 0;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const std::size_t site = sites[i];
+    QP_CHECK(site < clients_, "objective_if_moved: site out of range");
+    if (site == old_site) {
+      out[i] = objective();
+      continue;
+    }
+    ++candidates;
+    if (closest_) {
+      out[i] = candidate_index_ != nullptr ? closest_if_moved_indexed(element, site)
+                                           : closest_if_moved(element, site);
+    } else if (shape_ == Shape::Generic || shifts_load(old_site, site)) {
+      ++general;
+      out[i] = objective_if_moved_general(element, site);
+    } else {
+      tl_sites.push_back(site);
+      tl_slots.push_back(i);
+    }
   }
-  // Per-coordinate additive load terms of the candidate values. The cached
-  // tables answer single-coordinate moves only; a load-aware move touching a
-  // co-hosted site perturbs other coordinates too and takes the general path,
-  // as does every move of a Generic shape.
-  if (shape_ == Shape::Generic || shifts_load(old_site, site)) {
-    c_de_general.add();
-    return objective_if_moved_general(element, site);
+  c_de_candidates.add(candidates);
+  c_de_general.add(general);
+  c_de_fast.add(tl_sites.size());
+  if (!tl_sites.empty()) table_scan(element, tl_sites, tl_slots, out);
+}
+
+void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t> sites,
+                                std::span<const std::size_t> slots, double* out) const {
+  // Element-major: the outer loop walks the clients, the inner one the
+  // sites, and each site's total accumulates in client order with the
+  // one-site expressions — so every total is bitwise what a scan of that
+  // site alone returns.
+  const std::size_t m = sites.size();
+  const std::size_t old_site = placement_.site_of[element];
+  static thread_local std::vector<double> tl_add;    // Sites: the moved element's load term.
+  static thread_local std::vector<double> tl_val;    // Sites: the client's candidate value.
+  static thread_local std::vector<double> tl_total;  // Sites: weighted sum over clients.
+  tl_add.resize(m);
+  tl_val.resize(m);
+  tl_total.assign(m, 0.0);
+  const double old_add = load_aware_ ? site_term_[old_site] : 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    tl_add[j] = load_aware_ ? alpha_ * (site_load_[sites[j]] + lambda_[element]) : 0.0;
   }
-  double old_add = 0.0;
-  double new_add = 0.0;
-  if (load_aware_) {
-    old_add = site_term_[old_site];
-    new_add = alpha_ * (site_load_[site] + lambda_[element]);
-  }
-  c_de_fast.add();
-  double total = 0.0;
+  // Client v's candidate values d(v, sites[j]) + tl_add[j]: one contiguous
+  // row on a dense space, one fill_rtts on an implicit one.
+  const auto gather = [&](std::size_t v) {
+    if (matrix_ != nullptr) {
+      const double* row = matrix_->row(v).data();
+      for (std::size_t j = 0; j < m; ++j) tl_val[j] = row[sites[j]] + tl_add[j];
+    } else {
+      space_->fill_rtts(v, sites.data(), m, tl_val.data());
+      for (std::size_t j = 0; j < m; ++j) tl_val[j] += tl_add[j];
+    }
+  };
   switch (shape_) {
     case Shape::Sorted: {
+      // Moving the old value down removes its first copy at p_lo and inserts
+      // at ins <= p_lo: the values in [ins, p_lo) shift one rank up (prefix
+      // sums A). Moving it up removes its last copy at p_hi and inserts at
+      // q >= p_hi: the values in (p_hi, q] shift one rank down (B).
+      const double* w = weights_.data();
       for (std::size_t v = 0; v < clients_; ++v) {
-        const double term =
-            client_sum_[v] + client_delta_sorted(v, site_rtt(v, old_site) + old_add,
-                                                 site_rtt(v, site) + new_add);
-        total += (client_weight_.empty() ? 1.0 : client_weight_[v]) * term;
+        gather(v);
+        const double* y = sorted_.data() + v * n_;
+        const double* a = shift_up_.data() + v * n_;
+        const double* b = shift_down_.data() + v * (n_ + 1);
+        const double old_value = site_rtt(v, old_site) + old_add;
+        const std::size_t p_lo =
+            static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y);
+        const std::size_t p_hi =
+            static_cast<std::size_t>(std::upper_bound(y, y + n_, old_value) - y) - 1;
+        const double old_lo = old_value * w[p_lo];
+        const double old_hi = old_value * w[p_hi];
+        const double base = client_sum_[v];
+        const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
+        for (std::size_t j = 0; j < m; ++j) {
+          const double new_value = tl_val[j];
+          double delta = 0.0;
+          if (new_value < old_value) {
+            const std::size_t ins =
+                static_cast<std::size_t>(std::lower_bound(y, y + p_lo, new_value) - y);
+            delta = new_value * w[ins] - old_lo + (a[p_lo] - a[ins]);
+          } else if (new_value > old_value) {
+            const std::size_t q = static_cast<std::size_t>(
+                                      std::upper_bound(y + p_hi, y + n_, new_value) - y) -
+                                  1;
+            delta = new_value * w[q] - old_hi + (b[q + 1] - b[p_hi + 1]);
+          }
+          tl_total[j] += weight * (base + delta);
+        }
       }
       break;
     }
@@ -539,53 +591,83 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
       const std::size_t r0 = element / k;
       const std::size_t c0 = element % k;
       for (std::size_t v = 0; v < clients_; ++v) {
-        const double val = site_rtt(v, site) + new_add;
+        gather(v);
         const double* rm = row_max_.data() + v * k;
         const double* cm = col_max_.data() + v * k;
-        const double new_row = std::max(row_excl_[v * n_ + element], val);
-        const double new_col = std::max(col_excl_[v * n_ + element], val);
-        // Only quorum maxima in row r0 or column c0 change. New row-r0 part:
-        // sum_c max(new_row, cm'[c]) with cm'[c0] = new_col, via a branch-free
-        // (vectorized) full-row reduction corrected at c0; old part is the
-        // cached sum.
-        const double row_part = std::max(new_row, new_col) - std::max(new_row, cm[c0]) +
-                                common::max_with_bound_sum(new_row, {cm, k});
-        // New column-c0 part excluding the shared (r0, c0) cell; old part is
-        // the cached column sum minus that cell.
-        const double col_part = common::max_with_bound_sum(new_col, {rm, k}) -
-                                std::max(rm[r0], new_col);
-        const double old_col_part =
-            col_quorum_sum_[v * k + c0] - std::max(rm[r0], cm[c0]);
-        const double delta =
-            (row_part - row_quorum_sum_[v * k + r0]) + (col_part - old_col_part);
-        total += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
-                 ((client_sum_[v] + delta) / static_cast<double>(n_));
+        const double row_excl = row_excl_[v * n_ + element];
+        const double col_excl = col_excl_[v * n_ + element];
+        const double cm_c0 = cm[c0];
+        const double old_row_part = row_quorum_sum_[v * k + r0];
+        const double old_col_part = col_quorum_sum_[v * k + c0] - std::max(rm[r0], cm_c0);
+        // A site no farther than the rest of row r0 (column c0) leaves its
+        // maximum, and hence the O(k) reduction over it, unchanged.
+        const double row_sum_excl = common::max_with_bound_sum(row_excl, {cm, k});
+        const double col_sum_excl = common::max_with_bound_sum(col_excl, {rm, k});
+        const double base = client_sum_[v];
+        const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
+        for (std::size_t j = 0; j < m; ++j) {
+          const double val = tl_val[j];
+          const double new_row = std::max(row_excl, val);
+          const double new_col = std::max(col_excl, val);
+          // Only quorum maxima in row r0 or column c0 change. New row-r0
+          // part: sum_c max(new_row, cm'[c]) with cm'[c0] = new_col, via a
+          // branch-free (vectorized) full-row reduction corrected at c0; the
+          // old part is the cached sum.
+          const double row_part =
+              std::max(new_row, new_col) - std::max(new_row, cm_c0) +
+              (row_excl < val ? common::max_with_bound_sum(new_row, {cm, k}) : row_sum_excl);
+          // New column-c0 part excluding the shared (r0, c0) cell; the old
+          // part is the cached column sum minus that cell.
+          const double col_part =
+              (col_excl < val ? common::max_with_bound_sum(new_col, {rm, k}) : col_sum_excl) -
+              std::max(rm[r0], new_col);
+          const double delta = (row_part - old_row_part) + (col_part - old_col_part);
+          tl_total[j] += weight * ((base + delta) / static_cast<double>(n_));
+        }
       }
       break;
     }
     case Shape::Enumerated: {
+      // Per client, each incident quorum's maximum without the element; the
+      // candidate maximum is then one max against the site's value.
       const std::size_t count = quorums_.size();
+      const std::vector<std::size_t>& incident = incident_[element];
+      static thread_local std::vector<double> tl_excl;
+      static thread_local std::vector<double> tl_old;
+      tl_excl.resize(incident.size());
+      tl_old.resize(incident.size());
       for (std::size_t v = 0; v < clients_; ++v) {
-        const double val = site_rtt(v, site) + new_add;
+        gather(v);
         const double* vals = values_.data() + v * n_;
         const double* qmax = quorum_max_.data() + v * count;
-        double delta = 0.0;
-        for (std::size_t l : incident_[element]) {
+        for (std::size_t i = 0; i < incident.size(); ++i) {
           double worst = -std::numeric_limits<double>::infinity();
-          for (std::size_t u : quorums_[l]) {
-            worst = std::max(worst, u == element ? val : vals[u]);
+          for (std::size_t u : quorums_[incident[i]]) {
+            if (u != element) worst = std::max(worst, vals[u]);
           }
-          delta += worst - qmax[l];
+          tl_excl[i] = worst;
+          tl_old[i] = qmax[incident[i]];
         }
-        total += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
-                 ((client_sum_[v] + delta) / static_cast<double>(count));
+        const double base = client_sum_[v];
+        const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
+        for (std::size_t j = 0; j < m; ++j) {
+          const double val = tl_val[j];
+          double delta = 0.0;
+          for (std::size_t i = 0; i < incident.size(); ++i) {
+            delta += std::max(tl_excl[i], val) - tl_old[i];
+          }
+          tl_total[j] += weight * ((base + delta) / static_cast<double>(count));
+        }
       }
       break;
     }
     case Shape::Generic:
-      break;  // Routed to the general path above.
+      break;  // Routed to the general path by objectives_if_moved.
   }
-  return client_weight_.empty() ? total / static_cast<double>(clients_) : total;
+  for (std::size_t j = 0; j < m; ++j) {
+    out[slots[j]] =
+        client_weight_.empty() ? tl_total[j] / static_cast<double>(clients_) : tl_total[j];
+  }
 }
 
 // ---------------------------------------------------------------- Closest.

@@ -28,9 +28,15 @@
 // also when an alpha > 0 move relocates a solely-hosted element to an
 // unused site (the invariant of the one-to-one local search): load_f at the
 // old site is exactly the element's own lambda_u, which follows it. The
-// tables then answer a candidate per client in O(log n) (Sorted: position
-// search plus O(1) arithmetic, against the naive copy+sort+dot), O(k)
-// (Grid: one row and one column) or over the incident quorums (Enumerated).
+// tables then answer all of one element's target sites in one pass over the
+// clients (objectives_if_moved): per (element, client), the move-invariant
+// inputs are read once — Sorted: the old value's rank, O(log n); Grid: the
+// row/column exclusion maxima and their two O(k) quorum-maxima reductions;
+// Enumerated: each incident quorum's maximum without the element — and per
+// site the work left is Sorted: one insertion search plus O(1) arithmetic
+// (against the naive copy+sort+dot); Grid: O(1), or O(k) for a reduction
+// whose row or column maximum the site raises; Enumerated: one max per
+// incident quorum.
 //
 // Moves that colocate elements (either endpoint hosts anything else) shift
 // load_f at both sites and hence every colocated element's value; those fall
@@ -70,8 +76,9 @@
 // All shapes return values within ~1e-12 of Objective::evaluate (summation
 // order differs, so bit-identity is not guaranteed), and apply_move audits
 // that parity via QP_PARITY_ASSERT when QP_CHECK_LEVEL >= 2 (see
-// common/check.hpp; the asan preset arms it). objective_if_moved is const
-// and thread-safe, so a parallel neighborhood scan may share one evaluator.
+// common/check.hpp; the asan preset arms it). objectives_if_moved (and its
+// one-site form objective_if_moved) is const and thread-safe, so a parallel
+// neighborhood scan may share one evaluator, one element's batch per task.
 #pragma once
 
 #include <cstddef>
@@ -113,8 +120,15 @@ class DeltaEvaluator {
   [[nodiscard]] double objective() const noexcept;
 
   /// J(f') where f' relocates `element` to `site`; the placement itself is
-  /// unchanged. Thread-safe.
+  /// unchanged. Thread-safe. A one-site objectives_if_moved.
   [[nodiscard]] double objective_if_moved(std::size_t element, std::size_t site) const;
+
+  /// out[i] = J(f') where f' relocates `element` to sites[i], for every i —
+  /// bitwise the one-site objective_if_moved(element, sites[i]), but the
+  /// table-answered sites share one pass over the clients. Thread-safe; the
+  /// placement itself is unchanged.
+  void objectives_if_moved(std::size_t element, std::span<const std::size_t> sites,
+                           double* out) const;
 
   /// Commits the relocation with per-move incremental repair of the cached
   /// distance/load/quorum-choice tables (per-client sums are reaccumulated
@@ -180,8 +194,13 @@ class DeltaEvaluator {
   /// re-evaluation against the post-move load tables.
   [[nodiscard]] double objective_if_moved_general(std::size_t element,
                                                   std::size_t site) const;
-  [[nodiscard]] double client_delta_sorted(std::size_t client, double old_value,
-                                           double new_value) const;
+  /// The balanced table kernel behind objectives_if_moved: relocations of
+  /// `element` to sites[j] (none its own site, none load-shifting, shape not
+  /// Generic), written to out[slots[j]]. One pass over the clients reads
+  /// each client's move-invariant table entries once, then scores every
+  /// site against them.
+  void table_scan(std::size_t element, std::span<const std::size_t> sites,
+                  std::span<const std::size_t> slots, double* out) const;
 
   // ---- Closest-strategy machinery (see file comment). ----
   /// Chooses client v's closest quorum from its freshly built tables.

@@ -28,12 +28,6 @@ const obs::Counter c_ls_rebuilds =
 const obs::Counter c_ls_naive_runs = obs::counter("core.local_search.naive_runs");
 const obs::Counter c_ls_delta_runs = obs::counter("core.local_search.delta_runs");
 
-/// One relocation candidate: move `element` to (currently unused) `site`.
-struct Candidate {
-  std::size_t element;
-  std::size_t site;
-};
-
 /// A move must improve the objective by more than this to be taken.
 constexpr double kMinImprovement = 1e-9;
 
@@ -154,7 +148,11 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
   }
 
   LocalSearchResult result;
-  std::vector<Candidate> candidates;
+  const std::size_t universe = eval.placement().universe_size();
+  // The round's candidates in scan order: element u's target sites are
+  // sites[group[u], group[u + 1]).
+  std::vector<std::size_t> sites;
+  std::vector<std::size_t> group(universe + 1);
   std::vector<double> objectives;
   std::vector<net::KnnIndex::Neighbor> neighbors;
   std::vector<std::size_t> targets;
@@ -162,11 +160,12 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     QP_TRACE_SPAN("core.local_search.pass");
     c_ls_rounds.add();
     const double current = eval.objective();
-    candidates.clear();
+    sites.clear();
     if (options.candidate_knn == 0) {
-      for (std::size_t u = 0; u < eval.placement().universe_size(); ++u) {
+      for (std::size_t u = 0; u < universe; ++u) {
+        group[u] = sites.size();
         for (std::size_t w = 0; w < space.size(); ++w) {
-          if (!used[w]) candidates.push_back(Candidate{u, w});
+          if (!used[w]) sites.push_back(w);
         }
       }
     } else {
@@ -174,9 +173,9 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
       // element's current site. Querying k + universe neighbors guarantees
       // enough unused ones; targets are re-sorted by site id so the
       // candidate order (and hence tie-breaking) matches the dense scan.
-      const std::size_t universe = eval.placement().universe_size();
       const std::size_t query = std::min(space.size(), options.candidate_knn + universe);
       for (std::size_t u = 0; u < universe; ++u) {
+        group[u] = sites.size();
         knn->nearest(eval.placement().site_of[u], query, neighbors);
         targets.clear();
         for (const auto& nb : neighbors) {
@@ -184,28 +183,32 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
           if (!used[nb.site]) targets.push_back(nb.site);
         }
         std::sort(targets.begin(), targets.end());
-        for (std::size_t w : targets) candidates.push_back(Candidate{u, w});
+        sites.insert(sites.end(), targets.begin(), targets.end());
       }
     }
-    objectives.resize(candidates.size());
-    const auto evaluate_candidate = [&](std::size_t i) {
-      objectives[i] = eval.objective_if_moved(candidates[i].element, candidates[i].site);
+    group[universe] = sites.size();
+    objectives.resize(sites.size());
+    // One task per element: the evaluator scores the element's whole target
+    // group in one pass over the clients.
+    const auto evaluate_element = [&](std::size_t u) {
+      eval.objectives_if_moved(u, {sites.data() + group[u], group[u + 1] - group[u]},
+                               objectives.data() + group[u]);
     };
     if (pool != nullptr) {
-      pool->parallel_for(0, candidates.size(), evaluate_candidate);
+      pool->parallel_for(0, universe, evaluate_element);
     } else {
-      for (std::size_t i = 0; i < candidates.size(); ++i) evaluate_candidate(i);
+      for (std::size_t u = 0; u < universe; ++u) evaluate_element(u);
     }
-    c_ls_candidates.add(candidates.size());
+    c_ls_candidates.add(sites.size());
 
     // Fixed-order accept: the decision always replays the serial scan over
     // the candidate-ordered objectives, so the selected move (and its
     // tie-breaking) is identical for any thread count. Returns
-    // candidates.size() when no candidate improves.
+    // sites.size() when no candidate improves.
     const auto select = [&] {
-      std::size_t best = candidates.size();
+      std::size_t best = sites.size();
       double best_objective = current;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
+      for (std::size_t i = 0; i < sites.size(); ++i) {
         if (objectives[i] < best_objective - kMinImprovement) {
           best_objective = objectives[i];
           best = i;
@@ -217,20 +220,22 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     // apply_move gets the last word: a move that does not really improve is
     // undone and the next-ranked candidate tried. Exact paths never undo.
     std::size_t best_index = select();
-    while (best_index != candidates.size()) {
-      const Candidate move = candidates[best_index];
-      const std::size_t from = eval.placement().site_of[move.element];
-      eval.apply_move(move.element, move.site);
+    while (best_index != sites.size()) {
+      const std::size_t element = static_cast<std::size_t>(
+          std::upper_bound(group.begin(), group.end(), best_index) - group.begin() - 1);
+      const std::size_t site = sites[best_index];
+      const std::size_t from = eval.placement().site_of[element];
+      eval.apply_move(element, site);
       if (eval.objective() < current - kMinImprovement) {
         used[from] = false;
-        used[move.site] = true;
+        used[site] = true;
         break;
       }
-      eval.apply_move(move.element, from);
+      eval.apply_move(element, from);
       objectives[best_index] = std::numeric_limits<double>::infinity();
       best_index = select();
     }
-    if (best_index == candidates.size()) break;
+    if (best_index == sites.size()) break;
     ++result.moves;
     c_ls_moves.add();
     if (reindex && ++moves_since_reindex >= kIndexRebuildMoves) {

@@ -8,9 +8,10 @@
 //
 // One route, chosen by the objective's capability: objectives the
 // incremental core::DeltaEvaluator models (Objective::supports_delta) are
-// searched through it — O(log n) or O(k) per client per candidate instead of
-// a full re-evaluation, optionally scanning the neighborhood on the shared
-// thread pool. The parallel scan only distributes candidate evaluation; the
+// searched through it — one pass over the clients per element scores all of
+// its target sites, instead of a full re-evaluation per candidate,
+// optionally scanning the neighborhood on the shared thread pool (one task
+// per element). The parallel scan only distributes candidate evaluation; the
 // accept decision replays the serial scan order, so results are
 // bit-identical for any thread count. The rest (FailureAwareObjective's
 // expectation over failure sets) take a full re-evaluation per candidate,

@@ -54,6 +54,10 @@ void ExplicitStrategy::validate(std::size_t client_count, std::size_t universe_s
     }
     double sum = 0.0;
     for (double p : row) {
+      // NaN fails every comparison, so it needs its own test.
+      if (!std::isfinite(p)) {
+        throw std::invalid_argument{"ExplicitStrategy: non-finite probability"};
+      }
       if (p < -tolerance || p > 1.0 + tolerance) {
         throw std::invalid_argument{"ExplicitStrategy: probability out of [0,1]"};
       }

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,13 +19,17 @@
 #include "core/local_search.hpp"
 #include "core/objective.hpp"
 #include "core/placement.hpp"
+#include "net/embedding.hpp"
+#include "net/latency_space.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/quorum_system.hpp"
 #include "quorum/tree.hpp"
+#include "sim/scenario.hpp"
 #include "support/full_reevaluation.hpp"
+#include "support/reference_search.hpp"
 
 namespace qp::core {
 namespace {
@@ -209,6 +215,95 @@ TEST(DeltaEval, GenericShapeMatchesNaiveOnTreeH4) {
   }
 }
 
+/// One batched scan of `element` over `sites` per space, checked three ways:
+/// bitwise against one-site calls, within 1e-12 relative of a fresh
+/// Objective::evaluate of each moved placement (on the dense space), and
+/// bitwise between the embedding and its densify().
+void expect_batch_parity(const net::LatencyEmbedding& embedding, const LatencyMatrix& dense,
+                         const quorum::QuorumSystem& system, const Placement& placement,
+                         const Objective& objective, std::size_t element,
+                         const std::vector<std::size_t>& sites, const std::string& label) {
+  const DeltaEvaluator on_dense{dense, system, placement, objective};
+  const DeltaEvaluator on_embedding{embedding, system, placement, objective};
+  std::vector<double> batch(sites.size());
+  std::vector<double> batch_embedding(sites.size());
+  on_dense.objectives_if_moved(element, sites, batch.data());
+  on_embedding.objectives_if_moved(element, sites, batch_embedding.data());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const std::string where = label + " move " + std::to_string(element) + "->" +
+                              std::to_string(sites[i]);
+    EXPECT_EQ(batch[i], on_dense.objective_if_moved(element, sites[i])) << where;
+    EXPECT_EQ(batch_embedding[i], batch[i]) << where << " (embedding vs densify)";
+    Placement moved = placement;
+    moved.site_of[element] = sites[i];
+    const double expected = objective.evaluate(dense, system, moved);
+    EXPECT_NEAR(batch[i], expected, 1e-12 * std::max(1.0, std::abs(expected))) << where;
+  }
+}
+
+TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
+  // Colocated start (the last element shares element 0's site), so one
+  // batch mixes table-answered sites, load-shifting sites and the element's
+  // own site; every shape, objective kind and space kind.
+  // 34 sites: Tree of height 4 needs 31 distinct ones.
+  sim::ScenarioConfig config;
+  config.site_count = 34;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::LatencyEmbedding& embedding = scenario.space;
+  const LatencyMatrix dense = embedding.densify();
+  const std::span<const double> demand = scenario.client_demand;
+  const NetworkDelayObjective uniform;
+  const NetworkDelayObjective weighted{demand};
+  const LoadAwareObjective load_aware{7.0};
+  const LoadAwareObjective load_aware_weighted{7.0, demand};
+  const ClosestStrategyObjective closest_weighted{7.0, demand};
+  const std::vector<const Objective*> objectives{&uniform, &weighted, &load_aware,
+                                                 &load_aware_weighted, &closest_weighted};
+
+  const auto colocated_start = [&](std::size_t n, std::uint64_t seed) {
+    common::Rng rng{seed};
+    Placement placement = random_one_to_one(dense, n, rng);
+    placement.site_of[n - 1] = placement.site_of[0];
+    return placement;
+  };
+  std::vector<std::size_t> all_sites(dense.size());
+  std::iota(all_sites.begin(), all_sites.end(), std::size_t{0});
+
+  std::vector<SystemCase> systems;
+  systems.push_back({"majority", std::make_unique<quorum::MajorityQuorum>(9, 5)});
+  systems.push_back({"grid", std::make_unique<quorum::GridQuorum>(3)});
+  systems.push_back({"fpp", std::make_unique<quorum::FppQuorum>(2)});
+  systems.push_back({"tree2", std::make_unique<quorum::TreeQuorum>(2)});
+  systems.push_back({"tree3", std::make_unique<quorum::TreeQuorum>(3)});
+  for (const SystemCase& test_case : systems) {
+    const std::size_t n = test_case.system->universe_size();
+    const Placement placement = colocated_start(n, 59);
+    for (const Objective* objective : objectives) {
+      // The colocated pair, one solely-hosted element, and the middle one.
+      for (std::size_t element : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+        expect_batch_parity(embedding, dense, *test_case.system, placement, *objective,
+                            element, all_sites, test_case.label + " " + objective->name());
+      }
+    }
+  }
+
+  // Generic (Tree of height 4, 31 elements, over the enumeration limit):
+  // every site re-evaluates each client in full and one expected-max call is
+  // costly, so the batch is the element's own site and one free site.
+  const quorum::TreeQuorum tree{4};
+  const std::size_t n = tree.universe_size();
+  const Placement placement = colocated_start(n, 61);
+  std::vector<bool> used(dense.size(), false);
+  for (std::size_t site : placement.site_of) used[site] = true;
+  std::vector<std::size_t> sites{placement.site_of[1]};
+  for (std::size_t w = 0; w < dense.size() && sites.size() < 2; ++w) {
+    if (!used[w]) sites.push_back(w);
+  }
+  ASSERT_EQ(sites.size(), 2u);
+  expect_batch_parity(embedding, dense, tree, placement, load_aware_weighted, 1, sites,
+                      "tree4 " + load_aware_weighted.name());
+}
+
 TEST(DeltaEval, RandomMatricesManyTrials) {
   // Random matrices: several seeds, Majority + Grid (the two analytic
   // delta paths), every candidate move checked against the naive objective.
@@ -292,6 +387,39 @@ TEST(DeltaEvalLocalSearch, ParallelScanReturnsSameMovesAsSerial) {
     EXPECT_EQ(result.placement.site_of, reference.placement.site_of)
         << "threads=" << threads;
     EXPECT_EQ(result.moves, reference.moves) << "threads=" << threads;
+    EXPECT_EQ(result.objective, reference.objective) << "threads=" << threads;
+  }
+}
+
+TEST(DeltaEvalLocalSearch, Plan161ShapeMatchesReferenceSearch) {
+  // The benchmark's plan shape: 161 sites, demand-weighted load-aware
+  // objective, Grid 7x7 started at the least central site. The search scans
+  // one element's targets per batch on any thread count; the reference
+  // scores one candidate per call. Moves, placement and objective bits must
+  // agree.
+  sim::ScenarioConfig config;
+  config.site_count = 161;
+  const sim::Scenario scenario = sim::make_scenario(config);
+  const LatencyMatrix& m = scenario.matrix;
+  const LoadAwareObjective objective = scenario.load_objective();
+  const quorum::GridQuorum grid{7};
+  std::size_t anchor = 0;
+  for (std::size_t v = 1; v < m.size(); ++v) {
+    if (net::average_rtt_from(m, v) > net::average_rtt_from(m, anchor)) anchor = v;
+  }
+  const Placement start = grid_placement_for_client(m, 7, anchor);
+  constexpr std::size_t kRounds = 5;
+  const LocalSearchResult reference =
+      test_support::reference_local_search(m, grid, start, objective, kRounds);
+  ASSERT_EQ(reference.moves, kRounds);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    LocalSearchOptions options;
+    options.max_rounds = kRounds;
+    options.objective = &objective;
+    options.threads = threads;
+    const LocalSearchResult result = local_search_placement(m, grid, start, options);
+    EXPECT_EQ(result.moves, reference.moves) << "threads=" << threads;
+    EXPECT_EQ(result.placement.site_of, reference.placement.site_of) << "threads=" << threads;
     EXPECT_EQ(result.objective, reference.objective) << "threads=" << threads;
   }
 }

@@ -43,6 +43,18 @@ TEST(ExplicitStrategy, ValidationRejectsBadShapes) {
   EXPECT_THROW(s.validate(2, 2), std::invalid_argument);  // Empty quorum.
 }
 
+TEST(ExplicitStrategy, RejectsNaNProbability) {
+  // NaN fails both the range and the sum comparison, so without an explicit
+  // finiteness check a NaN row would validate.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExplicitStrategy s;
+  s.quorums = {{0, 1}, {1, 2}};
+  s.probability = {{nan, 1.0}, {1.0, 0.0}};
+  EXPECT_THROW(s.validate(2, 3), std::invalid_argument);
+  s.probability = {{0.25, 0.75}, {nan, nan}};
+  EXPECT_THROW(s.validate(2, 3), std::invalid_argument);
+}
+
 TEST(ExplicitStrategy, AverageDistribution) {
   ExplicitStrategy s;
   s.quorums = {{0}, {1}};

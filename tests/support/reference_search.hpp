@@ -1,8 +1,10 @@
 // The dense best-improvement reference search over a detached
-// DeltaEvaluator: every candidate is scored by the evaluator's full client
-// scan (no ClientCandidateIndex attached), in the production (element,
-// unused site) order with the production accept rule. local_search_placement
-// must reproduce its moves exactly wherever its indexed evaluation is exact.
+// DeltaEvaluator: every candidate is scored by its own objective_if_moved
+// call, the evaluator's full client scan (no ClientCandidateIndex attached),
+// in the production (element, unused site) order with the production accept
+// rule. local_search_placement, which scores one element's targets per
+// batch, must reproduce its moves exactly wherever its indexed evaluation is
+// exact.
 #pragma once
 
 #include <cstddef>
