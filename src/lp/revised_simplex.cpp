@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,6 +24,24 @@ const obs::Gauge g_rs_eta_len_max = obs::gauge("lp.revised.eta_len_max");
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+/// The constraint columns in compressed sparse column form: column j's
+/// nonzeros are (row[k], value[k]) for k in [start[j], start[j + 1]), in the
+/// order the problem listed them. One flat array pair instead of a vector
+/// per column keeps the pricing sweep on contiguous memory.
+struct CscColumns {
+  std::vector<std::size_t> start{0};
+  std::vector<std::uint32_t> row;
+  std::vector<double> value;
+
+  [[nodiscard]] std::size_t size() const noexcept { return start.size() - 1; }
+  void push(std::size_t r, double v) {
+    row.push_back(static_cast<std::uint32_t>(r));
+    value.push_back(v);
+  }
+  /// Ends the column whose entries were pushed since the last call.
+  void close() { start.push_back(row.size()); }
+};
+
 /// One nonzero of an L or U column. For L the index is an original row; for
 /// U it is an earlier elimination step.
 struct LuEntry {
@@ -37,9 +57,8 @@ class SparseLu {
  public:
   /// Factors B whose k-th column is columns[basis[k]]. Returns false when
   /// the best available pivot falls below `singular_tol` (singular basis).
-  [[nodiscard]] bool factor(const std::vector<std::vector<ColumnEntry>>& columns,
-                            const std::vector<std::size_t>& basis, std::size_t m,
-                            double singular_tol) {
+  [[nodiscard]] bool factor(const CscColumns& columns, const std::vector<std::size_t>& basis,
+                            std::size_t m, double singular_tol) {
     m_ = m;
     pivot_row_.assign(m, kNone);
     row_step_.assign(m, kNone);
@@ -53,11 +72,13 @@ class SparseLu {
 
     for (std::size_t k = 0; k < m; ++k) {
       touched_.clear();
-      for (const ColumnEntry& entry : columns[basis[k]]) {
-        work_[entry.row] += entry.value;
-        if (mark_[entry.row] == 0) {
-          mark_[entry.row] = 1;
-          touched_.push_back(entry.row);
+      const std::size_t end = columns.start[basis[k] + 1];
+      for (std::size_t e = columns.start[basis[k]]; e < end; ++e) {
+        const std::size_t row = columns.row[e];
+        work_[row] += columns.value[e];
+        if (mark_[row] == 0) {
+          mark_[row] = 1;
+          touched_.push_back(row);
         }
       }
       // Eliminate with the finished steps in order; a step whose pivot-row
@@ -186,6 +207,9 @@ class RevisedState {
         rows_(problem.row_count()),
         structural_(problem.variable_count()) {
     problem.consolidate();
+    if (rows_ > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error{"RevisedSimplexSolver: more rows than 32-bit indices hold"};
+    }
 
     row_sign_.assign(rows_, 1.0);
     b_.assign(rows_, 0.0);
@@ -206,12 +230,17 @@ class RevisedState {
       sense_[i] = s;
     }
 
-    columns_.reserve(structural_ + 2 * rows_);
+    std::size_t nonzeros = 0;
+    for (std::size_t j = 0; j < structural_; ++j) nonzeros += problem.column(j).size();
+    columns_.start.reserve(structural_ + 2 * rows_ + 1);
+    columns_.row.reserve(nonzeros + 2 * rows_);
+    columns_.value.reserve(nonzeros + 2 * rows_);
     cost_.reserve(structural_ + 2 * rows_);
     for (std::size_t j = 0; j < structural_; ++j) {
-      std::vector<ColumnEntry> column = problem.column(j);
-      for (ColumnEntry& entry : column) entry.value *= row_sign_[entry.row];
-      columns_.push_back(std::move(column));
+      for (const ColumnEntry& entry : problem.column(j)) {
+        columns_.push(entry.row, entry.value * row_sign_[entry.row]);
+      }
+      columns_.close();
       cost_.push_back(problem.objective_coefficient(j));
     }
 
@@ -325,7 +354,8 @@ class RevisedState {
 
  private:
   std::size_t add_unit_column(std::size_t row, double value) {
-    columns_.push_back({ColumnEntry{row, value}});
+    columns_.push(row, value);
+    columns_.close();
     cost_.push_back(0.0);
     unit_row_of_.push_back(row);
     return columns_.size() - 1;
@@ -385,8 +415,9 @@ class RevisedState {
 
   /// w = B^-1 a_column in position space.
   void ftran(std::size_t column, std::vector<double>& w) {
-    for (const ColumnEntry& entry : columns_[column]) {
-      fwork_[entry.row] += entry.value;
+    const std::size_t end = columns_.start[column + 1];
+    for (std::size_t e = columns_.start[column]; e < end; ++e) {
+      fwork_[columns_.row[e]] += columns_.value[e];
     }
     lu_.solve(fwork_, w);
     for (const Eta& eta : etas_) {
@@ -428,8 +459,9 @@ class RevisedState {
   [[nodiscard]] double reduced_cost(std::size_t column, bool phase1,
                                     const std::vector<double>& y) const {
     double reduced = phase1 ? 0.0 : cost_[column];
-    for (const ColumnEntry& entry : columns_[column]) {
-      reduced -= y[entry.row] * entry.value;
+    const std::size_t end = columns_.start[column + 1];
+    for (std::size_t e = columns_.start[column]; e < end; ++e) {
+      reduced -= y[columns_.row[e]] * columns_.value[e];
     }
     return reduced;
   }
@@ -580,7 +612,7 @@ class RevisedState {
   std::size_t structural_;
   std::size_t first_artificial_ = 0;
 
-  std::vector<std::vector<ColumnEntry>> columns_;
+  CscColumns columns_;
   std::vector<double> cost_;
   std::vector<double> b_;
   std::vector<double> row_sign_;

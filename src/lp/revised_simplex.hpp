@@ -5,7 +5,11 @@
 // replaced is a tests-only parity oracle (tests/support/dense_simplex).
 // Design:
 //   * column-wise sparse constraint storage — reduced costs and ftran touch
-//     only nonzeros, so cost per pivot scales with fill, not rows x cols;
+//     only nonzeros, so cost per pivot scales with fill, not rows x cols.
+//     The columns (structural, slack/surplus, artificial) sit in one flat
+//     CSC array: per-column start offsets into a 32-bit row-index array and
+//     a parallel value array, in the problem's entry order, so every sum
+//     runs in the same order as over per-column vectors;
 //   * the basis is LU-factorized (Gilbert–Peierls left-looking elimination
 //     with partial pivoting) and updated between refactorizations by
 //     product-form eta vectors; it is refactorized from scratch every
