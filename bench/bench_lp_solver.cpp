@@ -5,7 +5,9 @@
 //
 // Rows per topology size n (grid 7x7 universe, best-grid placement):
 //   LpSolver/phase_ladder_cold_revised/nN  — sparse revised simplex, every
-//                                            level from scratch;
+//                                            level without a caller basis
+//                                            (crash-started on the closest
+//                                            quorums, see core/strategy.hpp);
 //   LpSolver/phase_ladder_warm_revised/nN  — sparse revised simplex, each
 //                                            level warm-started from the
 //                                            previous level's basis.
@@ -20,7 +22,8 @@
 // Genuine timing benchmarks (per-iteration, benchmark-looped):
 //   LpSolver/warm_resolve/n161|n500        — one warm re-solve at the
 //                                            tightest feasible level;
-//   LpSolver/cold_revised_solve/n161       — the same solve from scratch.
+//   LpSolver/cold_revised_solve/n161       — the same solve without a
+//                                            caller basis (crash-started).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -184,7 +187,7 @@ int main(int argc, char** argv) {
   // Genuine timing rows: one solve per benchmark iteration at the tightest
   // feasible level, warm-started from that level's own converged basis
   // (what a capacity-sweep re-solve or a converged alternation pays) and
-  // from scratch.
+  // without a caller basis (the closest-quorum crash start).
   for (const SizedCase& sized : cases) {
     if (sized.label != "n161" && sized.label != "n500") continue;
     const std::vector<double>& caps = sized.ladder->back();

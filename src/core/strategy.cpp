@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/eval_workspace.hpp"
@@ -381,17 +380,25 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
   // Objective coefficients w_v * delta_f(v, Q_i), indexed v * m + i, with
   // w_v = demand share (the flat 1/|V| when unweighted). Computed once, in
   // the historical arithmetic order, so both engines price the same LP.
+  // closest[v] is v's minimum-delay quorum (lowest index on ties), the
+  // Revised route's crash start.
   std::vector<double> delay_cost(client_count * m, 0.0);
+  std::vector<std::size_t> closest(client_count, 0);
   std::vector<double> distances;
   double total_weight = 0.0;
   for (std::size_t v = 0; v < client_count; ++v) {
     fill_element_distances(space, placement, v, distances);
     const double weight = client_weights.empty() ? inv_clients : client_weights[v];
     total_weight += weight;
+    double closest_delta = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       double delta = 0.0;
       for (std::size_t u : quorums[i]) delta = std::max(delta, distances[u]);
       delay_cost[v * m + i] = delta * weight;
+      if (i == 0 || delta < closest_delta) {
+        closest_delta = delta;
+        closest[v] = i;
+      }
     }
   }
 
@@ -412,39 +419,66 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
     c_slp_route_fallback.add();
   }
 
+  // The aggregated form: p_v(Q_i) at v * m + i, then one usage variable
+  // z_i = sum_v w_v p_v(Q_i) per quorum at usage + i. A client column has
+  // two nonzeros (its distribution row and Q_i's usage row); only the z
+  // columns reach the capacity rows.
   lp::LpProblem problem;
   for (double cost : delay_cost) (void)problem.add_variable(cost);
+  const std::size_t usage = client_count * m;
+  for (std::size_t i = 0; i < m; ++i) (void)problem.add_variable(0.0);
 
-  // Capacity rows (4.4), one per support site.
+  // Capacity rows (4.4), one per support site: sum_i count(Q_i, w) z_i <= cap_w.
   std::vector<std::size_t> capacity_row(space.size(), 0);
   for (std::size_t w : support) {
-    capacity_row[w] = problem.add_row(lp::RowSense::LessEqual, capacities[w],
-                                      "cap-" + std::to_string(w));
+    capacity_row[w] = problem.add_row(lp::RowSense::LessEqual, capacities[w]);
   }
-  // Distribution rows (4.5).
-  std::vector<std::size_t> simplex_row(client_count);
+  // Distribution rows (4.5), then the usage rows sum_v w_v p_v(Q_i) - z_i = 0.
+  const std::size_t first_distribution = problem.row_count();
   for (std::size_t v = 0; v < client_count; ++v) {
-    simplex_row[v] = problem.add_row(lp::RowSense::Equal, 1.0, "dist-" + std::to_string(v));
+    (void)problem.add_row(lp::RowSense::Equal, 1.0);
   }
+  const std::size_t first_usage = problem.row_count();
+  for (std::size_t i = 0; i < m; ++i) (void)problem.add_row(lp::RowSense::Equal, 0.0);
 
   for (std::size_t v = 0; v < client_count; ++v) {
     const double weight = client_weights.empty() ? inv_clients : client_weights[v];
     for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t var = v * m + i;
-      problem.add_coefficient(simplex_row[v], var, 1.0);
-      for (const auto& [site, count] : quorum_sites[i]) {
-        problem.add_coefficient(capacity_row[site], var, count * weight);
-      }
+      problem.add_coefficient(first_distribution + v, v * m + i, 1.0);
+      problem.add_coefficient(first_usage + i, v * m + i, weight);
     }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    problem.add_coefficient(first_usage + i, usage + i, -1.0);
+    for (const auto& [site, count] : quorum_sites[i]) {
+      problem.add_coefficient(capacity_row[site], usage + i, count);
+    }
+  }
+
+  // Crash start unless the caller seeds the solve: every client on its
+  // closest quorum, z_i on its usage row, slack on every capacity row. The
+  // basis is triangular (distribution, usage, capacity rows against the p,
+  // z, slack columns), so it always factors; composite phase 1 repairs the
+  // capacity rows the closest choices overload.
+  const bool warm = !options.simplex.initial_basis.empty();
+  lp::SimplexOptions simplex = options.simplex;
+  if (!warm) {
+    std::vector<std::size_t>& basic = simplex.initial_basis.basic;
+    basic.resize(problem.row_count());
+    for (std::size_t r = 0; r < first_distribution; ++r) basic[r] = lp::Basis::slack_of(r);
+    for (std::size_t v = 0; v < client_count; ++v) {
+      basic[first_distribution + v] = v * m + closest[v];
+    }
+    for (std::size_t i = 0; i < m; ++i) basic[first_usage + i] = usage + i;
   }
 
   StrategyLpResult result;
   result.solver_used = StrategyLpSolver::Revised;
-  const lp::RevisedSimplexSolver solver{options.simplex};
+  const lp::RevisedSimplexSolver solver{std::move(simplex)};
   lp::SolveResult solution = solver.solve(problem);
   c_slp_revised.add();
   c_slp_iterations.add(solution.iterations);
-  if (!options.simplex.initial_basis.empty()) {
+  if (warm) {
     (solution.warm_start_stalled ? c_slp_warm_miss : c_slp_warm_hit).add();
   }
   result.status = solution.status;

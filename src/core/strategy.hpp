@@ -113,9 +113,11 @@ struct StrategyLpResult {
   double avg_network_delay = 0.0;     // LP objective (4.3).
   std::size_t lp_iterations = 0;
   StrategyLpSolver solver_used = StrategyLpSolver::None;
-  /// Optimal basis of the Revised route (empty on Transportation). Feed it
-  /// back through options.simplex.initial_basis to warm-start the next solve
-  /// of an identically-shaped LP (same placement support set).
+  /// Optimal basis of the Revised route (empty on Transportation): one
+  /// entry per row of the aggregated LP, |support| + |V| + |quorums| rows
+  /// (see optimize_access_strategy). Feed it back through
+  /// options.simplex.initial_basis to warm-start the next solve of an
+  /// identically-shaped LP (same placement support set, same quorum system).
   lp::Basis basis;
 };
 
@@ -135,6 +137,22 @@ struct StrategyLpOptions {
 /// (w_v = 1/|V|) bitwise. Returns Infeasible status when the capacities
 /// cannot carry the workload (e.g. a negative cap); throws
 /// std::invalid_argument on a non-finite capacity.
+///
+/// The Revised route solves the LP in aggregated form, with the same
+/// feasible set and objective. Variables: p_v(Q_i) at v * m + i (m
+/// quorums), then one usage variable z_i at |V| * m + i. Rows, in order:
+///   * one capacity row per support site w:  sum_i count(Q_i, w) z_i <= cap_w,
+///     where count(Q_i, w) is the number of Q_i's elements placed on w;
+///   * one distribution row per client v:    sum_i p_v(Q_i) = 1;
+///   * one usage row per quorum Q_i:         sum_v w_v p_v(Q_i) - z_i = 0.
+/// So each client column has two nonzeros, and only the m usage columns
+/// reach the capacity rows. Without a caller basis the solve is
+/// crash-started: each distribution row gets its client's closest quorum
+/// (minimum delay, lowest index on ties), each usage row its z_i and each
+/// capacity row its slack. That basis is triangular, so it always factors,
+/// and the solver's composite phase 1 repairs the caps the closest choices
+/// overload. A caller basis replaces the crash; only it counts toward the
+/// lp.strategy.warm_start_hit / _miss counters.
 [[nodiscard]] StrategyLpResult optimize_access_strategy(
     const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, std::span<const double> capacities,

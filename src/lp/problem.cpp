@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace qp::lp {
 
@@ -12,8 +13,10 @@ std::size_t LpProblem::add_variable(double objective_coefficient, std::string na
   }
   columns_.emplace_back();
   objective_.push_back(objective_coefficient);
-  if (name.empty()) name = "x" + std::to_string(columns_.size() - 1);
-  variable_names_.push_back(std::move(name));
+  if (!name.empty()) {
+    variable_names_.resize(columns_.size());
+    variable_names_.back() = std::move(name);
+  }
   return columns_.size() - 1;
 }
 
@@ -21,8 +24,10 @@ std::size_t LpProblem::add_row(RowSense sense, double rhs, std::string name) {
   if (!std::isfinite(rhs)) throw std::invalid_argument{"LpProblem: rhs must be finite"};
   senses_.push_back(sense);
   rhs_.push_back(rhs);
-  if (name.empty()) name = "r" + std::to_string(senses_.size() - 1);
-  row_names_.push_back(std::move(name));
+  if (!name.empty()) {
+    row_names_.resize(senses_.size());
+    row_names_.back() = std::move(name);
+  }
   return senses_.size() - 1;
 }
 
@@ -62,14 +67,18 @@ double LpProblem::rhs(std::size_t row) const {
   return rhs_[row];
 }
 
-const std::string& LpProblem::variable_name(std::size_t variable) const {
+std::string LpProblem::variable_name(std::size_t variable) const {
   check_variable(variable);
-  return variable_names_[variable];
+  if (variable < variable_names_.size() && !variable_names_[variable].empty()) {
+    return variable_names_[variable];
+  }
+  return "x" + std::to_string(variable);
 }
 
-const std::string& LpProblem::row_name(std::size_t row) const {
+std::string LpProblem::row_name(std::size_t row) const {
   check_row(row);
-  return row_names_[row];
+  if (row < row_names_.size() && !row_names_[row].empty()) return row_names_[row];
+  return "r" + std::to_string(row);
 }
 
 void LpProblem::consolidate() {

@@ -27,11 +27,11 @@ struct ColumnEntry {
 class LpProblem {
  public:
   /// Adds a variable (x_j >= 0) with the given objective coefficient;
-  /// returns its index.
+  /// returns its index. Only a non-empty `name` is stored.
   std::size_t add_variable(double objective_coefficient, std::string name = {});
 
   /// Adds a constraint row with the given sense and right-hand side;
-  /// returns its index.
+  /// returns its index. Only a non-empty `name` is stored.
   std::size_t add_row(RowSense sense, double rhs, std::string name = {});
 
   /// Sets A[row][var] = value (accumulates if called twice for one cell).
@@ -44,8 +44,10 @@ class LpProblem {
   [[nodiscard]] const std::vector<ColumnEntry>& column(std::size_t variable) const;
   [[nodiscard]] RowSense row_sense(std::size_t row) const;
   [[nodiscard]] double rhs(std::size_t row) const;
-  [[nodiscard]] const std::string& variable_name(std::size_t variable) const;
-  [[nodiscard]] const std::string& row_name(std::size_t row) const;
+  /// The name given to add_variable / add_row, or the default "x<j>" /
+  /// "r<i>" formatted on demand.
+  [[nodiscard]] std::string variable_name(std::size_t variable) const;
+  [[nodiscard]] std::string row_name(std::size_t row) const;
 
   /// Merges duplicate (row, var) entries; called by the solver before use.
   void consolidate();
@@ -62,9 +64,11 @@ class LpProblem {
 
   std::vector<std::vector<ColumnEntry>> columns_;
   std::vector<double> objective_;
-  std::vector<std::string> variable_names_;
   std::vector<RowSense> senses_;
   std::vector<double> rhs_;
+  // Caller-given names, indexed like the variables / rows; they grow only
+  // as far as the last named one, and an empty entry means "unnamed".
+  std::vector<std::string> variable_names_;
   std::vector<std::string> row_names_;
 };
 

@@ -13,10 +13,13 @@ namespace qp::lp {
 
 namespace {
 
-// Solver telemetry: totals across solves plus the largest eta file any
-// single factorization carried (the fill the ftran/btran sweeps pay for).
+// Solver telemetry: totals across solves (iterations also split out for
+// phase 1, the part a crash or warm seed is meant to shorten) plus the
+// largest eta file any single factorization carried (the fill the
+// ftran/btran sweeps pay for).
 const obs::Counter c_rs_solves = obs::counter("lp.revised.solves");
 const obs::Counter c_rs_iterations = obs::counter("lp.revised.iterations");
+const obs::Counter c_rs_phase1_iterations = obs::counter("lp.revised.phase1_iterations");
 const obs::Counter c_rs_refactorizations =
     obs::counter("lp.revised.refactorizations");
 const obs::Gauge g_rs_eta_len_max = obs::gauge("lp.revised.eta_len_max");
@@ -296,6 +299,7 @@ class RevisedState {
     // for a warm seed it repairs primal infeasibility in place.
     if (infeasibility() > options_.tolerance) {
       const SolveStatus status = optimize(/*phase1=*/true, limit, result.iterations);
+      phase1_iterations_ = result.iterations;
       if (status == SolveStatus::IterationLimit || status == SolveStatus::Unbounded) {
         // Phase-1 objective is bounded below by zero, so "unbounded" here
         // means the ratio test broke down numerically.
@@ -345,6 +349,9 @@ class RevisedState {
 
   [[nodiscard]] std::size_t refactor_count() const noexcept {
     return refactor_count_;
+  }
+  [[nodiscard]] std::size_t phase1_iterations() const noexcept {
+    return phase1_iterations_;
   }
   /// Largest eta file any factorization carried, counting the one live at
   /// exit (short solves may never hit the refactor schedule).
@@ -631,6 +638,7 @@ class RevisedState {
   // Telemetry only (exported through obs by solve()); never read by the
   // pivoting logic.
   std::size_t refactor_count_ = 0;
+  std::size_t phase1_iterations_ = 0;
   std::size_t eta_len_max_ = 0;
   std::size_t cursor_ = 0;  // Partial-pricing rotation state.
 
@@ -647,6 +655,7 @@ SolveResult solve_attempt(LpProblem& problem, const SimplexOptions& options) {
   SolveResult result = state.run();
   c_rs_solves.add();
   c_rs_iterations.add(result.iterations);
+  c_rs_phase1_iterations.add(state.phase1_iterations());
   c_rs_refactorizations.add(state.refactor_count());
   g_rs_eta_len_max.set(static_cast<double>(state.eta_len_max()));
   return result;

@@ -27,11 +27,37 @@ Quorum with_root(std::size_t root, const Quorum& sub) {
   return out;
 }
 
+/// Every quorum of the complete tree on n heap-indexed nodes, by recursion
+/// from the root: {v} + left's, {v} + right's, then left's x right's.
+std::vector<Quorum> enumerate_tree(std::size_t n) {
+  auto enumerate = [&](auto&& self, std::size_t v) -> std::vector<Quorum> {
+    if (left_child(v) >= n) return {Quorum{v}};
+    const std::vector<Quorum> left = self(self, left_child(v));
+    const std::vector<Quorum> right = self(self, right_child(v));
+    std::vector<Quorum> result;
+    result.reserve(left.size() + right.size() + left.size() * right.size());
+    for (const Quorum& q : left) result.push_back(with_root(v, q));
+    for (const Quorum& q : right) result.push_back(with_root(v, q));
+    for (const Quorum& a : left) {
+      for (const Quorum& b : right) result.push_back(merged(a, b));
+    }
+    return result;
+  };
+  return enumerate(enumerate, 0);
+}
+
 }  // namespace
 
 TreeQuorum::TreeQuorum(std::size_t height) : height_(height) {
   if (height_ > 4) {
     throw std::invalid_argument{"TreeQuorum: heights above 4 are intractable to enumerate"};
+  }
+  const std::vector<Quorum> quorums = enumerate_tree(universe_size());
+  quorum_start_.reserve(quorums.size() + 1);
+  quorum_start_.push_back(0);
+  for (const Quorum& quorum : quorums) {
+    for (std::size_t u : quorum) elements_.push_back(static_cast<std::uint8_t>(u));
+    quorum_start_.push_back(static_cast<std::uint32_t>(elements_.size()));
   }
 }
 
@@ -54,22 +80,13 @@ double TreeQuorum::quorum_count() const noexcept { return subtree_count(0); }
 
 std::vector<Quorum> TreeQuorum::enumerate_quorums(std::size_t limit) const {
   if (!enumerable(limit)) throw std::domain_error{name() + ": enumeration limit too low"};
-  // Recursive enumeration over heap-indexed nodes.
-  const std::size_t n = universe_size();
-  auto enumerate = [&](auto&& self, std::size_t v) -> std::vector<Quorum> {
-    if (left_child(v) >= n) return {Quorum{v}};
-    const std::vector<Quorum> left = self(self, left_child(v));
-    const std::vector<Quorum> right = self(self, right_child(v));
-    std::vector<Quorum> result;
-    result.reserve(left.size() + right.size() + left.size() * right.size());
-    for (const Quorum& q : left) result.push_back(with_root(v, q));
-    for (const Quorum& q : right) result.push_back(with_root(v, q));
-    for (const Quorum& a : left) {
-      for (const Quorum& b : right) result.push_back(merged(a, b));
-    }
-    return result;
-  };
-  return enumerate(enumerate, 0);
+  std::vector<Quorum> result;
+  result.reserve(quorum_start_.size() - 1);
+  for (std::size_t q = 0; q + 1 < quorum_start_.size(); ++q) {
+    result.emplace_back(elements_.begin() + quorum_start_[q],
+                        elements_.begin() + quorum_start_[q + 1]);
+  }
+  return result;
 }
 
 Quorum TreeQuorum::best_quorum(std::span<const double> values) const {
@@ -97,23 +114,22 @@ Quorum TreeQuorum::best_quorum(std::span<const double> values) const {
 
 double TreeQuorum::expected_max_uniform(std::span<const double> values) const {
   check_values_size(*this, values);
+  const std::size_t count = quorum_start_.size() - 1;
   double total = 0.0;
-  const std::vector<Quorum> quorums = enumerate_quorums(100'000);
-  for (const Quorum& quorum : quorums) {
+  for (std::size_t q = 0; q < count; ++q) {
     double worst = 0.0;
-    for (std::size_t u : quorum) worst = std::max(worst, values[u]);
+    for (std::size_t k = quorum_start_[q]; k < quorum_start_[q + 1]; ++k) {
+      worst = std::max(worst, values[elements_[k]]);
+    }
     total += worst;
   }
-  return total / static_cast<double>(quorums.size());
+  return total / static_cast<double>(count);
 }
 
 std::vector<double> TreeQuorum::uniform_load() const {
   std::vector<double> load(universe_size(), 0.0);
-  const std::vector<Quorum> quorums = enumerate_quorums(100'000);
-  for (const Quorum& quorum : quorums) {
-    for (std::size_t u : quorum) load[u] += 1.0;
-  }
-  for (double& l : load) l /= static_cast<double>(quorums.size());
+  for (std::uint8_t u : elements_) load[u] += 1.0;
+  for (double& l : load) l /= static_cast<double>(quorum_start_.size() - 1);
   return load;
 }
 

@@ -10,6 +10,9 @@
 // the quorum-size/load spectrum the paper explores.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "quorum/quorum_system.hpp"
 
 namespace qp::quorum {
@@ -18,7 +21,9 @@ class TreeQuorum final : public QuorumSystem {
  public:
   /// Complete binary tree of the given height; height 0 is a single node.
   /// Heights above 4 (n = 63, ~4.3e9 quorums) are rejected: enumeration and
-  /// uniform-load bookkeeping would be intractable.
+  /// uniform-load bookkeeping would be intractable. The quorums are
+  /// enumerated once here (65535 at height 4) into a flat table that
+  /// enumerate_quorums, expected_max_uniform and uniform_load read.
   explicit TreeQuorum(std::size_t height);
 
   [[nodiscard]] std::size_t height() const noexcept { return height_; }
@@ -42,6 +47,10 @@ class TreeQuorum final : public QuorumSystem {
   [[nodiscard]] double subtree_count(std::size_t depth) const noexcept;
 
   std::size_t height_;
+  /// Quorum q is elements_[quorum_start_[q] .. quorum_start_[q + 1]), sorted,
+  /// in the recursive enumeration order. Elements fit a byte (n <= 31).
+  std::vector<std::uint32_t> quorum_start_;
+  std::vector<std::uint8_t> elements_;
 };
 
 }  // namespace qp::quorum

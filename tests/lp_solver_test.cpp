@@ -445,6 +445,33 @@ TEST_P(StrategyLpParity, RevisedMatchesDenseWithAndWithoutCapacityRows) {
   }
 }
 
+TEST_P(StrategyLpParity, ColocatedPlacementMatchesDense) {
+  // Elements 0 and 1 share site 0, so every quorum holding both charges
+  // that site twice: a count of 2 on its usage variable's capacity entry.
+  const auto system = make_system(GetParam());
+  const net::LatencyMatrix matrix = net::small_synth(20, 911);
+  Placement placement = identity_placement(system->universe_size());
+  placement.site_of[1] = 0;
+  std::vector<double> demand(matrix.size());
+  for (std::size_t v = 0; v < demand.size(); ++v) {
+    demand[v] = 1.0 + static_cast<double>((v * 3) % 7);
+  }
+  const std::vector<double> skewed = core::demand_shares(demand, matrix.size());
+  const std::vector<double> tight = binding_caps(*system, placement, matrix.size());
+  for (const std::span<const double> weights :
+       {std::span<const double>{}, std::span<const double>{skewed}}) {
+    SCOPED_TRACE(weights.empty() ? "uniform weights" : "skewed weights");
+    const StrategyLpResult lp =
+        core::optimize_access_strategy(matrix, *system, placement, tight, weights);
+    const Solution oracle = strategy_lp_oracle(matrix, *system, placement, tight, weights);
+    ASSERT_EQ(lp.status, SolveStatus::Optimal);
+    ASSERT_EQ(oracle.status, SolveStatus::Optimal);
+    EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
+    expect_parity(lp.avg_network_delay, oracle.objective);
+    lp.strategy.validate(matrix.size(), system->universe_size());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(QuorumFamilies, StrategyLpParity,
                          ::testing::Values("grid", "majority", "fpp", "tree"),
                          [](const auto& info) { return std::string{info.param}; });
@@ -529,6 +556,66 @@ TEST(StrategyLp, StalledWarmSeedCountsAMissAndSumsIterations) {
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit + 1);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss + 1);
+}
+
+TEST(StrategyLp, ZeroWeightClientMatchesDense) {
+  // A zero-weight client's columns carry only their distribution-row
+  // entry; it still needs a full distribution (its crash column is basic).
+  const quorum::GridQuorum grid{3};
+  const net::LatencyMatrix matrix = net::small_synth(20, 913);
+  const Placement placement = identity_placement(grid.universe_size());
+  std::vector<double> weights(matrix.size(), 1.0 / static_cast<double>(matrix.size() - 1));
+  weights[4] = 0.0;
+  const std::vector<double> tight = binding_caps(grid, placement, matrix.size());
+  const StrategyLpResult lp =
+      core::optimize_access_strategy(matrix, grid, placement, tight, weights);
+  const Solution oracle = strategy_lp_oracle(matrix, grid, placement, tight, weights);
+  ASSERT_EQ(lp.status, SolveStatus::Optimal);
+  ASSERT_EQ(oracle.status, SolveStatus::Optimal);
+  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
+  expect_parity(lp.avg_network_delay, oracle.objective);
+  lp.strategy.validate(matrix.size(), grid.universe_size());
+}
+
+TEST(StrategyLp, CapsBelowTheFeasibleMinimumStayInfeasibleFromTheCrashSeed) {
+  // Every strategy puts average load >= L_opt on some element, so caps at
+  // 0.9 L_opt leave no feasible point; phase 1 from the closest-quorum
+  // crash must prove it, as the dense oracle does from its cold basis.
+  const quorum::GridQuorum grid{3};
+  const net::LatencyMatrix matrix = net::small_synth(20, 917);
+  const Placement placement = identity_placement(grid.universe_size());
+  const std::vector<double> caps(matrix.size(), 0.9 * grid.optimal_load());
+  const StrategyLpResult lp = solve_strategy(matrix, grid, placement, caps);
+  EXPECT_EQ(lp.status, SolveStatus::Infeasible);
+  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
+  EXPECT_EQ(strategy_lp_oracle(matrix, grid, placement, caps).status,
+            SolveStatus::Infeasible);
+}
+
+TEST(StrategyLp, UnseededSolveCountsNoWarmStartAndExportsItsOptimalBasis) {
+  obs::set_enabled(true);
+  const quorum::GridQuorum grid{3};
+  const net::LatencyMatrix matrix = net::small_synth(24, 929);
+  const Placement placement = identity_placement(grid.universe_size());
+  const std::vector<double> tight = binding_caps(grid, placement, matrix.size());
+
+  const std::uint64_t hit = counter_total("lp.strategy.warm_start_hit");
+  const std::uint64_t miss = counter_total("lp.strategy.warm_start_miss");
+  const StrategyLpResult cold = solve_strategy(matrix, grid, placement, tight);
+  ASSERT_EQ(cold.status, SolveStatus::Optimal);
+  ASSERT_EQ(cold.solver_used, StrategyLpSolver::Revised);
+  // The crash seed is internal: only a caller's basis counts as a warm start.
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit);
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss);
+  expect_parity(cold.avg_network_delay,
+                strategy_lp_oracle(matrix, grid, placement, tight).objective);
+
+  const StrategyLpResult again = solve_strategy(matrix, grid, placement, tight, cold.basis);
+  ASSERT_EQ(again.status, SolveStatus::Optimal);
+  EXPECT_LE(again.lp_iterations, 1u);
+  expect_parity(again.avg_network_delay, cold.avg_network_delay);
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit + 1);
+  EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss);
 }
 
 TEST(StrategyLp, IterativeWarmStartMatchesColdRun) {

@@ -322,6 +322,9 @@ TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {
   EXPECT_GT(counter_value(snap, "core.manytoone.lp_iterations"), 0u);
   EXPECT_LE(counter_value(snap, "core.manytoone.warm_stalls"),
             counter_value(snap, "core.manytoone.warm_starts"));
+  // Phase-1 pivots are a part of the solver's pivots.
+  EXPECT_LE(counter_value(snap, "lp.revised.phase1_iterations"),
+            counter_value(snap, "lp.revised.iterations"));
 
   // Every strategy LP is routed by shape, for exactly one reason; a flow
   // fallback can only follow a caps-slack route.
@@ -334,6 +337,41 @@ TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {
   EXPECT_EQ(counter_value(snap, "lp.strategy.solver_transportation"),
             counter_value(snap, "lp.strategy.route_caps_slack") -
                 counter_value(snap, "lp.strategy.route_flow_fallback"));
+}
+
+core::StrategyLpResult run_capped_strategy_lp() {
+  const net::LatencyMatrix m = net::small_synth(24, 31);
+  const quorum::GridQuorum grid{3};
+  core::Placement placement;
+  for (std::size_t u = 0; u < grid.universe_size(); ++u) placement.site_of.push_back(u);
+  std::vector<double> caps = core::site_loads_balanced(grid, placement, m.size());
+  for (double& cap : caps) cap = cap > 0.0 ? 1.02 * cap : 1.0;
+  return core::optimize_access_strategy(m, grid, placement, caps);
+}
+
+TEST(ObsParity, CrashStartedStrategyLpBitwiseIdenticalOnOff) {
+  // The closest-quorum crash overloads the binding caps, so phase 1 runs;
+  // its counter, like every other, must not perturb the solve.
+  const ObsGuard guard;
+  set_enabled(true);
+  reset();
+  const core::StrategyLpResult on = run_capped_strategy_lp();
+  const std::vector<MetricSnapshot> snap = snapshot();
+  set_enabled(false);
+  const core::StrategyLpResult off = run_capped_strategy_lp();
+
+  ASSERT_EQ(on.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(on.solver_used, core::StrategyLpSolver::Revised);
+  EXPECT_EQ(on.status, off.status);
+  EXPECT_EQ(on.avg_network_delay, off.avg_network_delay);  // Bitwise.
+  EXPECT_EQ(on.strategy.probability, off.strategy.probability);
+  EXPECT_EQ(on.lp_iterations, off.lp_iterations);
+  EXPECT_EQ(on.basis.basic, off.basis.basic);
+
+  const std::uint64_t phase1 = counter_value(snap, "lp.revised.phase1_iterations");
+  EXPECT_EQ(counter_value(snap, "lp.revised.iterations"), on.lp_iterations);
+  EXPECT_GT(phase1, 0u);
+  EXPECT_LT(phase1, on.lp_iterations);
 }
 
 sim::EngineResult run_small_engine(common::ThreadPool* pool, double probe_ms) {

@@ -45,6 +45,34 @@ TEST(Tree, EnumerationMatchesCountAndIsDistinct) {
   }
 }
 
+TEST(Tree, FlatTableSumsMatchEnumerationBitwise) {
+  // expected_max_uniform and uniform_load read the table built once per
+  // instance; they must equal the per-quorum sums over enumerate_quorums
+  // in enumeration order, bit for bit, at every height.
+  common::Rng rng{41};
+  for (std::size_t h : {0u, 1u, 2u, 3u, 4u}) {
+    const TreeQuorum tree{h};
+    std::vector<double> values(tree.universe_size());
+    for (double& value : values) value = rng.uniform(0.0, 300.0);
+    const std::vector<Quorum> quorums = tree.enumerate_quorums(100'000);
+    double total = 0.0;
+    std::vector<double> load(tree.universe_size(), 0.0);
+    for (const Quorum& quorum : quorums) {
+      double worst = 0.0;
+      for (std::size_t u : quorum) {
+        worst = std::max(worst, values[u]);
+        load[u] += 1.0;
+      }
+      total += worst;
+    }
+    for (double& l : load) l /= static_cast<double>(quorums.size());
+    EXPECT_EQ(tree.expected_max_uniform(values),
+              total / static_cast<double>(quorums.size()))
+        << "h=" << h;
+    EXPECT_EQ(tree.uniform_load(), load) << "h=" << h;
+  }
+}
+
 TEST(Tree, HeightOneQuorumsExplicit) {
   const TreeQuorum tree{1};
   const auto quorums = tree.enumerate_quorums(100);
