@@ -13,11 +13,9 @@
 //                                            previous level's basis.
 // Counters: ms_total over the ladder, simplex iterations summed, and the
 // max relative objective disagreement vs the cold revised row.
-// The ladder starts at the uncapacitated optimum's peak site load and
-// tightens in 4% steps while the LP stays feasible, so the capacity rows
-// can bind and every level routes to the revised engine (the transportation
-// specialization is the separate uncapacitated fast path and is pinned by
-// tests, not timed here; run_ladder throws if a level routes there).
+// The ladder starts at the peak site load of the uncapacitated optimum
+// (each client on its lowest-index minimum-delay quorum) and tightens in 4%
+// steps while the LP stays feasible, so the capacity rows can bind.
 //
 // Genuine timing benchmarks (per-iteration, benchmark-looped):
 //   LpSolver/warm_resolve/n161|n500        — one warm re-solve at the
@@ -46,7 +44,6 @@ namespace {
 
 using qp::core::StrategyLpOptions;
 using qp::core::StrategyLpResult;
-using qp::core::StrategyLpSolver;
 
 struct LadderResult {
   double ms_total = 0.0;
@@ -71,9 +68,6 @@ LadderResult run_ladder(const qp::net::LatencyMatrix& matrix,
         qp::core::optimize_access_strategy(matrix, system, placement, caps, {}, options);
     if (lp.status != qp::lp::SolveStatus::Optimal) {
       throw std::runtime_error{"bench_lp_solver: ladder level not optimal"};
-    }
-    if (lp.solver_used != StrategyLpSolver::Revised) {
-      throw std::runtime_error{"bench_lp_solver: ladder level left the revised engine"};
     }
     out.iterations += lp.lp_iterations;
     out.objectives.push_back(lp.avg_network_delay);

@@ -30,8 +30,8 @@ struct IterativeOptions {
   /// An iteration must improve response time by more than this to continue.
   double improvement_tolerance = 1e-9;
   /// Seed each round's phase-2 LP from the previous round's optimal basis
-  /// (Revised engine only; applied when the placement support set — and so
-  /// the LP shape — matches the round that produced the basis). The revised
+  /// (applied when the placement support set — and so the LP shape —
+  /// matches the round that produced the basis). The revised
   /// solver re-establishes feasibility in place, so warm and cold runs reach
   /// the same optimum; disable to pin cold-start iteration counts.
   bool warm_start = true;
@@ -47,7 +47,7 @@ struct IterationRecord {
   double network_after_strategy = 0.0;
   double max_capacity_violation = 0.0;
   bool accepted = false;
-  /// Simplex pivots the phase-2 LP took (0 on the Transportation route) and
+  /// Pricing passes the phase-2 LP took (lp::SolveResult::iterations) and
   /// whether it was warm-started — fig8_9 and the bench report cold-vs-warm.
   std::size_t lp_iterations = 0;
   bool lp_warm_started = false;

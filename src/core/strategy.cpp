@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/eval_workspace.hpp"
-#include "flow/mincost_flow.hpp"
 #include "lp/revised_simplex.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,20 +14,12 @@ namespace qp::core {
 
 namespace {
 
-// Strategy-LP engine telemetry: which route each solve took and why — the
-// capacity rows provably slack (flow), possibly binding (revised), or the
-// flow failing to saturate (revised fallback) — total simplex iterations,
-// and whether a supplied warm basis carried the solve or stalled into the
-// cold retry.
+// Strategy-LP engine telemetry: solves, total simplex iterations, and
+// whether a supplied warm basis carried the solve or stalled into the cold
+// retry. solver_revised counts the solves handed to the revised simplex
+// (every one that passes input validation); perfbench reads it.
 const obs::Counter c_slp_solves = obs::counter("lp.strategy.solves");
 const obs::Counter c_slp_revised = obs::counter("lp.strategy.solver_revised");
-const obs::Counter c_slp_transportation =
-    obs::counter("lp.strategy.solver_transportation");
-const obs::Counter c_slp_route_slack = obs::counter("lp.strategy.route_caps_slack");
-const obs::Counter c_slp_route_may_bind =
-    obs::counter("lp.strategy.route_caps_may_bind");
-const obs::Counter c_slp_route_fallback =
-    obs::counter("lp.strategy.route_flow_fallback");
 const obs::Counter c_slp_iterations = obs::counter("lp.strategy.iterations");
 const obs::Counter c_slp_warm_hit = obs::counter("lp.strategy.warm_start_hit");
 const obs::Counter c_slp_warm_miss =
@@ -234,7 +225,7 @@ std::vector<double> site_loads_explicit(const ExplicitStrategy& strategy,
 namespace {
 
 /// Copies LP variable values into per-client rows and normalizes each row to
-/// sum exactly 1 (the solvers are only accurate to their tolerance).
+/// sum exactly 1 (the solver is only accurate to its tolerance).
 void fill_strategy_rows(StrategyLpResult& result, std::span<const double> values,
                         std::size_t client_count, std::size_t m) {
   result.strategy.probability.assign(client_count, std::vector<double>(m, 0.0));
@@ -248,77 +239,6 @@ void fill_strategy_rows(StrategyLpResult& result, std::span<const double> values
     if (sum <= 0.0) throw std::logic_error{"optimize_access_strategy: empty distribution"};
     for (double& p : result.strategy.probability[v]) p /= sum;
   }
-}
-
-/// True when no capacity row of the strategy LP can bind: even if every
-/// client routed all its weight through the quorum that touches site w the
-/// most, the induced load stays within cap_w. Then constraint set (4.4) is
-/// vacuous and the LP decouples into one transportation column per client.
-bool capacity_rows_cannot_bind(
-    const std::vector<std::vector<std::pair<std::size_t, double>>>& quorum_sites,
-    std::span<const std::size_t> support, std::span<const double> capacities,
-    std::size_t site_count, double total_weight) {
-  std::vector<double> max_count(site_count, 0.0);
-  for (const auto& sites : quorum_sites) {
-    for (const auto& [site, count] : sites) {
-      max_count[site] = std::max(max_count[site], count);
-    }
-  }
-  for (std::size_t w : support) {
-    if (max_count[w] * total_weight > capacities[w]) return false;
-  }
-  return true;
-}
-
-/// The transportation specialization: with no binding capacity rows, the
-/// optimal strategy is a min-cost assignment of one unit per client over the
-/// client -> quorum bipartite graph (network-simplex semantics via
-/// flow/mincost_flow). Costs are the LP objective coefficients, so the
-/// reported objective matches the general path to solver tolerance.
-StrategyLpResult solve_transportation(std::span<const double> delay_cost,
-                                      std::size_t client_count, std::size_t m) {
-  StrategyLpResult result;
-  result.solver_used = StrategyLpSolver::Transportation;
-
-  const std::size_t source = 0;
-  const std::size_t sink = client_count + m + 1;
-  flow::MinCostFlow network{client_count + m + 2};
-  std::vector<std::size_t> edge_of(client_count * m, 0);
-  for (std::size_t v = 0; v < client_count; ++v) {
-    (void)network.add_edge(source, 1 + v, 1.0, 0.0);
-  }
-  for (std::size_t v = 0; v < client_count; ++v) {
-    for (std::size_t i = 0; i < m; ++i) {
-      edge_of[v * m + i] =
-          network.add_edge(1 + v, 1 + client_count + i, 1.0, delay_cost[v * m + i]);
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    (void)network.add_edge(1 + client_count + i, sink,
-                           static_cast<double>(client_count), 0.0);
-  }
-
-  const flow::MinCostFlow::Result flow_result =
-      network.solve(source, sink, static_cast<double>(client_count));
-  if (flow_result.flow < static_cast<double>(client_count) - 0.5) {
-    // Cannot happen on this topology (every client reaches every quorum);
-    // report it like any other numerical breakdown so callers can fall back.
-    result.status = lp::SolveStatus::IterationLimit;
-    return result;
-  }
-
-  result.status = lp::SolveStatus::Optimal;
-  std::vector<double> values(client_count * m, 0.0);
-  for (std::size_t var = 0; var < values.size(); ++var) {
-    values[var] = network.flow_on(edge_of[var]);
-  }
-  // Objective in the same summation order as the simplex paths.
-  result.avg_network_delay = 0.0;
-  for (std::size_t var = 0; var < values.size(); ++var) {
-    result.avg_network_delay += delay_cost[var] * values[var];
-  }
-  fill_strategy_rows(result, values, client_count, m);
-  return result;
 }
 
 }  // namespace
@@ -335,8 +255,8 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
   if (capacities.size() != space.size()) {
     throw std::invalid_argument{"optimize_access_strategy: capacities size mismatch"};
   }
-  // A NaN cap would read as slack to capacity_rows_cannot_bind. Negative
-  // caps stay valid input: the LP reports them Infeasible.
+  // Checked here so the error names this API rather than an LP row bound.
+  // Negative caps stay valid input: the LP reports them Infeasible.
   for (double cap : capacities) {
     if (!std::isfinite(cap)) {
       throw std::invalid_argument{"optimize_access_strategy: capacities must be finite"};
@@ -377,60 +297,35 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
     }
   }
 
-  // Objective coefficients w_v * delta_f(v, Q_i), indexed v * m + i, with
-  // w_v = demand share (the flat 1/|V| when unweighted). Computed once, in
-  // the historical arithmetic order, so both engines price the same LP.
-  // closest[v] is v's minimum-delay quorum (lowest index on ties), the
-  // Revised route's crash start.
-  std::vector<double> delay_cost(client_count * m, 0.0);
+  // The aggregated form: p_v(Q_i) at v * m + i, priced w_v * delta_f(v, Q_i)
+  // with w_v = demand share (the flat 1/|V| when unweighted), then one usage
+  // variable z_i = sum_v w_v p_v(Q_i) per quorum at usage + i. A client
+  // column has two nonzeros (its distribution row and Q_i's usage row); only
+  // the z columns reach the capacity rows. closest[v] is v's minimum-delay
+  // quorum (lowest index on ties), the crash start.
+  lp::LpProblem problem;
   std::vector<std::size_t> closest(client_count, 0);
   std::vector<double> distances;
-  double total_weight = 0.0;
   for (std::size_t v = 0; v < client_count; ++v) {
     fill_element_distances(space, placement, v, distances);
     const double weight = client_weights.empty() ? inv_clients : client_weights[v];
-    total_weight += weight;
     double closest_delta = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       double delta = 0.0;
       for (std::size_t u : quorums[i]) delta = std::max(delta, distances[u]);
-      delay_cost[v * m + i] = delta * weight;
+      (void)problem.add_variable(delta * weight);
       if (i == 0 || delta < closest_delta) {
         closest_delta = delta;
         closest[v] = i;
       }
     }
   }
-
-  const std::vector<std::size_t> support = placement.support_set();
-
-  // Route by LP shape: Transportation when no capacity row can bind,
-  // Revised otherwise (and when the flow fails to saturate).
-  const bool uncapacitated = capacity_rows_cannot_bind(quorum_sites, support, capacities,
-                                                       space.size(), total_weight);
-  (uncapacitated ? c_slp_route_slack : c_slp_route_may_bind).add();
-  if (uncapacitated) {
-    StrategyLpResult result = solve_transportation(delay_cost, client_count, m);
-    if (result.status == lp::SolveStatus::Optimal) {
-      c_slp_transportation.add();
-      result.strategy.quorums = quorums;
-      return result;
-    }
-    c_slp_route_fallback.add();
-  }
-
-  // The aggregated form: p_v(Q_i) at v * m + i, then one usage variable
-  // z_i = sum_v w_v p_v(Q_i) per quorum at usage + i. A client column has
-  // two nonzeros (its distribution row and Q_i's usage row); only the z
-  // columns reach the capacity rows.
-  lp::LpProblem problem;
-  for (double cost : delay_cost) (void)problem.add_variable(cost);
   const std::size_t usage = client_count * m;
   for (std::size_t i = 0; i < m; ++i) (void)problem.add_variable(0.0);
 
   // Capacity rows (4.4), one per support site: sum_i count(Q_i, w) z_i <= cap_w.
   std::vector<std::size_t> capacity_row(space.size(), 0);
-  for (std::size_t w : support) {
+  for (std::size_t w : placement.support_set()) {
     capacity_row[w] = problem.add_row(lp::RowSense::LessEqual, capacities[w]);
   }
   // Distribution rows (4.5), then the usage rows sum_v w_v p_v(Q_i) - z_i = 0.
@@ -459,7 +354,9 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
   // closest quorum, z_i on its usage row, slack on every capacity row. The
   // basis is triangular (distribution, usage, capacity rows against the p,
   // z, slack columns), so it always factors; composite phase 1 repairs the
-  // capacity rows the closest choices overload.
+  // capacity rows the closest choices overload. When no cap can bind, the
+  // crash is already optimal (all reduced costs are w_v (delta(v, Q) -
+  // delta(v, closest)) >= 0) and the solve stops at its first pricing pass.
   const bool warm = !options.simplex.initial_basis.empty();
   lp::SimplexOptions simplex = options.simplex;
   if (!warm) {
@@ -473,7 +370,6 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
   }
 
   StrategyLpResult result;
-  result.solver_used = StrategyLpSolver::Revised;
   const lp::RevisedSimplexSolver solver{std::move(simplex)};
   lp::SolveResult solution = solver.solve(problem);
   c_slp_revised.add();

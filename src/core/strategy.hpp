@@ -95,27 +95,14 @@ enum class ExecutionModel { PerElement, Collapsed };
     std::span<const double> client_weights = {},
     ExecutionModel model = ExecutionModel::PerElement);
 
-/// The engine that solved LP (4.3)-(4.6), reported in StrategyLpResult. The
-/// route is chosen by the LP's shape alone:
-///   Transportation — no capacity row can bind (the LP decouples per
-///                    client): the uncapacitated specialization on
-///                    flow/mincost_flow;
-///   Revised        — a capacity row can bind, or the flow failed to
-///                    saturate: the sparse revised simplex
-///                    (lp/revised_simplex), the only path that honors warm
-///                    starts;
-///   None           — no engine ran (a default-constructed result).
-enum class StrategyLpSolver { None, Revised, Transportation };
-
 struct StrategyLpResult {
   lp::SolveStatus status = lp::SolveStatus::Infeasible;
   ExplicitStrategy strategy;          // Populated when status == Optimal.
   double avg_network_delay = 0.0;     // LP objective (4.3).
   std::size_t lp_iterations = 0;
-  StrategyLpSolver solver_used = StrategyLpSolver::None;
-  /// Optimal basis of the Revised route (empty on Transportation): one
-  /// entry per row of the aggregated LP, |support| + |V| + |quorums| rows
-  /// (see optimize_access_strategy). Feed it back through
+  /// Optimal basis, exported whenever status == Optimal: one entry per row
+  /// of the aggregated LP, |support| + |V| + |quorums| rows (see
+  /// optimize_access_strategy). Feed it back through
   /// options.simplex.initial_basis to warm-start the next solve of an
   /// identically-shaped LP (same placement support set, same quorum system).
   lp::Basis basis;
@@ -123,7 +110,7 @@ struct StrategyLpResult {
 
 struct StrategyLpOptions {
   std::size_t quorum_limit = 100'000;
-  /// Solver knobs; simplex.initial_basis warm-starts the Revised route.
+  /// Solver knobs; simplex.initial_basis warm-starts the solve.
   lp::SimplexOptions simplex{};
 };
 
@@ -138,7 +125,8 @@ struct StrategyLpOptions {
 /// cannot carry the workload (e.g. a negative cap); throws
 /// std::invalid_argument on a non-finite capacity.
 ///
-/// The Revised route solves the LP in aggregated form, with the same
+/// One engine solves every instance: the sparse revised simplex
+/// (lp/revised_simplex) on the LP in aggregated form, with the same
 /// feasible set and objective. Variables: p_v(Q_i) at v * m + i (m
 /// quorums), then one usage variable z_i at |V| * m + i. Rows, in order:
 ///   * one capacity row per support site w:  sum_i count(Q_i, w) z_i <= cap_w,
@@ -151,8 +139,10 @@ struct StrategyLpOptions {
 /// (minimum delay, lowest index on ties), each usage row its z_i and each
 /// capacity row its slack. That basis is triangular, so it always factors,
 /// and the solver's composite phase 1 repairs the caps the closest choices
-/// overload. A caller basis replaces the crash; only it counts toward the
-/// lp.strategy.warm_start_hit / _miss counters.
+/// overload. When no cap can bind, the crash is already optimal and the
+/// solve stops after one pricing pass (lp_iterations == 1), each client on
+/// its lowest-index minimum-delay quorum. A caller basis replaces the crash;
+/// only it counts toward the lp.strategy.warm_start_hit / _miss counters.
 [[nodiscard]] StrategyLpResult optimize_access_strategy(
     const net::LatencySpace& space, const quorum::QuorumSystem& system,
     const Placement& placement, std::span<const double> capacities,

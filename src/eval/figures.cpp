@@ -238,7 +238,8 @@ std::vector<CapacityPoint> capacity_sweep(const net::LatencySpace& space,
         const std::vector<double> caps =
             core::nonuniform_capacities(space, support, l_opt, level);
         // Same placement, same LP shape, different rhs/caps: seed from the
-        // uniform solve's optimal basis when the Revised engine produced one.
+        // uniform solve's optimal basis (empty, so crash-started, when that
+        // solve was not Optimal).
         core::StrategyLpOptions warm_options;
         warm_options.simplex.initial_basis = uniform_basis;
         const core::StrategyLpResult lp = core::optimize_access_strategy(

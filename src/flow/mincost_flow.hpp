@@ -3,8 +3,7 @@
 // costs are accepted; Dijkstra thereafter).
 //
 // Used by the Shmoys–Tardos rounding step of the many-to-one placement
-// algorithm (core/manytoone) and directly usable for transportation-style
-// subproblems.
+// algorithm (core/manytoone).
 #pragma once
 
 #include <cstddef>

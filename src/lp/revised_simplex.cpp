@@ -1,6 +1,7 @@
 #include "lp/revised_simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -65,11 +66,17 @@ class SparseLu {
     m_ = m;
     pivot_row_.assign(m, kNone);
     row_step_.assign(m, kNone);
-    l_cols_.assign(m, {});
-    u_cols_.assign(m, {});
+    // The L/U column vectors keep their capacity from the last factorization.
+    l_cols_.resize(m);
+    u_cols_.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      l_cols_[k].clear();
+      u_cols_[k].clear();
+    }
     u_diag_.assign(m, 0.0);
     work_.assign(m, 0.0);
     mark_.assign(m, 0);
+    reached_.assign((m + 63) / 64, 0);
     touched_.clear();
     touched_.reserve(m);
 
@@ -79,22 +86,25 @@ class SparseLu {
       for (std::size_t e = columns.start[basis[k]]; e < end; ++e) {
         const std::size_t row = columns.row[e];
         work_[row] += columns.value[e];
-        if (mark_[row] == 0) {
-          mark_[row] = 1;
-          touched_.push_back(row);
-        }
+        touch(row);
       }
-      // Eliminate with the finished steps in order; a step whose pivot-row
-      // value is exactly zero contributes nothing and is skipped.
-      for (std::size_t s = 0; s < k; ++s) {
-        const double xs = work_[pivot_row_[s]];
-        if (xs == 0.0) continue;
-        u_cols_[k].push_back({s, xs});
-        for (const LuEntry& l : l_cols_[s]) {
-          work_[l.index] -= l.value * xs;
-          if (mark_[l.index] == 0) {
-            mark_[l.index] = 1;
-            touched_.push_back(l.index);
+      // Eliminate with the finished steps the column reaches, in ascending
+      // order; a step whose pivot-row value is exactly zero contributes
+      // nothing and is skipped. A step s only adds rows pivotal at later
+      // steps, so the bits set while draining word s / 64 all lie above s
+      // and the drain stays ascending. Unreached steps hold exactly zero, so
+      // this is the same elimination as a scan of every step below k.
+      for (std::size_t word = 0; word < (k + 63) / 64; ++word) {
+        while (reached_[word] != 0) {
+          const std::size_t s =
+              word * 64 + static_cast<std::size_t>(std::countr_zero(reached_[word]));
+          reached_[word] &= reached_[word] - 1;
+          const double xs = work_[pivot_row_[s]];
+          if (xs == 0.0) continue;
+          u_cols_[k].push_back({s, xs});
+          for (const LuEntry& l : l_cols_[s]) {
+            work_[l.index] -= l.value * xs;
+            touch(l.index);
           }
         }
       }
@@ -170,6 +180,16 @@ class SparseLu {
   }
 
  private:
+  /// Adds `row` to this column's nonzero pattern; a row already pivotal
+  /// marks its step as reached.
+  void touch(std::size_t row) {
+    if (mark_[row] != 0) return;
+    mark_[row] = 1;
+    touched_.push_back(row);
+    const std::size_t step = row_step_[row];
+    if (step != kNone) reached_[step / 64] |= std::uint64_t{1} << (step % 64);
+  }
+
   void clear_touched() {
     for (std::size_t row : touched_) {
       work_[row] = 0.0;
@@ -188,6 +208,7 @@ class SparseLu {
   std::vector<double> work_;
   std::vector<char> mark_;
   std::vector<std::size_t> touched_;
+  std::vector<std::uint64_t> reached_;  // Bitset of steps the column reaches.
 };
 
 /// A product-form eta transformation: after a pivot at basis position `row`

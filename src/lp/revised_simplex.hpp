@@ -49,6 +49,8 @@ struct SolveResult {
   /// Row duals y (empty unless Optimal). Sign convention: for the
   /// minimization problem, y_i <= 0 for LessEqual rows at optimality.
   std::vector<double> duals;
+  /// Pricing passes, including the final one that proves optimality: a
+  /// solve whose starting basis is already optimal reports 1.
   std::size_t iterations = 0;
   /// True when the warm seed (SimplexOptions::initial_basis) hit the
   /// iteration limit and the solve was retried once from the cold basis;

@@ -174,7 +174,7 @@ TEST(CrossModule, PipelineOnEmbeddingMatchesDensified) {
     search.objective = &objective;
     r.polished = core::local_search_placement(
         space, grid, core::grid_placement_for_client(space, 3, space.size() - 1), search);
-    // Caps at 1.1 L_opt can bind: the Revised route.
+    // Caps at 1.1 L_opt can bind.
     const std::vector<double> caps =
         core::uniform_capacities(space.size(), 1.1 * grid.optimal_load());
     r.lp = core::optimize_access_strategy(space, grid, r.polished.placement, caps);
@@ -211,8 +211,6 @@ TEST(CrossModule, PipelineOnEmbeddingMatchesDensified) {
 
   ASSERT_EQ(on_sparse.lp.status, lp::SolveStatus::Optimal);
   ASSERT_EQ(on_dense.lp.status, lp::SolveStatus::Optimal);
-  EXPECT_EQ(on_sparse.lp.solver_used, core::StrategyLpSolver::Revised);
-  EXPECT_EQ(on_dense.lp.solver_used, core::StrategyLpSolver::Revised);
   EXPECT_DOUBLE_EQ(on_sparse.lp.avg_network_delay, on_dense.lp.avg_network_delay);
   EXPECT_EQ(on_sparse.lp.lp_iterations, on_dense.lp.lp_iterations);
   EXPECT_EQ(on_sparse.lp.strategy.probability, on_dense.lp.strategy.probability);

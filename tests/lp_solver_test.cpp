@@ -322,16 +322,14 @@ TEST(RevisedSimplex, MediumScaleStrategyShapedLp) {
 }
 
 // ---------------------------------------------------------------------------
-// Strategy level: LP (4.3)-(4.6) through optimize_access_strategy, which
-// routes by the LP's shape (Transportation when no capacity row can bind,
-// Revised otherwise). Each route is checked against the same LP built
-// independently below and solved by the dense tableau oracle.
+// Strategy level: LP (4.3)-(4.6) through optimize_access_strategy (the
+// crash-started revised simplex on the aggregated LP), checked against the
+// same LP built independently below and solved by the dense tableau oracle.
 // ---------------------------------------------------------------------------
 
 using core::Placement;
 using core::StrategyLpOptions;
 using core::StrategyLpResult;
-using core::StrategyLpSolver;
 
 Placement identity_placement(std::size_t universe) {
   Placement placement;
@@ -432,15 +430,6 @@ TEST_P(StrategyLpParity, RevisedMatchesDenseWithAndWithoutCapacityRows) {
       ASSERT_EQ(oracle.status, SolveStatus::Optimal);
       expect_parity(lp.avg_network_delay, oracle.objective);
       lp.strategy.validate(matrix.size(), system->universe_size());
-      // The route follows the LP's shape: no capacity row can bind under
-      // the loose caps, one can under the binding caps.
-      if (caps == &loose) {
-        EXPECT_EQ(lp.solver_used, StrategyLpSolver::Transportation);
-        EXPECT_TRUE(lp.basis.empty());
-      } else {
-        EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
-        EXPECT_FALSE(lp.basis.empty());
-      }
     }
   }
 }
@@ -466,7 +455,6 @@ TEST_P(StrategyLpParity, ColocatedPlacementMatchesDense) {
     const Solution oracle = strategy_lp_oracle(matrix, *system, placement, tight, weights);
     ASSERT_EQ(lp.status, SolveStatus::Optimal);
     ASSERT_EQ(oracle.status, SolveStatus::Optimal);
-    EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
     expect_parity(lp.avg_network_delay, oracle.objective);
     lp.strategy.validate(matrix.size(), system->universe_size());
   }
@@ -476,22 +464,57 @@ INSTANTIATE_TEST_SUITE_P(QuorumFamilies, StrategyLpParity,
                          ::testing::Values("grid", "majority", "fpp", "tree"),
                          [](const auto& info) { return std::string{info.param}; });
 
-TEST(StrategyLp, TransportationMatchesGeneralEnginesUncapacitated) {
+std::uint64_t counter_total(const std::string& name) {
+  for (const obs::MetricSnapshot& metric : obs::snapshot()) {
+    if (metric.name == name) return metric.value;
+  }
+  return 0;
+}
+
+TEST(StrategyLp, UncapacitatedSolveStopsAtTheCrashBasis) {
+  // No cap can bind, so the closest-quorum crash is primal feasible and
+  // dual optimal: the solve ends at its first pricing pass, with no phase 1.
+  obs::set_enabled(true);
   const quorum::GridQuorum grid{3};
   const net::LatencyMatrix matrix = net::small_synth(24, 907);
   const Placement placement = identity_placement(grid.universe_size());
   const std::vector<double> loose(matrix.size(), 1e9);
 
+  const std::uint64_t phase1 = counter_total("lp.revised.phase1_iterations");
   const StrategyLpResult lp = solve_strategy(matrix, grid, placement, loose);
   ASSERT_EQ(lp.status, SolveStatus::Optimal);
-  // No capacity row can bind -> the min-cost-flow transportation
-  // specialization, pivot-free.
-  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Transportation);
-  EXPECT_EQ(lp.lp_iterations, 0u);
+  EXPECT_EQ(lp.lp_iterations, 1u);
+  EXPECT_EQ(counter_total("lp.revised.phase1_iterations"), phase1);
   const Solution oracle = strategy_lp_oracle(matrix, grid, placement, loose);
   ASSERT_EQ(oracle.status, SolveStatus::Optimal);
   expect_parity(lp.avg_network_delay, oracle.objective);
   lp.strategy.validate(matrix.size(), grid.universe_size());
+
+  // Each client puts all its weight on its lowest-index minimum-delay
+  // quorum; the instance has clients with exactly tied quorums.
+  const std::vector<quorum::Quorum>& quorums = lp.strategy.quorums;
+  std::size_t tied_clients = 0;
+  for (std::size_t v = 0; v < matrix.size(); ++v) {
+    std::vector<double> delay(quorums.size(), 0.0);
+    for (std::size_t i = 0; i < quorums.size(); ++i) {
+      for (std::size_t u : quorums[i]) {
+        delay[i] = std::max(delay[i], matrix.rtt(v, placement.site_of[u]));
+      }
+    }
+    const auto closest = std::min_element(delay.begin(), delay.end());
+    if (std::count(delay.begin(), delay.end(), *closest) > 1) ++tied_clients;
+    std::vector<double> expected(quorums.size(), 0.0);
+    expected[static_cast<std::size_t>(closest - delay.begin())] = 1.0;
+    EXPECT_EQ(lp.strategy.probability[v], expected) << "client " << v;
+  }
+  EXPECT_GT(tied_clients, 0u);
+
+  // The exported basis is optimal: re-seeding with it also takes one pass.
+  ASSERT_FALSE(lp.basis.empty());
+  const StrategyLpResult again = solve_strategy(matrix, grid, placement, loose, lp.basis);
+  ASSERT_EQ(again.status, SolveStatus::Optimal);
+  EXPECT_EQ(again.lp_iterations, 1u);
+  EXPECT_EQ(again.avg_network_delay, lp.avg_network_delay);
 }
 
 TEST(StrategyLp, WarmStartReachesColdOptimum) {
@@ -503,7 +526,6 @@ TEST(StrategyLp, WarmStartReachesColdOptimum) {
   const std::vector<double> second = binding_caps(grid, placement, matrix.size(), 1.02);
   const StrategyLpResult seed = solve_strategy(matrix, grid, placement, first);
   ASSERT_EQ(seed.status, SolveStatus::Optimal);
-  ASSERT_EQ(seed.solver_used, StrategyLpSolver::Revised);
   ASSERT_FALSE(seed.basis.empty());
 
   const StrategyLpResult cold = solve_strategy(matrix, grid, placement, second);
@@ -516,27 +538,17 @@ TEST(StrategyLp, WarmStartReachesColdOptimum) {
   EXPECT_LE(warm.lp_iterations, cold.lp_iterations);
 }
 
-std::uint64_t counter_total(const std::string& name) {
-  for (const obs::MetricSnapshot& metric : obs::snapshot()) {
-    if (metric.name == name) return metric.value;
-  }
-  return 0;
-}
-
 TEST(StrategyLp, StalledWarmSeedCountsAMissAndSumsIterations) {
   obs::set_enabled(true);
   const quorum::GridQuorum grid{3};
   const net::LatencyMatrix matrix = net::small_synth(24, 919);
   const Placement placement = identity_placement(grid.universe_size());
-  // Caps just under 1 can bind (a site in every client's quorum would
-  // carry load 1), so the seed routes to Revised and exports a basis; they
-  // are loose enough that its optimum overloads the tight caps, so the
-  // seed is far from feasible for the stalled solve.
+  // The seed's caps are loose enough that its optimum overloads the tight
+  // caps, so the seed is far from feasible for the stalled solve.
   const std::vector<double> near_loose(matrix.size(), 0.999);
   const std::vector<double> tight = binding_caps(grid, placement, matrix.size());
   const StrategyLpResult seed = solve_strategy(matrix, grid, placement, near_loose);
   ASSERT_EQ(seed.status, SolveStatus::Optimal);
-  ASSERT_EQ(seed.solver_used, StrategyLpSolver::Revised);
   ASSERT_FALSE(seed.basis.empty());
 
   const std::uint64_t hit = counter_total("lp.strategy.warm_start_hit");
@@ -547,7 +559,6 @@ TEST(StrategyLp, StalledWarmSeedCountsAMissAndSumsIterations) {
   const StrategyLpResult stalled =
       core::optimize_access_strategy(matrix, grid, placement, tight, {}, options);
   EXPECT_EQ(stalled.status, SolveStatus::IterationLimit);
-  EXPECT_EQ(stalled.solver_used, StrategyLpSolver::Revised);
   EXPECT_EQ(stalled.lp_iterations, 4u);  // Warm attempt + one cold retry.
   EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss + 1);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit);
@@ -572,7 +583,6 @@ TEST(StrategyLp, ZeroWeightClientMatchesDense) {
   const Solution oracle = strategy_lp_oracle(matrix, grid, placement, tight, weights);
   ASSERT_EQ(lp.status, SolveStatus::Optimal);
   ASSERT_EQ(oracle.status, SolveStatus::Optimal);
-  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
   expect_parity(lp.avg_network_delay, oracle.objective);
   lp.strategy.validate(matrix.size(), grid.universe_size());
 }
@@ -587,7 +597,6 @@ TEST(StrategyLp, CapsBelowTheFeasibleMinimumStayInfeasibleFromTheCrashSeed) {
   const std::vector<double> caps(matrix.size(), 0.9 * grid.optimal_load());
   const StrategyLpResult lp = solve_strategy(matrix, grid, placement, caps);
   EXPECT_EQ(lp.status, SolveStatus::Infeasible);
-  EXPECT_EQ(lp.solver_used, StrategyLpSolver::Revised);
   EXPECT_EQ(strategy_lp_oracle(matrix, grid, placement, caps).status,
             SolveStatus::Infeasible);
 }
@@ -603,7 +612,6 @@ TEST(StrategyLp, UnseededSolveCountsNoWarmStartAndExportsItsOptimalBasis) {
   const std::uint64_t miss = counter_total("lp.strategy.warm_start_miss");
   const StrategyLpResult cold = solve_strategy(matrix, grid, placement, tight);
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
-  ASSERT_EQ(cold.solver_used, StrategyLpSolver::Revised);
   // The crash seed is internal: only a caller's basis counts as a warm start.
   EXPECT_EQ(counter_total("lp.strategy.warm_start_hit"), hit);
   EXPECT_EQ(counter_total("lp.strategy.warm_start_miss"), miss);

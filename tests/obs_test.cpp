@@ -326,17 +326,10 @@ TEST(ObsParity, IterativePlacementBitwiseIdenticalOnOff) {
   EXPECT_LE(counter_value(snap, "lp.revised.phase1_iterations"),
             counter_value(snap, "lp.revised.iterations"));
 
-  // Every strategy LP is routed by shape, for exactly one reason; a flow
-  // fallback can only follow a caps-slack route.
+  // Every strategy LP is solved by the revised simplex.
   EXPECT_GT(counter_value(snap, "lp.strategy.solves"), 0u);
-  EXPECT_EQ(counter_value(snap, "lp.strategy.route_caps_slack") +
-                counter_value(snap, "lp.strategy.route_caps_may_bind"),
+  EXPECT_EQ(counter_value(snap, "lp.strategy.solver_revised"),
             counter_value(snap, "lp.strategy.solves"));
-  EXPECT_LE(counter_value(snap, "lp.strategy.route_flow_fallback"),
-            counter_value(snap, "lp.strategy.route_caps_slack"));
-  EXPECT_EQ(counter_value(snap, "lp.strategy.solver_transportation"),
-            counter_value(snap, "lp.strategy.route_caps_slack") -
-                counter_value(snap, "lp.strategy.route_flow_fallback"));
 }
 
 core::StrategyLpResult run_capped_strategy_lp() {
@@ -361,7 +354,6 @@ TEST(ObsParity, CrashStartedStrategyLpBitwiseIdenticalOnOff) {
   const core::StrategyLpResult off = run_capped_strategy_lp();
 
   ASSERT_EQ(on.status, lp::SolveStatus::Optimal);
-  EXPECT_EQ(on.solver_used, core::StrategyLpSolver::Revised);
   EXPECT_EQ(on.status, off.status);
   EXPECT_EQ(on.avg_network_delay, off.avg_network_delay);  // Bitwise.
   EXPECT_EQ(on.strategy.probability, off.strategy.probability);

@@ -259,9 +259,8 @@ TEST(StrategyLp, ErrorsOnBadInput) {
 }
 
 TEST(StrategyLp, RejectsNonFiniteCapacities) {
-  // NaN > x is false, so an unchecked NaN cap reads as slack on the
-  // Transportation route; on the Revised route it reaches the LP layer as a
-  // non-finite row bound. Both must be rejected by the API itself.
+  // An unchecked non-finite cap would reach the LP layer as a row bound;
+  // the API itself must reject it, whether or not the caps can bind.
   const LatencyMatrix m = net::small_synth(9, 59);
   const quorum::GridQuorum grid{3};
   const Placement p = best_grid_placement(m, 3).placement;
@@ -277,7 +276,7 @@ TEST(StrategyLp, RejectsNonFiniteCapacities) {
   };
   const double nan = std::numeric_limits<double>::quiet_NaN();
   expect_rejected(std::vector<double>(m.size(), nan));
-  // One NaN among caps that can bind (the Revised route).
+  // One NaN among caps that can bind.
   std::vector<double> one_nan = uniform_capacities(m.size(), grid.optimal_load() * 1.1);
   one_nan[p.site_of[0]] = nan;
   expect_rejected(one_nan);
