@@ -15,6 +15,9 @@ namespace qp::core {
 
 namespace {
 
+/// Enumerability bound for the quorum-list evaluator.
+constexpr std::size_t kQuorumLimit = 50'000;
+
 /// Per-failure-state best-live-quorum evaluator with per-client tables
 /// built once per evaluation:
 ///   * Majority-shaped systems (any q of n form a quorum): the best live
@@ -27,16 +30,16 @@ class StateEvaluator {
  public:
   StateEvaluator(const net::LatencySpace& space, const Placement& placement,
                  const quorum::QuorumSystem& system, double alpha,
-                 std::span<const double> load, std::size_t quorum_limit)
+                 std::span<const double> load)
       : n_(system.universe_size()) {
     if (const auto* majority = dynamic_cast<const quorum::MajorityQuorum*>(&system)) {
       majority_q_ = majority->quorum_size();
-    } else if (system.enumerable(quorum_limit)) {
-      quorums_ = system.enumerate_quorums(quorum_limit);
+    } else if (system.enumerable(kQuorumLimit)) {
+      quorums_ = system.enumerate_quorums(kQuorumLimit);
     } else {
       throw std::invalid_argument{
           "FailureAwareObjective: quorum system must be Majority-shaped or "
-          "enumerable within options.quorum_limit"};
+          "enumerable within 50000 quorums"};
     }
     const std::size_t clients = space.size();
     x_.resize(clients);
@@ -181,20 +184,7 @@ void FailureModel::validate() const {
 
 FailureAwareObjective::FailureAwareObjective(double alpha, FailureModel model,
                                              FailureAwareOptions options)
-    : alpha_(alpha), model_(std::move(model)), options_(options) {
-  if (!(alpha >= 0.0) || !std::isfinite(alpha)) {
-    throw std::invalid_argument{"FailureAwareObjective: alpha must be finite and >= 0"};
-  }
-  model_.validate();
-  if (options_.mc_samples == 0) {
-    throw std::invalid_argument{"FailureAwareObjective: mc_samples must be >= 1"};
-  }
-  if (!(options_.unavailable_penalty_ms >= 0.0) ||
-      !std::isfinite(options_.unavailable_penalty_ms)) {
-    throw std::invalid_argument{
-        "FailureAwareObjective: unavailable_penalty_ms must be finite and >= 0"};
-  }
-}
+    : FailureAwareObjective(alpha, std::move(model), std::span<const double>{}, options) {}
 
 FailureAwareObjective::FailureAwareObjective(double alpha, FailureModel model,
                                              std::span<const double> client_demand,
@@ -207,6 +197,11 @@ FailureAwareObjective::FailureAwareObjective(double alpha, FailureModel model,
   model_.validate();
   if (options_.mc_samples == 0) {
     throw std::invalid_argument{"FailureAwareObjective: mc_samples must be >= 1"};
+  }
+  if (!(options_.unavailable_penalty_ms >= 0.0) ||
+      !std::isfinite(options_.unavailable_penalty_ms)) {
+    throw std::invalid_argument{
+        "FailureAwareObjective: unavailable_penalty_ms must be finite and >= 0"};
   }
 }
 
@@ -249,8 +244,7 @@ FailureAwareEvaluation FailureAwareObjective::evaluate_detailed(
   }
 
   const std::vector<double> load = site_loads(space, system, placement);
-  const StateEvaluator eval{space, placement, system, alpha_, load,
-                            options_.quorum_limit};
+  const StateEvaluator eval{space, placement, system, alpha_, load};
 
   const std::size_t clients = site_count;
   std::vector<double> response_mass(clients, 0.0);  // E[R ; available] per client.

@@ -83,8 +83,6 @@ struct FailureAwareOptions {
   /// Exact enumeration bound: supports with at most this many sites (and an
   /// enumerable system, no regional term) enumerate all 2^s failure sets.
   std::size_t exact_site_limit = 10;
-  /// Enumerability bound for the quorum-list evaluator.
-  std::size_t quorum_limit = 50'000;
   /// Charge per unavailable request, ms — the knob trading mean response
   /// against availability.
   double unavailable_penalty_ms = 500.0;
@@ -99,7 +97,9 @@ struct FailureAwareEvaluation {
 
 class FailureAwareObjective final : public Objective {
  public:
-  /// Requires alpha >= 0 and finite; validates the model.
+  /// Requires alpha >= 0 and finite, mc_samples >= 1 and a finite
+  /// unavailable_penalty_ms >= 0 (std::invalid_argument otherwise);
+  /// validates the model. Both constructors share one validating body.
   FailureAwareObjective(double alpha, FailureModel model,
                         FailureAwareOptions options = {});
   FailureAwareObjective(double alpha, FailureModel model,
@@ -125,7 +125,7 @@ class FailureAwareObjective final : public Objective {
   /// unavailability. The alpha-term loads are the fully-live closest ones
   /// (Objective::site_loads; see file comment). Throws
   /// std::invalid_argument when the system is neither Majority-shaped nor
-  /// enumerable within quorum_limit, or when a regional model's site_region
+  /// enumerable within 50'000 quorums, or when a regional model's site_region
   /// is shorter than the site count.
   [[nodiscard]] FailureAwareEvaluation evaluate_detailed(
       const net::LatencySpace& space, const quorum::QuorumSystem& system,

@@ -6,6 +6,14 @@
 
 namespace qp::core {
 
+namespace {
+
+/// An iteration must improve the response time by more than this (ms) for
+/// the alternation to continue.
+constexpr double kImprovementTolerance = 1e-9;
+
+}  // namespace
+
 IterativeResult iterative_placement(const net::LatencySpace& space,
                                     const quorum::QuorumSystem& system,
                                     std::span<const double> capacities,
@@ -18,8 +26,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
   // load-preservation argument holds for skewed workloads too (the phase-1
   // loads it pins the caps to are demand-weighted the same way).
   const std::span<const double> demand = objective.client_weights();
-  const std::vector<quorum::Quorum> quorums =
-      system.enumerate_quorums(options.strategy.quorum_limit);
+  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(kLpQuorumLimit);
   const std::size_t m = quorums.size();
 
   // p^0 = uniform distribution for every client (§4.2).
@@ -91,7 +98,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
 
     const bool improved = !have_accepted ||
                           phase2.avg_response_ms <
-                              accepted.avg_response - options.improvement_tolerance;
+                              accepted.avg_response - kImprovementTolerance;
     record.accepted = improved;
     result.history.push_back(record);
     if (!improved) break;

@@ -2,9 +2,10 @@
 // (phase 1, with the average of the current per-client strategies) and the
 // access-strategy LP (phase 2, with capacities pinned to the loads the new
 // placement induces, so delay can only improve while loads are preserved).
-// Halts when an iteration fails to reduce the expected response time and
-// returns the previous iteration's placement and strategies. Both phases and
-// every measurement read latencies through net::LatencySpace.
+// Halts when an iteration fails to reduce the expected response time by
+// more than 1e-9 ms and returns the previous iteration's placement and
+// strategies. Both phases and every measurement read latencies through
+// net::LatencySpace.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +28,6 @@ struct IterativeOptions {
   std::vector<std::size_t> anchor_candidates;
   ManyToOneOptions placement{};
   StrategyLpOptions strategy{};
-  /// An iteration must improve response time by more than this to continue.
-  double improvement_tolerance = 1e-9;
   /// Seed each round's phase-2 LP from the previous round's optimal basis
   /// (applied when the placement support set — and so the LP shape —
   /// matches the round that produced the basis). The revised

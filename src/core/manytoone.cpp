@@ -199,8 +199,7 @@ Placement round_to_slots(const FractionalPlacement& fractional,
 std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
                                               const quorum::QuorumSystem& system,
                                               std::span<const double> quorum_distribution,
-                                              std::span<const double> capacities,
-                                              const ManyToOneOptions& options) {
+                                              std::span<const double> capacities) {
   if (capacities.size() != space.size()) {
     throw std::invalid_argument{"many_to_one_placement: capacities size mismatch"};
   }
@@ -209,7 +208,7 @@ std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
       throw std::invalid_argument{"many_to_one_placement: capacities must be finite"};
     }
   }
-  std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
+  std::vector<quorum::Quorum> quorums = system.enumerate_quorums(kLpQuorumLimit);
   if (quorum_distribution.size() != quorums.size()) {
     throw std::invalid_argument{"many_to_one_placement: distribution size mismatch"};
   }
@@ -264,7 +263,7 @@ ManyToOneResult many_to_one_placement(const net::LatencySpace& space,
                                       std::span<const double> capacities, std::size_t v0,
                                       const ManyToOneOptions& options) {
   const std::vector<quorum::Quorum> quorums =
-      validated_quorums(space, system, quorum_distribution, capacities, options);
+      validated_quorums(space, system, quorum_distribution, capacities);
   const std::vector<double> load =
       element_loads(quorums, quorum_distribution, system.universe_size());
   lp::Basis basis = options.simplex.initial_basis;
@@ -285,7 +284,7 @@ ManyToOneSearchResult best_many_to_one_placement(const net::LatencySpace& space,
     candidates = all;
   }
   const std::vector<quorum::Quorum> quorums =
-      validated_quorums(space, system, quorum_distribution, capacities, options);
+      validated_quorums(space, system, quorum_distribution, capacities);
   const std::vector<double> load =
       element_loads(quorums, quorum_distribution, system.universe_size());
   const ExplicitStrategy common = common_strategy(quorums, quorum_distribution, space.size());

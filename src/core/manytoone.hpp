@@ -29,7 +29,6 @@ struct ManyToOneOptions {
   /// Lin–Vitter filtering parameter (the paper's procedure with eps = 1
   /// keeps assignments within twice the fractional average distance).
   double epsilon = 1.0;
-  std::size_t quorum_limit = 100'000;
   /// Placement-LP solver knobs; simplex.initial_basis seeds the first
   /// anchor's solve (later anchors of best_many_to_one_placement start from
   /// their predecessor's optimal basis).
@@ -49,7 +48,8 @@ struct ManyToOneResult {
 
 /// Runs the three-step pipeline above for anchor client `v0`.
 /// `quorum_distribution` is the common access strategy p, aligned with
-/// system.enumerate_quorums(options.quorum_limit); it must sum to 1.
+/// system.enumerate_quorums(kLpQuorumLimit) (core/strategy.hpp); it must
+/// sum to 1.
 /// `capacities` is indexed by site and must be positive wherever load could
 /// land; a non-finite entry throws std::invalid_argument.
 [[nodiscard]] ManyToOneResult many_to_one_placement(

@@ -277,7 +277,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
     }
   }
   const std::size_t client_count = space.size();
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(options.quorum_limit);
+  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(kLpQuorumLimit);
   const std::size_t m = quorums.size();
   const double inv_clients = 1.0 / static_cast<double>(client_count);
 

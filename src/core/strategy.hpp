@@ -108,8 +108,12 @@ struct StrategyLpResult {
   lp::Basis basis;
 };
 
+/// Quorum-enumeration limit of the strategy LP and of the many-to-one
+/// placement LP (core/manytoone): both enumerate system.enumerate_quorums
+/// with it, so a quorum distribution from one indexes the other's quorums.
+inline constexpr std::size_t kLpQuorumLimit = 100'000;
+
 struct StrategyLpOptions {
-  std::size_t quorum_limit = 100'000;
   /// Solver knobs; simplex.initial_basis warm-starts the solve.
   lp::SimplexOptions simplex{};
 };

@@ -298,7 +298,7 @@ std::vector<IterativePoint> iterative_sweep(const net::LatencySpace& space,
   const core::PlacementSearchResult one_to_one =
       core::best_grid_placement(space, config.side);
   const core::Evaluation baseline =
-      core::evaluate_balanced(space, system, one_to_one.placement, config.alpha);
+      core::evaluate_balanced(space, system, one_to_one.placement, 0.0);
 
   const std::vector<std::size_t> anchors =
       config.anchor_count == 0 ? std::vector<std::size_t>{}
@@ -317,7 +317,7 @@ std::vector<IterativePoint> iterative_sweep(const net::LatencySpace& space,
     options.anchor_candidates = anchors;
     options.warm_start = config.warm_start;
     const core::IterativeResult iterative =
-        core::iterative_placement(space, system, caps, core::LoadAwareObjective{config.alpha},
+        core::iterative_placement(space, system, caps, core::network_delay_objective(),
                                   options);
     for (const core::IterationRecord& record : iterative.history) {
       const std::string prefix = "iter" + std::to_string(record.iteration);

@@ -151,7 +151,6 @@ struct IterativeSweepConfig {
   /// default tries the 12 most central sites, which empirically matches the
   /// exhaustive search on these topologies.
   std::size_t anchor_count = 12;
-  double alpha = 0.0;
   /// Interleaved selection over the capacity levels.
   PointShard shard{};
   /// Forwarded to IterativeOptions::warm_start — the fig8_9 binary exposes
@@ -159,8 +158,9 @@ struct IterativeSweepConfig {
   bool warm_start = true;
 };
 
-/// Figure 8.9: network delay of the iterative many-to-one algorithm, per
-/// iteration/phase, vs. the one-to-one placement, across capacity levels.
+/// Figure 8.9: network delay (alpha = 0) of the iterative many-to-one
+/// algorithm, per iteration/phase, vs. the one-to-one placement, across
+/// capacity levels.
 [[nodiscard]] std::vector<IterativePoint> iterative_sweep(
     const net::LatencySpace& space, const IterativeSweepConfig& config = {});
 

@@ -21,6 +21,11 @@ namespace qp::eval {
 
 namespace {
 
+/// The injected fault process of the fault rows: stationary per-site down
+/// probability and mean repair time.
+constexpr double kFaultSiteProb = 0.08;
+constexpr double kFaultMttrMs = 2'500.0;
+
 struct SystemUnderTest {
   const quorum::QuorumSystem* system;
   const core::Placement* placement;
@@ -109,8 +114,7 @@ SimValidationPoint run_point(const net::LatencySpace& space,
     fault_config.seed = seed ^ 0x9e3779b97f4a7c15ULL;
     fault_config.horizon_ms = config.warmup_ms + config.duration_ms;
     fault_config.site =
-        sim::FaultProcess::for_down_probability(config.fault_site_prob,
-                                                config.fault_mttr_ms);
+        sim::FaultProcess::for_down_probability(kFaultSiteProb, kFaultMttrMs);
     const sim::FaultInjector injector{fault_config};
     engine.outages = injector.schedule(n);
     // Timeout adapted to the topology: twice the slowest client->support

@@ -71,16 +71,12 @@ struct SimValidationConfig {
   bool include_mmpp = false;
   /// Closest-strategy rows per system at rho in {0.15, 0.3} under random
   /// crash/recovery fault injection (sim/fault): every site cycles through
-  /// exponential MTTF/MTTR targeting fault_site_prob steady-state downtime,
-  /// the engine retries with FailoverMode::Oracle re-choice, and the
+  /// exponential MTTF/MTTR (mean repair 2.5 s) targeting 8% steady-state
+  /// downtime, the engine retries with FailoverMode::Oracle re-choice, and the
   /// analytic column is core::FailureAwareObjective's conditional mean —
   /// the closed-loop check that the degraded-mode objective predicts the
   /// engine under faults (tests/fault_test.cpp pins the band).
   bool include_fault = false;
-  /// Stationary per-site down probability of the injected fault process.
-  double fault_site_prob = 0.08;
-  /// Mean repair time of the injected fault process.
-  double fault_mttr_ms = 2'500.0;
   /// Interleaved selection over the enumerated rows (run_all.sh --points).
   PointShard shard{};
 };

@@ -28,6 +28,15 @@ const obs::Gauge g_rs_eta_len_max = obs::gauge("lp.revised.eta_len_max");
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+/// Feasibility / optimality tolerance on reduced costs and row activity.
+constexpr double kTolerance = 1e-9;
+/// Minimum pivot magnitude accepted in the ratio test.
+constexpr double kPivotTolerance = 1e-8;
+/// Pivots between scheduled refactorizations of the basis.
+constexpr std::size_t kRefactorInterval = 100;
+/// Consecutive degenerate pivots before pricing switches to Bland's rule.
+constexpr std::size_t kDegenerateSwitch = 40;
+
 /// The constraint columns in compressed sparse column form: column j's
 /// nonzeros are (row[k], value[k]) for k in [start[j], start[j + 1]), in the
 /// order the problem listed them. One flat array pair instead of a vector
@@ -318,7 +327,7 @@ class RevisedState {
     // total negativity of the basic solution. For the cold all-slack /
     // all-artificial basis this is exactly the textbook artificial phase 1;
     // for a warm seed it repairs primal infeasibility in place.
-    if (infeasibility() > options_.tolerance) {
+    if (infeasibility() > kTolerance) {
       const SolveStatus status = optimize(/*phase1=*/true, limit, result.iterations);
       phase1_iterations_ = result.iterations;
       if (status == SolveStatus::IterationLimit || status == SolveStatus::Unbounded) {
@@ -494,24 +503,24 @@ class RevisedState {
     return reduced;
   }
 
-  /// Dantzig pricing over a rotating partial window; Bland mode scans from
-  /// the front and takes the first improving column. Artificials are never
-  /// candidates. Returns kNone when no reduced cost beats -tolerance after
-  /// a full sweep (optimality for the current phase).
+  /// Dantzig pricing over a rotating partial window: a pass settles for the
+  /// best reduced cost once it has examined max(256, n / 8) columns and
+  /// found an improving one. Bland mode scans from the front and takes the
+  /// first improving column. Artificials are never candidates. Returns
+  /// kNone when no reduced cost beats -kTolerance after a full sweep
+  /// (optimality for the current phase).
   [[nodiscard]] std::size_t price(const std::vector<double>& y, bool phase1, bool bland) {
     const std::size_t n = first_artificial_;
     if (n == 0) return kNone;
     if (bland) {
       for (std::size_t j = 0; j < n; ++j) {
         if (in_basis_[j]) continue;
-        if (reduced_cost(j, phase1, y) < -options_.tolerance) return j;
+        if (reduced_cost(j, phase1, y) < -kTolerance) return j;
       }
       return kNone;
     }
-    const std::size_t window =
-        options_.pricing_window != 0 ? options_.pricing_window
-                                     : std::max<std::size_t>(256, n / 8);
-    double best = -options_.tolerance;
+    const std::size_t window = std::max<std::size_t>(256, n / 8);
+    double best = -kTolerance;
     std::size_t best_column = kNone;
     std::size_t j = cursor_ < n ? cursor_ : 0;
     for (std::size_t scanned = 0; scanned < n; ++scanned) {
@@ -538,7 +547,7 @@ class RevisedState {
     bool bland = false;
 
     for (;;) {
-      if (phase1 && infeasibility() <= options_.tolerance) return SolveStatus::Optimal;
+      if (phase1 && infeasibility() <= kTolerance) return SolveStatus::Optimal;
       if (iterations >= limit) return SolveStatus::IterationLimit;
       ++iterations;
 
@@ -547,7 +556,7 @@ class RevisedState {
       // reduces infeasibility), 0 otherwise.
       for (std::size_t i = 0; i < rows_; ++i) {
         if (phase1) {
-          if (xb_[i] < -options_.tolerance) {
+          if (xb_[i] < -kTolerance) {
             cb[i] = -1.0;
           } else {
             cb[i] = basis_[i] >= first_artificial_ ? 1.0 : 0.0;
@@ -573,14 +582,14 @@ class RevisedState {
       bool leaving_is_artificial = false;
       for (std::size_t i = 0; i < rows_; ++i) {
         const bool artificial = basis_[i] >= first_artificial_;
-        const bool infeasible = phase1 && xb_[i] < -options_.tolerance;
+        const bool infeasible = phase1 && xb_[i] < -kTolerance;
         double ratio = kInf;
-        if (!infeasible && w[i] > options_.pivot_tolerance) {
+        if (!infeasible && w[i] > kPivotTolerance) {
           ratio = std::max(0.0, xb_[i]) / w[i];
-        } else if (infeasible && w[i] < -options_.pivot_tolerance) {
+        } else if (infeasible && w[i] < -kPivotTolerance) {
           ratio = xb_[i] / w[i];
-        } else if (artificial && !infeasible && xb_[i] <= options_.tolerance &&
-                   std::abs(w[i]) > options_.pivot_tolerance) {
+        } else if (artificial && !infeasible && xb_[i] <= kTolerance &&
+                   std::abs(w[i]) > kPivotTolerance) {
           ratio = 0.0;
         } else {
           continue;
@@ -619,8 +628,8 @@ class RevisedState {
       basis_[leaving] = entering;
       in_basis_[entering] = true;
 
-      if (theta <= options_.tolerance) {
-        if (++degenerate_run > options_.degenerate_switch) bland = true;
+      if (theta <= kTolerance) {
+        if (++degenerate_run > kDegenerateSwitch) bland = true;
       } else {
         degenerate_run = 0;
         bland = false;
@@ -628,7 +637,7 @@ class RevisedState {
 
       // Refactorize on the pivot-count schedule or when the eta file's fill
       // outgrows a few dense columns' worth of work per solve.
-      if (etas_.size() >= options_.refactor_interval ||
+      if (etas_.size() >= kRefactorInterval ||
           eta_nnz_ > 8 * rows_ + 64) {
         if (!refactorize()) return SolveStatus::IterationLimit;
       }

@@ -12,12 +12,12 @@
 //     runs in the same order as over per-column vectors;
 //   * the basis is LU-factorized (Gilbert–Peierls left-looking elimination
 //     with partial pivoting) and updated between refactorizations by
-//     product-form eta vectors; it is refactorized from scratch every
-//     `refactor_interval` pivots or when the eta file grows past a fill
-//     budget, whichever comes first;
-//   * Dantzig pricing over a rotating partial window (`pricing_window`),
-//     with the same Bland's-rule fallback as the dense oracle after a run of
-//     degenerate pivots;
+//     product-form eta vectors; it is refactorized from scratch every 100
+//     pivots or when the eta file grows past a fill budget, whichever comes
+//     first;
+//   * Dantzig pricing over a rotating partial window of max(256, n / 8)
+//     columns, with the same Bland's-rule fallback as the dense oracle after
+//     40 consecutive degenerate pivots;
 //   * warm starts: `SimplexOptions::initial_basis` seeds the basis from a
 //     previous solve of a related LP. Invalid entries are patched with
 //     artificials, a singular seed falls back to the cold basis, and a

@@ -52,21 +52,12 @@ struct Basis {
   [[nodiscard]] bool empty() const noexcept { return basic.empty(); }
 };
 
+/// The solver's tolerances, refactorization schedule and pricing window are
+/// constants of lp/revised_simplex.cpp; a solve is shaped only by its
+/// iteration budget and warm-start seed.
 struct SimplexOptions {
-  /// Feasibility / optimality tolerance on reduced costs and row activity.
-  double tolerance = 1e-9;
-  /// Minimum pivot magnitude accepted in the ratio test.
-  double pivot_tolerance = 1e-8;
   /// 0 = automatic (50 * (rows + cols) + 1000).
   std::size_t max_iterations = 0;
-  /// Rebuild the basis inverse from scratch this often.
-  std::size_t refactor_interval = 100;
-  /// Switch to Bland's rule after this many consecutive degenerate pivots.
-  std::size_t degenerate_switch = 40;
-  /// Partial-pricing window for RevisedSimplexSolver: how many candidate
-  /// columns one pricing pass examines before settling for the best reduced
-  /// cost seen (0 = automatic).
-  std::size_t pricing_window = 0;
   /// Warm-start basis for RevisedSimplexSolver (one entry per row of the
   /// problem being solved; see lp::Basis). Ignored when empty or
   /// shape-mismatched.

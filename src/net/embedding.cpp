@@ -12,6 +12,16 @@ namespace qp::net {
 
 namespace {
 
+/// Farthest-point landmarks every site is fit against; they anchor the
+/// global geometry.
+constexpr std::size_t kLandmarks = 16;
+/// Additional sampled measured peers per site (local refinement).
+constexpr std::size_t kPeersPerSite = 24;
+/// Initial relaxation step; decays linearly to ~5% over the sweeps.
+constexpr double kInitialStep = 0.25;
+/// Seeded sample size for the error stats.
+constexpr std::size_t kSamplePairs = 2000;
+
 double euclidean(const double* a, const double* b, std::size_t dims) noexcept {
   double sq = 0.0;
   for (std::size_t d = 0; d < dims; ++d) {
@@ -148,14 +158,14 @@ FittedEmbedding fit_latency_embedding(const LatencyMatrix& measured,
   common::Rng stats_rng = rng.fork(0x3);
 
   // The seeded subset of measured pairs each site is fit against: the global
-  // landmark anchors plus `peers_per_site` sampled peers for local detail.
-  const std::vector<std::size_t> landmarks = pick_landmarks(measured, config.landmarks);
+  // landmark anchors plus kPeersPerSite sampled peers for local detail.
+  const std::vector<std::size_t> landmarks = pick_landmarks(measured, kLandmarks);
   std::vector<std::vector<std::size_t>> refs(n);
   for (std::size_t v = 0; v < n; ++v) {
     auto& r = refs[v];
     r = landmarks;
     if (n > 1) {
-      const std::size_t extra = std::min(config.peers_per_site, n - 1);
+      const std::size_t extra = std::min(kPeersPerSite, n - 1);
       for (std::size_t s : peer_rng.sample_without_replacement(n, extra)) r.push_back(s);
     }
     std::sort(r.begin(), r.end());
@@ -180,7 +190,7 @@ FittedEmbedding fit_latency_embedding(const LatencyMatrix& measured,
   const std::size_t sweeps = std::max<std::size_t>(1, config.iterations);
   for (std::size_t t = 0; t < sweeps; ++t) {
     const double progress = static_cast<double>(t) / static_cast<double>(sweeps);
-    const double step = config.initial_step * (1.0 - 0.95 * progress);
+    const double step = kInitialStep * (1.0 - 0.95 * progress);
     for (std::size_t v = 0; v < n; ++v) {
       double* xv = coords.data() + v * dims;
       const auto& row = measured.row(v);
@@ -208,9 +218,8 @@ FittedEmbedding fit_latency_embedding(const LatencyMatrix& measured,
   EmbeddingStats stats;
   std::vector<double> rel;
   if (n > 1) {
-    const std::size_t want = std::max<std::size_t>(1, config.sample_pairs);
-    rel.reserve(want);
-    for (std::size_t k = 0; k < want; ++k) {
+    rel.reserve(kSamplePairs);
+    for (std::size_t k = 0; k < kSamplePairs; ++k) {
       const std::size_t a = stats_rng.below(n);
       const std::size_t b = stats_rng.below(n);
       if (a == b) continue;

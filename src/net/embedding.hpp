@@ -68,19 +68,13 @@ class LatencyEmbedding final : public LatencySpace {
   double min_rtt_ = 0.0;
 };
 
+/// The fit anchors every site on 16 farthest-point landmarks plus 24
+/// sampled peers, starts the relaxation at step 0.25 (decaying linearly to
+/// ~5% over the sweeps), and reports error stats over 2000 sampled pairs.
 struct EmbeddingConfig {
   std::size_t dimensions = 5;
-  /// Landmarks (chosen by farthest-point traversal) every site is fit
-  /// against; anchors the global geometry.
-  std::size_t landmarks = 16;
-  /// Additional sampled measured peers per site (local refinement).
-  std::size_t peers_per_site = 24;
   /// Relaxation sweeps over all (site, reference) springs.
   std::size_t iterations = 64;
-  /// Initial relaxation step; decays linearly to ~5% over the sweeps.
-  double initial_step = 0.25;
-  /// Seeded sample size for the error stats.
-  std::size_t sample_pairs = 2000;
   std::uint64_t seed = 20070601;
 };
 

@@ -120,10 +120,4 @@ void write_matrix(std::ostream& out, const LatencyMatrix& matrix) {
   }
 }
 
-void write_matrix_file(const std::string& path, const LatencyMatrix& matrix) {
-  std::ofstream out{path};
-  if (!out) throw std::runtime_error{"matrix_io: cannot write '" + path + "'"};
-  write_matrix(out, matrix);
-}
-
 }  // namespace qp::net

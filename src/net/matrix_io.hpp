@@ -25,6 +25,4 @@ namespace qp::net {
 /// Writes the matrix (with names) in the same format.
 void write_matrix(std::ostream& out, const LatencyMatrix& matrix);
 
-void write_matrix_file(const std::string& path, const LatencyMatrix& matrix);
-
 }  // namespace qp::net

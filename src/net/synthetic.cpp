@@ -11,6 +11,12 @@ namespace qp::net {
 
 namespace {
 
+/// Uniform half-width of each pair's route inflation around
+/// kRouteInflationMean.
+constexpr double kRouteInflationSpread = 0.35;
+/// Lower end of the uniform per-site access delay, ms.
+constexpr double kAccessDelayMinMs = 0.5;
+
 double deg2rad(double deg) noexcept { return deg * std::numbers::pi / 180.0; }
 
 /// Places sites and draws access delays, consuming forks 1 and 2 of `rng` —
@@ -45,7 +51,7 @@ SyntheticSites place_sites(const SyntheticConfig& config, common::Rng& rng) {
 
   std::vector<double> access_ms(total);
   for (double& a : access_ms) {
-    a = access_rng.uniform(config.access_delay_min_ms, config.access_delay_max_ms);
+    a = access_rng.uniform(kAccessDelayMinMs, config.access_delay_max_ms);
   }
   return SyntheticSites{std::move(sites), std::move(access_ms)};
 }
@@ -81,13 +87,12 @@ SyntheticTopology generate_topology(const SyntheticConfig& config) {
     for (std::size_t j = i + 1; j < total; ++j) {
       const double km = great_circle_km(sites[i].latitude_deg, sites[i].longitude_deg,
                                         sites[j].latitude_deg, sites[j].longitude_deg);
-      const double inflation =
-          config.route_inflation_mean +
-          pair_rng.uniform(-config.route_inflation_spread, config.route_inflation_spread);
+      const double inflation = kRouteInflationMean +
+                               pair_rng.uniform(-kRouteInflationSpread, kRouteInflationSpread);
       const double propagation_rtt = 2.0 * km / kFiberKmPerMs * inflation;
       const double jitter = pair_rng.lognormal(0.0, config.jitter_sigma);
       double value = (propagation_rtt + access_ms[i] + access_ms[j]) * jitter;
-      value = std::max(value, config.min_rtt_ms);
+      value = std::max(value, kMinRttMs);
       rtt[i][j] = rtt[j][i] = value;
     }
   }

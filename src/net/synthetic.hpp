@@ -34,18 +34,11 @@ struct Region {
 struct SyntheticConfig {
   std::uint64_t seed = 1;
   std::vector<Region> regions;
-  /// Multiplier on great-circle propagation accounting for non-geodesic
-  /// routing (typical measured inflation is 1.5–2.5x).
-  double route_inflation_mean = 1.9;
-  double route_inflation_spread = 0.35;  // Uniform half-width around the mean.
   /// Per-site last-mile/access delay added to every RTT touching the site
-  /// (one value per direction), drawn uniformly from [min, max] ms.
-  double access_delay_min_ms = 0.5;
+  /// (one value per direction), drawn uniformly from [0.5, max] ms.
   double access_delay_max_ms = 6.0;
   /// Lognormal jitter multiplier: exp(N(0, sigma)) applied per pair.
   double jitter_sigma = 0.08;
-  /// Floor for any inter-site RTT (two sites in one machine room), ms.
-  double min_rtt_ms = 0.3;
 };
 
 /// Latitude/longitude of a generated site, exposed for visualization and
@@ -74,6 +67,13 @@ struct SyntheticSites {
 inline constexpr double kEarthRadiusKm = 6371.0;
 /// Light in fiber travels ~200 km per millisecond.
 inline constexpr double kFiberKmPerMs = 200.0;
+/// Mean multiplier on great-circle propagation accounting for non-geodesic
+/// routing (typical measured inflation is 1.5–2.5x). The dense generator
+/// draws each pair's inflation uniformly within ±0.35 of it; sparse
+/// scenarios (sim/scenario) use the mean.
+inline constexpr double kRouteInflationMean = 1.9;
+/// Floor for any inter-site RTT (two sites in one machine room), ms.
+inline constexpr double kMinRttMs = 0.3;
 
 /// Great-circle distance in kilometers (haversine, mean Earth radius).
 [[nodiscard]] double great_circle_km(double lat1_deg, double lon1_deg, double lat2_deg,

@@ -5,8 +5,24 @@
 
 namespace qp::sim {
 
-ArrivalGenerator::ArrivalGenerator(ArrivalModel model, double rate_per_ms,
-                                   const MmppConfig& mmpp, common::Rng& rng)
+namespace {
+
+/// MMPP: the ON phase multiplies the base rate by kBurst; the OFF rate is
+/// rate * kOffScale, with f = kMeanOnMs / (kMeanOnMs + kMeanOffMs), so the
+/// long-run mean stays at the base rate.
+constexpr double kBurst = 4.0;
+constexpr double kMeanOnMs = 400.0;
+constexpr double kMeanOffMs = 1'600.0;
+constexpr double kOnFraction = kMeanOnMs / (kMeanOnMs + kMeanOffMs);
+constexpr double kOffScale = (1.0 - kOnFraction * kBurst) / (1.0 - kOnFraction);
+static_assert(kBurst >= 1.0, "the MMPP ON phase must not slow arrivals down");
+static_assert(kOffScale > 0.0,
+              "MMPP burst too large for the ON fraction: burst * mean_on must stay "
+              "below mean_on + mean_off");
+
+}  // namespace
+
+ArrivalGenerator::ArrivalGenerator(ArrivalModel model, double rate_per_ms, common::Rng& rng)
     : model_(model) {
   if (!(rate_per_ms > 0.0)) {
     throw std::invalid_argument{"ArrivalGenerator: rate must be positive"};
@@ -16,23 +32,11 @@ ArrivalGenerator::ArrivalGenerator(ArrivalModel model, double rate_per_ms,
     phase_end_ = std::numeric_limits<double>::infinity();
     return;
   }
-  if (!(mmpp.burst >= 1.0) || !(mmpp.mean_on_ms > 0.0) || !(mmpp.mean_off_ms > 0.0)) {
-    throw std::invalid_argument{"ArrivalGenerator: bad MMPP configuration"};
-  }
-  const double on_fraction = mmpp.mean_on_ms / (mmpp.mean_on_ms + mmpp.mean_off_ms);
-  const double off_scale = (1.0 - on_fraction * mmpp.burst) / (1.0 - on_fraction);
-  if (!(off_scale > 0.0)) {
-    throw std::invalid_argument{
-        "ArrivalGenerator: MMPP burst too large for the ON fraction "
-        "(burst * mean_on must stay below mean_on + mean_off)"};
-  }
-  on_rate_ = rate_per_ms * mmpp.burst;
-  off_rate_ = rate_per_ms * off_scale;
-  mean_on_ms_ = mmpp.mean_on_ms;
-  mean_off_ms_ = mmpp.mean_off_ms;
+  on_rate_ = rate_per_ms * kBurst;
+  off_rate_ = rate_per_ms * kOffScale;
   // Stationary start: ON with probability f, phase remainder memoryless.
-  on_ = rng.uniform() < on_fraction;
-  phase_end_ = rng.exponential(on_ ? mean_on_ms_ : mean_off_ms_);
+  on_ = rng.uniform() < kOnFraction;
+  phase_end_ = rng.exponential(on_ ? kMeanOnMs : kMeanOffMs);
 }
 
 double ArrivalGenerator::next(double now, common::Rng& rng) {
@@ -47,7 +51,7 @@ double ArrivalGenerator::next(double now, common::Rng& rng) {
     // (memorylessness makes the discarded partial draw exact, not approximate).
     now = phase_end_;
     on_ = !on_;
-    phase_end_ = now + rng.exponential(on_ ? mean_on_ms_ : mean_off_ms_);
+    phase_end_ = now + rng.exponential(on_ ? kMeanOnMs : kMeanOffMs);
   }
 }
 

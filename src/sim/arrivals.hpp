@@ -1,13 +1,13 @@
 // Open-loop arrival processes for the queueing engine: Poisson, and a
 // two-phase Markov-modulated Poisson process (MMPP) for bursty clients.
 //
-// The MMPP alternates exponentially-distributed ON/OFF phases; the ON phase
-// multiplies the client's base rate by `burst` and the OFF rate is scaled so
-// the long-run mean rate equals the configured base rate, so bursty and
-// Poisson runs are comparable at identical offered load. Arrivals are
-// generated one at a time (the next draw happens when the previous arrival
-// fires), so the generator walks phase boundaries inline instead of
-// scheduling phase-change events.
+// The MMPP alternates exponentially-distributed ON/OFF phases (means 400 ms
+// and 1600 ms); the ON phase multiplies the client's base rate by 4 and the
+// OFF rate is scaled so the long-run mean rate equals the configured base
+// rate, so bursty and Poisson runs are comparable at identical offered load.
+// Arrivals are generated one at a time (the next draw happens when the
+// previous arrival fires), so the generator walks phase boundaries inline
+// instead of scheduling phase-change events.
 #pragma once
 
 #include <cstdint>
@@ -18,23 +18,12 @@ namespace qp::sim {
 
 enum class ArrivalModel { Poisson, Mmpp };
 
-struct MmppConfig {
-  /// Rate multiplier during the ON phase; >= 1. The OFF rate becomes
-  /// rate * (1 - f*burst) / (1 - f) with f = mean_on / (mean_on + mean_off),
-  /// which must stay positive: burst < 1/f.
-  double burst = 4.0;
-  double mean_on_ms = 400.0;
-  double mean_off_ms = 1'600.0;
-};
-
 /// Per-client arrival stream, deterministic in the rng passed to each call.
 class ArrivalGenerator {
  public:
-  /// Requires rate_per_ms > 0; validates the MMPP configuration (throws
-  /// std::invalid_argument) and draws the initial phase from its stationary
-  /// distribution when model == Mmpp.
-  ArrivalGenerator(ArrivalModel model, double rate_per_ms, const MmppConfig& mmpp,
-                   common::Rng& rng);
+  /// Requires rate_per_ms > 0 (throws std::invalid_argument); draws the
+  /// initial phase from its stationary distribution when model == Mmpp.
+  ArrivalGenerator(ArrivalModel model, double rate_per_ms, common::Rng& rng);
 
   /// The next arrival time strictly after `now`. `now` must not decrease
   /// across calls.
@@ -44,8 +33,6 @@ class ArrivalGenerator {
   ArrivalModel model_;
   double on_rate_ = 0.0;   // Arrivals per ms (Poisson uses on_rate_ only).
   double off_rate_ = 0.0;
-  double mean_on_ms_ = 0.0;
-  double mean_off_ms_ = 0.0;
   bool on_ = true;
   double phase_end_ = 0.0;
 };

@@ -85,7 +85,7 @@ class Replication {
         continue;
       }
       clients_.push_back(v);
-      generators_.emplace_back(config.arrival_model, rates[v], config.mmpp, rng_);
+      generators_.emplace_back(config.arrival_model, rates[v], rng_);
     }
   }
 

@@ -95,8 +95,8 @@ struct EngineConfig {
   /// Arrivals beyond the limit are rejected and counted.
   std::size_t queue_capacity = 0;
 
+  /// Poisson, or the bursty two-phase MMPP of sim/arrivals.
   ArrivalModel arrival_model = ArrivalModel::Poisson;
-  MmppConfig mmpp{};
 
   EngineStrategy strategy = EngineStrategy::Balanced;
   /// Required for EngineStrategy::Explicit (e.g. an optimize_access_strategy

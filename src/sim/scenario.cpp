@@ -169,7 +169,7 @@ SparseScenario make_sparse_scenario(const ScenarioConfig& config) {
   // in round-trip milliseconds over inflated fiber routes. The chord slightly
   // underestimates the great-circle arc (< 1% under 4000 km, ~10% antipodal)
   // — the price of an exact low-dimensional metric.
-  const double ms_per_km = 2.0 * topo.route_inflation_mean / net::kFiberKmPerMs;
+  const double ms_per_km = 2.0 * net::kRouteInflationMean / net::kFiberKmPerMs;
   const double scale = net::kEarthRadiusKm * ms_per_km;
   std::vector<double> coords(3 * n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -180,7 +180,7 @@ SparseScenario make_sparse_scenario(const ScenarioConfig& config) {
     coords[3 * i + 2] = scale * std::sin(lat);
   }
   net::LatencyEmbedding space{3, std::move(coords), std::move(placed.access_delay_ms),
-                              topo.min_rtt_ms};
+                              net::kMinRttMs};
 
   common::Rng demand_rng = common::Rng{config.seed}.fork(0xdeadbeef);
   std::vector<double> demand = power_law_demand(n, config.demand_shape,

@@ -87,10 +87,10 @@ struct Scenario {
 /// streams, so the locations match the dense generator bitwise for equal
 /// site counts); RTTs are modeled as
 ///
-///   rtt(i, j) = max(min_rtt, chord_ms(i, j) + access_i + access_j)
+///   rtt(i, j) = max(net::kMinRttMs, chord_ms(i, j) + access_i + access_j)
 ///
 /// with chord_ms the 3-d Earth-chord distance scaled to round-trip fiber
-/// milliseconds at the mean route inflation, and the per-site access delays
+/// milliseconds at net::kRouteInflationMean, and the per-site access delays
 /// as Vivaldi heights. Unlike the dense generator there is no per-pair
 /// jitter or inflation spread — the embedding IS the ground truth, which is
 /// what makes O(n) generation possible at all. Memory is O(n * 3).

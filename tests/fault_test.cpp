@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -445,6 +446,23 @@ TEST(FailureAwareObjective, ValidationRejectsBadInputs) {
   placement.site_of = {0, 1, 2};
   EXPECT_THROW((void)objective.evaluate_detailed(matrix, system, placement),
                std::invalid_argument);
+}
+
+TEST(FailureAwareObjective, DemandWeightedConstructorRejectsBadPenalty) {
+  // A negative or NaN penalty would turn the objective negative or NaN;
+  // the demand-weighted constructor must reject it like the uniform one.
+  const std::vector<double> demand{1.0, 2.0, 3.0, 4.0};
+  core::FailureModel model;
+  model.site_failure_prob = 0.1;
+  core::FailureAwareOptions options;
+  for (const double penalty : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    options.unavailable_penalty_ms = penalty;
+    EXPECT_THROW((core::FailureAwareObjective{0.0, model, demand, options}),
+                 std::invalid_argument)
+        << penalty;
+    EXPECT_THROW((core::FailureAwareObjective{0.0, model, options}), std::invalid_argument)
+        << penalty;
+  }
 }
 
 TEST(FailureAwareObjective, DeltaEvaluatorRefusesAndLocalSearchFallsBack) {

@@ -669,7 +669,7 @@ TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
   ASSERT_FALSE(result.history.empty());
 
   core::ExplicitStrategy uniform;
-  uniform.quorums = grid.enumerate_quorums(options.strategy.quorum_limit);
+  uniform.quorums = grid.enumerate_quorums(core::kLpQuorumLimit);
   const std::vector<double> average(uniform.quorums.size(),
                                     1.0 / static_cast<double>(uniform.quorums.size()));
   uniform.probability.assign(matrix.size(), average);

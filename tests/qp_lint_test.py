@@ -5,7 +5,10 @@ One fixture per rule: a violating snippet must be flagged with exactly its
 rule ID, the same snippet carrying a `// qp-lint: allow(<rule>)` annotation
 must pass, and a clean synthetic tree exits 0. Also pins the tokenizer
 (violations inside comments/strings don't fire), the annotation-above form,
-and the QPL000 unknown-rule-name diagnostic.
+and the QPL000 unknown-rule-name diagnostic. QPL008 (unset-option) reads the
+whole tree, so it gets its own fixture tree: one field never set, one set by
+member assignment, one by a designated initializer, one by a nested
+`.simplex.initial_basis =`, and one suppressed.
 
 Usage: qp_lint_test.py <path-to-qp_lint.py>
 """
@@ -157,6 +160,37 @@ void repair() { /* fast path without any parity audit */ }
     ),
 ]
 
+UNSET_OPTION_TREE = {
+    "src/core/widget.hpp": """#pragma once
+struct InnerOptions {
+  int initial_basis = 0;
+};
+struct WidgetOptions {
+  double never_set = 1'000.0;
+  int member_set = 1;
+  int designated_set = 2;
+  InnerOptions simplex{};
+  int suppressed = 3;  // qp-lint: allow(unset-option) -- read by plugins
+  [[nodiscard]] bool ok() const noexcept { return member_set > 0; }
+  static constexpr int kNotAField = 4;
+};
+// An assignment in the field's own header does not count.
+inline void reset(WidgetOptions& options) { options.never_set = 0.0; }
+""",
+    "src/core/widget.cpp": """#include "core/widget.hpp"
+double read(const WidgetOptions& options) { return options.never_set; }
+""",
+    "tests/widget_test.cpp": """#include "core/widget.hpp"
+bool use() {
+  WidgetOptions options;
+  options.member_set = 5;
+  options.simplex.initial_basis = 3;
+  const WidgetOptions designated{.designated_set = 7};
+  return options.never_set == 2.0 && designated.ok();
+}
+""",
+}
+
 CLEAN_TREE = {
     "src/core/clean.cpp": """#include <map>
 #include "common/check.hpp"
@@ -207,7 +241,8 @@ def main(argv):
     listing = subprocess.run(
         [sys.executable, str(lint_script), "--list-rules"], capture_output=True, text=True
     )
-    for rule_id in ("QPL001", "QPL002", "QPL003", "QPL004", "QPL005", "QPL006", "QPL007"):
+    for rule_id in ("QPL001", "QPL002", "QPL003", "QPL004", "QPL005", "QPL006", "QPL007",
+                    "QPL008"):
         check(rule_id in listing.stdout, f"--list-rules mentions {rule_id}")
 
     for name, rel, rule_id, violating, annotated in CASES:
@@ -228,6 +263,23 @@ def main(argv):
                 f"{name}: annotated snippet passes (got {result.returncode}: "
                 f"{result.stdout.strip()})",
             )
+
+    # QPL008: only the never-set field is flagged, on its own line.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, text in UNSET_OPTION_TREE.items():
+            write_tree(root, rel, text)
+        result = run_lint(lint_script, root)
+        findings = [line for line in result.stdout.splitlines() if "QPL008" in line]
+        check(result.returncode == 1, "unset-option: never-set field exits 1")
+        check(
+            len(findings) == 1 and "WidgetOptions::never_set" in findings[0]
+            and "widget.hpp:6:" in findings[0],
+            f"unset-option: exactly the never-set field is flagged (got {findings})",
+        )
+        for name in ("member_set", "designated_set", "simplex", "initial_basis",
+                     "suppressed", "kNotAField", "::ok"):
+            check(name not in result.stdout, f"unset-option: {name} is not flagged")
 
     # A clean synthetic tree (with the real exemptions exercised) exits 0.
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,6 +11,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The same values as lp/revised_simplex.cpp's, so both solvers stop on the
+// same optimality and pivot tests.
+constexpr double kTolerance = 1e-9;
+constexpr double kPivotTolerance = 1e-8;
+constexpr std::size_t kRefactorInterval = 100;
+constexpr std::size_t kDegenerateSwitch = 40;
+
 /// Internal tableau-free simplex state over the normalized problem
 ///   min c^T x,  A x = b,  x >= 0,  b >= 0,
 /// where columns 0..n-1 are structural, then slacks/surpluses, then
@@ -223,13 +230,13 @@ class SimplexState {
 
       // Pricing. Artificials never re-enter the basis.
       std::size_t entering = std::numeric_limits<std::size_t>::max();
-      double best_reduced = -options_.tolerance;
+      double best_reduced = -kTolerance;
       for (std::size_t j = 0; j < first_artificial_; ++j) {
         if (in_basis_[j]) continue;
         double reduced = cost[j];
         for (const ColumnEntry& entry : columns_[j]) reduced -= y[entry.row] * entry.value;
         if (bland) {
-          if (reduced < -options_.tolerance) {
+          if (reduced < -kTolerance) {
             entering = j;
             break;
           }
@@ -251,10 +258,10 @@ class SimplexState {
       for (std::size_t i = 0; i < rows_; ++i) {
         const bool artificial = basis_[i] >= first_artificial_;
         double ratio = kInf;
-        if (w[i] > options_.pivot_tolerance) {
+        if (w[i] > kPivotTolerance) {
           ratio = std::max(0.0, xb_[i]) / w[i];
-        } else if (artificial && xb_[i] <= options_.tolerance &&
-                   std::abs(w[i]) > options_.pivot_tolerance) {
+        } else if (artificial && xb_[i] <= kTolerance &&
+                   std::abs(w[i]) > kPivotTolerance) {
           ratio = 0.0;
         } else {
           continue;
@@ -297,14 +304,14 @@ class SimplexState {
       in_basis_[entering] = true;
 
       // Anti-cycling bookkeeping.
-      if (theta <= options_.tolerance) {
-        if (++degenerate_run > options_.degenerate_switch) bland = true;
+      if (theta <= kTolerance) {
+        if (++degenerate_run > kDegenerateSwitch) bland = true;
       } else {
         degenerate_run = 0;
         bland = false;
       }
 
-      if (++pivots_since_refactor >= options_.refactor_interval) {
+      if (++pivots_since_refactor >= kRefactorInterval) {
         refactorize();
         pivots_since_refactor = 0;
       }

@@ -6,15 +6,14 @@
 // It is sized for the LPs the tests produce: a few hundred rows, up to a few
 // tens of thousands of sparse columns. Design choices:
 //   * dense m x m basis inverse updated by eta (pivot) transformations,
-//     refactorized from scratch every `refactor_interval` pivots to bound
-//     numerical drift;
-//   * Dantzig pricing with a Bland's-rule fallback after a run of degenerate
-//     pivots, which guarantees termination;
+//     refactorized from scratch every 100 pivots to bound numerical drift;
+//   * Dantzig pricing with a Bland's-rule fallback after 40 consecutive
+//     degenerate pivots, which guarantees termination;
 //   * phase 1 minimizes the sum of artificial variables (added only for rows
 //     that need them), phase 2 re-prices with the true objective and drives
 //     any residual zero-level artificials out of the basis.
-// SimplexOptions::pricing_window and ::initial_basis are ignored: the dense
-// solver always prices fully and always starts cold.
+// Its tolerances match the revised solver's. SimplexOptions::initial_basis
+// is ignored: the dense solver always prices fully and always starts cold.
 #pragma once
 
 #include <cstddef>

@@ -41,6 +41,17 @@ Rules (ID / name / scope):
                                        thread-local shard API (src/obs), and
                                        real synchronization belongs in
                                        common/thread_pool.
+  QPL008 unset-option       src/**/*.hpp
+                                       A field of a struct <Name>Options /
+                                       <Name>Config / <Name>Policy that no
+                                       file other than its header assigns (`.f =`, `->f =`,
+                                       `.f{`, nested `.f.g =`, or a
+                                       designated `.f =`) anywhere under
+                                       src/, bench/, examples/, perfbench/ or
+                                       tests/. A setting with one value in
+                                       use is a constant. Matching is by
+                                       name only, so the rule can miss a
+                                       field but never flags a set one.
   QPL000 bad-annotation     all        An allow-annotation naming an unknown
                                        rule (never suppressible).
 
@@ -58,7 +69,9 @@ Usage:
     qp_lint.py [--root DIR] [--list-rules] [file ...]
 
 With no files, scans src/ tests/ bench/ under --root (default: the
-repository root containing this tools/ directory). Exit status: 0 clean,
+repository root containing this tools/ directory). QPL008 checks the
+headers among the linted files, and always looks for assignments in the
+whole tree under --root. Exit status: 0 clean,
 1 findings, 2 usage error.
 """
 
@@ -69,6 +82,8 @@ from pathlib import Path
 
 EXTENSIONS = {".cpp", ".cc", ".hpp", ".h"}
 SCAN_DIRS = ("src", "tests", "bench")
+# Where QPL008 looks for code that sets an option field.
+ASSIGN_DIRS = ("src", "bench", "examples", "perfbench", "tests")
 
 ANNOTATION_RE = re.compile(r"qp-lint:\s*allow\(([^)]*)\)")
 
@@ -85,11 +100,22 @@ class Finding:
         return f"{self.path}:{self.line}: {self.rule_id} [{self.rule_name}] {self.message}"
 
 
+def is_digit_separator(text, i):
+    """True when the quote at text[i] sits inside a number literal (C++14
+    digit separator, `1'000.0`) rather than opening a char literal (which a
+    prefix such as `u8'a'` or `L'a'` may precede)."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_.'"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def split_code_and_comments(text):
     """Returns (code_lines, comment_lines): per-line source with comments and
     string/char literal *contents* blanked out of the code, and the comment
     text collected separately (so annotations are read from comments only).
-    Handles //, /* */, "...", '...', and R"delim(...)delim" raw strings."""
+    Handles //, /* */, "...", '...', R"delim(...)delim" raw strings, and
+    digit separators (`1'000`)."""
     code = []
     comments = []
     code_line = []
@@ -136,7 +162,7 @@ def split_code_and_comments(text):
                 state = "string"
                 i += 1
                 continue
-            if ch == "'":
+            if ch == "'" and not is_digit_separator(text, i):
                 code_line.append("'")
                 state = "char"
                 i += 1
@@ -344,6 +370,126 @@ def rule_hot_path_sync(scan):
             )
 
 
+OPTION_STRUCT_RE = re.compile(r"\bstruct\s+(\w+(?:Options|Config|Policy))\s*(?:final\s*)?\{")
+# `.f =` / `->f =` (not `==`), compound assignment, `.f{`, and chains such as
+# `.f.g =` or `.f[i] =`; every name in the chain counts as set.
+ASSIGNMENT_RE = re.compile(
+    r"(?:\.|->)\s*(\w+)((?:\s*(?:\.|->)\s*\w+|\s*\[[^\]\n]*\])*)"
+    r"\s*(?:=(?!=)|(?:[-+*/%&|^]|<<|>>)=|\{)"
+)
+NOT_A_FIELD_RE = re.compile(
+    r"^(?:static|using|friend|typedef|enum|struct|class|union|template|"
+    r"public|private|protected)\b"
+)
+
+
+def top_level_statements(body):
+    """Splits a struct body into (offset, text) statements at brace depth 0:
+    a `;` ends one, and so does the `}` closing a member function or nested
+    type definition (which need no `;`)."""
+    statements = []
+    start = 0
+    depth = 0
+    for i, ch in enumerate(body):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                head = body[start:i]
+                if "(" in head.split("{", 1)[0] or NOT_A_FIELD_RE.match(head.strip()):
+                    statements.append((start, body[start : i + 1]))
+                    start = i + 1
+        elif ch == ";" and depth == 0:
+            statements.append((start, body[start:i]))
+            start = i + 1
+    return statements
+
+
+def field_name(statement):
+    """The declared name of a data-member statement, or None for methods,
+    types, static members and access labels."""
+    text = re.sub(r"\[\[.*?\]\]", "", statement).strip()
+    text = re.sub(r"^(?:public|private|protected)\s*:", "", text).strip()
+    if not text or NOT_A_FIELD_RE.match(text):
+        return None
+    # The declarator ends at a top-level `=` or brace initializer.
+    angle = 0
+    declarator = text
+    for i, ch in enumerate(text):
+        if ch == "<":
+            angle += 1
+        elif ch == ">":
+            angle -= 1
+        elif angle == 0 and ch in "={":
+            declarator = text[:i]
+            break
+        elif angle == 0 and ch == "(":
+            return None  # A member function.
+    match = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", declarator.strip())
+    return match.group(1) if match else None
+
+
+def option_fields(scan):
+    """(line, struct, field) for every data member of an option struct."""
+    text = "\n".join(scan.code)
+    for match in OPTION_STRUCT_RE.finditer(text):
+        open_brace = match.end() - 1
+        depth = 0
+        for close in range(open_brace, len(text)):
+            if text[close] == "{":
+                depth += 1
+            elif text[close] == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+        body = text[open_brace + 1 : close]
+        for offset, statement in top_level_statements(body):
+            name = field_name(statement)
+            if name is None:
+                continue
+            at = open_brace + 1 + offset + statement.index(name)
+            yield text.count("\n", 0, at) + 1, match.group(1), name
+
+
+def assigned_names(root):
+    """field name -> repo-relative files that assign a member of that name."""
+    names = {}
+    for directory in ASSIGN_DIRS:
+        base = root / directory
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if not (path.is_file() and path.suffix in EXTENSIONS):
+                continue
+            rel = path.relative_to(root).as_posix()
+            code, _ = split_code_and_comments(path.read_text(encoding="utf-8", errors="replace"))
+            for match in ASSIGNMENT_RE.finditer("\n".join(code)):
+                for name in [match.group(1), *re.findall(r"\w+", match.group(2))]:
+                    names.setdefault(name, set()).add(rel)
+    return names
+
+
+def rule_unset_option(scans, root):
+    """Tree-scoped: yields (scan, line, message) for option fields that no
+    file other than their own header sets."""
+    headers = [
+        s for s in scans if in_dirs(s.rel, "src") and s.rel.endswith((".hpp", ".h"))
+    ]
+    if not headers:
+        return
+    assigned = assigned_names(root)
+    for scan in headers:
+        for lineno, struct, field in option_fields(scan):
+            if assigned.get(field, set()) - {scan.rel}:
+                continue
+            yield scan, lineno, (
+                f"{struct}::{field} is never set outside its header: a setting with "
+                "one value in use is a constant — move it into the .cpp that reads "
+                "it, or annotate why callers need the knob"
+            )
+
+
 RULES = [
     ("QPL001", "unordered-iter", rule_unordered_iter, False),
     ("QPL002", "nondeterministic-rng", rule_nondeterministic_rng, False),
@@ -353,10 +499,15 @@ RULES = [
     ("QPL006", "parity-reference", rule_parity_reference, True),  # file-scoped
     ("QPL007", "hot-path-sync", rule_hot_path_sync, False),
 ]
-RULE_NAMES = {name for _, name, _, _ in RULES}
+# Rules that read the whole tree: rule(scans, root) yields (scan, line, message).
+TREE_RULES = [
+    ("QPL008", "unset-option", rule_unset_option),
+]
+RULE_NAMES = {name for _, name, _, _ in RULES} | {name for _, name, _ in TREE_RULES}
 
 
 def lint_file(path, root):
+    """Returns the file's scan and its per-file findings."""
     try:
         rel = path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
@@ -387,6 +538,15 @@ def lint_file(path, root):
             )
             if not suppressed:
                 findings.append(Finding(path, lineno, rule_id, rule_name, message))
+    return scan, findings
+
+
+def lint_tree(scans, root):
+    findings = []
+    for rule_id, rule_name, rule in TREE_RULES:
+        for scan, lineno, message in rule(scans, root):
+            if not scan.allowed(lineno, rule_name):
+                findings.append(Finding(scan.path, lineno, rule_id, rule_name, message))
     return findings
 
 
@@ -420,6 +580,8 @@ def main(argv):
         for rule_id, rule_name, _, file_scoped in RULES:
             scope = "file" if file_scoped else "line"
             print(f"{rule_id}  {rule_name}  ({scope}-scoped)")
+        for rule_id, rule_name, _ in TREE_RULES:
+            print(f"{rule_id}  {rule_name}  (tree-scoped)")
         return 0
 
     if not args.root.is_dir():
@@ -427,9 +589,13 @@ def main(argv):
         return 2
 
     findings = []
+    scans = []
     files = collect_files(args.root, args.files)
     for path in files:
-        findings.extend(lint_file(path, args.root))
+        scan, file_findings = lint_file(path, args.root)
+        scans.append(scan)
+        findings.extend(file_findings)
+    findings.extend(lint_tree(scans, args.root))
 
     for finding in findings:
         print(finding)
