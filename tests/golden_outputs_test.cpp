@@ -123,6 +123,11 @@ TEST(GoldenOutputs, Fig6_3LowDemand) {
   expect_golden("fig6_3", hexfloat_csv(low_demand_sweep(planetlab50())));
 }
 
+TEST(GoldenOutputs, Fig6_4GridDemand) {
+  const std::vector<double> demands{1000.0, 4000.0};
+  expect_golden("fig6_4", hexfloat_csv(grid_demand_sweep(net::daxlist161_synth(), demands)));
+}
+
 TEST(GoldenOutputs, Fig7_6CapacitySweep) {
   expect_golden("fig7_6", hexfloat_csv(capacity_sweep(planetlab50(), {})));
 }
