@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <iterator>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -310,6 +312,36 @@ TEST(Figures, CsvEscapesNothingButIsParseable) {
   std::ostringstream out3;
   print_csv(out3, std::vector<CapacityPoint>{{9, 0.5, true, 100.0, 90.0, true}});
   EXPECT_NE(out3.str().find("9,0.5,1,1,100,90"), std::string::npos);
+}
+
+template <typename Point>
+std::string csv_header() {
+  std::ostringstream out;
+  print_csv(out, std::span<const Point>{});
+  return out.str();
+}
+
+// The header of every eval:: point type, as the figure CSVs print it today.
+// The bench counters carry the same names, so a renamed or reordered column
+// fails here rather than silently changing a figure's CSV or its JSON.
+TEST(Figures, CsvHeadersArePinned) {
+  EXPECT_EQ(csv_header<QuPoint>(),
+            "t,universe,clients,network_delay_ms,response_ms,throughput_rps\n");
+  EXPECT_EQ(csv_header<LowDemandPoint>(), "system,universe,response_ms\n");
+  EXPECT_EQ(csv_header<GridDemandPoint>(),
+            "universe,client_demand,strategy,response_ms,network_delay_ms\n");
+  EXPECT_EQ(csv_header<CapacityPoint>(),
+            "universe,capacity_level,nonuniform,feasible,response_ms,network_delay_ms\n");
+  EXPECT_EQ(csv_header<IterativePoint>(),
+            "capacity_level,stage,network_delay_ms,response_ms\n");
+  EXPECT_EQ(csv_header<LargeTopologyPoint>(),
+            "scenario,system,objective,stage,alpha,response_ms,network_delay_ms,moves,"
+            "stage_ms\n");
+  EXPECT_EQ(csv_header<SimValidationPoint>(),
+            "scenario,system,strategy,arrivals,target_rho,analytic_ms,simulated_ms,"
+            "divergence_pct,p50_ms,p95_ms,p99_ms,peak_utilization,completed,"
+            "dropped_messages,outage,fault,unavailability_analytic,unavailability_sim,"
+            "retries,abandoned\n");
 }
 
 }  // namespace
