@@ -24,6 +24,21 @@ const qp::net::LatencyMatrix& topology() {
   return m;
 }
 
+struct Row {
+  const char* placement;
+  double demand;
+  double per_element_ms;
+  double collapsed_ms;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("placement", placement);
+    f("client_demand", demand);
+    f("per_element_response_ms", per_element_ms);
+    f("collapsed_response_ms", collapsed_ms);
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -39,12 +54,6 @@ int main(int argc, char** argv) {
       m, grid, core::uniform_capacities(m.size(), 0.6), core::network_delay_objective(), options);
   const core::Placement singleton = core::singleton_placement(m, grid.universe_size());
 
-  struct Row {
-    const char* placement;
-    double demand;
-    double per_element_ms;
-    double collapsed_ms;
-  };
   std::vector<Row> rows;
   for (double demand : {1000.0, 4000.0, 16000.0}) {
     const double alpha = core::kQuWriteServiceMs * demand;
@@ -62,20 +71,9 @@ int main(int argc, char** argv) {
 
   std::cout << "# Ablation: per-element vs collapsed execution (balanced strategy, "
                "Grid 5x5, Planetlab-50 synthetic)\n";
-  std::cout << "placement,client_demand,per_element_response_ms,collapsed_response_ms\n";
-  for (const Row& r : rows) {
-    std::cout << r.placement << ',' << r.demand << ',' << r.per_element_ms << ','
-              << r.collapsed_ms << '\n';
-  }
-
-  for (const Row& r : rows) {
-    qp::bench::register_point(
-        std::string("AblationCollapsed/") + r.placement +
-            "/demand=" + std::to_string(static_cast<int>(r.demand)),
-        [r](benchmark::State& state) {
-          state.counters["per_element_ms"] = r.per_element_ms;
-          state.counters["collapsed_ms"] = r.collapsed_ms;
-        });
-  }
+  qp::bench::emit_rows(rows, [](const Row& r) {
+    return std::string("AblationCollapsed/") + r.placement +
+           "/demand=" + std::to_string(static_cast<int>(r.demand));
+  });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -16,6 +16,25 @@
 #include "net/synthetic.hpp"
 #include "quorum/grid.hpp"
 
+namespace {
+
+struct Row {
+  double eps;
+  double lp_bound;
+  double achieved_delay;
+  double violation;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("epsilon", eps);
+    f("lp_delay_bound_ms", lp_bound);
+    f("avg_network_delay_ms", achieved_delay);
+    f("max_capacity_violation", violation);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace qp;
   const net::LatencyMatrix m = net::planetlab50_synth();
@@ -25,12 +44,6 @@ int main(int argc, char** argv) {
   const auto caps = core::uniform_capacities(m.size(), 0.55);
   const std::size_t v0 = 0;
 
-  struct Row {
-    double eps;
-    double lp_bound;
-    double achieved_delay;
-    double violation;
-  };
   std::vector<Row> rows;
   // Every client uses the common distribution `probs`.
   const core::ExplicitStrategy common =
@@ -47,20 +60,8 @@ int main(int argc, char** argv) {
 
   std::cout << "# Ablation: Lin-Vitter filtering epsilon (Grid 4x4, Planetlab-50 synthetic,"
                " cap 0.55)\n";
-  std::cout << "epsilon,lp_delay_bound_ms,avg_network_delay_ms,max_capacity_violation\n";
-  for (const Row& r : rows) {
-    std::cout << r.eps << ',' << r.lp_bound << ',' << r.achieved_delay << ','
-              << r.violation << '\n';
-  }
-
-  for (const Row& r : rows) {
-    qp::bench::register_point(
-        "AblationFiltering/eps=" + std::to_string(r.eps).substr(0, 4),
-        [r](benchmark::State& state) {
-          state.counters["lp_bound_ms"] = r.lp_bound;
-          state.counters["network_delay_ms"] = r.achieved_delay;
-          state.counters["capacity_violation"] = r.violation;
-        });
-  }
+  qp::bench::emit_rows(rows, [](const Row& r) {
+    return "AblationFiltering/eps=" + std::to_string(r.eps).substr(0, 4);
+  });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -16,17 +16,31 @@
 #include "net/synthetic.hpp"
 #include "quorum/grid.hpp"
 
+namespace {
+
+struct Row {
+  std::size_t side;
+  double constructed;
+  double polished;
+  double from_random;
+  std::size_t polish_moves;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("side", side);
+    f("constructed_ms", constructed);
+    f("polished_ms", polished);
+    f("from_random_ms", from_random);
+    f("polish_moves", polish_moves);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace qp;
   const net::LatencyMatrix m = net::planetlab50_synth();
 
-  struct Row {
-    std::size_t side;
-    double constructed;
-    double polished;
-    double from_random;
-    std::size_t polish_moves;
-  };
   std::vector<Row> rows;
   common::Rng rng{2007};
   for (std::size_t side = 2; side <= 6; ++side) {
@@ -44,19 +58,7 @@ int main(int argc, char** argv) {
 
   std::cout << "# Ablation: constructive Grid placement vs relocation local search\n"
             << "# (avg uniform network delay, ms, Planetlab-50 synthetic)\n";
-  std::cout << "side,constructed_ms,polished_ms,from_random_ms,polish_moves\n";
-  for (const Row& r : rows) {
-    std::cout << r.side << ',' << r.constructed << ',' << r.polished << ','
-              << r.from_random << ',' << r.polish_moves << '\n';
-  }
-
-  for (const Row& r : rows) {
-    qp::bench::register_point("AblationLocalSearch/k=" + std::to_string(r.side),
-                              [r](benchmark::State& state) {
-                                state.counters["constructed_ms"] = r.constructed;
-                                state.counters["polished_ms"] = r.polished;
-                                state.counters["from_random_ms"] = r.from_random;
-                              });
-  }
+  qp::bench::emit_rows(
+      rows, [](const Row& r) { return "AblationLocalSearch/k=" + std::to_string(r.side); });
   return qp::bench::run_benchmarks(argc, argv);
 }

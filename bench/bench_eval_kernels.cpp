@@ -88,6 +88,39 @@ struct Config {
   core::Placement placement;
 };
 
+/// Naive vs delta vs parallel local search, one (config, objective) pair.
+struct SpeedupRow {
+  std::string config;
+  std::string objective;
+  double naive_ms;
+  double delta_ms;
+  double parallel_ms;
+  double speedup;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("config", config);
+    f("objective", objective);
+    f("naive_search_ms", naive_ms);
+    f("delta_search_ms", delta_ms);
+    f("parallel_search_ms", parallel_ms);
+    f("speedup_vs_naive", speedup);
+  }
+};
+
+struct ObsOverheadRow {
+  double on_ms;
+  double off_ms;
+  double overhead_pct;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("on_ms", on_ms);
+    f("off_ms", off_ms);
+    f("overhead_pct", overhead_pct);
+  }
+};
+
 double time_local_search_ms(const net::LatencyMatrix& matrix,
                             const quorum::QuorumSystem& system,
                             const core::Placement& initial,
@@ -139,21 +172,13 @@ int main(int argc, char** argv) {
   core::LocalSearchOptions parallel_options = delta_options;
   parallel_options.threads = 0;  // Shared pool (QP_THREADS / hardware).
 
-  struct Row {
-    std::string config;
-    std::string objective;
-    double naive_ms;
-    double delta_ms;
-    double parallel_ms;
-    double speedup;
-  };
   const std::vector<std::pair<std::string, const core::Objective*>> objectives{
       {"alpha0", &core::network_delay_objective()},
       {"load_aware", &load_aware},
       {"closest", &closest},
       {"closest_weighted", &closest_weighted},
   };
-  std::vector<Row> rows;
+  std::vector<SpeedupRow> rows;
   for (const Config& config : configs) {
     for (const auto& [label, objective] : objectives) {
       const core::test_support::FullReevaluation full{*objective};
@@ -168,29 +193,15 @@ int main(int argc, char** argv) {
           time_local_search_ms(matrix, *config.system, config.placement, delta_obj);
       const double parallel_ms =
           time_local_search_ms(matrix, *config.system, config.placement, parallel_obj);
-      rows.push_back(Row{config.label, label, naive_ms, delta_ms, parallel_ms,
-                         naive_ms / delta_ms});
+      rows.push_back(SpeedupRow{config.label, label, naive_ms, delta_ms, parallel_ms,
+                                naive_ms / delta_ms});
     }
   }
 
-  std::cout << "# Evaluation kernels: naive vs workspace vs delta (200 clients, n=49)\n"
-            << "config,objective,naive_search_ms,delta_search_ms,parallel_search_ms,"
-               "speedup_vs_naive\n";
-  for (const Row& row : rows) {
-    std::cout << row.config << ',' << row.objective << ',' << row.naive_ms << ','
-              << row.delta_ms << ',' << row.parallel_ms << ',' << row.speedup << '\n';
-  }
-
-  for (const Row& row : rows) {
-    qp::bench::register_point(
-        "EvalKernels/local_search_speedup/" + row.config + "/" + row.objective,
-        [row](benchmark::State& state) {
-          state.counters["naive_ms"] = row.naive_ms;
-          state.counters["delta_ms"] = row.delta_ms;
-          state.counters["parallel_ms"] = row.parallel_ms;
-          state.counters["speedup_vs_naive"] = row.speedup;
-        });
-  }
+  std::cout << "# Evaluation kernels: naive vs workspace vs delta (200 clients, n=49)\n";
+  qp::bench::emit_rows(rows, [](const SpeedupRow& row) {
+    return "EvalKernels/local_search_speedup/" + row.config + "/" + row.objective;
+  });
 
   // --- Observability overhead guard: the instrumented delta local search
   // with obs metrics recording ON vs OFF (runtime toggle; the binary
@@ -215,16 +226,12 @@ int main(int argc, char** argv) {
           off_ms, time_local_search_ms(matrix, grid, configs[0].placement, options));
     }
     qp::obs::set_enabled(was_enabled);
-    const double overhead_pct = 100.0 * (on_ms - off_ms) / off_ms;
-    std::cout << "# Observability overhead: instrumented local search, obs on vs off\n"
-              << "on_ms,off_ms,overhead_pct\n"
-              << on_ms << ',' << off_ms << ',' << overhead_pct << '\n';
-    qp::bench::register_point("EvalKernels/obs_overhead/local_search",
-                              [on_ms, off_ms, overhead_pct](benchmark::State& state) {
-                                state.counters["on_ms"] = on_ms;
-                                state.counters["off_ms"] = off_ms;
-                                state.counters["overhead_pct"] = overhead_pct;
-                              });
+    std::cout << "# Observability overhead: instrumented local search, obs on vs off\n";
+    const std::vector<ObsOverheadRow> overhead{
+        {on_ms, off_ms, 100.0 * (on_ms - off_ms) / off_ms}};
+    qp::bench::emit_rows(overhead, [](const ObsOverheadRow&) {
+      return std::string{"EvalKernels/obs_overhead/local_search"};
+    });
   }
 
   // --- Genuine timing benchmarks of the individual kernels.

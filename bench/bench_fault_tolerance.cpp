@@ -150,10 +150,25 @@ core::Placement spread_initial(const BenchSetup& setup) {
 
 struct PlacementRow {
   std::string name;
-  core::Placement placement;
+  std::string system;
   double objective_ms = 0.0;             // FailureAware J of this placement.
   double unavailability_analytic = 0.0;  // FailureAware prediction.
   sim::EngineResult result;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("placement", name);
+    f("system", system);
+    f("objective_ms", objective_ms);
+    f("unavailability_analytic", unavailability_analytic);
+    f("mean_ms", result.mean_response_ms);
+    f("p99_ms", result.p99_ms);
+    f("degraded_p99_ms", result.degraded_p99_ms);
+    f("unavailability_sim", result.unavailability);
+    f("retries", result.retries);
+    f("abandoned", result.abandoned);
+    f("completed", result.completed);
+  }
 };
 
 /// Runs the fault-storm engine on one placement: uniform clients at peak
@@ -243,7 +258,7 @@ int main(int argc, char** argv) {
         std::pair<std::string, const core::Placement&>{"aware", aware}}) {
     PlacementRow row;
     row.name = name;
-    row.placement = placement;
+    row.system = setup.system.name();
     const auto detailed = aware_objective.evaluate_detailed(matrix, setup.system, placement);
     row.objective_ms = detailed.objective_ms;
     row.unavailability_analytic = detailed.unavailability;
@@ -251,32 +266,8 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  std::cout << "placement,system,objective_ms,unavailability_analytic,mean_ms,"
-               "p99_ms,degraded_p99_ms,unavailability_sim,retries,abandoned,completed\n";
-  for (const PlacementRow& row : rows) {
-    std::cout << row.name << ',' << setup.system.name() << ',' << row.objective_ms << ','
-              << row.unavailability_analytic << ',' << row.result.mean_response_ms << ','
-              << row.result.p99_ms << ',' << row.result.degraded_p99_ms << ','
-              << row.result.unavailability << ',' << row.result.retries << ','
-              << row.result.abandoned << ',' << row.result.completed << '\n';
-  }
-
-  for (const PlacementRow& row : rows) {
-    const std::string name =
-        "FaultTolerance/world-50/" + setup.system.name() + "/" + row.name;
-    const double objective_ms = row.objective_ms;
-    const double unavailability_analytic = row.unavailability_analytic;
-    const sim::EngineResult result = row.result;
-    qp::bench::register_point(name, [=](benchmark::State& state) {
-      state.counters["objective_ms"] = objective_ms;
-      state.counters["unavailability_analytic"] = unavailability_analytic;
-      state.counters["mean_ms"] = result.mean_response_ms;
-      state.counters["p99_ms"] = result.p99_ms;
-      state.counters["degraded_p99_ms"] = result.degraded_p99_ms;
-      state.counters["unavailability_sim"] = result.unavailability;
-      state.counters["retries"] = static_cast<double>(result.retries);
-      state.counters["abandoned"] = static_cast<double>(result.abandoned);
-    });
-  }
+  qp::bench::emit_rows(rows, [](const PlacementRow& row) {
+    return "FaultTolerance/world-50/" + row.system + "/" + row.name;
+  });
   return qp::bench::run_benchmarks(argc, argv);
 }

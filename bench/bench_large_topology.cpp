@@ -150,6 +150,18 @@ struct ScalingRow {
   double per_move_ms = 0.0;
   double per_candidate_us = 0.0;
   double response_ms = 0.0;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("n", n);
+    f("gen_ms", gen_ms);
+    f("knn_build_ms", knn_build_ms);
+    f("search_ms", search_ms);
+    f("moves", moves);
+    f("per_move_ms", per_move_ms);
+    f("per_candidate_us", per_candidate_us);
+    f("response_ms", response_ms);
+  }
 };
 
 double elapsed_ms(std::chrono::steady_clock::time_point since) {
@@ -212,27 +224,18 @@ ScalingRow run_scaling_point(std::size_t n, std::size_t max_rounds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<eval::LargeTopologyPoint> points;
   const char* dense_env = std::getenv("QP_LT_DENSE");
   if (dense_env == nullptr || std::string{dense_env} != "0") {
     std::cout << "# Large topologies: constructive vs load-aware local optimum\n";
+    std::vector<eval::LargeTopologyPoint> points;
     const sim::Scenario daxlist = sim::daxlist161_scenario();
     for (const sim::Scenario* scenario : {&daxlist, &synth500()}) {
       const auto rows = eval::large_topology_sweep(*scenario);
       points.insert(points.end(), rows.begin(), rows.end());
     }
-    eval::print_csv(std::cout, points);
-  }
-
-  for (const auto& p : points) {
-    qp::bench::register_point(
-        "LargeTopology/" + p.scenario + "/" + p.system + "/" + p.objective + "/" + p.stage,
-        [p](benchmark::State& state) {
-          state.counters["response_ms"] = p.response_ms;
-          state.counters["network_delay_ms"] = p.network_delay_ms;
-          state.counters["moves"] = static_cast<double>(p.moves);
-          state.counters["stage_ms"] = p.stage_ms;
-        });
+    qp::bench::emit_rows(points, [](const eval::LargeTopologyPoint& p) {
+      return "LargeTopology/" + p.scenario + "/" + p.system + "/" + p.objective + "/" + p.stage;
+    });
   }
 
   // --- Time-vs-n scaling of the sparse stack (the O(n^2)-wall table).
@@ -244,27 +247,10 @@ int main(int argc, char** argv) {
   }
   if (!scaling.empty()) {
     std::cout << "# Sparse scaling: closest objective, Grid 7x7, candidate_knn=" << knn_k
-              << ", " << rounds << " rounds max\n"
-              << "n,gen_ms,knn_build_ms,search_ms,moves,per_move_ms,per_candidate_us,"
-                 "response_ms\n";
-    for (const ScalingRow& row : scaling) {
-      std::cout << row.n << ',' << row.gen_ms << ',' << row.knn_build_ms << ','
-                << row.search_ms << ',' << row.moves << ',' << row.per_move_ms << ','
-                << row.per_candidate_us << ',' << row.response_ms << '\n';
-    }
-  }
-  for (const ScalingRow& row : scaling) {
-    qp::bench::register_point(
-        "LargeTopology/scaling/n=" + std::to_string(row.n),
-        [row](benchmark::State& state) {
-          state.counters["gen_ms"] = row.gen_ms;
-          state.counters["knn_build_ms"] = row.knn_build_ms;
-          state.counters["search_ms"] = row.search_ms;
-          state.counters["moves"] = static_cast<double>(row.moves);
-          state.counters["per_move_ms"] = row.per_move_ms;
-          state.counters["per_candidate_us"] = row.per_candidate_us;
-          state.counters["response_ms"] = row.response_ms;
-        });
+              << ", " << rounds << " rounds max\n";
+    qp::bench::emit_rows(scaling, [](const ScalingRow& row) {
+      return "LargeTopology/scaling/n=" + std::to_string(row.n);
+    });
   }
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -11,8 +11,9 @@
 //   LpSolver/phase_ladder_warm_revised/nN  — sparse revised simplex, each
 //                                            level warm-started from the
 //                                            previous level's basis.
-// Counters: ms_total over the ladder, simplex iterations summed, and the
-// max relative objective disagreement vs the cold revised row.
+// Counters are the row's numeric CSV columns: levels solved, ms_total over
+// the ladder, simplex iterations summed, and the max relative objective
+// disagreement vs the cold revised row.
 // The ladder starts at the peak site load of the uncapacitated optimum
 // (each client on its lowest-index minimum-delay quorum) and tightens in 4%
 // steps while the LP stays feasible, so the capacity rows can bind.
@@ -45,38 +46,26 @@ namespace {
 using qp::core::StrategyLpOptions;
 using qp::core::StrategyLpResult;
 
-struct LadderResult {
+/// One CSV row and benchmark point: a case's ladder solved by one engine.
+struct LadderRow {
+  std::string case_label;
+  std::string engine;
+  std::size_t levels = 0;
   double ms_total = 0.0;
   std::size_t iterations = 0;
-  std::vector<double> objectives;  // One per solved level.
-};
+  double max_rel_diff = 0.0;       // Objective disagreement vs the cold ladder.
+  std::vector<double> objectives;  // One per solved level (not a column).
 
-/// Solves the whole capacity ladder, optionally chaining each level's
-/// optimal basis into the next solve.
-LadderResult run_ladder(const qp::net::LatencyMatrix& matrix,
-                        const qp::quorum::QuorumSystem& system,
-                        const qp::core::Placement& placement,
-                        const std::vector<std::vector<double>>& ladder,
-                        bool warm) {
-  LadderResult out;
-  qp::lp::Basis basis;
-  const auto start = std::chrono::steady_clock::now();
-  for (const std::vector<double>& caps : ladder) {
-    StrategyLpOptions options;
-    if (warm) options.simplex.initial_basis = basis;
-    const StrategyLpResult lp =
-        qp::core::optimize_access_strategy(matrix, system, placement, caps, {}, options);
-    if (lp.status != qp::lp::SolveStatus::Optimal) {
-      throw std::runtime_error{"bench_lp_solver: ladder level not optimal"};
-    }
-    out.iterations += lp.lp_iterations;
-    out.objectives.push_back(lp.avg_network_delay);
-    if (warm) basis = lp.basis;
+  template <class F>
+  void columns(F&& f) const {
+    f("case", case_label);
+    f("engine", engine);
+    f("levels", levels);
+    f("ms_total", ms_total);
+    f("iterations", iterations);
+    f("max_rel_diff", max_rel_diff);
   }
-  const auto stop = std::chrono::steady_clock::now();
-  out.ms_total = std::chrono::duration<double, std::milli>(stop - start).count();
-  return out;
-}
+};
 
 double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
   double worst = 0.0;
@@ -93,6 +82,33 @@ struct SizedCase {
   std::shared_ptr<qp::core::Placement> placement;
   std::shared_ptr<std::vector<std::vector<double>>> ladder;
 };
+
+/// Solves the case's whole capacity ladder, optionally chaining each
+/// level's optimal basis into the next solve.
+LadderRow run_ladder(const SizedCase& sized, const qp::quorum::QuorumSystem& system,
+                     bool warm) {
+  LadderRow out;
+  out.case_label = sized.label;
+  out.engine = warm ? "warm_revised" : "cold_revised";
+  qp::lp::Basis basis;
+  const auto start = std::chrono::steady_clock::now();
+  for (const std::vector<double>& caps : *sized.ladder) {
+    StrategyLpOptions options;
+    if (warm) options.simplex.initial_basis = basis;
+    const StrategyLpResult lp = qp::core::optimize_access_strategy(
+        *sized.matrix, system, *sized.placement, caps, {}, options);
+    if (lp.status != qp::lp::SolveStatus::Optimal) {
+      throw std::runtime_error{"bench_lp_solver: ladder level not optimal"};
+    }
+    out.iterations += lp.lp_iterations;
+    out.objectives.push_back(lp.avg_network_delay);
+    if (warm) basis = lp.basis;
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  out.ms_total = std::chrono::duration<double, std::milli>(stop - start).count();
+  out.levels = out.objectives.size();
+  return out;
+}
 
 SizedCase make_case(qp::sim::Scenario scenario, const qp::quorum::QuorumSystem& system) {
   SizedCase out;
@@ -149,34 +165,17 @@ int main(int argc, char** argv) {
     cases.push_back(make_case(qp::sim::make_scenario(large), *grid));
   }
 
-  std::cout << "case,engine,levels,ms_total,iterations,max_rel_diff\n";
+  std::vector<LadderRow> rows;
   for (const SizedCase& sized : cases) {
-    const LadderResult cold_revised = run_ladder(*sized.matrix, *grid, *sized.placement,
-                                                 *sized.ladder, /*warm=*/false);
-    const LadderResult warm_revised = run_ladder(*sized.matrix, *grid, *sized.placement,
-                                                 *sized.ladder, /*warm=*/true);
-
-    struct Row {
-      const char* engine;
-      const LadderResult* result;
-    };
-    for (const Row& row : {Row{"cold_revised", &cold_revised},
-                           Row{"warm_revised", &warm_revised}}) {
-      const double diff = max_rel_diff(row.result->objectives, cold_revised.objectives);
-      std::cout << sized.label << ',' << row.engine << ','
-                << row.result->objectives.size() << ',' << row.result->ms_total << ','
-                << row.result->iterations << ',' << diff << '\n';
-      const double ms = row.result->ms_total;
-      const double iters = static_cast<double>(row.result->iterations);
-      qp::bench::register_point(
-          "LpSolver/phase_ladder_" + std::string{row.engine} + "/" + sized.label,
-          [ms, iters, diff](benchmark::State& state) {
-            state.counters["ms_total"] = ms;
-            state.counters["iterations"] = iters;
-            state.counters["max_rel_diff"] = diff;
-          });
-    }
+    LadderRow cold = run_ladder(sized, *grid, /*warm=*/false);
+    LadderRow warm = run_ladder(sized, *grid, /*warm=*/true);
+    warm.max_rel_diff = max_rel_diff(warm.objectives, cold.objectives);
+    rows.push_back(std::move(cold));
+    rows.push_back(std::move(warm));
   }
+  qp::bench::emit_rows(rows, [](const LadderRow& row) {
+    return "LpSolver/phase_ladder_" + row.engine + "/" + row.case_label;
+  });
 
   // Genuine timing rows: one solve per benchmark iteration at the tightest
   // feasible level, warm-started from that level's own converged basis

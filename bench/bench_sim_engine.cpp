@@ -181,30 +181,16 @@ int main(int argc, char** argv) {
     const auto rows = eval::sim_validation_scenario(scenario, scenario_config);
     points.insert(points.end(), rows.begin(), rows.end());
   }
-  eval::print_csv(std::cout, points);
+  // The pipeline row registers first, so it stays first in the JSON.
   run_pipeline_row(smoke);
-
-  for (const auto& p : points) {
+  qp::bench::emit_rows(points, [](const eval::SimValidationPoint& p) {
     char rho[32];
     std::snprintf(rho, sizeof rho, "%.2f", p.target_rho);
     std::string name = "SimValidation/" + p.scenario + "/" + p.system + "/" + p.strategy +
                        "/" + p.arrivals + "/rho=" + rho;
     if (p.outage) name += "/outage";
     if (p.fault) name += "/fault";
-    qp::bench::register_point(name, [p](benchmark::State& state) {
-      state.counters["analytic_ms"] = p.analytic_ms;
-      state.counters["simulated_ms"] = p.simulated_ms;
-      state.counters["divergence_pct"] = p.divergence_pct;
-      state.counters["p99_ms"] = p.p99_ms;
-      state.counters["peak_utilization"] = p.peak_utilization;
-      state.counters["dropped_messages"] = static_cast<double>(p.dropped_messages);
-      if (p.fault) {
-        state.counters["unavailability_analytic"] = p.unavailability_analytic;
-        state.counters["unavailability_sim"] = p.unavailability_sim;
-        state.counters["retries"] = static_cast<double>(p.retries);
-        state.counters["abandoned"] = static_cast<double>(p.abandoned);
-      }
-    });
-  }
+    return name;
+  });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -25,6 +25,15 @@ struct Row {
   double quorum_size;  // Size of the system's smallest quorum.
   double response_ms;
   double load;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("system", system);
+    f("universe", universe);
+    f("min_quorum_size", quorum_size);
+    f("response_ms", response_ms);
+    f("optimal_load", load);
+  }
 };
 
 Row evaluate(const qp::net::LatencyMatrix& m, const qp::quorum::QuorumSystem& system) {
@@ -38,7 +47,7 @@ Row evaluate(const qp::net::LatencyMatrix& m, const qp::quorum::QuorumSystem& sy
   const core::Evaluation eval =
       core::evaluate_closest(m, system, placed.placement, /*alpha=*/0.0);
   std::size_t smallest = system.universe_size();
-  for (const auto& quorum : system.enumerate_quorums(100'000)) {
+  for (const auto& quorum : system.enumerate_quorums()) {
     smallest = std::min(smallest, quorum.size());
   }
   return Row{system.name(), system.universe_size(), static_cast<double>(smallest),
@@ -74,17 +83,6 @@ int main(int argc, char** argv) {
 
   std::cout << "# Extension: closest-strategy response (alpha=0) for the full quorum zoo\n"
             << "# on Planetlab-50 (synthetic); load = L_opt of the system\n";
-  std::cout << "system,universe,min_quorum_size,response_ms,optimal_load\n";
-  for (const Row& r : rows) {
-    std::cout << r.system << ',' << r.universe << ',' << r.quorum_size << ','
-              << r.response_ms << ',' << r.load << '\n';
-  }
-
-  for (const Row& r : rows) {
-    qp::bench::register_point("QuorumZoo/" + r.system, [r](benchmark::State& state) {
-      state.counters["response_ms"] = r.response_ms;
-      state.counters["optimal_load"] = r.load;
-    });
-  }
+  qp::bench::emit_rows(rows, [](const Row& r) { return "QuorumZoo/" + r.system; });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -55,16 +55,10 @@ int main(int argc, char** argv) {
   // (absent from the paper's stated model but present in its testbed
   // numbers).
   config.service_time_ms = 1.3;
-  const auto points = qp::eval::qu_response_surface(topology(), config);
-  qp::eval::print_csv(std::cout, points);
-
-  for (const auto& p : points) {
-    qp::bench::register_point(
-        "Fig3_1/t=" + std::to_string(p.t) + "/clients=" + std::to_string(p.clients),
-        [p](benchmark::State& state) {
-          state.counters["response_ms"] = p.response_ms;
-          state.counters["network_delay_ms"] = p.network_delay_ms;
-        });
-  }
+  qp::bench::emit_rows(qp::eval::qu_response_surface(topology(), config),
+                       [](const qp::eval::QuPoint& p) {
+                         return "Fig3_1/t=" + std::to_string(p.t) +
+                                "/clients=" + std::to_string(p.clients);
+                       });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
   slice_a.duration_ms = 10'000.0;
   slice_a.warmup_ms = 2'000.0;
   slice_a.service_time_ms = 1.3;  // See fig3_1_qu_surface.cpp.
-  const auto points_a = qp::eval::qu_response_surface(topology(), slice_a);
-  qp::eval::print_csv(std::cout, points_a);
+  qp::bench::emit_rows(
+      qp::eval::qu_response_surface(topology(), slice_a),
+      [](const qp::eval::QuPoint& p) { return "Fig3_2a/t=" + std::to_string(p.t); });
 
   // Slice (b): t = 4, clients 10..110.
   std::cout << "# Figure 3.2b: t = 4 (n = 21), clients 10..110\n";
@@ -38,22 +39,9 @@ int main(int argc, char** argv) {
   slice_b.duration_ms = 10'000.0;
   slice_b.warmup_ms = 2'000.0;
   slice_b.service_time_ms = 1.3;
-  const auto points_b = qp::eval::qu_response_surface(topology(), slice_b);
-  qp::eval::print_csv(std::cout, points_b);
-
-  for (const auto& p : points_a) {
-    qp::bench::register_point("Fig3_2a/t=" + std::to_string(p.t),
-                              [p](benchmark::State& state) {
-                                state.counters["response_ms"] = p.response_ms;
-                                state.counters["network_delay_ms"] = p.network_delay_ms;
-                              });
-  }
-  for (const auto& p : points_b) {
-    qp::bench::register_point("Fig3_2b/clients=" + std::to_string(p.clients),
-                              [p](benchmark::State& state) {
-                                state.counters["response_ms"] = p.response_ms;
-                                state.counters["network_delay_ms"] = p.network_delay_ms;
-                              });
-  }
+  qp::bench::emit_rows(qp::eval::qu_response_surface(topology(), slice_b),
+                       [](const qp::eval::QuPoint& p) {
+                         return "Fig3_2b/clients=" + std::to_string(p.clients);
+                       });
   return qp::bench::run_benchmarks(argc, argv);
 }

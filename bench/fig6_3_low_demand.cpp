@@ -37,16 +37,9 @@ BENCHMARK(BM_MajorityPlacementSearch)->Arg(2)->Arg(5)->Unit(benchmark::kMillisec
 
 int main(int argc, char** argv) {
   std::cout << "# Figure 6.3: closest strategy, alpha = 0, Planetlab-50 (synthetic)\n";
-  const auto points = qp::eval::low_demand_sweep(topology());
-  qp::eval::print_csv(std::cout, points);
-
-  for (const auto& p : points) {
-    qp::bench::register_point(
-        "Fig6_3/" + p.system + "/n=" + std::to_string(p.universe),
-        [p](benchmark::State& state) {
-          state.counters["universe"] = static_cast<double>(p.universe);
-          state.counters["response_ms"] = p.response_ms;
-        });
-  }
+  qp::bench::emit_rows(qp::eval::low_demand_sweep(topology()),
+                       [](const qp::eval::LowDemandPoint& p) {
+                         return "Fig6_3/" + p.system + "/n=" + std::to_string(p.universe);
+                       });
   return qp::bench::run_benchmarks(argc, argv);
 }

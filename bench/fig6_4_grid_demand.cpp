@@ -40,18 +40,12 @@ int main(int argc, char** argv) {
   const std::vector<double> demands{1000.0, 4000.0};
   // QP_POINT_SHARD (run_all.sh --points K/N) selects a slice of the
   // (side, demand) points so the figure can fan out across hosts.
-  const auto points = qp::eval::grid_demand_sweep(topology(), demands, 0, {},
-                                                  qp::eval::point_shard_from_env());
-  qp::eval::print_csv(std::cout, points);
-
-  for (const auto& p : points) {
-    qp::bench::register_point(
-        "Fig6_4/" + p.strategy + "/demand=" + std::to_string(static_cast<int>(p.client_demand)) +
-            "/n=" + std::to_string(p.universe),
-        [p](benchmark::State& state) {
-          state.counters["response_ms"] = p.response_ms;
-          state.counters["network_delay_ms"] = p.network_delay_ms;
-        });
-  }
+  qp::bench::emit_rows(
+      qp::eval::grid_demand_sweep(topology(), demands, 0, {}, qp::eval::point_shard_from_env()),
+      [](const qp::eval::GridDemandPoint& p) {
+        return "Fig6_4/" + p.strategy + "/demand=" +
+               std::to_string(static_cast<int>(p.client_demand)) +
+               "/n=" + std::to_string(p.universe);
+      });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -43,19 +43,11 @@ int main(int argc, char** argv) {
             << "# LP access strategies at uniform capacity levels\n";
   qp::eval::CapacitySweepConfig config;  // Defaults: sides 2..7, 10 levels.
   config.shard = qp::eval::point_shard_from_env();  // run_all.sh --points K/N.
-  const auto points = qp::eval::capacity_sweep(topology(), config);
-  qp::eval::print_csv(std::cout, points);
-
-  for (const auto& p : points) {
-    char level[32];
-    std::snprintf(level, sizeof level, "%.3f", p.capacity_level);
-    qp::bench::register_point(
-        "Fig7_6/n=" + std::to_string(p.universe) + "/cap=" + level,
-        [p](benchmark::State& state) {
-          state.counters["response_ms"] = p.response_ms;
-          state.counters["network_delay_ms"] = p.network_delay_ms;
-          state.counters["feasible"] = p.feasible ? 1.0 : 0.0;
-        });
-  }
+  qp::bench::emit_rows(qp::eval::capacity_sweep(topology(), config),
+                       [](const qp::eval::CapacityPoint& p) {
+                         char level[32];
+                         std::snprintf(level, sizeof level, "%.3f", p.capacity_level);
+                         return "Fig7_6/n=" + std::to_string(p.universe) + "/cap=" + level;
+                       });
   return qp::bench::run_benchmarks(argc, argv);
 }

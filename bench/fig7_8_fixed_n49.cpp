@@ -25,18 +25,12 @@ int main(int argc, char** argv) {
   config.max_side = 7;
   config.include_nonuniform = true;
   config.shard = qp::eval::point_shard_from_env();  // run_all.sh --points K/N.
-  const auto points = qp::eval::capacity_sweep(topology(), config);
-  qp::eval::print_csv(std::cout, points);
-
-  for (const auto& p : points) {
-    char level[32];
-    std::snprintf(level, sizeof level, "%.3f", p.capacity_level);
-    qp::bench::register_point(
-        std::string("Fig7_8/") + (p.nonuniform ? "nonuniform" : "uniform") + "/cap=" + level,
-        [p](benchmark::State& state) {
-          state.counters["response_ms"] = p.response_ms;
-          state.counters["network_delay_ms"] = p.network_delay_ms;
-        });
-  }
+  qp::bench::emit_rows(qp::eval::capacity_sweep(topology(), config),
+                       [](const qp::eval::CapacityPoint& p) {
+                         char level[32];
+                         std::snprintf(level, sizeof level, "%.3f", p.capacity_level);
+                         return std::string("Fig7_8/") +
+                                (p.nonuniform ? "nonuniform" : "uniform") + "/cap=" + level;
+                       });
   return qp::bench::run_benchmarks(argc, argv);
 }

@@ -49,17 +49,11 @@ int main(int argc, char** argv) {
   if (const char* warm = std::getenv("QP_ITER_WARM")) {
     config.warm_start = std::strcmp(warm, "0") != 0;
   }
-  const auto points = qp::eval::iterative_sweep(topology(), config);
-  qp::eval::print_csv(std::cout, points);
-
-  for (const auto& p : points) {
-    char level[32];
-    std::snprintf(level, sizeof level, "%.3f", p.capacity_level);
-    qp::bench::register_point(
-        "Fig8_9/" + p.stage + "/cap=" + level, [p](benchmark::State& state) {
-          state.counters["network_delay_ms"] = p.network_delay_ms;
-          state.counters["response_ms"] = p.response_ms;
-        });
-  }
+  qp::bench::emit_rows(qp::eval::iterative_sweep(topology(), config),
+                       [](const qp::eval::IterativePoint& p) {
+                         char level[32];
+                         std::snprintf(level, sizeof level, "%.3f", p.capacity_level);
+                         return "Fig8_9/" + p.stage + "/cap=" + level;
+                       });
   return qp::bench::run_benchmarks(argc, argv);
 }

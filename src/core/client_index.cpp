@@ -5,6 +5,17 @@
 #include <stdexcept>
 
 namespace qp::core {
+namespace {
+
+/// Uncapped coverage slack: lists cover radius[v] * kMargin, so m1 can grow
+/// this much across moves before the client falls into the always-checked
+/// overflow set.
+constexpr double kMargin = 1.25;
+static_assert(kMargin >= 1.0, "ClientCandidateIndex: margin must be >= 1");
+/// Uncapped lists never hold fewer than this many sites (when n allows).
+constexpr std::size_t kMinSites = 8;
+
+}  // namespace
 
 ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
                                                  const net::KnnIndex* knn,
@@ -13,9 +24,6 @@ ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
   const std::size_t n = space.size();
   if (!radius.empty() && radius.size() != n) {
     throw std::invalid_argument{"ClientCandidateIndex: radius count != site count"};
-  }
-  if (!(config.margin >= 1.0)) {
-    throw std::invalid_argument{"ClientCandidateIndex: margin must be >= 1"};
   }
   std::optional<net::KnnIndex> local;
   if (knn == nullptr) {
@@ -41,13 +49,13 @@ ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
       knn->nearest(v, config.cap, buf);
       out.radius_[v] = buf.empty() ? 0.0 : buf.back().rtt_ms;
     } else {
-      const double cover = (radius.empty() ? 0.0 : radius[v]) * config.margin;
+      const double cover = (radius.empty() ? 0.0 : radius[v]) * kMargin;
       knn->within(v, cover, buf);
-      if (buf.size() < std::min(config.min_sites, n)) {
+      if (buf.size() < std::min(kMinSites, n)) {
         // The min-size floor subsumes the radius query: fewer than
-        // min_sites sites lie within `cover`, so the min_sites nearest
+        // kMinSites sites lie within `cover`, so the kMinSites nearest
         // contain all of them.
-        knn->nearest(v, config.min_sites, buf);
+        knn->nearest(v, kMinSites, buf);
       }
       out.radius_[v] = cover;
     }

@@ -14,12 +14,13 @@
 // scanning all n clients.
 //
 // Two modes:
-//  * Uncapped (cap == 0): each list covers radius[v] * margin (at least
-//    min_sites). Combined with the evaluator's overflow tracking (clients
-//    whose m1 outgrows their covered radius are always checked), candidate
-//    evaluation is EXACT — the sparse path returns the same answer as the
-//    full scan up to FP summation order. This is the parity mode used on
-//    every n <= 500 config.
+//  * Uncapped (cap == 0): each list covers radius[v] * 1.25 (at least 8
+//    sites; the slack lets m1 grow across moves). Combined with the
+//    evaluator's overflow tracking (clients whose m1 outgrows their
+//    covered radius are always checked), candidate evaluation is EXACT —
+//    the sparse path returns the same answer as the full scan up to FP
+//    summation order. This is the parity mode used on every n <= 500
+//    config.
 //  * Capped (cap > 0): each list is the cap nearest sites. Coverage of m1
 //    is no longer guaranteed, so candidate *ranking* becomes approximate
 //    (a flip triggered by a site outside every list can be missed), so a
@@ -45,23 +46,18 @@ namespace qp::core {
 class ClientCandidateIndex {
  public:
   struct Config {
-    /// 0 = uncapped (exact coverage of radius * margin); > 0 caps each list
-    /// at that many nearest sites (approximate, bounded memory).
+    /// 0 = uncapped (exact coverage of radius * 1.25, at least 8 sites);
+    /// > 0 caps each list at that many nearest sites (approximate, bounded
+    /// memory).
     std::size_t cap = 0;
-    /// Uncapped coverage slack: lists cover radius[v] * margin, so m1 can
-    /// grow this much across moves before the client falls into the
-    /// always-checked overflow set. Must be >= 1.
-    double margin = 1.25;
-    /// Uncapped lists never hold fewer than this many sites (when n allows).
-    std::size_t min_sites = 8;
   };
 
   /// Builds lists for every site-as-client of `space`. `radius` is the
   /// per-client coverage target (typically the evaluator's current m1
-  /// values); empty means 0 (min_sites-only lists). `knn` accelerates the
-  /// list queries and is required when `space.as_matrix()` is null;
-  /// otherwise a brute-force dense scan is used. Throws
-  /// std::invalid_argument on a bad config or missing backend.
+  /// values); empty means 0 (8-site lists). `knn` accelerates the list
+  /// queries and is required when `space.as_matrix()` is null; otherwise a
+  /// brute-force dense scan is used. Throws std::invalid_argument on a
+  /// radius count that is not the site count, or a missing backend.
   [[nodiscard]] static ClientCandidateIndex build(const net::LatencySpace& space,
                                                   const net::KnnIndex* knn,
                                                   std::span<const double> radius,

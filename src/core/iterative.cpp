@@ -26,7 +26,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
   // load-preservation argument holds for skewed workloads too (the phase-1
   // loads it pins the caps to are demand-weighted the same way).
   const std::span<const double> demand = objective.client_weights();
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(kLpQuorumLimit);
+  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
   const std::size_t m = quorums.size();
 
   // p^0 = uniform distribution for every client (§4.2).

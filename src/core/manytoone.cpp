@@ -208,7 +208,7 @@ std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
       throw std::invalid_argument{"many_to_one_placement: capacities must be finite"};
     }
   }
-  std::vector<quorum::Quorum> quorums = system.enumerate_quorums(kLpQuorumLimit);
+  std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
   if (quorum_distribution.size() != quorums.size()) {
     throw std::invalid_argument{"many_to_one_placement: distribution size mismatch"};
   }

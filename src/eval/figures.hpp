@@ -1,7 +1,8 @@
 // Experiment drivers, one per figure of the paper's evaluation. Each driver
-// returns typed rows; the bench binaries print them as CSV and expose them
-// as google-benchmark counters, and the integration tests assert the
-// qualitative shapes the paper reports.
+// returns typed rows whose columns(f) member names every column once, in
+// CSV order; eval::print_csv (eval/sweeps.hpp) and the bench emitter turn
+// that one list into the CSV and the google-benchmark counters, and the
+// integration tests assert the qualitative shapes the paper reports.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,16 @@ struct QuPoint {
   double network_delay_ms = 0.0;
   double response_ms = 0.0;
   double throughput_rps = 0.0;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("t", t);
+    f("universe", universe);
+    f("clients", clients);
+    f("network_delay_ms", network_delay_ms);
+    f("response_ms", response_ms);
+    f("throughput_rps", throughput_rps);
+  }
 };
 
 struct QuSweepConfig {
@@ -78,6 +89,13 @@ struct LowDemandPoint {
   std::string system;        // "(t+1,2t+1) Maj", ..., "Grid", "Singleton".
   std::size_t universe = 0;
   double response_ms = 0.0;  // alpha = 0, closest strategy.
+
+  template <class F>
+  void columns(F&& f) const {
+    f("system", system);
+    f("universe", universe);
+    f("response_ms", response_ms);
+  }
 };
 
 /// Figure 6.3: response time (= network delay, alpha=0) of the closest
@@ -93,6 +111,15 @@ struct GridDemandPoint {
   std::string strategy;      // "closest" or "balanced".
   double response_ms = 0.0;
   double network_delay_ms = 0.0;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("universe", universe);
+    f("client_demand", client_demand);
+    f("strategy", strategy);
+    f("response_ms", response_ms);
+    f("network_delay_ms", network_delay_ms);
+  }
 };
 
 /// Figures 6.4 / 6.5: Grid response time & network delay under the closest
@@ -117,6 +144,16 @@ struct CapacityPoint {
   double response_ms = 0.0;
   double network_delay_ms = 0.0;
   bool feasible = true;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("universe", universe);
+    f("capacity_level", capacity_level);
+    f("nonuniform", nonuniform);
+    f("feasible", feasible);
+    f("response_ms", response_ms);
+    f("network_delay_ms", network_delay_ms);
+  }
 };
 
 struct CapacitySweepConfig {
@@ -142,6 +179,14 @@ struct IterativePoint {
   std::string stage;  // "one-to-one", "iter1-phase1", "iter1-phase2", ...
   double network_delay_ms = 0.0;
   double response_ms = 0.0;
+
+  template <class F>
+  void columns(F&& f) const {
+    f("capacity_level", capacity_level);
+    f("stage", stage);
+    f("network_delay_ms", network_delay_ms);
+    f("response_ms", response_ms);
+  }
 };
 
 struct IterativeSweepConfig {
@@ -181,6 +226,19 @@ struct LargeTopologyPoint {
   double network_delay_ms = 0.0;  // alpha = 0 objective of the same placement.
   std::size_t moves = 0;          // Accepted relocations (0 for constructive).
   double stage_ms = 0.0;          // Wall-clock of producing the stage.
+
+  template <class F>
+  void columns(F&& f) const {
+    f("scenario", scenario);
+    f("system", system);
+    f("objective", objective);
+    f("stage", stage);
+    f("alpha", alpha);
+    f("response_ms", response_ms);
+    f("network_delay_ms", network_delay_ms);
+    f("moves", moves);
+    f("stage_ms", stage_ms);
+  }
 };
 
 struct LargeTopologyConfig {

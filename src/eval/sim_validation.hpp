@@ -52,6 +52,30 @@ struct SimValidationPoint {
   double unavailability_sim = 0.0;       // Engine (failed+abandoned)/issued.
   std::size_t retries = 0;               // Engine retry attempts.
   std::size_t abandoned = 0;             // Requests that exhausted attempts.
+
+  template <class F>
+  void columns(F&& f) const {
+    f("scenario", scenario);
+    f("system", system);
+    f("strategy", strategy);
+    f("arrivals", arrivals);
+    f("target_rho", target_rho);
+    f("analytic_ms", analytic_ms);
+    f("simulated_ms", simulated_ms);
+    f("divergence_pct", divergence_pct);
+    f("p50_ms", p50_ms);
+    f("p95_ms", p95_ms);
+    f("p99_ms", p99_ms);
+    f("peak_utilization", peak_utilization);
+    f("completed", completed);
+    f("dropped_messages", dropped_messages);
+    f("outage", outage);
+    f("fault", fault);
+    f("unavailability_analytic", unavailability_analytic);
+    f("unavailability_sim", unavailability_sim);
+    f("retries", retries);
+    f("abandoned", abandoned);
+  }
 };
 
 struct SimValidationConfig {

@@ -1,73 +1,6 @@
 #include "eval/sweeps.hpp"
 
-#include <ostream>
-
 namespace qp::eval {
-
-void print_csv(std::ostream& out, std::span<const QuPoint> points) {
-  out << "t,universe,clients,network_delay_ms,response_ms,throughput_rps\n";
-  for (const QuPoint& p : points) {
-    out << p.t << ',' << p.universe << ',' << p.clients << ',' << p.network_delay_ms << ','
-        << p.response_ms << ',' << p.throughput_rps << '\n';
-  }
-}
-
-void print_csv(std::ostream& out, std::span<const LowDemandPoint> points) {
-  out << "system,universe,response_ms\n";
-  for (const LowDemandPoint& p : points) {
-    out << p.system << ',' << p.universe << ',' << p.response_ms << '\n';
-  }
-}
-
-void print_csv(std::ostream& out, std::span<const GridDemandPoint> points) {
-  out << "universe,client_demand,strategy,response_ms,network_delay_ms\n";
-  for (const GridDemandPoint& p : points) {
-    out << p.universe << ',' << p.client_demand << ',' << p.strategy << ',' << p.response_ms
-        << ',' << p.network_delay_ms << '\n';
-  }
-}
-
-void print_csv(std::ostream& out, std::span<const CapacityPoint> points) {
-  out << "universe,capacity_level,nonuniform,feasible,response_ms,network_delay_ms\n";
-  for (const CapacityPoint& p : points) {
-    out << p.universe << ',' << p.capacity_level << ',' << (p.nonuniform ? 1 : 0) << ','
-        << (p.feasible ? 1 : 0) << ',' << p.response_ms << ',' << p.network_delay_ms << '\n';
-  }
-}
-
-void print_csv(std::ostream& out, std::span<const IterativePoint> points) {
-  out << "capacity_level,stage,network_delay_ms,response_ms\n";
-  for (const IterativePoint& p : points) {
-    out << p.capacity_level << ',' << p.stage << ',' << p.network_delay_ms << ','
-        << p.response_ms << '\n';
-  }
-}
-
-void print_csv(std::ostream& out, std::span<const LargeTopologyPoint> points) {
-  out << "scenario,system,objective,stage,alpha,response_ms,network_delay_ms,moves,"
-         "stage_ms\n";
-  for (const LargeTopologyPoint& p : points) {
-    out << p.scenario << ',' << p.system << ',' << p.objective << ',' << p.stage << ','
-        << p.alpha << ',' << p.response_ms << ',' << p.network_delay_ms << ','
-        << p.moves << ',' << p.stage_ms << '\n';
-  }
-}
-
-void print_csv(std::ostream& out, std::span<const SimValidationPoint> points) {
-  out << "scenario,system,strategy,arrivals,target_rho,analytic_ms,simulated_ms,"
-         "divergence_pct,p50_ms,p95_ms,p99_ms,peak_utilization,completed,"
-         "dropped_messages,outage,fault,unavailability_analytic,unavailability_sim,"
-         "retries,abandoned\n";
-  for (const SimValidationPoint& p : points) {
-    out << p.scenario << ',' << p.system << ',' << p.strategy << ',' << p.arrivals << ','
-        << p.target_rho << ',' << p.analytic_ms << ',' << p.simulated_ms << ','
-        << p.divergence_pct << ',' << p.p50_ms << ',' << p.p95_ms << ',' << p.p99_ms
-        << ',' << p.peak_utilization << ',' << p.completed << ',' << p.dropped_messages
-        << ',' << (p.outage ? 1 : 0) << ',' << (p.fault ? 1 : 0) << ','
-        << p.unavailability_analytic << ',' << p.unavailability_sim << ',' << p.retries
-        << ',' << p.abandoned << '\n';
-  }
-}
 
 std::vector<IterativePoint> rows_for_stage(std::span<const IterativePoint> points,
                                            const std::string& stage) {

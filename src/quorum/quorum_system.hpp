@@ -26,6 +26,11 @@ namespace qp::quorum {
 /// A quorum: sorted, distinct element indices in [0, universe_size).
 using Quorum = std::vector<std::size_t>;
 
+/// Default limit of enumerable() / enumerate_quorums(). The strategy LP, the
+/// many-to-one LP and the iterative alternation all enumerate under it, so a
+/// quorum distribution from one indexes another's quorum list.
+inline constexpr std::size_t kEnumerationLimit = 100'000;
+
 class QuorumSystem {
  public:
   virtual ~QuorumSystem() = default;
@@ -37,14 +42,14 @@ class QuorumSystem {
   [[nodiscard]] virtual double quorum_count() const noexcept = 0;
 
   /// True when enumerate_quorums() would produce at most `limit` quorums.
-  [[nodiscard]] bool enumerable(std::size_t limit = 100'000) const noexcept {
+  [[nodiscard]] bool enumerable(std::size_t limit = kEnumerationLimit) const noexcept {
     return quorum_count() <= static_cast<double>(limit);
   }
 
   /// Explicit quorum list; throws std::domain_error when not enumerable
   /// within the given limit.
   [[nodiscard]] virtual std::vector<Quorum> enumerate_quorums(
-      std::size_t limit = 100'000) const = 0;
+      std::size_t limit = kEnumerationLimit) const = 0;
 
   /// A quorum minimizing max_{u in Q} values[u]; requires values.size() == n.
   /// Deterministic tie-breaking (lowest element indices win).

@@ -363,7 +363,7 @@ Solution strategy_lp_oracle(const net::LatencyMatrix& matrix,
                             const quorum::QuorumSystem& system, const Placement& placement,
                             std::span<const double> caps,
                             std::span<const double> weights = {}) {
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums(100'000);
+  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
   const std::size_t n = matrix.size();
   LpProblem problem;
   std::vector<std::size_t> cap_row(n, n);
@@ -669,7 +669,7 @@ TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
   ASSERT_FALSE(result.history.empty());
 
   core::ExplicitStrategy uniform;
-  uniform.quorums = grid.enumerate_quorums(core::kLpQuorumLimit);
+  uniform.quorums = grid.enumerate_quorums(quorum::kEnumerationLimit);
   const std::vector<double> average(uniform.quorums.size(),
                                     1.0 / static_cast<double>(uniform.quorums.size()));
   uniform.probability.assign(matrix.size(), average);

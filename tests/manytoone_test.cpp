@@ -56,7 +56,7 @@ void expect_parity(double actual, double expected, double eps = 1e-9) {
 lp::LpProblem placement_lp(const LatencyMatrix& matrix, const quorum::QuorumSystem& system,
                            std::span<const double> probs, std::span<const double> caps,
                            std::size_t v0) {
-  const auto quorums = system.enumerate_quorums(100'000);
+  const auto quorums = system.enumerate_quorums();
   const std::vector<double> load = element_loads(quorums, probs, system.universe_size());
   const std::size_t sites = matrix.size();
   const std::size_t n = system.universe_size();
@@ -114,7 +114,7 @@ std::vector<FamilyCase> family_cases() {
 std::vector<double> spread_capacities(const quorum::QuorumSystem& system,
                                       std::span<const double> probs, std::size_t sites) {
   const std::vector<double> load =
-      element_loads(system.enumerate_quorums(100'000), probs, system.universe_size());
+      element_loads(system.enumerate_quorums(), probs, system.universe_size());
   const double total = std::accumulate(load.begin(), load.end(), 0.0);
   return uniform_capacities(sites, 1.25 * total / static_cast<double>(sites));
 }
@@ -160,7 +160,7 @@ TEST(ManyToOne, LpBoundMatchesDenseOracleAcrossFamilies) {
   const LatencyMatrix m = net::small_synth(9, 37);
   for (const FamilyCase& family : family_cases()) {
     const quorum::QuorumSystem& system = *family.system;
-    const auto probs = uniform_distribution(system.enumerate_quorums(100'000).size());
+    const auto probs = uniform_distribution(system.enumerate_quorums().size());
     const auto caps = spread_capacities(system, probs, m.size());
     for (std::size_t v0 : {std::size_t{0}, std::size_t{4}}) {
       SCOPED_TRACE(std::string{family.name} + " v0=" + std::to_string(v0));
@@ -288,7 +288,7 @@ TEST(BestManyToOne, WarmChainedAnchorBoundsMatchColdSolves) {
   const LatencyMatrix m = net::small_synth(9, 41);
   for (const FamilyCase& family : family_cases()) {
     const quorum::QuorumSystem& system = *family.system;
-    const auto probs = uniform_distribution(system.enumerate_quorums(100'000).size());
+    const auto probs = uniform_distribution(system.enumerate_quorums().size());
     const auto caps = spread_capacities(system, probs, m.size());
     const std::vector<std::size_t> order{3, 0, 8, 5, 1, 7};
 

@@ -8,7 +8,8 @@ must pass, and a clean synthetic tree exits 0. Also pins the tokenizer
 and the QPL000 unknown-rule-name diagnostic. QPL008 (unset-option) reads the
 whole tree, so it gets its own fixture tree: one field never set, one set by
 member assignment, one by a designated initializer, one by a nested
-`.simplex.initial_basis =`, and one suppressed.
+`.simplex.initial_basis =`, and one suppressed; a second tree checks that a
+bare `struct Config` nested in a class is an option struct too.
 
 Usage: qp_lint_test.py <path-to-qp_lint.py>
 """
@@ -191,6 +192,25 @@ bool use() {
 """,
 }
 
+NESTED_CONFIG_TREE = {
+    "src/core/index.hpp": """#pragma once
+class Index {
+ public:
+  struct Config {
+    int cap = 0;
+    double margin = 1.25;
+  };
+};
+""",
+    "src/core/index_user.cpp": """#include "core/index.hpp"
+int use() {
+  Index::Config config;
+  config.cap = 4;
+  return config.cap;
+}
+""",
+}
+
 CLEAN_TREE = {
     "src/core/clean.cpp": """#include <map>
 #include "common/check.hpp"
@@ -280,6 +300,19 @@ def main(argv):
         for name in ("member_set", "designated_set", "simplex", "initial_basis",
                      "suppressed", "kNotAField", "::ok"):
             check(name not in result.stdout, f"unset-option: {name} is not flagged")
+
+    # A nested `struct Config` (no name prefix) is scanned like WidgetOptions.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, text in NESTED_CONFIG_TREE.items():
+            write_tree(root, rel, text)
+        result = run_lint(lint_script, root)
+        findings = [line for line in result.stdout.splitlines() if "QPL008" in line]
+        check(
+            result.returncode == 1 and len(findings) == 1
+            and "Config::margin" in findings[0] and "index.hpp:6:" in findings[0],
+            f"unset-option: the nested Config's never-set field is flagged (got {findings})",
+        )
 
     # A clean synthetic tree (with the real exemptions exercised) exits 0.
     with tempfile.TemporaryDirectory() as tmp:

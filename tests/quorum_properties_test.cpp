@@ -34,14 +34,14 @@ class QuorumContract : public ::testing::TestWithParam<SystemCase> {
 };
 
 TEST_P(QuorumContract, EnumerationCountMatchesQuorumCount) {
-  const auto quorums = system_->enumerate_quorums(100'000);
+  const auto quorums = system_->enumerate_quorums();
   EXPECT_DOUBLE_EQ(static_cast<double>(quorums.size()), system_->quorum_count());
   EXPECT_FALSE(quorums.empty());
 }
 
 TEST_P(QuorumContract, QuorumsAreSortedDistinctInRange) {
   std::set<Quorum> seen;
-  for (const Quorum& quorum : system_->enumerate_quorums(100'000)) {
+  for (const Quorum& quorum : system_->enumerate_quorums()) {
     EXPECT_TRUE(std::is_sorted(quorum.begin(), quorum.end()));
     EXPECT_EQ(std::adjacent_find(quorum.begin(), quorum.end()), quorum.end());
     EXPECT_FALSE(quorum.empty());
@@ -51,12 +51,12 @@ TEST_P(QuorumContract, QuorumsAreSortedDistinctInRange) {
 }
 
 TEST_P(QuorumContract, PairwiseIntersection) {
-  EXPECT_TRUE(system_->verify_intersection(100'000));
+  EXPECT_TRUE(system_->verify_intersection(kEnumerationLimit));
 }
 
 TEST_P(QuorumContract, BestQuorumIsGloballyOptimal) {
   common::Rng rng{0xBEEF};
-  const auto quorums = system_->enumerate_quorums(100'000);
+  const auto quorums = system_->enumerate_quorums();
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> values(system_->universe_size());
     for (double& v : values) v = rng.uniform(0.0, 100.0);
@@ -75,7 +75,7 @@ TEST_P(QuorumContract, BestQuorumIsGloballyOptimal) {
 
 TEST_P(QuorumContract, ExpectedMaxMatchesEnumeration) {
   common::Rng rng{0xCAFE};
-  const auto quorums = system_->enumerate_quorums(100'000);
+  const auto quorums = system_->enumerate_quorums();
   std::vector<double> values(system_->universe_size());
   for (double& v : values) v = rng.uniform(0.0, 10.0);
   double total = 0.0;
@@ -104,7 +104,7 @@ TEST_P(QuorumContract, ExpectedMaxIsMonotoneInValues) {
 }
 
 TEST_P(QuorumContract, UniformLoadMatchesEnumeration) {
-  const auto quorums = system_->enumerate_quorums(100'000);
+  const auto quorums = system_->enumerate_quorums();
   std::vector<double> expected(system_->universe_size(), 0.0);
   for (const Quorum& quorum : quorums) {
     for (std::size_t u : quorum) expected[u] += 1.0;
@@ -127,7 +127,7 @@ TEST_P(QuorumContract, OptimalLoadBounds) {
 
 TEST_P(QuorumContract, SamplesAreValidQuorums) {
   common::Rng rng{0xABCD};
-  const auto all = system_->enumerate_quorums(100'000);
+  const auto all = system_->enumerate_quorums();
   const std::set<Quorum> valid(all.begin(), all.end());
   for (const Quorum& quorum : system_->sample_quorums(50, rng)) {
     EXPECT_TRUE(valid.count(quorum)) << "sampled non-quorum";

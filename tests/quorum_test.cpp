@@ -119,7 +119,7 @@ TEST(Majority, EnumerationMatchesCount) {
 TEST(Majority, EnumerationThrowsWhenHuge) {
   const MajorityQuorum m{161, 81};
   EXPECT_FALSE(m.enumerable());
-  EXPECT_THROW((void)m.enumerate_quorums(100'000), std::domain_error);
+  EXPECT_THROW((void)m.enumerate_quorums(kEnumerationLimit), std::domain_error);
 }
 
 TEST(Majority, BestQuorumIsSmallestValues) {

@@ -35,7 +35,7 @@ TEST(Tree, SizesAndCounts) {
 TEST(Tree, EnumerationMatchesCountAndIsDistinct) {
   for (std::size_t h : {0u, 1u, 2u, 3u}) {
     const TreeQuorum tree{h};
-    const auto quorums = tree.enumerate_quorums(100'000);
+    const auto quorums = tree.enumerate_quorums(kEnumerationLimit);
     EXPECT_EQ(static_cast<double>(quorums.size()), tree.quorum_count()) << "h=" << h;
     std::set<Quorum> unique(quorums.begin(), quorums.end());
     EXPECT_EQ(unique.size(), quorums.size()) << "h=" << h;
@@ -54,7 +54,7 @@ TEST(Tree, FlatTableSumsMatchEnumerationBitwise) {
     const TreeQuorum tree{h};
     std::vector<double> values(tree.universe_size());
     for (double& value : values) value = rng.uniform(0.0, 300.0);
-    const std::vector<Quorum> quorums = tree.enumerate_quorums(100'000);
+    const std::vector<Quorum> quorums = tree.enumerate_quorums(kEnumerationLimit);
     double total = 0.0;
     std::vector<double> load(tree.universe_size(), 0.0);
     for (const Quorum& quorum : quorums) {
@@ -82,7 +82,7 @@ TEST(Tree, HeightOneQuorumsExplicit) {
 
 TEST(Tree, IntersectionProperty) {
   for (std::size_t h : {1u, 2u, 3u}) {
-    EXPECT_TRUE(TreeQuorum{h}.verify_intersection(100'000)) << "h=" << h;
+    EXPECT_TRUE(TreeQuorum{h}.verify_intersection(kEnumerationLimit)) << "h=" << h;
   }
 }
 

@@ -43,7 +43,9 @@ Rules (ID / name / scope):
                                        common/thread_pool.
   QPL008 unset-option       src/**/*.hpp
                                        A field of a struct <Name>Options /
-                                       <Name>Config / <Name>Policy that no
+                                       <Name>Config / <Name>Policy (the
+                                       name prefix may be empty, as in a
+                                       nested `struct Config`) that no
                                        file other than its header assigns (`.f =`, `->f =`,
                                        `.f{`, nested `.f.g =`, or a
                                        designated `.f =`) anywhere under
@@ -370,7 +372,7 @@ def rule_hot_path_sync(scan):
             )
 
 
-OPTION_STRUCT_RE = re.compile(r"\bstruct\s+(\w+(?:Options|Config|Policy))\s*(?:final\s*)?\{")
+OPTION_STRUCT_RE = re.compile(r"\bstruct\s+(\w*(?:Options|Config|Policy))\s*(?:final\s*)?\{")
 # `.f =` / `->f =` (not `==`), compound assignment, `.f{`, and chains such as
 # `.f.g =` or `.f[i] =`; every name in the chain counts as set.
 ASSIGNMENT_RE = re.compile(
