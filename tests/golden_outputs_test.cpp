@@ -22,11 +22,16 @@
 #include <string>
 #include <vector>
 
+#include "core/placement.hpp"
+#include "core/strategy.hpp"
 #include "eval/figures.hpp"
 #include "eval/sim_validation.hpp"
 #include "eval/sweeps.hpp"
 #include "net/embedding.hpp"
 #include "net/synthetic.hpp"
+#include "quorum/grid.hpp"
+#include "sim/engine.hpp"
+#include "sim/fault.hpp"
 #include "sim/scenario.hpp"
 
 #ifndef QP_GOLDEN_DIR
@@ -155,6 +160,65 @@ TEST(GoldenOutputs, SimValidationSmoke) {
   config.replications = 1;
   expect_golden("sim_validation_smoke",
                 hexfloat_csv(sim_validation_sweep(planetlab50(), config)));
+}
+
+// The engine paths the sim-validation smoke leaves out (it fails over by
+// Oracle with zero backoff): a FaultInjector crash schedule, timeouts,
+// exponential backoff with jitter (BeginRetry events) and Suspicion failover
+// on a Grid(5x5) over Planetlab-50, open loop; then the same storm with two
+// closed-loop clients per site; then open loop at rho 0.9 with a two-message
+// queue limit, so overflow rejections feed the retry path too.
+TEST(GoldenOutputs, EngineRetrySuspicionSmoke) {
+  const net::LatencyMatrix& matrix = planetlab50();
+  const quorum::GridQuorum grid{5};
+  const core::Placement placement = core::best_grid_placement(matrix, 5).placement;
+  const std::vector<double> load =
+      core::site_loads_balanced(grid, placement, matrix.size());
+  const std::vector<double> ones(matrix.size(), 1.0);
+
+  sim::EngineConfig base;
+  base.warmup_ms = 200.0;
+  base.duration_ms = 1'500.0;
+  base.replications = 2;
+  base.master_seed = 11;
+  base.retry.timeout_ms = 250.0;
+  base.retry.max_attempts = 3;
+  base.retry.backoff_base_ms = 5.0;
+  base.retry.jitter_frac = 0.25;
+  base.failover = sim::FailoverMode::Suspicion;
+  base.suspicion_ttl_ms = 300.0;
+  sim::FaultInjectorConfig fault;
+  fault.seed = 5;
+  fault.horizon_ms = base.warmup_ms + base.duration_ms;
+  fault.site = sim::FaultProcess::for_down_probability(0.03, 300.0);
+  base.outages = sim::FaultInjector{fault}.schedule(matrix.size());
+
+  struct Run {
+    const char* name;
+    sim::EngineConfig config;
+    double rho;
+  };
+  std::vector<Run> runs{{"open_suspicion", base, 0.5},
+                        {"closed_loop", base, 0.5},
+                        {"finite_queue", base, 0.3}};
+  runs[1].config.closed_loop_clients = 2;
+  runs[2].config.queue_capacity = 4;
+
+  std::ostringstream out;
+  out << std::hexfloat
+      << "run,issued,completed,failed,abandoned,retries,stale_replies,"
+         "rejected_arrivals,dropped_messages,mean_response_ms,p99_ms,"
+         "degraded_p99_ms\n";
+  for (const Run& run : runs) {
+    const std::vector<double> rates =
+        sim::scale_rates_to_peak_utilization(ones, load, 1.0, run.rho);
+    const sim::EngineResult r = sim::run_engine(matrix, grid, placement, rates, run.config);
+    out << run.name << ',' << r.issued << ',' << r.completed << ',' << r.failed << ','
+        << r.abandoned << ',' << r.retries << ',' << r.stale_replies << ','
+        << r.rejected_arrivals << ',' << r.dropped_messages << ','
+        << r.mean_response_ms << ',' << r.p99_ms << ',' << r.degraded_p99_ms << '\n';
+  }
+  expect_golden("engine_retry_suspicion", out.str());
 }
 
 TEST(GoldenOutputs, EmbeddingFitStats) {
