@@ -12,6 +12,7 @@
 #include <ranges>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -20,8 +21,24 @@
 
 namespace qp::eval {
 
-/// Prints the header and one line per row. Bools print as 0/1; every other
-/// value goes through operator<< with the stream's formatting.
+/// Writes `text` as one CSV field: quoted, with inner quotes doubled, when
+/// it holds a comma, a quote or a line break (RFC 4180); as is otherwise.
+inline void write_csv_field(std::ostream& out, std::string_view text) {
+  if (text.find_first_of(",\"\r\n") == std::string_view::npos) {
+    out << text;
+    return;
+  }
+  out << '"';
+  for (char c : text) {
+    if (c == '"') out << '"';
+    out << c;
+  }
+  out << '"';
+}
+
+/// Prints the header and one line per row. Bools print as 0/1; strings are
+/// quoted where RFC 4180 needs it (write_csv_field); every other value goes
+/// through operator<< with the stream's formatting.
 template <std::ranges::input_range Rows>
 void print_csv(std::ostream& out, const Rows& rows) {
   using Row = std::ranges::range_value_t<Rows>;
@@ -35,8 +52,11 @@ void print_csv(std::ostream& out, const Rows& rows) {
     separator = "";
     row.columns([&](const char*, const auto& value) {
       out << separator;
-      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(value)>, bool>) {
+      using Value = std::remove_cvref_t<decltype(value)>;
+      if constexpr (std::is_same_v<Value, bool>) {
         out << (value ? 1 : 0);
+      } else if constexpr (std::is_convertible_v<const Value&, std::string_view>) {
+        write_csv_field(out, value);
       } else {
         out << value;
       }

@@ -17,6 +17,7 @@
 #include "eval/figures.hpp"
 #include "eval/sweeps.hpp"
 #include "net/synthetic.hpp"
+#include "quorum/majority.hpp"
 
 namespace qp::eval {
 namespace {
@@ -300,6 +301,27 @@ TEST(Figures, GridDemandConstantProfileReproducesUniformExactly) {
   EXPECT_TRUE(any_differs);
 }
 
+/// Splits one RFC 4180 line: quoted fields may hold commas and doubled
+/// quotes.
+std::vector<std::string> split_csv_line(const std::string& line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
 TEST(Figures, CsvEscapesNothingButIsParseable) {
   std::ostringstream out;
   print_csv(out, std::vector<GridDemandPoint>{{9, 1000.0, "closest", 12.5, 10.0}});
@@ -312,6 +334,36 @@ TEST(Figures, CsvEscapesNothingButIsParseable) {
   std::ostringstream out3;
   print_csv(out3, std::vector<CapacityPoint>{{9, 0.5, true, 100.0, 90.0, true}});
   EXPECT_NE(out3.str().find("9,0.5,1,1,100,90"), std::string::npos);
+
+  // The Majority family names carry a comma, so they are quoted (RFC 4180);
+  // an inner quote is doubled. Every line then splits into the header's
+  // field count and each name reads back unchanged.
+  std::vector<LowDemandPoint> rows;
+  for (const auto family :
+       {quorum::MajorityFamily::SimpleMajority, quorum::MajorityFamily::ByzantineMajority,
+        quorum::MajorityFamily::QuThreshold}) {
+    rows.push_back({quorum::family_name(family), 5, 1.5});
+  }
+  rows.push_back({"Grid", 9, 2.5});
+  rows.push_back({"say \"grid\"", 9, 2.5});
+  std::ostringstream out4;
+  print_csv(out4, rows);
+  EXPECT_EQ(out4.str(),
+            "system,universe,response_ms\n"
+            "\"(t+1,2t+1) Maj\",5,1.5\n"
+            "\"(2t+1,3t+1) Maj\",5,1.5\n"
+            "\"(4t+1,5t+1) Maj\",5,1.5\n"
+            "Grid,9,2.5\n"
+            "\"say \"\"grid\"\"\",9,2.5\n");
+  std::istringstream lines{out4.str()};
+  std::string line;
+  std::getline(lines, line);
+  for (const LowDemandPoint& row : rows) {
+    ASSERT_TRUE(std::getline(lines, line));
+    const std::vector<std::string> fields = split_csv_line(line);
+    ASSERT_EQ(fields.size(), 3u) << line;
+    EXPECT_EQ(fields[0], row.system);
+  }
 }
 
 template <typename Point>
