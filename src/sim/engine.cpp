@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include <ostream>
@@ -19,9 +18,10 @@ namespace qp::sim {
 
 namespace {
 
-// Engine telemetry: request accounting totals (tallied once per
-// replication, never per event), the response distribution, and probe
-// activity. The per-event hot path carries no obs calls at all.
+// Engine telemetry: request accounting totals and event counts (tallied
+// once per replication, never per event), the response distribution, the
+// event queue's peak population, and probe activity. The per-event hot path
+// carries no obs calls at all.
 const obs::Counter c_eng_runs = obs::counter("sim.engine.runs");
 const obs::Counter c_eng_replications = obs::counter("sim.engine.replications");
 const obs::Counter c_eng_issued = obs::counter("sim.engine.requests_issued");
@@ -35,7 +35,9 @@ const obs::Counter c_eng_dropped = obs::counter("sim.engine.dropped_messages");
 const obs::Counter c_eng_rejected =
     obs::counter("sim.engine.rejected_arrivals");
 const obs::Counter c_eng_probes = obs::counter("sim.engine.probes");
+const obs::Counter c_eng_events = obs::counter("sim.engine.events");
 const obs::Histogram h_eng_response = obs::histogram("sim.engine.response_ms");
+const obs::Histogram h_eng_queue_peak = obs::histogram("sim.engine.queue_peak");
 
 /// The engine's typed event union: one small value struct instead of a
 /// heap-allocated std::function per event (~50 events per request). `id`
@@ -57,6 +59,33 @@ struct EngineEvent {
   double half_rtt = 0.0;
 };
 
+/// The RTT from each client site to every quorum element's site, filled
+/// once per run_engine through LatencySpace::fill_rtts (== rtt()) and read
+/// by every replication: row(v)[u] = rtt(v, placement.site_of[u]). Only
+/// sites with a positive arrival rate host clients, so only they get a row.
+class ClientRttRows {
+ public:
+  ClientRttRows(const net::LatencySpace& space, const core::Placement& placement,
+                std::span<const double> rates)
+      : width_(placement.site_of.size()), offset_(rates.size(), 0) {
+    for (std::size_t v = 0; v < rates.size(); ++v) {
+      if (rates[v] <= 0.0) continue;
+      offset_[v] = rtts_.size();
+      rtts_.resize(rtts_.size() + width_);
+      space.fill_rtts(v, placement.site_of.data(), width_, rtts_.data() + offset_[v]);
+    }
+  }
+
+  [[nodiscard]] std::span<const double> row(std::size_t client) const noexcept {
+    return {rtts_.data() + offset_[client], width_};
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<std::size_t> offset_;  // Per site; meaningful for client sites.
+  std::vector<double> rtts_;
+};
+
 /// One replication: owns the event queue, rng stream, stations, and request
 /// table. Replications never share mutable state, so the fan-out is safe
 /// and the serial-order reduction makes it bit-identical to a serial run.
@@ -65,10 +94,10 @@ class Replication {
   Replication(const net::LatencySpace& space, const quorum::QuorumSystem& system,
               const core::Placement& placement, std::span<const double> rates,
               const EngineConfig& config, const QuorumSampler& sampler,
-              std::uint64_t seed)
-      : space_(space),
-        system_(system),
+              const ClientRttRows& rtt_rows, std::uint64_t seed)
+      : system_(system),
         placement_(placement),
+        rtt_rows_(rtt_rows),
         config_(config),
         sampler_(sampler),
         rng_(seed),
@@ -77,7 +106,8 @@ class Replication {
                   ServiceStation{config.warmup_ms, config.warmup_ms + config.duration_ms,
                                  config.queue_capacity}),
         outages_(config.outages, space.size()),
-        suspicion_(space.size(), config.suspicion_ttl_ms) {
+        suspicion_(space.size(), config.suspicion_ttl_ms),
+        requests_(kInitialRequestSlots) {
     for (std::size_t v = 0; v < rates.size(); ++v) {
       if (rates[v] <= 0.0) continue;
       if (closed_loop()) {
@@ -148,6 +178,8 @@ class Replication {
     c_eng_dropped.add(dropped_);
     c_eng_rejected.add(rejected_);
     c_eng_probes.add(probes_.size());
+    c_eng_events.add(queue_.executed());
+    h_eng_queue_peak.record(static_cast<double>(queue_.peak_pending()));
     if (obs::enabled()) {
       for (double sample : samples_) h_eng_response.record(sample);
     }
@@ -160,6 +192,7 @@ class Replication {
 
  private:
   struct Request {
+    std::uint64_t id = kRetired;  // The request in this ring slot, if any.
     double start = 0.0;
     std::size_t slot = 0;  // Issuing client slot; its site is clients_[slot].
     std::size_t pending = 0;
@@ -176,6 +209,8 @@ class Replication {
   /// re-choice; large against any WAN RTT yet harmless to the argmin-max.
   static constexpr double kFailoverPenaltyMs = 1.0e7;
   static constexpr std::size_t kNoSite = static_cast<std::size_t>(-1);
+  static constexpr std::uint64_t kRetired = static_cast<std::uint64_t>(-1);
+  static constexpr std::size_t kInitialRequestSlots = 64;
 
   [[nodiscard]] bool retry_enabled() const noexcept { return config_.retry.enabled(); }
   [[nodiscard]] bool closed_loop() const noexcept { return config_.closed_loop_clients > 0; }
@@ -220,7 +255,7 @@ class Replication {
                                ? 0.0
                                : static_cast<double>(sample.busy_sites) /
                                      static_cast<double>(stations_.size());
-    sample.inflight_requests = requests_.size();
+    sample.inflight_requests = inflight_;
     sample.suspected_sites = suspicion_.suspected_count(now);
     sample.issued = issued_;
     sample.completed = completed_;
@@ -255,13 +290,44 @@ class Replication {
 
   void issue(std::size_t slot, double now) {
     const std::uint64_t id = next_request_++;
-    const auto it = requests_.emplace(id, Request{}).first;
-    Request& request = it->second;
+    Request& request = admit(id);
     request.start = now;
     request.slot = slot;
+    request.pending = 0;
+    request.attempt = 0;
+    request.attempts_used = 0;
+    request.failed = false;
     request.windowed = now >= config_.warmup_ms && now < end_of_issue_;
     if (request.windowed) ++issued_;
     start_attempt(id, request, now);
+  }
+
+  // The request table is a ring indexed by id modulo its power-of-two size.
+  // Ids are issued in order and the ring always spans every id from the
+  // oldest unresolved one (oldest_) to the newest, so a live id owns its
+  // slot; a slot keeps its `outstanding` capacity from one request to the
+  // next.
+
+  /// The in-flight request `id`, or nullptr once it has resolved.
+  Request* find(std::uint64_t id) noexcept {
+    Request& request = requests_[id & (requests_.size() - 1)];
+    return request.id == id ? &request : nullptr;
+  }
+
+  Request& admit(std::uint64_t id) {
+    if (id - oldest_ >= requests_.size()) {
+      std::vector<Request> grown(2 * requests_.size());
+      for (Request& request : requests_) {
+        if (request.id != kRetired) {
+          grown[request.id & (grown.size() - 1)] = std::move(request);
+        }
+      }
+      requests_ = std::move(grown);
+    }
+    ++inflight_;
+    Request& request = requests_[id & (requests_.size() - 1)];
+    request.id = id;
+    return request;
   }
 
   /// The quorum the current attempt of `request` uses. The failover modes
@@ -273,8 +339,8 @@ class Replication {
     const bool rechoice =
         config_.failover == FailoverMode::Oracle ||
         (config_.failover == FailoverMode::Suspicion && request.attempt > 1);
-    const std::size_t client = clients_[request.slot];
-    if (!rechoice) return sampler_.draw(client, rng_, scratch_);
+    if (!rechoice) return sampler_.draw(clients_[request.slot], rng_, scratch_);
+    const std::span<const double> rtts = rtt_rows_.row(clients_[request.slot]);
     const std::size_t n = placement_.site_of.size();
     values_.resize(n);
     for (std::size_t u = 0; u < n; ++u) {
@@ -282,7 +348,7 @@ class Replication {
       const bool avoid = config_.failover == FailoverMode::Oracle
                              ? outages_.down_at(site, now)
                              : suspicion_.suspected(site, now);
-      values_[u] = space_.rtt(client, site) + (avoid ? kFailoverPenaltyMs : 0.0);
+      values_[u] = rtts[u] + (avoid ? kFailoverPenaltyMs : 0.0);
     }
     failover_quorum_ = system_.best_quorum(values_);
     return failover_quorum_;
@@ -298,11 +364,11 @@ class Replication {
     request.pending = chosen.size();
     request.outstanding.clear();
     const std::uint32_t attempt = request.attempt;
-    const std::size_t client = clients_[request.slot];
+    const std::span<const double> rtts = rtt_rows_.row(clients_[request.slot]);
     double max_rtt = 0.0;
     for (std::size_t u : chosen) {
       const std::size_t site = placement_.site_of[u];
-      const double rtt = space_.rtt(client, site);
+      const double rtt = rtts[u];
       max_rtt = std::max(max_rtt, rtt);
       if (retry_enabled()) request.outstanding.push_back(site);
       const double half = rtt / 2.0;
@@ -346,17 +412,17 @@ class Replication {
   /// came back.
   void resolve(std::uint64_t id, std::uint32_t attempt, std::size_t site,
                bool message_lost) {
-    const auto it = requests_.find(id);
-    if (retry_enabled() && (it == requests_.end() || it->second.attempt != attempt)) {
+    Request* const found = find(id);
+    if (retry_enabled() && (found == nullptr || found->attempt != attempt)) {
       // Replies can outlive their attempt (the request retried or was
       // abandoned) or the whole request (a timeout raced the last reply).
       ++stale_replies_;
       return;
     }
-    QP_CHECK(it != requests_.end(),
+    QP_CHECK(found != nullptr,
              "Replication::resolve: reply for a request that is not in flight "
              "(double completion or table corruption)");
-    Request& request = it->second;
+    Request& request = *found;
     QP_CHECK(request.pending > 0,
              "Replication::resolve: request has no outstanding messages left");
     if (message_lost) {
@@ -379,25 +445,27 @@ class Replication {
         if (request.attempts_used > 1) retried_response_.add(response);
       }
     }
-    retire(it);
+    retire(request);
   }
 
   /// Drops a resolved request; its closed-loop client issues the next one
   /// at once, until the issue window closes.
-  void retire(std::unordered_map<std::uint64_t, Request>::iterator it) {
-    const std::size_t slot = it->second.slot;
-    requests_.erase(it);
+  void retire(Request& request) {
+    const std::size_t slot = request.slot;
+    request.id = kRetired;
+    --inflight_;
+    while (oldest_ < next_request_ && find(oldest_) == nullptr) ++oldest_;
     const double now = queue_.now();
     if (closed_loop() && now < end_of_issue_) issue(slot, now);
   }
 
   /// The attempt's timeout expired. Stale when the attempt completed (the
-  /// request was erased) or already moved on (tag mismatch) — then it is a
+  /// request was retired) or already moved on (tag mismatch) — then it is a
   /// no-op and in particular must not count toward retries.
   void timeout(std::uint64_t id, std::uint32_t attempt) {
-    const auto it = requests_.find(id);
-    if (it == requests_.end() || it->second.attempt != attempt) return;
-    Request& request = it->second;
+    Request* const found = find(id);
+    if (found == nullptr || found->attempt != attempt) return;
+    Request& request = *found;
     QP_CHECK(request.pending > 0,
              "Replication::timeout: armed attempt has no outstanding messages");
     const double now = queue_.now();
@@ -409,7 +477,7 @@ class Replication {
         ++abandoned_;
         unserved_wait_.push_back(now - request.start);
       }
-      retire(it);
+      retire(request);
       return;
     }
     const double delay = config_.retry.backoff_delay(request.attempts_used, rng_);
@@ -429,18 +497,18 @@ class Replication {
   }
 
   void begin_retry(std::uint64_t id, std::uint32_t backoff_tag) {
-    const auto it = requests_.find(id);
-    QP_CHECK(it != requests_.end() && it->second.attempt == backoff_tag,
+    Request* const request = find(id);
+    QP_CHECK(request != nullptr && request->attempt == backoff_tag,
              "Replication::begin_retry: request vanished during backoff");
     // The backoff tag consumed an attempt number but issued no messages;
     // hand the slot back so attempts_used keeps counting real attempts.
-    --it->second.attempt;
-    start_attempt(id, it->second, queue_.now());
+    --request->attempt;
+    start_attempt(id, *request, queue_.now());
   }
 
-  const net::LatencySpace& space_;
   const quorum::QuorumSystem& system_;
   const core::Placement& placement_;
+  const ClientRttRows& rtt_rows_;
   const EngineConfig& config_;
   const QuorumSampler& sampler_;
   common::Rng rng_;
@@ -454,10 +522,10 @@ class Replication {
   // closed_loop_clients times in closed loop.
   std::vector<std::size_t> clients_;
   std::vector<ArrivalGenerator> generators_;    // Parallel to clients_ (open loop).
-  // Keyed lookups only (find/emplace/erase) — never iterated, so the
-  // implementation-defined order can't reach results (qp-lint QPL001).
-  std::unordered_map<std::uint64_t, Request> requests_;
+  std::vector<Request> requests_;  // Ring by request id; see find().
   std::uint64_t next_request_ = 0;
+  std::uint64_t oldest_ = 0;  // Every id below it has resolved.
+  std::size_t inflight_ = 0;
   quorum::Quorum scratch_;
   quorum::Quorum failover_quorum_;  // choose_quorum's re-choice result.
   std::vector<double> values_;      // Per-element RTT + penalty scratch.
@@ -555,6 +623,7 @@ EngineResult run_engine(const net::LatencySpace& space,
   }
 
   const QuorumSampler sampler = make_sampler(space, system, placement, config);
+  const ClientRttRows rtt_rows{space, placement, arrival_rates_per_ms};
   // Validate the outage schedule once up front (each replication rebuilds
   // its own copy; a bad site index should throw before the fan-out).
   (void)OutageSchedule{config.outages, space.size()};
@@ -563,8 +632,9 @@ EngineResult run_engine(const net::LatencySpace& space,
   common::ThreadPool& pool =
       config.pool != nullptr ? *config.pool : common::global_thread_pool();
   pool.parallel_for(0, config.replications, [&](std::size_t r) {
-    Replication replication{space,  system,  placement, arrival_rates_per_ms,
-                            config, sampler, replication_seed(config.master_seed, r)};
+    Replication replication{space,  system,   placement,
+                            arrival_rates_per_ms, config, sampler,
+                            rtt_rows, replication_seed(config.master_seed, r)};
     replications[r] = replication.run();
   });
 

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -435,6 +436,34 @@ TEST(ObsParity, EngineMetricsMatchEngineTotals) {
   const MetricSnapshot* h = find_metric(snap, "sim.engine.response_ms");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->histogram.count, result.completed);
+}
+
+// The event count and the queue's peak population are tallied once per
+// replication: one queue_peak sample each, and both repeat exactly across
+// thread counts.
+TEST(ObsParity, EngineEventsAndQueuePeakPerReplication) {
+  const ObsGuard guard;
+  set_enabled(true);
+  common::ThreadPool serial{1};
+  common::ThreadPool wide{4};
+  std::vector<std::uint64_t> events;
+  std::vector<std::pair<double, double>> peak_ranges;  // (min, max).
+  for (common::ThreadPool* pool : {&serial, &wide}) {
+    reset();
+    const sim::EngineResult result = run_small_engine(pool, 0.0);
+    const std::vector<MetricSnapshot> snap = snapshot();
+    events.push_back(counter_value(snap, "sim.engine.events"));
+    // Each request runs at least its arrival plus one message and one reply
+    // per quorum element.
+    EXPECT_GE(events.back(), 3 * result.issued);
+    const MetricSnapshot* peak = find_metric(snap, "sim.engine.queue_peak");
+    ASSERT_NE(peak, nullptr);
+    EXPECT_EQ(peak->histogram.count, result.replications.size());
+    EXPECT_GT(peak->histogram.min, 0.0);
+    peak_ranges.emplace_back(peak->histogram.min, peak->histogram.max);
+  }
+  EXPECT_EQ(events[0], events[1]);
+  EXPECT_EQ(peak_ranges[0], peak_ranges[1]);
 }
 
 TEST(ObsParity, TimeseriesCsvHasHeaderAndOneRowPerProbe) {

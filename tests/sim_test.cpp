@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/eval_workspace.hpp"
 #include "core/placement.hpp"
 #include "net/synthetic.hpp"
@@ -11,6 +16,7 @@
 #include "sim/client_sites.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "support/heap_event_queue.hpp"
 
 namespace qp::sim {
 namespace {
@@ -111,6 +117,234 @@ TEST(EventQueue, RejectsSchedulingInThePast) {
   queue.schedule(5.0, 0);
   queue.run_all([](int) {});
   EXPECT_THROW(queue.schedule(1.0, 0), std::invalid_argument);
+}
+
+TEST(EventQueue, RejectsNonFiniteTimes) {
+  EventQueue<int> queue;
+  queue.schedule(1.0, 0);
+  EXPECT_THROW(queue.schedule(std::numeric_limits<double>::quiet_NaN(), 1),
+               std::invalid_argument);
+  EXPECT_THROW(queue.schedule(std::numeric_limits<double>::infinity(), 1),
+               std::invalid_argument);
+  EXPECT_THROW(queue.schedule(-std::numeric_limits<double>::infinity(), 1),
+               std::invalid_argument);
+  EXPECT_EQ(queue.pending(), 1u);
+  std::vector<int> order;
+  queue.run_all([&](int value) { order.push_back(value); });
+  EXPECT_EQ(order, (std::vector<int>{0}));
+}
+
+// ------------------------------------- EventQueue vs the binary-heap oracle
+
+/// One queue under a seeded script. Each event is an id; when it runs, the
+/// script returns the offsets (from the clock) of the children it schedules
+/// from inside the dispatch, as a pure function of the id and the queue's
+/// population. Two drivers fed the same script therefore stay in lockstep
+/// exactly as long as their queues pop the same sequence.
+template <typename Queue>
+struct Driver {
+  using Script = std::function<std::vector<double>(std::uint64_t id, std::size_t pending)>;
+
+  explicit Driver(Script s) : script(std::move(s)) {}
+
+  void add(double time) { queue.schedule(time, next_id++); }
+
+  void dispatch(std::uint64_t id) {
+    fired.push_back(id);
+    for (double offset : script(id, queue.pending())) add(queue.now() + offset);
+  }
+
+  bool step() {
+    return queue.run_next([this](std::uint64_t id) { dispatch(id); });
+  }
+
+  void run_until(double end_time) {
+    queue.run_until(end_time, [this](std::uint64_t id) { dispatch(id); });
+  }
+
+  Queue queue;
+  Script script;
+  std::uint64_t next_id = 0;
+  std::vector<std::uint64_t> fired;
+};
+
+/// The calendar queue and the oracle, driven in lockstep.
+struct Lockstep {
+  explicit Lockstep(const Driver<EventQueue<std::uint64_t>>::Script& script)
+      : calendar(script), heap(script) {}
+
+  void add(double time) {
+    calendar.add(time);
+    heap.add(time);
+  }
+
+  void expect_same(const char* where) const {
+    ASSERT_EQ(calendar.fired.size(), heap.fired.size()) << where;
+    if (!calendar.fired.empty()) {
+      ASSERT_EQ(calendar.fired.back(), heap.fired.back())
+          << where << " at pop " << calendar.fired.size();
+    }
+    ASSERT_EQ(calendar.queue.now(), heap.queue.now()) << where;
+    ASSERT_EQ(calendar.queue.pending(), heap.queue.pending()) << where;
+  }
+
+  /// Pops both queues one event at a time until both are empty or
+  /// `max_pops` ran, comparing after every pop; returns the pops made.
+  std::size_t drain(std::size_t max_pops = std::numeric_limits<std::size_t>::max()) {
+    std::size_t pops = 0;
+    while (pops < max_pops) {
+      const bool a = calendar.step();
+      const bool b = heap.step();
+      EXPECT_EQ(a, b);
+      if (!a || !b) break;
+      ++pops;
+      expect_same("drain");
+      if (::testing::Test::HasFatalFailure()) break;
+      widths.push_back(calendar.queue.bucket_width());
+    }
+    return pops;
+  }
+
+  void run_until(double end_time) {
+    calendar.run_until(end_time);
+    heap.run_until(end_time);
+    expect_same("run_until");
+  }
+
+  Driver<EventQueue<std::uint64_t>> calendar;
+  Driver<test_support::HeapEventQueue<std::uint64_t>> heap;
+  std::vector<double> widths;  // Calendar width after every pop.
+};
+
+/// A uniform in [0, 1) from (salt, id, k): the script's only randomness.
+double hashed_uniform(std::uint64_t salt, std::uint64_t id, std::uint64_t k) {
+  std::uint64_t state = salt * 0x9E3779B97F4A7C15ULL ^ (id << 8) ^ k;
+  return static_cast<double>(common::splitmix64(state) >> 11) * 0x1.0p-53;
+}
+
+TEST(EventQueueDifferential, ExactTiesAndZeroDelayChildren) {
+  // Times on a 0.25 grid, so most timestamps are shared by several events;
+  // about a third of the children land at now() from inside the dispatch.
+  for (std::uint64_t salt = 1; salt <= 4; ++salt) {
+    Lockstep run{[salt](std::uint64_t id, std::size_t pending) {
+      std::vector<double> offsets;
+      if (id > 30'000) return offsets;
+      const std::size_t children = pending < 400 ? 2 : (pending < 800 ? 1 : 0);
+      for (std::size_t k = 0; k < children; ++k) {
+        const double u = hashed_uniform(salt, id, k);
+        offsets.push_back(u < 0.35 ? 0.0 : 0.25 * std::floor(u * 20.0));
+      }
+      return offsets;
+    }};
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      run.add(0.25 * std::floor(hashed_uniform(salt, i, 99) * 40.0));
+    }
+    EXPECT_GT(run.drain(), 30'000u) << "salt " << salt;
+    EXPECT_TRUE(run.calendar.queue.empty());
+  }
+}
+
+TEST(EventQueueDifferential, FarFutureEventsTakeTheOverflowHeap) {
+  // Mostly sub-millisecond children plus a few 1e4-1e6 ms timers, which
+  // land past the ring's reach; 1e15 and 1e300 go beyond the last
+  // representable day and must still pop last, in order.
+  for (std::uint64_t salt = 1; salt <= 3; ++salt) {
+    Lockstep run{[salt](std::uint64_t id, std::size_t pending) {
+      std::vector<double> offsets;
+      if (id > 40'000) return offsets;
+      const std::size_t children = pending < 1'000 ? 2 : 1;
+      for (std::size_t k = 0; k < children; ++k) {
+        const double u = hashed_uniform(salt, id, k);
+        offsets.push_back(u < 0.03 ? 1.0e4 * std::pow(100.0, u / 0.03) : u * 0.5);
+      }
+      return offsets;
+    }};
+    run.add(1.0e300);
+    run.add(1.0e15);
+    run.add(1.0e300);
+    for (std::uint64_t i = 0; i < 100; ++i) run.add(hashed_uniform(salt, i, 7));
+    EXPECT_GT(run.drain(), 40'000u) << "salt " << salt;
+    EXPECT_EQ(run.calendar.queue.now(), 1.0e300);
+  }
+}
+
+TEST(EventQueueDifferential, BurstsRetuneTheWidthBothWays) {
+  // Alternating phases: a dense burst (children 1e-3 ms apart, population
+  // growing to ~4000) and a sparse decay (children ~50 ms apart, population
+  // shrinking to a handful). Each doubling or halving re-derives the width,
+  // so it must both grow and shrink along the way.
+  Lockstep run{[](std::uint64_t id, std::size_t pending) {
+    std::vector<double> offsets;
+    const std::uint64_t phase = id / 8'000;
+    if (phase >= 6) return offsets;
+    const bool dense = phase % 2 == 0;
+    const std::size_t children = dense ? (pending < 4'000 ? 2 : 1) : (pending > 8 ? 0 : 1);
+    for (std::size_t k = 0; k < children; ++k) {
+      const double u = hashed_uniform(11, id, k);
+      offsets.push_back(dense ? 1.0e-3 * u : 50.0 * u);
+    }
+    return offsets;
+  }};
+  for (std::uint64_t i = 0; i < 10; ++i) run.add(0.001 * static_cast<double>(i));
+  EXPECT_GT(run.drain(), 20'000u);
+  bool grew = false;
+  bool shrank = false;
+  for (std::size_t i = 1; i < run.widths.size(); ++i) {
+    grew = grew || run.widths[i] > run.widths[i - 1];
+    shrank = shrank || run.widths[i] < run.widths[i - 1];
+  }
+  EXPECT_TRUE(grew);
+  EXPECT_TRUE(shrank);
+}
+
+TEST(EventQueueDifferential, DrainToEmptyThenRefill) {
+  Lockstep run{[](std::uint64_t id, std::size_t) {
+    std::vector<double> offsets;
+    if (id % 3 != 0 || id > 5'000) return offsets;
+    offsets.push_back(hashed_uniform(5, id, 0) * 2.0);
+    offsets.push_back(hashed_uniform(5, id, 1) < 0.5 ? 0.0 : 3.0);
+    return offsets;
+  }};
+  for (int round = 0; round < 4; ++round) {
+    const double base = run.calendar.queue.now();
+    run.add(base);  // At the clock exactly.
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      run.add(base + 10.0 * hashed_uniform(static_cast<std::uint64_t>(round), i, 3));
+    }
+    run.drain();
+    ASSERT_TRUE(run.calendar.queue.empty());
+    ASSERT_TRUE(run.heap.queue.empty());
+    run.expect_same("after drain");
+  }
+}
+
+TEST(EventQueueDifferential, RunUntilBoundaries) {
+  Lockstep run{[](std::uint64_t id, std::size_t pending) {
+    std::vector<double> offsets;
+    if (pending > 600 || id > 20'000) return offsets;
+    const double u = hashed_uniform(9, id, 0);
+    offsets.push_back(u < 0.2 ? 0.0 : 0.5 * std::floor(u * 8.0));
+    offsets.push_back(u < 0.1 ? 5'000.0 : u);
+    return offsets;
+  }};
+  for (std::uint64_t i = 0; i < 200; ++i) run.add(0.5 * std::floor(hashed_uniform(9, i, 1) * 20.0));
+  for (int step = 0; step < 400 && !run.heap.queue.empty(); ++step) {
+    const double now = run.heap.queue.now();
+    const double u = hashed_uniform(9, static_cast<std::uint64_t>(step), 2);
+    // Ends on an exact event time (inclusive), between times, before the
+    // clock (a no-op), or far past the ring; then events at the new clock.
+    double end = now + 0.5 * std::floor(u * 6.0);
+    if (u < 0.1) end = now - 1.0;
+    if (u > 0.97) end = now + 2'000.0;
+    run.run_until(end);
+    if (::testing::Test::HasFatalFailure()) return;
+    run.add(run.heap.queue.now());
+    run.add(run.heap.queue.now() + 0.25);
+    run.drain(25);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  run.drain();
+  EXPECT_TRUE(run.calendar.queue.empty());
 }
 
 // ------------------------------------------------- Closed-loop engine clients
