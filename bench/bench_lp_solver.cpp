@@ -12,8 +12,9 @@
 //                                            level warm-started from the
 //                                            previous level's basis.
 // Counters are the row's numeric CSV columns: levels solved, ms_total over
-// the ladder, simplex iterations summed, and the max relative objective
-// disagreement vs the cold revised row.
+// the ladder, pivots (simplex iterations summed; not named `iterations`,
+// which is google-benchmark's own per-run field), and the max relative
+// objective disagreement vs the cold revised row.
 // The ladder starts at the peak site load of the uncapacitated optimum
 // (each client on its lowest-index minimum-delay quorum) and tightens in 4%
 // steps while the LP stays feasible, so the capacity rows can bind.
@@ -52,7 +53,7 @@ struct LadderRow {
   std::string engine;
   std::size_t levels = 0;
   double ms_total = 0.0;
-  std::size_t iterations = 0;
+  std::size_t pivots = 0;
   double max_rel_diff = 0.0;       // Objective disagreement vs the cold ladder.
   std::vector<double> objectives;  // One per solved level (not a column).
 
@@ -62,7 +63,7 @@ struct LadderRow {
     f("engine", engine);
     f("levels", levels);
     f("ms_total", ms_total);
-    f("iterations", iterations);
+    f("pivots", pivots);
     f("max_rel_diff", max_rel_diff);
   }
 };
@@ -100,7 +101,7 @@ LadderRow run_ladder(const SizedCase& sized, const qp::quorum::QuorumSystem& sys
     if (lp.status != qp::lp::SolveStatus::Optimal) {
       throw std::runtime_error{"bench_lp_solver: ladder level not optimal"};
     }
-    out.iterations += lp.lp_iterations;
+    out.pivots += lp.lp_iterations;
     out.objectives.push_back(lp.avg_network_delay);
     if (warm) basis = lp.basis;
   }

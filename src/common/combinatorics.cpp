@@ -9,6 +9,9 @@
 
 namespace qp::common {
 
+namespace {
+
+/// ln C(n, k); -inf for k > n.
 double log_binomial(std::size_t n, std::size_t k) noexcept {
   if (k > n) return -std::numeric_limits<double>::infinity();
   if (k == 0 || k == n) return 0.0;
@@ -16,6 +19,8 @@ double log_binomial(std::size_t n, std::size_t k) noexcept {
   const auto dk = static_cast<double>(k);
   return std::lgamma(dn + 1.0) - std::lgamma(dk + 1.0) - std::lgamma(dn - dk + 1.0);
 }
+
+}  // namespace
 
 double binomial(std::size_t n, std::size_t k) noexcept {
   if (k > n) return 0.0;
@@ -45,21 +50,6 @@ const std::vector<double>& binomial_ratio_row(std::size_t n, std::size_t k) {
     it = cache.emplace(key, std::move(row)).first;
   }
   return it->second;
-}
-
-std::uint64_t binomial_exact(std::size_t n, std::size_t k) {
-  if (k > n) return 0;
-  k = std::min(k, n - k);
-  std::uint64_t result = 1;
-  for (std::size_t i = 1; i <= k; ++i) {
-    const std::uint64_t numer = n - k + i;
-    // result * numer / i is always integral at this point; check overflow first.
-    if (result > std::numeric_limits<std::uint64_t>::max() / numer) {
-      throw std::overflow_error{"binomial_exact: overflow"};
-    }
-    result = result * numer / i;
-  }
-  return result;
 }
 
 std::vector<std::vector<std::size_t>> all_subsets(std::size_t n, std::size_t k,

@@ -9,13 +9,11 @@
 
 namespace qp::common {
 
-/// ln C(n, k); returns -inf for k > n. Exact via lgamma.
-[[nodiscard]] double log_binomial(std::size_t n, std::size_t k) noexcept;
-
 /// C(n, k) as a double (may be inf for huge arguments; callers use ratios).
 [[nodiscard]] double binomial(std::size_t n, std::size_t k) noexcept;
 
-/// exp(log_binomial(a, k) - log_binomial(b, k)): numerically stable C(a,k)/C(b,k).
+/// C(a,k)/C(b,k) as a difference of lgamma-based logs, so it stays finite
+/// where the binomials themselves overflow.
 [[nodiscard]] double binomial_ratio(std::size_t a, std::size_t b, std::size_t k) noexcept;
 
 /// Memoized row of binomial ratios: row[i] = binomial_ratio(i, n, k) for
@@ -31,8 +29,5 @@ namespace qp::common {
 [[nodiscard]] std::vector<std::vector<std::size_t>> all_subsets(std::size_t n,
                                                                 std::size_t k,
                                                                 std::size_t limit = 2'000'000);
-
-/// Exact C(n,k) in unsigned 64-bit; throws on overflow.
-[[nodiscard]] std::uint64_t binomial_exact(std::size_t n, std::size_t k);
 
 }  // namespace qp::common

@@ -15,13 +15,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument{"Rng::between: lo > hi"};
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double Rng::normal() noexcept {
   // Box–Muller; guard against log(0).
   double u1 = uniform();

@@ -36,9 +36,7 @@ class Rng {
   using result_type = std::uint64_t;
 
   /// Seeds the full 256-bit state from `seed` via SplitMix64.
-  explicit Rng(std::uint64_t seed = 0x5eed0000c0ffeeULL) noexcept { reseed(seed); }
-
-  void reseed(std::uint64_t seed) noexcept {
+  explicit Rng(std::uint64_t seed = 0x5eed0000c0ffeeULL) noexcept {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);
   }
@@ -80,9 +78,6 @@ class Rng {
   /// Unbiased uniform integer in [0, bound). Throws if bound == 0.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Throws if lo > hi.
-  [[nodiscard]] std::int64_t between(std::int64_t lo, std::int64_t hi);
-
   /// Standard normal via Box–Muller (no cached spare: keeps state minimal).
   [[nodiscard]] double normal() noexcept;
 
@@ -96,15 +91,6 @@ class Rng {
 
   /// Exponential with the given mean (> 0).
   [[nodiscard]] double exponential(double mean);
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(below(i));
-      std::swap(items[i - 1], items[j]);
-    }
-  }
 
   /// k distinct indices drawn uniformly from [0, n) (order randomized).
   [[nodiscard]] std::vector<std::size_t> sample_without_replacement(std::size_t n,

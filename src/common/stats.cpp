@@ -20,12 +20,10 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-double RunningStats::variance() const noexcept {
+double RunningStats::stddev() const noexcept {
   if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
+  return std::sqrt(m2_ / static_cast<double>(count_ - 1));
 }
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.count_ == 0) return;
@@ -67,23 +65,6 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size()) throw std::invalid_argument{"correlation: size mismatch"};
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace qp::common

@@ -7,15 +7,15 @@
 
 namespace qp::common {
 
-/// Streaming mean/variance/extrema accumulator (Welford's algorithm).
+/// Streaming mean/spread/extrema accumulator (Welford's algorithm).
 class RunningStats {
  public:
   void add(double x) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  /// Unbiased sample variance; 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
+  /// Square root of the unbiased sample variance; 0 for fewer than two
+  /// samples.
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
@@ -41,8 +41,5 @@ class RunningStats {
 /// Same interpolation over already-sorted (ascending) data — callers that
 /// need several percentiles of one sample sort once and read the ranks.
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted, double p);
-
-/// Pearson correlation; 0 if either side is constant. Throws on size mismatch.
-[[nodiscard]] double correlation(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace qp::common

@@ -132,10 +132,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : impl_->workers) worker.join();
 }
 
-std::size_t ThreadPool::thread_count() const noexcept {
-  return impl_->workers.size() + 1;
-}
-
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;

@@ -38,8 +38,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const noexcept;
-
   /// Runs body(i) exactly once for every i in [begin, end), blocking until
   /// all are done. Indices are claimed dynamically, so the body must only
   /// write to state owned by index i. The first exception thrown by any body

@@ -84,13 +84,6 @@ ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
   return out;
 }
 
-std::span<const std::size_t> ClientCandidateIndex::sites_of(std::size_t client) const {
-  if (client >= size()) {
-    throw std::out_of_range{"ClientCandidateIndex::sites_of: client out of range"};
-  }
-  return {sites_.data() + offsets_[client], offsets_[client + 1] - offsets_[client]};
-}
-
 double ClientCandidateIndex::covered_radius(std::size_t client) const {
   if (client >= size()) {
     throw std::out_of_range{"ClientCandidateIndex::covered_radius: client out of range"};

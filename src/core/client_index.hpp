@@ -66,17 +66,12 @@ class ClientCandidateIndex {
   [[nodiscard]] std::size_t size() const noexcept { return radius_.size(); }
   [[nodiscard]] bool capped() const noexcept { return capped_; }
 
-  /// Client v's candidate sites, ascending site id.
-  [[nodiscard]] std::span<const std::size_t> sites_of(std::size_t client) const;
   /// Coverage radius actually guaranteed for v: every site with
-  /// rtt(v, s) <= covered_radius(v) is in sites_of(v). Meaningful for the
+  /// rtt(v, s) <= covered_radius(v) is in v's candidate list. Meaningful for the
   /// uncapped mode (capped lists guarantee only the cap nearest).
   [[nodiscard]] double covered_radius(std::size_t client) const;
   /// Clients whose list contains `site`, ascending client id.
   [[nodiscard]] std::span<const std::size_t> clients_of(std::size_t site) const;
-
-  /// Total list entries (forward == inverted); memory/coverage telemetry.
-  [[nodiscard]] std::size_t total_entries() const noexcept { return sites_.size(); }
 
  private:
   bool capped_ = false;

@@ -114,8 +114,6 @@ class DeltaEvaluator {
 
   [[nodiscard]] const Placement& placement() const noexcept { return placement_; }
 
-  [[nodiscard]] const Objective& objective_function() const noexcept { return *objective_; }
-
   /// Current objective J(f).
   [[nodiscard]] double objective() const noexcept;
 

@@ -34,6 +34,7 @@ struct PointShard {
 /// Parses "K/N" (1-based K, as run_all.sh --points passes it); nullptr or
 /// empty means the full range. Throws std::invalid_argument on malformed
 /// specs or K outside [1, N].
+// qp-lint: allow(test-only-export) -- the parser behind point_shard_from_env; tests feed it specs
 [[nodiscard]] PointShard parse_point_shard(const char* spec);
 
 /// parse_point_shard over the QP_POINT_SHARD environment variable — the

@@ -10,16 +10,15 @@
 
 #include <ostream>
 #include <ranges>
-#include <span>
-#include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "eval/figures.hpp"
 #include "eval/sim_validation.hpp"
 
 namespace qp::eval {
+
+namespace detail {
 
 /// Writes `text` as one CSV field: quoted, with inner quotes doubled, when
 /// it holds a comma, a quote or a line break (RFC 4180); as is otherwise.
@@ -36,8 +35,10 @@ inline void write_csv_field(std::ostream& out, std::string_view text) {
   out << '"';
 }
 
+}  // namespace detail
+
 /// Prints the header and one line per row. Bools print as 0/1; strings are
-/// quoted where RFC 4180 needs it (write_csv_field); every other value goes
+/// quoted where RFC 4180 needs it (detail::write_csv_field); every other value goes
 /// through operator<< with the stream's formatting.
 template <std::ranges::input_range Rows>
 void print_csv(std::ostream& out, const Rows& rows) {
@@ -56,7 +57,7 @@ void print_csv(std::ostream& out, const Rows& rows) {
       if constexpr (std::is_same_v<Value, bool>) {
         out << (value ? 1 : 0);
       } else if constexpr (std::is_convertible_v<const Value&, std::string_view>) {
-        write_csv_field(out, value);
+        detail::write_csv_field(out, value);
       } else {
         out << value;
       }
@@ -65,9 +66,5 @@ void print_csv(std::ostream& out, const Rows& rows) {
     out << '\n';
   }
 }
-
-/// Filters rows by a predicate-free convenience: rows matching a stage name.
-[[nodiscard]] std::vector<IterativePoint> rows_for_stage(
-    std::span<const IterativePoint> points, const std::string& stage);
 
 }  // namespace qp::eval

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace qp::lp {
@@ -27,12 +26,12 @@ struct ColumnEntry {
 class LpProblem {
  public:
   /// Adds a variable (x_j >= 0) with the given objective coefficient;
-  /// returns its index. Only a non-empty `name` is stored.
-  std::size_t add_variable(double objective_coefficient, std::string name = {});
+  /// returns its index.
+  std::size_t add_variable(double objective_coefficient);
 
   /// Adds a constraint row with the given sense and right-hand side;
-  /// returns its index. Only a non-empty `name` is stored.
-  std::size_t add_row(RowSense sense, double rhs, std::string name = {});
+  /// returns its index.
+  std::size_t add_row(RowSense sense, double rhs);
 
   /// Sets A[row][var] = value (accumulates if called twice for one cell).
   void add_coefficient(std::size_t row, std::size_t variable, double value);
@@ -44,19 +43,9 @@ class LpProblem {
   [[nodiscard]] const std::vector<ColumnEntry>& column(std::size_t variable) const;
   [[nodiscard]] RowSense row_sense(std::size_t row) const;
   [[nodiscard]] double rhs(std::size_t row) const;
-  /// The name given to add_variable / add_row, or the default "x<j>" /
-  /// "r<i>" formatted on demand.
-  [[nodiscard]] std::string variable_name(std::size_t variable) const;
-  [[nodiscard]] std::string row_name(std::size_t row) const;
 
   /// Merges duplicate (row, var) entries; called by the solver before use.
   void consolidate();
-
-  /// Evaluates c^T x for a candidate point (no feasibility check).
-  [[nodiscard]] double objective_value(const std::vector<double>& x) const;
-
-  /// Max violation of any row/sign constraint at x; 0 means feasible.
-  [[nodiscard]] double max_violation(const std::vector<double>& x) const;
 
  private:
   void check_variable(std::size_t variable) const;
@@ -66,10 +55,6 @@ class LpProblem {
   std::vector<double> objective_;
   std::vector<RowSense> senses_;
   std::vector<double> rhs_;
-  // Caller-given names, indexed like the variables / rows; they grow only
-  // as far as the last named one, and an empty entry means "unnamed".
-  std::vector<std::string> variable_names_;
-  std::vector<std::string> row_names_;
 };
 
 }  // namespace qp::lp

@@ -104,17 +104,6 @@ double LatencyEmbedding::height(std::size_t site) const {
   return heights_[site];
 }
 
-LatencyMatrix LatencyEmbedding::densify(std::vector<std::string> site_names) const {
-  const std::size_t n = size();
-  std::vector<std::vector<double>> table(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      table[i][j] = table[j][i] = rtt(i, j);
-    }
-  }
-  return LatencyMatrix{std::move(table), std::move(site_names)};
-}
-
 namespace {
 
 /// Farthest-point traversal from site 0: greedy maxmin landmark set.

@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "net/latency_matrix.hpp"
@@ -54,10 +53,6 @@ class LatencyEmbedding final : public LatencySpace {
   [[nodiscard]] std::span<const double> coordinate(std::size_t site) const;
   [[nodiscard]] double height(std::size_t site) const;
   [[nodiscard]] double min_rtt_ms() const noexcept { return min_rtt_; }
-
-  /// Materializes the dense n x n matrix (entries == rtt() bitwise). O(n^2)
-  /// memory — parity tests and small n only.
-  [[nodiscard]] LatencyMatrix densify(std::vector<std::string> site_names = {}) const;
 
  private:
   void check_site(std::size_t v) const;
@@ -99,6 +94,7 @@ struct FittedEmbedding {
 /// and height toward matching the measured RTT). Deterministic bit-for-bit
 /// in `config` — the fit is single-threaded by design, so results cannot
 /// depend on QP_THREADS. Throws on an empty matrix or dimensions == 0.
+// qp-lint: allow(test-only-export) -- the library's measured-matrix entry point; no pipeline stage fits yet
 [[nodiscard]] FittedEmbedding fit_latency_embedding(const LatencyMatrix& measured,
                                                     const EmbeddingConfig& config = {});
 

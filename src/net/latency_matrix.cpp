@@ -5,9 +5,29 @@
 #include <stdexcept>
 
 #include "common/simd_kernels.hpp"
-#include "net/shortest_paths.hpp"
 
 namespace qp::net {
+
+namespace {
+
+/// Floyd–Warshall over a square, zero-diagonal matrix (the constructor has
+/// checked both): shortest paths through the complete graph whose edge
+/// weights are the entries.
+std::vector<std::vector<double>> floyd_warshall(std::vector<std::vector<double>> dist) {
+  const std::size_t n = dist.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double dik = dist[i][k];
+      for (std::size_t j = 0; j < n; ++j) {
+        const double candidate = dik + dist[k][j];
+        if (candidate < dist[i][j]) dist[i][j] = candidate;
+      }
+    }
+  }
+  return dist;
+}
+
+}  // namespace
 
 LatencyMatrix::LatencyMatrix(std::vector<std::vector<double>> rtt_ms,
                              std::vector<std::string> site_names,
@@ -44,20 +64,6 @@ LatencyMatrix::LatencyMatrix(std::vector<std::vector<double>> rtt_ms,
   }
 }
 
-LatencyMatrix LatencyMatrix::from_graph(const Graph& graph) {
-  auto dist = all_pairs_shortest_paths(graph);
-  for (const auto& row : dist) {
-    for (double d : row) {
-      if (!std::isfinite(d)) {
-        throw std::invalid_argument{"LatencyMatrix::from_graph: graph is disconnected"};
-      }
-    }
-  }
-  std::vector<std::string> names(graph.node_count());
-  for (NodeId v = 0; v < graph.node_count(); ++v) names[v] = graph.name(v);
-  return LatencyMatrix{std::move(dist), std::move(names)};
-}
-
 void LatencyMatrix::check_site(std::size_t v) const {
   if (v >= rtt_.size()) throw std::out_of_range{"LatencyMatrix: site out of range"};
 }
@@ -82,18 +88,6 @@ const std::vector<double>& LatencyMatrix::row(std::size_t a) const {
 const std::string& LatencyMatrix::site_name(std::size_t v) const {
   check_site(v);
   return names_[v];
-}
-
-bool LatencyMatrix::satisfies_triangle_inequality(double tolerance) const {
-  const std::size_t n = size();
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      for (std::size_t c = 0; c < n; ++c) {
-        if (rtt_[a][c] > rtt_[a][b] + rtt_[b][c] + tolerance) return false;
-      }
-    }
-  }
-  return true;
 }
 
 LatencyMatrix LatencyMatrix::metric_closure() const {

@@ -2,15 +2,13 @@
 // stands in for the paper's measured Planetlab-50 / daxlist-161 datasets.
 //
 // It is the dense net::LatencySpace: measured WAN data arrives as a distance
-// matrix, and graph inputs are converted via all-pairs shortest paths (see
-// from_graph).
+// matrix.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "net/graph.hpp"
 #include "net/latency_space.hpp"
 
 namespace qp::net {
@@ -22,9 +20,6 @@ class LatencyMatrix : public LatencySpace {
   explicit LatencyMatrix(std::vector<std::vector<double>> rtt_ms,
                          std::vector<std::string> site_names = {},
                          double symmetry_tolerance = 1e-6);
-
-  /// Distance function of a graph: metric closure via shortest paths.
-  [[nodiscard]] static LatencyMatrix from_graph(const Graph& graph);
 
   [[nodiscard]] std::size_t size() const noexcept override { return rtt_.size(); }
 
@@ -41,9 +36,6 @@ class LatencyMatrix : public LatencySpace {
   [[nodiscard]] const std::vector<double>& row(std::size_t a) const;
 
   [[nodiscard]] const std::string& site_name(std::size_t v) const;
-
-  /// True iff d(a,c) <= d(a,b) + d(b,c) + tolerance for all triples.
-  [[nodiscard]] bool satisfies_triangle_inequality(double tolerance = 1e-9) const;
 
   /// Returns a metric-closed copy (shortest paths through the complete graph
   /// whose edge weights are the matrix entries). Idempotent on metrics.

@@ -106,18 +106,4 @@ LatencyMatrix read_matrix_file(const std::string& path) {
   return read_matrix(in);
 }
 
-void write_matrix(std::ostream& out, const LatencyMatrix& matrix) {
-  const std::size_t n = matrix.size();
-  out << n << '\n';
-  for (std::size_t i = 0; i < n; ++i) {
-    out << matrix.site_name(i) << (i + 1 == n ? '\n' : ' ');
-  }
-  out.precision(17);  // Round-trip exact for doubles.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out << matrix.rtt(i, j) << (j + 1 == n ? '\n' : ' ');
-    }
-  }
-}
-
 }  // namespace qp::net

@@ -1,6 +1,5 @@
-// Text serialization for latency matrices so users can plug in real
-// measurements (e.g. actual PlanetLab ping data) in place of the synthetic
-// generators.
+// Text input for latency matrices so users can plug in real measurements
+// (e.g. actual PlanetLab ping data) in place of the synthetic generators.
 //
 // Format (whitespace-separated, '#' comments allowed):
 //   line 1: N
@@ -17,12 +16,10 @@ namespace qp::net {
 
 /// Parses the format above. Throws std::runtime_error with a line-oriented
 /// message on malformed input.
+// qp-lint: allow(test-only-export) -- the parser behind read_matrix_file; tests feed it from memory
 [[nodiscard]] LatencyMatrix read_matrix(std::istream& in);
 
 /// Loads from a file path; throws std::runtime_error if unreadable.
 [[nodiscard]] LatencyMatrix read_matrix_file(const std::string& path);
-
-/// Writes the matrix (with names) in the same format.
-void write_matrix(std::ostream& out, const LatencyMatrix& matrix);
 
 }  // namespace qp::net

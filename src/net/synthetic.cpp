@@ -56,8 +56,7 @@ SyntheticSites place_sites(const SyntheticConfig& config, common::Rng& rng) {
   return SyntheticSites{std::move(sites), std::move(access_ms)};
 }
 
-}  // namespace
-
+/// Great-circle distance in kilometers (haversine, mean Earth radius).
 double great_circle_km(double lat1_deg, double lon1_deg, double lat2_deg,
                        double lon2_deg) noexcept {
   const double lat1 = deg2rad(lat1_deg);
@@ -68,6 +67,8 @@ double great_circle_km(double lat1_deg, double lon1_deg, double lat2_deg,
                    std::cos(lat1) * std::cos(lat2) * std::sin(dlon / 2) * std::sin(dlon / 2);
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(a)));
 }
+
+}  // namespace
 
 SyntheticSites generate_sites(const SyntheticConfig& config) {
   common::Rng rng{config.seed};

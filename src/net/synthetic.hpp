@@ -75,10 +75,6 @@ inline constexpr double kRouteInflationMean = 1.9;
 /// Floor for any inter-site RTT (two sites in one machine room), ms.
 inline constexpr double kMinRttMs = 0.3;
 
-/// Great-circle distance in kilometers (haversine, mean Earth radius).
-[[nodiscard]] double great_circle_km(double lat1_deg, double lon1_deg, double lat2_deg,
-                                     double lon2_deg) noexcept;
-
 /// Site placements and access delays of `config`, consuming the same seeded
 /// streams as generate_topology — the locations match the dense generator
 /// bitwise for the same config. O(n) time and memory; no RTT matrix.

@@ -452,25 +452,4 @@ void export_json(std::ostream& out) {
   out << "]}\n";
 }
 
-void export_csv(std::ostream& out) {
-  out << "name,kind,value,count,min,max,p50,p95,p99\n";
-  for (const MetricSnapshot& m : snapshot()) {
-    out << m.name << ',' << kind_name(m.kind) << ',';
-    switch (m.kind) {
-      case MetricKind::Counter:
-        out << m.value << ",,,,,,\n";
-        break;
-      case MetricKind::Gauge:
-        out << m.gauge_value << ",,,,,,\n";
-        break;
-      case MetricKind::Histogram:
-        out << ',' << m.histogram.count << ',' << m.histogram.min << ','
-            << m.histogram.max << ',' << m.histogram.percentile(50.0) << ','
-            << m.histogram.percentile(95.0) << ','
-            << m.histogram.percentile(99.0) << '\n';
-        break;
-    }
-  }
-}
-
 }  // namespace qp::obs

@@ -30,7 +30,7 @@
 //     c_moves.add();
 //     h_wait.record(elapsed_ms);
 //
-// Export: export_json / export_csv (both registration-ordered), snapshot()
+// Export: export_json (registration-ordered), snapshot()
 // for programmatic access, reset() to zero everything (tests, per-figure
 // runs). When the QP_OBS_EXPORT environment variable names a file, the
 // registry writes the JSON export there at process exit — bench/run_all.sh
@@ -62,6 +62,7 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 
 /// Bucket of `value` (pure function of the double, so bucket counts are
 /// reproducible everywhere).
+// qp-lint: allow(test-only-export) -- the histogram_record bucket rule, pinned by tests
 [[nodiscard]] std::size_t bucket_index(double value) noexcept;
 /// Exclusive upper bound of `bucket` (0.0 for bucket 0, +inf for the
 /// overflow bucket).
@@ -165,8 +166,7 @@ void reset();
 /// JSON export: {"qp_obs_version":1,"enabled":...,"metrics":[...]} with one
 /// object per metric in registration order (see bench/merge_shards.py for
 /// the cross-shard union of these files).
+// qp-lint: allow(test-only-export) -- writes the QP_OBS_EXPORT file; tests export to memory
 void export_json(std::ostream& out);
-/// CSV export: name,kind,value,count,min,max,p50,p95,p99 per metric.
-void export_csv(std::ostream& out);
 
 }  // namespace qp::obs

@@ -29,6 +29,7 @@
 namespace qp::obs {
 
 /// True once a sink is open (QP_TRACE env or start_trace) and not stopped.
+// qp-lint: allow(test-only-export) -- read by TraceSpan's inline constructor below
 [[nodiscard]] bool trace_enabled() noexcept;
 
 /// Opens `path` (truncating) and starts recording. Returns false if the

@@ -28,13 +28,13 @@ class GridQuorum final : public QuorumSystem {
                                                    common::Rng& rng) const override;
   void sample_quorum(common::Rng& rng, Quorum& out) const override;
 
-  /// The quorum for a (row, column) choice; exposed for tests and the
-  /// placement code, which reasons about grid coordinates directly.
+ private:
+  /// The quorum for a (row, column) choice; quorum r * k + c of
+  /// enumerate_quorums.
   [[nodiscard]] Quorum quorum_for(std::size_t row, std::size_t column) const;
   /// Allocation-free variant reusing `out`'s storage (sample_quorum's path).
   void quorum_for(std::size_t row, std::size_t column, Quorum& out) const;
 
- private:
   /// max_{u in row r u column c} values[u] for all (r, c), as a k x k table.
   [[nodiscard]] std::vector<double> quorum_maxima(std::span<const double> values) const;
 

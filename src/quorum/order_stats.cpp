@@ -71,15 +71,4 @@ double expected_max_uniform_subset(std::span<const double> values,
   return expected_max_sorted(scratch, subset_size);
 }
 
-std::vector<double> max_order_distribution(std::span<const double> values,
-                                           std::size_t subset_size) {
-  const std::size_t n = values.size();
-  if (subset_size == 0 || subset_size > n) {
-    throw std::invalid_argument{"max_order_distribution: bad subset size"};
-  }
-  // The pmf is value-independent; return a copy of the cached weights.
-  const std::span<const double> weights = max_order_weights(n, subset_size);
-  return std::vector<double>(weights.begin(), weights.end());
-}
-
 }  // namespace qp::quorum

@@ -51,9 +51,4 @@ namespace qp::quorum {
                                                  std::size_t subset_size,
                                                  std::vector<double>& scratch);
 
-/// P(max = sorted_values[i]) for each i (values sorted ascending internally;
-/// probabilities returned aligned to the sorted order). Mostly a test hook.
-[[nodiscard]] std::vector<double> max_order_distribution(std::span<const double> values,
-                                                         std::size_t subset_size);
-
 }  // namespace qp::quorum

@@ -35,30 +35,6 @@ void QuorumSystem::sample_quorum(common::Rng& rng, Quorum& out) const {
   out = sample_quorums(1, rng)[0];
 }
 
-bool QuorumSystem::verify_intersection(std::size_t limit) const {
-  const std::vector<Quorum> quorums = enumerate_quorums(limit);
-  for (std::size_t a = 0; a < quorums.size(); ++a) {
-    for (std::size_t b = a + 1; b < quorums.size(); ++b) {
-      // Quorums are sorted, so intersection is a linear merge.
-      std::size_t i = 0, j = 0;
-      bool intersects = false;
-      while (i < quorums[a].size() && j < quorums[b].size()) {
-        if (quorums[a][i] == quorums[b][j]) {
-          intersects = true;
-          break;
-        }
-        if (quorums[a][i] < quorums[b][j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-      if (!intersects) return false;
-    }
-  }
-  return true;
-}
-
 double QuorumSystem::uniform_touch_probability(std::span<const std::size_t> elements) const {
   for (std::size_t u : elements) {
     if (u >= universe_size()) {

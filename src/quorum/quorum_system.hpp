@@ -92,10 +92,6 @@ class QuorumSystem {
   /// enumeration.
   [[nodiscard]] virtual double optimal_load() const = 0;
 
-  /// Verifies the pairwise-intersection property by enumeration. Throws
-  /// std::domain_error if the system is too large to enumerate.
-  [[nodiscard]] bool verify_intersection(std::size_t limit = 20'000) const;
-
   /// Draws `count` quorums uniformly at random (with replacement). Supports
   /// Monte-Carlo cross-checks and approximate LP formulations for systems
   /// too large to enumerate.

@@ -257,6 +257,7 @@ struct EngineResult {
 
 /// The replication-r rng seed of the engine's SplitMix64 chain seeded by
 /// `master_seed` — exposed so tests can reproduce a single replication.
+// qp-lint: allow(test-only-export) -- run_engine's seed chain; tests pin its streams
 [[nodiscard]] std::uint64_t replication_seed(std::uint64_t master_seed,
                                              std::size_t replication) noexcept;
 

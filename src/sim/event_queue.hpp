@@ -3,7 +3,7 @@
 //
 // The queue is a template over the simulator's event type — a small tagged
 // struct the caller switches on in the dispatch functor passed to
-// run_next/run_until/run_all. A typed value event is allocation-free (a
+// run_next/run_all. A typed value event is allocation-free (a
 // std::function capture of {this, id, attempt, site, rtt} overflows every
 // small-buffer optimization, at ~50 events per simulated request).
 //
@@ -69,6 +69,7 @@ class EventQueue {
   /// Pops the earliest event, advances the clock, and hands the event to
   /// `dispatch`; returns false when no events remain.
   template <typename Dispatch>
+  // qp-lint: allow(test-only-export) -- run_all's step; the differential test pops one at a time
   bool run_next(Dispatch&& dispatch) {
     if (!load_current_day()) return false;
     Entry entry = std::move(current_.back());
@@ -81,18 +82,6 @@ class EventQueue {
     if (tuned_size_ > kMinBuckets && 2 * count_ < tuned_size_) retune();
     dispatch(std::move(entry.event));
     return true;
-  }
-
-  /// Runs events with time <= end_time; the clock then finishes at
-  /// end_time exactly (advanced past the last executed event), unless it
-  /// was already beyond end_time, in which case nothing runs and the clock
-  /// is unchanged.
-  template <typename Dispatch>
-  void run_until(double end_time, Dispatch&& dispatch) {
-    while (load_current_day() && current_.back().time <= end_time) {
-      (void)run_next(dispatch);
-    }
-    if (now_ < end_time) now_ = end_time;
   }
 
   /// Drains the queue completely.
@@ -109,6 +98,7 @@ class EventQueue {
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_; }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
   /// The current day width w (self-tuned; see the file comment).
+  // qp-lint: allow(test-only-export) -- the differential test checks that bursts re-tune it
   [[nodiscard]] double bucket_width() const noexcept { return width_; }
 
  private:

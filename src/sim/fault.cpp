@@ -101,11 +101,6 @@ std::vector<ServerOutage> FaultInjector::schedule(std::size_t site_count) const 
   return outages;
 }
 
-OutageSchedule FaultInjector::oracle(std::size_t site_count) const {
-  const std::vector<ServerOutage> outages = schedule(site_count);
-  return OutageSchedule{outages, site_count};
-}
-
 double FaultInjector::steady_state_down() const noexcept {
   const double site = config_.site.steady_state_down();
   const double regional =

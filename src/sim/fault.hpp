@@ -75,9 +75,6 @@ class FaultInjector {
   /// safe to call concurrently. OutageSchedule merges any overlap.
   [[nodiscard]] std::vector<ServerOutage> schedule(std::size_t site_count) const;
 
-  /// schedule() compiled into the live up/down oracle.
-  [[nodiscard]] OutageSchedule oracle(std::size_t site_count) const;
-
   [[nodiscard]] const FaultInjectorConfig& config() const noexcept { return config_; }
 
   /// Stationary per-site down probability under both processes (site down =
@@ -91,6 +88,7 @@ class FaultInjector {
 /// The stream-`index` rng seed of a fault injector's SplitMix64 chain —
 /// streams 2k seed site k's process, streams 2k+1 seed region k's, so site
 /// and region streams never collide. Exposed for reproduction in tests.
+// qp-lint: allow(test-only-export) -- schedule()'s seed chain; tests pin it against SplitMix64
 [[nodiscard]] std::uint64_t fault_stream_seed(std::uint64_t seed,
                                               std::uint64_t stream) noexcept;
 

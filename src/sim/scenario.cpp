@@ -81,17 +81,10 @@ std::vector<double> power_law_demand(std::size_t count, double shape, double mea
 
 }  // namespace
 
-double Scenario::total_demand() const noexcept {
-  return std::accumulate(client_demand.begin(), client_demand.end(), 0.0);
-}
-
-double Scenario::mean_demand() const noexcept {
-  if (client_demand.empty()) return 0.0;
-  return total_demand() / static_cast<double>(client_demand.size());
-}
-
 double Scenario::alpha() const noexcept {
-  return core::kQuWriteServiceMs * mean_demand();
+  if (client_demand.empty()) return 0.0;
+  const double total = std::accumulate(client_demand.begin(), client_demand.end(), 0.0);
+  return core::kQuWriteServiceMs * (total / static_cast<double>(client_demand.size()));
 }
 
 core::LoadAwareObjective Scenario::load_objective() const {

@@ -47,10 +47,8 @@ struct Scenario {
   std::vector<double> client_demand;
 
   [[nodiscard]] std::size_t site_count() const noexcept { return matrix.size(); }
-  [[nodiscard]] double total_demand() const noexcept;
-  [[nodiscard]] double mean_demand() const noexcept;
   /// The §7 response-model coefficient for this workload:
-  /// kQuWriteServiceMs * mean_demand().
+  /// kQuWriteServiceMs times the mean client demand.
   [[nodiscard]] double alpha() const noexcept;
 
   /// Demand-weighted search objectives of this workload: per-client weights

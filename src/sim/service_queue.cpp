@@ -51,15 +51,6 @@ std::span<const std::pair<double, double>> OutageSchedule::windows(
   return by_site_[site];
 }
 
-double OutageSchedule::down_time(std::size_t site, double from_ms,
-                                 double to_ms) const noexcept {
-  double total = 0.0;
-  for (const auto& [start, end] : windows(site)) {
-    total += std::max(0.0, std::min(end, to_ms) - std::max(start, from_ms));
-  }
-  return total;
-}
-
 ServiceStation::ServiceStation(double window_start, double window_end,
                                std::size_t capacity)
     : window_start_(window_start), window_end_(window_end), capacity_(capacity) {}

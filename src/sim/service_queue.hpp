@@ -53,9 +53,6 @@ class OutageSchedule {
   /// when the site never fails). Exposed for tests and schedule statistics.
   [[nodiscard]] std::span<const std::pair<double, double>> windows(
       std::size_t site) const noexcept;
-  /// Total down time of `site` overlapping [from_ms, to_ms).
-  [[nodiscard]] double down_time(std::size_t site, double from_ms,
-                                 double to_ms) const noexcept;
 
  private:
   std::vector<std::vector<std::pair<double, double>>> by_site_;
@@ -88,7 +85,6 @@ class ServiceStation {
   /// never rejects.
   double accept(double now, double service_time);
 
-  [[nodiscard]] double next_free() const noexcept { return next_free_; }
   /// Service time accumulated inside the measurement window, ms.
   [[nodiscard]] double busy_in_window() const noexcept { return busy_; }
 

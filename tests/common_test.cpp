@@ -20,6 +20,23 @@
 namespace qp::common {
 namespace {
 
+/// Exact C(n, k) in unsigned 64-bit; throws on overflow. The integer oracle
+/// of the lgamma-based binomial().
+std::uint64_t binomial_exact(std::size_t n, std::size_t k) {
+  if (k > n) return 0;
+  k = std::min(k, n - k);
+  std::uint64_t result = 1;
+  for (std::size_t i = 1; i <= k; ++i) {
+    const std::uint64_t numer = n - k + i;
+    // result * numer / i is always integral at this point; check overflow first.
+    if (result > std::numeric_limits<std::uint64_t>::max() / numer) {
+      throw std::overflow_error{"binomial_exact: overflow"};
+    }
+    result = result * numer / i;
+  }
+  return result;
+}
+
 // ------------------------------------------------------------------- Rng
 
 TEST(Rng, DeterministicForSameSeed) {
@@ -40,7 +57,7 @@ TEST(Rng, ReseedRestoresStream) {
   Rng rng{7};
   std::vector<std::uint64_t> first;
   for (int i = 0; i < 10; ++i) first.push_back(rng.next());
-  rng.reseed(7);
+  rng = Rng{7};
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.next(), first[i]);
 }
 
@@ -80,19 +97,6 @@ TEST(Rng, BelowIsInRangeAndCoversAll) {
 TEST(Rng, BelowZeroThrows) {
   Rng rng{1};
   EXPECT_THROW((void)rng.below(0), std::invalid_argument);
-}
-
-TEST(Rng, BetweenInclusive) {
-  Rng rng{19};
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 500; ++i) {
-    const auto v = rng.between(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-  EXPECT_THROW((void)rng.between(3, 1), std::invalid_argument);
 }
 
 TEST(Rng, NormalMoments) {
@@ -161,15 +165,6 @@ TEST(Rng, WeightedIndexRespectsWeights) {
                std::invalid_argument);
 }
 
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng{47};
-  std::vector<int> items{1, 2, 3, 4, 5, 6, 7};
-  auto shuffled = items;
-  rng.shuffle(shuffled);
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, items);
-}
-
 // ------------------------------------------------------- SimdKernels
 
 TEST(SimdKernels, GatherIndexedMatchesScalarForAllTailLengths) {
@@ -206,7 +201,7 @@ TEST(RunningStats, EmptyIsZero) {
   RunningStats stats;
   EXPECT_EQ(stats.count(), 0u);
   EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
+  EXPECT_EQ(stats.stddev(), 0.0);
 }
 
 TEST(RunningStats, KnownValues) {
@@ -214,7 +209,7 @@ TEST(RunningStats, KnownValues) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(x);
   EXPECT_EQ(stats.count(), 8u);
   EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);  // Sample variance.
+  EXPECT_NEAR(stats.stddev(), std::sqrt(32.0 / 7.0), 1e-12);  // Sample variance 32/7.
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
   EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
@@ -231,7 +226,7 @@ TEST(RunningStats, MergeMatchesSequential) {
   left.merge(right);
   EXPECT_EQ(left.count(), all.count());
   EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
+  EXPECT_NEAR(left.stddev(), all.stddev(), 1e-9);
   EXPECT_DOUBLE_EQ(left.min(), all.min());
   EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
@@ -244,17 +239,6 @@ TEST(Stats, MeanAndPercentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
   EXPECT_THROW((void)percentile({}, 50.0), std::invalid_argument);
   EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
-}
-
-TEST(Stats, Correlation) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(correlation(xs, ys), 1.0, 1e-12);
-  const std::vector<double> zs{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(correlation(xs, zs), -1.0, 1e-12);
-  const std::vector<double> constant{5.0, 5.0, 5.0, 5.0};
-  EXPECT_EQ(correlation(xs, constant), 0.0);
-  EXPECT_THROW((void)correlation(xs, std::vector<double>{1.0}), std::invalid_argument);
 }
 
 // --------------------------------------------------------- Combinatorics
@@ -278,11 +262,12 @@ TEST(Combinatorics, DoubleMatchesExact) {
 }
 
 TEST(Combinatorics, LogBinomialHandlesHugeArguments) {
-  // C(161, 80) overflows doubles in linear space but not in log space.
-  const double log_value = log_binomial(161, 80);
-  EXPECT_TRUE(std::isfinite(log_value));
-  EXPECT_GT(log_value, 100.0);
-  EXPECT_EQ(log_binomial(5, 6), -std::numeric_limits<double>::infinity());
+  // The ratios go through log space: C(1100, 550) overflows a double, but
+  // C(1099, 550) / C(1100, 550) = 550 / 1100 stays exact to rounding.
+  EXPECT_FALSE(std::isfinite(binomial(1100, 550)));
+  EXPECT_NEAR(binomial_ratio(1099, 1100, 550), 0.5, 1e-9);
+  EXPECT_GT(binomial(161, 80), 1e47);
+  EXPECT_EQ(binomial(5, 6), 0.0);
 }
 
 TEST(Combinatorics, BinomialRatioStable) {
@@ -345,7 +330,6 @@ TEST(Combinatorics, BinomialRatioRowReturnsStableReference) {
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool{4};
-  EXPECT_EQ(pool.thread_count(), 4u);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -353,7 +337,6 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, SingleThreadPoolRunsInline) {
   ThreadPool pool{1};
-  EXPECT_EQ(pool.thread_count(), 1u);
   std::vector<int> order;
   pool.parallel_for(3, 8, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{3, 4, 5, 6, 7}));
@@ -401,7 +384,6 @@ TEST(ThreadPool, ReusableAcrossManyInvocations) {
 
 TEST(ThreadPool, GlobalPoolIsASingleton) {
   EXPECT_EQ(&global_thread_pool(), &global_thread_pool());
-  EXPECT_GE(global_thread_pool().thread_count(), 1u);
 }
 
 TEST(Combinatorics, SplitMixIsStable) {

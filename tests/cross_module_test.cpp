@@ -1,6 +1,6 @@
 // Cross-module scenarios that don't belong to a single unit: non-Grid
 // systems through the LP/iterative pipeline, simulator-vs-model agreement,
-// and graph-driven end-to-end runs.
+// and multi-hop end-to-end runs.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,7 +19,6 @@
 #include "core/response.hpp"
 #include "core/strategy.hpp"
 #include "net/embedding.hpp"
-#include "net/graph.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
@@ -28,9 +27,14 @@
 #include "sim/client_sites.hpp"
 #include "sim/engine.hpp"
 #include "sim/scenario.hpp"
+#include "support/net_oracles.hpp"
 
 namespace qp {
 namespace {
+
+using qp::net::test_support::densify;
+using qp::net::test_support::satisfies_triangle_inequality;
+using qp::net::test_support::write_matrix;
 
 TEST(CrossModule, IterativeAlgorithmWorksForMajorities) {
   // §4.2's pipeline is system-agnostic as long as quorums enumerate.
@@ -100,17 +104,23 @@ TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
 }
 
 TEST(CrossModule, GraphFullPipelineWithLpStrategies) {
-  // Graph -> metric closure -> placement -> strategy LP -> evaluation on a
-  // hand-built 16-router topology: a ring with uneven links plus two chords,
-  // so many shortest paths are multi-hop.
-  net::Graph g{16};
-  for (std::size_t v = 0; v < 16; ++v) {
-    g.add_edge(v, (v + 1) % 16, 4.0 + static_cast<double>((v * 7) % 5));
+  // Link matrix -> metric closure -> placement -> strategy LP -> evaluation
+  // on a hand-built 16-site topology: a ring with uneven links plus two
+  // chords, every other pair at a large finite RTT, so the closure makes
+  // many shortest paths multi-hop.
+  constexpr std::size_t kSites = 16;
+  std::vector<std::vector<double>> links(kSites, std::vector<double>(kSites, 1e4));
+  const auto link = [&](std::size_t a, std::size_t b, double rtt) {
+    links[a][b] = links[b][a] = rtt;
+  };
+  for (std::size_t v = 0; v < kSites; ++v) {
+    links[v][v] = 0.0;
+    link(v, (v + 1) % kSites, 4.0 + static_cast<double>((v * 7) % 5));
   }
-  g.add_edge(0, 8, 11.0);
-  g.add_edge(4, 12, 9.5);
-  const net::LatencyMatrix m = net::LatencyMatrix::from_graph(g);
-  EXPECT_TRUE(m.satisfies_triangle_inequality(1e-9));
+  link(0, 8, 11.0);
+  link(4, 12, 9.5);
+  const net::LatencyMatrix m = net::LatencyMatrix{std::move(links)}.metric_closure();
+  EXPECT_TRUE(satisfies_triangle_inequality(m, 1e-9));
   EXPECT_DOUBLE_EQ(m.rtt(0, 2), m.rtt(0, 1) + m.rtt(1, 2));
   const quorum::GridQuorum grid{3};
   const auto placed = core::best_grid_placement(m, 3);
@@ -153,7 +163,7 @@ TEST(CrossModule, PipelineOnEmbeddingMatchesDensified) {
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
   const net::LatencyEmbedding& sparse = scenario.space;
   ASSERT_EQ(sparse.as_matrix(), nullptr);
-  const net::LatencyMatrix dense = sparse.densify();
+  const net::LatencyMatrix dense = densify(sparse);
   const quorum::GridQuorum grid{3};
   const core::LoadAwareObjective objective{20.0};
 
@@ -251,7 +261,7 @@ TEST(CrossModule, MatrixRoundTripPreservesExperimentResults) {
   // Serializing a topology and reloading it must not change any measurement.
   const net::LatencyMatrix original = net::small_synth(10, 101);
   std::stringstream buffer;
-  net::write_matrix(buffer, original);
+  write_matrix(buffer, original);
   const net::LatencyMatrix reloaded = net::read_matrix(buffer);
   const quorum::GridQuorum grid{2};
   const auto placed_a = core::best_grid_placement(original, 2);

@@ -29,10 +29,13 @@
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
 #include "support/full_reevaluation.hpp"
+#include "support/net_oracles.hpp"
 #include "support/reference_search.hpp"
 
 namespace qp::core {
 namespace {
+
+using qp::net::test_support::densify;
 
 using net::LatencyMatrix;
 
@@ -250,7 +253,7 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
   config.site_count = 34;
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
   const net::LatencyEmbedding& embedding = scenario.space;
-  const LatencyMatrix dense = embedding.densify();
+  const LatencyMatrix dense = densify(embedding);
   const std::span<const double> demand = scenario.client_demand;
   const NetworkDelayObjective uniform;
   const NetworkDelayObjective weighted{demand};

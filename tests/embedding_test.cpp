@@ -10,9 +10,12 @@
 #include "net/embedding.hpp"
 #include "net/synthetic.hpp"
 #include "sim/scenario.hpp"
+#include "support/net_oracles.hpp"
 
 namespace qp::net {
 namespace {
+
+using qp::net::test_support::densify;
 
 // ----------------------------------------------------- LatencyEmbedding
 
@@ -60,7 +63,7 @@ TEST(LatencyEmbedding, DensifyMatchesRttBitwise) {
   sim::ScenarioConfig config;
   config.site_count = 60;
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
-  const LatencyMatrix dense = scenario.space.densify();
+  const LatencyMatrix dense = densify(scenario.space);
   ASSERT_EQ(dense.size(), scenario.space.size());
   for (std::size_t a = 0; a < dense.size(); ++a) {
     for (std::size_t b = 0; b < dense.size(); ++b) {

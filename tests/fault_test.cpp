@@ -39,6 +39,17 @@
 namespace qp {
 namespace {
 
+/// Total down time of `site` overlapping [from_ms, to_ms): the schedule's
+/// windows clipped to the range.
+double down_time(const sim::OutageSchedule& schedule, std::size_t site, double from_ms,
+                 double to_ms) {
+  double total = 0.0;
+  for (const auto& [start, end] : schedule.windows(site)) {
+    total += std::max(0.0, std::min(end, to_ms) - std::max(start, from_ms));
+  }
+  return total;
+}
+
 // --- OutageSchedule window semantics ---------------------------------------
 
 TEST(OutageSchedule, MergesOverlappingAdjacentAndAbuttingWindows) {
@@ -72,10 +83,10 @@ TEST(OutageSchedule, MergesOverlappingAdjacentAndAbuttingWindows) {
 TEST(OutageSchedule, DownTimeClipsToTheQueriedRange) {
   const std::vector<sim::ServerOutage> outages = {{0, 10.0, 40.0}, {0, 50.0, 60.0}};
   const sim::OutageSchedule schedule{outages, 1};
-  EXPECT_DOUBLE_EQ(schedule.down_time(0, 0.0, 100.0), 40.0);
-  EXPECT_DOUBLE_EQ(schedule.down_time(0, 35.0, 55.0), 10.0);  // 5 + 5.
-  EXPECT_DOUBLE_EQ(schedule.down_time(0, 41.0, 49.0), 0.0);
-  EXPECT_DOUBLE_EQ(schedule.down_time(0, 20.0, 30.0), 10.0);  // Fully inside.
+  EXPECT_DOUBLE_EQ(down_time(schedule, 0, 0.0, 100.0), 40.0);
+  EXPECT_DOUBLE_EQ(down_time(schedule, 0, 35.0, 55.0), 10.0);  // 5 + 5.
+  EXPECT_DOUBLE_EQ(down_time(schedule, 0, 41.0, 49.0), 0.0);
+  EXPECT_DOUBLE_EQ(down_time(schedule, 0, 20.0, 30.0), 10.0);  // Fully inside.
 }
 
 TEST(OutageSchedule, EmptyAndOutOfRangeSitesAreAlwaysUp) {
@@ -135,12 +146,12 @@ TEST(FaultInjector, StationaryDownFractionMatchesTheModel) {
   config.site = sim::FaultProcess::for_down_probability(0.2, 500.0);
   const sim::FaultInjector injector{config};
   const std::size_t sites = 200;
-  const sim::OutageSchedule oracle = injector.oracle(sites);
+  const sim::OutageSchedule oracle{injector.schedule(sites), sites};
   double down_full = 0.0;
   double down_early = 0.0;
   for (std::size_t site = 0; site < sites; ++site) {
-    down_full += oracle.down_time(site, 0.0, config.horizon_ms);
-    down_early += oracle.down_time(site, 0.0, config.horizon_ms / 5.0);
+    down_full += down_time(oracle, site, 0.0, config.horizon_ms);
+    down_early += down_time(oracle, site, 0.0, config.horizon_ms / 5.0);
   }
   const double sites_d = static_cast<double>(sites);
   EXPECT_NEAR(down_full / (sites_d * config.horizon_ms), 0.2, 0.02);
@@ -154,7 +165,7 @@ TEST(FaultInjector, RegionalFailuresTakeWholeRegionsDownTogether) {
   config.horizon_ms = 50'000.0;
   config.regional = sim::FaultProcess::for_down_probability(0.15, 1'000.0);
   config.site_region = {0, 0, 0, 1, 1, 1};
-  const sim::OutageSchedule oracle = sim::FaultInjector{config}.oracle(6);
+  const sim::OutageSchedule oracle{sim::FaultInjector{config}.schedule(6), 6};
   // Sites of one region share bitwise-identical windows.
   const auto first = oracle.windows(0);
   ASSERT_FALSE(first.empty());

@@ -18,9 +18,12 @@
 #include "eval/sweeps.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/majority.hpp"
+#include "support/iterative_rows.hpp"
 
 namespace qp::eval {
 namespace {
+
+using qp::eval::test_support::rows_for_stage;
 
 const net::LatencyMatrix& topo12() {
   static const net::LatencyMatrix m = net::small_synth(12, 2024);

@@ -6,9 +6,12 @@
 
 #include "common/rng.hpp"
 #include "quorum/fpp.hpp"
+#include "support/quorum_checks.hpp"
 
 namespace qp::quorum {
 namespace {
+
+using qp::quorum::test_support::verify_intersection;
 
 TEST(Fpp, SizesForSmallPrimes) {
   for (std::size_t q : {2u, 3u, 5u, 7u}) {
@@ -59,7 +62,7 @@ TEST(Fpp, AnyTwoLinesMeetInExactlyOnePoint) {
 }
 
 TEST(Fpp, IntersectionPropertyViaBaseClass) {
-  EXPECT_TRUE(FppQuorum{3}.verify_intersection(10'000));
+  EXPECT_TRUE(verify_intersection(FppQuorum{3}, 10'000));
 }
 
 TEST(Fpp, LoadIsOptimalOrderSqrtN) {

@@ -10,9 +10,12 @@
 #include "eval/figures.hpp"
 #include "eval/sweeps.hpp"
 #include "net/synthetic.hpp"
+#include "support/iterative_rows.hpp"
 
 namespace qp::eval {
 namespace {
+
+using qp::eval::test_support::rows_for_stage;
 
 const net::LatencyMatrix& topo16() {
   static const net::LatencyMatrix m = net::small_synth(16, 1006);

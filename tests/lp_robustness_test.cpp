@@ -9,9 +9,12 @@
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
 #include "support/dense_simplex.hpp"
+#include "support/lp_checks.hpp"
 
 namespace qp::lp {
 namespace {
+
+using qp::lp::test_support::max_violation;
 
 Solution solve(LpProblem& problem, SimplexOptions options = {}) {
   return SimplexSolver{options}.solve(problem);
@@ -149,7 +152,7 @@ TEST(SimplexRobustness, AccessStrategyShapedInstanceRandomSweep) {
     }
     const Solution s = solve(p);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "seed=" << seed;
-    EXPECT_LE(p.max_violation(s.values), 1e-7);
+    EXPECT_LE(max_violation(p, s.values), 1e-7);
     // Uniform baseline objective.
     double uniform = 0.0;
     for (std::size_t v = 0; v < clients; ++v) {

@@ -31,9 +31,12 @@
 #include "quorum/quorum_system.hpp"
 #include "quorum/tree.hpp"
 #include "support/dense_simplex.hpp"
+#include "support/lp_checks.hpp"
 
 namespace qp {
 namespace {
+
+using qp::lp::test_support::max_violation;
 
 using lp::LpProblem;
 using lp::RevisedSimplexSolver;
@@ -73,7 +76,7 @@ TEST(RevisedSimplex, TextbookOptimum) {
   EXPECT_NEAR(s.objective, -36.0, 1e-9);
   EXPECT_NEAR(s.values[x], 2.0, 1e-9);
   EXPECT_NEAR(s.values[y], 6.0, 1e-9);
-  EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-9);
+  EXPECT_NEAR(max_violation(p, s.values), 0.0, 1e-9);
   ASSERT_EQ(s.basis.basic.size(), 3u);
   // Strong duality, as for the dense solver.
   const double dual = 4.0 * s.duals[0] + 12.0 * s.duals[1] + 18.0 * s.duals[2];
@@ -150,7 +153,7 @@ TEST(RevisedSimplex, DegenerateProblemTerminates) {
   p.add_coefficient(cap, y, 1.0);
   const SolveResult s = solve_revised(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-8);
+  EXPECT_NEAR(max_violation(p, s.values), 0.0, 1e-8);
 }
 
 /// Random mixed-sense LP, feasible by construction: pick an interior point
@@ -204,7 +207,7 @@ TEST_P(RandomLpParity, RevisedMatchesDense) {
   ASSERT_EQ(dense.status, SolveStatus::Optimal);
   ASSERT_EQ(revised.status, SolveStatus::Optimal);
   expect_parity(revised.objective, dense.objective);
-  EXPECT_LE(q.max_violation(revised.values), 1e-7);
+  EXPECT_LE(max_violation(q, revised.values), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpParity,
@@ -318,7 +321,7 @@ TEST(RevisedSimplex, MediumScaleStrategyShapedLp) {
   ASSERT_EQ(dense.status, SolveStatus::Optimal);
   ASSERT_EQ(revised.status, SolveStatus::Optimal);
   expect_parity(revised.objective, dense.objective);
-  EXPECT_LE(q.max_violation(revised.values), 1e-6);
+  EXPECT_LE(max_violation(q, revised.values), 1e-6);
 }
 
 // ---------------------------------------------------------------------------

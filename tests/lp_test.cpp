@@ -6,9 +6,12 @@
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
 #include "support/dense_simplex.hpp"
+#include "support/lp_checks.hpp"
 
 namespace qp::lp {
 namespace {
+
+using qp::lp::test_support::max_violation;
 
 Solution solve(LpProblem& problem, SimplexOptions options = {}) {
   return SimplexSolver{options}.solve(problem);
@@ -16,14 +19,12 @@ Solution solve(LpProblem& problem, SimplexOptions options = {}) {
 
 TEST(LpProblem, BuilderBasics) {
   LpProblem p;
-  const std::size_t x = p.add_variable(2.0, "x");
-  const std::size_t row = p.add_row(RowSense::LessEqual, 4.0, "r");
+  const std::size_t x = p.add_variable(2.0);
+  const std::size_t row = p.add_row(RowSense::LessEqual, 4.0);
   p.add_coefficient(row, x, 1.0);
   EXPECT_EQ(p.variable_count(), 1u);
   EXPECT_EQ(p.row_count(), 1u);
   EXPECT_DOUBLE_EQ(p.objective_coefficient(x), 2.0);
-  EXPECT_EQ(p.variable_name(x), "x");
-  EXPECT_EQ(p.row_name(row), "r");
   EXPECT_THROW(p.add_coefficient(5, x, 1.0), std::out_of_range);
   EXPECT_THROW(p.add_coefficient(row, 5, 1.0), std::out_of_range);
   EXPECT_THROW((void)p.add_variable(std::nan("")), std::invalid_argument);
@@ -45,9 +46,9 @@ TEST(LpProblem, ViolationMeasure) {
   const std::size_t x = p.add_variable(1.0);
   const std::size_t le = p.add_row(RowSense::LessEqual, 1.0);
   p.add_coefficient(le, x, 1.0);
-  EXPECT_DOUBLE_EQ(p.max_violation({2.0}), 1.0);
-  EXPECT_DOUBLE_EQ(p.max_violation({0.5}), 0.0);
-  EXPECT_DOUBLE_EQ(p.max_violation({-0.5}), 0.5);
+  EXPECT_DOUBLE_EQ(max_violation(p, {2.0}), 1.0);
+  EXPECT_DOUBLE_EQ(max_violation(p, {0.5}), 0.0);
+  EXPECT_DOUBLE_EQ(max_violation(p, {-0.5}), 0.5);
 }
 
 // A tiny textbook LP:
@@ -68,7 +69,7 @@ TEST(Simplex, TextbookOptimum) {
   EXPECT_NEAR(s.objective, -36.0, 1e-9);
   EXPECT_NEAR(s.values[x], 2.0, 1e-9);
   EXPECT_NEAR(s.values[y], 6.0, 1e-9);
-  EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-9);
+  EXPECT_NEAR(max_violation(p, s.values), 0.0, 1e-9);
 }
 
 TEST(Simplex, EqualityAndGreaterRows) {
@@ -143,7 +144,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
   p.add_coefficient(cap, y, 1.0);
   const Solution s = solve(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-8);
+  EXPECT_NEAR(max_violation(p, s.values), 0.0, 1e-8);
 }
 
 TEST(Simplex, TransportationProblem) {
@@ -171,7 +172,7 @@ TEST(Simplex, TransportationProblem) {
   // x00=8, x01=2 (cost 8+8=16) vs routing through supplier 1... the LP
   // optimum is 8*1 + 12*2 + 6*5 = 62 with x00=8, x11=12, x12=6? Check via
   // violation + duality instead of hand-derived values:
-  EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-8);
+  EXPECT_NEAR(max_violation(p, s.values), 0.0, 1e-8);
   EXPECT_NEAR(s.objective, 62.0, 1e-7);
 }
 
@@ -223,7 +224,7 @@ TEST_P(RandomLpSweep, FeasibleAndBeatsRandomSampling) {
 
   const Solution s = solve(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_LE(p.max_violation(s.values), 1e-7);
+  EXPECT_LE(max_violation(p, s.values), 1e-7);
 
   // Random feasible points never beat the reported optimum.
   for (int trial = 0; trial < 300; ++trial) {
@@ -269,7 +270,7 @@ TEST(Simplex, MediumScaleStressIsFeasible) {
   }
   const Solution s = solve(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_LE(p.max_violation(s.values), 1e-6);
+  EXPECT_LE(max_violation(p, s.values), 1e-6);
   EXPECT_GT(s.objective, 0.0);
 }
 

@@ -1,117 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/embedding.hpp"
-#include "net/graph.hpp"
 #include "net/knn_index.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/matrix_io.hpp"
-#include "net/shortest_paths.hpp"
 #include "net/synthetic.hpp"
+#include "support/net_oracles.hpp"
 
 namespace qp::net {
 namespace {
 
-Graph diamond() {
-  // 0 --1-- 1 --1-- 3, plus a slow direct edge 0 --5-- 3 and 0 --1-- 2 --1-- 3.
-  Graph g{4};
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 3, 1.0);
-  g.add_edge(0, 3, 5.0);
-  g.add_edge(0, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
-  return g;
-}
-
-// ------------------------------------------------------------------ Graph
-
-TEST(Graph, BasicProperties) {
-  const Graph g = diamond();
-  EXPECT_EQ(g.node_count(), 4u);
-  EXPECT_EQ(g.edge_count(), 5u);
-  EXPECT_TRUE(g.connected());
-  EXPECT_EQ(g.neighbors(0).size(), 3u);
-}
-
-TEST(Graph, RejectsBadEdges) {
-  Graph g{3};
-  EXPECT_THROW(g.add_edge(0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 1, 0.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 1, -2.0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 5, 1.0), std::out_of_range);
-}
-
-TEST(Graph, CapacitiesAndNames) {
-  Graph g{2};
-  EXPECT_DOUBLE_EQ(g.capacity(0), 1.0);
-  g.set_capacity(0, 0.25);
-  EXPECT_DOUBLE_EQ(g.capacity(0), 0.25);
-  EXPECT_THROW(g.set_capacity(0, -1.0), std::invalid_argument);
-  g.set_name(1, "tokyo");
-  EXPECT_EQ(g.name(1), "tokyo");
-}
-
-TEST(Graph, DisconnectedDetection) {
-  Graph g{3};
-  g.add_edge(0, 1, 1.0);
-  EXPECT_FALSE(g.connected());
-}
-
-// --------------------------------------------------------- Shortest paths
-
-TEST(ShortestPaths, DijkstraTakesCheapRoute) {
-  const Graph g = diamond();
-  const auto dist = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(dist[3], 2.0);  // Via node 1 or 2, not the direct 5.0 edge.
-}
-
-TEST(ShortestPaths, DijkstraUnreachableIsInfinite) {
-  Graph g{3};
-  g.add_edge(0, 1, 2.0);
-  const auto dist = dijkstra(g, 0);
-  EXPECT_TRUE(std::isinf(dist[2]));
-}
-
-TEST(ShortestPaths, AllPairsSymmetric) {
-  const Graph g = diamond();
-  const auto dist = all_pairs_shortest_paths(g);
-  for (std::size_t a = 0; a < 4; ++a) {
-    for (std::size_t b = 0; b < 4; ++b) {
-      EXPECT_DOUBLE_EQ(dist[a][b], dist[b][a]);
-    }
-  }
-}
-
-TEST(ShortestPaths, FloydWarshallMatchesDijkstra) {
-  const Graph g = diamond();
-  const auto via_dijkstra = all_pairs_shortest_paths(g);
-  // Build the direct-edge matrix and close it.
-  constexpr double inf = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> direct(4, std::vector<double>(4, inf));
-  for (std::size_t v = 0; v < 4; ++v) {
-    direct[v][v] = 0.0;
-    for (const Edge& e : g.neighbors(v)) direct[v][e.to] = e.length;
-  }
-  const auto closed = floyd_warshall(direct);
-  for (std::size_t a = 0; a < 4; ++a) {
-    for (std::size_t b = 0; b < 4; ++b) {
-      EXPECT_NEAR(closed[a][b], via_dijkstra[a][b], 1e-12);
-    }
-  }
-}
-
-TEST(ShortestPaths, FloydWarshallRejectsBadInput) {
-  EXPECT_THROW((void)floyd_warshall({{0.0, 1.0}}), std::invalid_argument);
-  EXPECT_THROW((void)floyd_warshall({{1.0}}), std::invalid_argument);
-}
+using qp::net::test_support::densify;
+using qp::net::test_support::satisfies_triangle_inequality;
+using qp::net::test_support::write_matrix;
 
 // ---------------------------------------------------------- LatencyMatrix
 
@@ -123,24 +30,11 @@ TEST(LatencyMatrix, ValidatesInput) {
   EXPECT_THROW(LatencyMatrix({{0.0, 1.0}}), std::invalid_argument);  // Non-square.
 }
 
-TEST(LatencyMatrix, FromGraphIsMetricClosure) {
-  const LatencyMatrix m = LatencyMatrix::from_graph(diamond());
-  EXPECT_EQ(m.size(), 4u);
-  EXPECT_DOUBLE_EQ(m.rtt(0, 3), 2.0);
-  EXPECT_TRUE(m.satisfies_triangle_inequality());
-}
-
-TEST(LatencyMatrix, FromGraphRejectsDisconnected) {
-  Graph g{3};
-  g.add_edge(0, 1, 1.0);
-  EXPECT_THROW((void)LatencyMatrix::from_graph(g), std::invalid_argument);
-}
-
 TEST(LatencyMatrix, MetricClosureFixesTriangleViolation) {
   const LatencyMatrix raw{{{0.0, 1.0, 10.0}, {1.0, 0.0, 1.0}, {10.0, 1.0, 0.0}}};
-  EXPECT_FALSE(raw.satisfies_triangle_inequality());
+  EXPECT_FALSE(satisfies_triangle_inequality(raw));
   const LatencyMatrix closed = raw.metric_closure();
-  EXPECT_TRUE(closed.satisfies_triangle_inequality());
+  EXPECT_TRUE(satisfies_triangle_inequality(closed));
   EXPECT_DOUBLE_EQ(closed.rtt(0, 2), 2.0);
 }
 
@@ -177,7 +71,7 @@ TEST(LatencySpaceRows, EmbeddingMatchesDensifiedAndKnnIndex) {
   for (double& c : coords) c = rng.uniform(0.0, 100.0);
   for (double& h : heights) h = rng.uniform(0.0, 5.0);
   const LatencyEmbedding space{2, coords, heights, /*min_rtt_ms=*/0.5};
-  const LatencyMatrix dense = space.densify();
+  const LatencyMatrix dense = densify(space);
   const KnnIndex index{space};
 
   for (std::size_t v = 0; v < n; ++v) {
@@ -202,17 +96,10 @@ TEST(LatencySpaceRows, EmbeddingMatchesDensifiedAndKnnIndex) {
 
 // -------------------------------------------------------------- Synthetic
 
-TEST(Synthetic, GreatCircleKnownDistances) {
-  // New York (40.7, -74.0) to London (51.5, -0.1): ~5570 km.
-  const double km = great_circle_km(40.7, -74.0, 51.5, -0.1);
-  EXPECT_NEAR(km, 5570.0, 60.0);
-  EXPECT_NEAR(great_circle_km(10.0, 20.0, 10.0, 20.0), 0.0, 1e-9);
-}
-
 TEST(Synthetic, Planetlab50Shape) {
   const LatencyMatrix m = planetlab50_synth();
   EXPECT_EQ(m.size(), 50u);
-  EXPECT_TRUE(m.satisfies_triangle_inequality(1e-6));
+  EXPECT_TRUE(satisfies_triangle_inequality(m, 1e-6));
   // WAN-like statistics: some short and some intercontinental RTTs.
   double min_rtt = 1e9, max_rtt = 0.0;
   for (std::size_t a = 0; a < m.size(); ++a) {
@@ -229,7 +116,7 @@ TEST(Synthetic, Planetlab50Shape) {
 TEST(Synthetic, Daxlist161Shape) {
   const LatencyMatrix m = daxlist161_synth();
   EXPECT_EQ(m.size(), 161u);
-  EXPECT_TRUE(m.satisfies_triangle_inequality(1e-6));
+  EXPECT_TRUE(satisfies_triangle_inequality(m, 1e-6));
 }
 
 TEST(Synthetic, DeterministicInSeed) {

@@ -32,9 +32,12 @@
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
 #include "support/full_reevaluation.hpp"
+#include "support/net_oracles.hpp"
 
 namespace qp::core {
 namespace {
+
+using qp::net::test_support::densify;
 
 using net::LatencyMatrix;
 
@@ -528,7 +531,7 @@ TEST(ObjectiveOnLatencySpace, EmbeddingMatchesDensified) {
   config.site_count = 40;
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
   const net::LatencyEmbedding& space = scenario.space;
-  const LatencyMatrix dense = space.densify();
+  const LatencyMatrix dense = densify(space);
   const std::span<const double> demand = scenario.client_demand;
 
   const NetworkDelayObjective delay_weighted{demand};

@@ -9,7 +9,10 @@ and the QPL000 unknown-rule-name diagnostic. QPL008 (unset-option) reads the
 whole tree, so it gets its own fixture tree: one field never set, one set by
 member assignment, one by a designated initializer, one by a nested
 `.simplex.initial_basis =`, and one suppressed; a second tree checks that a
-bare `struct Config` nested in a class is an option struct too.
+bare `struct Config` nested in a class is an option struct too. QPL009
+(test-only-export) gets four trees around one header function: used only in
+tests/ (flagged), also used in bench/ (clean), used only in its own .cpp
+(flagged), and annotated (clean).
 
 Usage: qp_lint_test.py <path-to-qp_lint.py>
 """
@@ -190,7 +193,59 @@ bool use() {
   return options.never_set == 2.0 && designated.ok();
 }
 """,
+    # A production caller of the header's functions keeps QPL009 quiet.
+    "bench/widget_bench.cpp": """#include "core/widget.hpp"
+bool bench() {
+  WidgetOptions options;
+  reset(options);
+  return options.ok();
 }
+""",
+}
+
+# QPL009: gadget_score is the export under test. The private member, the
+# detail-namespace helper, the constructor and the operator are never
+# flagged, and neither is gadget_size, which bench/ calls.
+GADGET_HEADER = """#pragma once
+namespace qp::core {
+namespace detail {
+int hidden_helper(int x);
+}  // namespace detail
+class Gadget {
+ public:
+  explicit Gadget(int size);
+  [[nodiscard]] int gadget_size() const noexcept { return size_; }
+  bool operator==(const Gadget& other) const = default;
+ private:
+  int private_helper() const;
+  int size_ = 0;
+};
+%s[[nodiscard]] double gadget_score(const Gadget& gadget);
+}  // namespace qp::core
+"""
+GADGET_CPP = """#include "core/gadget.hpp"
+namespace qp::core {
+Gadget::Gadget(int size) : size_{detail::hidden_helper(size)} {}
+int Gadget::private_helper() const { return size_; }
+double gadget_score(const Gadget& gadget) { return gadget.gadget_size() * 0.5; }
+%s}  // namespace qp::core
+"""
+GADGET_TEST = """#include "core/gadget.hpp"
+double use() { return qp::core::gadget_score(qp::core::Gadget{3}); }
+"""
+GADGET_BENCH = """#include "core/gadget.hpp"
+// gadget_score is not called here: a comment does not count.
+int bench() { return qp::core::Gadget{4}.gadget_size(); }
+%s"""
+
+
+def gadget_tree(annotation="", own_cpp_use="", bench_use=""):
+    return {
+        "src/core/gadget.hpp": GADGET_HEADER % annotation,
+        "src/core/gadget.cpp": GADGET_CPP % own_cpp_use,
+        "tests/gadget_test.cpp": GADGET_TEST,
+        "bench/gadget_bench.cpp": GADGET_BENCH % bench_use,
+    }
 
 NESTED_CONFIG_TREE = {
     "src/core/index.hpp": """#pragma once
@@ -233,6 +288,9 @@ inline double dot(const double* x, const double* w, int n) {
   return sum;
 }
 """,
+    "bench/dot_bench.cpp": """#include "common/simd_kernels.hpp"
+double bench(const double* x, int n) { return dot(x, x, n); }
+""",
     "src/common/rng.cpp": """// The rng module itself may reference std::random_device etc.
 #include <random>
 unsigned hardware_entropy() { return std::random_device{}(); }
@@ -262,7 +320,7 @@ def main(argv):
         [sys.executable, str(lint_script), "--list-rules"], capture_output=True, text=True
     )
     for rule_id in ("QPL001", "QPL002", "QPL003", "QPL004", "QPL005", "QPL006", "QPL007",
-                    "QPL008"):
+                    "QPL008", "QPL009"):
         check(rule_id in listing.stdout, f"--list-rules mentions {rule_id}")
 
     for name, rel, rule_id, violating, annotated in CASES:
@@ -313,6 +371,41 @@ def main(argv):
             and "Config::margin" in findings[0] and "index.hpp:6:" in findings[0],
             f"unset-option: the nested Config's never-set field is flagged (got {findings})",
         )
+
+    # QPL009: a header function that only tests/ calls is flagged, on the
+    # line that declares it; nothing else in the header is.
+    def lint_gadget(**variant):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for rel, text in gadget_tree(**variant).items():
+                write_tree(root, rel, text)
+            result = run_lint(lint_script, root)
+            return result, [line for line in result.stdout.splitlines() if "QPL009" in line]
+
+    result, findings = lint_gadget()
+    check(
+        result.returncode == 1 and len(findings) == 1
+        and "gadget.hpp:15:" in findings[0] and "gadget_score" in findings[0],
+        f"test-only-export: a function only tests/ calls is flagged (got {findings})",
+    )
+    result, findings = lint_gadget(bench_use="double score() { return qp::core::gadget_score("
+                                             "qp::core::Gadget{5}); }\n")
+    check(
+        result.returncode == 0 and not findings,
+        f"test-only-export: a use in bench/ makes it clean (got {result.stdout.strip()})",
+    )
+    result, findings = lint_gadget(own_cpp_use="double twice(const Gadget& g) { "
+                                               "return 2.0 * gadget_score(g); }\n")
+    check(
+        result.returncode == 1 and len(findings) == 1 and "gadget_score" in findings[0],
+        f"test-only-export: a use in its own .cpp does not count (got {findings})",
+    )
+    result, findings = lint_gadget(
+        annotation="// qp-lint: allow(test-only-export) -- tests pin the scoring rule\n")
+    check(
+        result.returncode == 0 and not findings,
+        f"test-only-export: the annotated form passes (got {result.stdout.strip()})",
+    )
 
     # A clean synthetic tree (with the real exemptions exercised) exits 0.
     with tempfile.TemporaryDirectory() as tmp:

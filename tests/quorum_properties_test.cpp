@@ -17,9 +17,12 @@
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
 #include "quorum/tree.hpp"
+#include "support/quorum_checks.hpp"
 
 namespace qp::quorum {
 namespace {
+
+using qp::quorum::test_support::verify_intersection;
 
 struct SystemCase {
   std::string label;
@@ -51,7 +54,7 @@ TEST_P(QuorumContract, QuorumsAreSortedDistinctInRange) {
 }
 
 TEST_P(QuorumContract, PairwiseIntersection) {
-  EXPECT_TRUE(system_->verify_intersection(kEnumerationLimit));
+  EXPECT_TRUE(verify_intersection(*system_, kEnumerationLimit));
 }
 
 TEST_P(QuorumContract, BestQuorumIsGloballyOptimal) {

@@ -12,9 +12,13 @@
 #include "quorum/order_stats.hpp"
 #include "quorum/quorum_system.hpp"
 #include "quorum/singleton.hpp"
+#include "support/quorum_checks.hpp"
 
 namespace qp::quorum {
 namespace {
+
+using qp::quorum::test_support::max_order_distribution;
+using qp::quorum::test_support::verify_intersection;
 
 // ------------------------------------------------------------ Order stats
 
@@ -113,7 +117,7 @@ TEST(Majority, EnumerationMatchesCount) {
   const MajorityQuorum m{6, 4};
   const auto quorums = m.enumerate_quorums(100);
   EXPECT_EQ(quorums.size(), 15u);
-  EXPECT_TRUE(m.verify_intersection());
+  EXPECT_TRUE(verify_intersection(m));
 }
 
 TEST(Majority, EnumerationThrowsWhenHuge) {
@@ -222,14 +226,16 @@ TEST(Grid, BasicShape) {
 
 TEST(Grid, QuorumForRowColumn) {
   const GridQuorum g{3};
-  // Row 1 u column 2: elements 3,4,5 (row) + 2,8 (column minus overlap).
-  EXPECT_EQ(g.quorum_for(1, 2), (Quorum{2, 3, 4, 5, 8}));
-  EXPECT_THROW((void)g.quorum_for(3, 0), std::out_of_range);
+  // Quorums enumerate row-major by (row, column): quorum 1 * 3 + 2 is row 1
+  // u column 2, elements 3,4,5 (row) + 2,8 (column minus overlap).
+  const std::vector<Quorum> quorums = g.enumerate_quorums(kEnumerationLimit);
+  ASSERT_EQ(quorums.size(), 9u);
+  EXPECT_EQ(quorums[1 * 3 + 2], (Quorum{2, 3, 4, 5, 8}));
 }
 
 TEST(Grid, IntersectionProperty) {
   for (std::size_t k : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    EXPECT_TRUE(GridQuorum{k}.verify_intersection()) << "k=" << k;
+    EXPECT_TRUE(verify_intersection(GridQuorum{k})) << "k=" << k;
   }
 }
 
@@ -293,7 +299,7 @@ TEST(Singleton, Basics) {
   const SingletonQuorum s;
   EXPECT_EQ(s.universe_size(), 1u);
   EXPECT_DOUBLE_EQ(s.quorum_count(), 1.0);
-  EXPECT_TRUE(s.verify_intersection());
+  EXPECT_TRUE(verify_intersection(s));
   const std::vector<double> values{42.0};
   EXPECT_DOUBLE_EQ(s.expected_max_uniform(values), 42.0);
   EXPECT_EQ(s.best_quorum(values), (Quorum{0}));

@@ -103,9 +103,10 @@ TEST(RaceStress, TripleNestingStaysInline) {
 
 TEST(RaceStress, CallerParticipatesInTheWork) {
   // The calling thread is one of the workers: with long-enough bodies the
-  // set of executing threads must never exceed thread_count(), and every
+  // set of executing threads must never exceed the pool's size, and every
   // index runs exactly once.
-  ThreadPool pool{4};
+  constexpr std::size_t kThreads = 4;
+  ThreadPool pool{kThreads};
   std::mutex ids_mutex;
   std::set<std::thread::id> ids;
   std::vector<std::uint32_t> ran(256, 0);
@@ -114,7 +115,7 @@ TEST(RaceStress, CallerParticipatesInTheWork) {
     const std::lock_guard<std::mutex> lock{ids_mutex};
     ids.insert(std::this_thread::get_id());
   });
-  EXPECT_LE(ids.size(), pool.thread_count());
+  EXPECT_LE(ids.size(), kThreads);
   EXPECT_TRUE(std::all_of(ran.begin(), ran.end(), [](std::uint32_t c) { return c == 1; }));
 }
 

@@ -101,17 +101,6 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(queue.now(), 2.0);
 }
 
-TEST(EventQueue, RunUntilStopsAtBoundary) {
-  EventQueue<int> queue;
-  int fired = 0;
-  queue.schedule(1.0, 0);
-  queue.schedule(5.0, 1);
-  queue.run_until(3.0, [&](int) { ++fired; });
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(queue.now(), 3.0);
-  EXPECT_EQ(queue.pending(), 1u);
-}
-
 TEST(EventQueue, RejectsSchedulingInThePast) {
   EventQueue<int> queue;
   queue.schedule(5.0, 0);
@@ -158,10 +147,6 @@ struct Driver {
     return queue.run_next([this](std::uint64_t id) { dispatch(id); });
   }
 
-  void run_until(double end_time) {
-    queue.run_until(end_time, [this](std::uint64_t id) { dispatch(id); });
-  }
-
   Queue queue;
   Script script;
   std::uint64_t next_id = 0;
@@ -203,12 +188,6 @@ struct Lockstep {
       widths.push_back(calendar.queue.bucket_width());
     }
     return pops;
-  }
-
-  void run_until(double end_time) {
-    calendar.run_until(end_time);
-    heap.run_until(end_time);
-    expect_same("run_until");
   }
 
   Driver<EventQueue<std::uint64_t>> calendar;
@@ -316,35 +295,6 @@ TEST(EventQueueDifferential, DrainToEmptyThenRefill) {
     ASSERT_TRUE(run.heap.queue.empty());
     run.expect_same("after drain");
   }
-}
-
-TEST(EventQueueDifferential, RunUntilBoundaries) {
-  Lockstep run{[](std::uint64_t id, std::size_t pending) {
-    std::vector<double> offsets;
-    if (pending > 600 || id > 20'000) return offsets;
-    const double u = hashed_uniform(9, id, 0);
-    offsets.push_back(u < 0.2 ? 0.0 : 0.5 * std::floor(u * 8.0));
-    offsets.push_back(u < 0.1 ? 5'000.0 : u);
-    return offsets;
-  }};
-  for (std::uint64_t i = 0; i < 200; ++i) run.add(0.5 * std::floor(hashed_uniform(9, i, 1) * 20.0));
-  for (int step = 0; step < 400 && !run.heap.queue.empty(); ++step) {
-    const double now = run.heap.queue.now();
-    const double u = hashed_uniform(9, static_cast<std::uint64_t>(step), 2);
-    // Ends on an exact event time (inclusive), between times, before the
-    // clock (a no-op), or far past the ring; then events at the new clock.
-    double end = now + 0.5 * std::floor(u * 6.0);
-    if (u < 0.1) end = now - 1.0;
-    if (u > 0.97) end = now + 2'000.0;
-    run.run_until(end);
-    if (::testing::Test::HasFatalFailure()) return;
-    run.add(run.heap.queue.now());
-    run.add(run.heap.queue.now() + 0.25);
-    run.drain(25);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  run.drain();
-  EXPECT_TRUE(run.calendar.queue.empty());
 }
 
 // ------------------------------------------------- Closed-loop engine clients

@@ -24,10 +24,13 @@
 #include "quorum/majority.hpp"
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
+#include "support/net_oracles.hpp"
 #include "support/reference_search.hpp"
 
 namespace qp::core {
 namespace {
+
+using qp::net::test_support::densify;
 
 // ------------------------------------------------------------- KnnIndex
 
@@ -38,7 +41,7 @@ TEST(KnnIndex, TreeMatchesBruteForceOnDensifiedEmbedding) {
   sim::ScenarioConfig config;
   config.site_count = 300;
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
-  const net::LatencyMatrix dense = scenario.space.densify();
+  const net::LatencyMatrix dense = densify(scenario.space);
   const net::KnnIndex tree{scenario.space};
   const net::KnnIndex brute{dense};
   ASSERT_EQ(tree.size(), brute.size());
@@ -61,7 +64,7 @@ TEST(KnnIndex, WithinMatchesBruteForce) {
   sim::ScenarioConfig config;
   config.site_count = 200;
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
-  const net::LatencyMatrix dense = scenario.space.densify();
+  const net::LatencyMatrix dense = densify(scenario.space);
   const net::KnnIndex tree{scenario.space};
   const net::KnnIndex brute{dense};
   std::vector<net::KnnIndex::Neighbor> a, b;
@@ -352,7 +355,7 @@ TEST(SparseSearchParity, FailureAwareSearchOnEmbeddingMatchesDensified) {
   sim::ScenarioConfig config;
   config.site_count = 24;
   const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
-  const net::LatencyMatrix dense = scenario.space.densify();
+  const net::LatencyMatrix dense = densify(scenario.space);
   const quorum::MajorityQuorum majority{5, 3};
   FailureModel failures;
   failures.site_failure_prob = 0.05;

@@ -37,14 +37,6 @@ class HeapEventQueue {
     return true;
   }
 
-  template <typename Dispatch>
-  void run_until(double end_time, Dispatch&& dispatch) {
-    while (!events_.empty() && events_.top().time <= end_time) {
-      (void)run_next(dispatch);
-    }
-    if (now_ < end_time) now_ = end_time;
-  }
-
   [[nodiscard]] double now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return events_.size(); }

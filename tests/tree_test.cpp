@@ -7,9 +7,12 @@
 
 #include "common/rng.hpp"
 #include "quorum/tree.hpp"
+#include "support/quorum_checks.hpp"
 
 namespace qp::quorum {
 namespace {
+
+using qp::quorum::test_support::verify_intersection;
 
 TEST(Tree, SizesAndCounts) {
   // n = 2^(h+1) - 1; counts follow C(h)=1, C(d) = 2C(d+1) + C(d+1)^2.
@@ -82,7 +85,7 @@ TEST(Tree, HeightOneQuorumsExplicit) {
 
 TEST(Tree, IntersectionProperty) {
   for (std::size_t h : {1u, 2u, 3u}) {
-    EXPECT_TRUE(TreeQuorum{h}.verify_intersection(kEnumerationLimit)) << "h=" << h;
+    EXPECT_TRUE(verify_intersection(TreeQuorum{h}, kEnumerationLimit)) << "h=" << h;
   }
 }
 

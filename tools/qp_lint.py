@@ -54,6 +54,21 @@ Rules (ID / name / scope):
                                        use is a constant. Matching is by
                                        name only, so the rule can miss a
                                        field but never flags a set one.
+  QPL009 test-only-export   src/**/*.hpp
+                                       A function a header declares (free,
+                                       or a public member) that no code
+                                       under src/, bench/, examples/ or
+                                       perfbench/ names outside its module
+                                       (the header plus the .cpp of the
+                                       same stem); uses in tests/ do not
+                                       count. Private and protected
+                                       members and `detail` namespaces are
+                                       skipped. Delete it, move it to
+                                       tests/support/, make it file-local,
+                                       or annotate why it stays exported.
+                                       Matching is by name only, so the
+                                       rule can miss an export but never
+                                       flags a used name.
   QPL000 bad-annotation     all        An allow-annotation naming an unknown
                                        rule (never suppressible).
 
@@ -71,9 +86,9 @@ Usage:
     qp_lint.py [--root DIR] [--list-rules] [file ...]
 
 With no files, scans src/ tests/ bench/ under --root (default: the
-repository root containing this tools/ directory). QPL008 checks the
-headers among the linted files, and always looks for assignments in the
-whole tree under --root. Exit status: 0 clean,
+repository root containing this tools/ directory). QPL008 and QPL009
+check the headers among the linted files, and always look for assignments
+and uses in the whole tree under --root. Exit status: 0 clean,
 1 findings, 2 usage error.
 """
 
@@ -86,6 +101,8 @@ EXTENSIONS = {".cpp", ".cc", ".hpp", ".h"}
 SCAN_DIRS = ("src", "tests", "bench")
 # Where QPL008 looks for code that sets an option field.
 ASSIGN_DIRS = ("src", "bench", "examples", "perfbench", "tests")
+# Where QPL009 looks for a production use of an exported function.
+PRODUCTION_DIRS = ("src", "bench", "examples", "perfbench")
 
 ANNOTATION_RE = re.compile(r"qp-lint:\s*allow\(([^)]*)\)")
 
@@ -432,20 +449,25 @@ def field_name(statement):
     return match.group(1) if match else None
 
 
+def block_end(text, open_brace):
+    """Index just past the `}` that closes the `{` at text[open_brace]."""
+    depth = 0
+    for i in range(open_brace, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(text)
+
+
 def option_fields(scan):
     """(line, struct, field) for every data member of an option struct."""
     text = "\n".join(scan.code)
     for match in OPTION_STRUCT_RE.finditer(text):
         open_brace = match.end() - 1
-        depth = 0
-        for close in range(open_brace, len(text)):
-            if text[close] == "{":
-                depth += 1
-            elif text[close] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-        body = text[open_brace + 1 : close]
+        body = text[open_brace + 1 : block_end(text, open_brace) - 1]
         for offset, statement in top_level_statements(body):
             name = field_name(statement)
             if name is None:
@@ -454,21 +476,26 @@ def option_fields(scan):
             yield text.count("\n", 0, at) + 1, match.group(1), name
 
 
-def assigned_names(root):
-    """field name -> repo-relative files that assign a member of that name."""
-    names = {}
-    for directory in ASSIGN_DIRS:
+def tree_code(root, directories):
+    """(repo-relative path, code with comments and string contents blanked)
+    for every C++ file under `directories`."""
+    for directory in directories:
         base = root / directory
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*")):
-            if not (path.is_file() and path.suffix in EXTENSIONS):
-                continue
-            rel = path.relative_to(root).as_posix()
-            code, _ = split_code_and_comments(path.read_text(encoding="utf-8", errors="replace"))
-            for match in ASSIGNMENT_RE.finditer("\n".join(code)):
-                for name in [match.group(1), *re.findall(r"\w+", match.group(2))]:
-                    names.setdefault(name, set()).add(rel)
+            if path.is_file() and path.suffix in EXTENSIONS:
+                text = path.read_text(encoding="utf-8", errors="replace")
+                yield path.relative_to(root).as_posix(), "\n".join(split_code_and_comments(text)[0])
+
+
+def assigned_names(root):
+    """field name -> repo-relative files that assign a member of that name."""
+    names = {}
+    for rel, code in tree_code(root, ASSIGN_DIRS):
+        for match in ASSIGNMENT_RE.finditer(code):
+            for name in [match.group(1), *re.findall(r"\w+", match.group(2))]:
+                names.setdefault(name, set()).add(rel)
     return names
 
 
@@ -492,6 +519,198 @@ def rule_unset_option(scans, root):
             )
 
 
+CLASS_HEAD_RE = re.compile(
+    r"^(?:class|struct|union)\s+(?:alignas\s*\([^)]*\)\s*)?(\w+)(?:\s+final)?\s*(?::[^{]*)?$"
+)
+ACCESS_LABEL_RE = re.compile(r"^\s*(public|private|protected)\s*:(?!:)")
+# Parenthesized keywords that may precede a declarator's `(`.
+NOT_A_DECLARATOR = {"alignas", "decltype", "noexcept", "sizeof", "alignof", "requires",
+                    "static_assert", "__attribute__"}
+
+
+def strip_template_prefix(head):
+    """Drops a leading `template <...>` (nested angles balanced)."""
+    match = re.match(r"\s*template\s*<", head)
+    if not match:
+        return head
+    depth = 1
+    for i in range(match.end(), len(head)):
+        if head[i] == "<":
+            depth += 1
+        elif head[i] == ">":
+            depth -= 1
+            if depth == 0:
+                return strip_template_prefix(head[i + 1 :])
+    return ""
+
+
+def parameter_list(head):
+    """(offset, name) of the identifier before a declaration head's first
+    top-level `(` (attributes, a template prefix and keyword parentheses
+    such as alignas(...) skipped), or None when a top-level `=` or `{` comes
+    first: the head declares a variable."""
+    head = re.sub(r"\[\[.*?\]\]", lambda m: " " * len(m.group(0)), head)
+    body = strip_template_prefix(head)
+    angle = 0
+    for i, ch in enumerate(body):
+        if ch == "<":
+            angle += 1
+        elif ch == ">":
+            angle -= 1
+        elif angle == 0 and ch in "={":
+            return None
+        elif angle == 0 and ch == "(":
+            match = re.search(r"~?\w+(?=\s*$)", body[:i])
+            if match and match.group(0) in NOT_A_DECLARATOR:
+                continue
+            offset = len(head) - len(body) + (match.start() if match else i)
+            return offset, match.group(0) if match else ""
+    return None
+
+
+def declared_function(head, class_name):
+    """(offset, name) of the function a declaration head declares, or None
+    for variables, types, constructors, destructors, operators, friends,
+    macro calls and out-of-class definitions (`X::f`) of members declared
+    elsewhere. `head` runs from the start of the statement to its `;` or
+    body `{`."""
+    if re.match(r"\s*(?:friend|using|typedef|static_assert)\b", head) or re.search(
+        r"\boperator\b", head
+    ):
+        return None
+    found = parameter_list(head)
+    if found is None:
+        return None
+    offset, name = found
+    if not re.fullmatch(r"[a-z_]\w*|[A-Z]\w*[a-z]\w*", name) or name == class_name:
+        return None  # A destructor, constructor, macro call or anonymous `(`.
+    if head[:offset].rstrip().endswith("::"):
+        return None
+    return offset, name
+
+
+def opens_function_body(head):
+    """True when a `{` after `head` opens a function body rather than a
+    brace initializer."""
+    return bool(re.search(r"\boperator\b", head)) or parameter_list(head) is not None
+
+
+def blank_preprocessor(code_lines):
+    """Blanks preprocessor lines (and their `\\` continuations)."""
+    out = []
+    continued = False
+    for line in code_lines:
+        directive = continued or line.lstrip().startswith("#")
+        continued = directive and line.rstrip().endswith("\\")
+        out.append("" if directive else line)
+    return out
+
+
+def exported_functions(scan):
+    """(line, scope, name) for every function a header declares at namespace
+    scope or as a public member, with or without an inline body. Private and
+    protected members are skipped, and so is everything inside a `detail`
+    namespace: the part of a header that only its own inline code calls."""
+    text = "\n".join(blank_preprocessor(scan.code))
+    # Scope stack: (class name or None for a namespace, current access);
+    # access "hidden" marks a detail namespace and everything inside it.
+    scopes = [(None, "public")]
+    start = 0
+    i = 0
+
+    def statement_head(end):
+        head = text[start:end]
+        while scopes[-1][0] is not None and scopes[-1][1] != "hidden":
+            label = ACCESS_LABEL_RE.match(head)
+            if not label:
+                break
+            scopes[-1] = (scopes[-1][0], label.group(1))
+            head = " " * label.end() + head[label.end() :]
+        return head
+
+    def record(head):
+        class_name, access = scopes[-1]
+        if access != "public":
+            return None
+        found = declared_function(head, class_name)
+        if found is None:
+            return None
+        offset, name = found
+        return text.count("\n", 0, start + offset) + 1, class_name, name
+
+    while i < len(text):
+        ch = text[i]
+        if ch == ";":
+            head = statement_head(i)
+            found = record(head)
+            if found:
+                yield found
+            start = i = i + 1
+        elif ch == "}":
+            if len(scopes) > 1:
+                scopes.pop()
+            start = i = i + 1
+        elif ch == "{" and text.count("(", start, i) > text.count(")", start, i):
+            i = block_end(text, i)  # A braced default argument: the head goes on.
+        elif ch == "{":
+            head = statement_head(i)
+            bare = " ".join(strip_template_prefix(re.sub(r"\[\[.*?\]\]", "", head)).split())
+            class_head = CLASS_HEAD_RE.match(bare)
+            hidden = scopes[-1][1] == "hidden"
+            if re.match(r'(?:inline\s+)?namespace\b|extern\s*"', bare):
+                detail = re.search(r"\bdetail\s*$", bare)
+                scopes.append((None, "hidden" if hidden or detail else "public"))
+                start = i = i + 1
+            elif class_head:
+                default = "private" if bare.startswith("class") else "public"
+                scopes.append((class_head.group(1), "hidden" if hidden else default))
+                start = i = i + 1
+            else:
+                found = None if bare.startswith("enum") else record(head)
+                i = block_end(text, i)
+                if found:
+                    yield found
+                # A function body ends its statement, unless the braces were
+                # a constructor's init-list entry; an initializer does not.
+                if opens_function_body(head) and not text[i:].lstrip().startswith((",", "{")):
+                    start = i
+        else:
+            i += 1
+
+
+def referenced_names(root):
+    """identifier -> repo-relative files under PRODUCTION_DIRS whose code
+    mentions it."""
+    names = {}
+    for rel, code in tree_code(root, PRODUCTION_DIRS):
+        for name in set(re.findall(r"\b[A-Za-z_]\w*", code)):
+            names.setdefault(name, set()).add(rel)
+    return names
+
+
+def rule_test_only_export(scans, root):
+    """Tree-scoped: yields (scan, line, message) for functions a src/ header
+    exports that no production file outside the header's module names."""
+    headers = [
+        s for s in scans if in_dirs(s.rel, "src") and s.rel.endswith((".hpp", ".h"))
+    ]
+    if not headers:
+        return
+    used = referenced_names(root)
+    for scan in headers:
+        stem = scan.rel.rsplit(".", 1)[0]
+        module = {scan.rel, stem + ".cpp", stem + ".cc"}
+        for lineno, class_name, name in exported_functions(scan):
+            if used.get(name, set()) - module:
+                continue
+            label = f"{class_name}::{name}" if class_name else name
+            yield scan, lineno, (
+                f"{label} has no caller outside its module in "
+                f"{', '.join(PRODUCTION_DIRS)}: delete it, move it to tests/support/, "
+                "make it file-local, or annotate why it must stay exported"
+            )
+
+
 RULES = [
     ("QPL001", "unordered-iter", rule_unordered_iter, False),
     ("QPL002", "nondeterministic-rng", rule_nondeterministic_rng, False),
@@ -504,6 +723,7 @@ RULES = [
 # Rules that read the whole tree: rule(scans, root) yields (scan, line, message).
 TREE_RULES = [
     ("QPL008", "unset-option", rule_unset_option),
+    ("QPL009", "test-only-export", rule_test_only_export),
 ]
 RULE_NAMES = {name for _, name, _, _ in RULES} | {name for _, name, _ in TREE_RULES}
 
