@@ -42,7 +42,10 @@ ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
   ClientCandidateIndex out;
   out.capped_ = config.cap > 0;
   out.radius_.resize(n);
-  out.offsets_.assign(n + 1, 0);
+  // Forward lists (CSR, clients + 1 offsets): only the inversion below
+  // reads them.
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<std::size_t> sites;
   std::vector<net::KnnIndex::Neighbor> buf;
   for (std::size_t v = 0; v < n; ++v) {
     if (out.capped_) {
@@ -65,20 +68,20 @@ ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
               [](const net::KnnIndex::Neighbor& a, const net::KnnIndex::Neighbor& b) {
                 return a.site < b.site;
               });
-    for (const auto& nb : buf) out.sites_.push_back(nb.site);
-    out.offsets_[v + 1] = out.sites_.size();
+    for (const auto& nb : buf) sites.push_back(nb.site);
+    offsets[v + 1] = sites.size();
   }
 
   // Invert: counting pass, prefix offsets, fill. Filling in ascending
   // client order makes each clients_of(site) ascending.
   out.inv_offsets_.assign(n + 1, 0);
-  for (std::size_t s : out.sites_) ++out.inv_offsets_[s + 1];
+  for (std::size_t s : sites) ++out.inv_offsets_[s + 1];
   for (std::size_t s = 0; s < n; ++s) out.inv_offsets_[s + 1] += out.inv_offsets_[s];
-  out.inv_clients_.resize(out.sites_.size());
+  out.inv_clients_.resize(sites.size());
   std::vector<std::size_t> cursor(out.inv_offsets_.begin(), out.inv_offsets_.end() - 1);
   for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t i = out.offsets_[v]; i < out.offsets_[v + 1]; ++i) {
-      out.inv_clients_[cursor[out.sites_[i]]++] = v;
+    for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      out.inv_clients_[cursor[sites[i]]++] = v;
     }
   }
   return out;

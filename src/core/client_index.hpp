@@ -8,7 +8,7 @@
 // The first set comes from the evaluator's charge index (rebuilt per
 // accepted move); the second is exactly "the clients whose candidate list
 // contains b" — provided each client's list covers every site within its
-// m1. This index stores those lists (CSR, ascending site id) and their
+// m1. This index builds those lists (ascending site id) and keeps their
 // inversion (CSR, ascending client id), so DeltaEvaluator can enumerate the
 // affected clients of a candidate in output-sensitive time instead of
 // scanning all n clients.
@@ -75,8 +75,6 @@ class ClientCandidateIndex {
 
  private:
   bool capped_ = false;
-  std::vector<std::size_t> offsets_;      // clients + 1.
-  std::vector<std::size_t> sites_;        // concatenated lists.
   std::vector<double> radius_;            // per-client covered radius.
   std::vector<std::size_t> inv_offsets_;  // sites + 1.
   std::vector<std::size_t> inv_clients_;  // concatenated inverted lists.

@@ -19,12 +19,11 @@ namespace qp::core {
 namespace {
 
 // Placement-LP telemetry, tallied once per solve: how many LPs ran, their
-// total simplex iterations, how many started from a supplied or chained
-// basis, and how many of those seeds stalled into the cold retry.
+// total simplex iterations, and how many started from a crash basis that
+// put some element over a site's capacity.
 const obs::Counter c_m2o_lp_solves = obs::counter("core.manytoone.lp_solves");
 const obs::Counter c_m2o_lp_iterations = obs::counter("core.manytoone.lp_iterations");
-const obs::Counter c_m2o_warm_starts = obs::counter("core.manytoone.warm_starts");
-const obs::Counter c_m2o_warm_stalls = obs::counter("core.manytoone.warm_stalls");
+const obs::Counter c_m2o_crash_overflows = obs::counter("core.manytoone.crash_overflows");
 
 /// Fractional assignment x[u][w] plus bookkeeping from the LP step.
 struct FractionalPlacement {
@@ -33,43 +32,49 @@ struct FractionalPlacement {
 };
 
 /// Solves the placement LP for the anchor whose row d = d(v0, .) is given,
-/// on the revised simplex. `basis` seeds the solve when non-empty and
-/// receives the optimal basis: only the delay-row coefficients d(v0, .)
-/// depend on the anchor, so one anchor's optimum is a near-feasible start
-/// for the next.
+/// on the revised simplex, started from a greedy crash basis.
 FractionalPlacement solve_placement_lp(const std::vector<double>& d,
                                        std::span<const quorum::Quorum> quorums,
                                        std::span<const double> distribution,
                                        std::span<const double> element_load,
                                        std::span<const double> capacities,
-                                       const ManyToOneOptions& options, lp::Basis& basis,
                                        lp::SolveStatus& status) {
   QP_TRACE_SPAN("core.manytoone.lp");
   const std::size_t sites = d.size();
   const std::size_t n = element_load.size();
   const std::size_t m = quorums.size();
 
+  // Variables: x_uw (u * sites + w), then the distance D_u (distance + u),
+  // then t_i (delay + i).
   lp::LpProblem problem;
-  // Variables: x_uw (u * sites + w), then t_i.
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t w = 0; w < sites; ++w) (void)problem.add_variable(0.0);
   }
-  std::vector<std::size_t> t_var(m);
-  for (std::size_t i = 0; i < m; ++i) t_var[i] = problem.add_variable(distribution[i]);
+  const std::size_t distance = n * sites;
+  for (std::size_t u = 0; u < n; ++u) (void)problem.add_variable(0.0);
+  const std::size_t delay = distance + n;
+  for (std::size_t i = 0; i < m; ++i) (void)problem.add_variable(distribution[i]);
 
-  // Assignment rows: sum_w x_uw = 1.
+  // Assignment rows u: sum_w x_uw = 1. Distance rows n + u:
+  // sum_w d(v0,w) x_uw - D_u = 0.
   for (std::size_t u = 0; u < n; ++u) {
     const std::size_t row = problem.add_row(lp::RowSense::Equal, 1.0);
     for (std::size_t w = 0; w < sites; ++w) problem.add_coefficient(row, u * sites + w, 1.0);
   }
-  // Delay rows: sum_w d(v0,w) x_uw - t_i <= 0 for every i and u in Q_i.
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::size_t row = problem.add_row(lp::RowSense::Equal, 0.0);
+    for (std::size_t w = 0; w < sites; ++w) {
+      if (d[w] > 0.0) problem.add_coefficient(row, u * sites + w, d[w]);
+    }
+    problem.add_coefficient(row, distance + u, -1.0);
+  }
+  // Delay rows: D_u - t_i <= 0 for every i and u in Q_i.
+  const std::size_t first_delay = problem.row_count();
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t u : quorums[i]) {
       const std::size_t row = problem.add_row(lp::RowSense::LessEqual, 0.0);
-      for (std::size_t w = 0; w < sites; ++w) {
-        if (d[w] > 0.0) problem.add_coefficient(row, u * sites + w, d[w]);
-      }
-      problem.add_coefficient(row, t_var[i], -1.0);
+      problem.add_coefficient(row, distance + u, 1.0);
+      problem.add_coefficient(row, delay + i, -1.0);
     }
   }
   // Capacity rows: sum_u load(u) x_uw <= cap(w).
@@ -82,18 +87,57 @@ FractionalPlacement solve_placement_lp(const std::vector<double>& d,
     }
   }
 
-  lp::SimplexOptions simplex = options.simplex;
-  simplex.initial_basis = basis;
-  lp::SolveResult solution = lp::RevisedSimplexSolver{simplex}.solve(problem);
+  // Crash basis: elements by decreasing load, each on the nearest site that
+  // still has room for it (the nearest site when none has: composite phase 1
+  // repairs the overflow). x_{u,site(u)} is basic in assignment row u, D_u
+  // in its distance row, t_i in the delay row of Q_i's farthest element
+  // (first in quorum order on a tie), a slack on every other row. The basis
+  // is triangular (assignment, distance, delay, capacity rows against the x,
+  // D, t, slack columns), so it always factors.
+  std::vector<std::size_t> by_load(n);
+  std::iota(by_load.begin(), by_load.end(), std::size_t{0});
+  std::stable_sort(by_load.begin(), by_load.end(), [&](std::size_t a, std::size_t b) {
+    return element_load[a] > element_load[b];
+  });
+  std::vector<double> room(capacities.begin(), capacities.end());
+  std::vector<std::size_t> site_of(n);
+  bool overflow = false;
+  for (std::size_t u : by_load) {
+    // Nearest site overall and nearest with room, lowest index on ties.
+    std::size_t nearest = 0;
+    std::size_t fits = sites;
+    for (std::size_t w = 0; w < sites; ++w) {
+      if (d[w] < d[nearest]) nearest = w;
+      if (element_load[u] <= room[w] && (fits == sites || d[w] < d[fits])) fits = w;
+    }
+    overflow = overflow || fits == sites;
+    site_of[u] = fits == sites ? nearest : fits;
+    room[site_of[u]] -= element_load[u];
+  }
+  lp::SimplexOptions simplex;
+  std::vector<std::size_t>& basic = simplex.initial_basis.basic;
+  basic.resize(problem.row_count());
+  for (std::size_t u = 0; u < n; ++u) {
+    basic[u] = u * sites + site_of[u];
+    basic[n + u] = distance + u;
+  }
+  for (std::size_t r = first_delay; r < basic.size(); ++r) basic[r] = lp::Basis::slack_of(r);
+  std::size_t row = first_delay;
+  for (std::size_t i = 0; i < m; ++i) {
+    const quorum::Quorum& q = quorums[i];
+    std::size_t farthest = 0;
+    for (std::size_t k = 1; k < q.size(); ++k) {
+      if (d[site_of[q[k]]] > d[site_of[q[farthest]]]) farthest = k;
+    }
+    basic[row + farthest] = delay + i;
+    row += q.size();
+  }
+
+  lp::SolveResult solution = lp::RevisedSimplexSolver{std::move(simplex)}.solve(problem);
   c_m2o_lp_solves.add();
   c_m2o_lp_iterations.add(solution.iterations);
-  if (!basis.empty()) {
-    c_m2o_warm_starts.add();
-    if (solution.warm_start_stalled) c_m2o_warm_stalls.add();
-  }
+  if (overflow) c_m2o_crash_overflows.add();
   status = solution.status;
-  // Without an optimum the seed is kept for the next anchor.
-  if (status == lp::SolveStatus::Optimal) basis = std::move(solution.basis);
 
   FractionalPlacement fractional;
   if (status != lp::SolveStatus::Optimal) return fractional;
@@ -220,22 +264,21 @@ std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
   return quorums;
 }
 
-/// The three-step pipeline for one anchor; `basis` is threaded through
-/// solve_placement_lp. The anchor's row d(v0, .) is gathered once and
-/// shared by all three steps.
+/// The three-step pipeline for one anchor. The anchor's row d(v0, .) is
+/// gathered once and shared by all three steps.
 ManyToOneResult place_for_anchor(const net::LatencySpace& space,
                                  std::span<const quorum::Quorum> quorums,
                                  std::span<const double> quorum_distribution,
                                  std::span<const double> load,
                                  std::span<const double> capacities, std::size_t v0,
-                                 const ManyToOneOptions& options, lp::Basis& basis) {
+                                 const ManyToOneOptions& options) {
   if (v0 >= space.size()) {
     throw std::invalid_argument{"many_to_one_placement: v0 out of range"};
   }
   const std::vector<double> d = net::rtt_row(space, v0);
   ManyToOneResult result;
-  FractionalPlacement fractional = solve_placement_lp(
-      d, quorums, quorum_distribution, load, capacities, options, basis, result.status);
+  FractionalPlacement fractional =
+      solve_placement_lp(d, quorums, quorum_distribution, load, capacities, result.status);
   if (result.status != lp::SolveStatus::Optimal) return result;
   result.lp_delay_bound = fractional.objective;
 
@@ -266,9 +309,7 @@ ManyToOneResult many_to_one_placement(const net::LatencySpace& space,
       validated_quorums(space, system, quorum_distribution, capacities);
   const std::vector<double> load =
       element_loads(quorums, quorum_distribution, system.universe_size());
-  lp::Basis basis = options.simplex.initial_basis;
-  return place_for_anchor(space, quorums, quorum_distribution, load, capacities, v0, options,
-                          basis);
+  return place_for_anchor(space, quorums, quorum_distribution, load, capacities, v0, options);
 }
 
 ManyToOneSearchResult best_many_to_one_placement(const net::LatencySpace& space,
@@ -291,12 +332,9 @@ ManyToOneSearchResult best_many_to_one_placement(const net::LatencySpace& space,
 
   ManyToOneSearchResult best;
   best.avg_network_delay = std::numeric_limits<double>::infinity();
-  // Each anchor's LP starts from the previous anchor's optimal basis (the
-  // first from the caller's seed, if any).
-  lp::Basis basis = options.simplex.initial_basis;
   for (std::size_t v0 : candidates) {
     ManyToOneResult candidate = place_for_anchor(space, quorums, quorum_distribution, load,
-                                                 capacities, v0, options, basis);
+                                                 capacities, v0, options);
     if (candidate.status != lp::SolveStatus::Optimal) continue;
     const double delay =
         evaluate_explicit(space, system, candidate.placement, 0.0, common)

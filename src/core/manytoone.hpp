@@ -2,7 +2,14 @@
 // algorithm of Gupta et al., reconstructed as
 //   1. an LP relaxation of the single-client placement problem
 //      (fractional assignment x_uw, per-quorum delay bounds t_Q), solved on
-//      the sparse revised simplex (lp/revised_simplex),
+//      the sparse revised simplex (lp/revised_simplex). Each element u has
+//      one distance variable D_u = sum_w d(v0,w) x_uw (its own equality
+//      row), so a delay row reads D_u - t_Q <= 0 with two nonzeros and an
+//      x_uw column touches only its assignment, distance and capacity rows.
+//      Every solve starts from a greedy crash basis: elements by decreasing
+//      load, each on the nearest site that still has room (the nearest site
+//      when none has; phase 1 repairs the overflow), t_Q basic on the delay
+//      row of Q's farthest element, slacks elsewhere,
 //   2. Lin–Vitter filtering: drop fractional assignments to nodes farther
 //      than (1+eps) times the element's fractional average distance and
 //      renormalize, and
@@ -29,10 +36,6 @@ struct ManyToOneOptions {
   /// Lin–Vitter filtering parameter (the paper's procedure with eps = 1
   /// keeps assignments within twice the fractional average distance).
   double epsilon = 1.0;
-  /// Placement-LP solver knobs; simplex.initial_basis seeds the first
-  /// anchor's solve (later anchors of best_many_to_one_placement start from
-  /// their predecessor's optimal basis).
-  lp::SimplexOptions simplex{};
 };
 
 struct ManyToOneResult {
@@ -66,12 +69,10 @@ struct ManyToOneSearchResult {
 
 /// §4.1.2 outer loop: runs many_to_one_placement for every candidate anchor
 /// (all sites when empty) and keeps the placement with the lowest average
-/// network delay under the given quorum distribution. The anchors' LPs
-/// differ only in the delay coefficients d(v0, .), so each one is
-/// warm-started from the previous anchor's optimal basis; the bounds match
-/// cold solves to solver tolerance, though a tie between alternate LP
-/// optima may round to a different placement. Placements are scored by
-/// evaluate_explicit at alpha 0 under common_strategy(quorum_distribution).
+/// network delay under the given quorum distribution. Every anchor's LP
+/// starts from its own crash basis, so an anchor's result does not depend
+/// on the candidate order. Placements are scored by evaluate_explicit at
+/// alpha 0 under common_strategy(quorum_distribution).
 [[nodiscard]] ManyToOneSearchResult best_many_to_one_placement(
     const net::LatencySpace& space, const quorum::QuorumSystem& system,
     std::span<const double> quorum_distribution, std::span<const double> capacities,

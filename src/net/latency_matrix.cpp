@@ -13,15 +13,18 @@ namespace {
 /// Floyd–Warshall over a square, zero-diagonal matrix (the constructor has
 /// checked both): shortest paths through the complete graph whose edge
 /// weights are the entries.
+/// Row k is skipped in its own pass (d[k][k] == 0 makes it a no-op), so
+/// row_i never aliases row_k, and std::min keeps the old entry on a tie:
+/// the inner loop is branch-free and vectorizes.
 std::vector<std::vector<double>> floyd_warshall(std::vector<std::vector<double>> dist) {
   const std::size_t n = dist.size();
   for (std::size_t k = 0; k < n; ++k) {
+    const double* row_k = dist[k].data();
     for (std::size_t i = 0; i < n; ++i) {
-      const double dik = dist[i][k];
-      for (std::size_t j = 0; j < n; ++j) {
-        const double candidate = dik + dist[k][j];
-        if (candidate < dist[i][j]) dist[i][j] = candidate;
-      }
+      if (i == k) continue;
+      double* row_i = dist[i].data();
+      const double dik = row_i[k];
+      for (std::size_t j = 0; j < n; ++j) row_i[j] = std::min(row_i[j], dik + row_k[j]);
     }
   }
   return dist;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -15,13 +16,14 @@
 #include "core/response.hpp"
 #include "core/strategy.hpp"
 #include "lp/problem.hpp"
-#include "lp/revised_simplex.hpp"
 #include "net/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/tree.hpp"
 #include "support/dense_simplex.hpp"
+#include "support/placement_lp.hpp"
 
 namespace qp::core {
 namespace {
@@ -47,50 +49,17 @@ void expect_parity(double actual, double expected, double eps = 1e-9) {
       << "actual=" << actual << " expected=" << expected;
 }
 
-/// The §4.1.2 placement LP for anchor v0, built independently of
-/// core/manytoone in the same variable and row order: x_uw (u * sites + w),
-/// then t_i; assignment rows, delay rows, capacity rows. The dense tableau
-/// solve of this model is the parity oracle for the production path, and a
-/// revised solve of it reproduces the basis that path hands to the next
-/// anchor.
-lp::LpProblem placement_lp(const LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-                           std::span<const double> probs, std::span<const double> caps,
-                           std::size_t v0) {
-  const auto quorums = system.enumerate_quorums();
-  const std::vector<double> load = element_loads(quorums, probs, system.universe_size());
-  const std::size_t sites = matrix.size();
-  const std::size_t n = system.universe_size();
-  const std::vector<double>& d = matrix.row(v0);
-  lp::LpProblem problem;
-  for (std::size_t var = 0; var < n * sites; ++var) (void)problem.add_variable(0.0);
-  std::vector<std::size_t> t_var;
-  for (double p : probs) t_var.push_back(problem.add_variable(p));
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::size_t row = problem.add_row(lp::RowSense::Equal, 1.0);
-    for (std::size_t w = 0; w < sites; ++w) problem.add_coefficient(row, u * sites + w, 1.0);
+std::uint64_t counter_total(const std::string& name) {
+  for (const obs::MetricSnapshot& metric : obs::snapshot()) {
+    if (metric.name == name) return metric.value;
   }
-  for (std::size_t i = 0; i < quorums.size(); ++i) {
-    for (std::size_t u : quorums[i]) {
-      const std::size_t row = problem.add_row(lp::RowSense::LessEqual, 0.0);
-      for (std::size_t w = 0; w < sites; ++w) {
-        if (d[w] > 0.0) problem.add_coefficient(row, u * sites + w, d[w]);
-      }
-      problem.add_coefficient(row, t_var[i], -1.0);
-    }
-  }
-  for (std::size_t w = 0; w < sites; ++w) {
-    const std::size_t row = problem.add_row(lp::RowSense::LessEqual, caps[w]);
-    for (std::size_t u = 0; u < n; ++u) {
-      if (load[u] > 0.0) problem.add_coefficient(row, u * sites + w, load[u]);
-    }
-  }
-  return problem;
+  return 0;
 }
 
 lp::Solution dense_oracle(const LatencyMatrix& matrix, const quorum::QuorumSystem& system,
                           std::span<const double> probs, std::span<const double> caps,
                           std::size_t v0) {
-  lp::LpProblem problem = placement_lp(matrix, system, probs, caps, v0);
+  lp::LpProblem problem = test_support::placement_lp(matrix, system, probs, caps, v0);
   return lp::SimplexSolver{}.solve(problem);
 }
 
@@ -280,47 +249,43 @@ TEST(BestManyToOne, BeatsOrMatchesSingleAnchor) {
   }
 }
 
-TEST(BestManyToOne, WarmChainedAnchorBoundsMatchColdSolves) {
-  // best_many_to_one_placement seeds each anchor's LP with the previous
-  // anchor's optimal basis. Replay that chain through the public seed
-  // (ManyToOneOptions::simplex.initial_basis, honoured by the first anchor)
-  // and check every warm-seeded bound against a cold solve of its anchor.
+TEST(BestManyToOne, CrashStartedAnchorBoundsMatchDenseOracle) {
+  // Every anchor's LP starts from its own greedy crash basis. Check each
+  // bound against the dense oracle on the per-(i, u) form, at a roomy level
+  // where the crash fits every element (a feasible start) and a tight one
+  // where no site can hold a whole element (the crash overflows and phase 1
+  // repairs it).
+  obs::set_enabled(true);
   const LatencyMatrix m = net::small_synth(9, 41);
+  const std::vector<std::size_t> order{3, 0, 8, 5, 1, 7};
   for (const FamilyCase& family : family_cases()) {
     const quorum::QuorumSystem& system = *family.system;
     const auto probs = uniform_distribution(system.enumerate_quorums().size());
-    const auto caps = spread_capacities(system, probs, m.size());
-    const std::vector<std::size_t> order{3, 0, 8, 5, 1, 7};
-
-    lp::Basis basis;
-    std::vector<double> chained_bound(m.size(), -1.0);
-    for (std::size_t v0 : order) {
-      SCOPED_TRACE(std::string{family.name} + " v0=" + std::to_string(v0));
-      ManyToOneOptions seeded;
-      seeded.simplex.initial_basis = basis;
-      const ManyToOneResult warm = many_to_one_placement(m, system, probs, caps, v0, seeded);
-      const ManyToOneResult cold = many_to_one_placement(m, system, probs, caps, v0);
-      ASSERT_EQ(warm.status, lp::SolveStatus::Optimal);
-      ASSERT_EQ(cold.status, lp::SolveStatus::Optimal);
-      expect_parity(warm.lp_delay_bound, cold.lp_delay_bound);
-      chained_bound[v0] = warm.lp_delay_bound;
-      // The basis this anchor hands on: the same seeded revised solve.
-      lp::LpProblem problem = placement_lp(m, system, probs, caps, v0);
-      lp::SimplexOptions options;
-      options.initial_basis = basis;
-      const lp::SolveResult solved = lp::RevisedSimplexSolver{options}.solve(problem);
-      ASSERT_EQ(solved.status, lp::SolveStatus::Optimal);
-      expect_parity(solved.objective, cold.lp_delay_bound);
-      basis = solved.basis;
+    const std::vector<double> load =
+        element_loads(system.enumerate_quorums(), probs, system.universe_size());
+    const double max_load = *std::max_element(load.begin(), load.end());
+    const std::vector<double> tight = spread_capacities(system, probs, m.size());
+    ASSERT_LT(tight[0], max_load) << family.name;  // No element fits anywhere.
+    const std::vector<double> roomy = uniform_capacities(m.size(), 1.5 * max_load);
+    for (const bool overflows : {false, true}) {
+      const std::vector<double>& caps = overflows ? tight : roomy;
+      for (std::size_t v0 : order) {
+        SCOPED_TRACE(std::string{family.name} + (overflows ? " tight" : " roomy") +
+                     " v0=" + std::to_string(v0));
+        const std::uint64_t before = counter_total("core.manytoone.crash_overflows");
+        const ManyToOneResult result = many_to_one_placement(m, system, probs, caps, v0);
+        EXPECT_EQ(counter_total("core.manytoone.crash_overflows"), before + (overflows ? 1 : 0));
+        const lp::Solution dense = dense_oracle(m, system, probs, caps, v0);
+        ASSERT_EQ(result.status, lp::SolveStatus::Optimal);
+        ASSERT_EQ(dense.status, lp::SolveStatus::Optimal);
+        expect_parity(result.lp_delay_bound, dense.objective);
+        EXPECT_GT(result.lp_delay_bound, 0.0);  // Caps bind: not collapsed on v0.
+      }
+      const ManyToOneSearchResult best = best_many_to_one_placement(m, system, probs, caps, order);
+      ASSERT_EQ(best.best.status, lp::SolveStatus::Optimal);
+      expect_parity(best.best.lp_delay_bound,
+                    dense_oracle(m, system, probs, caps, best.anchor_client).objective);
     }
-
-    const ManyToOneSearchResult best =
-        best_many_to_one_placement(m, system, probs, caps, order);
-    ASSERT_EQ(best.best.status, lp::SolveStatus::Optimal);
-    expect_parity(best.best.lp_delay_bound, chained_bound[best.anchor_client]);
-    const ManyToOneResult cold_winner =
-        many_to_one_placement(m, system, probs, caps, best.anchor_client);
-    expect_parity(best.best.lp_delay_bound, cold_winner.lp_delay_bound);
   }
 }
 
