@@ -166,7 +166,7 @@ TEST(GoldenOutputs, SimValidationSmoke) {
 // Oracle with zero backoff): a FaultInjector crash schedule, timeouts,
 // exponential backoff with jitter (BeginRetry events) and Suspicion failover
 // on a Grid(5x5) over Planetlab-50, open loop; then the same storm with two
-// closed-loop clients per site; then open loop at rho 0.9 with a two-message
+// closed-loop clients per site; then open loop at rho 0.3 with a four-message
 // queue limit, so overflow rejections feed the retry path too.
 TEST(GoldenOutputs, EngineRetrySuspicionSmoke) {
   const net::LatencyMatrix& matrix = planetlab50();
@@ -219,6 +219,66 @@ TEST(GoldenOutputs, EngineRetrySuspicionSmoke) {
         << r.mean_response_ms << ',' << r.p99_ms << ',' << r.degraded_p99_ms << '\n';
   }
   expect_golden("engine_retry_suspicion", out.str());
+}
+
+// The engine's remaining ways to lose a message, on the same Grid(5x5) over
+// Planetlab-50: with the retry machinery off, a FaultInjector crash schedule
+// (outage drops fail their request once its last message is settled) and a
+// four-message queue limit past saturation (overflow rejections do the
+// same); then the crash schedule again under Oracle failover with
+// exponential backoff and jitter, where lost messages leave the attempt to
+// its timeout.
+TEST(GoldenOutputs, EngineLossPaths) {
+  const net::LatencyMatrix& matrix = planetlab50();
+  const quorum::GridQuorum grid{5};
+  const core::Placement placement = core::best_grid_placement(matrix, 5).placement;
+  const std::vector<double> load =
+      core::site_loads_balanced(grid, placement, matrix.size());
+  const std::vector<double> ones(matrix.size(), 1.0);
+
+  sim::EngineConfig base;
+  base.warmup_ms = 200.0;
+  base.duration_ms = 1'500.0;
+  base.replications = 2;
+  base.master_seed = 23;
+  sim::FaultInjectorConfig fault;
+  fault.seed = 9;
+  fault.horizon_ms = base.warmup_ms + base.duration_ms;
+  fault.site = sim::FaultProcess::for_down_probability(0.03, 300.0);
+  const std::vector<sim::ServerOutage> storm =
+      sim::FaultInjector{fault}.schedule(matrix.size());
+
+  struct Run {
+    const char* name;
+    sim::EngineConfig config;
+    double rho;
+  };
+  std::vector<Run> runs{{"legacy_drops", base, 0.5},
+                        {"legacy_rejections", base, 0.9},
+                        {"oracle_backoff", base, 0.3}};
+  runs[0].config.outages = storm;
+  runs[1].config.queue_capacity = 4;
+  runs[2].config.outages = storm;
+  runs[2].config.retry.timeout_ms = 200.0;
+  runs[2].config.retry.max_attempts = 3;
+  runs[2].config.retry.backoff_base_ms = 5.0;
+  runs[2].config.retry.jitter_frac = 0.25;
+  runs[2].config.failover = sim::FailoverMode::Oracle;
+
+  std::ostringstream out;
+  out << std::hexfloat
+      << "run,issued,completed,failed,abandoned,retries,stale_replies,"
+         "dropped_messages,rejected_arrivals,p50_ms,p99_ms,degraded_p99_ms\n";
+  for (const Run& run : runs) {
+    const std::vector<double> rates =
+        sim::scale_rates_to_peak_utilization(ones, load, 1.0, run.rho);
+    const sim::EngineResult r = sim::run_engine(matrix, grid, placement, rates, run.config);
+    out << run.name << ',' << r.issued << ',' << r.completed << ',' << r.failed << ','
+        << r.abandoned << ',' << r.retries << ',' << r.stale_replies << ','
+        << r.dropped_messages << ',' << r.rejected_arrivals << ',' << r.p50_ms << ','
+        << r.p99_ms << ',' << r.degraded_p99_ms << '\n';
+  }
+  expect_golden("engine_loss_paths", out.str());
 }
 
 TEST(GoldenOutputs, EmbeddingFitStats) {
