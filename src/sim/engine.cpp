@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -18,10 +20,11 @@ namespace qp::sim {
 
 namespace {
 
-// Engine telemetry: request accounting totals and event counts (tallied
-// once per replication, never per event), the response distribution, the
-// event queue's peak population, and probe activity. The per-event hot path
-// carries no obs calls at all.
+// Engine telemetry: request accounting totals, stale replies and event
+// counts (tallied once per replication, never per event), the response
+// distribution, the peaks of the event queue's population and of the
+// in-flight requests, and probe activity. The per-event hot path carries no
+// obs calls at all.
 const obs::Counter c_eng_runs = obs::counter("sim.engine.runs");
 const obs::Counter c_eng_replications = obs::counter("sim.engine.replications");
 const obs::Counter c_eng_issued = obs::counter("sim.engine.requests_issued");
@@ -31,6 +34,7 @@ const obs::Counter c_eng_failed = obs::counter("sim.engine.requests_failed");
 const obs::Counter c_eng_abandoned =
     obs::counter("sim.engine.requests_abandoned");
 const obs::Counter c_eng_retries = obs::counter("sim.engine.retries");
+const obs::Counter c_eng_stale = obs::counter("sim.engine.stale_replies");
 const obs::Counter c_eng_dropped = obs::counter("sim.engine.dropped_messages");
 const obs::Counter c_eng_rejected =
     obs::counter("sim.engine.rejected_arrivals");
@@ -38,16 +42,18 @@ const obs::Counter c_eng_probes = obs::counter("sim.engine.probes");
 const obs::Counter c_eng_events = obs::counter("sim.engine.events");
 const obs::Histogram h_eng_response = obs::histogram("sim.engine.response_ms");
 const obs::Histogram h_eng_queue_peak = obs::histogram("sim.engine.queue_peak");
+const obs::Histogram h_eng_inflight_peak = obs::histogram("sim.engine.inflight_peak");
 
 /// The engine's typed event union: one small value struct instead of a
-/// heap-allocated std::function per event (~50 events per request). `id`
-/// doubles as the client slot for Arrival events; the remaining fields are
-/// meaningful per kind as noted.
+/// heap-allocated std::function per event (|Q| + 2 events per request
+/// without retries: its arrival, one message per quorum element and one
+/// Done). `id` doubles as the client slot for Arrival events; the remaining
+/// fields are meaningful per kind as noted.
 struct EngineEvent {
   enum class Kind : std::uint8_t {
     Arrival,     // id = client slot; issues one request.
     Message,     // Request message reaches `site` after `half_rtt`.
-    Reply,       // Service at `site` done; reply lands at the client.
+    Done,        // The attempt's last reply lands at the client.
     Timeout,     // The attempt's retry timer expired.
     BeginRetry,  // Backoff elapsed; start the next attempt.
     Probe,       // Time-series snapshot; read-only, consumes no randomness.
@@ -57,6 +63,7 @@ struct EngineEvent {
   std::uint64_t id = 0;
   std::size_t site = 0;
   double half_rtt = 0.0;
+  std::uint32_t entry = 0;  // Message: its entry in Request::outstanding.
 };
 
 /// The RTT from each client site to every quorum element's site, filled
@@ -133,21 +140,41 @@ class Replication {
     if (config_.probe_interval_ms > 0.0) {
       // Probes need queue occupancy on unbounded stations too; tracking is
       // observation-only (see ServiceStation::track_occupancy).
-      for (ServiceStation& station : stations_) station.track_occupancy(true);
+      for (ServiceStation& station : stations_) station.track_occupancy();
       queue_.schedule(config_.warmup_ms,
                       EngineEvent{.kind = EngineEvent::Kind::Probe});
     }
     queue_.run_all([this](const EngineEvent& event) { dispatch(event); });
 
+    // Metrics, tallied once per replication at the end of the drain (the
+    // per-event path carries no obs calls). The response histogram records
+    // the samples in completion order, before they are sorted.
+    c_eng_replications.add();
+    c_eng_issued.add(issued_);
+    c_eng_completed.add(completed_);
+    c_eng_failed.add(failed_);
+    c_eng_abandoned.add(abandoned_);
+    c_eng_retries.add(retries_);
+    c_eng_stale.add(stale_replies_);
+    c_eng_dropped.add(dropped_);
+    c_eng_rejected.add(rejected_);
+    c_eng_probes.add(probes_.size());
+    c_eng_events.add(queue_.executed());
+    h_eng_queue_peak.record(static_cast<double>(queue_.peak_pending()));
+    h_eng_inflight_peak.record(static_cast<double>(inflight_peak_));
+    if (obs::enabled()) {
+      for (double sample : samples_) h_eng_response.record(sample);
+    }
+
     ReplicationResult result;
     result.response = response_;
     result.network = network_;
+    std::sort(samples_.begin(), samples_.end());
+    std::sort(unserved_wait_.begin(), unserved_wait_.end());
     if (!samples_.empty()) {
-      std::vector<double> sorted = samples_;
-      std::sort(sorted.begin(), sorted.end());
-      result.p50_ms = common::percentile_sorted(sorted, 50.0);
-      result.p95_ms = common::percentile_sorted(sorted, 95.0);
-      result.p99_ms = common::percentile_sorted(sorted, 99.0);
+      result.p50_ms = common::percentile_sorted(samples_, 50.0);
+      result.p95_ms = common::percentile_sorted(samples_, 95.0);
+      result.p99_ms = common::percentile_sorted(samples_, 99.0);
     }
     result.site_utilization.reserve(stations_.size());
     for (const ServiceStation& station : stations_) {
@@ -166,24 +193,6 @@ class Replication {
         issued_ == 0 ? 0.0
                      : static_cast<double>(failed_ + abandoned_) /
                            static_cast<double>(issued_);
-    // Metrics, tallied once per replication at the end of the drain (the
-    // per-event path carries no obs calls). The response histogram records
-    // before samples_ moves out.
-    c_eng_replications.add();
-    c_eng_issued.add(issued_);
-    c_eng_completed.add(completed_);
-    c_eng_failed.add(failed_);
-    c_eng_abandoned.add(abandoned_);
-    c_eng_retries.add(retries_);
-    c_eng_dropped.add(dropped_);
-    c_eng_rejected.add(rejected_);
-    c_eng_probes.add(probes_.size());
-    c_eng_events.add(queue_.executed());
-    h_eng_queue_peak.record(static_cast<double>(queue_.peak_pending()));
-    if (obs::enabled()) {
-      for (double sample : samples_) h_eng_response.record(sample);
-    }
-
     result.response_samples = std::move(samples_);
     result.unserved_wait_ms = std::move(unserved_wait_);
     result.probes = std::move(probes_);
@@ -194,21 +203,27 @@ class Replication {
   struct Request {
     std::uint64_t id = kRetired;  // The request in this ring slot, if any.
     double start = 0.0;
+    /// Latest reply time among the current attempt's accepted messages.
+    double last_reply = -kNever;
     std::size_t slot = 0;  // Issuing client slot; its site is clients_[slot].
+    /// Messages of the current attempt that have not reached their site.
     std::size_t pending = 0;
-    std::uint32_t attempt = 0;       // Tag discarding stale replies/timeouts.
+    std::uint32_t attempt = 0;       // Tag discarding stale messages/timeouts.
     std::size_t attempts_used = 0;
-    bool failed = false;
+    bool failed = false;  // Retry off: a message was lost; the request fails.
+    bool doomed = false;  // Retry on: a message of the attempt was lost.
     bool windowed = false;
-    /// Sites of the current attempt that have not replied yet — the
-    /// suspects when the attempt times out. Maintained only with retries.
-    std::vector<std::size_t> outstanding;
+    /// (site, reply time) of each message of the current attempt, the reply
+    /// time +inf until the site accepts it. The entries still unanswered
+    /// when the attempt times out are its suspects. Maintained only with
+    /// retries.
+    std::vector<std::pair<std::size_t, double>> outstanding;
   };
 
   /// Pushes down/suspected sites behind every live one in the failover
   /// re-choice; large against any WAN RTT yet harmless to the argmin-max.
   static constexpr double kFailoverPenaltyMs = 1.0e7;
-  static constexpr std::size_t kNoSite = static_cast<std::size_t>(-1);
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
   static constexpr std::uint64_t kRetired = static_cast<std::uint64_t>(-1);
   static constexpr std::size_t kInitialRequestSlots = 64;
 
@@ -221,10 +236,10 @@ class Replication {
         arrival(static_cast<std::size_t>(event.id));
         break;
       case EngineEvent::Kind::Message:
-        message(event.id, event.attempt, event.site, event.half_rtt);
+        message(event.id, event.attempt, event.site, event.half_rtt, event.entry);
         break;
-      case EngineEvent::Kind::Reply:
-        resolve(event.id, event.attempt, event.site, /*message_lost=*/false);
+      case EngineEvent::Kind::Done:
+        done(event.id, event.attempt);
         break;
       case EngineEvent::Kind::Timeout:
         timeout(event.id, event.attempt);
@@ -324,7 +339,7 @@ class Replication {
       }
       requests_ = std::move(grown);
     }
-    ++inflight_;
+    inflight_peak_ = std::max(inflight_peak_, ++inflight_);
     Request& request = requests_[id & (requests_.size() - 1)];
     request.id = id;
     return request;
@@ -362,18 +377,21 @@ class Replication {
     if (request.attempts_used > 1) ++retries_;
     const quorum::Quorum& chosen = choose_quorum(request, now);
     request.pending = chosen.size();
+    request.last_reply = -kNever;
+    request.doomed = false;
     request.outstanding.clear();
     const std::uint32_t attempt = request.attempt;
     const std::span<const double> rtts = rtt_rows_.row(clients_[request.slot]);
     double max_rtt = 0.0;
+    std::uint32_t entry = 0;
     for (std::size_t u : chosen) {
       const std::size_t site = placement_.site_of[u];
       const double rtt = rtts[u];
       max_rtt = std::max(max_rtt, rtt);
-      if (retry_enabled()) request.outstanding.push_back(site);
+      if (retry_enabled()) request.outstanding.emplace_back(site, kNever);
       const double half = rtt / 2.0;
       queue_.schedule(now + half, EngineEvent{EngineEvent::Kind::Message, attempt, id,
-                                              site, half});
+                                              site, half, entry++});
     }
     if (request.attempts_used == 1 && request.windowed) network_.add(max_rtt);
     if (retry_enabled()) {
@@ -382,67 +400,77 @@ class Replication {
     }
   }
 
+  /// A message reaches its site: an outage drops it, a full queue rejects
+  /// it, otherwise the FIFO station admits it and its reply time is known
+  /// at once. The request needs no event per reply: once the attempt's last
+  /// message has reached its site, one Done at the latest reply time
+  /// completes it. A lost message fails the request once the rest have
+  /// landed (retry off) or leaves the attempt to its timeout (retry on).
   void message(std::uint64_t id, std::uint32_t attempt, std::size_t site,
-               double half_rtt) {
+               double half_rtt, std::uint32_t entry) {
     const double now = queue_.now();
+    double reply = kNever;
     if (outages_.down_at(site, now)) {
       ++dropped_;
-      lost(id, attempt);
-      return;
-    }
-    if (stations_[site].full(now)) {
+    } else if (stations_[site].full(now)) {
       ++rejected_;
-      lost(id, attempt);
-      return;
+    } else {
+      reply = stations_[site].accept(now, draw_service()) + half_rtt;
     }
-    const double depart = stations_[site].accept(now, draw_service());
-    queue_.schedule(depart + half_rtt,
-                    EngineEvent{EngineEvent::Kind::Reply, attempt, id, site});
-  }
-
-  /// A message died (outage drop / queue overflow). Without the retry
-  /// machinery that fails the request immediately (legacy semantics); with
-  /// it the loss is silent and the attempt's timeout recovers the request.
-  void lost(std::uint64_t id, std::uint32_t attempt) {
-    if (!retry_enabled()) resolve(id, attempt, kNoSite, /*message_lost=*/true);
-  }
-
-  /// One of the attempt's messages finished (reply arrived) or died (legacy
-  /// loss). The request completes only if every message of the attempt
-  /// came back.
-  void resolve(std::uint64_t id, std::uint32_t attempt, std::size_t site,
-               bool message_lost) {
     Request* const found = find(id);
-    if (retry_enabled() && (found == nullptr || found->attempt != attempt)) {
-      // Replies can outlive their attempt (the request retried or was
-      // abandoned) or the whole request (a timeout raced the last reply).
-      ++stale_replies_;
+    if (found == nullptr || found->attempt != attempt) {
+      // The attempt timed out while the message was in flight. An admitted
+      // message still takes its turn at the station; its reply is stale.
+      QP_CHECK(retry_enabled(),
+               "Replication::message: message for a request that is not in "
+               "flight (double completion or table corruption)");
+      if (reply != kNever) ++stale_replies_;
       return;
     }
-    QP_CHECK(found != nullptr,
-             "Replication::resolve: reply for a request that is not in flight "
-             "(double completion or table corruption)");
     Request& request = *found;
     QP_CHECK(request.pending > 0,
-             "Replication::resolve: request has no outstanding messages left");
-    if (message_lost) {
-      request.failed = true;
-    } else if (retry_enabled()) {
-      const auto pos =
-          std::find(request.outstanding.begin(), request.outstanding.end(), site);
-      if (pos != request.outstanding.end()) request.outstanding.erase(pos);
+             "Replication::message: attempt has no messages in flight");
+    --request.pending;
+    if (reply == kNever) {
+      (retry_enabled() ? request.doomed : request.failed) = true;
+    } else {
+      request.last_reply = std::max(request.last_reply, reply);
+      if (retry_enabled()) request.outstanding[entry].second = reply;
     }
-    if (--request.pending > 0) return;
+    if (request.pending > 0) return;
+    if (request.failed && !(request.last_reply > now)) {
+      finish(request);  // Retry off: lost, and no reply is still on its way.
+    } else if (!request.doomed) {
+      queue_.schedule(request.last_reply,
+                      EngineEvent{EngineEvent::Kind::Done, attempt, id});
+    }
+  }
+
+  /// The attempt's last reply landed. Stale when its timeout fired first
+  /// (at or before this instant) and retried or abandoned the request.
+  void done(std::uint64_t id, std::uint32_t attempt) {
+    Request* const found = find(id);
+    if (retry_enabled() && (found == nullptr || found->attempt != attempt)) return;
+    QP_CHECK(found != nullptr && found->attempt == attempt,
+             "Replication::done: completion for a request that is not in flight "
+             "(double completion or table corruption)");
+    QP_CHECK(found->pending == 0 && !found->doomed,
+             "Replication::done: attempt still has messages in flight or lost one");
+    finish(*found);
+  }
+
+  /// Records the resolved request (windowed only) and retires it.
+  void finish(Request& request) {
     if (request.windowed) {
+      const double elapsed = queue_.now() - request.start;
       if (request.failed) {
         ++failed_;
-        unserved_wait_.push_back(queue_.now() - request.start);
+        unserved_wait_.push_back(elapsed);
       } else {
         ++completed_;
-        const double response = queue_.now() - request.start;
-        response_.add(response);
-        samples_.push_back(response);
-        if (request.attempts_used > 1) retried_response_.add(response);
+        response_.add(elapsed);
+        samples_.push_back(elapsed);
+        if (request.attempts_used > 1) retried_response_.add(elapsed);
       }
     }
     retire(request);
@@ -466,11 +494,16 @@ class Replication {
     Request* const found = find(id);
     if (found == nullptr || found->attempt != attempt) return;
     Request& request = *found;
-    QP_CHECK(request.pending > 0,
-             "Replication::timeout: armed attempt has no outstanding messages");
     const double now = queue_.now();
-    if (config_.failover == FailoverMode::Suspicion) {
-      for (std::size_t suspect : request.outstanding) suspicion_.suspect(suspect, now);
+    QP_CHECK(request.pending > 0 || request.doomed || request.last_reply >= now,
+             "Replication::timeout: armed attempt already completed");
+    // A reply due exactly now would land after this timer, which was armed
+    // first. Every message not answered before now is a suspect; the
+    // admitted ones among them reply stale.
+    for (const auto& [site, reply] : request.outstanding) {
+      if (reply < now) continue;
+      if (reply != kNever) ++stale_replies_;
+      if (config_.failover == FailoverMode::Suspicion) suspicion_.suspect(site, now);
     }
     if (request.attempts_used >= config_.retry.max_attempts) {
       if (request.windowed) {
@@ -485,12 +518,9 @@ class Replication {
       start_attempt(id, request, now);
       return;
     }
-    // Kill the timed-out attempt before waiting: bump the tag so straggler
-    // replies arriving during the backoff count as stale instead of
-    // completing an attempt the client already gave up on.
+    // Kill the timed-out attempt before waiting: bump the tag so its
+    // straggler messages and its Done are recognized as stale.
     ++request.attempt;
-    request.pending = 0;
-    request.outstanding.clear();
     const std::uint32_t backoff_tag = request.attempt;
     queue_.schedule(now + delay,
                     EngineEvent{EngineEvent::Kind::BeginRetry, backoff_tag, id});
@@ -526,6 +556,7 @@ class Replication {
   std::uint64_t next_request_ = 0;
   std::uint64_t oldest_ = 0;  // Every id below it has resolved.
   std::size_t inflight_ = 0;
+  std::size_t inflight_peak_ = 0;  // Most requests in flight at once.
   quorum::Quorum scratch_;
   quorum::Quorum failover_quorum_;  // choose_quorum's re-choice result.
   std::vector<double> values_;      // Per-element RTT + penalty scratch.
@@ -563,6 +594,14 @@ QuorumSampler make_sampler(const net::LatencySpace& space,
                                               system);
   }
   throw std::logic_error{"run_engine: unknown strategy"};
+}
+
+/// Appends the ascending run `more` to the ascending `sorted`, which stays
+/// ascending.
+void merge_sorted(std::vector<double>& sorted, std::span<const double> more) {
+  const auto middle = static_cast<std::ptrdiff_t>(sorted.size());
+  sorted.insert(sorted.end(), more.begin(), more.end());
+  std::inplace_merge(sorted.begin(), sorted.begin() + middle, sorted.end());
 }
 
 }  // namespace
@@ -658,10 +697,8 @@ EngineResult run_engine(const net::LatencySpace& space,
     result.retries += rep.retries;
     result.stale_replies += rep.stale_replies;
     result.retried_response.merge(rep.retried_response);
-    pooled.insert(pooled.end(), rep.response_samples.begin(),
-                  rep.response_samples.end());
-    degraded.insert(degraded.end(), rep.unserved_wait_ms.begin(),
-                    rep.unserved_wait_ms.end());
+    merge_sorted(pooled, rep.response_samples);
+    merge_sorted(degraded, rep.unserved_wait_ms);
   }
   // run_all drains every event, so every measurement-window request must
   // have resolved exactly once as completed, failed, or abandoned — under
@@ -680,14 +717,12 @@ EngineResult run_engine(const net::LatencySpace& space,
   result.mean_response_ms = result.response.mean();
   result.mean_network_delay_ms = network.mean();
   if (!pooled.empty()) {
-    std::sort(pooled.begin(), pooled.end());
     result.p50_ms = common::percentile_sorted(pooled, 50.0);
     result.p95_ms = common::percentile_sorted(pooled, 95.0);
     result.p99_ms = common::percentile_sorted(pooled, 99.0);
   }
-  degraded.insert(degraded.end(), pooled.begin(), pooled.end());
+  merge_sorted(degraded, pooled);
   if (!degraded.empty()) {
-    std::sort(degraded.begin(), degraded.end());
     result.degraded_p99_ms = common::percentile_sorted(degraded, 99.0);
   }
   result.replications = std::move(replications);

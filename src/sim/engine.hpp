@@ -189,7 +189,9 @@ struct ReplicationResult {
   std::size_t dropped_messages = 0;    // All outage drops, windowed or not.
   std::size_t rejected_arrivals = 0;   // All finite-queue overflows.
   std::size_t retries = 0;             // Retry attempts issued (beyond each first).
-  std::size_t stale_replies = 0;       // Replies that outlived their attempt.
+  /// Replies of admitted messages whose attempt timed out first: counted at
+  /// the timeout for messages already admitted, at admission for the rest.
+  std::size_t stale_replies = 0;
   /// Issue-to-completion of requests that needed more than one attempt
   /// (time-to-success through the retry path); subset of `response`.
   common::RunningStats retried_response;
@@ -198,10 +200,11 @@ struct ReplicationResult {
   double unavailability = 0.0;
   /// Give-up wall-clock (issue to last timeout / lost reply) of every
   /// windowed request that was never served — failed + abandoned — the
-  /// degraded-mode twin of `response_samples`.
+  /// degraded-mode twin of `response_samples`; ascending.
   std::vector<double> unserved_wait_ms;
-  /// Response samples (completed, windowed), in completion order — kept for
-  /// pooled percentiles and distribution checks.
+  /// Response samples (completed, windowed), ascending — kept for pooled
+  /// percentiles (run_engine merges the replications' runs) and
+  /// distribution checks.
   std::vector<double> response_samples;
   /// Time-series snapshots (empty unless EngineConfig::probe_interval_ms).
   std::vector<EngineProbe> probes;

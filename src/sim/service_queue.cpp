@@ -53,11 +53,14 @@ std::span<const std::pair<double, double>> OutageSchedule::windows(
 
 ServiceStation::ServiceStation(double window_start, double window_end,
                                std::size_t capacity)
-    : window_start_(window_start), window_end_(window_end), capacity_(capacity) {}
+    : window_start_(window_start), window_end_(window_end), capacity_(capacity) {
+  if (capacity_ != 0) departures_.emplace();
+}
 
 std::size_t ServiceStation::in_system(double time) noexcept {
-  while (!departures_.empty() && departures_.front() <= time) departures_.pop_front();
-  return departures_.size();
+  if (!departures_) return 0;
+  while (!departures_->empty() && departures_->front() <= time) departures_->pop_front();
+  return departures_->size();
 }
 
 double ServiceStation::accept(double now, double service_time) {
@@ -67,7 +70,7 @@ double ServiceStation::accept(double now, double service_time) {
   const double overlap = std::max(
       0.0, std::min(depart, window_end_) - std::max(start_service, window_start_));
   busy_ += overlap;
-  if (capacity_ != 0 || tracked_) departures_.push_back(depart);
+  if (departures_) departures_->push_back(depart);
   return depart;
 }
 

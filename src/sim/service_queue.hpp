@@ -5,8 +5,8 @@
 //
 // A FIFO single server whose service times are known on admission can
 // compute every departure synchronously — depart = max(next_free, now) +
-// service — so stations need no events of their own: the caller schedules
-// the reply at the returned departure time. Queue length (for finite
+// service — so stations need no events of their own: the caller knows each
+// reply's time the moment the message is admitted. Queue length (for finite
 // capacity) falls out of the same representation: the messages in the
 // system at time t are exactly the admitted messages whose departure lies
 // beyond t.
@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -63,7 +64,7 @@ class OutageSchedule {
 /// departure time is returned synchronously. Busy time overlapping the
 /// measurement window [window_start, window_end) is accumulated for
 /// utilization reporting. capacity == 0 means an unbounded queue and keeps
-/// the station a single scalar (no per-message bookkeeping).
+/// the station a few scalars (no per-message bookkeeping, no allocation).
 class ServiceStation {
  public:
   ServiceStation() = default;
@@ -94,11 +95,13 @@ class ServiceStation {
   }
 
   /// Turns on departure bookkeeping for an unbounded station so probes can
-  /// read in_system(). Admission decisions never look at the tracked deque
-  /// unless capacity_ != 0, so tracking is observation-only: it cannot
-  /// change any admission, departure, or busy-time result. Bounded stations
-  /// always track.
-  void track_occupancy(bool on) noexcept { tracked_ = on; }
+  /// read in_system(). Admission decisions never look at the tracked
+  /// departures unless capacity_ != 0, so tracking is observation-only: it
+  /// cannot change any admission, departure, or busy-time result. Bounded
+  /// stations always track.
+  void track_occupancy() {
+    if (!departures_) departures_.emplace();
+  }
 
  private:
   double window_start_ = 0.0;
@@ -106,10 +109,11 @@ class ServiceStation {
   double next_free_ = 0.0;
   double busy_ = 0.0;
   std::size_t capacity_ = 0;
-  bool tracked_ = false;
   /// Departure times of admitted messages still in the system, ascending
-  /// (FIFO). Only maintained when capacity_ > 0 or tracked_.
-  std::deque<double> departures_;
+  /// (FIFO). Present only when capacity_ > 0 or occupancy is tracked, so
+  /// an untracked unbounded station (and every copy of it) allocates
+  /// nothing.
+  std::optional<std::deque<double>> departures_;
 };
 
 }  // namespace qp::sim

@@ -1,12 +1,14 @@
 // The discrete-event queueing engine (sim/engine): determinism across
-// thread counts (open and closed loop), queueing-theory sanity (M/M/1),
-// outage draining, finite queues, bursty arrivals, configuration
-// validation, explicit-strategy sampling frequencies, and the
-// analytic-vs-simulated validation band the acceptance criteria pin.
+// thread counts (open and closed loop), queueing-theory sanity (M/M/1), the
+// exact event budget per request, outage draining, finite queues, bursty
+// arrivals, configuration validation, explicit-strategy sampling
+// frequencies, and the analytic-vs-simulated validation band the acceptance
+// criteria pin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "eval/sim_validation.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
@@ -201,6 +204,40 @@ TEST(Engine, MmppBurstsInflateResponseAtEqualMeanRate) {
   const EngineResult bursty = run_engine(f.matrix, f.system, f.placement, rates, config);
   EXPECT_GT(bursty.mean_response_ms, poisson.mean_response_ms);
   EXPECT_GT(bursty.p99_ms, poisson.p99_ms);
+}
+
+// Without warm-up, faults, retries or probes every request costs exactly
+// its arrival, one message per quorum element and one Done at its last
+// reply: no event per reply. On Grid(3x3) a quorum is a row plus a column,
+// 5 elements, so 7 events per request.
+TEST(Engine, EventBudgetIsQuorumSizePlusTwoPerRequest) {
+  const net::LatencyMatrix matrix = net::small_synth(16, 5);
+  const quorum::GridQuorum grid{3};
+  const core::Placement placement = core::best_grid_placement(matrix, 3).placement;
+  const std::vector<double> load =
+      core::site_loads_balanced(grid, placement, matrix.size());
+  const std::vector<double> rates = scale_rates_to_peak_utilization(
+      std::vector<double>(matrix.size(), 1.0), load, 1.0, 0.5);
+  EngineConfig config;
+  config.warmup_ms = 0.0;
+  config.duration_ms = 1'000.0;
+  config.replications = 2;
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset();
+  const EngineResult result = run_engine(matrix, grid, placement, rates, config);
+  std::uint64_t events = 0;
+  for (const obs::MetricSnapshot& metric : obs::snapshot()) {
+    if (metric.name == "sim.engine.events") events = metric.value;
+  }
+  obs::reset();
+  obs::set_enabled(was_enabled);
+
+  const std::size_t quorum_size = 5;
+  ASSERT_GT(result.issued, 0u);
+  EXPECT_EQ(result.completed, result.issued);
+  EXPECT_EQ(events, (quorum_size + 2) * result.issued);
 }
 
 TEST(Engine, ValidatesConfiguration) {

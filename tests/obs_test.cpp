@@ -399,6 +399,9 @@ TEST(ObsParity, CrashStartedStrategyLpBitwiseIdenticalOnOff) {
   EXPECT_LT(phase1, on.lp_iterations);
 }
 
+// Open loop at rho 0.5 with a retry timeout short enough that some attempts
+// time out with replies still on their way, so stale replies, retries and
+// abandoned requests all occur.
 sim::EngineResult run_small_engine(common::ThreadPool* pool, double probe_ms) {
   const net::LatencyMatrix m = net::small_synth(16, 5);
   const quorum::MajorityQuorum system{6, 5};
@@ -413,6 +416,8 @@ sim::EngineResult run_small_engine(common::ThreadPool* pool, double probe_ms) {
   config.duration_ms = 1'200.0;
   config.replications = 3;
   config.master_seed = 17;
+  config.retry.timeout_ms = 200.0;
+  config.retry.max_attempts = 2;
   config.pool = pool;
   config.probe_interval_ms = probe_ms;
   return sim::run_engine(m, system, placement, rates, config);
@@ -421,8 +426,12 @@ sim::EngineResult run_small_engine(common::ThreadPool* pool, double probe_ms) {
 void expect_engine_identical(const sim::EngineResult& a, const sim::EngineResult& b) {
   EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
   EXPECT_EQ(a.p99_ms, b.p99_ms);
+  EXPECT_EQ(a.degraded_p99_ms, b.degraded_p99_ms);
   EXPECT_EQ(a.issued, b.issued);
   EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.stale_replies, b.stale_replies);
   EXPECT_EQ(a.site_utilization, b.site_utilization);
   ASSERT_EQ(a.replications.size(), b.replications.size());
   for (std::size_t r = 0; r < a.replications.size(); ++r) {
@@ -470,32 +479,46 @@ TEST(ObsParity, EngineMetricsMatchEngineTotals) {
   EXPECT_EQ(h->histogram.count, result.completed);
 }
 
-// The event count and the queue's peak population are tallied once per
-// replication: one queue_peak sample each, and both repeat exactly across
-// thread counts.
+// The event count, the stale replies and the peaks of the queue's
+// population and of the in-flight requests are tallied once per
+// replication: one queue_peak and one inflight_peak sample each, and all of
+// them repeat exactly across thread counts.
 TEST(ObsParity, EngineEventsAndQueuePeakPerReplication) {
   const ObsGuard guard;
   set_enabled(true);
   common::ThreadPool serial{1};
   common::ThreadPool wide{4};
   std::vector<std::uint64_t> events;
-  std::vector<std::pair<double, double>> peak_ranges;  // (min, max).
+  std::vector<std::uint64_t> stale;
+  std::vector<std::pair<double, double>> peak_ranges;      // (min, max).
+  std::vector<std::pair<double, double>> inflight_ranges;  // (min, max).
   for (common::ThreadPool* pool : {&serial, &wide}) {
     reset();
     const sim::EngineResult result = run_small_engine(pool, 0.0);
     const std::vector<MetricSnapshot> snap = snapshot();
     events.push_back(counter_value(snap, "sim.engine.events"));
-    // Each request runs at least its arrival plus one message and one reply
-    // per quorum element.
-    EXPECT_GE(events.back(), 3 * result.issued);
+    // A windowed request runs at least its arrival, one message per quorum
+    // element (5 here) and the timeout of its first attempt, plus one Done
+    // if it completed. Retries and warm-up requests only add events.
+    EXPECT_GE(events.back(), 7 * result.issued + result.completed);
+    stale.push_back(counter_value(snap, "sim.engine.stale_replies"));
+    EXPECT_EQ(stale.back(), result.stale_replies);
+    EXPECT_GT(stale.back(), 0u);
     const MetricSnapshot* peak = find_metric(snap, "sim.engine.queue_peak");
     ASSERT_NE(peak, nullptr);
     EXPECT_EQ(peak->histogram.count, result.replications.size());
     EXPECT_GT(peak->histogram.min, 0.0);
     peak_ranges.emplace_back(peak->histogram.min, peak->histogram.max);
+    const MetricSnapshot* inflight = find_metric(snap, "sim.engine.inflight_peak");
+    ASSERT_NE(inflight, nullptr);
+    EXPECT_EQ(inflight->histogram.count, result.replications.size());
+    EXPECT_GT(inflight->histogram.min, 0.0);
+    inflight_ranges.emplace_back(inflight->histogram.min, inflight->histogram.max);
   }
   EXPECT_EQ(events[0], events[1]);
+  EXPECT_EQ(stale[0], stale[1]);
   EXPECT_EQ(peak_ranges[0], peak_ranges[1]);
+  EXPECT_EQ(inflight_ranges[0], inflight_ranges[1]);
 }
 
 TEST(ObsParity, TimeseriesCsvHasHeaderAndOneRowPerProbe) {
