@@ -203,7 +203,7 @@ class Replication {
   struct Request {
     std::uint64_t id = kRetired;  // The request in this ring slot, if any.
     double start = 0.0;
-    /// Latest reply time among the current attempt's accepted messages.
+    /// Latest reply time among the current attempt's admitted messages.
     double last_reply = -kNever;
     std::size_t slot = 0;  // Issuing client slot; its site is clients_[slot].
     /// Messages of the current attempt that have not reached their site.
@@ -214,7 +214,7 @@ class Replication {
     bool doomed = false;  // Retry on: a message of the attempt was lost.
     bool windowed = false;
     /// (site, reply time) of each message of the current attempt, the reply
-    /// time +inf until the site accepts it. The entries still unanswered
+    /// time +inf until its station admits it. The entries still unanswered
     /// when the attempt times out are its suspects. Maintained only with
     /// retries.
     std::vector<std::pair<std::size_t, double>> outstanding;

@@ -70,8 +70,8 @@ class ServiceStation {
   ServiceStation() = default;
   ServiceStation(double window_start, double window_end, std::size_t capacity = 0);
 
-  /// Messages queued or in service at `time` (capacity-tracked stations
-  /// only; unbounded stations always report 0). Drops departed entries, so
+  /// Messages queued or in service at `time` (bounded or tracked stations
+  /// only; the others always report 0). Drops departed entries, so
   /// `time` must not decrease across calls — event-queue order guarantees
   /// that.
   [[nodiscard]] std::size_t in_system(double time) noexcept;
