@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   // Every client uses the common distribution `probs`.
   const core::ExplicitStrategy common =
-      core::common_strategy(grid.enumerate_quorums(1000), probs, m.size());
+      core::common_strategy(grid.shared_quorums(), probs, m.size());
   for (double eps : {0.25, 0.5, 1.0, 2.0, 4.0}) {
     core::ManyToOneOptions options;
     options.epsilon = eps;

@@ -46,9 +46,10 @@ Row evaluate(const qp::net::LatencyMatrix& m, const qp::quorum::QuorumSystem& sy
       });
   const core::Evaluation eval =
       core::evaluate_closest(m, system, placed.placement, /*alpha=*/0.0);
+  const quorum::QuorumTable& quorums = system.quorums();
   std::size_t smallest = system.universe_size();
-  for (const auto& quorum : system.enumerate_quorums()) {
-    smallest = std::min(smallest, quorum.size());
+  for (std::size_t q = 0; q < quorums.size(); ++q) {
+    smallest = std::min(smallest, quorums[q].size());
   }
   return Row{system.name(), system.universe_size(), static_cast<double>(smallest),
              eval.avg_response_ms, system.optimal_load()};

@@ -52,27 +52,4 @@ const std::vector<double>& binomial_ratio_row(std::size_t n, std::size_t k) {
   return it->second;
 }
 
-std::vector<std::vector<std::size_t>> all_subsets(std::size_t n, std::size_t k,
-                                                  std::size_t limit) {
-  if (k > n) return {};
-  const double count = binomial(n, k);
-  if (count > static_cast<double>(limit)) {
-    throw std::invalid_argument{"all_subsets: C(n,k) exceeds limit"};
-  }
-  std::vector<std::vector<std::size_t>> result;
-  result.reserve(static_cast<std::size_t>(count));
-  std::vector<std::size_t> current(k);
-  for (std::size_t i = 0; i < k; ++i) current[i] = i;
-  for (;;) {
-    result.push_back(current);
-    // Advance to the next k-subset in lexicographic order.
-    std::size_t i = k;
-    while (i > 0 && current[i - 1] == n - k + i - 1) --i;
-    if (i == 0) break;
-    ++current[i - 1];
-    for (std::size_t j = i; j < k; ++j) current[j] = current[j - 1] + 1;
-  }
-  return result;
-}
-
 }  // namespace qp::common

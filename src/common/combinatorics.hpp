@@ -24,10 +24,4 @@ namespace qp::common {
 /// valid for the lifetime of the program (entries are never evicted).
 [[nodiscard]] const std::vector<double>& binomial_ratio_row(std::size_t n, std::size_t k);
 
-/// All k-subsets of {0..n-1} in lexicographic order. Throws if C(n,k) > limit
-/// (guards test oracles against accidental combinatorial explosions).
-[[nodiscard]] std::vector<std::vector<std::size_t>> all_subsets(std::size_t n,
-                                                                std::size_t k,
-                                                                std::size_t limit = 2'000'000);
-
 }  // namespace qp::common

@@ -47,19 +47,4 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::siz
   return indices;
 }
 
-std::size_t Rng::weighted_index(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument{"weighted_index: negative weight"};
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument{"weighted_index: all weights zero"};
-  double point = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    point -= weights[i];
-    if (point <= 0.0) return i;
-  }
-  return weights.size() - 1;  // Floating-point underflow fallback.
-}
-
 }  // namespace qp::common

@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -95,9 +94,6 @@ class Rng {
   /// k distinct indices drawn uniformly from [0, n) (order randomized).
   [[nodiscard]] std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                                     std::size_t k);
-
-  /// Index drawn according to the (unnormalized, non-negative) weights.
-  [[nodiscard]] std::size_t weighted_index(std::span<const double> weights);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

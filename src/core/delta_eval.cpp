@@ -40,8 +40,6 @@ const obs::Counter c_de_apply = obs::counter("core.delta_eval.apply_moves");
 const obs::Counter c_de_rebuilds =
     obs::counter("core.delta_eval.apply_rebuilds");
 
-constexpr std::size_t kEnumerationLimit = 50'000;
-
 /// Value at (0-based) rank `r` of the ascending row `y` (length n) after
 /// removing one copy of `removed` (which must be present) and inserting
 /// `inserted` — the patched order statistic, in O(log n) without touching
@@ -178,13 +176,9 @@ DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
   } else if (const auto* grid = dynamic_cast<const quorum::GridQuorum*>(&system)) {
     shape_ = Shape::Grid;
     side_ = grid->side();
-  } else if (!closest_ && system.enumerable(kEnumerationLimit)) {
+  } else if (!closest_ && system.enumerable()) {
     shape_ = Shape::Enumerated;
-    quorums_ = system.enumerate_quorums(kEnumerationLimit);
-    incident_.assign(n_, {});
-    for (std::size_t l = 0; l < quorums_.size(); ++l) {
-      for (std::size_t u : quorums_[l]) incident_[u].push_back(l);
-    }
+    quorums_ = &system.quorums();
   }
   rebuild();
 }
@@ -249,8 +243,8 @@ void DeltaEvaluator::repair_grid_client_tables(std::size_t v, std::size_t r0,
 void DeltaEvaluator::refresh_quorum_max(std::size_t v, std::size_t l) {
   const double* vals = values_.data() + v * n_;
   double worst = -std::numeric_limits<double>::infinity();
-  for (std::size_t u : quorums_[l]) worst = std::max(worst, vals[u]);
-  quorum_max_[v * quorums_.size() + l] = worst;
+  for (std::size_t u : (*quorums_)[l]) worst = std::max(worst, vals[u]);
+  quorum_max_[v * quorums_->size() + l] = worst;
 }
 
 void DeltaEvaluator::build_client_tables(std::size_t v) {
@@ -269,7 +263,7 @@ void DeltaEvaluator::build_client_tables(std::size_t v) {
       for (std::size_t i = 0; i < side_; ++i) repair_grid_client_tables(v, i, i);
       break;
     case Shape::Enumerated:
-      for (std::size_t l = 0; l < quorums_.size(); ++l) refresh_quorum_max(v, l);
+      for (std::size_t l = 0; l < quorums_->size(); ++l) refresh_quorum_max(v, l);
       break;
     case Shape::Generic:
       break;
@@ -299,7 +293,7 @@ void DeltaEvaluator::repair_client_tables(std::size_t v, std::size_t element,
       repair_grid_client_tables(v, element / side_, element % side_);
       break;
     case Shape::Enumerated:
-      for (std::size_t l : incident_[element]) refresh_quorum_max(v, l);
+      for (std::size_t l : quorums_->incident(element)) refresh_quorum_max(v, l);
       break;
     case Shape::Generic:
       break;  // No tables beyond the row itself.
@@ -352,7 +346,7 @@ void DeltaEvaluator::settle_balanced_client(std::size_t v) {
       break;
     }
     case Shape::Enumerated: {
-      const std::size_t count = quorums_.size();
+      const std::size_t count = quorums_->size();
       const double* qmax = quorum_max_.data() + v * count;
       double sum = 0.0;
       for (std::size_t l = 0; l < count; ++l) sum += qmax[l];
@@ -394,7 +388,7 @@ void DeltaEvaluator::rebuild() {
       }
       break;
     case Shape::Enumerated:
-      quorum_max_.resize(clients_ * quorums_.size());
+      quorum_max_.resize(clients_ * quorums_->size());
       break;
     case Shape::Generic:
       break;
@@ -630,8 +624,8 @@ void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t
     case Shape::Enumerated: {
       // Per client, each incident quorum's maximum without the element; the
       // candidate maximum is then one max against the site's value.
-      const std::size_t count = quorums_.size();
-      const std::vector<std::size_t>& incident = incident_[element];
+      const std::size_t count = quorums_->size();
+      const std::span<const std::uint32_t> incident = quorums_->incident(element);
       static thread_local std::vector<double> tl_excl;
       static thread_local std::vector<double> tl_old;
       tl_excl.resize(incident.size());
@@ -642,7 +636,7 @@ void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t
         const double* qmax = quorum_max_.data() + v * count;
         for (std::size_t i = 0; i < incident.size(); ++i) {
           double worst = -std::numeric_limits<double>::infinity();
-          for (std::size_t u : quorums_[incident[i]]) {
+          for (std::size_t u : (*quorums_)[incident[i]]) {
             if (u != element) worst = std::max(worst, vals[u]);
           }
           tl_excl[i] = worst;

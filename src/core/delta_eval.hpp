@@ -17,10 +17,10 @@
 //     sums of the weight differences; closest: Majority.
 //   * Grid: row/column maxima and exclusion tables (balanced adds the
 //     per-row/column quorum-maxima sums).
-//   * Enumerated (balanced only; FPP, Tree, any system enumerable within
-//     50k quorums): per-quorum maxima.
+//   * Enumerated (balanced only; FPP, Tree, any enumerable system): per-
+//     quorum maxima over the system's QuorumTable and its incidence lists.
 //   * Generic: the rows alone. Balanced candidates re-evaluate each client
-//     in full (e.g. Tree of height 4); the closest choice needs only
+//     in full (no built-in system lands here); the closest choice needs only
 //     QuorumSystem::best_quorum, so every other system lands here.
 //
 // Balanced strategy (R = E_uniform[max x]): relocating one element changes
@@ -334,9 +334,8 @@ class DeltaEvaluator {
   std::vector<double> col_excl_;        // clients x n.
   std::vector<double> row_quorum_sum_;  // clients x k: sum_c max(rm[r], cm[c]).
   std::vector<double> col_quorum_sum_;  // clients x k: sum_r max(rm[r], cm[c]).
-  std::vector<quorum::Quorum> quorums_;             // Enumerated.
-  std::vector<std::vector<std::size_t>> incident_;  // Enumerated: element -> quorum ids.
-  std::vector<double> quorum_max_;                  // Enumerated: clients x |quorums|.
+  const quorum::QuorumTable* quorums_ = nullptr;  // Enumerated: the system's table.
+  std::vector<double> quorum_max_;                // Enumerated: clients x |quorums|.
 
   // Closest-strategy quorum-choice tables.
   std::size_t majority_q_ = 0;                  // Sorted: Majority quorum size q.

@@ -15,9 +15,6 @@ namespace qp::core {
 
 namespace {
 
-/// Enumerability bound for the quorum-list evaluator.
-constexpr std::size_t kQuorumLimit = 50'000;
-
 /// Per-failure-state best-live-quorum evaluator with per-client tables
 /// built once per evaluation:
 ///   * Majority-shaped systems (any q of n form a quorum): the best live
@@ -34,12 +31,12 @@ class StateEvaluator {
       : n_(system.universe_size()) {
     if (const auto* majority = dynamic_cast<const quorum::MajorityQuorum*>(&system)) {
       majority_q_ = majority->quorum_size();
-    } else if (system.enumerable(kQuorumLimit)) {
-      quorums_ = system.enumerate_quorums(kQuorumLimit);
+    } else if (system.enumerable()) {
+      quorums_ = &system.quorums();
     } else {
       throw std::invalid_argument{
           "FailureAwareObjective: quorum system must be Majority-shaped or "
-          "enumerable within 50000 quorums"};
+          "enumerable within quorum::kEnumerationLimit quorums"};
     }
     const std::size_t clients = space.size();
     x_.resize(clients);
@@ -61,15 +58,15 @@ class StateEvaluator {
         });
       } else {
         std::vector<double>& maxima = quorum_max_[v];
-        maxima.resize(quorums_.size());
-        for (std::size_t l = 0; l < quorums_.size(); ++l) {
+        maxima.resize(quorums_->size());
+        for (std::size_t l = 0; l < quorums_->size(); ++l) {
           double max_x = 0.0;
-          for (std::size_t u : quorums_[l]) max_x = std::max(max_x, x[u]);
+          for (std::size_t u : (*quorums_)[l]) max_x = std::max(max_x, x[u]);
           maxima[l] = max_x;
         }
         std::vector<std::size_t>& order = quorum_order_[v];
-        order.resize(quorums_.size());
-        for (std::size_t l = 0; l < quorums_.size(); ++l) order[l] = l;
+        order.resize(quorums_->size());
+        for (std::size_t l = 0; l < quorums_->size(); ++l) order[l] = l;
         std::sort(order.begin(), order.end(), [&maxima](std::size_t a, std::size_t b) {
           return maxima[a] != maxima[b] ? maxima[a] < maxima[b] : a < b;
         });
@@ -103,7 +100,7 @@ class StateEvaluator {
     }
     for (std::size_t l : quorum_order_[v]) {
       bool all_live = true;
-      for (std::size_t u : quorums_[l]) {
+      for (std::size_t u : (*quorums_)[l]) {
         if (live[u] == 0) {
           all_live = false;
           break;
@@ -121,7 +118,7 @@ class StateEvaluator {
  private:
   std::size_t n_;
   std::size_t majority_q_ = 0;              // > 0 selects the Majority path.
-  std::vector<quorum::Quorum> quorums_;     // Enumerated path.
+  const quorum::QuorumTable* quorums_ = nullptr;  // Enumerated path.
   std::vector<std::vector<double>> x_;      // Per client, per element.
   std::vector<std::vector<std::size_t>> order_;        // Elements by ascending x.
   std::vector<std::vector<double>> quorum_max_;        // Per client, per quorum.

@@ -125,7 +125,7 @@ class FailureAwareObjective final : public Objective {
   /// unavailability. The alpha-term loads are the fully-live closest ones
   /// (Objective::site_loads; see file comment). Throws
   /// std::invalid_argument when the system is neither Majority-shaped nor
-  /// enumerable within 50'000 quorums, or when a regional model's site_region
+  /// enumerable (QuorumSystem::enumerable), or when a regional model's site_region
   /// is shorter than the site count.
   [[nodiscard]] FailureAwareEvaluation evaluate_detailed(
       const net::LatencySpace& space, const quorum::QuorumSystem& system,

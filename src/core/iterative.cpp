@@ -26,8 +26,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
   // load-preservation argument holds for skewed workloads too (the phase-1
   // loads it pins the caps to are demand-weighted the same way).
   const std::span<const double> demand = objective.client_weights();
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
-  const std::size_t m = quorums.size();
+  const std::size_t m = system.quorums().size();
 
   // p^0 = uniform distribution for every client (§4.2).
   std::vector<double> average_distribution(m, 1.0 / static_cast<double>(m));
@@ -62,7 +61,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
     record.max_capacity_violation = search.best.max_capacity_violation;
 
     const ExplicitStrategy carried =
-        common_strategy(quorums, average_distribution, space.size());
+        common_strategy(system.shared_quorums(), average_distribution, space.size());
     const Evaluation phase1 =
         evaluate_explicit(space, system, placement, alpha, carried, demand);
     record.response_after_placement = phase1.avg_response_ms;

@@ -34,7 +34,7 @@ struct FractionalPlacement {
 /// Solves the placement LP for the anchor whose row d = d(v0, .) is given,
 /// on the revised simplex, started from a greedy crash basis.
 FractionalPlacement solve_placement_lp(const std::vector<double>& d,
-                                       std::span<const quorum::Quorum> quorums,
+                                       const quorum::QuorumTable& quorums,
                                        std::span<const double> distribution,
                                        std::span<const double> element_load,
                                        std::span<const double> capacities,
@@ -124,7 +124,7 @@ FractionalPlacement solve_placement_lp(const std::vector<double>& d,
   for (std::size_t r = first_delay; r < basic.size(); ++r) basic[r] = lp::Basis::slack_of(r);
   std::size_t row = first_delay;
   for (std::size_t i = 0; i < m; ++i) {
-    const quorum::Quorum& q = quorums[i];
+    const std::span<const std::uint32_t> q = quorums[i];
     std::size_t farthest = 0;
     for (std::size_t k = 1; k < q.size(); ++k) {
       if (d[site_of[q[k]]] > d[site_of[q[farthest]]]) farthest = k;
@@ -238,12 +238,12 @@ Placement round_to_slots(const FractionalPlacement& fractional,
   return placement;
 }
 
-/// Argument checks shared by both entry points; returns the enumerated
-/// quorums, which the distribution is aligned with.
-std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
-                                              const quorum::QuorumSystem& system,
-                                              std::span<const double> quorum_distribution,
-                                              std::span<const double> capacities) {
+/// Argument checks shared by both entry points; returns the system's quorum
+/// table, which the distribution is aligned with.
+const quorum::QuorumTable& validated_quorums(const net::LatencySpace& space,
+                                             const quorum::QuorumSystem& system,
+                                             std::span<const double> quorum_distribution,
+                                             std::span<const double> capacities) {
   if (capacities.size() != space.size()) {
     throw std::invalid_argument{"many_to_one_placement: capacities size mismatch"};
   }
@@ -252,7 +252,7 @@ std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
       throw std::invalid_argument{"many_to_one_placement: capacities must be finite"};
     }
   }
-  std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
+  const quorum::QuorumTable& quorums = system.quorums();
   if (quorum_distribution.size() != quorums.size()) {
     throw std::invalid_argument{"many_to_one_placement: distribution size mismatch"};
   }
@@ -267,7 +267,7 @@ std::vector<quorum::Quorum> validated_quorums(const net::LatencySpace& space,
 /// The three-step pipeline for one anchor. The anchor's row d(v0, .) is
 /// gathered once and shared by all three steps.
 ManyToOneResult place_for_anchor(const net::LatencySpace& space,
-                                 std::span<const quorum::Quorum> quorums,
+                                 const quorum::QuorumTable& quorums,
                                  std::span<const double> quorum_distribution,
                                  std::span<const double> load,
                                  std::span<const double> capacities, std::size_t v0,
@@ -305,10 +305,9 @@ ManyToOneResult many_to_one_placement(const net::LatencySpace& space,
                                       std::span<const double> quorum_distribution,
                                       std::span<const double> capacities, std::size_t v0,
                                       const ManyToOneOptions& options) {
-  const std::vector<quorum::Quorum> quorums =
+  const quorum::QuorumTable& quorums =
       validated_quorums(space, system, quorum_distribution, capacities);
-  const std::vector<double> load =
-      element_loads(quorums, quorum_distribution, system.universe_size());
+  const std::vector<double> load = element_loads(quorums, quorum_distribution);
   return place_for_anchor(space, quorums, quorum_distribution, load, capacities, v0, options);
 }
 
@@ -324,11 +323,11 @@ ManyToOneSearchResult best_many_to_one_placement(const net::LatencySpace& space,
     std::iota(all.begin(), all.end(), std::size_t{0});
     candidates = all;
   }
-  const std::vector<quorum::Quorum> quorums =
+  const quorum::QuorumTable& quorums =
       validated_quorums(space, system, quorum_distribution, capacities);
-  const std::vector<double> load =
-      element_loads(quorums, quorum_distribution, system.universe_size());
-  const ExplicitStrategy common = common_strategy(quorums, quorum_distribution, space.size());
+  const std::vector<double> load = element_loads(quorums, quorum_distribution);
+  const ExplicitStrategy common =
+      common_strategy(system.shared_quorums(), quorum_distribution, space.size());
 
   ManyToOneSearchResult best;
   best.avg_network_delay = std::numeric_limits<double>::infinity();

@@ -51,8 +51,7 @@ struct ManyToOneResult {
 
 /// Runs the three-step pipeline above for anchor client `v0`.
 /// `quorum_distribution` is the common access strategy p, aligned with
-/// system.enumerate_quorums() (quorum::kEnumerationLimit, the strategy LP's
-/// list too); it must sum to 1.
+/// system.quorums() (the strategy LP's list too); it must sum to 1.
 /// `capacities` is indexed by site and must be positive wherever load could
 /// land; a non-finite entry throws std::invalid_argument.
 [[nodiscard]] ManyToOneResult many_to_one_placement(

@@ -81,8 +81,8 @@ class Objective {
   /// load_f(w) = sum_{f(u)=w} lambda_u. An empty span means all-zero (the
   /// network-delay case, and the closest strategy, whose load is placement-
   /// dependent and computed by site_loads instead). Spans must stay valid
-  /// for the lifetime of the program (concrete objectives return memoized
-  /// per-system tables, see QuorumSystem::uniform_load_cached).
+  /// while the system does (concrete objectives return the system's memoized
+  /// table, see QuorumSystem::uniform_load_cached).
   [[nodiscard]] virtual std::span<const double> element_loads(
       const quorum::QuorumSystem& system) const = 0;
 

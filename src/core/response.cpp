@@ -173,11 +173,12 @@ Evaluation evaluate_explicit(const net::LatencySpace& space,
     double response = 0.0;
     double network = 0.0;
     const std::vector<double>& probs = strategy.probability[v];
-    for (std::size_t i = 0; i < strategy.quorums.size(); ++i) {
+    const quorum::QuorumTable& quorums = *strategy.quorums;
+    for (std::size_t i = 0; i < quorums.size(); ++i) {
       if (probs[i] == 0.0) continue;
       double value_max = 0.0;
       double distance_max = 0.0;
-      for (std::size_t u : strategy.quorums[i]) {
+      for (std::size_t u : quorums[i]) {
         value_max = std::max(value_max, ws.values[u]);
         distance_max = std::max(distance_max, ws.distances[u]);
       }

@@ -32,14 +32,15 @@ void ExplicitStrategy::validate(std::size_t client_count, std::size_t universe_s
   if (probability.size() != client_count) {
     throw std::invalid_argument{"ExplicitStrategy: wrong client count"};
   }
-  for (const quorum::Quorum& quorum : quorums) {
-    if (quorum.empty()) throw std::invalid_argument{"ExplicitStrategy: empty quorum"};
-    for (std::size_t u : quorum) {
+  if (quorums == nullptr) throw std::invalid_argument{"ExplicitStrategy: no quorum table"};
+  for (std::size_t i = 0; i < quorums->size(); ++i) {
+    if ((*quorums)[i].empty()) throw std::invalid_argument{"ExplicitStrategy: empty quorum"};
+    for (std::size_t u : (*quorums)[i]) {
       if (u >= universe_size) throw std::out_of_range{"ExplicitStrategy: element out of range"};
     }
   }
   for (const std::vector<double>& row : probability) {
-    if (row.size() != quorums.size()) {
+    if (row.size() != quorums->size()) {
       throw std::invalid_argument{"ExplicitStrategy: row size != quorum count"};
     }
     double sum = 0.0;
@@ -60,7 +61,7 @@ void ExplicitStrategy::validate(std::size_t client_count, std::size_t universe_s
 }
 
 std::vector<double> ExplicitStrategy::average_distribution() const {
-  std::vector<double> average(quorums.size(), 0.0);
+  std::vector<double> average(quorums->size(), 0.0);
   if (probability.empty()) return average;
   for (const std::vector<double>& row : probability) {
     for (std::size_t i = 0; i < average.size(); ++i) average[i] += row[i];
@@ -69,7 +70,7 @@ std::vector<double> ExplicitStrategy::average_distribution() const {
   return average;
 }
 
-ExplicitStrategy common_strategy(std::vector<quorum::Quorum> quorums,
+ExplicitStrategy common_strategy(std::shared_ptr<const quorum::QuorumTable> quorums,
                                  std::span<const double> distribution,
                                  std::size_t client_count) {
   ExplicitStrategy strategy;
@@ -93,18 +94,14 @@ std::vector<quorum::Quorum> closest_quorums(const net::LatencySpace& space,
   return result;
 }
 
-std::vector<double> element_loads(std::span<const quorum::Quorum> quorums,
-                                  std::span<const double> distribution,
-                                  std::size_t universe_size) {
+std::vector<double> element_loads(const quorum::QuorumTable& quorums,
+                                  std::span<const double> distribution) {
   if (quorums.size() != distribution.size()) {
     throw std::invalid_argument{"element_loads: size mismatch"};
   }
-  std::vector<double> loads(universe_size, 0.0);
+  std::vector<double> loads(quorums.universe_size(), 0.0);
   for (std::size_t i = 0; i < quorums.size(); ++i) {
-    for (std::size_t u : quorums[i]) {
-      if (u >= universe_size) throw std::out_of_range{"element_loads: element out of range"};
-      loads[u] += distribution[i];
-    }
+    for (std::size_t u : quorums[i]) loads[u] += distribution[i];
   }
   return loads;
 }
@@ -126,8 +123,9 @@ std::vector<double> elements_to_sites(std::span<const double> element_loads,
 }
 
 /// Adds a single quorum access (weight p) onto site loads under the chosen
-/// execution model.
-void charge_quorum(const quorum::Quorum& quorum, const Placement& placement, double p,
+/// execution model; `quorum` is a Quorum or a QuorumTable row.
+template <typename Members>
+void charge_quorum(const Members& quorum, const Placement& placement, double p,
                    ExecutionModel model, std::vector<double>& site_loads,
                    std::vector<std::size_t>& touched_scratch) {
   if (model == ExecutionModel::PerElement) {
@@ -203,13 +201,13 @@ std::vector<double> site_loads_explicit(const ExplicitStrategy& strategy,
   std::vector<std::size_t> scratch;
   for (std::size_t v = 0; v < strategy.probability.size(); ++v) {
     const std::vector<double>& row = strategy.probability[v];
-    if (row.size() != strategy.quorums.size()) {
+    if (row.size() != strategy.quorums->size()) {
       throw std::invalid_argument{"site_loads_explicit: row size mismatch"};
     }
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (row[i] == 0.0) continue;
       const double p = client_weights.empty() ? row[i] : client_weights[v] * row[i];
-      charge_quorum(strategy.quorums[i], placement, p, model, site_loads, scratch);
+      charge_quorum((*strategy.quorums)[i], placement, p, model, site_loads, scratch);
     }
   }
   // Uniform clients: accumulate, then divide once by |V| (the historical
@@ -277,7 +275,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
     }
   }
   const std::size_t client_count = space.size();
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
+  const quorum::QuorumTable& quorums = system.quorums();
   const std::size_t m = quorums.size();
   const double inv_clients = 1.0 / static_cast<double>(client_count);
 
@@ -382,7 +380,7 @@ StrategyLpResult optimize_access_strategy(const net::LatencySpace& space,
   if (solution.status != lp::SolveStatus::Optimal) return result;
   result.avg_network_delay = solution.objective;
   result.basis = std::move(solution.basis);
-  result.strategy.quorums = quorums;
+  result.strategy.quorums = system.shared_quorums();
   fill_strategy_rows(result, solution.values, client_count, m);
   return result;
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -22,14 +23,15 @@
 
 namespace qp::core {
 
-/// Per-client distributions over an explicit (shared) quorum list.
+/// Per-client distributions over a system's shared quorum table.
 struct ExplicitStrategy {
-  std::vector<quorum::Quorum> quorums;
-  /// probability[v][i] = p_v(quorums[i]); rows sum to 1.
+  std::shared_ptr<const quorum::QuorumTable> quorums;
+  /// probability[v][i] = p_v((*quorums)[i]); rows sum to 1.
   std::vector<std::vector<double>> probability;
 
-  /// Throws unless shapes are consistent, probabilities are in [0,1], and
-  /// every row sums to 1 within `tolerance`.
+  /// Throws unless the table is set, its quorums are non-empty and in range,
+  /// shapes are consistent, probabilities are in [0,1], and every row sums
+  /// to 1 within `tolerance`.
   void validate(std::size_t client_count, std::size_t universe_size,
                 double tolerance = 1e-6) const;
 
@@ -39,9 +41,9 @@ struct ExplicitStrategy {
 
 /// The explicit strategy in which all `client_count` clients use the same
 /// `distribution` over `quorums` (the common strategy p of §4.1.2 / §4.2).
-[[nodiscard]] ExplicitStrategy common_strategy(std::vector<quorum::Quorum> quorums,
-                                               std::span<const double> distribution,
-                                               std::size_t client_count);
+[[nodiscard]] ExplicitStrategy common_strategy(
+    std::shared_ptr<const quorum::QuorumTable> quorums, std::span<const double> distribution,
+    std::size_t client_count);
 
 /// The closest quorum (minimum network delay, QuorumSystem::best_quorum
 /// ties included) for every client: one best_quorum call per client.
@@ -51,9 +53,8 @@ struct ExplicitStrategy {
 
 /// load_p(u) for a distribution p over an explicit quorum list:
 /// load(u) = sum over quorums containing u of p(Q).
-[[nodiscard]] std::vector<double> element_loads(std::span<const quorum::Quorum> quorums,
-                                                std::span<const double> distribution,
-                                                std::size_t universe_size);
+[[nodiscard]] std::vector<double> element_loads(const quorum::QuorumTable& quorums,
+                                                std::span<const double> distribution);
 
 /// How a site hosting several universe elements charges a quorum access
 /// that touches more than one of them (§8):

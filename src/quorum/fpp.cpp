@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <stdexcept>
 
 namespace qp::quorum {
@@ -38,20 +37,6 @@ FppQuorum::FppQuorum(std::size_t order) : order_(order) {
   if (!is_prime(order_) || order_ > 31) {
     throw std::invalid_argument{"FppQuorum: order must be a prime in [2, 31]"};
   }
-  const std::vector<Triple> points = canonical_triples(order_);
-  const std::vector<Triple>& line_coords = points;  // Plane is self-dual.
-  lines_.resize(line_coords.size());
-  for (std::size_t l = 0; l < line_coords.size(); ++l) {
-    for (std::size_t pt = 0; pt < points.size(); ++pt) {
-      const std::size_t dot = line_coords[l][0] * points[pt][0] +
-                              line_coords[l][1] * points[pt][1] +
-                              line_coords[l][2] * points[pt][2];
-      if (dot % order_ == 0) lines_[l].push_back(pt);
-    }
-    if (lines_[l].size() != order_ + 1) {
-      throw std::logic_error{"FppQuorum: line does not have q+1 points"};
-    }
-  }
 }
 
 std::size_t FppQuorum::universe_size() const noexcept {
@@ -61,58 +46,25 @@ std::size_t FppQuorum::universe_size() const noexcept {
 std::string FppQuorum::name() const { return "FPP(q=" + std::to_string(order_) + ")"; }
 
 double FppQuorum::quorum_count() const noexcept {
-  return static_cast<double>(lines_.size());
+  return static_cast<double>(universe_size());  // The plane is self-dual.
 }
 
-std::vector<Quorum> FppQuorum::enumerate_quorums(std::size_t limit) const {
-  if (!enumerable(limit)) throw std::domain_error{name() + ": enumeration limit too low"};
-  return lines_;
-}
-
-Quorum FppQuorum::best_quorum(std::span<const double> values) const {
-  check_values_size(*this, values);
-  std::size_t best = 0;
-  double best_max = std::numeric_limits<double>::infinity();
-  for (std::size_t l = 0; l < lines_.size(); ++l) {
-    double worst = 0.0;
-    for (std::size_t u : lines_[l]) worst = std::max(worst, values[u]);
-    if (worst < best_max) {
-      best_max = worst;
-      best = l;
+void FppQuorum::generate_quorums(QuorumTable& table) const {
+  const std::vector<Triple> points = canonical_triples(order_);
+  Quorum line;
+  for (const Triple& coords : points) {  // Self-dual: lines share the points' triples.
+    line.clear();
+    for (std::size_t pt = 0; pt < points.size(); ++pt) {
+      const std::size_t dot =
+          coords[0] * points[pt][0] + coords[1] * points[pt][1] + coords[2] * points[pt][2];
+      if (dot % order_ == 0) line.push_back(pt);
     }
+    table.add(line);
   }
-  return lines_[best];
-}
-
-double FppQuorum::expected_max_uniform(std::span<const double> values) const {
-  check_values_size(*this, values);
-  double total = 0.0;
-  for (const Quorum& line : lines_) {
-    double worst = 0.0;
-    for (std::size_t u : line) worst = std::max(worst, values[u]);
-    total += worst;
-  }
-  return total / static_cast<double>(lines_.size());
-}
-
-std::vector<double> FppQuorum::uniform_load() const {
-  // Every point lies on exactly q+1 of the q^2+q+1 lines.
-  const double load =
-      static_cast<double>(order_ + 1) / static_cast<double>(universe_size());
-  return std::vector<double>(universe_size(), load);
 }
 
 double FppQuorum::optimal_load() const {
   return static_cast<double>(order_ + 1) / static_cast<double>(universe_size());
-}
-
-std::vector<Quorum> FppQuorum::sample_quorums(std::size_t count, common::Rng& rng) const {
-  std::vector<Quorum> result;
-  result.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    result.push_back(lines_[rng.below(lines_.size())]);
-  }
-  return result;
 }
 
 }  // namespace qp::quorum

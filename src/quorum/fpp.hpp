@@ -23,17 +23,16 @@ class FppQuorum final : public QuorumSystem {
   [[nodiscard]] std::size_t universe_size() const noexcept override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double quorum_count() const noexcept override;
-  [[nodiscard]] std::vector<Quorum> enumerate_quorums(std::size_t limit) const override;
-  [[nodiscard]] Quorum best_quorum(std::span<const double> values) const override;
-  [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override;
-  [[nodiscard]] std::vector<double> uniform_load() const override;
   [[nodiscard]] double optimal_load() const override;
-  [[nodiscard]] std::vector<Quorum> sample_quorums(std::size_t count,
-                                                   common::Rng& rng) const override;
+  // best_quorum, expected_max_uniform, uniform_load and sample_quorums are
+  // the base class's scans of the quorum table.
+
+ protected:
+  /// Line l is the points whose canonical triple is orthogonal to triple l.
+  void generate_quorums(QuorumTable& table) const override;
 
  private:
   std::size_t order_;
-  std::vector<Quorum> lines_;  // Precomputed at construction.
 };
 
 }  // namespace qp::quorum

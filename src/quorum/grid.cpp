@@ -37,14 +37,14 @@ void GridQuorum::quorum_for(std::size_t row, std::size_t column, Quorum& out) co
   std::sort(out.begin(), out.end());
 }
 
-std::vector<Quorum> GridQuorum::enumerate_quorums(std::size_t limit) const {
-  if (!enumerable(limit)) throw std::domain_error{name() + ": enumeration limit too low"};
-  std::vector<Quorum> quorums;
-  quorums.reserve(k_ * k_);
+void GridQuorum::generate_quorums(QuorumTable& table) const {
+  Quorum quorum;
   for (std::size_t r = 0; r < k_; ++r) {
-    for (std::size_t c = 0; c < k_; ++c) quorums.push_back(quorum_for(r, c));
+    for (std::size_t c = 0; c < k_; ++c) {
+      quorum_for(r, c, quorum);
+      table.add(quorum);
+    }
   }
-  return quorums;
 }
 
 std::vector<double> GridQuorum::quorum_maxima(std::span<const double> values) const {

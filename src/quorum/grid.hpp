@@ -17,7 +17,6 @@ class GridQuorum final : public QuorumSystem {
   [[nodiscard]] std::size_t universe_size() const noexcept override { return k_ * k_; }
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double quorum_count() const noexcept override;
-  [[nodiscard]] std::vector<Quorum> enumerate_quorums(std::size_t limit) const override;
   [[nodiscard]] Quorum best_quorum(std::span<const double> values) const override;
   [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override;
   [[nodiscard]] double expected_max_uniform_scratch(
@@ -28,9 +27,11 @@ class GridQuorum final : public QuorumSystem {
                                                    common::Rng& rng) const override;
   void sample_quorum(common::Rng& rng, Quorum& out) const override;
 
+ protected:
+  void generate_quorums(QuorumTable& table) const override;
+
  private:
-  /// The quorum for a (row, column) choice; quorum r * k + c of
-  /// enumerate_quorums.
+  /// The quorum for a (row, column) choice; quorum r * k + c of the table.
   [[nodiscard]] Quorum quorum_for(std::size_t row, std::size_t column) const;
   /// Allocation-free variant reusing `out`'s storage (sample_quorum's path).
   void quorum_for(std::size_t row, std::size_t column, Quorum& out) const;

@@ -24,11 +24,18 @@ std::string MajorityQuorum::name() const {
 
 double MajorityQuorum::quorum_count() const noexcept { return common::binomial(n_, q_); }
 
-std::vector<Quorum> MajorityQuorum::enumerate_quorums(std::size_t limit) const {
-  if (!enumerable(limit)) {
-    throw std::domain_error{name() + ": too many quorums to enumerate"};
+void MajorityQuorum::generate_quorums(QuorumTable& table) const {
+  Quorum current(q_);
+  std::iota(current.begin(), current.end(), std::size_t{0});
+  for (;;) {
+    table.add(current);
+    // Advance to the next q-subset: bump the last entry that can move.
+    std::size_t i = q_;
+    while (i > 0 && current[i - 1] == n_ - q_ + i - 1) --i;
+    if (i == 0) return;
+    ++current[i - 1];
+    for (std::size_t j = i; j < q_; ++j) current[j] = current[j - 1] + 1;
   }
-  return common::all_subsets(n_, q_, limit);
 }
 
 Quorum MajorityQuorum::best_quorum(std::span<const double> values) const {

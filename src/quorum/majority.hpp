@@ -23,7 +23,6 @@ class MajorityQuorum final : public QuorumSystem {
   [[nodiscard]] std::size_t quorum_size() const noexcept { return q_; }
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double quorum_count() const noexcept override;
-  [[nodiscard]] std::vector<Quorum> enumerate_quorums(std::size_t limit) const override;
   [[nodiscard]] Quorum best_quorum(std::span<const double> values) const override;
   [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override;
   [[nodiscard]] double expected_max_uniform_scratch(
@@ -37,6 +36,10 @@ class MajorityQuorum final : public QuorumSystem {
   /// Hypergeometric closed form: 1 - C(n-|S|, q) / C(n, q).
   [[nodiscard]] double uniform_touch_probability(
       std::span<const std::size_t> elements) const override;
+
+ protected:
+  /// Every q-subset, in lexicographic order.
+  void generate_quorums(QuorumTable& table) const override;
 
  private:
   std::size_t n_;

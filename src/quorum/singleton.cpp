@@ -2,8 +2,8 @@
 
 namespace qp::quorum {
 
-std::vector<Quorum> SingletonQuorum::enumerate_quorums(std::size_t) const {
-  return {Quorum{0}};
+void SingletonQuorum::generate_quorums(QuorumTable& table) const {
+  table.add(Quorum{0});
 }
 
 Quorum SingletonQuorum::best_quorum(std::span<const double> values) const {
@@ -20,8 +20,6 @@ std::span<const double> SingletonQuorum::order_stat_weights() const {
   static const std::vector<double> weights{1.0};
   return weights;
 }
-
-std::vector<double> SingletonQuorum::uniform_load() const { return {1.0}; }
 
 std::vector<Quorum> SingletonQuorum::sample_quorums(std::size_t count,
                                                     common::Rng&) const {

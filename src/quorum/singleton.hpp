@@ -14,14 +14,15 @@ class SingletonQuorum final : public QuorumSystem {
   [[nodiscard]] std::size_t universe_size() const noexcept override { return 1; }
   [[nodiscard]] std::string name() const override { return "Singleton"; }
   [[nodiscard]] double quorum_count() const noexcept override { return 1.0; }
-  [[nodiscard]] std::vector<Quorum> enumerate_quorums(std::size_t limit) const override;
   [[nodiscard]] Quorum best_quorum(std::span<const double> values) const override;
   [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override;
   [[nodiscard]] std::span<const double> order_stat_weights() const override;
-  [[nodiscard]] std::vector<double> uniform_load() const override;
   [[nodiscard]] double optimal_load() const noexcept override { return 1.0; }
   [[nodiscard]] std::vector<Quorum> sample_quorums(std::size_t count,
                                                    common::Rng& rng) const override;
+
+ protected:
+  void generate_quorums(QuorumTable& table) const override;
 };
 
 }  // namespace qp::quorum

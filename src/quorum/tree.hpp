@@ -10,9 +10,6 @@
 // the quorum-size/load spectrum the paper explores.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "quorum/quorum_system.hpp"
 
 namespace qp::quorum {
@@ -21,36 +18,29 @@ class TreeQuorum final : public QuorumSystem {
  public:
   /// Complete binary tree of the given height; height 0 is a single node.
   /// Heights above 4 (n = 63, ~4.3e9 quorums) are rejected: enumeration and
-  /// uniform-load bookkeeping would be intractable. The quorums are
-  /// enumerated once here (65535 at height 4) into a flat table that
-  /// enumerate_quorums, expected_max_uniform and uniform_load read.
+  /// uniform-load bookkeeping would be intractable. The expected maximum,
+  /// the uniform load and sampling read the quorum table (65535 quorums at
+  /// height 4).
   explicit TreeQuorum(std::size_t height);
 
   [[nodiscard]] std::size_t height() const noexcept { return height_; }
   [[nodiscard]] std::size_t universe_size() const noexcept override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double quorum_count() const noexcept override;
-  [[nodiscard]] std::vector<Quorum> enumerate_quorums(std::size_t limit) const override;
   /// Exact via dynamic programming over the tree (no enumeration).
   [[nodiscard]] Quorum best_quorum(std::span<const double> values) const override;
-  [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override;
-  [[nodiscard]] std::vector<double> uniform_load() const override;
   /// The busiest element's uniform-strategy load. Counter-intuitively this
   /// is NOT the root: the "both children" branch contributes quadratically
   /// many quorums, so deeper elements appear in a larger fraction.
   [[nodiscard]] double optimal_load() const override;
-  [[nodiscard]] std::vector<Quorum> sample_quorums(std::size_t count,
-                                                   common::Rng& rng) const override;
+
+ protected:
+  /// By recursion from the root: for each node, {v} + left's quorums,
+  /// {v} + right's, then left's x right's.
+  void generate_quorums(QuorumTable& table) const override;
 
  private:
-  /// Number of quorums of the subtree rooted at a node of depth d.
-  [[nodiscard]] double subtree_count(std::size_t depth) const noexcept;
-
   std::size_t height_;
-  /// Quorum q is elements_[quorum_start_[q] .. quorum_start_[q + 1]), sorted,
-  /// in the recursive enumeration order. Elements fit a byte (n <= 31).
-  std::vector<std::uint32_t> quorum_start_;
-  std::vector<std::uint8_t> elements_;
 };
 
 }  // namespace qp::quorum

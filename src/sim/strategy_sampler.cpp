@@ -9,7 +9,7 @@ QuorumSampler QuorumSampler::closest(const net::LatencySpace& space,
                                      const quorum::QuorumSystem& system,
                                      const core::Placement& placement) {
   QuorumSampler sampler{Kind::Closest};
-  sampler.quorums_ = core::closest_quorums(space, system, placement);
+  sampler.chosen_ = core::closest_quorums(space, system, placement);
   return sampler;
 }
 
@@ -24,7 +24,7 @@ QuorumSampler QuorumSampler::explicit_strategy(const core::ExplicitStrategy& str
                                                const quorum::QuorumSystem& system) {
   strategy.validate(client_count, system.universe_size());
   QuorumSampler sampler{Kind::Explicit};
-  sampler.quorums_ = strategy.quorums;
+  sampler.table_ = strategy.quorums;
   sampler.cdf_.reserve(strategy.probability.size());
   for (const std::vector<double>& row : strategy.probability) {
     std::vector<double> cdf(row.size());
@@ -48,7 +48,7 @@ const quorum::Quorum& QuorumSampler::draw(std::size_t client, common::Rng& rng,
                                           quorum::Quorum& scratch) const {
   switch (kind_) {
     case Kind::Closest:
-      return quorums_[client];
+      return chosen_[client];
     case Kind::Balanced:
       system_->sample_quorum(rng, scratch);
       return scratch;
@@ -57,7 +57,10 @@ const quorum::Quorum& QuorumSampler::draw(std::size_t client, common::Rng& rng,
       const double u = rng.uniform();
       const std::size_t index = static_cast<std::size_t>(
           std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-      return quorums_[std::min(index, quorums_.size() - 1)];
+      const std::span<const std::uint32_t> quorum =
+          (*table_)[std::min(index, table_->size() - 1)];
+      scratch.assign(quorum.begin(), quorum.end());
+      return scratch;
     }
   }
   throw std::logic_error{"QuorumSampler: unknown kind"};

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,7 +28,7 @@ class QuorumSampler {
                                              const quorum::QuorumSystem& system,
                                              const core::Placement& placement);
   [[nodiscard]] static QuorumSampler balanced(const quorum::QuorumSystem& system);
-  /// Copies the strategy's quorum list and converts the per-client rows to
+  /// Shares the strategy's quorum table and converts the per-client rows to
   /// CDFs; validates against client_count / the system's universe.
   [[nodiscard]] static QuorumSampler explicit_strategy(
       const core::ExplicitStrategy& strategy, std::size_t client_count,
@@ -35,9 +36,9 @@ class QuorumSampler {
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
 
-  /// The quorum `client` uses for this request. Balanced draws into
-  /// `scratch` and returns it; closest/explicit return references into the
-  /// sampler's precomputed tables (valid for the sampler's lifetime). One
+  /// The quorum `client` uses for this request. Balanced and explicit write
+  /// it into `scratch` and return that; closest returns a reference into the
+  /// sampler's precomputed choices (valid for the sampler's lifetime). One
   /// sampler may serve concurrent replications: draw() is const and all
   /// mutable state lives in the caller's rng/scratch.
   [[nodiscard]] const quorum::Quorum& draw(std::size_t client, common::Rng& rng,
@@ -48,8 +49,9 @@ class QuorumSampler {
 
   Kind kind_;
   const quorum::QuorumSystem* system_ = nullptr;  // Balanced only.
-  std::vector<quorum::Quorum> quorums_;     // Closest: one per client; Explicit: shared list.
-  std::vector<std::vector<double>> cdf_;    // Explicit: per-client cumulative rows.
+  std::vector<quorum::Quorum> chosen_;                // Closest: one per client.
+  std::shared_ptr<const quorum::QuorumTable> table_;  // Explicit.
+  std::vector<std::vector<double>> cdf_;              // Explicit: per-client CDF rows.
 };
 
 }  // namespace qp::sim

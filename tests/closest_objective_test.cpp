@@ -302,11 +302,10 @@ TEST(ClosestDeltaEval, SingletonGoesThroughTheEnumeratedPath) {
 }
 
 TEST(ClosestDeltaEval, GenericShapeServesAnySystemWithBestQuorum) {
-  // Tree(h=4) has 65535 quorums, over the enumeration limit; the closest
-  // choice needs only best_quorum, so the evaluator serves it anyway.
+  // Tree(h=4): the closest choice needs only best_quorum, so the evaluator
+  // serves it on the Generic shape without reading the quorum table.
   const quorum::TreeQuorum tree{4};
   const std::size_t n = tree.universe_size();
-  ASSERT_FALSE(tree.enumerable(50'000));
   const LatencyMatrix m = net::small_synth(n + 9, 113);
   common::Rng rng{47};
   const ClosestStrategyObjective objective{33.0};

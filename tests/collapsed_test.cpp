@@ -11,6 +11,7 @@
 #include "net/synthetic.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::core {
 namespace {
@@ -71,7 +72,7 @@ TEST(Collapsed, SingletonPlacementLoadIsOne) {
 TEST(Collapsed, MajorityHypergeometricMatchesEnumeration) {
   const quorum::MajorityQuorum majority{7, 4};
   // For a set S of hosted elements, compare the closed form with counting.
-  const auto quorums = majority.enumerate_quorums(100);
+  const auto quorums = quorum::test_support::quorum_list(majority);
   for (const std::vector<std::size_t>& hosted :
        {std::vector<std::size_t>{0}, {1, 2}, {0, 3, 6}, {0, 1, 2, 3, 4, 5, 6}}) {
     int touching = 0;
@@ -82,15 +83,19 @@ TEST(Collapsed, MajorityHypergeometricMatchesEnumeration) {
       }
       touching += touches;
     }
-    EXPECT_NEAR(majority.uniform_touch_probability(hosted),
-                static_cast<double>(touching) / static_cast<double>(quorums.size()), 1e-12)
+    const double expected =
+        static_cast<double>(touching) / static_cast<double>(quorums.size());
+    EXPECT_NEAR(majority.uniform_touch_probability(hosted), expected, 1e-12)
+        << "|S|=" << hosted.size();
+    // The base class's incidence-list merge over the quorum table.
+    EXPECT_DOUBLE_EQ(majority.QuorumSystem::uniform_touch_probability(hosted), expected)
         << "|S|=" << hosted.size();
   }
 }
 
 TEST(Collapsed, ExplicitStrategyCollapsedLoads) {
   ExplicitStrategy s;
-  s.quorums = {{0, 1}};  // One quorum containing both elements.
+  s.quorums = quorum::test_support::make_table(2, {{0, 1}});  // Both elements.
   s.probability = {{1.0}, {1.0}};
   const Placement p{{2, 2}};  // Both elements on site 2.
   const auto collapsed = site_loads_explicit(s, p, 3, {}, ExecutionModel::Collapsed);

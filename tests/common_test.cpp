@@ -16,6 +16,7 @@
 #include "common/simd_kernels.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::common {
 namespace {
@@ -150,21 +151,6 @@ TEST(Rng, SampleWithoutReplacementUniform) {
   }
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng{43};
-  const std::vector<double> weights{1.0, 0.0, 3.0};
-  std::vector<int> hits(3, 0);
-  const int trials = 40'000;
-  for (int trial = 0; trial < trials; ++trial) hits[rng.weighted_index(weights)] += 1;
-  EXPECT_EQ(hits[1], 0);
-  EXPECT_NEAR(static_cast<double>(hits[0]) / trials, 0.25, 0.02);
-  EXPECT_NEAR(static_cast<double>(hits[2]) / trials, 0.75, 0.02);
-  EXPECT_THROW((void)rng.weighted_index(std::vector<double>{0.0, 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)rng.weighted_index(std::vector<double>{-1.0, 2.0}),
-               std::invalid_argument);
-}
-
 // ------------------------------------------------------- SimdKernels
 
 TEST(SimdKernels, GatherIndexedMatchesScalarForAllTailLengths) {
@@ -277,6 +263,9 @@ TEST(Combinatorics, BinomialRatioStable) {
   EXPECT_NEAR(ratio, expected, 1e-12);
   EXPECT_EQ(binomial_ratio(5, 10, 6), 0.0);
 }
+
+// all_subsets is the Majority enumeration oracle (tests/support).
+using quorum::test_support::all_subsets;
 
 TEST(Combinatorics, AllSubsetsEnumeration) {
   const auto subsets = all_subsets(5, 3);

@@ -167,14 +167,13 @@ TEST(DeltaEval, IncrementalRepairMatchesFreshRebuildBitwise) {
   }
 }
 
-TEST(DeltaEval, GenericShapeMatchesNaiveOnTreeH4) {
-  // Tree(h=4) has 65535 quorums, over the enumeration limit, so the balanced
-  // evaluator keeps no candidate tables: every candidate re-evaluates each
-  // client in full and apply_move rebuilds. One expected-max call on this
-  // tree is costly, so the sizes stay minimal.
+TEST(DeltaEval, EnumeratedShapeMatchesNaiveOnTreeH4) {
+  // Tree(h=4), the largest built-in table (65535 quorums), on the Enumerated
+  // shape: per-quorum maxima, repaired through the incidence lists. The
+  // naive expected-max reference is costly on this tree, so the sizes stay
+  // minimal.
   const quorum::TreeQuorum tree{4};
   const std::size_t n = tree.universe_size();
-  ASSERT_FALSE(tree.enumerable(50'000));
   const LatencyMatrix m = net::small_synth(n + 2, 331);
   const LoadAwareObjective load_aware{9.0};
   for (const Objective* objective :
@@ -290,9 +289,9 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
     }
   }
 
-  // Generic (Tree of height 4, 31 elements, over the enumeration limit):
-  // every site re-evaluates each client in full and one expected-max call is
-  // costly, so the batch is the element's own site and one free site.
+  // Enumerated at its largest (Tree of height 4, 31 elements, 65535
+  // quorums): the naive expected-max reference is costly, so the batch is the
+  // element's own site and one free site.
   const quorum::TreeQuorum tree{4};
   const std::size_t n = tree.universe_size();
   const Placement placement = colocated_start(n, 61);

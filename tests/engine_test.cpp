@@ -28,6 +28,7 @@
 #include "sim/engine.hpp"
 #include "sim/scenario.hpp"
 #include "sim/strategy_sampler.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::sim {
 namespace {
@@ -343,14 +344,15 @@ TEST(StrategySampler, ExplicitFrequenciesMatchLpWeights) {
   const std::size_t draws = 40'000;
   // chi-squared 0.999 critical values by degrees of freedom (1..8).
   const double critical[] = {10.83, 13.82, 16.27, 18.47, 20.52, 22.46, 24.32, 26.12};
+  const std::vector<quorum::Quorum> quorums =
+      quorum::test_support::quorum_list(*lp.strategy.quorums);
   for (std::size_t client : {std::size_t{0}, std::size_t{4}, std::size_t{8}}) {
-    std::vector<std::size_t> observed(lp.strategy.quorums.size(), 0);
+    std::vector<std::size_t> observed(quorums.size(), 0);
     for (std::size_t i = 0; i < draws; ++i) {
       const quorum::Quorum& drawn = sampler.draw(client, rng, scratch);
-      const auto it = std::find(lp.strategy.quorums.begin(), lp.strategy.quorums.end(),
-                                drawn);
-      ASSERT_NE(it, lp.strategy.quorums.end());
-      ++observed[static_cast<std::size_t>(it - lp.strategy.quorums.begin())];
+      const auto it = std::find(quorums.begin(), quorums.end(), drawn);
+      ASSERT_NE(it, quorums.end());
+      ++observed[static_cast<std::size_t>(it - quorums.begin())];
     }
     std::size_t df = 0;
     const double statistic =

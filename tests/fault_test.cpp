@@ -31,10 +31,12 @@
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
+#include "quorum/tree.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/retry.hpp"
 #include "sim/service_queue.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp {
 namespace {
@@ -269,7 +271,7 @@ BruteForce brute_force(const net::LatencyMatrix& matrix,
                        const quorum::QuorumSystem& system,
                        const core::Placement& placement, double alpha, double p,
                        double penalty) {
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
+  const std::vector<quorum::Quorum> quorums = quorum::test_support::quorum_list(system);
   const std::vector<std::size_t> support = placement.support_set();
   const std::vector<double> load =
       core::site_loads_closest(matrix, system, placement, std::span<const double>{});
@@ -396,6 +398,21 @@ TEST(FailureAwareObjective, ZeroFailureProbabilityEqualsClosestObjective) {
                    closest.evaluate(matrix, majority, placement));
   const auto detailed = fault_aware.evaluate_detailed(matrix, grid, placement);
   EXPECT_DOUBLE_EQ(detailed.unavailability, 0.0);
+}
+
+TEST(FailureAwareObjective, ZeroFailureProbabilityEqualsClosestOnTreeH4) {
+  // Tree(h=4): 65535 quorums, the largest built-in table within
+  // quorum::kEnumerationLimit; the failure-aware path reads it like any other.
+  const quorum::TreeQuorum tree{4};
+  const net::LatencyMatrix matrix = net::small_synth(tree.universe_size() + 3, 43);
+  core::Placement placement;
+  placement.site_of.resize(tree.universe_size());
+  std::iota(placement.site_of.begin(), placement.site_of.end(), std::size_t{0});
+  const core::FailureAwareObjective fault_aware{0.05, core::FailureModel{}};
+  const core::ClosestStrategyObjective closest{0.05};
+  const double expected = closest.evaluate(matrix, tree, placement);
+  EXPECT_NEAR(fault_aware.evaluate(matrix, tree, placement), expected,
+              1e-9 * std::max(1.0, expected));
 }
 
 TEST(FailureAwareObjective, SingletonUnavailabilityIsTheSiteFailureProbability) {

@@ -18,7 +18,7 @@ TEST(Fpp, SizesForSmallPrimes) {
     const FppQuorum plane{q};
     EXPECT_EQ(plane.universe_size(), q * q + q + 1) << q;
     EXPECT_DOUBLE_EQ(plane.quorum_count(), static_cast<double>(q * q + q + 1)) << q;
-    for (const Quorum& line : plane.enumerate_quorums(10'000)) {
+    for (const Quorum& line : test_support::quorum_list(plane)) {
       EXPECT_EQ(line.size(), q + 1) << q;
       EXPECT_TRUE(std::is_sorted(line.begin(), line.end()));
     }
@@ -36,7 +36,7 @@ TEST(Fpp, RejectsNonPrimesAndHugeOrders) {
 TEST(Fpp, FanoPlaneIsTheClassicSevenPointPlane) {
   const FppQuorum fano{2};
   EXPECT_EQ(fano.universe_size(), 7u);
-  const auto lines = fano.enumerate_quorums(100);
+  const auto lines = test_support::quorum_list(fano);
   EXPECT_EQ(lines.size(), 7u);
   // Every point lies on exactly 3 lines.
   std::vector<int> incidence(7, 0);
@@ -49,7 +49,7 @@ TEST(Fpp, FanoPlaneIsTheClassicSevenPointPlane) {
 TEST(Fpp, AnyTwoLinesMeetInExactlyOnePoint) {
   for (std::size_t q : {2u, 3u, 5u}) {
     const FppQuorum plane{q};
-    const auto lines = plane.enumerate_quorums(10'000);
+    const auto lines = test_support::quorum_list(plane);
     for (std::size_t a = 0; a < lines.size(); ++a) {
       for (std::size_t b = a + 1; b < lines.size(); ++b) {
         std::vector<std::size_t> common;
@@ -62,7 +62,7 @@ TEST(Fpp, AnyTwoLinesMeetInExactlyOnePoint) {
 }
 
 TEST(Fpp, IntersectionPropertyViaBaseClass) {
-  EXPECT_TRUE(verify_intersection(FppQuorum{3}, 10'000));
+  EXPECT_TRUE(verify_intersection(FppQuorum{3}));
 }
 
 TEST(Fpp, LoadIsOptimalOrderSqrtN) {
@@ -83,7 +83,7 @@ TEST(Fpp, BestQuorumMatchesBruteForce) {
     const Quorum best = plane.best_quorum(values);
     double best_max = 0.0;
     for (std::size_t u : best) best_max = std::max(best_max, values[u]);
-    for (const Quorum& line : plane.enumerate_quorums(1000)) {
+    for (const Quorum& line : test_support::quorum_list(plane)) {
       double worst = 0.0;
       for (std::size_t u : line) worst = std::max(worst, values[u]);
       EXPECT_GE(worst + 1e-12, best_max);
@@ -96,7 +96,7 @@ TEST(Fpp, ExpectedMaxMatchesEnumeration) {
   const FppQuorum plane{2};
   std::vector<double> values(7);
   for (double& v : values) v = rng.uniform(0.0, 10.0);
-  const auto lines = plane.enumerate_quorums(100);
+  const auto lines = test_support::quorum_list(plane);
   double total = 0.0;
   for (const Quorum& line : lines) {
     double worst = 0.0;
@@ -109,7 +109,7 @@ TEST(Fpp, ExpectedMaxMatchesEnumeration) {
 TEST(Fpp, SamplesAreValidLines) {
   const FppQuorum plane{3};
   common::Rng rng{79};
-  const auto all = plane.enumerate_quorums(1000);
+  const auto all = test_support::quorum_list(plane);
   const std::set<Quorum> valid(all.begin(), all.end());
   for (const Quorum& line : plane.sample_quorums(100, rng)) {
     EXPECT_TRUE(valid.count(line));

@@ -32,6 +32,7 @@
 #include "quorum/tree.hpp"
 #include "support/dense_simplex.hpp"
 #include "support/lp_checks.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp {
 namespace {
@@ -366,7 +367,7 @@ Solution strategy_lp_oracle(const net::LatencyMatrix& matrix,
                             const quorum::QuorumSystem& system, const Placement& placement,
                             std::span<const double> caps,
                             std::span<const double> weights = {}) {
-  const std::vector<quorum::Quorum> quorums = system.enumerate_quorums();
+  const std::vector<quorum::Quorum> quorums = quorum::test_support::quorum_list(system);
   const std::size_t n = matrix.size();
   LpProblem problem;
   std::vector<std::size_t> cap_row(n, n);
@@ -495,7 +496,7 @@ TEST(StrategyLp, UncapacitatedSolveStopsAtTheCrashBasis) {
 
   // Each client puts all its weight on its lowest-index minimum-delay
   // quorum; the instance has clients with exactly tied quorums.
-  const std::vector<quorum::Quorum>& quorums = lp.strategy.quorums;
+  const quorum::QuorumTable& quorums = *lp.strategy.quorums;
   std::size_t tied_clients = 0;
   for (std::size_t v = 0; v < matrix.size(); ++v) {
     std::vector<double> delay(quorums.size(), 0.0);
@@ -672,9 +673,9 @@ TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
   ASSERT_FALSE(result.history.empty());
 
   core::ExplicitStrategy uniform;
-  uniform.quorums = grid.enumerate_quorums(quorum::kEnumerationLimit);
-  const std::vector<double> average(uniform.quorums.size(),
-                                    1.0 / static_cast<double>(uniform.quorums.size()));
+  uniform.quorums = grid.shared_quorums();
+  const std::vector<double> average(uniform.quorums->size(),
+                                    1.0 / static_cast<double>(uniform.quorums->size()));
   uniform.probability.assign(matrix.size(), average);
   const core::ManyToOneSearchResult round1 = core::best_many_to_one_placement(
       matrix, grid, average, caps, options.anchor_candidates, options.placement);

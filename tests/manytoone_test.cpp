@@ -24,6 +24,7 @@
 #include "quorum/tree.hpp"
 #include "support/dense_simplex.hpp"
 #include "support/placement_lp.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::core {
 namespace {
@@ -37,8 +38,8 @@ std::vector<double> uniform_distribution(std::size_t m) {
 /// avg_v sum_i p_i max_{u in Q_i} d(v, f(u)): the network delay of
 /// `placement` when every client draws quorums[i] with probability probs[i].
 double delay_under_common(const LatencyMatrix& m, const quorum::QuorumSystem& system,
-                          std::vector<quorum::Quorum> quorums, std::span<const double> probs,
-                          const Placement& placement) {
+                          std::shared_ptr<const quorum::QuorumTable> quorums,
+                          std::span<const double> probs, const Placement& placement) {
   const ExplicitStrategy common = common_strategy(std::move(quorums), probs, m.size());
   return evaluate_explicit(m, system, placement, 0.0, common).avg_network_delay_ms;
 }
@@ -82,8 +83,7 @@ std::vector<FamilyCase> family_cases() {
 /// LP cannot collapse onto the anchor) yet feasible.
 std::vector<double> spread_capacities(const quorum::QuorumSystem& system,
                                       std::span<const double> probs, std::size_t sites) {
-  const std::vector<double> load =
-      element_loads(system.enumerate_quorums(), probs, system.universe_size());
+  const std::vector<double> load = element_loads(system.quorums(), probs);
   const double total = std::accumulate(load.begin(), load.end(), 0.0);
   return uniform_capacities(sites, 1.25 * total / static_cast<double>(sites));
 }
@@ -129,7 +129,7 @@ TEST(ManyToOne, LpBoundMatchesDenseOracleAcrossFamilies) {
   const LatencyMatrix m = net::small_synth(9, 37);
   for (const FamilyCase& family : family_cases()) {
     const quorum::QuorumSystem& system = *family.system;
-    const auto probs = uniform_distribution(system.enumerate_quorums().size());
+    const auto probs = uniform_distribution(system.quorums().size());
     const auto caps = spread_capacities(system, probs, m.size());
     for (std::size_t v0 : {std::size_t{0}, std::size_t{4}}) {
       SCOPED_TRACE(std::string{family.name} + " v0=" + std::to_string(v0));
@@ -168,7 +168,7 @@ TEST(ManyToOne, DelayBoundIsLowerBoundOnRoundedDelay) {
   ASSERT_EQ(result.status, lp::SolveStatus::Optimal);
   // The anchor's expected delay of the integral placement is bounded below
   // by the LP optimum (the LP relaxes integrality).
-  const auto quorums = grid.enumerate_quorums(100);
+  const quorum::QuorumTable& quorums = grid.quorums();
   double anchor_delay = 0.0;
   for (std::size_t i = 0; i < quorums.size(); ++i) {
     double worst = 0.0;
@@ -194,7 +194,7 @@ TEST(ManyToOne, NonUniformDistributionShiftsPlacement) {
                                    m.rtt(0, result.placement.site_of[2])});
   (void)popular;  // The strong assertion is on the LP bound below.
   EXPECT_LE(result.lp_delay_bound,
-            delay_under_common(m, grid, grid.enumerate_quorums(100), probs, result.placement) +
+            delay_under_common(m, grid, grid.shared_quorums(), probs, result.placement) +
                 1e-6);
 }
 
@@ -223,7 +223,7 @@ TEST(ManyToOne, ValidatesArguments) {
 
 TEST(AverageNetworkDelayUnderDistribution, MatchesHandComputation) {
   const LatencyMatrix m{{{0.0, 4.0}, {4.0, 0.0}}};
-  const std::vector<quorum::Quorum> quorums{{0}, {1}};
+  const auto quorums = quorum::test_support::make_table(2, {{0}, {1}});
   const std::vector<double> probs{0.5, 0.5};
   const Placement p{{0, 1}};
   // The explicit strategy lists its own quorums; the system only fixes the
@@ -240,11 +240,11 @@ TEST(BestManyToOne, BeatsOrMatchesSingleAnchor) {
   const auto caps = uniform_capacities(m.size(), 0.9);
   const ManyToOneSearchResult best = best_many_to_one_placement(m, grid, probs, caps);
   ASSERT_EQ(best.best.status, lp::SolveStatus::Optimal);
-  const auto quorums = grid.enumerate_quorums(100);
   for (std::size_t v0 = 0; v0 < m.size(); ++v0) {
     const ManyToOneResult single = many_to_one_placement(m, grid, probs, caps, v0);
     ASSERT_EQ(single.status, lp::SolveStatus::Optimal);
-    const double delay = delay_under_common(m, grid, quorums, probs, single.placement);
+    const double delay =
+        delay_under_common(m, grid, grid.shared_quorums(), probs, single.placement);
     EXPECT_GE(delay + 1e-9, best.avg_network_delay);
   }
 }
@@ -260,9 +260,8 @@ TEST(BestManyToOne, CrashStartedAnchorBoundsMatchDenseOracle) {
   const std::vector<std::size_t> order{3, 0, 8, 5, 1, 7};
   for (const FamilyCase& family : family_cases()) {
     const quorum::QuorumSystem& system = *family.system;
-    const auto probs = uniform_distribution(system.enumerate_quorums().size());
-    const std::vector<double> load =
-        element_loads(system.enumerate_quorums(), probs, system.universe_size());
+    const auto probs = uniform_distribution(system.quorums().size());
+    const std::vector<double> load = element_loads(system.quorums(), probs);
     const double max_load = *std::max_element(load.begin(), load.end());
     const std::vector<double> tight = spread_capacities(system, probs, m.size());
     ASSERT_LT(tight[0], max_load) << family.name;  // No element fits anywhere.

@@ -457,22 +457,18 @@ TEST(DemandWeightedObjective, BestPlacementAndLocalSearchConsumeWeights) {
   EXPECT_EQ(delta.moves, naive.moves);
 }
 
-/// Two custom systems sharing a name but differing in universe size: the
-/// memoized load hook must key on (name, n), not the name alone.
+/// Two custom systems sharing a name but differing in universe size: each
+/// must keep its own memoized load (a cache keyed by name alone would hand
+/// one the other's table).
 class NamedStubSystem final : public quorum::QuorumSystem {
  public:
   explicit NamedStubSystem(std::size_t n) : n_(n) {}
   [[nodiscard]] std::size_t universe_size() const noexcept override { return n_; }
   [[nodiscard]] std::string name() const override { return "cache-collision-stub"; }
   [[nodiscard]] double quorum_count() const noexcept override { return 1.0; }
-  [[nodiscard]] std::vector<quorum::Quorum> enumerate_quorums(std::size_t) const override {
-    quorum::Quorum all(n_);
-    for (std::size_t u = 0; u < n_; ++u) all[u] = u;
-    return {all};
-  }
   [[nodiscard]] quorum::Quorum best_quorum(std::span<const double> values) const override {
     quorum::check_values_size(*this, values);
-    return enumerate_quorums(1)[0];
+    return all();
   }
   [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override {
     quorum::check_values_size(*this, values);
@@ -487,10 +483,19 @@ class NamedStubSystem final : public quorum::QuorumSystem {
   [[nodiscard]] double optimal_load() const override { return 1.0; }
   [[nodiscard]] std::vector<quorum::Quorum> sample_quorums(std::size_t count,
                                                            common::Rng&) const override {
-    return std::vector<quorum::Quorum>(count, enumerate_quorums(1)[0]);
+    return std::vector<quorum::Quorum>(count, all());
   }
 
+ protected:
+  void generate_quorums(quorum::QuorumTable& table) const override { table.add(all()); }
+
  private:
+  [[nodiscard]] quorum::Quorum all() const {
+    quorum::Quorum all(n_);
+    for (std::size_t u = 0; u < n_; ++u) all[u] = u;
+    return all;
+  }
+
   std::size_t n_;
 };
 
@@ -566,10 +571,10 @@ TEST(ObjectiveOnLatencySpace, EmbeddingMatchesDensified) {
     }
 
     ExplicitStrategy uniform;
-    uniform.quorums = system->enumerate_quorums(1000);
+    uniform.quorums = system->shared_quorums();
     uniform.probability.assign(
-        dense.size(), std::vector<double>(uniform.quorums.size(),
-                                          1.0 / static_cast<double>(uniform.quorums.size())));
+        dense.size(), std::vector<double>(uniform.quorums->size(),
+                                          1.0 / static_cast<double>(uniform.quorums->size())));
     const auto expect_same = [&](const Evaluation& a, const Evaluation& b, const char* what) {
       EXPECT_DOUBLE_EQ(a.avg_response_ms, b.avg_response_ms) << system->name() << " " << what;
       EXPECT_DOUBLE_EQ(a.avg_network_delay_ms, b.avg_network_delay_ms)

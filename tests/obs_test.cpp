@@ -343,7 +343,7 @@ TEST(ObsCounters, ManyToOneCrashTakesFewerPivotsThanColdSolves) {
   reset();
   const net::LatencyMatrix m = net::planetlab50_synth();
   const quorum::GridQuorum grid{5};
-  const std::size_t quorum_count = grid.enumerate_quorums(quorum::kEnumerationLimit).size();
+  const std::size_t quorum_count = grid.quorums().size();
   const std::vector<double> probs(quorum_count, 1.0 / static_cast<double>(quorum_count));
   const double level = core::uniform_capacity_levels(grid.optimal_load()).front();
   const std::vector<double> caps = core::uniform_capacities(m.size(), level);

@@ -37,14 +37,14 @@ class QuorumContract : public ::testing::TestWithParam<SystemCase> {
 };
 
 TEST_P(QuorumContract, EnumerationCountMatchesQuorumCount) {
-  const auto quorums = system_->enumerate_quorums();
+  const auto quorums = test_support::quorum_list(*system_);
   EXPECT_DOUBLE_EQ(static_cast<double>(quorums.size()), system_->quorum_count());
   EXPECT_FALSE(quorums.empty());
 }
 
 TEST_P(QuorumContract, QuorumsAreSortedDistinctInRange) {
   std::set<Quorum> seen;
-  for (const Quorum& quorum : system_->enumerate_quorums()) {
+  for (const Quorum& quorum : test_support::quorum_list(*system_)) {
     EXPECT_TRUE(std::is_sorted(quorum.begin(), quorum.end()));
     EXPECT_EQ(std::adjacent_find(quorum.begin(), quorum.end()), quorum.end());
     EXPECT_FALSE(quorum.empty());
@@ -54,12 +54,12 @@ TEST_P(QuorumContract, QuorumsAreSortedDistinctInRange) {
 }
 
 TEST_P(QuorumContract, PairwiseIntersection) {
-  EXPECT_TRUE(verify_intersection(*system_, kEnumerationLimit));
+  EXPECT_TRUE(verify_intersection(*system_));
 }
 
 TEST_P(QuorumContract, BestQuorumIsGloballyOptimal) {
   common::Rng rng{0xBEEF};
-  const auto quorums = system_->enumerate_quorums();
+  const auto quorums = test_support::quorum_list(*system_);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> values(system_->universe_size());
     for (double& v : values) v = rng.uniform(0.0, 100.0);
@@ -78,7 +78,7 @@ TEST_P(QuorumContract, BestQuorumIsGloballyOptimal) {
 
 TEST_P(QuorumContract, ExpectedMaxMatchesEnumeration) {
   common::Rng rng{0xCAFE};
-  const auto quorums = system_->enumerate_quorums();
+  const auto quorums = test_support::quorum_list(*system_);
   std::vector<double> values(system_->universe_size());
   for (double& v : values) v = rng.uniform(0.0, 10.0);
   double total = 0.0;
@@ -107,7 +107,7 @@ TEST_P(QuorumContract, ExpectedMaxIsMonotoneInValues) {
 }
 
 TEST_P(QuorumContract, UniformLoadMatchesEnumeration) {
-  const auto quorums = system_->enumerate_quorums();
+  const auto quorums = test_support::quorum_list(*system_);
   std::vector<double> expected(system_->universe_size(), 0.0);
   for (const Quorum& quorum : quorums) {
     for (std::size_t u : quorum) expected[u] += 1.0;
@@ -130,7 +130,7 @@ TEST_P(QuorumContract, OptimalLoadBounds) {
 
 TEST_P(QuorumContract, SamplesAreValidQuorums) {
   common::Rng rng{0xABCD};
-  const auto all = system_->enumerate_quorums();
+  const auto all = test_support::quorum_list(*system_);
   const std::set<Quorum> valid(all.begin(), all.end());
   for (const Quorum& quorum : system_->sample_quorums(50, rng)) {
     EXPECT_TRUE(valid.count(quorum)) << "sampled non-quorum";

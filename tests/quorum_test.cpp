@@ -13,6 +13,7 @@
 #include "quorum/quorum_system.hpp"
 #include "quorum/singleton.hpp"
 #include "support/quorum_checks.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::quorum {
 namespace {
@@ -47,7 +48,7 @@ TEST(OrderStats, MatchesExhaustiveEnumeration) {
   for (std::size_t q = 1; q <= values.size(); ++q) {
     double total = 0.0;
     std::size_t count = 0;
-    for (const auto& subset : common::all_subsets(values.size(), q)) {
+    for (const auto& subset : test_support::all_subsets(values.size(), q)) {
       double max_value = 0.0;
       for (std::size_t i : subset) max_value = std::max(max_value, values[i]);
       total += max_value;
@@ -115,7 +116,7 @@ TEST(Majority, CountsAndLoads) {
 
 TEST(Majority, EnumerationMatchesCount) {
   const MajorityQuorum m{6, 4};
-  const auto quorums = m.enumerate_quorums(100);
+  const auto quorums = test_support::quorum_list(m);
   EXPECT_EQ(quorums.size(), 15u);
   EXPECT_TRUE(verify_intersection(m));
 }
@@ -123,7 +124,7 @@ TEST(Majority, EnumerationMatchesCount) {
 TEST(Majority, EnumerationThrowsWhenHuge) {
   const MajorityQuorum m{161, 81};
   EXPECT_FALSE(m.enumerable());
-  EXPECT_THROW((void)m.enumerate_quorums(kEnumerationLimit), std::domain_error);
+  EXPECT_THROW((void)m.quorums(), std::domain_error);
 }
 
 TEST(Majority, BestQuorumIsSmallestValues) {
@@ -143,7 +144,7 @@ TEST(Majority, ExpectedMaxMatchesEnumeration) {
   const MajorityQuorum m{7, 4};
   const std::vector<double> values{5.0, 2.0, 8.0, 3.0, 7.0, 1.0, 4.0};
   double total = 0.0;
-  const auto quorums = m.enumerate_quorums(100);
+  const auto quorums = test_support::quorum_list(m);
   for (const Quorum& quorum : quorums) {
     double max_value = 0.0;
     for (std::size_t u : quorum) max_value = std::max(max_value, values[u]);
@@ -219,7 +220,7 @@ TEST(Grid, BasicShape) {
   EXPECT_EQ(g.universe_size(), 9u);
   EXPECT_DOUBLE_EQ(g.quorum_count(), 9.0);
   EXPECT_EQ(g.name(), "Grid(3x3)");
-  const auto quorums = g.enumerate_quorums(100);
+  const auto quorums = test_support::quorum_list(g);
   EXPECT_EQ(quorums.size(), 9u);
   for (const Quorum& quorum : quorums) EXPECT_EQ(quorum.size(), 5u);  // 2k-1.
 }
@@ -228,7 +229,7 @@ TEST(Grid, QuorumForRowColumn) {
   const GridQuorum g{3};
   // Quorums enumerate row-major by (row, column): quorum 1 * 3 + 2 is row 1
   // u column 2, elements 3,4,5 (row) + 2,8 (column minus overlap).
-  const std::vector<Quorum> quorums = g.enumerate_quorums(kEnumerationLimit);
+  const std::vector<Quorum> quorums = test_support::quorum_list(g);
   ASSERT_EQ(quorums.size(), 9u);
   EXPECT_EQ(quorums[1 * 3 + 2], (Quorum{2, 3, 4, 5, 8}));
 }
@@ -255,7 +256,7 @@ TEST(Grid, BestQuorumMatchesBruteForce) {
     const Quorum best = g.best_quorum(values);
     double best_max = 0.0;
     for (std::size_t u : best) best_max = std::max(best_max, values[u]);
-    for (const Quorum& quorum : g.enumerate_quorums(100)) {
+    for (const Quorum& quorum : test_support::quorum_list(g)) {
       double quorum_max = 0.0;
       for (std::size_t u : quorum) quorum_max = std::max(quorum_max, values[u]);
       EXPECT_GE(quorum_max + 1e-12, best_max);
@@ -269,7 +270,7 @@ TEST(Grid, ExpectedMaxMatchesEnumeration) {
   std::vector<double> values(25);
   for (double& v : values) v = rng.uniform(0.0, 50.0);
   double total = 0.0;
-  for (const Quorum& quorum : g.enumerate_quorums(100)) {
+  for (const Quorum& quorum : test_support::quorum_list(g)) {
     double max_value = 0.0;
     for (std::size_t u : quorum) max_value = std::max(max_value, values[u]);
     total += max_value;
@@ -289,7 +290,7 @@ TEST(Grid, SampleQuorumsValid) {
 TEST(Grid, DegenerateOneByOne) {
   const GridQuorum g{1};
   EXPECT_EQ(g.universe_size(), 1u);
-  EXPECT_EQ(g.enumerate_quorums(10).size(), 1u);
+  EXPECT_EQ(g.quorums().size(), 1u);
   EXPECT_DOUBLE_EQ(g.optimal_load(), 1.0);
 }
 

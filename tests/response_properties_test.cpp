@@ -99,10 +99,10 @@ TEST_P(ResponseModelSweep, MajorityAnalyticAgreesWithGridStyleEnumeration) {
   const double alpha = 17.0;
   const Evaluation analytic = evaluate_balanced(matrix_, majority, placement, alpha);
   ExplicitStrategy uniform;
-  uniform.quorums = majority.enumerate_quorums(100);
+  uniform.quorums = majority.shared_quorums();
   uniform.probability.assign(
-      matrix_.size(), std::vector<double>(uniform.quorums.size(),
-                                          1.0 / static_cast<double>(uniform.quorums.size())));
+      matrix_.size(), std::vector<double>(uniform.quorums->size(),
+                                          1.0 / static_cast<double>(uniform.quorums->size())));
   const Evaluation enumerated =
       evaluate_explicit(matrix_, majority, placement, alpha, uniform);
   EXPECT_NEAR(analytic.avg_response_ms, enumerated.avg_response_ms, 1e-9);

@@ -65,10 +65,10 @@ TEST(EvaluateBalanced, MatchesExplicitUniform) {
   const Evaluation balanced = evaluate_balanced(m, grid, p, alpha);
 
   ExplicitStrategy uniform;
-  uniform.quorums = grid.enumerate_quorums(100);
+  uniform.quorums = grid.shared_quorums();
   uniform.probability.assign(
-      m.size(), std::vector<double>(uniform.quorums.size(),
-                                    1.0 / static_cast<double>(uniform.quorums.size())));
+      m.size(), std::vector<double>(uniform.quorums->size(),
+                                    1.0 / static_cast<double>(uniform.quorums->size())));
   const Evaluation explicit_eval = evaluate_explicit(m, grid, p, alpha, uniform);
 
   EXPECT_NEAR(balanced.avg_response_ms, explicit_eval.avg_response_ms, 1e-9);
@@ -87,10 +87,10 @@ TEST(EvaluateBalanced, MajorityAnalyticMatchesEnumeration) {
   const Evaluation analytic = evaluate_balanced(m, majority, p, alpha);
 
   ExplicitStrategy uniform;
-  uniform.quorums = majority.enumerate_quorums(100);
+  uniform.quorums = majority.shared_quorums();
   uniform.probability.assign(
-      m.size(), std::vector<double>(uniform.quorums.size(),
-                                    1.0 / static_cast<double>(uniform.quorums.size())));
+      m.size(), std::vector<double>(uniform.quorums->size(),
+                                    1.0 / static_cast<double>(uniform.quorums->size())));
   const Evaluation enumerated = evaluate_explicit(m, majority, p, alpha, uniform);
   EXPECT_NEAR(analytic.avg_response_ms, enumerated.avg_response_ms, 1e-9);
   EXPECT_NEAR(analytic.avg_network_delay_ms, enumerated.avg_network_delay_ms, 1e-9);

@@ -13,33 +13,36 @@
 #include "net/synthetic.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::core {
 namespace {
 
 using net::LatencyMatrix;
+using quorum::test_support::make_table;
 
 // ------------------------------------------------------- ExplicitStrategy
 
 TEST(ExplicitStrategy, ValidationAcceptsProperDistribution) {
   ExplicitStrategy s;
-  s.quorums = {{0, 1}, {1, 2}};
+  s.quorums = make_table(3, {{0, 1}, {1, 2}});
   s.probability = {{0.25, 0.75}, {1.0, 0.0}};
   EXPECT_NO_THROW(s.validate(2, 3));
 }
 
 TEST(ExplicitStrategy, ValidationRejectsBadShapes) {
   ExplicitStrategy s;
-  s.quorums = {{0, 1}};
+  EXPECT_THROW(s.validate(0, 2), std::invalid_argument);  // No quorum table.
+  s.quorums = make_table(2, {{0, 1}});
   s.probability = {{1.0}};
   EXPECT_THROW(s.validate(2, 2), std::invalid_argument);  // Wrong client count.
   s.probability = {{0.5}, {1.0}};
   EXPECT_THROW(s.validate(2, 2), std::invalid_argument);  // Row sums to 0.5.
   s.probability = {{1.0}, {1.0}};
   EXPECT_NO_THROW(s.validate(2, 2));
-  s.quorums = {{0, 5}};
+  s.quorums = make_table(6, {{0, 5}});
   EXPECT_THROW(s.validate(2, 2), std::out_of_range);  // Element out of range.
-  s.quorums = {{}};
+  s.quorums = make_table(2, {{}});
   EXPECT_THROW(s.validate(2, 2), std::invalid_argument);  // Empty quorum.
 }
 
@@ -48,7 +51,7 @@ TEST(ExplicitStrategy, RejectsNaNProbability) {
   // finiteness check a NaN row would validate.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   ExplicitStrategy s;
-  s.quorums = {{0, 1}, {1, 2}};
+  s.quorums = make_table(3, {{0, 1}, {1, 2}});
   s.probability = {{nan, 1.0}, {1.0, 0.0}};
   EXPECT_THROW(s.validate(2, 3), std::invalid_argument);
   s.probability = {{0.25, 0.75}, {nan, nan}};
@@ -57,7 +60,7 @@ TEST(ExplicitStrategy, RejectsNaNProbability) {
 
 TEST(ExplicitStrategy, AverageDistribution) {
   ExplicitStrategy s;
-  s.quorums = {{0}, {1}};
+  s.quorums = make_table(2, {{0}, {1}});
   s.probability = {{1.0, 0.0}, {0.0, 1.0}};
   const auto avg = s.average_distribution();
   EXPECT_DOUBLE_EQ(avg[0], 0.5);
@@ -67,21 +70,19 @@ TEST(ExplicitStrategy, AverageDistribution) {
 // ------------------------------------------------------------ Element load
 
 TEST(ElementLoads, SumsQuorumProbabilities) {
-  const std::vector<quorum::Quorum> quorums{{0, 1}, {1, 2}};
+  const auto quorums = make_table(3, {{0, 1}, {1, 2}});
   const std::vector<double> distribution{0.3, 0.7};
-  const auto loads = element_loads(quorums, distribution, 3);
+  const auto loads = element_loads(*quorums, distribution);
   EXPECT_DOUBLE_EQ(loads[0], 0.3);
   EXPECT_DOUBLE_EQ(loads[1], 1.0);
   EXPECT_DOUBLE_EQ(loads[2], 0.7);
 }
 
 TEST(ElementLoads, ErrorsOnMismatch) {
-  EXPECT_THROW((void)element_loads(std::vector<quorum::Quorum>{{0}},
-                                   std::vector<double>{0.5, 0.5}, 1),
+  EXPECT_THROW((void)element_loads(*make_table(1, {{0}}), std::vector<double>{0.5, 0.5}),
                std::invalid_argument);
-  EXPECT_THROW((void)element_loads(std::vector<quorum::Quorum>{{3}},
-                                   std::vector<double>{1.0}, 2),
-               std::out_of_range);
+  // An element outside the universe cannot enter a table.
+  EXPECT_THROW((void)make_table(2, {{3}}), std::out_of_range);
 }
 
 // -------------------------------------------------------------- Site loads
@@ -130,7 +131,7 @@ TEST(SiteLoads, ClosestConcentratesOnPopularQuorum) {
 
 TEST(SiteLoads, ExplicitMatchesHandComputation) {
   ExplicitStrategy s;
-  s.quorums = {{0, 1}, {1}};
+  s.quorums = make_table(2, {{0, 1}, {1}});
   s.probability = {{1.0, 0.0}, {0.0, 1.0}};  // Client 0 -> Q0, client 1 -> Q1.
   const Placement p{{0, 1}};
   const auto loads = site_loads_explicit(s, p, 3);
@@ -153,7 +154,7 @@ TEST(ClosestQuorums, EachClientGetsItsOwnBest) {
     fill_element_distances(m, p, v, values);
     double chosen_max = 0.0;
     for (std::size_t u : chosen[v]) chosen_max = std::max(chosen_max, values[u]);
-    for (const auto& quorum : grid.enumerate_quorums(100)) {
+    for (const auto& quorum : quorum::test_support::quorum_list(grid)) {
       double other = 0.0;
       for (std::size_t u : quorum) other = std::max(other, values[u]);
       EXPECT_GE(other + 1e-12, chosen_max);
@@ -178,7 +179,7 @@ TEST(StrategyLp, UncapacitatedRecoversClosest) {
     std::vector<double> values;
     fill_element_distances(m, p, v, values);
     double best = 1e300;
-    for (const auto& quorum : grid.enumerate_quorums(100)) {
+    for (const auto& quorum : quorum::test_support::quorum_list(grid)) {
       double worst = 0.0;
       for (std::size_t u : quorum) worst = std::max(worst, values[u]);
       best = std::min(best, worst);
@@ -333,9 +334,9 @@ TEST(StrategyLp, DemandWeightsEnterTheCapacityRows) {
   for (std::size_t v = 0; v < m.size(); ++v) {
     std::vector<double> values;
     fill_element_distances(m, p, v, values);
-    for (std::size_t i = 0; i < lp.strategy.quorums.size(); ++i) {
+    for (std::size_t i = 0; i < lp.strategy.quorums->size(); ++i) {
       double worst = 0.0;
-      for (std::size_t u : lp.strategy.quorums[i]) worst = std::max(worst, values[u]);
+      for (std::size_t u : (*lp.strategy.quorums)[i]) worst = std::max(worst, values[u]);
       expected += weights[v] * lp.strategy.probability[v][i] * worst;
     }
   }

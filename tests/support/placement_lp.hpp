@@ -25,8 +25,8 @@ namespace qp::core::test_support {
                                                 std::span<const double> probs,
                                                 std::span<const double> caps,
                                                 std::size_t v0) {
-  const auto quorums = system.enumerate_quorums();
-  const std::vector<double> load = element_loads(quorums, probs, system.universe_size());
+  const quorum::QuorumTable& quorums = system.quorums();
+  const std::vector<double> load = element_loads(quorums, probs);
   const std::size_t sites = matrix.size();
   const std::size_t n = system.universe_size();
   const std::vector<double>& d = matrix.row(v0);

@@ -9,14 +9,14 @@
 
 #include "quorum/order_stats.hpp"
 #include "quorum/quorum_system.hpp"
+#include "support/quorum_enumeration.hpp"
 
 namespace qp::quorum::test_support {
 
-/// True iff every two quorums intersect. Enumerates the system, so it
-/// throws std::domain_error when the system has more than `limit` quorums.
-[[nodiscard]] inline bool verify_intersection(const QuorumSystem& system,
-                                              std::size_t limit = kEnumerationLimit) {
-  const std::vector<Quorum> quorums = system.enumerate_quorums(limit);
+/// True iff every two quorums intersect. Reads the system's quorum table, so
+/// it throws std::domain_error when the system is not enumerable().
+[[nodiscard]] inline bool verify_intersection(const QuorumSystem& system) {
+  const std::vector<Quorum> quorums = quorum_list(system);
   for (std::size_t a = 0; a < quorums.size(); ++a) {
     for (std::size_t b = a + 1; b < quorums.size(); ++b) {
       // Quorums are sorted, so intersection is a linear merge.

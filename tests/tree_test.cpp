@@ -38,7 +38,7 @@ TEST(Tree, SizesAndCounts) {
 TEST(Tree, EnumerationMatchesCountAndIsDistinct) {
   for (std::size_t h : {0u, 1u, 2u, 3u}) {
     const TreeQuorum tree{h};
-    const auto quorums = tree.enumerate_quorums(kEnumerationLimit);
+    const auto quorums = test_support::quorum_list(tree);
     EXPECT_EQ(static_cast<double>(quorums.size()), tree.quorum_count()) << "h=" << h;
     std::set<Quorum> unique(quorums.begin(), quorums.end());
     EXPECT_EQ(unique.size(), quorums.size()) << "h=" << h;
@@ -49,15 +49,15 @@ TEST(Tree, EnumerationMatchesCountAndIsDistinct) {
 }
 
 TEST(Tree, FlatTableSumsMatchEnumerationBitwise) {
-  // expected_max_uniform and uniform_load read the table built once per
-  // instance; they must equal the per-quorum sums over enumerate_quorums
-  // in enumeration order, bit for bit, at every height.
+  // expected_max_uniform and uniform_load read the system's quorum table;
+  // they must equal the per-quorum sums over the oracle enumeration in
+  // enumeration order, bit for bit, at every height.
   common::Rng rng{41};
   for (std::size_t h : {0u, 1u, 2u, 3u, 4u}) {
     const TreeQuorum tree{h};
     std::vector<double> values(tree.universe_size());
     for (double& value : values) value = rng.uniform(0.0, 300.0);
-    const std::vector<Quorum> quorums = tree.enumerate_quorums(kEnumerationLimit);
+    const std::vector<Quorum> quorums = test_support::tree_quorums(h);
     double total = 0.0;
     std::vector<double> load(tree.universe_size(), 0.0);
     for (const Quorum& quorum : quorums) {
@@ -78,14 +78,14 @@ TEST(Tree, FlatTableSumsMatchEnumerationBitwise) {
 
 TEST(Tree, HeightOneQuorumsExplicit) {
   const TreeQuorum tree{1};
-  const auto quorums = tree.enumerate_quorums(100);
+  const auto quorums = test_support::quorum_list(tree);
   const std::set<Quorum> expected{{0, 1}, {0, 2}, {1, 2}};
   EXPECT_EQ(std::set<Quorum>(quorums.begin(), quorums.end()), expected);
 }
 
 TEST(Tree, IntersectionProperty) {
   for (std::size_t h : {1u, 2u, 3u}) {
-    EXPECT_TRUE(verify_intersection(TreeQuorum{h}, kEnumerationLimit)) << "h=" << h;
+    EXPECT_TRUE(verify_intersection(TreeQuorum{h})) << "h=" << h;
   }
 }
 
@@ -99,14 +99,14 @@ TEST(Tree, BestQuorumMatchesBruteForce) {
     double best_max = 0.0;
     for (std::size_t u : best) best_max = std::max(best_max, values[u]);
     double brute = 1e300;
-    for (const Quorum& quorum : tree.enumerate_quorums(1000)) {
+    for (const Quorum& quorum : test_support::quorum_list(tree)) {
       double worst = 0.0;
       for (std::size_t u : quorum) worst = std::max(worst, values[u]);
       brute = std::min(brute, worst);
     }
     EXPECT_NEAR(best_max, brute, 1e-12);
     // The returned quorum must actually be one of the system's quorums.
-    const auto all = tree.enumerate_quorums(1000);
+    const auto all = test_support::quorum_list(tree);
     EXPECT_NE(std::find(all.begin(), all.end(), best), all.end());
   }
 }
@@ -114,7 +114,7 @@ TEST(Tree, BestQuorumMatchesBruteForce) {
 TEST(Tree, SmallestQuorumIsRootToLeafPath) {
   const TreeQuorum tree{3};
   std::size_t smallest = 1000;
-  for (const Quorum& quorum : tree.enumerate_quorums(1000)) {
+  for (const Quorum& quorum : test_support::quorum_list(tree)) {
     smallest = std::min(smallest, quorum.size());
   }
   EXPECT_EQ(smallest, 4u);  // Height 3 -> path of 4 nodes.
@@ -123,7 +123,7 @@ TEST(Tree, SmallestQuorumIsRootToLeafPath) {
 TEST(Tree, UniformLoadSumsToAverageQuorumSize) {
   const TreeQuorum tree{2};
   const auto load = tree.uniform_load();
-  const auto quorums = tree.enumerate_quorums(1000);
+  const auto quorums = test_support::quorum_list(tree);
   double total_size = 0.0;
   for (const Quorum& quorum : quorums) total_size += static_cast<double>(quorum.size());
   double total_load = 0.0;
@@ -142,7 +142,7 @@ TEST(Tree, ExpectedMaxUniformMatchesEnumeration) {
   std::vector<double> values(7);
   for (double& v : values) v = rng.uniform(0.0, 10.0);
   double total = 0.0;
-  const auto quorums = tree.enumerate_quorums(1000);
+  const auto quorums = test_support::quorum_list(tree);
   for (const Quorum& quorum : quorums) {
     double worst = 0.0;
     for (std::size_t u : quorum) worst = std::max(worst, values[u]);
@@ -167,7 +167,7 @@ TEST(Tree, SampledQuorumsAreUniform) {
 TEST(Tree, SampledQuorumsAreValidQuorums) {
   const TreeQuorum tree{3};
   common::Rng rng{43};
-  const auto all = tree.enumerate_quorums(1000);
+  const auto all = test_support::quorum_list(tree);
   const std::set<Quorum> valid(all.begin(), all.end());
   for (const Quorum& quorum : tree.sample_quorums(200, rng)) {
     EXPECT_TRUE(valid.count(quorum)) << "sampled quorum is not a tree quorum";
@@ -177,7 +177,7 @@ TEST(Tree, SampledQuorumsAreValidQuorums) {
 TEST(Tree, TouchProbabilityDefaultEnumeration) {
   const TreeQuorum tree{2};
   // P(touch root) = fraction of quorums containing element 0.
-  const auto quorums = tree.enumerate_quorums(1000);
+  const auto quorums = test_support::quorum_list(tree);
   int with_root = 0;
   for (const Quorum& quorum : quorums) {
     with_root += std::binary_search(quorum.begin(), quorum.end(), std::size_t{0});
