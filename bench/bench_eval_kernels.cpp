@@ -22,10 +22,7 @@
 //                              (alpha > 0), and §6 closest-strategy
 //                              objectives (uniform and demand-weighted),
 //                              plus the parallel neighborhood scan;
-//   * fill kernels           — the fill_element_distances gather, scalar on
-//                              baseline x86-64 and vpgatherqpd under
-//                              ENABLE_AVX2 (the avx2 counter records which
-//                              variant this binary is);
+//   * fill kernels           — the fill_element_distances gather;
 //   * simd kernels           — the common/simd_kernels.hpp reductions every
 //                              per-client evaluation bottoms out in.
 // The headline counters are speedup_vs_naive for delta local search, which
@@ -257,11 +254,9 @@ int main(int argc, char** argv) {
         ("EvalKernels/delta_candidate/" + config.label).c_str(),
         [&matrix, &config](benchmark::State& state) {
           const core::DeltaEvaluator eval{matrix, *config.system, config.placement};
-          std::size_t site = 0;
-          std::size_t element = 0;
+          bench::CandidateCycle cycle{config.placement, matrix.size()};
           for (auto _ : state) {
-            site = (site + 1) % matrix.size();
-            element = (element + 1) % config.placement.universe_size();
+            const auto [element, site] = cycle.next();
             benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
           }
         });
@@ -269,12 +264,8 @@ int main(int argc, char** argv) {
         ("EvalKernels/delta_scan/" + config.label).c_str(),
         [&matrix, &config](benchmark::State& state) {
           const core::DeltaEvaluator eval{matrix, *config.system, config.placement};
-          std::vector<bool> used(matrix.size(), false);
-          for (std::size_t site : config.placement.site_of) used[site] = true;
-          std::vector<std::size_t> targets;
-          for (std::size_t w = 0; w < matrix.size(); ++w) {
-            if (!used[w]) targets.push_back(w);
-          }
+          const std::vector<std::size_t> targets =
+              bench::CandidateCycle{config.placement, matrix.size()}.sites();
           std::vector<double> out(targets.size());
           std::size_t element = 0;
           for (auto _ : state) {
@@ -291,11 +282,9 @@ int main(int argc, char** argv) {
         [&matrix, &config, &load_aware](benchmark::State& state) {
           const core::DeltaEvaluator eval{matrix, *config.system, config.placement,
                                           load_aware};
-          std::size_t site = 0;
-          std::size_t element = 0;
+          bench::CandidateCycle cycle{config.placement, matrix.size()};
           for (auto _ : state) {
-            site = (site + 1) % matrix.size();
-            element = (element + 1) % config.placement.universe_size();
+            const auto [element, site] = cycle.next();
             benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
           }
         });
@@ -304,11 +293,9 @@ int main(int argc, char** argv) {
         [&matrix, &config, &closest](benchmark::State& state) {
           const core::DeltaEvaluator eval{matrix, *config.system, config.placement,
                                           closest};
-          std::size_t site = 0;
-          std::size_t element = 0;
+          bench::CandidateCycle cycle{config.placement, matrix.size()};
           for (auto _ : state) {
-            site = (site + 1) % matrix.size();
-            element = (element + 1) % config.placement.universe_size();
+            const auto [element, site] = cycle.next();
             benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
           }
         });
@@ -339,11 +326,9 @@ int main(int argc, char** argv) {
         [scenario, grid500, closest500, placement500](benchmark::State& state) {
           const core::DeltaEvaluator eval{scenario->matrix, *grid500, *placement500,
                                           *closest500};
-          std::size_t site = 0;
-          std::size_t element = 0;
+          bench::CandidateCycle cycle{*placement500, scenario->matrix.size()};
           for (auto _ : state) {
-            site = (site + 1) % scenario->matrix.size();
-            element = (element + 1) % placement500->universe_size();
+            const auto [element, site] = cycle.next();
             benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
           }
         });
@@ -361,11 +346,9 @@ int main(int argc, char** argv) {
             const core::ClientCandidateIndex index = core::ClientCandidateIndex::build(
                 scenario->matrix, &knn, eval.best_values(), config);
             eval.attach_candidate_index(&index);
-            std::size_t site = 0;
-            std::size_t element = 0;
+            bench::CandidateCycle cycle{*placement500, scenario->matrix.size()};
             for (auto _ : state) {
-              site = (site + 1) % scenario->matrix.size();
-              element = (element + 1) % placement500->universe_size();
+              const auto [element, site] = cycle.next();
               benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
             }
           });
@@ -417,11 +400,9 @@ int main(int argc, char** argv) {
                   stale_radii ? initial_eval.best_values() : eval.best_values(), {});
               eval.attach_candidate_index(&*index);
             }
-            std::size_t site = 0;
-            std::size_t element = 0;
+            bench::CandidateCycle cycle{*tightened, scenario->matrix.size()};
             for (auto _ : state) {
-              site = (site + 1) % scenario->matrix.size();
-              element = (element + 1) % tightened->universe_size();
+              const auto [element, site] = cycle.next();
               benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
             }
           });
@@ -433,11 +414,8 @@ int main(int argc, char** argv) {
                            true);
   }
 
-  // --- The fill_element_distances gather (scalar on baseline x86-64,
-  // 4-lane vpgatherqpd under ENABLE_AVX2, 8-lane masked under
-  // ENABLE_AVX512). The avx2/avx512 counters record the variant, so the
-  // builds' rows land side by side after merge_shards.py. n = 49 is
-  // the paper's largest universe; n = 2048 is a many-to-one stress shape.
+  // --- The fill_element_distances gather. n = 49 is the paper's largest
+  // universe; n = 2048 is a many-to-one stress shape.
   for (const std::size_t universe : {std::size_t{49}, std::size_t{2048}}) {
     common::Rng gather_rng{universe};
     core::Placement placement;
@@ -455,16 +433,6 @@ int main(int argc, char** argv) {
             core::fill_element_distances(matrix, placement, client, out);
             benchmark::DoNotOptimize(out.data());
           }
-#if defined(__AVX2__)
-          state.counters["avx2"] = 1.0;
-#else
-          state.counters["avx2"] = 0.0;
-#endif
-#if defined(__AVX512F__)
-          state.counters["avx512"] = 1.0;
-#else
-          state.counters["avx512"] = 0.0;
-#endif
         });
   }
 

@@ -56,11 +56,9 @@ void BM_LoadAwareDeltaCandidate500(benchmark::State& state) {
   const core::Placement placement =
       core::best_grid_placement(scenario.matrix, 7).placement;
   const core::DeltaEvaluator eval{scenario.matrix, grid, placement, objective};
-  std::size_t site = 0;
-  std::size_t element = 0;
+  bench::CandidateCycle cycle{placement, scenario.matrix.size()};
   for (auto _ : state) {
-    site = (site + 1) % scenario.matrix.size();
-    element = (element + 1) % placement.universe_size();
+    const auto [element, site] = cycle.next();
     benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
   }
 }
@@ -76,11 +74,9 @@ void BM_ClosestDeltaCandidate500(benchmark::State& state) {
   const core::Placement placement =
       core::best_grid_placement(scenario.matrix, 7).placement;
   const core::DeltaEvaluator eval{scenario.matrix, grid, placement, objective};
-  std::size_t site = 0;
-  std::size_t element = 0;
+  bench::CandidateCycle cycle{placement, scenario.matrix.size()};
   for (auto _ : state) {
-    site = (site + 1) % scenario.matrix.size();
-    element = (element + 1) % placement.universe_size();
+    const auto [element, site] = cycle.next();
     benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
   }
 }
@@ -105,11 +101,9 @@ void BM_ClosestDeltaCandidate500Indexed(benchmark::State& state) {
   const core::ClientCandidateIndex index = core::ClientCandidateIndex::build(
       scenario.matrix, &knn, eval.best_values(), config);
   eval.attach_candidate_index(&index);
-  std::size_t site = 0;
-  std::size_t element = 0;
+  bench::CandidateCycle cycle{placement, scenario.matrix.size()};
   for (auto _ : state) {
-    site = (site + 1) % scenario.matrix.size();
-    element = (element + 1) % placement.universe_size();
+    const auto [element, site] = cycle.next();
     benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
   }
 }

@@ -11,10 +11,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <iostream>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "core/placement.hpp"
 #include "eval/sweeps.hpp"
 
 namespace qp::bench {
@@ -46,6 +50,38 @@ void emit_rows(const Rows& rows, Name name) {
     register_point(name(row), [counters](benchmark::State& state) { state.counters = counters; });
   }
 }
+
+/// The one-to-one local search's candidates, cycled for a one-candidate
+/// timing loop: each next() advances both the element and the target, and
+/// the targets are the sites `placement` leaves unused, the only moves a
+/// DeltaEvaluator scores.
+class CandidateCycle {
+ public:
+  CandidateCycle(const core::Placement& placement, std::size_t site_count)
+      : universe_(placement.universe_size()) {
+    std::vector<bool> used(site_count, false);
+    for (std::size_t site : placement.site_of) used[site] = true;
+    for (std::size_t w = 0; w < site_count; ++w) {
+      if (!used[w]) sites_.push_back(w);
+    }
+  }
+
+  /// The unused sites, ascending.
+  [[nodiscard]] const std::vector<std::size_t>& sites() const noexcept { return sites_; }
+
+  /// The next (element, site) candidate.
+  std::pair<std::size_t, std::size_t> next() {
+    element_ = (element_ + 1) % universe_;
+    slot_ = (slot_ + 1) % sites_.size();
+    return {element_, sites_[slot_]};
+  }
+
+ private:
+  std::size_t universe_;
+  std::vector<std::size_t> sites_;
+  std::size_t element_ = 0;
+  std::size_t slot_ = 0;
+};
 
 inline int run_benchmarks(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

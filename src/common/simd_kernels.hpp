@@ -20,55 +20,7 @@
 #include <limits>
 #include <span>
 
-#if defined(__AVX2__) || defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
 namespace qp::common {
-
-/// out[i] = base[idx[i]] — the indexed-load ("gather") shape of the
-/// fill_element_* kernels (values indexed by a placement's site_of). The
-/// scalar loop is the baseline-x86-64 form (no gather instruction before
-/// AVX2, so the autovectorizer leaves it serial); under -mavx2
-/// (ENABLE_AVX2 in CMake) the loop body becomes vpgatherqpd over four
-/// 64-bit indices per step; under -mavx512f (ENABLE_AVX512) it widens to
-/// eight lanes with a write-masked tail, so no scalar remainder loop runs
-/// at all. All variants produce identical doubles — the kernel only moves
-/// data.
-inline void gather_indexed(const double* base, const std::size_t* idx, std::size_t n,
-                           double* out) noexcept {
-  std::size_t i = 0;
-#if defined(__AVX512F__)
-  static_assert(sizeof(std::size_t) == sizeof(long long));
-  for (; i + 8 <= n; i += 8) {
-    const __m512i indices =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(idx + i));
-    // Full-mask gather with an explicit zero source: the unmasked intrinsic
-    // self-initializes its pass-through operand inside GCC's <immintrin.h>,
-    // which -Wmaybe-uninitialized rejects under -Werror (GCC 12).
-    _mm512_storeu_pd(out + i, _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF,
-                                                       indices, base, 8));
-  }
-  if (i < n) {
-    // Masked tail: inactive lanes neither load indices nor touch base/out,
-    // so out-of-bounds lanes cannot fault.
-    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512i indices = _mm512_maskz_loadu_epi64(tail, idx + i);
-    const __m512d gathered =
-        _mm512_mask_i64gather_pd(_mm512_setzero_pd(), tail, indices, base, 8);
-    _mm512_mask_storeu_pd(out + i, tail, gathered);
-    i = n;
-  }
-#elif defined(__AVX2__)
-  static_assert(sizeof(std::size_t) == sizeof(long long));
-  for (; i + 4 <= n; i += 4) {
-    const __m256i indices =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    _mm256_storeu_pd(out + i, _mm256_i64gather_pd(base, indices, 8));
-  }
-#endif
-  for (; i < n; ++i) out[i] = base[idx[i]];
-}
 
 /// max over a contiguous span; -infinity for an empty span.
 [[nodiscard]] inline double max_reduce(std::span<const double> values) noexcept {

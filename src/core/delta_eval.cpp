@@ -24,8 +24,6 @@ namespace {
 // candidate — never per client — so the per-candidate overhead stays flat.
 const obs::Counter c_de_candidates = obs::counter("core.delta_eval.candidates");
 const obs::Counter c_de_fast = obs::counter("core.delta_eval.fast_path");
-const obs::Counter c_de_general =
-    obs::counter("core.delta_eval.general_fallbacks");
 const obs::Counter c_de_closest_full =
     obs::counter("core.delta_eval.closest_full_scans");
 const obs::Counter c_de_closest_indexed =
@@ -37,8 +35,6 @@ const obs::Counter c_de_kept =
 const obs::Counter c_de_recomputed =
     obs::counter("core.delta_eval.closest_clients_recomputed");
 const obs::Counter c_de_apply = obs::counter("core.delta_eval.apply_moves");
-const obs::Counter c_de_rebuilds =
-    obs::counter("core.delta_eval.apply_rebuilds");
 
 /// Value at (0-based) rank `r` of the ascending row `y` (length n) after
 /// removing one copy of `removed` (which must be present) and inserting
@@ -149,6 +145,9 @@ DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
   if (n_ != system.universe_size()) {
     throw std::invalid_argument{"DeltaEvaluator: placement size != universe size"};
   }
+  if (!placement_.one_to_one()) {
+    throw std::invalid_argument{"DeltaEvaluator: placement must be one-to-one"};
+  }
   alpha_ = objective.alpha();
   client_weight_ = objective.client_weights();
   if (!client_weight_.empty() && client_weight_.size() != clients_) {
@@ -179,6 +178,10 @@ DeltaEvaluator::DeltaEvaluator(const net::LatencySpace& space,
   } else if (!closest_ && system.enumerable()) {
     shape_ = Shape::Enumerated;
     quorums_ = &system.quorums();
+  } else if (!closest_) {
+    throw std::invalid_argument{
+        "DeltaEvaluator: a balanced objective needs a Sorted, Grid or enumerable "
+        "quorum system"};
   }
   rebuild();
 }
@@ -200,9 +203,7 @@ double DeltaEvaluator::charge_weight(std::size_t v) const noexcept {
 void DeltaEvaluator::gather_values(std::size_t v, double* out) const {
   space_->fill_rtts(v, placement_.site_of.data(), n_, out);
   if (!load_aware_) return;
-  for (std::size_t u = 0; u < n_; ++u) {
-    out[u] += site_term_[placement_.site_of[u]];
-  }
+  for (std::size_t u = 0; u < n_; ++u) out[u] += load_term(u);
 }
 
 void DeltaEvaluator::repair_grid_client_tables(std::size_t v, std::size_t r0,
@@ -296,7 +297,7 @@ void DeltaEvaluator::repair_client_tables(std::size_t v, std::size_t element,
       for (std::size_t l : quorums_->incident(element)) refresh_quorum_max(v, l);
       break;
     case Shape::Generic:
-      break;  // No tables beyond the row itself.
+      break;  // Closest only: no tables beyond the row itself.
   }
 }
 
@@ -354,13 +355,8 @@ void DeltaEvaluator::settle_balanced_client(std::size_t v) {
       response = sum / static_cast<double>(count);
       break;
     }
-    case Shape::Generic: {
-      static thread_local std::vector<double> tl_scratch;
-      response = system_->expected_max_uniform_scratch(
-          std::span<const double>{values_.data() + v * n_, n_}, tl_scratch);
-      client_sum_[v] = response;
-      break;
-    }
+    case Shape::Generic:
+      break;  // Closest only; the constructor refuses a balanced objective.
   }
   base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * response;
 }
@@ -404,20 +400,6 @@ void DeltaEvaluator::rebuild() {
     }
     if (shape_ == Shape::Sorted) second_value_.resize(clients_);
   }
-  if (load_aware_) {
-    // Per-site load tables, recomputed from scratch so drift cannot
-    // accumulate across moves.
-    site_load_.assign(clients_, 0.0);
-    hosted_count_.assign(clients_, 0);
-    for (std::size_t u = 0; u < n_; ++u) {
-      site_load_[placement_.site_of[u]] += lambda_[u];
-      ++hosted_count_[placement_.site_of[u]];
-    }
-    site_term_.resize(clients_);
-    for (std::size_t w = 0; w < site_term_.size(); ++w) {
-      site_term_[w] = alpha_ * site_load_[w];
-    }
-  }
   base_total_ = 0.0;
   const bool gather_sorted = shape_ == Shape::Sorted && !closest_;  // No values_ row.
   for (std::size_t v = 0; v < clients_; ++v) {
@@ -432,39 +414,6 @@ void DeltaEvaluator::rebuild() {
   if (closest_) rebuild_closest_loads_and_rho();
 }
 
-double DeltaEvaluator::objective_if_moved_general(std::size_t element,
-                                                  std::size_t site) const {
-  // The move colocates or separates elements, shifting load_f at both
-  // endpoint sites and hence the value of every element they host: patch a
-  // full per-client value vector against the post-move load terms. Thread-
-  // local buffers keep the const method allocation-free in steady state AND
-  // safe under a parallel neighborhood scan. Generic shapes keep no candidate
-  // tables and take this path for every move, load-aware or not.
-  const std::size_t old_site = placement_.site_of[element];
-  static thread_local std::vector<double> tl_term;
-  static thread_local std::vector<std::size_t> tl_sites;
-  static thread_local std::vector<double> tl_values;
-  static thread_local std::vector<double> tl_scratch;
-  if (load_aware_) {
-    tl_term.assign(site_term_.begin(), site_term_.end());
-    tl_term[old_site] = alpha_ * (site_load_[old_site] - lambda_[element]);
-    tl_term[site] = alpha_ * (site_load_[site] + lambda_[element]);
-  }
-  tl_sites.assign(placement_.site_of.begin(), placement_.site_of.end());
-  tl_sites[element] = site;
-  tl_values.resize(n_);
-  double total = 0.0;
-  for (std::size_t v = 0; v < clients_; ++v) {
-    space_->fill_rtts(v, tl_sites.data(), n_, tl_values.data());
-    if (load_aware_) {
-      for (std::size_t u = 0; u < n_; ++u) tl_values[u] += tl_term[tl_sites[u]];
-    }
-    const double expectation = system_->expected_max_uniform_scratch(tl_values, tl_scratch);
-    total += (client_weight_.empty() ? 1.0 : client_weight_[v]) * expectation;
-  }
-  return client_weight_.empty() ? total / static_cast<double>(clients_) : total;
-}
-
 double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site) const {
   double out = 0.0;
   objectives_if_moved(element, {&site, 1}, &out);
@@ -476,17 +425,13 @@ void DeltaEvaluator::objectives_if_moved(std::size_t element,
                                          double* out) const {
   QP_CHECK(element < n_, "objective_if_moved: element out of range");
   const std::size_t old_site = placement_.site_of[element];
-  // Sites the balanced tables answer are batched into one table_scan; the
-  // rest take their one-site paths. The cached tables answer single-
-  // coordinate moves only: a load-aware move touching a co-hosted site
-  // perturbs other coordinates too and takes the general path, as does
-  // every move of a Generic shape.
+  // Balanced sites are batched into one table_scan; closest sites take
+  // their one-site paths.
   static thread_local std::vector<std::size_t> tl_sites;
   static thread_local std::vector<std::size_t> tl_slots;
   tl_sites.clear();
   tl_slots.clear();
   std::size_t candidates = 0;
-  std::size_t general = 0;
   for (std::size_t i = 0; i < sites.size(); ++i) {
     const std::size_t site = sites[i];
     QP_CHECK(site < clients_, "objective_if_moved: site out of range");
@@ -494,20 +439,21 @@ void DeltaEvaluator::objectives_if_moved(std::size_t element,
       out[i] = objective();
       continue;
     }
+#if QP_PARITY_AUDIT_ENABLED
+    QP_CHECK(std::find(placement_.site_of.begin(), placement_.site_of.end(), site) ==
+                 placement_.site_of.end(),
+             "objective_if_moved: the target site hosts another element");
+#endif
     ++candidates;
     if (closest_) {
       out[i] = candidate_index_ != nullptr ? closest_if_moved_indexed(element, site)
                                            : closest_if_moved(element, site);
-    } else if (shape_ == Shape::Generic || shifts_load(old_site, site)) {
-      ++general;
-      out[i] = objective_if_moved_general(element, site);
     } else {
       tl_sites.push_back(site);
       tl_slots.push_back(i);
     }
   }
   c_de_candidates.add(candidates);
-  c_de_general.add(general);
   c_de_fast.add(tl_sites.size());
   if (!tl_sites.empty()) table_scan(element, tl_sites, tl_slots, out);
 }
@@ -520,25 +466,21 @@ void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t
   // site alone returns.
   const std::size_t m = sites.size();
   const std::size_t old_site = placement_.site_of[element];
-  static thread_local std::vector<double> tl_add;    // Sites: the moved element's load term.
   static thread_local std::vector<double> tl_val;    // Sites: the client's candidate value.
   static thread_local std::vector<double> tl_total;  // Sites: weighted sum over clients.
-  tl_add.resize(m);
   tl_val.resize(m);
   tl_total.assign(m, 0.0);
-  const double old_add = load_aware_ ? site_term_[old_site] : 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    tl_add[j] = load_aware_ ? alpha_ * (site_load_[sites[j]] + lambda_[element]) : 0.0;
-  }
-  // Client v's candidate values d(v, sites[j]) + tl_add[j]: one contiguous
-  // row on a dense space, one fill_rtts on an implicit one.
+  // The element carries its load term to whichever site it moves to.
+  const double add = load_term(element);
+  // Client v's candidate values d(v, sites[j]) + add: one contiguous row on
+  // a dense space, one fill_rtts on an implicit one.
   const auto gather = [&](std::size_t v) {
     if (matrix_ != nullptr) {
       const double* row = matrix_->row(v).data();
-      for (std::size_t j = 0; j < m; ++j) tl_val[j] = row[sites[j]] + tl_add[j];
+      for (std::size_t j = 0; j < m; ++j) tl_val[j] = row[sites[j]] + add;
     } else {
       space_->fill_rtts(v, sites.data(), m, tl_val.data());
-      for (std::size_t j = 0; j < m; ++j) tl_val[j] += tl_add[j];
+      for (std::size_t j = 0; j < m; ++j) tl_val[j] += add;
     }
   };
   switch (shape_) {
@@ -553,7 +495,7 @@ void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t
         const double* y = sorted_.data() + v * n_;
         const double* a = shift_up_.data() + v * n_;
         const double* b = shift_down_.data() + v * (n_ + 1);
-        const double old_value = site_rtt(v, old_site) + old_add;
+        const double old_value = site_rtt(v, old_site) + add;
         const std::size_t p_lo =
             static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y);
         const std::size_t p_hi =
@@ -656,7 +598,7 @@ void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t
       break;
     }
     case Shape::Generic:
-      break;  // Routed to the general path by objectives_if_moved.
+      break;  // Closest only; the constructor refuses a balanced objective.
   }
   for (std::size_t j = 0; j < m; ++j) {
     out[slots[j]] =
@@ -1235,39 +1177,23 @@ void DeltaEvaluator::apply_move(std::size_t element, std::size_t site) {
     throw std::out_of_range{"DeltaEvaluator::apply_move: element or site out of range"};
   }
   const std::size_t old_site = placement_.site_of[element];
+  if (site != old_site && std::find(placement_.site_of.begin(), placement_.site_of.end(),
+                                    site) != placement_.site_of.end()) {
+    throw std::invalid_argument{
+        "DeltaEvaluator::apply_move: the target site hosts another element"};
+  }
   c_de_apply.add();
-  if (closest_) {
-    if (site != old_site) apply_move_closest(element, site);
-  } else if (site == old_site) {
+  if (site == old_site) {
     // No-op move: nothing to repair.
-  } else if (shape_ == Shape::Generic || shifts_load(old_site, site)) {
-    // Generic shapes keep no tables to repair. A colocating (or
-    // de-colocating) load-aware move shifts many coordinates; the one-to-one
-    // local search never takes that path, it exists for arbitrary apply_move
-    // callers. Both rebuild from scratch.
-    c_de_rebuilds.add();
-    placement_.site_of[element] = site;
-    rebuild();
+  } else if (closest_) {
+    apply_move_closest(element, site);
   } else {
-    const double old_add = load_aware_ ? site_term_[old_site] : 0.0;
-    const double new_add =
-        load_aware_ ? alpha_ * (site_load_[site] + lambda_[element]) : 0.0;
-    if (load_aware_) {
-      // old_site hosted exactly `element`, site hosted nothing: the exact
-      // post-move tables need no re-accumulation.
-      site_load_[old_site] = 0.0;
-      hosted_count_[old_site] = 0;
-      site_load_[site] = lambda_[element];
-      hosted_count_[site] = 1;
-      site_term_[old_site] = 0.0;
-      site_term_[site] = alpha_ * site_load_[site];
-    }
+    const double add = load_term(element);
     placement_.site_of[element] = site;
     // Single-coordinate repair of every client's tables.
     base_total_ = 0.0;
     for (std::size_t v = 0; v < clients_; ++v) {
-      repair_client_tables(v, element, site_rtt(v, old_site) + old_add,
-                           site_rtt(v, site) + new_add);
+      repair_client_tables(v, element, site_rtt(v, old_site) + add, site_rtt(v, site) + add);
       settle_balanced_client(v);
     }
   }

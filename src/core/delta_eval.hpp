@@ -19,17 +19,23 @@
 //     per-row/column quorum-maxima sums).
 //   * Enumerated (balanced only; FPP, Tree, any enumerable system): per-
 //     quorum maxima over the system's QuorumTable and its incidence lists.
-//   * Generic: the rows alone. Balanced candidates re-evaluate each client
-//     in full (no built-in system lands here); the closest choice needs only
-//     QuorumSystem::best_quorum, so every other system lands here.
+//   * Generic (closest only): the rows alone. The closest choice needs only
+//     QuorumSystem::best_quorum, so every other system lands here. A
+//     balanced objective needs one of the three table shapes above; the
+//     constructor refuses it on any other system.
+//
+// The evaluator serves the one-to-one local search (§4.1.1) and its
+// contract: the placement is one-to-one (the constructor refuses any
+// other), and every candidate and move targets the element's own site or an
+// unused one (apply_move refuses an occupied target; objectives_if_moved
+// audits it at QP_CHECK_LEVEL >= 2). Under that contract load_f at an
+// element's site is its own lambda_u, so the load term of x_f is the
+// per-element constant alpha * lambda_u, which follows the element.
 //
 // Balanced strategy (R = E_uniform[max x]): relocating one element changes
-// exactly one coordinate of every client's value row when alpha = 0, and
-// also when an alpha > 0 move relocates a solely-hosted element to an
-// unused site (the invariant of the one-to-one local search): load_f at the
-// old site is exactly the element's own lambda_u, which follows it. The
-// tables then answer all of one element's target sites in one pass over the
-// clients (objectives_if_moved): per (element, client), the move-invariant
+// exactly one coordinate of every client's value row. The tables answer all
+// of one element's target sites in one pass over the clients
+// (objectives_if_moved): per (element, client), the move-invariant
 // inputs are read once — Sorted: the old value's rank, O(log n); Grid: the
 // row/column exclusion maxima and their two O(k) quorum-maxima reductions;
 // Enumerated: each incident quorum's maximum without the element — and per
@@ -37,11 +43,6 @@
 // (against the naive copy+sort+dot); Grid: O(1), or O(k) for a reduction
 // whose row or column maximum the site raises; Enumerated: one max per
 // incident quorum.
-//
-// Moves that colocate elements (either endpoint hosts anything else) shift
-// load_f at both sites and hence every colocated element's value; those fall
-// back to a per-client patched re-evaluation against the maintained per-site
-// load tables (site_load_ / hosted_count_).
 //
 // Closest strategy (§6, R = rho of the argmin-network-delay quorum): the
 // per-client cost couples globally through the load the quorum choices
@@ -62,9 +63,8 @@
 //     selection from a patched O(log n) rank, Grid's flattened first-wins
 //     argmin in O(k), bitwise equal to the k*k scan) from the cached
 //     tables, or calling best_quorum itself for Generic systems (Tree's
-//     DP tie-breaking is not scan order) — so colocated placements (which
-//     tie constantly) stay in exact parity with the naive closest
-//     evaluation.
+//     DP tie-breaking is not scan order) — so distance ties stay in exact
+//     parity with the naive closest evaluation.
 // The candidate load table is the maintained one patched by the (few)
 // flipped choices; the response pass then reprices every client's chosen
 // quorum in O(|Q|). apply_move repairs the distance rows (one coordinate
@@ -105,8 +105,10 @@ class DeltaEvaluator {
   /// LatencySpace (e.g. a LatencyEmbedding) — results are identical doubles
   /// whenever the two agree pairwise. The two-argument form evaluates pure
   /// network delay. Throws std::invalid_argument for an objective without
-  /// delta support, a placement whose size is not the system's universe
-  /// size, or client weights whose count is not the site count.
+  /// delta support, a placement that is not one-to-one or whose size is not
+  /// the system's universe size, client weights whose count is not the site
+  /// count, or a balanced objective on a system that is neither Sorted, Grid
+  /// nor enumerable.
   DeltaEvaluator(const net::LatencySpace& space, const quorum::QuorumSystem& system,
                  const Placement& placement, const Objective& objective);
   DeltaEvaluator(const net::LatencySpace& space, const quorum::QuorumSystem& system,
@@ -117,22 +119,25 @@ class DeltaEvaluator {
   /// Current objective J(f).
   [[nodiscard]] double objective() const noexcept;
 
-  /// J(f') where f' relocates `element` to `site`; the placement itself is
-  /// unchanged. Thread-safe. A one-site objectives_if_moved.
+  /// J(f') where f' relocates `element` to `site` (its own site or an
+  /// unused one); the placement itself is unchanged. Thread-safe. A one-site
+  /// objectives_if_moved.
   [[nodiscard]] double objective_if_moved(std::size_t element, std::size_t site) const;
 
   /// out[i] = J(f') where f' relocates `element` to sites[i], for every i —
   /// bitwise the one-site objective_if_moved(element, sites[i]), but the
-  /// table-answered sites share one pass over the clients. Thread-safe; the
-  /// placement itself is unchanged.
+  /// balanced sites share one pass over the clients. Each site must be the
+  /// element's own or an unused one: the answer for an occupied site is
+  /// unspecified, and QP_CHECK_LEVEL >= 2 aborts on it (an O(n) scan per
+  /// site). Thread-safe; the placement itself is unchanged.
   void objectives_if_moved(std::size_t element, std::span<const std::size_t> sites,
                            double* out) const;
 
   /// Commits the relocation with per-move incremental repair of the cached
   /// distance/load/quorum-choice tables (per-client sums are reaccumulated
-  /// from the repaired tables, so drift cannot compound); colocating moves
-  /// under a load-aware balanced objective, and every balanced move on a
-  /// Generic shape, fall back to a full rebuild.
+  /// from the repaired tables, so drift cannot compound). Throws
+  /// std::out_of_range for an element or site out of range and
+  /// std::invalid_argument when `site` hosts another element.
   void apply_move(std::size_t element, std::size_t site);
 
   /// True when the objective uses the closest access strategy (the only
@@ -180,23 +185,18 @@ class DeltaEvaluator {
   void repair_grid_client_tables(std::size_t v, std::size_t r0, std::size_t c0);
   /// Enumerated: client v's maximum over quorum l.
   void refresh_quorum_max(std::size_t v, std::size_t l);
+  /// alpha * lambda_u, the load term of x_f(v, u) on a one-to-one
+  /// placement; 0 unless load_aware_.
+  [[nodiscard]] double load_term(std::size_t element) const noexcept {
+    return load_aware_ ? alpha_ * lambda_[element] : 0.0;
+  }
   /// x_f(v, u) for every element into `out` (size n_); the pure distance
   /// row for the closest strategy, which never sets load_aware_.
   void gather_values(std::size_t v, double* out) const;
-  /// True when a load-aware move off `old_site` onto `site` shifts load_f
-  /// under other elements (either endpoint hosts anything else).
-  [[nodiscard]] bool shifts_load(std::size_t old_site, std::size_t site) const noexcept {
-    return load_aware_ && (hosted_count_[old_site] != 1 || hosted_count_[site] != 0);
-  }
-  /// Generic shapes and load-shifting (colocated) moves: per-client patched
-  /// re-evaluation against the post-move load tables.
-  [[nodiscard]] double objective_if_moved_general(std::size_t element,
-                                                  std::size_t site) const;
   /// The balanced table kernel behind objectives_if_moved: relocations of
-  /// `element` to sites[j] (none its own site, none load-shifting, shape not
-  /// Generic), written to out[slots[j]]. One pass over the clients reads
-  /// each client's move-invariant table entries once, then scores every
-  /// site against them.
+  /// `element` to the unused sites[j], written to out[slots[j]]. One pass
+  /// over the clients reads each client's move-invariant table entries
+  /// once, then scores every site against them.
   void table_scan(std::size_t element, std::span<const std::size_t> sites,
                   std::span<const std::size_t> slots, double* out) const;
 
@@ -297,17 +297,14 @@ class DeltaEvaluator {
   /// historical accumulate-then-divide arithmetic bitwise.
   std::span<const double> client_weight_;
 
-  /// Load model state: alpha, per-element lambda_u, and the per-site tables
-  /// maintained across moves. load_aware_ is false when alpha == 0 (or the
-  /// objective has no load contributions), in which case the tables stay
-  /// empty and every code path matches the historical network-delay engine.
+  /// Load model: alpha and the per-element lambda_u (balanced only; see
+  /// load_term). load_aware_ is false when alpha == 0 (or the objective has
+  /// no load contributions), and every code path then matches the
+  /// historical network-delay engine.
   double alpha_ = 0.0;
   bool load_aware_ = false;
   bool closest_ = false;
   std::span<const double> lambda_;
-  std::vector<double> site_load_;          // sites: sum of hosted lambda_u.
-  std::vector<double> site_term_;          // sites: alpha * site_load_.
-  std::vector<std::size_t> hosted_count_;  // sites: # hosted elements.
 
   /// Weighted sum over clients of R_v, and R_v itself (or the per-client
   /// quorum-sum S_v for the balanced Grid/Enumerated shapes, see .cpp).

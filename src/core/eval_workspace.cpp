@@ -3,11 +3,8 @@
 namespace qp::core {
 
 // The fill kernels below are gathers (indexed by site_of) through
-// LatencySpace::fill_rtts. LatencyMatrix runs common::gather_indexed over
-// the client's row: baseline x86-64 has no gather instruction, so the
-// scalar loop runs there and the AVX2 vpgatherqpd form under ENABLE_AVX2
-// (identical doubles either way; bench_eval_kernels records both
-// variants). The reductions those values feed — the Majority order-stat
+// LatencySpace::fill_rtts; LatencyMatrix reads the client's row with a
+// scalar loop. The reductions those values feed — the Majority order-stat
 // dot, the Grid row/column maxima and quorum-maxima sums — run through the
 // vectorized common/simd_kernels.hpp kernels inside each QuorumSystem's
 // expected_max_uniform_scratch.

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/manytoone.hpp"
 #include "core/response.hpp"
 
 namespace qp::core {
@@ -47,8 +48,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
 
     // Phase 1: many-to-one placement under the average strategy.
     const ManyToOneSearchResult search = best_many_to_one_placement(
-        space, system, average_distribution, capacities, options.anchor_candidates,
-        options.placement);
+        space, system, average_distribution, capacities, options.anchor_candidates);
     if (search.best.status != lp::SolveStatus::Optimal) {
       if (!have_accepted) {
         throw std::runtime_error{
@@ -71,7 +71,7 @@ IterativeResult iterative_placement(const net::LatencySpace& space,
     // the LP may only re-route delay, never concentrate load further.
     std::vector<double> load_caps = phase1.site_load;
     for (double& cap : load_caps) cap = cap * (1.0 + 1e-9) + 1e-12;
-    StrategyLpOptions strategy_options = options.strategy;
+    StrategyLpOptions strategy_options;
     const std::vector<std::size_t> support = placement.support_set();
     if (options.warm_start && !warm_basis.empty() && support == warm_support) {
       strategy_options.simplex.initial_basis = warm_basis;

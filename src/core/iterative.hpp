@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "core/manytoone.hpp"
 #include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
@@ -26,8 +25,6 @@ struct IterativeOptions {
   /// Anchor clients v0 tried by the placement search each iteration;
   /// empty = all sites (the paper's choice; slower).
   std::vector<std::size_t> anchor_candidates;
-  ManyToOneOptions placement{};
-  StrategyLpOptions strategy{};
   /// Seed each round's phase-2 LP from the previous round's optimal basis
   /// (applied when the placement support set — and so the LP shape —
   /// matches the round that produced the basis). The revised

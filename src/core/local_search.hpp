@@ -9,9 +9,11 @@
 // One route, chosen by the objective's capability: objectives the
 // incremental core::DeltaEvaluator models (Objective::supports_delta) are
 // searched through it — one pass over the clients per element scores all of
-// its target sites, instead of a full re-evaluation per candidate,
-// optionally scanning the neighborhood on the shared thread pool (one task
-// per element). The parallel scan only distributes candidate evaluation; the
+// its target sites, instead of a full re-evaluation per candidate. The
+// evaluator's contract is exactly this search's invariant: a one-to-one
+// placement, and moves of one element to an unused site. The route can
+// scan the neighborhood on the shared thread pool (one task per element).
+// The parallel scan only distributes candidate evaluation; the
 // accept decision replays the serial scan order, so results are
 // bit-identical for any thread count. The rest (FailureAwareObjective's
 // expectation over failure sets) take a full re-evaluation per candidate,

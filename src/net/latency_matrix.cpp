@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/simd_kernels.hpp"
-
 namespace qp::net {
 
 namespace {
@@ -80,7 +78,8 @@ double LatencyMatrix::rtt(std::size_t a, std::size_t b) const {
 void LatencyMatrix::fill_rtts(std::size_t from, const std::size_t* sites,
                               std::size_t count, double* out) const {
   check_site(from);
-  common::gather_indexed(rtt_[from].data(), sites, count, out);
+  const double* row = rtt_[from].data();
+  for (std::size_t i = 0; i < count; ++i) out[i] = row[sites[i]];
 }
 
 const std::vector<double>& LatencyMatrix::row(std::size_t a) const {

@@ -26,8 +26,7 @@ class LatencyMatrix : public LatencySpace {
   /// RTT between sites in milliseconds; rtt(v, v) == 0.
   [[nodiscard]] double rtt(std::size_t a, std::size_t b) const override;
 
-  /// Row gather via the SIMD gather kernel (identical doubles to the scalar
-  /// loop — the kernel only moves data).
+  /// out[i] = rtt(from, sites[i]), read straight from the row.
   void fill_rtts(std::size_t from, const std::size_t* sites, std::size_t count,
                  double* out) const override;
 

@@ -2,17 +2,19 @@
 // DeltaEvaluator engine: ClosestStrategyObjective must match evaluate_closest
 // exactly, the quorum-choice tables (per-client best quorum + best/second
 // values with lazy repair) must match the naive closest evaluation to 1e-9
-// across all four quorum-system families, every (element, site) candidate,
-// colocated placements (where distance ties make the choice recompute paths
-// exercise best_quorum's exact tie-breaking), demand-weighted scenarios, and
-// randomized move sequences — and the search layers (local search engines,
-// parallel scan, best_placement) must stay deterministic on top of it.
+// across all four quorum-system families, every legal (element, site)
+// candidate of the one-to-one search, quantized RTTs (where distance ties
+// make the choice recompute paths exercise best_quorum's exact
+// tie-breaking), demand-weighted scenarios, and randomized move sequences —
+// and the search layers (local search engines, parallel scan,
+// best_placement) must stay deterministic on top of it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,11 +32,14 @@
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
 #include "support/full_reevaluation.hpp"
+#include "support/move_targets.hpp"
 
 namespace qp::core {
 namespace {
 
 using net::LatencyMatrix;
+using test_support::hosts_other;
+using test_support::random_unused_site;
 
 struct SystemCase {
   std::string label;
@@ -60,8 +65,7 @@ Placement random_one_to_one(const LatencyMatrix& m, std::size_t universe,
 }
 
 /// Random placement with deliberate colocation: roughly half the elements
-/// share sites, so per-client distances tie constantly and every choice
-/// recompute exercises the exact tie-breaking replication.
+/// share sites, so per-client distances tie constantly.
 Placement random_many_to_one(const LatencyMatrix& m, std::size_t universe,
                              common::Rng& rng) {
   Placement placement;
@@ -78,6 +82,15 @@ std::vector<double> random_demand(std::size_t clients, common::Rng& rng) {
   std::vector<double> demand(clients);
   for (double& d : demand) d = rng.uniform(0.5, 20.0);
   return demand;
+}
+
+/// `m` with every RTT rounded to a multiple of `step` (the diagonal stays 0).
+LatencyMatrix quantized(const LatencyMatrix& m, double step) {
+  std::vector<std::vector<double>> rtt(m.size(), std::vector<double>(m.size()));
+  for (std::size_t a = 0; a < m.size(); ++a) {
+    for (std::size_t b = 0; b < m.size(); ++b) rtt[a][b] = step * std::round(m.rtt(a, b) / step);
+  }
+  return LatencyMatrix{std::move(rtt)};
 }
 
 double naive_if_moved(const LatencyMatrix& m, const quorum::QuorumSystem& system,
@@ -155,8 +168,7 @@ TEST(ClosestDeltaEval, MatchesNaiveAtConstruction) {
     common::Rng rng{11};
     const ClosestStrategyObjective objective{13.0};
     for (int trial = 0; trial < 5; ++trial) {
-      const Placement placement = trial >= 3 ? random_many_to_one(m, n, rng)
-                                             : random_one_to_one(m, n, rng);
+      const Placement placement = random_one_to_one(m, n, rng);
       const DeltaEvaluator eval{m, *test_case.system, placement, objective};
       const double naive = objective.evaluate(m, *test_case.system, placement);
       EXPECT_NEAR(eval.objective(), naive, 1e-9 * std::max(1.0, naive))
@@ -166,8 +178,8 @@ TEST(ClosestDeltaEval, MatchesNaiveAtConstruction) {
 }
 
 TEST(ClosestDeltaEval, CandidateMovesMatchNaiveAcrossAllSystems) {
-  // Every (element, site) candidate from a one-to-one placement, at several
-  // alpha levels including 0: the provably-unchanged fast path, the
+  // Every legal (element, site) candidate from a one-to-one placement, at
+  // several alpha levels including 0: the provably-unchanged fast path, the
   // Majority keep-slot path, and the exact choice recompute all must match
   // the naive closest evaluation.
   common::Rng alpha_rng{1013};
@@ -182,6 +194,7 @@ TEST(ClosestDeltaEval, CandidateMovesMatchNaiveAcrossAllSystems) {
       const DeltaEvaluator eval{m, *test_case.system, placement, objective};
       for (std::size_t u = 0; u < n; ++u) {
         for (std::size_t w = 0; w < m.size(); ++w) {
+          if (hosts_other(placement, u, w)) continue;
           const double delta = eval.objective_if_moved(u, w);
           const double naive =
               naive_if_moved(m, *test_case.system, objective, placement, u, w);
@@ -193,19 +206,20 @@ TEST(ClosestDeltaEval, CandidateMovesMatchNaiveAcrossAllSystems) {
   }
 }
 
-TEST(ClosestDeltaEval, ColocatedPlacementsMatchNaive) {
-  // Colocated elements have identical distances for every client, so quorum
-  // choices tie constantly: every candidate exercises the exact tie-breaking
-  // replication against best_quorum.
+TEST(ClosestDeltaEval, DistanceTiesMatchNaive) {
+  // RTTs quantized to 40 ms steps give every client many elements at equal
+  // distance, so quorum choices tie constantly: every candidate exercises
+  // the exact tie-breaking replication against best_quorum.
   for (const SystemCase& test_case : all_systems()) {
     const std::size_t n = test_case.system->universe_size();
-    const LatencyMatrix m = net::small_synth(n + 6, 97);
+    const LatencyMatrix m = quantized(net::small_synth(n + 6, 97), 40.0);
     common::Rng rng{17};
     const ClosestStrategyObjective objective{23.0};
-    const Placement placement = random_many_to_one(m, n, rng);
+    const Placement placement = random_one_to_one(m, n, rng);
     const DeltaEvaluator eval{m, *test_case.system, placement, objective};
     for (std::size_t u = 0; u < n; ++u) {
       for (std::size_t w = 0; w < m.size(); ++w) {
+        if (hosts_other(placement, u, w)) continue;
         const double delta = eval.objective_if_moved(u, w);
         const double naive =
             naive_if_moved(m, *test_case.system, objective, placement, u, w);
@@ -228,6 +242,7 @@ TEST(ClosestDeltaEval, DemandWeightedCandidatesMatchNaive) {
     const DeltaEvaluator eval{m, *test_case.system, placement, objective};
     for (std::size_t u = 0; u < n; ++u) {
       for (std::size_t w = 0; w < m.size(); ++w) {
+        if (hosts_other(placement, u, w)) continue;
         const double delta = eval.objective_if_moved(u, w);
         const double naive =
             naive_if_moved(m, *test_case.system, objective, placement, u, w);
@@ -240,8 +255,8 @@ TEST(ClosestDeltaEval, DemandWeightedCandidatesMatchNaive) {
 
 TEST(ClosestDeltaEval, RandomizedMoveSequencesStayInParity) {
   // apply_move repairs the distance rows and quorum-choice tables in place;
-  // a random walk (including colocating moves) must stay in parity with the
-  // naive evaluation at every step.
+  // a random walk over unused sites must stay in parity with the naive
+  // evaluation at every step.
   for (const SystemCase& test_case : all_systems()) {
     const std::size_t n = test_case.system->universe_size();
     const LatencyMatrix m = net::small_synth(n + 12, 103);
@@ -251,7 +266,7 @@ TEST(ClosestDeltaEval, RandomizedMoveSequencesStayInParity) {
     DeltaEvaluator eval{m, *test_case.system, placement, objective};
     for (int step = 0; step < 25; ++step) {
       const std::size_t u = static_cast<std::size_t>(rng.below(n));
-      const std::size_t w = static_cast<std::size_t>(rng.below(m.size()));
+      const std::size_t w = random_unused_site(placement, m.size(), rng);
       const double predicted = eval.objective_if_moved(u, w);
       eval.apply_move(u, w);
       placement.site_of[u] = w;
@@ -276,7 +291,7 @@ TEST(ClosestDeltaEval, DemandWeightedMoveSequencesStayInParity) {
     DeltaEvaluator eval{m, *test_case.system, placement, objective};
     for (int step = 0; step < 15; ++step) {
       const std::size_t u = static_cast<std::size_t>(rng.below(n));
-      const std::size_t w = static_cast<std::size_t>(rng.below(m.size()));
+      const std::size_t w = random_unused_site(placement, m.size(), rng);
       const double predicted = eval.objective_if_moved(u, w);
       eval.apply_move(u, w);
       placement.site_of[u] = w;
@@ -314,6 +329,7 @@ TEST(ClosestDeltaEval, GenericShapeServesAnySystemWithBestQuorum) {
   const DeltaEvaluator eval{m, tree, initial, objective};
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t w = 0; w < m.size(); ++w) {
+      if (hosts_other(initial, u, w)) continue;
       const double naive = naive_if_moved(m, tree, objective, initial, u, w);
       EXPECT_NEAR(eval.objective_if_moved(u, w), naive, 1e-9 * std::max(1.0, naive))
           << "move " << u << "->" << w;

@@ -13,9 +13,9 @@
 
 #include "common/combinatorics.hpp"
 #include "common/rng.hpp"
-#include "common/simd_kernels.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "net/latency_matrix.hpp"
 #include "support/quorum_enumeration.hpp"
 
 namespace qp::common {
@@ -154,23 +154,31 @@ TEST(Rng, SampleWithoutReplacementUniform) {
 // ------------------------------------------------------- SimdKernels
 
 TEST(SimdKernels, GatherIndexedMatchesScalarForAllTailLengths) {
-  // gather_indexed only moves data, so whichever gate is compiled in
-  // (scalar / AVX2 4-lane / AVX-512 8-lane masked tail) must reproduce the
-  // scalar reference bit-for-bit. Sizes 0..33 cover every masked-tail
-  // remainder of both vector widths; indices repeat and jump around so a
-  // lane-ordering bug cannot cancel out.
+  // LatencyMatrix::fill_rtts, the gather every dense per-client evaluation
+  // starts from, only moves data: out[i] must be the row entry bit-for-bit.
+  // Sizes 0..33 cover every remainder of a 4- or 8-lane loop; indices repeat
+  // and jump around so a lane-ordering bug cannot cancel out. Row 0 carries
+  // the special entries (a matrix holds finite, non-negative RTTs, so the
+  // extreme entry is the largest one the symmetrizing average keeps exact).
   Rng rng{2024};
-  std::vector<double> base(257);
-  for (double& v : base) v = rng.normal(0.0, 1e6);
+  const std::size_t sites = 257;
+  std::vector<double> base(sites);
+  for (double& v : base) v = std::abs(rng.normal(0.0, 1e6));
   base[0] = 0.0;
   base[1] = -0.0;
   base[2] = std::numeric_limits<double>::denorm_min();
-  base[3] = -std::numeric_limits<double>::infinity();
+  base[3] = std::numeric_limits<double>::max() / 2;
+  std::vector<std::vector<double>> rtt(sites, std::vector<double>(sites, 1.0));
+  for (std::size_t v = 0; v < sites; ++v) {
+    rtt[v][v] = 0.0;
+    rtt[0][v] = rtt[v][0] = base[v];
+  }
+  const net::LatencyMatrix matrix{std::move(rtt)};
   for (std::size_t n = 0; n <= 33; ++n) {
     std::vector<std::size_t> idx(n);
     for (std::size_t i = 0; i < n; ++i) idx[i] = rng.below(base.size());
     std::vector<double> out(n + 2, 42.0);  // Canary slots past the end.
-    gather_indexed(base.data(), idx.data(), n, out.data());
+    matrix.fill_rtts(0, idx.data(), n, out.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
                 std::bit_cast<std::uint64_t>(base[idx[i]]))

@@ -1,14 +1,17 @@
 // Parity suite for the incremental evaluation subsystem: the delta and
 // workspace paths must match the naive objective to 1e-9 across all four
-// quorum-system families, random matrices, and randomized move sequences —
-// and the parallel neighborhood scan must pick the exact same move as the
-// serial one.
+// quorum-system families, random matrices, and randomized move sequences of
+// the one-to-one local search (moves to unused sites) — the parallel
+// neighborhood scan must pick the exact same move as the serial one, and
+// the evaluator must refuse what lies outside that contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <numeric>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
 #include "support/full_reevaluation.hpp"
+#include "support/move_targets.hpp"
 #include "support/net_oracles.hpp"
 #include "support/reference_search.hpp"
 
@@ -36,6 +40,8 @@ namespace qp::core {
 namespace {
 
 using qp::net::test_support::densify;
+using test_support::hosts_other;
+using test_support::random_unused_site;
 
 using net::LatencyMatrix;
 
@@ -90,10 +96,11 @@ TEST(DeltaEval, CandidateMovesMatchNaiveAcrossAllSystems) {
     common::Rng rng{13};
     const Placement placement = random_one_to_one(m, n, rng);
     const DeltaEvaluator eval{m, *test_case.system, placement};
-    // Every (element, site) candidate, including no-op moves to the current
-    // site and moves onto sites used by other elements.
+    // Every legal (element, site) candidate: each unused site and the no-op
+    // move to the element's own site.
     for (std::size_t u = 0; u < n; ++u) {
       for (std::size_t w = 0; w < m.size(); ++w) {
+        if (hosts_other(placement, u, w)) continue;
         const double delta = eval.objective_if_moved(u, w);
         const double naive =
             naive_objective_if_moved(m, *test_case.system, placement, u, w);
@@ -113,7 +120,7 @@ TEST(DeltaEval, RandomizedMoveSequencesStayInParity) {
     DeltaEvaluator eval{m, *test_case.system, placement};
     for (int step = 0; step < 20; ++step) {
       const std::size_t u = static_cast<std::size_t>(rng.below(n));
-      const std::size_t w = static_cast<std::size_t>(rng.below(m.size()));
+      const std::size_t w = random_unused_site(placement, m.size(), rng);
       const double predicted = eval.objective_if_moved(u, w);
       eval.apply_move(u, w);
       placement.site_of[u] = w;
@@ -143,15 +150,10 @@ TEST(DeltaEval, IncrementalRepairMatchesFreshRebuildBitwise) {
       common::Rng rng{37};
       Placement placement = random_one_to_one(m, n, rng);
       DeltaEvaluator eval{m, *test_case.system, placement, *objective};
-      std::vector<bool> used(m.size(), false);
-      for (std::size_t site : placement.site_of) used[site] = true;
       for (int step = 0; step < 12; ++step) {
         // One-to-one moves to unused sites: the single-coordinate repair path.
         const std::size_t u = static_cast<std::size_t>(rng.below(n));
-        std::size_t w = static_cast<std::size_t>(rng.below(m.size()));
-        while (used[w]) w = (w + 1) % m.size();
-        used[placement.site_of[u]] = false;
-        used[w] = true;
+        const std::size_t w = random_unused_site(placement, m.size(), rng);
         eval.apply_move(u, w);
         placement.site_of[u] = w;
         const DeltaEvaluator fresh{m, *test_case.system, placement, *objective};
@@ -159,7 +161,7 @@ TEST(DeltaEval, IncrementalRepairMatchesFreshRebuildBitwise) {
             << test_case.label << " step " << step << " objective bitwise";
         // Candidate answers from repaired tables match the fresh ones too.
         const std::size_t cu = static_cast<std::size_t>(rng.below(n));
-        const std::size_t cw = static_cast<std::size_t>(rng.below(m.size()));
+        const std::size_t cw = random_unused_site(placement, m.size(), rng);
         EXPECT_EQ(eval.objective_if_moved(cu, cw), fresh.objective_if_moved(cu, cw))
             << test_case.label << " step " << step << " candidate bitwise";
       }
@@ -191,10 +193,7 @@ TEST(DeltaEval, EnumeratedShapeMatchesNaiveOnTreeH4) {
     const double naive = objective->evaluate(m, tree, placement);
     EXPECT_NEAR(eval.objective(), naive, 1e-9 * std::max(1.0, naive)) << objective->name();
 
-    // Two one-to-one candidates and one colocating one.
-    const std::size_t candidates[3][2] = {{0, free_sites[0]},
-                                          {n / 2, placement.site_of[n - 1]},
-                                          {n - 1, free_sites[1]}};
+    const std::size_t candidates[2][2] = {{0, free_sites[0]}, {n - 1, free_sites[1]}};
     for (const auto& move : candidates) {
       Placement moved = placement;
       moved.site_of[move[0]] = move[1];
@@ -244,9 +243,8 @@ void expect_batch_parity(const net::LatencyEmbedding& embedding, const LatencyMa
 }
 
 TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
-  // Colocated start (the last element shares element 0's site), so one
-  // batch mixes table-answered sites, load-shifting sites and the element's
-  // own site; every shape, objective kind and space kind.
+  // Each batch is an element's own site plus every unused site; every shape,
+  // objective kind and space kind.
   // 34 sites: Tree of height 4 needs 31 distinct ones.
   sim::ScenarioConfig config;
   config.site_count = 34;
@@ -262,14 +260,17 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
   const std::vector<const Objective*> objectives{&uniform, &weighted, &load_aware,
                                                  &load_aware_weighted, &closest_weighted};
 
-  const auto colocated_start = [&](std::size_t n, std::uint64_t seed) {
+  const auto start = [&](std::size_t n, std::uint64_t seed) {
     common::Rng rng{seed};
-    Placement placement = random_one_to_one(dense, n, rng);
-    placement.site_of[n - 1] = placement.site_of[0];
-    return placement;
+    return random_one_to_one(dense, n, rng);
   };
-  std::vector<std::size_t> all_sites(dense.size());
-  std::iota(all_sites.begin(), all_sites.end(), std::size_t{0});
+  const auto targets = [&](const Placement& placement, std::size_t element) {
+    std::vector<std::size_t> sites;
+    for (std::size_t w = 0; w < dense.size(); ++w) {
+      if (!hosts_other(placement, element, w)) sites.push_back(w);
+    }
+    return sites;
+  };
 
   std::vector<SystemCase> systems;
   systems.push_back({"majority", std::make_unique<quorum::MajorityQuorum>(9, 5)});
@@ -279,12 +280,12 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
   systems.push_back({"tree3", std::make_unique<quorum::TreeQuorum>(3)});
   for (const SystemCase& test_case : systems) {
     const std::size_t n = test_case.system->universe_size();
-    const Placement placement = colocated_start(n, 59);
+    const Placement placement = start(n, 59);
     for (const Objective* objective : objectives) {
-      // The colocated pair, one solely-hosted element, and the middle one.
       for (std::size_t element : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
         expect_batch_parity(embedding, dense, *test_case.system, placement, *objective,
-                            element, all_sites, test_case.label + " " + objective->name());
+                            element, targets(placement, element),
+                            test_case.label + " " + objective->name());
       }
     }
   }
@@ -294,7 +295,7 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
   // element's own site and one free site.
   const quorum::TreeQuorum tree{4};
   const std::size_t n = tree.universe_size();
-  const Placement placement = colocated_start(n, 61);
+  const Placement placement = start(n, 61);
   std::vector<bool> used(dense.size(), false);
   for (std::size_t site : placement.site_of) used[site] = true;
   std::vector<std::size_t> sites{placement.site_of[1]};
@@ -308,7 +309,8 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
 
 TEST(DeltaEval, RandomMatricesManyTrials) {
   // Random matrices: several seeds, Majority + Grid (the two analytic
-  // delta paths), every candidate move checked against the naive objective.
+  // delta paths), every legal candidate move checked against the naive
+  // objective.
   for (std::uint64_t seed : {401u, 402u, 403u}) {
     const LatencyMatrix m = net::small_synth(15, seed);
     common::Rng rng{seed};
@@ -322,6 +324,7 @@ TEST(DeltaEval, RandomMatricesManyTrials) {
       const DeltaEvaluator eval{m, *system, placement};
       for (std::size_t u = 0; u < n; ++u) {
         for (std::size_t w = 0; w < m.size(); ++w) {
+          if (hosts_other(placement, u, w)) continue;
           const double naive = naive_objective_if_moved(m, *system, placement, u, w);
           EXPECT_NEAR(eval.objective_if_moved(u, w), naive, 1e-9 * std::max(1.0, naive))
               << system->name() << " seed " << seed;
@@ -461,6 +464,99 @@ TEST(DeltaEval, ApplyMoveRejectsOutOfRange) {
   DeltaEvaluator eval{m, grid, random_one_to_one(m, 4, rng)};
   EXPECT_THROW(eval.apply_move(99, 0), std::out_of_range);
   EXPECT_THROW(eval.apply_move(0, 99), std::out_of_range);
+}
+
+/// A custom system no table shape serves: not Majority or Grid, no order-
+/// statistic weights, and too many quorums to enumerate. Its closed forms
+/// treat the whole universe as the one quorum that matters.
+class UnenumerableStub final : public quorum::QuorumSystem {
+ public:
+  [[nodiscard]] std::size_t universe_size() const noexcept override { return 4; }
+  [[nodiscard]] std::string name() const override { return "unenumerable-stub"; }
+  [[nodiscard]] double quorum_count() const noexcept override { return 1e9; }
+  [[nodiscard]] quorum::Quorum best_quorum(std::span<const double> values) const override {
+    quorum::check_values_size(*this, values);
+    return {0, 1, 2, 3};
+  }
+  [[nodiscard]] double expected_max_uniform(std::span<const double> values) const override {
+    quorum::check_values_size(*this, values);
+    return *std::max_element(values.begin(), values.end());
+  }
+  [[nodiscard]] std::vector<double> uniform_load() const override {
+    return std::vector<double>(4, 1.0);
+  }
+  [[nodiscard]] double optimal_load() const override { return 1.0; }
+
+ protected:
+  void generate_quorums(quorum::QuorumTable&) const override {
+    throw std::logic_error{"unenumerable-stub: never enumerated"};
+  }
+};
+
+TEST(DeltaEval, RejectsColocatedPlacement) {
+  // The evaluator models the one-to-one search only: a placement with two
+  // elements on one site is refused for every strategy and shape.
+  const LatencyMatrix m = net::small_synth(12, 913);
+  const LoadAwareObjective load_aware{7.0};
+  const ClosestStrategyObjective closest{7.0};
+  const Placement colocated{{0, 1, 2, 3, 4, 5, 6, 7, 0}};  // Elements 0 and 8 share site 0.
+  const quorum::MajorityQuorum majority{9, 5};
+  const quorum::GridQuorum grid{3};
+  const quorum::FppQuorum fpp{2};
+  const quorum::TreeQuorum tree{2};
+  for (const Objective* objective :
+       {&network_delay_objective(), static_cast<const Objective*>(&load_aware),
+        static_cast<const Objective*>(&closest)}) {
+    EXPECT_THROW((DeltaEvaluator{m, majority, colocated, *objective}), std::invalid_argument)
+        << objective->name();
+    EXPECT_THROW((DeltaEvaluator{m, grid, colocated, *objective}), std::invalid_argument)
+        << objective->name();
+    const Placement fpp_colocated{{0, 1, 2, 3, 4, 5, 0}};
+    EXPECT_THROW((DeltaEvaluator{m, fpp, fpp_colocated, *objective}), std::invalid_argument)
+        << objective->name();
+    EXPECT_THROW((DeltaEvaluator{m, tree, fpp_colocated, *objective}), std::invalid_argument)
+        << objective->name();
+  }
+}
+
+TEST(DeltaEval, ApplyMoveRejectsOccupiedSite) {
+  // A move onto another element's site would colocate the two: refused,
+  // and the evaluator keeps its placement and objective.
+  const LatencyMatrix m = net::small_synth(14, 917);
+  const LoadAwareObjective load_aware{7.0};
+  const ClosestStrategyObjective closest{7.0};
+  const quorum::GridQuorum grid{3};
+  common::Rng rng{5};
+  const Placement placement = random_one_to_one(m, grid.universe_size(), rng);
+  for (const Objective* objective :
+       {&network_delay_objective(), static_cast<const Objective*>(&load_aware),
+        static_cast<const Objective*>(&closest)}) {
+    DeltaEvaluator eval{m, grid, placement, *objective};
+    const double before = eval.objective();
+    EXPECT_THROW(eval.apply_move(0, placement.site_of[1]), std::invalid_argument)
+        << objective->name();
+    EXPECT_EQ(eval.placement().site_of, placement.site_of) << objective->name();
+    EXPECT_EQ(eval.objective(), before) << objective->name();
+    // The no-op move to the element's own site stays legal.
+    eval.apply_move(0, placement.site_of[0]);
+    EXPECT_EQ(eval.objective(), before) << objective->name();
+  }
+}
+
+TEST(DeltaEval, RejectsBalancedObjectiveOnNonEnumerableSystem) {
+  // Balanced candidates are answered from Sorted, Grid or Enumerated tables
+  // only; a system with none of those shapes is refused. The closest
+  // strategy still serves it through best_quorum.
+  const LatencyMatrix m = net::small_synth(10, 919);
+  const UnenumerableStub stub;
+  const Placement placement{{0, 1, 2, 3}};
+  const LoadAwareObjective load_aware{7.0};
+  EXPECT_THROW((DeltaEvaluator{m, stub, placement}), std::invalid_argument);
+  EXPECT_THROW((DeltaEvaluator{m, stub, placement, load_aware}), std::invalid_argument);
+  const ClosestStrategyObjective closest{7.0};
+  const DeltaEvaluator eval{m, stub, placement, closest};
+  const double naive = closest.evaluate(m, stub, placement);
+  EXPECT_NEAR(eval.objective(), naive, 1e-9 * std::max(1.0, naive));
 }
 
 }  // namespace

@@ -678,7 +678,7 @@ TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
                                     1.0 / static_cast<double>(uniform.quorums->size()));
   uniform.probability.assign(matrix.size(), average);
   const core::ManyToOneSearchResult round1 = core::best_many_to_one_placement(
-      matrix, grid, average, caps, options.anchor_candidates, options.placement);
+      matrix, grid, average, caps, options.anchor_candidates);
   ASSERT_EQ(round1.best.status, SolveStatus::Optimal);
   // Phase 2 pins each site's cap to the load the uniform strategy puts on
   // it under the new placement.

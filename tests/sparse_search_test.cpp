@@ -24,6 +24,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
+#include "support/move_targets.hpp"
 #include "support/net_oracles.hpp"
 #include "support/reference_search.hpp"
 
@@ -84,12 +85,14 @@ TEST(KnnIndex, WithinMatchesBruteForce) {
 
 // ------------------------------------------- ClientCandidateIndex parity
 
-/// Indexed evaluator vs dense evaluator, candidate-by-candidate.
+/// Indexed evaluator vs dense evaluator, candidate-by-candidate, over a
+/// sample of the legal (own or unused) targets.
 void expect_candidate_parity(const DeltaEvaluator& indexed, const DeltaEvaluator& dense,
                              std::size_t universe, std::size_t sites,
                              const char* where) {
   for (std::size_t u = 0; u < universe; u += 3) {
     for (std::size_t s = 0; s < sites; s += 5) {
+      if (test_support::hosts_other(dense.placement(), u, s)) continue;
       EXPECT_NEAR(indexed.objective_if_moved(u, s), dense.objective_if_moved(u, s),
                   1e-9 * (1.0 + dense.objective_if_moved(u, s)))
           << where << ": candidate (" << u << " -> " << s << ")";
@@ -128,7 +131,10 @@ TEST(ClientCandidateIndex, SparseEvaluationStaysExactAcrossMoveSequence) {
     bool accepted = false;
     for (std::size_t u = 0; u < grid.universe_size() && !accepted; ++u) {
       for (std::size_t s = 0; s < scenario.site_count() && !accepted; ++s) {
-        if (dense.placement().site_of[u] == s) continue;
+        if (dense.placement().site_of[u] == s ||
+            test_support::hosts_other(dense.placement(), u, s)) {
+          continue;
+        }
         if (dense.objective_if_moved(u, s) < dense.objective() - 1e-9) {
           dense.apply_move(u, s);
           indexed.apply_move(u, s);
@@ -182,7 +188,10 @@ TEST(ClientCandidateIndex, DirtyReaccumulationMatchesFullBitwise) {
       bool accepted = false;
       for (std::size_t u = 0; u < system.universe_size() && !accepted; ++u) {
         for (std::size_t s = 0; s < scenario.site_count() && !accepted; ++s) {
-          if (full.placement().site_of[u] == s) continue;
+          if (full.placement().site_of[u] == s ||
+              test_support::hosts_other(full.placement(), u, s)) {
+            continue;
+          }
           if (full.objective_if_moved(u, s) < full.objective() - 1e-9) {
             full.apply_move(u, s);
             dirty.apply_move(u, s);
