@@ -132,6 +132,8 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : impl_->workers) worker.join();
 }
 
+std::size_t ThreadPool::size() const noexcept { return impl_->workers.size() + 1; }
+
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;

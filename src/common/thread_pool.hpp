@@ -38,6 +38,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Total parallelism: the worker threads plus the participating caller.
+  [[nodiscard]] std::size_t size() const noexcept;
+
   /// Runs body(i) exactly once for every i in [begin, end), blocking until
   /// all are done. Indices are claimed dynamically, so the body must only
   /// write to state owned by index i. The first exception thrown by any body

@@ -17,10 +17,10 @@ namespace qp::core {
 namespace {
 
 // Candidate-evaluation telemetry: which dispatch path served each candidate
-// of an objectives_if_moved batch, plus per-client classification tallies
+// of an objectives_if_moved block, plus per-client classification tallies
 // for the closest engines (pruned = provably unchanged, kept = slot
 // retained, recomputed = full quorum re-choice). Tallies are accumulated
-// into stack locals and recorded with a few shard adds per batch or closest
+// into stack locals and recorded with a few shard adds per block or closest
 // candidate — never per client — so the per-candidate overhead stays flat.
 const obs::Counter c_de_candidates = obs::counter("core.delta_eval.candidates");
 const obs::Counter c_de_fast = obs::counter("core.delta_eval.fast_path");
@@ -416,62 +416,92 @@ void DeltaEvaluator::rebuild() {
 
 double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site) const {
   double out = 0.0;
-  objectives_if_moved(element, {&site, 1}, &out);
+  objectives_if_moved({&element, 1}, {&site, 1}, &out);
   return out;
 }
 
-void DeltaEvaluator::objectives_if_moved(std::size_t element,
+void DeltaEvaluator::objectives_if_moved(std::span<const std::size_t> elements,
                                          std::span<const std::size_t> sites,
                                          double* out) const {
-  QP_CHECK(element < n_, "objective_if_moved: element out of range");
-  const std::size_t old_site = placement_.site_of[element];
-  // Balanced sites are batched into one table_scan; closest sites take
-  // their one-site paths.
-  static thread_local std::vector<std::size_t> tl_sites;
-  static thread_local std::vector<std::size_t> tl_slots;
-  tl_sites.clear();
-  tl_slots.clear();
-  std::size_t candidates = 0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const std::size_t site = sites[i];
+  const std::size_t m = sites.size();
+  for (std::size_t element : elements) {
+    QP_CHECK(element < n_, "objective_if_moved: element out of range");
+  }
+  for (std::size_t site : sites) {
     QP_CHECK(site < clients_, "objective_if_moved: site out of range");
-    if (site == old_site) {
-      out[i] = objective();
-      continue;
-    }
 #if QP_PARITY_AUDIT_ENABLED
-    QP_CHECK(std::find(placement_.site_of.begin(), placement_.site_of.end(), site) ==
-                 placement_.site_of.end(),
-             "objective_if_moved: the target site hosts another element");
+    const auto host = std::find(placement_.site_of.begin(), placement_.site_of.end(), site);
+    for (std::size_t element : elements) {
+      QP_CHECK(host == placement_.site_of.end() ||
+                   static_cast<std::size_t>(host - placement_.site_of.begin()) == element,
+               "objective_if_moved: the target site hosts another element");
+    }
 #endif
-    ++candidates;
-    if (closest_) {
-      out[i] = candidate_index_ != nullptr ? closest_if_moved_indexed(element, site)
-                                           : closest_if_moved(element, site);
-    } else {
-      tl_sites.push_back(site);
-      tl_slots.push_back(i);
+  }
+  if (elements.empty() || m == 0) return;
+  if (closest_) {
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      const std::size_t element = elements[i];
+      const std::size_t old_site = placement_.site_of[element];
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::size_t site = sites[j];
+        if (site == old_site) continue;  // Filled in below.
+        out[i * m + j] = candidate_index_ != nullptr ? closest_if_moved_indexed(element, site)
+                                                     : closest_if_moved(element, site);
+      }
+    }
+  } else {
+    std::fill(out, out + elements.size() * m, 0.0);
+    // Elements that carry bitwise-equal load terms share one client pass:
+    // under a system's uniform load that is the whole block.
+    static thread_local std::vector<std::uint8_t> tl_grouped;
+    static thread_local std::vector<std::size_t> tl_group;
+    static thread_local std::vector<double*> tl_rows;
+    tl_grouped.assign(elements.size(), 0);
+    for (std::size_t first = 0; first < elements.size(); ++first) {
+      if (tl_grouped[first] != 0) continue;
+      const double add = load_term(elements[first]);
+      tl_group.clear();
+      tl_rows.clear();
+      for (std::size_t i = first; i < elements.size(); ++i) {
+        if (tl_grouped[i] != 0 || load_term(elements[i]) != add) continue;
+        tl_grouped[i] = 1;
+        tl_group.push_back(elements[i]);
+        tl_rows.push_back(out + i * m);
+      }
+      block_scan(add, tl_group, sites, tl_rows.data());
+    }
+    if (client_weight_.empty()) {
+      for (double* total = out; total != out + elements.size() * m; ++total) {
+        *total /= static_cast<double>(clients_);
+      }
     }
   }
+  // The no-op move to an element's own site is the current objective and no
+  // candidate.
+  std::size_t own = 0;
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (sites[j] != placement_.site_of[elements[i]]) continue;
+      out[i * m + j] = objective();
+      ++own;
+    }
+  }
+  const std::size_t candidates = elements.size() * m - own;
   c_de_candidates.add(candidates);
-  c_de_fast.add(tl_sites.size());
-  if (!tl_sites.empty()) table_scan(element, tl_sites, tl_slots, out);
+  if (!closest_) c_de_fast.add(candidates);
 }
 
-void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t> sites,
-                                std::span<const std::size_t> slots, double* out) const {
-  // Element-major: the outer loop walks the clients, the inner one the
-  // sites, and each site's total accumulates in client order with the
-  // one-site expressions — so every total is bitwise what a scan of that
-  // site alone returns.
+void DeltaEvaluator::block_scan(double add, std::span<const std::size_t> elements,
+                                std::span<const std::size_t> sites, double* const* rows) const {
+  // Client-major: the outer loop walks the clients; per client, the work
+  // that depends on the (client, site) pair alone is done once per site and
+  // shared by every element, and each (element, site) total accumulates the
+  // one-element expressions in client order — so every total is bitwise
+  // what a scan of that element and site alone returns.
   const std::size_t m = sites.size();
-  const std::size_t old_site = placement_.site_of[element];
-  static thread_local std::vector<double> tl_val;    // Sites: the client's candidate value.
-  static thread_local std::vector<double> tl_total;  // Sites: weighted sum over clients.
+  static thread_local std::vector<double> tl_val;  // Sites: the client's candidate value.
   tl_val.resize(m);
-  tl_total.assign(m, 0.0);
-  // The element carries its load term to whichever site it moves to.
-  const double add = load_term(element);
   // Client v's candidate values d(v, sites[j]) + add: one contiguous row on
   // a dense space, one fill_rtts on an implicit one.
   const auto gather = [&](std::size_t v) {
@@ -483,126 +513,213 @@ void DeltaEvaluator::table_scan(std::size_t element, std::span<const std::size_t
       for (std::size_t j = 0; j < m; ++j) tl_val[j] += add;
     }
   };
+  const double* val = tl_val.data();
   switch (shape_) {
     case Shape::Sorted: {
       // Moving the old value down removes its first copy at p_lo and inserts
       // at ins <= p_lo: the values in [ins, p_lo) shift one rank up (prefix
       // sums A). Moving it up removes its last copy at p_hi and inserts at
-      // q >= p_hi: the values in (p_hi, q] shift one rank down (B).
+      // q >= p_hi: the values in (p_hi, q] shift one rank down (B). A site's
+      // lower_bound lb and upper_bound ub in the whole row give both, for
+      // any element: ins = min(lb, p_lo) and q = ub - 1. Each rank is
+      // searched only when some (element, site) pair reads it — a site's lb
+      // when its value lies below some element's old value, its ub when
+      // above one; an element's p_lo when some site lies below its old
+      // value, its p_hi when above — and the clamps keep a stale or default
+      // rank in range in the branch not taken.
+      static thread_local std::vector<std::size_t> tl_lb;
+      static thread_local std::vector<std::size_t> tl_ub;
+      static thread_local std::vector<double> tl_old;  // Elements: the client's old values.
+      tl_lb.assign(m, 0);
+      tl_ub.assign(m, 0);
+      tl_old.resize(elements.size());
       const double* w = weights_.data();
       for (std::size_t v = 0; v < clients_; ++v) {
         gather(v);
         const double* y = sorted_.data() + v * n_;
         const double* a = shift_up_.data() + v * n_;
         const double* b = shift_down_.data() + v * (n_ + 1);
-        const double old_value = site_rtt(v, old_site) + add;
-        const std::size_t p_lo =
-            static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y);
-        const std::size_t p_hi =
-            static_cast<std::size_t>(std::upper_bound(y, y + n_, old_value) - y) - 1;
-        const double old_lo = old_value * w[p_lo];
-        const double old_hi = old_value * w[p_hi];
+        double lowest = std::numeric_limits<double>::infinity();
+        double highest = -std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+          tl_old[i] = site_rtt(v, placement_.site_of[elements[i]]) + add;
+          lowest = std::min(lowest, tl_old[i]);
+          highest = std::max(highest, tl_old[i]);
+        }
+        double lowest_site = std::numeric_limits<double>::infinity();
+        double highest_site = -std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < m; ++j) {
+          if (val[j] < highest) {
+            tl_lb[j] = static_cast<std::size_t>(std::lower_bound(y, y + n_, val[j]) - y);
+          }
+          if (val[j] > lowest) {
+            tl_ub[j] = static_cast<std::size_t>(std::upper_bound(y, y + n_, val[j]) - y);
+          }
+          lowest_site = std::min(lowest_site, val[j]);
+          highest_site = std::max(highest_site, val[j]);
+        }
         const double base = client_sum_[v];
         const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
-        for (std::size_t j = 0; j < m; ++j) {
-          const double new_value = tl_val[j];
-          double delta = 0.0;
-          if (new_value < old_value) {
-            const std::size_t ins =
-                static_cast<std::size_t>(std::lower_bound(y, y + p_lo, new_value) - y);
-            delta = new_value * w[ins] - old_lo + (a[p_lo] - a[ins]);
-          } else if (new_value > old_value) {
-            const std::size_t q = static_cast<std::size_t>(
-                                      std::upper_bound(y + p_hi, y + n_, new_value) - y) -
-                                  1;
-            delta = new_value * w[q] - old_hi + (b[q + 1] - b[p_hi + 1]);
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+          const double old_value = tl_old[i];
+          const std::size_t p_lo =
+              lowest_site < old_value
+                  ? static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y)
+                  : 0;
+          const std::size_t p_hi =
+              highest_site > old_value
+                  ? static_cast<std::size_t>(std::upper_bound(y, y + n_, old_value) - y) - 1
+                  : 0;
+          const double old_lo = old_value * w[p_lo];
+          const double old_hi = old_value * w[p_hi];
+          const double a_lo = a[p_lo];
+          const double b_hi = b[p_hi + 1];
+          double* total = rows[i];
+          for (std::size_t j = 0; j < m; ++j) {
+            const double new_value = val[j];
+            const std::size_t ins = std::min(tl_lb[j], p_lo);
+            const std::size_t q = std::max(tl_ub[j], p_hi + 1) - 1;
+            const double down = new_value * w[ins] - old_lo + (a_lo - a[ins]);
+            const double up = new_value * w[q] - old_hi + (b[q + 1] - b_hi);
+            const double delta =
+                new_value < old_value ? down : (new_value > old_value ? up : 0.0);
+            total[j] += weight * (base + delta);
           }
-          tl_total[j] += weight * (base + delta);
         }
       }
       break;
     }
     case Shape::Grid: {
+      // Per site, the two O(k) reductions over a row (column) that the site
+      // raises: sum_c max(val, cm[c]) and sum_r max(val, rm[r]). Each is
+      // computed only when the site's value exceeds the smallest row
+      // (column) exclusion among the elements — the only case an element
+      // reads it — and the element loop loads both unconditionally.
+      static thread_local std::vector<double> tl_row_sum;
+      static thread_local std::vector<double> tl_col_sum;
+      static thread_local std::vector<std::size_t> tl_row;  // Elements: the element's row.
+      static thread_local std::vector<std::size_t> tl_col;  // Elements: its column.
+      tl_row_sum.assign(m, 0.0);
+      tl_col_sum.assign(m, 0.0);
+      const double* row_sum = tl_row_sum.data();
+      const double* col_sum = tl_col_sum.data();
       const std::size_t k = side_;
-      const std::size_t r0 = element / k;
-      const std::size_t c0 = element % k;
+      tl_row.resize(elements.size());
+      tl_col.resize(elements.size());
+      for (std::size_t i = 0; i < elements.size(); ++i) {
+        tl_row[i] = elements[i] / k;
+        tl_col[i] = elements[i] % k;
+      }
+      const double nd = static_cast<double>(n_);
       for (std::size_t v = 0; v < clients_; ++v) {
         gather(v);
         const double* rm = row_max_.data() + v * k;
         const double* cm = col_max_.data() + v * k;
-        const double row_excl = row_excl_[v * n_ + element];
-        const double col_excl = col_excl_[v * n_ + element];
-        const double cm_c0 = cm[c0];
-        const double old_row_part = row_quorum_sum_[v * k + r0];
-        const double old_col_part = col_quorum_sum_[v * k + c0] - std::max(rm[r0], cm_c0);
-        // A site no farther than the rest of row r0 (column c0) leaves its
-        // maximum, and hence the O(k) reduction over it, unchanged.
-        const double row_sum_excl = common::max_with_bound_sum(row_excl, {cm, k});
-        const double col_sum_excl = common::max_with_bound_sum(col_excl, {rm, k});
+        const double* rex = row_excl_.data() + v * n_;
+        const double* cex = col_excl_.data() + v * n_;
+        double min_row_excl = std::numeric_limits<double>::infinity();
+        double min_col_excl = std::numeric_limits<double>::infinity();
+        for (std::size_t element : elements) {
+          min_row_excl = std::min(min_row_excl, rex[element]);
+          min_col_excl = std::min(min_col_excl, cex[element]);
+        }
+        double lowest_site = std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < m; ++j) {
+          if (min_row_excl < val[j]) {
+            tl_row_sum[j] = common::max_with_bound_sum(val[j], {cm, k});
+          }
+          if (min_col_excl < val[j]) {
+            tl_col_sum[j] = common::max_with_bound_sum(val[j], {rm, k});
+          }
+          lowest_site = std::min(lowest_site, val[j]);
+        }
         const double base = client_sum_[v];
         const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
-        for (std::size_t j = 0; j < m; ++j) {
-          const double val = tl_val[j];
-          const double new_row = std::max(row_excl, val);
-          const double new_col = std::max(col_excl, val);
-          // Only quorum maxima in row r0 or column c0 change. New row-r0
-          // part: sum_c max(new_row, cm'[c]) with cm'[c0] = new_col, via a
-          // branch-free (vectorized) full-row reduction corrected at c0; the
-          // old part is the cached sum.
-          const double row_part =
-              std::max(new_row, new_col) - std::max(new_row, cm_c0) +
-              (row_excl < val ? common::max_with_bound_sum(new_row, {cm, k}) : row_sum_excl);
-          // New column-c0 part excluding the shared (r0, c0) cell; the old
-          // part is the cached column sum minus that cell.
-          const double col_part =
-              (col_excl < val ? common::max_with_bound_sum(new_col, {rm, k}) : col_sum_excl) -
-              std::max(rm[r0], new_col);
-          const double delta = (row_part - old_row_part) + (col_part - old_col_part);
-          tl_total[j] += weight * ((base + delta) / static_cast<double>(n_));
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+          const std::size_t element = elements[i];
+          const std::size_t r0 = tl_row[i];
+          const std::size_t c0 = tl_col[i];
+          const double row_excl = rex[element];
+          const double col_excl = cex[element];
+          const double cm_c0 = cm[c0];
+          const double rm_r0 = rm[r0];
+          const double old_row_part = row_quorum_sum_[v * k + r0];
+          const double old_col_part = col_quorum_sum_[v * k + c0] - std::max(rm_r0, cm_c0);
+          // A site no farther than the rest of row r0 (column c0) leaves its
+          // maximum, and hence the O(k) reduction over it, unchanged; it is
+          // computed only when some site is that near.
+          const double row_sum_excl =
+              lowest_site <= row_excl ? common::max_with_bound_sum(row_excl, {cm, k}) : 0.0;
+          const double col_sum_excl =
+              lowest_site <= col_excl ? common::max_with_bound_sum(col_excl, {rm, k}) : 0.0;
+          // With new_row = max(row_excl, value) and new_col = max(col_excl,
+          // value), each maximum below folds its site-independent operands
+          // first (max is exact, so the grouping does not change a bit).
+          const double cell_excl = std::max(row_excl, col_excl);  // max(new_row, new_col)
+          const double row_c0_excl = std::max(row_excl, cm_c0);   // max(new_row, cm[c0])
+          const double r0_col_excl = std::max(rm_r0, col_excl);   // max(rm[r0], new_col)
+          double* total = rows[i];
+          for (std::size_t j = 0; j < m; ++j) {
+            const double value = val[j];
+            const double site_row_sum = row_sum[j];
+            const double site_col_sum = col_sum[j];
+            // Only quorum maxima in row r0 or column c0 change. New row-r0
+            // part: sum_c max(new_row, cm'[c]) with cm'[c0] = new_col — the
+            // full-row reduction corrected at c0; the old part is the cached
+            // sum.
+            const double row_part = std::max(cell_excl, value) - std::max(row_c0_excl, value) +
+                                    (row_excl < value ? site_row_sum : row_sum_excl);
+            // New column-c0 part excluding the shared (r0, c0) cell; the old
+            // part is the cached column sum minus that cell.
+            const double col_part = (col_excl < value ? site_col_sum : col_sum_excl) -
+                                    std::max(r0_col_excl, value);
+            const double delta = (row_part - old_row_part) + (col_part - old_col_part);
+            total[j] += weight * ((base + delta) / nd);
+          }
         }
       }
       break;
     }
     case Shape::Enumerated: {
-      // Per client, each incident quorum's maximum without the element; the
-      // candidate maximum is then one max against the site's value.
+      // Per (client, element), each incident quorum's maximum without the
+      // element; the candidate maximum is then one max against the site's
+      // value.
       const std::size_t count = quorums_->size();
-      const std::span<const std::uint32_t> incident = quorums_->incident(element);
       static thread_local std::vector<double> tl_excl;
       static thread_local std::vector<double> tl_old;
-      tl_excl.resize(incident.size());
-      tl_old.resize(incident.size());
       for (std::size_t v = 0; v < clients_; ++v) {
         gather(v);
         const double* vals = values_.data() + v * n_;
         const double* qmax = quorum_max_.data() + v * count;
-        for (std::size_t i = 0; i < incident.size(); ++i) {
-          double worst = -std::numeric_limits<double>::infinity();
-          for (std::size_t u : (*quorums_)[incident[i]]) {
-            if (u != element) worst = std::max(worst, vals[u]);
-          }
-          tl_excl[i] = worst;
-          tl_old[i] = qmax[incident[i]];
-        }
         const double base = client_sum_[v];
         const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
-        for (std::size_t j = 0; j < m; ++j) {
-          const double val = tl_val[j];
-          double delta = 0.0;
-          for (std::size_t i = 0; i < incident.size(); ++i) {
-            delta += std::max(tl_excl[i], val) - tl_old[i];
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+          const std::size_t element = elements[i];
+          const std::span<const std::uint32_t> incident = quorums_->incident(element);
+          tl_excl.resize(incident.size());
+          tl_old.resize(incident.size());
+          for (std::size_t l = 0; l < incident.size(); ++l) {
+            double worst = -std::numeric_limits<double>::infinity();
+            for (std::size_t u : (*quorums_)[incident[l]]) {
+              if (u != element) worst = std::max(worst, vals[u]);
+            }
+            tl_excl[l] = worst;
+            tl_old[l] = qmax[incident[l]];
           }
-          tl_total[j] += weight * ((base + delta) / static_cast<double>(count));
+          double* total = rows[i];
+          for (std::size_t j = 0; j < m; ++j) {
+            double delta = 0.0;
+            for (std::size_t l = 0; l < incident.size(); ++l) {
+              delta += std::max(tl_excl[l], val[j]) - tl_old[l];
+            }
+            total[j] += weight * ((base + delta) / static_cast<double>(count));
+          }
         }
       }
       break;
     }
     case Shape::Generic:
       break;  // Closest only; the constructor refuses a balanced objective.
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    out[slots[j]] =
-        client_weight_.empty() ? tl_total[j] / static_cast<double>(clients_) : tl_total[j];
   }
 }
 

@@ -33,16 +33,20 @@
 // per-element constant alpha * lambda_u, which follows the element.
 //
 // Balanced strategy (R = E_uniform[max x]): relocating one element changes
-// exactly one coordinate of every client's value row. The tables answer all
-// of one element's target sites in one pass over the clients
-// (objectives_if_moved): per (element, client), the move-invariant
-// inputs are read once — Sorted: the old value's rank, O(log n); Grid: the
-// row/column exclusion maxima and their two O(k) quorum-maxima reductions;
-// Enumerated: each incident quorum's maximum without the element — and per
-// site the work left is Sorted: one insertion search plus O(1) arithmetic
-// (against the naive copy+sort+dot); Grid: O(1), or O(k) for a reduction
-// whose row or column maximum the site raises; Enumerated: one max per
-// incident quorum.
+// exactly one coordinate of every client's value row. The tables answer a
+// block of elements x target sites in one pass over the clients
+// (objectives_if_moved). Per (client, site), the work that does not depend
+// on the element is done once and shared by the block — the candidate value
+// d(v, s) + alpha * lambda_u; Sorted: the value's lower/upper bound rank in
+// the sorted row, O(log n); Grid: the row and column quorum-maxima
+// reductions the value raises, O(k), each only when some element of the
+// block can read it. Per (client, element), the move-invariant inputs are
+// read once — Sorted: the old value's rank, O(log n); Grid: the row/column
+// exclusion maxima and their two O(k) reductions; Enumerated: each incident
+// quorum's maximum without the element. What is left per (element, site) is
+// Sorted and Grid: O(1) branch-free arithmetic; Enumerated: one max per
+// incident quorum. Elements share the pass when their load terms are
+// bitwise equal (one group under a system's uniform load).
 //
 // Closest strategy (§6, R = rho of the argmin-network-delay quorum): the
 // per-client cost couples globally through the load the quorum choices
@@ -78,7 +82,7 @@
 // that parity via QP_PARITY_ASSERT when QP_CHECK_LEVEL >= 2 (see
 // common/check.hpp; the asan preset arms it). objectives_if_moved (and its
 // one-site form objective_if_moved) is const and thread-safe, so a parallel
-// neighborhood scan may share one evaluator, one element's batch per task.
+// neighborhood scan may share one evaluator, one block of elements per task.
 #pragma once
 
 #include <cstddef>
@@ -120,18 +124,19 @@ class DeltaEvaluator {
   [[nodiscard]] double objective() const noexcept;
 
   /// J(f') where f' relocates `element` to `site` (its own site or an
-  /// unused one); the placement itself is unchanged. Thread-safe. A one-site
-  /// objectives_if_moved.
+  /// unused one); the placement itself is unchanged. Thread-safe. A one-
+  /// element, one-site objectives_if_moved.
   [[nodiscard]] double objective_if_moved(std::size_t element, std::size_t site) const;
 
-  /// out[i] = J(f') where f' relocates `element` to sites[i], for every i —
-  /// bitwise the one-site objective_if_moved(element, sites[i]), but the
-  /// balanced sites share one pass over the clients. Each site must be the
-  /// element's own or an unused one: the answer for an occupied site is
-  /// unspecified, and QP_CHECK_LEVEL >= 2 aborts on it (an O(n) scan per
-  /// site). Thread-safe; the placement itself is unchanged.
-  void objectives_if_moved(std::size_t element, std::span<const std::size_t> sites,
-                           double* out) const;
+  /// out[i * sites.size() + j] = J(f') where f' relocates elements[i] to
+  /// sites[j] (elements x sites, row-major) — bitwise the one-site
+  /// objective_if_moved(elements[i], sites[j]) for every block shape, but
+  /// the balanced pairs share one pass over the clients. Each site must be,
+  /// for every element, its own or an unused one: the answer for an
+  /// occupied site is unspecified, and QP_CHECK_LEVEL >= 2 aborts on it (an
+  /// O(n) scan per site). Thread-safe; the placement itself is unchanged.
+  void objectives_if_moved(std::span<const std::size_t> elements,
+                           std::span<const std::size_t> sites, double* out) const;
 
   /// Commits the relocation with per-move incremental repair of the cached
   /// distance/load/quorum-choice tables (per-client sums are reaccumulated
@@ -193,12 +198,14 @@ class DeltaEvaluator {
   /// x_f(v, u) for every element into `out` (size n_); the pure distance
   /// row for the closest strategy, which never sets load_aware_.
   void gather_values(std::size_t v, double* out) const;
-  /// The balanced table kernel behind objectives_if_moved: relocations of
-  /// `element` to the unused sites[j], written to out[slots[j]]. One pass
-  /// over the clients reads each client's move-invariant table entries
-  /// once, then scores every site against them.
-  void table_scan(std::size_t element, std::span<const std::size_t> sites,
-                  std::span<const std::size_t> slots, double* out) const;
+  /// The balanced table kernel behind objectives_if_moved, for `elements`
+  /// that share the load term `add`: adds sum_v w_v R_v of relocating
+  /// elements[i] to sites[j] into rows[i][j]. One pass over the clients;
+  /// per client, the work that depends on the (client, site) pair alone is
+  /// done once per site, then every element scores every site against its
+  /// own move-invariant table entries.
+  void block_scan(double add, std::span<const std::size_t> elements,
+                  std::span<const std::size_t> sites, double* const* rows) const;
 
   // ---- Closest-strategy machinery (see file comment). ----
   /// Chooses client v's closest quorum from its freshly built tables.

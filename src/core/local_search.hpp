@@ -8,19 +8,22 @@
 //
 // One route, chosen by the objective's capability: objectives the
 // incremental core::DeltaEvaluator models (Objective::supports_delta) are
-// searched through it — one pass over the clients per element scores all of
-// its target sites, instead of a full re-evaluation per candidate. The
-// evaluator's contract is exactly this search's invariant: a one-to-one
-// placement, and moves of one element to an unused site. The route can
-// scan the neighborhood on the shared thread pool (one task per element).
-// The parallel scan only distributes candidate evaluation; the
-// accept decision replays the serial scan order, so results are
-// bit-identical for any thread count. The rest (FailureAwareObjective's
-// expectation over failure sets) take a full re-evaluation per candidate,
-// which needs a dense matrix. Both loops are best-improvement: each round
-// scans every (element, unused site) relocation and takes the best move
-// that improves the objective by more than 1e-9 (the first such move in
-// scan order wins ties), so they agree move for move wherever both apply.
+// searched through it — one pass over the clients scores every element
+// against the round's shared unused-site list, instead of a full
+// re-evaluation per candidate. The evaluator's contract is exactly this
+// search's invariant: a one-to-one placement, and moves of one element to
+// an unused site. The route can scan the neighborhood on the shared thread
+// pool: one task per pool thread, each scoring every element against one
+// chunk of the site list (one task per element with candidate_knn > 0,
+// where each element has its own targets). The parallel scan only
+// distributes candidate evaluation; the accept decision replays the serial
+// scan order, so results are bit-identical for any thread count. The rest
+// (FailureAwareObjective's expectation over failure sets) take a full
+// re-evaluation per candidate, which needs a dense matrix. Both loops are
+// best-improvement: each round scans every (element, unused site)
+// relocation and takes the best move that improves the objective by more
+// than 1e-9 (the first such move in scan order wins ties), so they agree
+// move for move wherever both apply.
 //
 // Sparse candidate search (the 10k-50k-site regime): `candidate_knn`
 // restricts each element's relocation targets to the k sites nearest its
@@ -51,7 +54,8 @@ struct LocalSearchOptions {
   /// outlive the call.
   const Objective* objective = nullptr;
   /// Worker threads for the delta candidate scan: 0 = the shared global
-  /// pool, 1 = fully serial, n > 1 = a dedicated pool of n threads.
+  /// pool, 1 = fully serial, n > 1 = a dedicated pool of n threads. The
+  /// dense scan splits the unused-site list into one chunk per thread.
   /// Bit-identical results for every setting. The full re-evaluation route
   /// is serial.
   std::size_t threads = 0;

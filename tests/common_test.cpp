@@ -339,6 +339,12 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   EXPECT_EQ(order, (std::vector<int>{3, 4, 5, 6, 7}));
 }
 
+TEST(ThreadPool, SizeCountsWorkersAndTheCaller) {
+  EXPECT_EQ(ThreadPool{1}.size(), 1u);
+  EXPECT_EQ(ThreadPool{3}.size(), 3u);
+  EXPECT_GE(ThreadPool{0}.size(), 1u);  // 0 = hardware concurrency.
+}
+
 TEST(ThreadPool, EmptyRangeIsANoOp) {
   ThreadPool pool{2};
   bool ran = false;

@@ -228,8 +228,8 @@ void expect_batch_parity(const net::LatencyEmbedding& embedding, const LatencyMa
   const DeltaEvaluator on_embedding{embedding, system, placement, objective};
   std::vector<double> batch(sites.size());
   std::vector<double> batch_embedding(sites.size());
-  on_dense.objectives_if_moved(element, sites, batch.data());
-  on_embedding.objectives_if_moved(element, sites, batch_embedding.data());
+  on_dense.objectives_if_moved({&element, 1}, sites, batch.data());
+  on_embedding.objectives_if_moved({&element, 1}, sites, batch_embedding.data());
   for (std::size_t i = 0; i < sites.size(); ++i) {
     const std::string where = label + " move " + std::to_string(element) + "->" +
                               std::to_string(sites[i]);
@@ -307,6 +307,67 @@ TEST(DeltaEval, BatchedScanMatchesSingleCandidates) {
                       "tree4 " + load_aware_weighted.name());
 }
 
+TEST(DeltaEval, BlockScanMatchesOneElementScans) {
+  // A block of elements scored against one shared target list in one pass
+  // over the clients: every score is bitwise the one-site call's, for blocks
+  // of 1, 2, 7 and 49 elements and target lists of length 0, 1 and odd, on
+  // every shape, both strategies and both space kinds.
+  sim::ScenarioConfig config;
+  config.site_count = 61;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::LatencyEmbedding& embedding = scenario.space;
+  const LatencyMatrix dense = densify(embedding);
+  const std::span<const double> demand = scenario.client_demand;
+  const LoadAwareObjective load_aware{7.0, demand};
+  const ClosestStrategyObjective closest{7.0, demand};
+  const std::vector<const Objective*> objectives{&network_delay_objective(), &load_aware,
+                                                 &closest};
+  std::vector<SystemCase> systems;
+  systems.push_back({"grid7", std::make_unique<quorum::GridQuorum>(7)});
+  systems.push_back({"majority49", std::make_unique<quorum::MajorityQuorum>(49, 25)});
+  systems.push_back({"fpp3", std::make_unique<quorum::FppQuorum>(3)});
+  systems.push_back({"tree2", std::make_unique<quorum::TreeQuorum>(2)});
+  for (const SystemCase& test_case : systems) {
+    const std::size_t n = test_case.system->universe_size();
+    common::Rng rng{67};
+    const Placement placement = random_one_to_one(dense, n, rng);
+    std::vector<bool> used(dense.size(), false);
+    for (std::size_t site : placement.site_of) used[site] = true;
+    std::vector<std::size_t> free_sites;
+    for (std::size_t w = 0; w < dense.size(); ++w) {
+      if (!used[w]) free_sites.push_back(w);
+    }
+    ASSERT_GE(free_sites.size(), 11u);
+    const std::vector<std::vector<std::size_t>> lists{
+        {}, {free_sites[5]}, {free_sites.begin(), free_sites.begin() + 11}};
+    for (const Objective* objective : objectives) {
+      for (const net::LatencySpace* space :
+           {static_cast<const net::LatencySpace*>(&dense),
+            static_cast<const net::LatencySpace*>(&embedding)}) {
+        const DeltaEvaluator eval{*space, *test_case.system, placement, *objective};
+        for (std::size_t block : {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{49}}) {
+          if (block > n) continue;
+          std::vector<std::size_t> elements(block);
+          for (std::size_t i = 0; i < block; ++i) elements[i] = (i * n) / block;
+          for (const std::vector<std::size_t>& sites : lists) {
+            std::vector<double> out(block * sites.size());
+            eval.objectives_if_moved(elements, sites, out.data());
+            for (std::size_t i = 0; i < block; ++i) {
+              for (std::size_t j = 0; j < sites.size(); ++j) {
+                EXPECT_EQ(out[i * sites.size() + j],
+                          eval.objective_if_moved(elements[i], sites[j]))
+                    << test_case.label << " " << objective->name() << " block " << block
+                    << " move " << elements[i] << "->" << sites[j]
+                    << (space == &dense ? " (dense)" : " (embedding)");
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DeltaEval, RandomMatricesManyTrials) {
   // Random matrices: several seeds, Majority + Grid (the two analytic
   // delta paths), every legal candidate move checked against the naive
@@ -375,33 +436,47 @@ TEST(DeltaEvalLocalSearch, DeltaEngineMatchesNaiveEngine) {
 
 TEST(DeltaEvalLocalSearch, ParallelScanReturnsSameMovesAsSerial) {
   // The determinism guarantee: any thread count yields the identical move
-  // sequence and bit-identical objective.
-  const LatencyMatrix m = net::small_synth(24, 701);
+  // sequence and bit-identical objective — on the dense scan (the pool
+  // scores blocks of elements against one shared list), on a target list
+  // shorter than the task count, and on per-element k-NN target lists.
   const quorum::GridQuorum grid{3};
-  common::Rng rng{53};
-  const Placement initial = random_one_to_one(m, grid.universe_size(), rng);
-
-  LocalSearchOptions serial;
-  serial.threads = 1;
-  const LocalSearchResult reference = local_search_placement(m, grid, initial, serial);
-
-  for (std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{5}}) {
-    LocalSearchOptions parallel;
-    parallel.threads = threads;
-    const LocalSearchResult result = local_search_placement(m, grid, initial, parallel);
-    EXPECT_EQ(result.placement.site_of, reference.placement.site_of)
-        << "threads=" << threads;
-    EXPECT_EQ(result.moves, reference.moves) << "threads=" << threads;
-    EXPECT_EQ(result.objective, reference.objective) << "threads=" << threads;
+  const LoadAwareObjective load_aware{7.0};
+  struct Case {
+    const char* label;
+    std::size_t sites;
+    std::size_t knn;
+  };
+  for (const Case& c : {Case{"dense", 24, 0}, Case{"short-list", 12, 0}, Case{"knn", 24, 4}}) {
+    const LatencyMatrix m = net::small_synth(c.sites, 701);
+    common::Rng rng{53};
+    const Placement initial = random_one_to_one(m, grid.universe_size(), rng);
+    for (const Objective* objective :
+         {&network_delay_objective(), static_cast<const Objective*>(&load_aware)}) {
+      LocalSearchOptions serial;
+      serial.threads = 1;
+      serial.objective = objective;
+      serial.candidate_knn = c.knn;
+      const LocalSearchResult reference = local_search_placement(m, grid, initial, serial);
+      for (std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
+        LocalSearchOptions parallel = serial;
+        parallel.threads = threads;
+        const LocalSearchResult result = local_search_placement(m, grid, initial, parallel);
+        const std::string where =
+            std::string{c.label} + " " + objective->name() + " threads=" + std::to_string(threads);
+        EXPECT_EQ(result.placement.site_of, reference.placement.site_of) << where;
+        EXPECT_EQ(result.moves, reference.moves) << where;
+        EXPECT_EQ(result.objective, reference.objective) << where;
+      }
+    }
   }
 }
 
 TEST(DeltaEvalLocalSearch, Plan161ShapeMatchesReferenceSearch) {
   // The benchmark's plan shape: 161 sites, demand-weighted load-aware
-  // objective, Grid 7x7 started at the least central site. The search scans
-  // one element's targets per batch on any thread count; the reference
-  // scores one candidate per call. Moves, placement and objective bits must
-  // agree.
+  // objective, Grid 7x7 started at the least central site. The search scores
+  // every element against chunks of the shared target list on any thread
+  // count; the reference scores one candidate per call. Moves, placement
+  // and objective bits must agree.
   sim::ScenarioConfig config;
   config.site_count = 161;
   const sim::Scenario scenario = sim::make_scenario(config);

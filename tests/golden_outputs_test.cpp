@@ -18,10 +18,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/delta_eval.hpp"
+#include "core/local_search.hpp"
+#include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
 #include "eval/figures.hpp"
@@ -29,7 +34,10 @@
 #include "eval/sweeps.hpp"
 #include "net/embedding.hpp"
 #include "net/synthetic.hpp"
+#include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
+#include "quorum/majority.hpp"
+#include "quorum/tree.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/scenario.hpp"
@@ -301,6 +309,122 @@ TEST(GoldenOutputs, SparseScenarioRtts) {
   }
   out << '\n';
   expect_golden("sparse_scenario_rtts", out.str());
+}
+
+// DeltaEvaluator candidate scores, recorded from the element-major kernel
+// that the client-major block scan replaced: a few elements of Grid 7x7,
+// Grid 3x3, Majority(49, 25), FPP(3) and Tree(2), each scored against its own
+// site and a spread of unused sites, under four balanced objectives on a
+// dense matrix and on an embedding. Then a plan-161-shaped search trajectory
+// (Grid 7x7, demand-weighted load-aware objective, least central anchor):
+// one row per round with the move taken, its scored objective and the
+// evaluator's objective after the move, and the production search's result.
+TEST(GoldenOutputs, DeltaBlockScan) {
+  constexpr std::size_t kSites = 61;
+  const sim::Scenario dense_scenario = sim::make_scenario({.site_count = kSites});
+  const sim::SparseScenario sparse_scenario = sim::make_sparse_scenario({.site_count = kSites});
+  struct Space {
+    const char* name;
+    const net::LatencySpace* space;
+    std::span<const double> demand;
+  };
+  const Space spaces[] = {{"dense", &dense_scenario.matrix, dense_scenario.client_demand},
+                          {"embedding", &sparse_scenario.space, sparse_scenario.client_demand}};
+  const quorum::GridQuorum grid7{7};
+  const quorum::GridQuorum grid3{3};
+  const quorum::MajorityQuorum majority{49, 25};
+  const quorum::FppQuorum fpp{3};
+  const quorum::TreeQuorum tree{2};
+  const quorum::QuorumSystem* systems[] = {&grid7, &grid3, &majority, &fpp, &tree};
+
+  std::ostringstream out;
+  out << std::hexfloat << "space,system,objective,element,own_site,scores\n";
+  for (const Space& space : spaces) {
+    const core::NetworkDelayObjective weighted{space.demand};
+    const core::LoadAwareObjective load_aware{7.0};
+    const core::LoadAwareObjective load_aware_weighted{7.0, space.demand};
+    const core::Objective* objectives[] = {&core::network_delay_objective(), &weighted,
+                                           &load_aware, &load_aware_weighted};
+    for (const quorum::QuorumSystem* system : systems) {
+      const std::size_t n = system->universe_size();
+      common::Rng rng{n};
+      const core::Placement placement{rng.sample_without_replacement(kSites, n)};
+      std::vector<bool> used(kSites, false);
+      for (std::size_t site : placement.site_of) used[site] = true;
+      std::vector<std::size_t> free_sites;
+      for (std::size_t w = 0; w < kSites; ++w) {
+        if (!used[w]) free_sites.push_back(w);
+      }
+      const std::size_t stride = std::max<std::size_t>(1, free_sites.size() / 12);
+      std::vector<std::size_t> targets;
+      for (std::size_t i = 0; i < free_sites.size(); i += stride) {
+        targets.push_back(free_sites[i]);
+      }
+      const std::vector<std::size_t> elements{0, 1, n / 2, n - 1};
+      for (const core::Objective* objective : objectives) {
+        const core::DeltaEvaluator eval{*space.space, *system, placement, *objective};
+        std::vector<double> scores(elements.size() * targets.size());
+        eval.objectives_if_moved(elements, targets, scores.data());
+        for (std::size_t i = 0; i < elements.size(); ++i) {
+          const std::size_t own = placement.site_of[elements[i]];
+          out << space.name << ',' << system->name() << ',' << objective->name() << ','
+              << elements[i] << ',' << eval.objective_if_moved(elements[i], own);
+          for (std::size_t j = 0; j < targets.size(); ++j) {
+            out << ',' << scores[i * targets.size() + j];
+          }
+          out << '\n';
+        }
+      }
+    }
+  }
+
+  const sim::Scenario plan = sim::make_scenario({.site_count = 161});
+  const net::LatencyMatrix& m = plan.matrix;
+  const core::LoadAwareObjective objective = plan.load_objective();
+  std::size_t anchor = 0;
+  for (std::size_t v = 1; v < m.size(); ++v) {
+    if (net::average_rtt_from(m, v) > net::average_rtt_from(m, anchor)) anchor = v;
+  }
+  const core::Placement start = core::grid_placement_for_client(m, 7, anchor);
+  core::DeltaEvaluator eval{m, grid7, start, objective};
+  std::vector<std::size_t> elements(grid7.universe_size());
+  for (std::size_t u = 0; u < elements.size(); ++u) elements[u] = u;
+  constexpr std::size_t kRounds = 20;
+  out << "round,element,from,to,scored,objective\n";
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::vector<bool> used(m.size(), false);
+    for (std::size_t site : eval.placement().site_of) used[site] = true;
+    std::vector<std::size_t> free_sites;
+    for (std::size_t w = 0; w < m.size(); ++w) {
+      if (!used[w]) free_sites.push_back(w);
+    }
+    std::vector<double> scores(elements.size() * free_sites.size());
+    eval.objectives_if_moved(elements, free_sites, scores.data());
+    std::size_t best = scores.size();
+    double best_objective = eval.objective();
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (scores[i] < best_objective - 1e-9) {
+        best_objective = scores[i];
+        best = i;
+      }
+    }
+    if (best == scores.size()) break;
+    const std::size_t element = best / free_sites.size();
+    const std::size_t from = eval.placement().site_of[element];
+    const std::size_t to = free_sites[best % free_sites.size()];
+    eval.apply_move(element, to);
+    out << round << ',' << element << ',' << from << ',' << to << ',' << best_objective
+        << ',' << eval.objective() << '\n';
+  }
+  core::LocalSearchOptions options;
+  options.max_rounds = kRounds;
+  options.objective = &objective;
+  options.threads = 2;
+  const core::LocalSearchResult search = core::local_search_placement(m, grid7, start, options);
+  out << "search_moves,search_objective,placement\n" << search.moves << ',' << search.objective;
+  for (std::size_t site : search.placement.site_of) out << ',' << site;
+  out << '\n';
+  expect_golden("delta_block_scan", out.str());
 }
 
 }  // namespace
