@@ -334,9 +334,9 @@ int main(int argc, char** argv) {
   // scaling table is the figure). The _exact row is the uncapped mode every
   // dense-matrix search runs (audited against the full scan at level 2); its
   // coverage lists are nearly dense at n=500. On this dense matrix neither
-  // indexed route beats the scan: one 4-core Xeon host measured the scan at
-  // 46-52 us, the capped route at 59-61 us and the exact route at 71-76 us
-  // per candidate.
+  // indexed route beats the scan: ten runs on one 4-core Xeon host measured
+  // the scan at 49-76 us (median 61), the capped route at 52-89 us (median
+  // 70) and the exact route at 59-106 us (median 83) per candidate.
   {
     auto scenario = std::make_shared<sim::Scenario>(sim::synthetic500_scenario());
     auto grid500 = std::make_shared<quorum::GridQuorum>(7);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/simd_kernels.hpp"
@@ -519,88 +520,149 @@ void DeltaEvaluator::block_scan(double add, std::span<const std::size_t> element
       // Moving the old value down removes its first copy at p_lo and inserts
       // at ins <= p_lo: the values in [ins, p_lo) shift one rank up (prefix
       // sums A). Moving it up removes its last copy at p_hi and inserts at
-      // q >= p_hi: the values in (p_hi, q] shift one rank down (B). A site's
-      // lower_bound lb and upper_bound ub in the whole row give both, for
-      // any element: ins = min(lb, p_lo) and q = ub - 1. Each rank is
-      // searched only when some (element, site) pair reads it — a site's lb
-      // when its value lies below some element's old value, its ub when
-      // above one; an element's p_lo when some site lies below its old
-      // value, its p_hi when above — and the clamps keep a stale or default
-      // rank in range in the branch not taken.
-      static thread_local std::vector<std::size_t> tl_lb;
+      // q >= p_hi: the values in (p_hi, q] shift one rank down (B). A
+      // one-element block searches each site's ins in [0, p_lo) or q in
+      // [p_hi, n). A block of several stages each site's ranks once per
+      // client — lb = lower_bound in [0, P) when its value lies below some
+      // element's old value, ub = upper_bound in [Q, n) when above one, with
+      // P the largest p_lo and Q the smallest p_hi — and every element reads
+      // ins = min(lb, p_lo) and q = max(ub, p_hi + 1) - 1, the same ranks;
+      // the clamps keep a stale or default rank in range in the branch not
+      // taken.
+      static thread_local std::vector<std::size_t> tl_lb;  // Sites: staged ranks.
       static thread_local std::vector<std::size_t> tl_ub;
       static thread_local std::vector<double> tl_old;  // Elements: the client's old values.
-      tl_lb.assign(m, 0);
-      tl_ub.assign(m, 0);
+      static thread_local std::vector<std::size_t> tl_p_lo;
+      static thread_local std::vector<std::size_t> tl_p_hi;
+      if (elements.size() > 1) {
+        tl_lb.assign(m, 0);
+        tl_ub.assign(m, 0);
+      }
       tl_old.resize(elements.size());
+      tl_p_lo.resize(elements.size());
+      tl_p_hi.resize(elements.size());
       const double* w = weights_.data();
-      for (std::size_t v = 0; v < clients_; ++v) {
-        gather(v);
-        const double* y = sorted_.data() + v * n_;
-        const double* a = shift_up_.data() + v * n_;
-        const double* b = shift_down_.data() + v * (n_ + 1);
-        double lowest = std::numeric_limits<double>::infinity();
-        double highest = -std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < elements.size(); ++i) {
-          tl_old[i] = site_rtt(v, placement_.site_of[elements[i]]) + add;
-          lowest = std::min(lowest, tl_old[i]);
-          highest = std::max(highest, tl_old[i]);
-        }
-        double lowest_site = std::numeric_limits<double>::infinity();
-        double highest_site = -std::numeric_limits<double>::infinity();
-        for (std::size_t j = 0; j < m; ++j) {
-          if (val[j] < highest) {
-            tl_lb[j] = static_cast<std::size_t>(std::lower_bound(y, y + n_, val[j]) - y);
+      const auto pass = [&](auto staged) {
+        constexpr bool kStaged = decltype(staged)::value;
+        for (std::size_t v = 0; v < clients_; ++v) {
+          gather(v);
+          const double* y = sorted_.data() + v * n_;
+          const double* a = shift_up_.data() + v * n_;
+          const double* b = shift_down_.data() + v * (n_ + 1);
+          // A one-site block searches only the old rank its site reads;
+          // wider ones search both.
+          const double lowest_site = m == 1 ? val[0] : -std::numeric_limits<double>::infinity();
+          const double highest_site = m == 1 ? val[0] : std::numeric_limits<double>::infinity();
+          double lowest = std::numeric_limits<double>::infinity();
+          double highest = -std::numeric_limits<double>::infinity();
+          std::size_t largest_p_lo = 0;
+          std::size_t smallest_p_hi = n_;
+          for (std::size_t i = 0; i < elements.size(); ++i) {
+            const double old_value = site_rtt(v, placement_.site_of[elements[i]]) + add;
+            tl_old[i] = old_value;
+            tl_p_lo[i] = lowest_site < old_value
+                             ? static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y)
+                             : 0;
+            tl_p_hi[i] =
+                highest_site > old_value
+                    ? static_cast<std::size_t>(std::upper_bound(y, y + n_, old_value) - y) - 1
+                    : 0;
+            if constexpr (kStaged) {
+              lowest = std::min(lowest, old_value);
+              highest = std::max(highest, old_value);
+              largest_p_lo = std::max(largest_p_lo, tl_p_lo[i]);
+              if (highest_site > old_value) smallest_p_hi = std::min(smallest_p_hi, tl_p_hi[i]);
+            }
           }
-          if (val[j] > lowest) {
-            tl_ub[j] = static_cast<std::size_t>(std::upper_bound(y, y + n_, val[j]) - y);
+          if constexpr (kStaged) {
+            for (std::size_t j = 0; j < m; ++j) {
+              if (val[j] < highest) {
+                tl_lb[j] = static_cast<std::size_t>(
+                    std::lower_bound(y, y + largest_p_lo, val[j]) - y);
+              }
+              if (val[j] > lowest) {
+                tl_ub[j] = static_cast<std::size_t>(
+                    std::upper_bound(y + smallest_p_hi, y + n_, val[j]) - y);
+              }
+            }
           }
-          lowest_site = std::min(lowest_site, val[j]);
-          highest_site = std::max(highest_site, val[j]);
-        }
-        const double base = client_sum_[v];
-        const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
-        for (std::size_t i = 0; i < elements.size(); ++i) {
-          const double old_value = tl_old[i];
-          const std::size_t p_lo =
-              lowest_site < old_value
-                  ? static_cast<std::size_t>(std::lower_bound(y, y + n_, old_value) - y)
-                  : 0;
-          const std::size_t p_hi =
-              highest_site > old_value
-                  ? static_cast<std::size_t>(std::upper_bound(y, y + n_, old_value) - y) - 1
-                  : 0;
-          const double old_lo = old_value * w[p_lo];
-          const double old_hi = old_value * w[p_hi];
-          const double a_lo = a[p_lo];
-          const double b_hi = b[p_hi + 1];
-          double* total = rows[i];
-          for (std::size_t j = 0; j < m; ++j) {
-            const double new_value = val[j];
-            const std::size_t ins = std::min(tl_lb[j], p_lo);
-            const std::size_t q = std::max(tl_ub[j], p_hi + 1) - 1;
-            const double down = new_value * w[ins] - old_lo + (a_lo - a[ins]);
-            const double up = new_value * w[q] - old_hi + (b[q + 1] - b_hi);
-            const double delta =
-                new_value < old_value ? down : (new_value > old_value ? up : 0.0);
-            total[j] += weight * (base + delta);
+          const double base = client_sum_[v];
+          const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
+          const auto score_element = [&](std::size_t i) {
+            const double old_value = tl_old[i];
+            const std::size_t p_lo = tl_p_lo[i];
+            const std::size_t p_hi = tl_p_hi[i];
+            const double old_lo = old_value * w[p_lo];
+            const double old_hi = old_value * w[p_hi];
+            const double a_lo = a[p_lo];
+            const double b_hi = b[p_hi + 1];
+            // The change of the client's sum when a site of value `value`
+            // is inserted at rank ins (moving down) or q (moving up).
+            const auto down = [&](double value, std::size_t ins) {
+              return value * w[ins] - old_lo + (a_lo - a[ins]);
+            };
+            const auto up = [&](double value, std::size_t q) {
+              return value * w[q] - old_hi + (b[q + 1] - b_hi);
+            };
+            double* total = rows[i];
+            if constexpr (kStaged) {
+              for (std::size_t j = 0; j < m; ++j) {
+                const double value = val[j];
+                const double to_lower = down(value, std::min(tl_lb[j], p_lo));
+                const double to_higher = up(value, std::max(tl_ub[j], p_hi + 1) - 1);
+                const double delta =
+                    value < old_value ? to_lower : (value > old_value ? to_higher : 0.0);
+                total[j] += weight * (base + delta);
+              }
+            } else {
+              for (std::size_t j = 0; j < m; ++j) {
+                const double value = val[j];
+                double delta = 0.0;
+                if (value < old_value) {
+                  delta = down(value, static_cast<std::size_t>(
+                                          std::lower_bound(y, y + p_lo, value) - y));
+                } else if (value > old_value) {
+                  delta = up(value, static_cast<std::size_t>(
+                                        std::upper_bound(y + p_hi, y + n_, value) - y) -
+                                        1);
+                }
+                total[j] += weight * (base + delta);
+              }
+            }
+          };
+          // A constant trip count lets the one-element block run as a
+          // straight-line body.
+          if constexpr (kStaged) {
+            for (std::size_t i = 0; i < elements.size(); ++i) score_element(i);
+          } else {
+            score_element(0);
           }
         }
+      };
+      if (elements.size() > 1) {
+        pass(std::true_type{});
+      } else {
+        pass(std::false_type{});
       }
       break;
     }
     case Shape::Grid: {
       // Per site, the two O(k) reductions over a row (column) that the site
-      // raises: sum_c max(val, cm[c]) and sum_r max(val, rm[r]). Each is
-      // computed only when the site's value exceeds the smallest row
-      // (column) exclusion among the elements — the only case an element
-      // reads it — and the element loop loads both unconditionally.
+      // raises: sum_c max(val, cm[c]) and sum_r max(val, rm[r]). An element
+      // reads one only when the site's value exceeds its row (column)
+      // exclusion. A block of several elements stages them once per client,
+      // each only when the value exceeds the smallest exclusion among the
+      // elements, and its element loop loads both unconditionally (so it
+      // vectorizes); a one-element block reads each at most once, so it
+      // computes them in place.
       static thread_local std::vector<double> tl_row_sum;
       static thread_local std::vector<double> tl_col_sum;
       static thread_local std::vector<std::size_t> tl_row;  // Elements: the element's row.
       static thread_local std::vector<std::size_t> tl_col;  // Elements: its column.
-      tl_row_sum.assign(m, 0.0);
-      tl_col_sum.assign(m, 0.0);
+      if (elements.size() > 1) {
+        tl_row_sum.assign(m, 0.0);
+        tl_col_sum.assign(m, 0.0);
+      }
       const double* row_sum = tl_row_sum.data();
       const double* col_sum = tl_col_sum.data();
       const std::size_t k = side_;
@@ -611,72 +673,99 @@ void DeltaEvaluator::block_scan(double add, std::span<const std::size_t> element
         tl_col[i] = elements[i] % k;
       }
       const double nd = static_cast<double>(n_);
-      for (std::size_t v = 0; v < clients_; ++v) {
-        gather(v);
-        const double* rm = row_max_.data() + v * k;
-        const double* cm = col_max_.data() + v * k;
-        const double* rex = row_excl_.data() + v * n_;
-        const double* cex = col_excl_.data() + v * n_;
-        double min_row_excl = std::numeric_limits<double>::infinity();
-        double min_col_excl = std::numeric_limits<double>::infinity();
-        for (std::size_t element : elements) {
-          min_row_excl = std::min(min_row_excl, rex[element]);
-          min_col_excl = std::min(min_col_excl, cex[element]);
-        }
-        double lowest_site = std::numeric_limits<double>::infinity();
-        for (std::size_t j = 0; j < m; ++j) {
-          if (min_row_excl < val[j]) {
-            tl_row_sum[j] = common::max_with_bound_sum(val[j], {cm, k});
+      // One pass per block kind, so each compiles to its own loop nest.
+      const auto pass = [&](auto staged) {
+        constexpr bool kStaged = decltype(staged)::value;
+        for (std::size_t v = 0; v < clients_; ++v) {
+          gather(v);
+          const double* rm = row_max_.data() + v * k;
+          const double* cm = col_max_.data() + v * k;
+          const double* rex = row_excl_.data() + v * n_;
+          const double* cex = col_excl_.data() + v * n_;
+          if constexpr (kStaged) {
+            double min_row_excl = std::numeric_limits<double>::infinity();
+            double min_col_excl = std::numeric_limits<double>::infinity();
+            for (std::size_t element : elements) {
+              min_row_excl = std::min(min_row_excl, rex[element]);
+              min_col_excl = std::min(min_col_excl, cex[element]);
+            }
+            for (std::size_t j = 0; j < m; ++j) {
+              if (min_row_excl < val[j]) {
+                tl_row_sum[j] = common::max_with_bound_sum(val[j], {cm, k});
+              }
+              if (min_col_excl < val[j]) {
+                tl_col_sum[j] = common::max_with_bound_sum(val[j], {rm, k});
+              }
+            }
           }
-          if (min_col_excl < val[j]) {
-            tl_col_sum[j] = common::max_with_bound_sum(val[j], {rm, k});
+          const double base = client_sum_[v];
+          const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
+          const auto score_element = [&](std::size_t i) {
+            const std::size_t element = elements[i];
+            const std::size_t r0 = tl_row[i];
+            const std::size_t c0 = tl_col[i];
+            const double row_excl = rex[element];
+            const double col_excl = cex[element];
+            const double cm_c0 = cm[c0];
+            const double rm_r0 = rm[r0];
+            const double old_row_part = row_quorum_sum_[v * k + r0];
+            const double old_col_part = col_quorum_sum_[v * k + c0] - std::max(rm_r0, cm_c0);
+            // A site no farther than the rest of row r0 (column c0) leaves its
+            // maximum, and hence the O(k) reduction over it, unchanged.
+            const double row_sum_excl = common::max_with_bound_sum(row_excl, {cm, k});
+            const double col_sum_excl = common::max_with_bound_sum(col_excl, {rm, k});
+            // With new_row = max(row_excl, value) and new_col = max(col_excl,
+            // value), each maximum below folds its site-independent operands
+            // first (max is exact, so the grouping does not change a bit).
+            const double cell_excl = std::max(row_excl, col_excl);  // max(new_row, new_col)
+            const double row_c0_excl = std::max(row_excl, cm_c0);   // max(new_row, cm[c0])
+            const double r0_col_excl = std::max(rm_r0, col_excl);   // max(rm[r0], new_col)
+            // The client's term for a site of value `value` whose row (column)
+            // reduction is new_row_sum (new_col_sum). Only quorum maxima in row
+            // r0 or column c0 change. New row-r0 part: sum_c max(new_row,
+            // cm'[c]) with cm'[c0] = new_col — the full-row reduction corrected
+            // at c0; the old part is the cached sum. New column-c0 part
+            // excluding the shared (r0, c0) cell; the old part is the cached
+            // column sum minus that cell.
+            const auto term = [&](double value, double new_row_sum, double new_col_sum) {
+              const double row_part =
+                  std::max(cell_excl, value) - std::max(row_c0_excl, value) + new_row_sum;
+              const double col_part = new_col_sum - std::max(r0_col_excl, value);
+              const double delta = (row_part - old_row_part) + (col_part - old_col_part);
+              return weight * ((base + delta) / nd);
+            };
+            double* total = rows[i];
+            if constexpr (kStaged) {
+              for (std::size_t j = 0; j < m; ++j) {
+                const double value = val[j];
+                const double site_row_sum = row_sum[j];
+                const double site_col_sum = col_sum[j];
+                total[j] += term(value, row_excl < value ? site_row_sum : row_sum_excl,
+                                 col_excl < value ? site_col_sum : col_sum_excl);
+              }
+            } else {
+              for (std::size_t j = 0; j < m; ++j) {
+                const double value = val[j];
+                total[j] += term(
+                    value,
+                    row_excl < value ? common::max_with_bound_sum(value, {cm, k}) : row_sum_excl,
+                    col_excl < value ? common::max_with_bound_sum(value, {rm, k}) : col_sum_excl);
+              }
+            }
+          };
+          // A constant trip count lets the one-element block run as a
+          // straight-line body.
+          if constexpr (kStaged) {
+            for (std::size_t i = 0; i < elements.size(); ++i) score_element(i);
+          } else {
+            score_element(0);
           }
-          lowest_site = std::min(lowest_site, val[j]);
         }
-        const double base = client_sum_[v];
-        const double weight = client_weight_.empty() ? 1.0 : client_weight_[v];
-        for (std::size_t i = 0; i < elements.size(); ++i) {
-          const std::size_t element = elements[i];
-          const std::size_t r0 = tl_row[i];
-          const std::size_t c0 = tl_col[i];
-          const double row_excl = rex[element];
-          const double col_excl = cex[element];
-          const double cm_c0 = cm[c0];
-          const double rm_r0 = rm[r0];
-          const double old_row_part = row_quorum_sum_[v * k + r0];
-          const double old_col_part = col_quorum_sum_[v * k + c0] - std::max(rm_r0, cm_c0);
-          // A site no farther than the rest of row r0 (column c0) leaves its
-          // maximum, and hence the O(k) reduction over it, unchanged; it is
-          // computed only when some site is that near.
-          const double row_sum_excl =
-              lowest_site <= row_excl ? common::max_with_bound_sum(row_excl, {cm, k}) : 0.0;
-          const double col_sum_excl =
-              lowest_site <= col_excl ? common::max_with_bound_sum(col_excl, {rm, k}) : 0.0;
-          // With new_row = max(row_excl, value) and new_col = max(col_excl,
-          // value), each maximum below folds its site-independent operands
-          // first (max is exact, so the grouping does not change a bit).
-          const double cell_excl = std::max(row_excl, col_excl);  // max(new_row, new_col)
-          const double row_c0_excl = std::max(row_excl, cm_c0);   // max(new_row, cm[c0])
-          const double r0_col_excl = std::max(rm_r0, col_excl);   // max(rm[r0], new_col)
-          double* total = rows[i];
-          for (std::size_t j = 0; j < m; ++j) {
-            const double value = val[j];
-            const double site_row_sum = row_sum[j];
-            const double site_col_sum = col_sum[j];
-            // Only quorum maxima in row r0 or column c0 change. New row-r0
-            // part: sum_c max(new_row, cm'[c]) with cm'[c0] = new_col — the
-            // full-row reduction corrected at c0; the old part is the cached
-            // sum.
-            const double row_part = std::max(cell_excl, value) - std::max(row_c0_excl, value) +
-                                    (row_excl < value ? site_row_sum : row_sum_excl);
-            // New column-c0 part excluding the shared (r0, c0) cell; the old
-            // part is the cached column sum minus that cell.
-            const double col_part = (col_excl < value ? site_col_sum : col_sum_excl) -
-                                    std::max(r0_col_excl, value);
-            const double delta = (row_part - old_row_part) + (col_part - old_col_part);
-            total[j] += weight * ((base + delta) / nd);
-          }
-        }
+      };
+      if (elements.size() > 1) {
+        pass(std::true_type{});
+      } else {
+        pass(std::false_type{});
       }
       break;
     }

@@ -40,13 +40,16 @@
 // d(v, s) + alpha * lambda_u; Sorted: the value's lower/upper bound rank in
 // the sorted row, O(log n); Grid: the row and column quorum-maxima
 // reductions the value raises, O(k), each only when some element of the
-// block can read it. Per (client, element), the move-invariant inputs are
-// read once — Sorted: the old value's rank, O(log n); Grid: the row/column
-// exclusion maxima and their two O(k) reductions; Enumerated: each incident
-// quorum's maximum without the element. What is left per (element, site) is
-// Sorted and Grid: O(1) branch-free arithmetic; Enumerated: one max per
-// incident quorum. Elements share the pass when their load terms are
-// bitwise equal (one group under a system's uniform load).
+// block can read it; a block of several elements stages it per client, a
+// one-element block does it in place. Per (client, element), the
+// move-invariant inputs are read once — Sorted: the old value's ranks,
+// O(log n); Grid: the row/column exclusion maxima and their two O(k)
+// reductions; Enumerated: each incident quorum's maximum without the
+// element. What is left per (element, site) is Sorted and Grid: O(1)
+// branch-free arithmetic (a one-element Sorted block searches each site's
+// rank in place); Enumerated: one max per incident quorum. Elements share
+// the pass when their load terms are bitwise equal (one group under a
+// system's uniform load).
 //
 // Closest strategy (§6, R = rho of the argmin-network-delay quorum): the
 // per-client cost couples globally through the load the quorum choices

@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -153,9 +152,7 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
   const std::size_t universe = eval.placement().universe_size();
   std::vector<std::size_t> elements(universe);
   std::iota(elements.begin(), elements.end(), std::size_t{0});
-  // Dense scan: one chunk of the shared target list per pool thread.
   const std::size_t threads = pool != nullptr ? pool->size() : 1;
-  std::vector<std::vector<double>> chunk_objectives(threads);
   // The round's candidates in scan order: element u's target sites are
   // sites[group[u], group[u + 1]).
   std::vector<std::size_t> sites;
@@ -195,45 +192,26 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     }
     group[universe] = sites.size();
     objectives.resize(sites.size());
-    if (options.candidate_knn == 0) {
-      // Every element shares one target list. Each task scores all elements
-      // against one chunk of it in one pass over the clients, so no per-
-      // (client, site) work is repeated across tasks; the chunks are then
-      // copied into scan order.
-      const std::span<const std::size_t> free_sites{sites.data(), group[1]};
-      const std::size_t width = free_sites.size();
-      const std::size_t chunks = std::min(threads, width);
-      const auto chunk_begin = [&](std::size_t t) { return width * t / chunks; };
-      const auto evaluate_chunk = [&](std::size_t t) {
-        const std::span<const std::size_t> chunk =
-            free_sites.subspan(chunk_begin(t), chunk_begin(t + 1) - chunk_begin(t));
-        chunk_objectives[t].resize(universe * chunk.size());
-        eval.objectives_if_moved(elements, chunk, chunk_objectives[t].data());
-      };
-      if (pool != nullptr) {
-        pool->parallel_for(0, chunks, evaluate_chunk);
-      } else {
-        for (std::size_t t = 0; t < chunks; ++t) evaluate_chunk(t);
-      }
-      for (std::size_t t = 0; t < chunks; ++t) {
-        const std::size_t chunk_width = chunk_begin(t + 1) - chunk_begin(t);
-        for (std::size_t u = 0; u < universe; ++u) {
-          std::copy_n(chunk_objectives[t].begin() + u * chunk_width, chunk_width,
-                      objectives.begin() + group[u] + chunk_begin(t));
-        }
-      }
+    // Each task scores a contiguous block of elements into its rows of
+    // `objectives` in place. On the dense balanced scan every element shares
+    // one target list and a block does each (client, site)'s work once for
+    // all its elements: one block per pool thread. Per-element lists (sparse
+    // candidates) and closest candidates, which share no work, take one
+    // element per task, so the pool balances their uneven costs.
+    const std::size_t blocks = options.candidate_knn == 0 && !eval.closest_strategy()
+                                   ? std::min(threads, universe)
+                                   : universe;
+    const auto block_begin = [&](std::size_t t) { return universe * t / blocks; };
+    const auto evaluate_block = [&](std::size_t t) {
+      const std::size_t first = block_begin(t);
+      eval.objectives_if_moved({elements.data() + first, block_begin(t + 1) - first},
+                               {sites.data() + group[first], group[first + 1] - group[first]},
+                               objectives.data() + group[first]);
+    };
+    if (pool != nullptr) {
+      pool->parallel_for(0, blocks, evaluate_block);
     } else {
-      // Per-element target lists: one task per element.
-      const auto evaluate_element = [&](std::size_t u) {
-        eval.objectives_if_moved({elements.data() + u, 1},
-                                 {sites.data() + group[u], group[u + 1] - group[u]},
-                                 objectives.data() + group[u]);
-      };
-      if (pool != nullptr) {
-        pool->parallel_for(0, universe, evaluate_element);
-      } else {
-        for (std::size_t u = 0; u < universe; ++u) evaluate_element(u);
-      }
+      for (std::size_t t = 0; t < blocks; ++t) evaluate_block(t);
     }
     c_ls_candidates.add(sites.size());
 

@@ -13,9 +13,11 @@
 // re-evaluation per candidate. The evaluator's contract is exactly this
 // search's invariant: a one-to-one placement, and moves of one element to
 // an unused site. The route can scan the neighborhood on the shared thread
-// pool: one task per pool thread, each scoring every element against one
-// chunk of the site list (one task per element with candidate_knn > 0,
-// where each element has its own targets). The parallel scan only
+// pool, each task scoring a contiguous block of elements in place: one block
+// per pool thread on the dense balanced scan, where a block shares each
+// (client, site)'s work across its elements, and one element per task with
+// candidate_knn > 0 (each element has its own targets) or a closest
+// objective (whose candidates share no work). The parallel scan only
 // distributes candidate evaluation; the accept decision replays the serial
 // scan order, so results are bit-identical for any thread count. The rest
 // (FailureAwareObjective's expectation over failure sets) take a full
@@ -55,7 +57,7 @@ struct LocalSearchOptions {
   const Objective* objective = nullptr;
   /// Worker threads for the delta candidate scan: 0 = the shared global
   /// pool, 1 = fully serial, n > 1 = a dedicated pool of n threads. The
-  /// dense scan splits the unused-site list into one chunk per thread.
+  /// dense balanced scan splits the elements into one block per thread.
   /// Bit-identical results for every setting. The full re-evaluation route
   /// is serial.
   std::size_t threads = 0;
