@@ -1116,7 +1116,6 @@ void DeltaEvaluator::attach_candidate_index(const ClientCandidateIndex* index) {
   if (index == nullptr) {
     candidate_index_ = nullptr;
     charge_lists_.clear();
-    overflow_clients_.clear();
     return;
   }
   if (!closest_) {
@@ -1138,23 +1137,6 @@ void DeltaEvaluator::rebuild_charge_index() {
   for (std::size_t v = 0; v < clients_; ++v) {
     for (std::size_t e : chosen_quorum_[v]) {
       charge_lists_[placement_.site_of[e]].push_back(v);
-    }
-  }
-  refresh_overflow_clients();
-}
-
-void DeltaEvaluator::refresh_overflow_clients() {
-  // Clients whose m1 outgrew their list's covered radius fall back to being
-  // classified on every candidate — that keeps uncapped evaluation exact as
-  // the placement drifts away from the radii the lists were built with.
-  // Capped indexes are openly approximate and skip the fallback (every
-  // far client would overflow, degenerating to the full scan).
-  overflow_clients_.clear();
-  if (!candidate_index_->capped()) {
-    for (std::size_t v = 0; v < clients_; ++v) {
-      if (best_value_[v] > candidate_index_->covered_radius(v)) {
-        overflow_clients_.push_back(v);
-      }
     }
   }
 }
@@ -1225,7 +1207,6 @@ void DeltaEvaluator::reaccumulate_closest_dirty(
 
   for (std::size_t v : touched_clients) dirty_client_[v] = 0;
   std::fill(reprice_client_.begin(), reprice_client_.end(), 0);
-  refresh_overflow_clients();
 }
 
 double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
@@ -1309,12 +1290,10 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   };
 
   // A flip needs u to leave (the client charges u's current site) or the
-  // new site to undercut m1 (the client's candidate list contains it, or
-  // the client overflowed its list) — see client_index.hpp for why this is
-  // exhaustive in the uncapped mode.
+  // new site to undercut m1 (approximated by: the client's candidate list
+  // contains it, see client_index.hpp).
   for (std::size_t v : charge_lists_[move.old_site]) classify(v);
   for (std::size_t v : candidate_index_->clients_of(site)) classify(v);
-  for (std::size_t v : overflow_clients_) classify(v);
   c_de_pruned.add(n_scanned - n_kept - n_recomputed);
   c_de_kept.add(n_kept);
   c_de_recomputed.add(n_recomputed);
@@ -1364,18 +1343,7 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
     total += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
              (worst - client_sum_[v]);
   }
-  const double result =
-      client_weight_.empty() ? total / static_cast<double>(clients_) : total;
-#if QP_PARITY_AUDIT_ENABLED
-  // Uncapped indexes promise exactness: audit every candidate against the
-  // retained full scan (capped indexes are openly approximate).
-  if (!candidate_index_->capped()) {
-    QP_PARITY_ASSERT(result, closest_if_moved(element, site), 1e-9,
-                     "closest_if_moved_indexed: sparse candidate evaluation diverged "
-                     "from the full client scan");
-  }
-#endif
-  return result;
+  return client_weight_.empty() ? total / static_cast<double>(clients_) : total;
 }
 
 void DeltaEvaluator::apply_move(std::size_t element, std::size_t site) {

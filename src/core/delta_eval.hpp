@@ -57,7 +57,7 @@
 // the per-client chosen quorum (identity + its best network value m1, plus
 // the second-best value for Majority) with lazy repair on site moves. One
 // classifier decides, per client, what a candidate move does to the choice
-// — for the full candidate scan, the indexed scan and apply_move alike:
+// — for the full candidate scan, the capped indexed scan and apply_move alike:
 //   * Unchanged: u not in the chosen quorum and d(v, w) strictly above m1 —
 //     the choice provably cannot flip (any quorum containing u is now
 //     strictly worse than the unchanged best), regardless of tie-breaking;
@@ -152,23 +152,17 @@ class DeltaEvaluator {
   /// one that can route candidate evaluation through a ClientCandidateIndex).
   [[nodiscard]] bool closest_strategy() const noexcept { return closest_; }
 
-  /// Closest strategy: the current per-client chosen-quorum network value
-  /// m1 — the coverage radii a ClientCandidateIndex should be built from.
-  /// Empty for balanced objectives.
-  [[nodiscard]] std::span<const double> best_values() const noexcept {
-    return closest_ ? std::span<const double>{best_value_} : std::span<const double>{};
-  }
-
-  /// Routes closest-strategy candidate evaluation through `index` (null
-  /// detaches): objective_if_moved then touches only the clients that can
-  /// flip (charge index of the old site + inverted lists of the new site +
-  /// coverage overflow) and reprices only clients whose inputs changed,
-  /// instead of scanning all n clients. Exact for uncapped indexes (up to
-  /// FP summation order, audited at QP_CHECK_LEVEL >= 2 against the full
-  /// scan); approximate candidate ranking for capped ones (see
-  /// client_index.hpp). The index must be built over this evaluator's space
-  /// and outlive the evaluator (or the next attach). Throws
-  /// std::invalid_argument for balanced objectives or a size mismatch.
+  /// Routes closest-strategy candidate evaluation through the capped
+  /// `index` (null detaches): objective_if_moved then touches only the
+  /// clients the move can flip (charge index of the old site + inverted
+  /// lists of the new site) and reprices only clients whose inputs changed,
+  /// instead of scanning all n clients. The local search attaches one only
+  /// on implicit spaces; a dense matrix keeps the full client scan. The
+  /// candidate ranking is approximate unless the cap covers every site (see
+  /// client_index.hpp); apply_move stays exact either way. The index must
+  /// be built over this evaluator's space and outlive the evaluator (or the
+  /// next attach). Throws std::invalid_argument for balanced objectives or
+  /// a size mismatch.
   void attach_candidate_index(const ClientCandidateIndex* index);
 
  private:
@@ -268,12 +262,10 @@ class DeltaEvaluator {
   [[nodiscard]] double closest_if_moved_indexed(std::size_t element,
                                                 std::size_t site) const;
   void apply_move_closest(std::size_t element, std::size_t site);
-  /// Rebuilds the site -> charging-clients lists (and the coverage-overflow
-  /// set) from the current chosen quorums — the full O(clients x |Q|) pass,
-  /// used at (re)build time and whenever no charge lists are maintained.
+  /// Rebuilds the site -> charging-clients lists from the current chosen
+  /// quorums — the full O(clients x |Q|) pass, used at (re)build time and
+  /// whenever no charge lists are maintained.
   void rebuild_charge_index();
-  /// Recollects the clients whose m1 outgrew their covered radius.
-  void refresh_overflow_clients();
   /// Bounded replacement for rebuild_closest_loads_and_rho after an accepted
   /// move, driven by the maintained charge lists: only the sites whose
   /// charging multiset changed are re-summed (ascending client order, so the
@@ -355,14 +347,11 @@ class DeltaEvaluator {
   std::vector<double> closest_load_;            // Weighted load_f per site.
 
   // Sparse candidate evaluation (closest strategy, optional): the attached
-  // per-client candidate lists, the site -> charging-clients lists (one
+  // per-client candidate lists and the site -> charging-clients lists (one
   // ascending client list per site, with per-element multiplicity; repaired
-  // in place per accepted move), and the clients whose m1 outgrew their
-  // list's covered radius (always checked, so uncapped evaluation stays
-  // exact).
+  // in place per accepted move).
   const ClientCandidateIndex* candidate_index_ = nullptr;
   std::vector<std::vector<std::size_t>> charge_lists_;  // sites -> clients.
-  std::vector<std::size_t> overflow_clients_;
   // apply_move scratch (clients-sized flags, cleared per accepted move).
   std::vector<std::uint8_t> dirty_client_;
   std::vector<std::uint8_t> reprice_client_;

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -19,28 +18,20 @@ namespace qp::core {
 namespace {
 
 // Search telemetry (shared by both routes): candidates scanned, moves
-// taken, rounds, and index rebuilds. Counts are tallied in bulk per round —
-// never per candidate — so the instrumented hot loop is unchanged.
+// taken and rounds. Counts are tallied in bulk per round — never per
+// candidate — so the instrumented hot loop is unchanged.
 const obs::Counter c_ls_candidates = obs::counter("core.local_search.candidates");
 const obs::Counter c_ls_moves = obs::counter("core.local_search.moves_accepted");
 const obs::Counter c_ls_rounds = obs::counter("core.local_search.rounds");
-const obs::Counter c_ls_rebuilds =
-    obs::counter("core.local_search.index_rebuilds");
 const obs::Counter c_ls_naive_runs = obs::counter("core.local_search.naive_runs");
 const obs::Counter c_ls_delta_runs = obs::counter("core.local_search.delta_runs");
 
 /// A move must improve the objective by more than this to be taken.
 constexpr double kMinImprovement = 1e-9;
 
-/// Uncapped client indexes are rebuilt from the current m1 radii after this
-/// many accepted moves. The initial lists cover the initial placement's
-/// radii forever, even as the search moves m1 both ways: clients whose
-/// radius shrank carry needlessly dense lists, clients whose radius outgrew
-/// its coverage fall into the always-rechecked overflow set. Periodic
-/// rebuilds keep the lists tight and the overflow set empty. The schedule
-/// changes speed, never decisions: uncapped indexed evaluation is exact for
-/// any list contents (coverage overflow repairs staleness).
-constexpr std::size_t kIndexRebuildMoves = 16;
+/// Sites per client candidate list on an implicit space (at least
+/// candidate_knn): O(n * cap) memory, see client_index.hpp.
+constexpr std::size_t kClientIndexCap = 64;
 
 /// The full re-evaluation route, for objectives the DeltaEvaluator does not
 /// model: one Objective::evaluate per candidate.
@@ -104,12 +95,14 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
   DeltaEvaluator eval{space, system, initial, objective};
 
   // Sparse candidate machinery: a k-NN index over the space (borrowed, or a
-  // brute-force one over the dense matrix), per-element target lists, and —
-  // for closest objectives — the client candidate index that makes each
-  // candidate's evaluation touch only affected clients.
+  // brute-force one over the dense matrix) for per-element target lists,
+  // and, on an implicit space, the capped client candidate index that makes
+  // a closest candidate touch only the clients it can affect. A dense
+  // matrix scores closest candidates with the full client scan.
   const net::KnnIndex* knn = options.knn;
   std::optional<net::KnnIndex> local_knn;
-  if (knn == nullptr && (options.candidate_knn > 0 || eval.closest_strategy())) {
+  const bool client_index = eval.closest_strategy() && matrix == nullptr;
+  if (knn == nullptr && (options.candidate_knn > 0 || client_index)) {
     if (matrix == nullptr) {
       throw std::invalid_argument{
           "local_search_placement: sparse candidate search over an implicit "
@@ -119,21 +112,11 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     knn = &*local_knn;
   }
   std::optional<ClientCandidateIndex> candidate_index;
-  ClientCandidateIndex::Config index_config;
-  if (eval.closest_strategy()) {
-    if (matrix == nullptr) {
-      // Implicit spaces take capped lists: exact coverage of every client's
-      // m1 is O(n) per far client before the search tightens the placement
-      // (see client_index.hpp).
-      index_config.cap = std::max<std::size_t>(64, options.candidate_knn);
-    }
-    candidate_index =
-        ClientCandidateIndex::build(space, knn, eval.best_values(), index_config);
+  if (client_index) {
+    candidate_index = ClientCandidateIndex::build(
+        *knn, std::max<std::size_t>(kClientIndexCap, options.candidate_knn));
     eval.attach_candidate_index(&*candidate_index);
   }
-  // Radius-shrinking rebuild schedule (uncapped lists only).
-  const bool reindex = candidate_index.has_value() && !candidate_index->capped();
-  std::size_t moves_since_reindex = 0;
 
   std::vector<bool> used(space.size(), false);
   for (std::size_t site : initial.site_of) used[site] = true;
@@ -252,16 +235,6 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     if (best_index == sites.size()) break;
     ++result.moves;
     c_ls_moves.add();
-    if (reindex && ++moves_since_reindex >= kIndexRebuildMoves) {
-      // Fresh lists match the current m1 radii (tight coverage, empty
-      // overflow set); exactness never depended on the list contents.
-      ClientCandidateIndex rebuilt =
-          ClientCandidateIndex::build(space, knn, eval.best_values(), index_config);
-      candidate_index = std::move(rebuilt);
-      eval.attach_candidate_index(&*candidate_index);
-      moves_since_reindex = 0;
-      c_ls_rebuilds.add();
-    }
   }
 
   result.placement = eval.placement();

@@ -29,14 +29,15 @@
 //
 // Sparse candidate search (the 10k-50k-site regime): `candidate_knn`
 // restricts each element's relocation targets to the k sites nearest its
-// current site (via a net::KnnIndex). Closest-strategy objectives always
-// route candidate evaluation through a ClientCandidateIndex, so one
-// candidate touches only the clients it can affect: exact (uncapped lists)
-// on a dense matrix, capped at max(64, candidate_knn) sites per client on an
-// implicit space, where the ranking is approximate and every applied move is
-// checked against the exact objective. With candidate_knn == 0 on a dense
-// matrix the search replays the full client scan's decisions exactly — the
-// parity suites pin that on every n <= 500 config.
+// current site (via a net::KnnIndex). One closest-strategy route per kind of
+// space: a dense matrix scores every candidate with the evaluator's full
+// client scan, which is exact, so the search replays the reference scan's
+// decisions move for move (the parity suites pin that on every n <= 500
+// config). An implicit space routes candidate evaluation through a
+// ClientCandidateIndex capped at max(64, candidate_knn) sites per client, so
+// one candidate touches only the clients it can affect; the ranking is then
+// approximate, and every applied move is checked against the exact
+// objective.
 #pragma once
 
 #include <cstddef>
@@ -67,12 +68,12 @@ struct LocalSearchOptions {
   /// so k >= n reproduces the dense candidate list exactly). Delta route
   /// only.
   std::size_t candidate_knn = 0;
-  /// k-NN index over the search space, used for candidate targets and for
-  /// building the client candidate lists. Optional when the space has a
-  /// dense matrix (a brute-force index is built on the fly); required with
-  /// candidate_knn > 0 or a closest objective on an implicit space. Must be
-  /// built over `space` (std::invalid_argument otherwise) and outlive the
-  /// call.
+  /// k-NN index over the search space, used for candidate targets and, on
+  /// an implicit space, for building the client candidate lists. Optional
+  /// when the space has a dense matrix (a brute-force index is built on the
+  /// fly when candidate_knn > 0); required with candidate_knn > 0 or a
+  /// closest objective on an implicit space. Must be built over `space`
+  /// (std::invalid_argument otherwise) and outlive the call.
   const net::KnnIndex* knn = nullptr;
 };
 

@@ -139,28 +139,6 @@ void KnnIndex::query_node(std::size_t node_id, std::size_t from, const double* q
   }
 }
 
-void KnnIndex::within_node(std::size_t node_id, std::size_t from, const double* query,
-                           double radius, std::vector<Neighbor>& out) const {
-  const Node& node = nodes_[node_id];
-  if (node.left == 0) {
-    for (std::size_t i = node.begin; i < node.end; ++i) {
-      const std::size_t s = order_[i];
-      if (s == from) continue;
-      const double r = embedding_->rtt(from, s);
-      if (r <= radius) out.push_back(Neighbor{s, r});
-    }
-    return;
-  }
-  const double h_from = embedding_->height(from);
-  for (std::size_t child : {node.left, node.right}) {
-    const double raw = box_distance(nodes_[child], query) + h_from +
-                       nodes_[child].min_height;
-    const double child_bound =
-        raw > embedding_->min_rtt_ms() ? raw : embedding_->min_rtt_ms();
-    if (child_bound <= radius) within_node(child, from, query, radius, out);
-  }
-}
-
 std::vector<KnnIndex::Neighbor> KnnIndex::nearest(std::size_t from, std::size_t k) const {
   std::vector<Neighbor> out;
   nearest(from, k, out);
@@ -185,24 +163,6 @@ void KnnIndex::nearest(std::size_t from, std::size_t k, std::vector<Neighbor>& o
   out.reserve(k);
   out.push_back(Neighbor{from, 0.0});  // self-seed; leaves skip `from`.
   query_node(1, from, embedding_->coordinate(from).data(), k, out);
-  std::sort(out.begin(), out.end(), better);
-}
-
-void KnnIndex::within(std::size_t from, double radius, std::vector<Neighbor>& out) const {
-  const std::size_t n = size();
-  if (from >= n) throw std::out_of_range{"KnnIndex::within: site out of range"};
-  out.clear();
-  if (radius < 0.0) return;
-  if (matrix_ != nullptr) {
-    const auto& row = matrix_->row(from);
-    for (std::size_t s = 0; s < n; ++s) {
-      if (row[s] <= radius) out.push_back(Neighbor{s, row[s]});
-    }
-    std::sort(out.begin(), out.end(), better);
-    return;
-  }
-  out.push_back(Neighbor{from, 0.0});
-  within_node(1, from, embedding_->coordinate(from).data(), radius, out);
   std::sort(out.begin(), out.end(), better);
 }
 

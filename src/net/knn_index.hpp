@@ -50,10 +50,6 @@ class KnnIndex {
   [[nodiscard]] std::vector<Neighbor> nearest(std::size_t from, std::size_t k) const;
   void nearest(std::size_t from, std::size_t k, std::vector<Neighbor>& out) const;
 
-  /// Every site with rtt(from, s) <= radius (including `from`), ascending
-  /// (ties by site index).
-  void within(std::size_t from, double radius, std::vector<Neighbor>& out) const;
-
  private:
   struct Node {
     std::size_t begin = 0;     // leaf: [begin, end) into order_.
@@ -69,8 +65,6 @@ class KnnIndex {
   [[nodiscard]] double box_distance(const Node& node, const double* query) const;
   void query_node(std::size_t node_id, std::size_t from, const double* query,
                   std::size_t k, std::vector<Neighbor>& heap) const;
-  void within_node(std::size_t node_id, std::size_t from, const double* query,
-                   double radius, std::vector<Neighbor>& out) const;
 
   const LatencyEmbedding* embedding_ = nullptr;  // exactly one backend is set
   const LatencyMatrix* matrix_ = nullptr;

@@ -12,9 +12,9 @@
 //
 // `as_matrix()` exposes the dense table when one exists. Callers use it for
 // dense-only machinery (the DeltaEvaluator's row fast path, the brute-force
-// k-NN index core::ClientCandidateIndex and core::local_search_placement
-// build over a matrix) and to *detect* the sparse regime (nullptr), where
-// O(n^2) candidate enumeration must not run. Everything else reads the
+// k-NN index core::local_search_placement builds over a matrix) and to
+// *detect* the sparse regime (nullptr), where O(n^2) candidate enumeration
+// must not run. Everything else reads the
 // space through rtt / fill_rtts.
 //
 // Contract (matching LatencyMatrix): rtt(a, b) == rtt(b, a) >= 0,

@@ -25,16 +25,19 @@
 #include "core/iterative.hpp"
 #include "core/local_search.hpp"
 #include "core/manytoone.hpp"
+#include "core/objective.hpp"
 #include "core/placement.hpp"
 #include "core/strategy.hpp"
 #include "eval/figures.hpp"
 #include "lp/revised_simplex.hpp"
+#include "net/knn_index.hpp"
 #include "net/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/majority.hpp"
 #include "sim/engine.hpp"
+#include "sim/scenario.hpp"
 #include "support/placement_lp.hpp"
 
 // --- global operator new instrumentation (for the zero-allocation test) ---
@@ -281,6 +284,46 @@ TEST(ObsParity, LocalSearchBitwiseIdenticalOnOffAndThreaded) {
     EXPECT_EQ(on1.moves, r->moves);
     EXPECT_EQ(on1.placement.site_of, r->placement.site_of);
   }
+}
+
+TEST(ObsCounters, ClosestSearchRoutesByKindOfSpace) {
+  // One closest route per kind of space: a dense matrix scores every
+  // candidate with the full client scan and attaches no candidate index; an
+  // implicit space scores them through the capped index alone.
+  const ObsGuard guard;
+  const core::ClosestStrategyObjective closest =
+      core::ClosestStrategyObjective::for_demand(4000.0);
+  const net::LatencyMatrix m = net::small_synth(24, 5);
+  const quorum::GridQuorum grid{3};
+  std::vector<std::size_t> sites(9);
+  for (std::size_t i = 0; i < sites.size(); ++i) sites[i] = 24 - 1 - i * 2;
+  core::LocalSearchOptions options;
+  options.objective = &closest;
+  options.threads = 1;
+  const core::LocalSearchResult dense =
+      core::local_search_placement(m, grid, core::Placement{sites}, options);
+  EXPECT_GT(dense.moves, 0u) << "vacuous pin, nothing moved";
+  std::vector<MetricSnapshot> snap = snapshot();
+  EXPECT_EQ(counter_value(snap, "core.delta_eval.closest_indexed_scans"), 0u);
+  EXPECT_GT(counter_value(snap, "core.local_search.candidates"), 0u);
+  EXPECT_EQ(counter_value(snap, "core.delta_eval.closest_full_scans"),
+            counter_value(snap, "core.local_search.candidates"));
+
+  reset();
+  sim::ScenarioConfig config;
+  config.site_count = 200;
+  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
+  const net::KnnIndex knn{scenario.space};
+  const core::ClosestStrategyObjective sparse_closest = scenario.closest_objective();
+  options.objective = &sparse_closest;
+  options.knn = &knn;
+  options.candidate_knn = 8;
+  options.max_rounds = 3;
+  for (std::size_t i = 0; i < sites.size(); ++i) sites[i] = 7 + 20 * i;
+  (void)core::local_search_placement(scenario.space, grid, core::Placement{sites}, options);
+  snap = snapshot();
+  EXPECT_EQ(counter_value(snap, "core.delta_eval.closest_full_scans"), 0u);
+  EXPECT_GT(counter_value(snap, "core.delta_eval.closest_indexed_scans"), 0u);
 }
 
 core::IterativeResult run_iterative() {

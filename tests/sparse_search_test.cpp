@@ -1,14 +1,17 @@
 // Parity suites for the sparse candidate-search stack: the kd-tree KnnIndex
 // against the brute-force reference, the ClientCandidateIndex sparse
-// evaluation against the dense full scan (including after move sequences,
-// where the evaluator repairs its charge/overflow state incrementally), and
-// — the acceptance pin — sparse local search reproducing the dense
-// exhaustive scan's local optimum on every n <= 500 config.
+// evaluation against the dense full scan (a cap covering every site makes
+// it exact, including after move sequences, where the evaluator repairs its
+// charge lists incrementally), and — the acceptance pin — the local search
+// reproducing the dense exhaustive scan's local optimum on every n <= 500
+// config, plus the capped route's improving-sequence guarantees on an
+// implicit space.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/client_index.hpp"
@@ -61,28 +64,6 @@ TEST(KnnIndex, TreeMatchesBruteForceOnDensifiedEmbedding) {
   }
 }
 
-TEST(KnnIndex, WithinMatchesBruteForce) {
-  sim::ScenarioConfig config;
-  config.site_count = 200;
-  const sim::SparseScenario scenario = sim::make_sparse_scenario(config);
-  const net::LatencyMatrix dense = densify(scenario.space);
-  const net::KnnIndex tree{scenario.space};
-  const net::KnnIndex brute{dense};
-  std::vector<net::KnnIndex::Neighbor> a, b;
-  for (std::size_t from = 0; from < tree.size(); from += 11) {
-    for (const double radius : {0.0, 20.0, 80.0, 1e9}) {
-      tree.within(from, radius, a);
-      brute.within(from, radius, b);
-      ASSERT_EQ(a.size(), b.size()) << "from=" << from << " r=" << radius;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].site, b[i].site);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].rtt_ms),
-                  std::bit_cast<std::uint64_t>(b[i].rtt_ms));
-      }
-    }
-  }
-}
-
 // ------------------------------------------- ClientCandidateIndex parity
 
 /// Indexed evaluator vs dense evaluator, candidate-by-candidate, over a
@@ -100,65 +81,89 @@ void expect_candidate_parity(const DeltaEvaluator& indexed, const DeltaEvaluator
   }
 }
 
-TEST(ClientCandidateIndex, SparseEvaluationStaysExactAcrossMoveSequence) {
-  // The uncapped index is built ONCE from the initial m1 radii; after each
-  // accepted move the evaluator repairs its charge index and coverage
-  // overflow set instead of rebuilding. Pin: the stale-index-plus-repair
-  // evaluation equals (a) the dense full scan and (b) an evaluator with an
-  // index freshly rebuilt from the current radii — after every move of an
-  // improving sequence.
-  const sim::Scenario scenario = sim::daxlist161_scenario();
-  const quorum::GridQuorum grid{7};
-  const ClosestStrategyObjective objective = scenario.closest_objective();
-  Placement placement;
-  placement.site_of.resize(grid.universe_size());
-  for (std::size_t u = 0; u < grid.universe_size(); ++u) placement.site_of[u] = u;
-
-  const net::KnnIndex knn{scenario.matrix};
-  DeltaEvaluator dense{scenario.matrix, grid, placement, objective};
-  DeltaEvaluator indexed{scenario.matrix, grid, placement, objective};
-  const ClientCandidateIndex index = ClientCandidateIndex::build(
-      scenario.matrix, &knn, indexed.best_values(), {});
-  indexed.attach_candidate_index(&index);
-
-  expect_candidate_parity(indexed, dense, grid.universe_size(), scenario.site_count(),
-                          "before any move");
-
-  // A deterministic improving move sequence: repeatedly take the first
-  // improving candidate the dense evaluator finds.
-  std::size_t moves = 0;
-  for (; moves < 8; ++moves) {
-    bool accepted = false;
-    for (std::size_t u = 0; u < grid.universe_size() && !accepted; ++u) {
-      for (std::size_t s = 0; s < scenario.site_count() && !accepted; ++s) {
-        if (dense.placement().site_of[u] == s ||
-            test_support::hosts_other(dense.placement(), u, s)) {
-          continue;
-        }
-        if (dense.objective_if_moved(u, s) < dense.objective() - 1e-9) {
-          dense.apply_move(u, s);
-          indexed.apply_move(u, s);
-          accepted = true;
-        }
+/// Applies the first improving candidate the detached (full-scan) evaluator
+/// `full` finds to both evaluators; false at a local optimum.
+bool apply_first_improving(DeltaEvaluator& full, DeltaEvaluator& indexed,
+                           std::size_t universe, std::size_t sites) {
+  for (std::size_t u = 0; u < universe; ++u) {
+    for (std::size_t s = 0; s < sites; ++s) {
+      if (full.placement().site_of[u] == s ||
+          test_support::hosts_other(full.placement(), u, s)) {
+        continue;
+      }
+      if (full.objective_if_moved(u, s) < full.objective() - 1e-9) {
+        full.apply_move(u, s);
+        indexed.apply_move(u, s);
+        return true;
       }
     }
-    if (!accepted) break;
-
-    EXPECT_NEAR(indexed.objective(), dense.objective(), 1e-9 * (1.0 + dense.objective()))
-        << "after move " << moves;
-    expect_candidate_parity(indexed, dense, grid.universe_size(), scenario.site_count(),
-                            "stale index after moves");
-
-    // Fresh rebuild from the *current* radii must agree with the repaired
-    // stale-index path too.
-    DeltaEvaluator fresh{scenario.matrix, grid, dense.placement(), objective};
-    const ClientCandidateIndex rebuilt = ClientCandidateIndex::build(
-        scenario.matrix, &knn, fresh.best_values(), {});
-    fresh.attach_candidate_index(&rebuilt);
-    expect_candidate_parity(indexed, fresh, grid.universe_size(), scenario.site_count(),
-                            "fresh rebuild after moves");
   }
-  EXPECT_GT(moves, 0u) << "the initial placement was already locally optimal";
+  return false;
+}
+
+Placement identity_placement(const quorum::QuorumSystem& system) {
+  Placement placement;
+  placement.site_of.resize(system.universe_size());
+  for (std::size_t u = 0; u < system.universe_size(); ++u) placement.site_of[u] = u;
+  return placement;
+}
+
+TEST(ClientCandidateIndex, SparseEvaluationStaysExactAcrossMoveSequence) {
+  // The exactness oracle of the indexed route: a cap >= n puts every site in
+  // every client's list, so each candidate classifies every client the move
+  // can flip and must match the full client scan. The index is built ONCE;
+  // after each accepted move the evaluator repairs its charge lists instead
+  // of rebuilding them. Pin: the repaired evaluation equals (a) the full
+  // scan and (b) an evaluator freshly attached to the same index — before
+  // and after every move of an improving sequence — for the Grid, Majority
+  // and generic (Tree, FPP) closest engines.
+  const sim::Scenario scenario = sim::daxlist161_scenario();
+  const ClosestStrategyObjective objective = scenario.closest_objective();
+  const net::KnnIndex knn{scenario.matrix};
+  const ClientCandidateIndex index =
+      ClientCandidateIndex::build(knn, scenario.site_count() + 1);
+  for (std::size_t s = 0; s < scenario.site_count(); ++s) {
+    ASSERT_EQ(index.clients_of(s).size(), scenario.site_count()) << "site " << s;
+  }
+
+  const auto run = [&](const quorum::QuorumSystem& system, const char* name) {
+    SCOPED_TRACE(name);
+    const Placement placement = identity_placement(system);
+    DeltaEvaluator dense{scenario.matrix, system, placement, objective};
+    DeltaEvaluator indexed{scenario.matrix, system, placement, objective};
+    indexed.attach_candidate_index(&index);
+    expect_candidate_parity(indexed, dense, system.universe_size(), scenario.site_count(),
+                            "before any move");
+
+    std::size_t moves = 0;
+    for (; moves < 8; ++moves) {
+      if (!apply_first_improving(dense, indexed, system.universe_size(),
+                                 scenario.site_count())) {
+        break;
+      }
+      EXPECT_NEAR(indexed.objective(), dense.objective(), 1e-9 * (1.0 + dense.objective()))
+          << "after move " << moves;
+      expect_candidate_parity(indexed, dense, system.universe_size(), scenario.site_count(),
+                              "repaired index after moves");
+
+      DeltaEvaluator fresh{scenario.matrix, system, dense.placement(), objective};
+      fresh.attach_candidate_index(&index);
+      expect_candidate_parity(indexed, fresh, system.universe_size(), scenario.site_count(),
+                              "freshly attached after moves");
+    }
+    EXPECT_GT(moves, 0u) << "the initial placement was already locally optimal";
+  };
+
+  run(quorum::GridQuorum{7}, "Grid(7x7)");
+  run(quorum::MajorityQuorum{49, 25}, "Majority(25/49)");
+  run(quorum::TreeQuorum{3}, "Tree(h=3)");
+  run(quorum::FppQuorum{3}, "FPP(q=3)");
+}
+
+TEST(ClientCandidateIndex, RejectsZeroCap) {
+  const sim::Scenario scenario = sim::daxlist161_scenario();
+  const net::KnnIndex knn{scenario.matrix};
+  EXPECT_THROW((void)ClientCandidateIndex::build(knn, 0), std::invalid_argument);
 }
 
 TEST(ClientCandidateIndex, DirtyReaccumulationMatchesFullBitwise) {
@@ -166,40 +171,26 @@ TEST(ClientCandidateIndex, DirtyReaccumulationMatchesFullBitwise) {
   // charging multiset changed and reprices only the dirty clients; the pin
   // is BITWISE equality with the detached evaluator's full O(clients x |Q|)
   // reaccumulation after every accepted move, for the Grid, Majority and
-  // enumerated (Tree, FPP) closest engines (the scenario's alpha > 0 arms
-  // the load terms).
+  // generic (Tree, FPP) closest engines (the scenario's alpha > 0 arms the
+  // load terms). The index is the production cap of 64 sites: the repair
+  // does not depend on the lists' contents.
   const sim::Scenario scenario = sim::daxlist161_scenario();
   const ClosestStrategyObjective objective = scenario.closest_objective();
   const net::KnnIndex knn{scenario.matrix};
+  const ClientCandidateIndex index = ClientCandidateIndex::build(knn, 64);
 
   const auto run = [&](const quorum::QuorumSystem& system, const char* name) {
-    Placement placement;
-    placement.site_of.resize(system.universe_size());
-    for (std::size_t u = 0; u < system.universe_size(); ++u) placement.site_of[u] = u;
-
+    const Placement placement = identity_placement(system);
     DeltaEvaluator full{scenario.matrix, system, placement, objective};
     DeltaEvaluator dirty{scenario.matrix, system, placement, objective};
-    const ClientCandidateIndex index =
-        ClientCandidateIndex::build(scenario.matrix, &knn, dirty.best_values(), {});
     dirty.attach_candidate_index(&index);
 
     std::size_t moves = 0;
     for (; moves < 12; ++moves) {
-      bool accepted = false;
-      for (std::size_t u = 0; u < system.universe_size() && !accepted; ++u) {
-        for (std::size_t s = 0; s < scenario.site_count() && !accepted; ++s) {
-          if (full.placement().site_of[u] == s ||
-              test_support::hosts_other(full.placement(), u, s)) {
-            continue;
-          }
-          if (full.objective_if_moved(u, s) < full.objective() - 1e-9) {
-            full.apply_move(u, s);
-            dirty.apply_move(u, s);
-            accepted = true;
-          }
-        }
+      if (!apply_first_improving(full, dirty, system.universe_size(),
+                                 scenario.site_count())) {
+        break;
       }
-      if (!accepted) break;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(dirty.objective()),
                 std::bit_cast<std::uint64_t>(full.objective()))
           << name << ": objective diverged after move " << moves;
@@ -216,7 +207,7 @@ TEST(ClientCandidateIndex, DirtyReaccumulationMatchesFullBitwise) {
 // ------------------------------------- Sparse vs dense local-search parity
 
 /// The acceptance pin: on a dense matrix with candidate_knn == 0 the
-/// search's uncapped client index must reproduce the dense exhaustive
+/// search's full client scan must reproduce the reference exhaustive
 /// scan's decisions exactly — same moves, same final placement. Both runs
 /// recompute the final objective from the matrix, so equal placements give
 /// equal doubles.

@@ -3,8 +3,8 @@
 // call, the evaluator's full client scan (no ClientCandidateIndex attached),
 // in the production (element, unused site) order with the production accept
 // rule. local_search_placement, which scores blocks of elements against
-// chunks of the shared target list, must reproduce its moves exactly
-// wherever its indexed evaluation is exact.
+// chunks of the shared target list, must reproduce its moves exactly on a
+// dense matrix.
 //
 // Each round scores its candidates on the shared thread pool, one task per
 // element, into a candidate-ordered array (objective_if_moved is const and
