@@ -97,8 +97,7 @@ void BM_ClosestDeltaCandidate500Indexed(benchmark::State& state) {
       core::best_grid_placement(scenario.matrix, 7).placement;
   core::DeltaEvaluator eval{scenario.matrix, grid, placement, objective};
   const net::KnnIndex knn{scenario.matrix};
-  const core::ClientCandidateIndex index =
-      core::ClientCandidateIndex::build(knn, static_cast<std::size_t>(state.range(0)));
+  const core::ClientCandidateIndex index = core::ClientCandidateIndex::build(knn, 64);
   eval.attach_candidate_index(&index);
   bench::CandidateCycle cycle{placement, scenario.matrix.size()};
   for (auto _ : state) {
@@ -106,7 +105,7 @@ void BM_ClosestDeltaCandidate500Indexed(benchmark::State& state) {
     benchmark::DoNotOptimize(eval.objective_if_moved(element, site));
   }
 }
-BENCHMARK(BM_ClosestDeltaCandidate500Indexed)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ClosestDeltaCandidate500Indexed)->Unit(benchmark::kMicrosecond);
 
 // Env knob parsing for the scaling table. QP_LT_SCALING="10000" runs one
 // row (the CI smoke shape); "off" disables the section.
