@@ -122,6 +122,13 @@ struct ObsOverheadRow {
   }
 };
 
+double median(std::vector<double> values) {
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  if (values.size() % 2 != 0) return *mid;
+  return 0.5 * (*mid + *std::max_element(values.begin(), mid));
+}
+
 double time_local_search_ms(const net::LatencyMatrix& matrix,
                             const quorum::QuorumSystem& system,
                             const core::Placement& initial,
@@ -179,6 +186,11 @@ int main(int argc, char** argv) {
       {"closest", &closest},
       {"closest_weighted", &closest_weighted},
   };
+  // One delta or parallel search takes tens to hundreds of ms and one run
+  // swings by up to 2x on a shared machine, so those two columns are the
+  // median of kSearchRuns searches. The naive column is one search: it only
+  // feeds speedup_vs_naive.
+  constexpr std::size_t kSearchRuns = 5;
   std::vector<SpeedupRow> rows;
   for (const Config& config : configs) {
     for (const auto& [label, objective] : objectives) {
@@ -188,12 +200,17 @@ int main(int argc, char** argv) {
       core::LocalSearchOptions parallel_obj = parallel_options;
       naive_obj.objective = &full;
       delta_obj.objective = parallel_obj.objective = objective;
+      const auto median_ms = [&](const core::LocalSearchOptions& options) {
+        std::vector<double> ms(kSearchRuns);
+        for (double& run : ms) {
+          run = time_local_search_ms(matrix, *config.system, config.placement, options);
+        }
+        return median(std::move(ms));
+      };
       const double naive_ms =
           time_local_search_ms(matrix, *config.system, config.placement, naive_obj);
-      const double delta_ms =
-          time_local_search_ms(matrix, *config.system, config.placement, delta_obj);
-      const double parallel_ms =
-          time_local_search_ms(matrix, *config.system, config.placement, parallel_obj);
+      const double delta_ms = median_ms(delta_obj);
+      const double parallel_ms = median_ms(parallel_obj);
       rows.push_back(SpeedupRow{config.label, label, naive_ms, delta_ms, parallel_ms,
                                 naive_ms / delta_ms});
     }
@@ -238,12 +255,6 @@ int main(int argc, char** argv) {
       overhead_pct.push_back(100.0 * (on_ms.back() - off_ms.back()) / off_ms.back());
     }
     qp::obs::set_enabled(was_enabled);
-    const auto median = [](std::vector<double> values) {
-      const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
-      std::nth_element(values.begin(), mid, values.end());
-      if (values.size() % 2 != 0) return *mid;
-      return 0.5 * (*mid + *std::max_element(values.begin(), mid));
-    };
     std::cout << "# Observability overhead: instrumented local search, obs on vs off\n";
     const std::vector<ObsOverheadRow> overhead{
         {median(on_ms), median(off_ms), median(overhead_pct)}};
@@ -415,7 +426,9 @@ int main(int argc, char** argv) {
         });
   }
 
-  // --- The vectorized reduction kernels the evaluations bottom out in.
+  // --- The reduction kernels the evaluations bottom out in
+  // (common/simd_kernels.hpp). max_with_bound_sum runs on 7 values, the
+  // Grid 7x7 row the block scan sums six times per client.
   {
     common::Rng kernel_rng{11};
     auto values = std::make_shared<std::vector<double>>(4096);
@@ -433,6 +446,13 @@ int main(int argc, char** argv) {
         [values, weights](benchmark::State& state) {
           for (auto _ : state) {
             benchmark::DoNotOptimize(common::weighted_dot(*values, *weights));
+          }
+        });
+    benchmark::RegisterBenchmark(
+        "EvalKernels/simd_max_with_bound_sum/7", [values](benchmark::State& state) {
+          const std::span<const double> row{values->data(), 7};
+          for (auto _ : state) {
+            benchmark::DoNotOptimize(common::max_with_bound_sum(0.5, row));
           }
         });
   }

@@ -6,7 +6,7 @@ namespace qp::core {
 // LatencySpace::fill_rtts; LatencyMatrix reads the client's row with a
 // scalar loop. The reductions those values feed — the Majority order-stat
 // dot, the Grid row/column maxima and quorum-maxima sums — run through the
-// vectorized common/simd_kernels.hpp kernels inside each QuorumSystem's
+// fixed-order common/simd_kernels.hpp kernels inside each QuorumSystem's
 // expected_max_uniform_scratch.
 
 void fill_element_distances(const net::LatencySpace& space, const Placement& placement,

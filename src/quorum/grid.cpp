@@ -83,9 +83,9 @@ double GridQuorum::expected_max_uniform_scratch(std::span<const double> values,
                                                 std::vector<double>& scratch) const {
   check_values_size(*this, values);
   // scratch holds row maxima in [0, k) and column maxima in [k, 2k). The
-  // row-at-a-time structure keeps every inner loop contiguous so the
-  // common/simd_kernels reductions vectorize (the historical fused loop
-  // carried both reductions at once, which the vectorizer rejects).
+  // row-at-a-time structure keeps every inner loop a contiguous
+  // common/simd_kernels call; max_with_bound_sum sums each row in its fixed
+  // two-lane order.
   scratch.assign(2 * k_, -std::numeric_limits<double>::infinity());
   double* row_max = scratch.data();
   double* col_max = scratch.data() + k_;

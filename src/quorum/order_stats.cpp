@@ -46,10 +46,10 @@ double expected_max_sorted(std::span<const double> sorted_values,
 
 double expected_max_sorted(std::span<const double> sorted_values,
                            std::span<const double> weights) noexcept {
-  // Identical value (up to reduction reordering) to the (values,
-  // subset_size) overload: the extra leading terms all multiply
-  // exactly-zero weights. This is THE per-client inner loop of every
-  // Majority evaluation, hence the vectorized kernel.
+  // Identical value to the (values, subset_size) overload, which forwards
+  // here: the extra leading terms all multiply exactly-zero weights. This
+  // is THE per-client inner loop of every Majority evaluation; weighted_dot
+  // sums it in a fixed two-lane order, the same bits on every build type.
   return common::weighted_dot(sorted_values, weights);
 }
 

@@ -13,6 +13,7 @@
 
 #include "common/combinatorics.hpp"
 #include "common/rng.hpp"
+#include "common/simd_kernels.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "net/latency_matrix.hpp"
@@ -187,6 +188,51 @@ TEST(SimdKernels, GatherIndexedMatchesScalarForAllTailLengths) {
     EXPECT_EQ(out[n], 42.0) << "tail overwrote past the end at n=" << n;
     EXPECT_EQ(out[n + 1], 42.0);
   }
+}
+
+/// The order contract of simd_kernels.hpp, written out: even indices into
+/// lane 0, odd into lane 1, an odd tail into lane 0, then (0 + lane0) + lane1.
+double two_lane_sum(const std::vector<double>& terms) {
+  double lane[2] = {0.0, 0.0};
+  const std::size_t pairs = terms.size() / 2 * 2;
+  for (std::size_t i = 0; i < pairs; ++i) lane[i % 2] += terms[i];
+  if (pairs < terms.size()) lane[0] += terms.back();
+  return (0.0 + lane[0]) + lane[1];
+}
+
+TEST(SimdKernels, SumsFollowFixedTwoLaneOrder) {
+  // weighted_dot and max_with_bound_sum must return the same bits on every
+  // build type, so the goldens can compare exact strings. Terms span
+  // 1e-3..1e6, where the rounding depends on the order of the additions;
+  // lengths 0..65 cover both parities and every tail. A left-to-right sum
+  // must differ somewhere, or the inputs would not test the order at all.
+  Rng rng{37};
+  std::size_t order_sensitive = 0;
+  for (std::size_t n = 0; n <= 65; ++n) {
+    std::vector<double> values(n);
+    std::vector<double> weights(n);
+    for (double& v : values) v = std::pow(10.0, rng.uniform(-3.0, 6.0));
+    for (double& w : weights) w = rng.uniform();
+    const double bound = std::pow(10.0, rng.uniform(-3.0, 6.0));
+
+    std::vector<double> products(n);
+    std::vector<double> bounded(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      products[i] = values[i] * weights[i];
+      bounded[i] = values[i] > bound ? values[i] : bound;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(weighted_dot(values, weights)),
+              std::bit_cast<std::uint64_t>(two_lane_sum(products)))
+        << "weighted_dot n=" << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(max_with_bound_sum(bound, values)),
+              std::bit_cast<std::uint64_t>(two_lane_sum(bounded)))
+        << "max_with_bound_sum n=" << n;
+
+    double left_to_right = 0.0;
+    for (double p : products) left_to_right += p;
+    if (left_to_right != two_lane_sum(products)) ++order_sensitive;
+  }
+  EXPECT_GT(order_sensitive, 0u);
 }
 
 // ---------------------------------------------------------------- Stats

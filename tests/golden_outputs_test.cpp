@@ -5,21 +5,15 @@
 // to keep the numbers (a setting turned into a constant, a loop reordered)
 // has to reproduce every row bit for bit.
 //
-// A row is compared as an exact string first; where that fails (another
-// compiler or libm), field by field, with numeric fields allowed a 1e-12
-// relative gap. DeltaBlockScan compares exact strings only in an optimized
-// build: it pins a kernel rewrite that must keep every bit of the optimized
-// (GCC -O3) build it was recorded from; an unoptimized build sums the
-// vectorized reductions in another order and gets the band. A failing case
-// names the row and writes its actual output to golden_actual/<name>.csv
-// under the test's working directory; copy that file over
-// tests/golden/<name>.csv once a change in output is intended.
+// Rows are compared as exact strings on every build type: the reduction
+// kernels in common/simd_kernels.hpp fix their summation order in the
+// source, so Debug, sanitizer and optimized builds print the same bits. A
+// failing case names the row and writes its actual output to
+// golden_actual/<name>.csv under the test's working directory; copy that
+// file over tests/golden/<name>.csv once a change in output is intended.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -55,8 +49,6 @@
 namespace qp::eval {
 namespace {
 
-constexpr double kRelativeBand = 1e-12;
-
 const net::LatencyMatrix& planetlab50() {
   static const net::LatencyMatrix m = net::planetlab50_synth();
   return m;
@@ -70,36 +62,7 @@ std::vector<std::string> split(const std::string& text, char separator) {
   return parts;
 }
 
-bool parse_number(const std::string& field, double& value) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  value = std::strtod(field.c_str(), &end);
-  return end == field.c_str() + field.size();
-}
-
-bool fields_agree(const std::string& golden, const std::string& actual) {
-  if (golden == actual) return true;
-  double g = 0.0;
-  double a = 0.0;
-  if (!parse_number(golden, g) || !parse_number(actual, a)) return false;
-  return std::abs(g - a) <= kRelativeBand * std::max(std::abs(g), std::abs(a));
-}
-
-bool rows_agree(const std::string& golden, const std::string& actual) {
-  if (golden == actual) return true;
-  const std::vector<std::string> g = split(golden, ',');
-  const std::vector<std::string> a = split(actual, ',');
-  if (g.size() != a.size()) return false;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (!fields_agree(g[i], a[i])) return false;
-  }
-  return true;
-}
-
-enum class Match : std::uint8_t { Banded, Exact };
-
-void expect_golden(const std::string& name, const std::string& actual,
-                   Match match = Match::Banded) {
+void expect_golden(const std::string& name, const std::string& actual) {
   const std::filesystem::path path =
       std::filesystem::path{QP_GOLDEN_DIR} / (name + ".csv");
   std::ifstream in{path};
@@ -113,9 +76,7 @@ void expect_golden(const std::string& name, const std::string& actual,
   if (!agree) ADD_FAILURE() << "no golden file " << path;
   const std::size_t common = std::min(golden_rows.size(), actual_rows.size());
   for (std::size_t i = 0; agree && i < common; ++i) {
-    const bool same = match == Match::Exact ? golden_rows[i] == actual_rows[i]
-                                            : rows_agree(golden_rows[i], actual_rows[i]);
-    if (!same) {
+    if (golden_rows[i] != actual_rows[i]) {
       ADD_FAILURE() << name << " row " << i << " differs\n  golden: " << golden_rows[i]
                     << "\n  actual: " << actual_rows[i];
       agree = false;
@@ -448,11 +409,7 @@ TEST(GoldenOutputs, DeltaBlockScan) {
   out << "search_moves,search_objective,placement\n" << search.moves << ',' << search.objective;
   for (std::size_t site : search.placement.site_of) out << ',' << site;
   out << '\n';
-#ifdef __OPTIMIZE__
-  expect_golden("delta_block_scan", out.str(), Match::Exact);
-#else
   expect_golden("delta_block_scan", out.str());
-#endif
 }
 
 }  // namespace

@@ -120,22 +120,6 @@ void guard(int x) { assert(x > 0); }  // qp-lint: allow(naked-assert)
 """,
     ),
     (
-        "omp-pragma",
-        "src/core/hot_loop.cpp",
-        "QPL005",
-        """void scale(double* x, int n) {
-#pragma omp parallel for
-  for (int i = 0; i < n; ++i) x[i] *= 2.0;
-}
-""",
-        """void scale(double* x, int n) {
-// qp-lint: allow(omp-pragma)
-#pragma omp parallel for
-  for (int i = 0; i < n; ++i) x[i] *= 2.0;
-}
-""",
-    ),
-    (
         "hot-path-sync",
         "src/core/hot_counter.cpp",
         "QPL007",
@@ -279,18 +263,6 @@ double total() {
   return sum;
 }
 """,
-    "src/common/simd_kernels.hpp": """#pragma once
-// The one file allowed to carry omp pragmas.
-inline double dot(const double* x, const double* w, int n) {
-  double sum = 0.0;
-#pragma omp simd reduction(+ : sum)
-  for (int i = 0; i < n; ++i) sum += x[i] * w[i];
-  return sum;
-}
-""",
-    "bench/dot_bench.cpp": """#include "common/simd_kernels.hpp"
-double bench(const double* x, int n) { return dot(x, x, n); }
-""",
     "src/common/rng.cpp": """// The rng module itself may reference std::random_device etc.
 #include <random>
 unsigned hardware_entropy() { return std::random_device{}(); }
@@ -319,8 +291,8 @@ def main(argv):
     listing = subprocess.run(
         [sys.executable, str(lint_script), "--list-rules"], capture_output=True, text=True
     )
-    for rule_id in ("QPL001", "QPL002", "QPL003", "QPL004", "QPL005", "QPL006", "QPL007",
-                    "QPL008", "QPL009"):
+    for rule_id in ("QPL001", "QPL002", "QPL003", "QPL004", "QPL006", "QPL007", "QPL008",
+                    "QPL009"):
         check(rule_id in listing.stdout, f"--list-rules mentions {rule_id}")
 
     for name, rel, rule_id, violating, annotated in CASES:

@@ -27,9 +27,6 @@ Rules (ID / name / scope):
                                        from common/check.hpp, leveled by
                                        QP_CHECK_LEVEL. (static_assert is
                                        fine; common/check.hpp is exempt.)
-  QPL005 omp-pragma         all        #pragma omp is allowed only in
-                                       common/simd_kernels.hpp (pragma-only
-                                       `omp simd`, no runtime threads).
   QPL006 parity-reference   src        Every DeltaEvaluator fast-path file
                                        (src/**/delta_eval*.cpp) must carry a
                                        QP_PARITY_ASSERT reference so the
@@ -277,7 +274,6 @@ FP_ACCUM_RE = re.compile(
     r"\bstd::(?:transform_)?reduce\b|\bstd::atomic\s*<\s*(?:double|float|long\s+double)\b"
 )
 NAKED_ASSERT_RE = re.compile(r"(?<![\w_])(?<!static_)assert\s*\(")
-OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
 HOT_SYNC_RE = re.compile(
     r"\bstd::(?:atomic(?:_ref|_flag)?\s*<|atomic_flag\b|"
     r"(?:recursive_|timed_|shared_)*mutex\b|"
@@ -346,18 +342,6 @@ def rule_naked_assert(scan):
             yield lineno, (
                 "naked assert() arms by build type; use QP_CHECK / QP_CHECK_EQ_EPS / "
                 "QP_PARITY_ASSERT from common/check.hpp (leveled by QP_CHECK_LEVEL)"
-            )
-
-
-def rule_omp_pragma(scan):
-    if scan.rel == "src/common/simd_kernels.hpp":
-        return
-    for lineno, code in enumerate(scan.code, start=1):
-        if OMP_PRAGMA_RE.search(code):
-            yield lineno, (
-                "#pragma omp outside common/simd_kernels.hpp: OpenMP threading is "
-                "banned (determinism flows through common/thread_pool); pragma-only "
-                "`omp simd` lives in simd_kernels.hpp exclusively"
             )
 
 
@@ -716,7 +700,6 @@ RULES = [
     ("QPL002", "nondeterministic-rng", rule_nondeterministic_rng, False),
     ("QPL003", "fp-accumulation", rule_fp_accumulation, False),
     ("QPL004", "naked-assert", rule_naked_assert, False),
-    ("QPL005", "omp-pragma", rule_omp_pragma, False),
     ("QPL006", "parity-reference", rule_parity_reference, True),  # file-scoped
     ("QPL007", "hot-path-sync", rule_hot_path_sync, False),
 ]
